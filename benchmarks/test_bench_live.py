@@ -93,8 +93,12 @@ def test_bench_router_hot_path(once):
 def test_bench_shard_loopback(once):
     """One shard process end to end: UDP in, forwarded UDP out.
 
-    The sender paces lightly (a yield per batch) so the measurement is
-    the shard's service rate, not the loopback buffer depth.
+    The sender paces lightly (a yield per batch) so the loopback buffer
+    never overflows — which also makes the figure generator-bound: it
+    is the rate this single-threaded sender offers (~60k pkts/s), a
+    floor check, not the shard's ceiling.  The shard's service rate is
+    the perf ledger's ``live.shard.sat_pps`` row (``perfledger/run.py
+    --workload live_shard_flood --trace 1``, 125-160k pkts/s).
     """
     n_packets = 20_000
     batch = 200

@@ -127,6 +127,7 @@ class LoadConfig:
     queue: PelsQueueConfig = field(default_factory=_default_queue)
     feedback_interval: float = 0.030
     feedback_window: int = 5
+    #: Shard burst granularity under backlog (``ShardConfig.service_tick``).
     service_tick: float = 0.002
     #: Grouped-pacer wake period (one wake advances a whole tenant).
     pace_tick: float = 0.010

@@ -2,9 +2,9 @@
 
 One datagram endpoint plays the bottleneck router: datagrams arriving
 from the server are classified into the tri-color PELS queues (green,
-yellow, red — served strict-priority) or the Internet FIFO, and a
-service task drains the composite under deficit weighted round-robin,
-paced by a token bucket filled at the bottleneck link rate.  Every
+yellow, red — served strict-priority) or the Internet FIFO, and the
+composite is drained under deficit weighted round-robin, paced by a
+token bucket filled at the bottleneck link rate.  Every
 ``T`` wall-seconds an epoch task closes the Eq. 11 measurement interval
 through the clock-free :class:`~repro.core.feedback.FeedbackComputer`
 (the same object the simulator's ``RouterFeedback`` drives from the
@@ -17,9 +17,10 @@ Two deliberate wall-clock defenses:
 * the epoch task passes the *measured* interval length to
   ``FeedbackComputer.close`` so asyncio timer jitter cannot read as an
   arrival-rate change;
-* the service task is credit-based — each wake-up converts elapsed time
-  into byte tokens and drains whatever they cover — so sleep overshoot
-  shifts service in bursts but never loses capacity.
+* service is credit-based — every ingest wake (and, only while a backlog
+  waits for credit, a ``service_tick`` timer) converts elapsed time into
+  byte tokens and drains whatever they cover — so an uncongested port
+  forwards on arrival and timer overshoot never loses capacity.
 
 The per-datagram paths are written for throughput (a shard process must
 sustain >=10k pkts/s; ``benchmarks/test_bench_live.py`` gates it):
@@ -97,9 +98,9 @@ class LiveRouter(asyncio.DatagramProtocol):
     router_id:
         Label identity; must be >= 1 (0 marks "never stamped").
     service_tick:
-        Target sleep of the token-bucket service loop.  Each wake
-        drains every packet the accumulated credit covers, so the tick
-        bounds burstiness, not throughput.
+        Burst granularity under backlog: a timer of this period serves
+        the bucket only while queued datagrams wait for credit; with
+        credit in hand the ingesting wake forwards them at once.
     recv_batch:
         Datagrams read per event-loop wake in :meth:`bind_socket` mode
         (one reader callback drains up to this many before yielding).
@@ -149,6 +150,8 @@ class LiveRouter(asyncio.DatagramProtocol):
         self.arrivals = [0, 0, 0, 0]
         self.drops = [0, 0, 0, 0]
         self.forwarded = [0, 0, 0, 0]
+        #: Forwards the socket refused: wire loss, not queue drops.
+        self.send_errors = 0
         #: Layered shedding state: 0 = off, 1 = shed red, 2 = shed
         #: red + yellow.  Green and best-effort are never shed.
         self.shed_level = 0
@@ -163,13 +166,24 @@ class LiveRouter(asyncio.DatagramProtocol):
                         cfg.quantum_bytes * cfg.internet_weight / total)
         self._deficit = [0.0, 0.0]
         self._wrr_turn = 0
+        # Token bucket.  Credit cap: a few ticks' worth, so an idle link
+        # absorbs a burst without exceeding the configured average rate.
+        self._byte_rate = bottleneck_bps / 8
+        self._burst_bytes = max(4 * self._byte_rate * service_tick,
+                                2 * cfg.quantum_bytes)
+        self._credit = 0.0
+        self._served_at = clock.now
+        #: Pending backlog timer / coalesced protocol-mode service call.
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._service_scheduled = False
 
         #: Per-flow forwarding destinations (gateway-installed routes).
         self.flow_routes: Dict[int, Tuple[str, int]] = {}
         self.dst_addr: Optional[Tuple[str, int]] = None
         self.transport: Optional[asyncio.DatagramTransport] = None
         self._sock: Optional[socket.socket] = None
-        self._sock_loop: Optional[asyncio.AbstractEventLoop] = None
+        self._recv_view = memoryview(bytearray(65536))
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.loss_series = TimeSeries("virtual-loss")
         self.rate_series = TimeSeries("pels-arrival-rate")
         self._trace = current_tracer()
@@ -186,6 +200,10 @@ class LiveRouter(asyncio.DatagramProtocol):
 
     def datagram_received(self, data: bytes, addr) -> None:
         self._ingest(data)
+        # One service call per loop iteration, however many arrive in it.
+        if self._running and not self._service_scheduled:
+            self._service_scheduled = True
+            self._loop.call_soon(self._service)
 
     # -- raw-socket mode (shard processes) ---------------------------------
 
@@ -203,21 +221,21 @@ class LiveRouter(asyncio.DatagramProtocol):
             raise RuntimeError("router already has a datagram transport")
         sock.setblocking(False)
         self._sock = sock
-        self._sock_loop = loop or asyncio.get_running_loop()
-        self._sock_loop.add_reader(sock.fileno(), self._on_readable)
+        self._loop = loop or asyncio.get_running_loop()
+        self._loop.add_reader(sock.fileno(), self._on_readable)
 
     def _on_readable(self) -> None:
-        """One readiness wake: ingest a batch of datagrams."""
-        recv = self._sock.recvfrom
+        """One readiness wake: ingest a batch in place, then serve it."""
+        recv_into = self._sock.recv_into
         ingest = self._ingest
-        for _ in range(self.recv_batch):
-            try:
-                data, _addr = recv(65536)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            ingest(data)
+        view = self._recv_view
+        try:
+            for _ in range(self.recv_batch):
+                ingest(view[:recv_into(view)])
+        except OSError:
+            pass  # socket drained dry (or gone): serve what arrived
+        if self._running:
+            self._service()
 
     # -- ingest (hot path) -------------------------------------------------
 
@@ -259,22 +277,26 @@ class LiveRouter(asyncio.DatagramProtocol):
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Arm the service and epoch tasks (call once, inside a loop)."""
+        """Open the token bucket, arm the epoch task (once, in a loop)."""
         if self._running:
             raise RuntimeError("router already started")
         self._running = True
-        self._tasks = [asyncio.ensure_future(self._serve()),
-                       asyncio.ensure_future(self._epochs())]
+        self._loop = self._loop or asyncio.get_running_loop()
+        self._served_at = self.clock.now
+        self._tasks = [asyncio.ensure_future(self._epochs())]
 
     async def stop(self) -> None:
         self._running = False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
-        if self._sock is not None and self._sock_loop is not None:
-            self._sock_loop.remove_reader(self._sock.fileno())
-            self._sock_loop = None
+        if self._sock is not None and self._loop is not None:
+            self._loop.remove_reader(self._sock.fileno())
+        self._loop = None
 
     # -- service path ------------------------------------------------------
 
@@ -358,26 +380,24 @@ class LiveRouter(asyncio.DatagramProtocol):
             credit -= size
             forward(pending)
 
-    async def _serve(self) -> None:
-        """Token-bucket pacing at the bottleneck link rate."""
-        bytes_per_second = self.bottleneck_bps / 8
-        # Credit cap: a few ticks' worth, so an idle link can absorb a
-        # burst without ever exceeding the configured average rate.
-        burst_bytes = max(4 * bytes_per_second * self.service_tick,
-                          2 * self.config.quantum_bytes)
-        tick = self.service_tick
-        sleep = asyncio.sleep
-        drain = self._drain
-        clock = self.clock
-        credit = 0.0
-        last = clock.now
-        while self._running:
-            await sleep(tick)
-            now = clock.now
-            credit = min(credit + (now - last) * bytes_per_second,
-                         burst_bytes)
-            last = now
-            credit = drain(credit)
+    def _service(self) -> None:
+        """Token-bucket pacing at the bottleneck link rate: turn the clock
+        time since the last call into byte credit and drain what it
+        covers.  Every ingest wake calls this; a backlog left waiting
+        for credit arms the one ``service_tick`` timer."""
+        self._service_scheduled = False
+        now = self.clock.now
+        credit = min(self._credit + (now - self._served_at) * self._byte_rate,
+                     self._burst_bytes)
+        self._served_at = now
+        self._credit = self._drain(credit)
+        if self._timer is None and self._running and any(self._queues):
+            self._timer = self._loop.call_later(self.service_tick,
+                                                self._on_timer)
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self._service()
 
     def _forward(self, datagram: bytearray) -> None:
         if datagram[_COLOR_OFFSET] != _BE:
@@ -392,10 +412,10 @@ class LiveRouter(asyncio.DatagramProtocol):
         if self._sock is not None:
             try:
                 self._sock.sendto(datagram, dst)
-            except (BlockingIOError, OSError):
-                pass  # full socket buffer == wire loss; drop silently
+            except OSError:
+                self.send_errors += 1  # full socket buffer == wire loss
         elif self.transport is not None:
-            self.transport.sendto(bytes(datagram), dst)
+            self.transport.sendto(datagram, dst)
 
     # -- Eq. 11 epochs -----------------------------------------------------
 

@@ -80,7 +80,9 @@ class LiveConfig:
     cross_traffic: str = "cbr"
     cbr_rate_bps: float = 3_000_000.0
 
-    #: Wall-clock task granularities (see router/server docstrings).
+    #: Wall-clock granularities (see router/server docstrings): the
+    #: router's burst granularity under backlog (it forwards on arrival
+    #: while it has link credit) and the server's pacer wake period.
     service_tick: float = 0.002
     pace_tick: float = 0.005
     #: Seconds granted after the senders stop for in-flight datagrams

@@ -65,6 +65,9 @@ class ShardConfig:
     queue: PelsQueueConfig = field(default_factory=PelsQueueConfig)
     feedback_interval: float = 0.030
     feedback_window: int = 5
+    #: Burst granularity under backlog: the router's credit timer runs
+    #: only while datagrams wait for link credit (an uncongested shard
+    #: forwards on arrival, an idle one sleeps in the selector).
     service_tick: float = 0.002
     recv_batch: int = 64
 
@@ -100,6 +103,9 @@ class ShardStats:
     shed_packets: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     shed_bytes: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     shed_level: int = 0
+    #: Forwards the data socket refused (``LiveRouter.send_errors``):
+    #: datagrams that left the queues but never reached the wire.
+    send_errors: int = 0
 
     @property
     def total_forwarded(self) -> int:
@@ -126,7 +132,8 @@ def _snapshot(router, config: ShardConfig, port: int,
         red_occupancy=depths[2] / red_buffer,
         shed_packets=list(router.shed_packets),
         shed_bytes=list(router.shed_bytes),
-        shed_level=router.shed_level)
+        shed_level=router.shed_level,
+        send_errors=router.send_errors)
 
 
 async def _shard_serve(conn, config: ShardConfig) -> None:

@@ -132,6 +132,7 @@ class _SlotState:
     restarts: int = 0
     utilization: float = 0.0
     red_occupancy: float = 0.0
+    send_errors: int = 0
     _prev_cpu: Optional[float] = None
     _prev_wall: Optional[float] = None
     _prev_shed_bytes: List[int] = field(
@@ -287,6 +288,7 @@ class ShardSupervisor:
         state._prev_cpu = stats.cpu_seconds
         state._prev_wall = stats.wall_seconds
         state.red_occupancy = stats.red_occupancy
+        state.send_errors = stats.send_errors
         self._account_shed(state, stats)
 
         hot = state.utilization >= cfg.overload_utilization or \
@@ -446,6 +448,8 @@ class ShardSupervisor:
             "shed_levels": {slot: st.shed_level
                             for slot, st in self._slots.items()},
             "utilization": {slot: st.utilization
+                            for slot, st in self._slots.items()},
+            "send_errors": {slot: st.send_errors
                             for slot, st in self._slots.items()},
             "failovers": [record.to_dict() for record in self.failovers],
             "shed_transitions": list(self.shed_transitions),

@@ -76,12 +76,14 @@ class FakeShard:
         self.exitcode = -9
 
 
-def make_stats(cpu=0.0, wall=0.0, red_occupancy=0.0, shed_bytes=None):
+def make_stats(cpu=0.0, wall=0.0, red_occupancy=0.0, shed_bytes=None,
+               send_errors=0):
     return ShardStats(shard_id=1, port=0, arrivals=[0] * 4, drops=[0] * 4,
                       forwarded=[0] * 4, mean_virtual_loss=0.0, routes=0,
                       cpu_seconds=cpu, wall_seconds=wall,
                       red_occupancy=red_occupancy,
-                      shed_bytes=shed_bytes or [0, 0, 0, 0])
+                      shed_bytes=shed_bytes or [0, 0, 0, 0],
+                      send_errors=send_errors)
 
 
 def make_pool(n_shards=2, flows_per_shard=0):
@@ -323,6 +325,12 @@ class TestReport:
         assert report["failovers"][0]["slot"] == 1
         assert report["failovers"][0]["latency"] >= 0.0
         json.dumps(report)  # must serialize as-is
+
+    def test_report_carries_shard_send_errors(self):
+        supervisor, _, shards, clock, _ = make_pool(n_shards=2)
+        shards[1].last_stats = make_stats(send_errors=7)
+        supervisor.tick(clock.now)
+        assert supervisor.report()["send_errors"] == {0: 0, 1: 7}
 
 
 class TestGatewaySlotControl:
