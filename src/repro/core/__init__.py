@@ -1,7 +1,9 @@
 """PELS — Partitioned Enhancement Layer Streaming (the paper's core).
 
-* :class:`~repro.core.pels_queue.PelsBottleneckQueue` — tri-color
-  strict-priority AQM + Internet FIFO under WRR (Fig. 4 left).
+* :class:`~repro.core.pels_queue.PelsQueueCore` — tri-color
+  strict-priority AQM + Internet FIFO under WRR (Fig. 4 left), driven
+  by :class:`~repro.core.pels_queue.PelsBottleneckQueue` in the
+  simulator and by :class:`~repro.live.router.LiveRouter` on real UDP.
 * :class:`~repro.core.gamma.GammaController` — the red-fraction
   controller of Eqs. (4)-(5).
 * :class:`~repro.core.feedback.RouterFeedback` /
@@ -20,7 +22,7 @@ from .feedback import FeedbackComputer, FeedbackTracker, RouterFeedback
 from .gamma import (GammaController, gamma_fixed_point, is_stable_sigma,
                     iterate_gamma, iterate_gamma_delayed, pels_utility_bound)
 from .multihop import MultiHopPelsSimulation, MultiHopScenario
-from .pels_queue import PelsBottleneckQueue, PelsQueueConfig
+from .pels_queue import PelsBottleneckQueue, PelsQueueConfig, PelsQueueCore
 from .report import FlowReport, SessionReport, build_report
 from .session import PelsScenario, PelsSimulation
 from .sink import PelsSink
@@ -44,6 +46,7 @@ __all__ = [
     "PelsBottleneckQueue",
     "PelsMarkingPolicy",
     "PelsQueueConfig",
+    "PelsQueueCore",
     "PelsScenario",
     "PelsSimulation",
     "PelsSink",

@@ -6,23 +6,28 @@ A router output port carries two aggregates under weighted round-robin:
   red drop-tail queues;
 * the **Internet queue**, a plain FIFO for all best-effort traffic.
 
-The composite is a :class:`~repro.sim.queues.QueueDiscipline`, so it
-plugs directly into a :class:`~repro.sim.link.Link`.  Per-color loss
-estimators and delay accounting hooks are built in because every PELS
-figure (7, 8, 9) reads them.
+:class:`PelsQueueCore` is that port, once: clock-free and item-agnostic,
+driven by the simulator through :class:`PelsBottleneckQueue` and by the
+live router (:mod:`repro.live.router`) with raw datagrams.
+
+:class:`PelsBottleneckQueue` is a
+:class:`~repro.sim.queues.QueueDiscipline`, so it plugs directly into a
+:class:`~repro.sim.link.Link`.  Per-color loss estimators are built in
+because every PELS figure (7, 8, 9) reads them.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from math import ceil
 from typing import Dict, Optional
 
 from ..cc.base import Tunable, TunableParam
 from ..sim.packet import Color, Packet
-from ..sim.queues import DropTailQueue, QueueDiscipline
-from ..sim.scheduler import StrictPriorityScheduler, WeightedRoundRobinScheduler
+from ..sim.queues import QueueDiscipline, QueueStats
 from ..sim.stats import WindowedLossEstimator
 
-__all__ = ["PelsQueueConfig", "PelsBottleneckQueue",
+__all__ = ["PelsQueueConfig", "PelsQueueCore", "PelsBottleneckQueue",
            "PELS_SHARE_SAFE_RANGE"]
 
 
@@ -85,126 +90,239 @@ class PelsQueueConfig(Tunable):
             super()._apply_param(name, value)
 
 
+class ColorFifo:
+    """One bounded FIFO of the port: items, their sizes, counters."""
+
+    __slots__ = ("name", "limit", "items", "sizes", "stats")
+
+    def __init__(self, name: str, limit: int) -> None:
+        self.name = name
+        self.limit = limit
+        self.items: deque = deque()
+        self.sizes: deque = deque()
+        self.stats = QueueStats()
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    @property
+    def byte_count(self) -> int:
+        return sum(self.sizes)
+
+
+#: Turns one service decision walks before it skips ahead: 64 rounds,
+#: as many as ``WeightedRoundRobinScheduler`` tries before giving up.
+_SPIN = range(128)
+
+
+class PelsQueueCore:
+    """Fig. 4's output port, once: WRR{ strict-priority{green, yellow,
+    red}, Internet FIFO } over four bounded FIFOs.
+
+    Clock-free and item-agnostic: an arrival is ``(raw color index,
+    item, size in bytes)``, so the simulator queues ``Packet`` objects
+    and the live router queues datagrams through the same policy.  The
+    two aggregates share the port by deficit round-robin (Shreedhar &
+    Varghese): at its turn an aggregate earns ``quantum * weight`` once
+    and sends head items while the deficit covers them; an idle
+    aggregate forfeits its deficit.
+    """
+
+    __slots__ = ("fifos", "quantum_bytes", "_quanta", "deficits", "turn",
+                 "_fresh", "_next", "shed_level", "sheds", "shed_packets",
+                 "shed_bytes")
+
+    def __init__(self, config: PelsQueueConfig) -> None:
+        self.fifos = [ColorFifo("green-q", config.green_buffer),
+                      ColorFifo("yellow-q", config.yellow_buffer),
+                      ColorFifo("red-q", config.red_buffer),
+                      ColorFifo("internet-q", config.internet_buffer)]
+        self.quantum_bytes = config.quantum_bytes
+        self.set_weights(config.pels_weight, config.internet_weight)
+        #: Byte deficit and whose turn it is: 0 = PELS, 1 = Internet.
+        self.deficits = [0.0, 0.0]
+        self.turn = 0
+        self._fresh = True  # whether the current turn still owes a quantum
+        #: The pending service decision, once :meth:`peek` has made it.
+        self._next = None
+        self.shed_level = 0
+        self.sheds = [False, False, False, False]
+        self.shed_packets = [0, 0, 0, 0]
+        self.shed_bytes = [0, 0, 0, 0]
+
+    def set_weights(self, pels_weight: float, internet_weight: float) -> None:
+        """Renegotiate the WRR split; deficits and the turn carry over."""
+        total = pels_weight + internet_weight
+        self._quanta = (self.quantum_bytes * (pels_weight / total),
+                        self.quantum_bytes * (internet_weight / total))
+        if not min(self._quanta) > 0:
+            raise ValueError("each aggregate must earn a positive quantum")
+        self._next = None
+
+    def set_shed_level(self, level: int) -> None:
+        """Layered shedding at ingest: 0 = off, 1 = red, 2 = red +
+        yellow.  Green base-layer items and the Internet FIFO are never
+        shed — the enhancement bands are the cheap thing to lose."""
+        if not 0 <= level <= 2:
+            raise ValueError("shed level must be 0, 1 or 2")
+        self.shed_level = level
+        self.sheds[2] = level >= 1
+        self.sheds[1] = level >= 2
+
+    def enqueue(self, color: int, item, size: int) -> bool:
+        """Admit one arrival; False when it was shed or overflowed."""
+        fifo = self.fifos[color]
+        stats = fifo.stats
+        stats.arrivals += 1
+        stats.arrival_bytes += size
+        if self.sheds[color]:
+            self.shed_packets[color] += 1
+            self.shed_bytes[color] += size
+            return False
+        items = fifo.items
+        if len(items) >= fifo.limit:
+            stats.drops += 1
+            stats.drop_bytes += size
+            return False
+        items.append(item)
+        fifo.sizes.append(size)
+        self._next = None
+        return True
+
+    def _select(self):
+        """``(fifo, turn, deficits)`` of the next service, or ``None``
+        on an empty port.  Commits nothing: an arrival between a
+        :meth:`peek` and the :meth:`dequeue` is weighed afresh."""
+        green, yellow, red, internet = self.fifos
+        heads = (green if green.items else yellow if yellow.items
+                 else red if red.items else None,
+                 internet if internet.items else None)
+        if heads[0] is None and heads[1] is None:
+            return None
+        turn, fresh = self.turn, self._fresh
+        deficits = self.deficits[:]
+        quanta = self._quanta
+        while True:
+            for _ in _SPIN:
+                fifo = heads[turn]
+                if fifo is None:
+                    deficits[turn] = 0.0
+                else:
+                    if fresh:
+                        deficits[turn] += quanta[turn]
+                    if deficits[turn] >= fifo.sizes[0]:
+                        return fifo, turn, deficits
+                turn = 1 - turn
+                fresh = True
+            # A quantum this small against the heads: credit at once the
+            # whole rounds in which still neither aggregate can send.
+            backlogged = [a for a in (0, 1) if heads[a] is not None]
+            skip = min(ceil((heads[a].sizes[0] - deficits[a]) / quanta[a])
+                       for a in backlogged) - 1
+            for a in backlogged:
+                deficits[a] += skip * quanta[a]
+
+    def peek(self):
+        """The very item :meth:`dequeue` returns next."""
+        selection = self._next
+        if selection is None:
+            selection = self._next = self._select()
+        return selection[0].items[0] if selection is not None else None
+
+    def dequeue(self):
+        """Serve one item; ``None`` only when all four FIFOs are empty."""
+        selection = self._next or self._select()
+        if selection is None:
+            return None
+        self._next = None
+        fifo, turn, deficits = selection
+        size = fifo.sizes.popleft()
+        deficits[turn] -= size
+        self.turn, self.deficits, self._fresh = turn, deficits, False
+        stats = fifo.stats
+        stats.departures += 1
+        stats.departure_bytes += size
+        return fifo.items.popleft()
+
+    def __len__(self) -> int:
+        return sum(len(fifo.items) for fifo in self.fifos)
+
+
 class PelsBottleneckQueue(QueueDiscipline):
-    """WRR{ strict-priority{green, yellow, red}, Internet FIFO }."""
+    """The simulator's driver of :class:`PelsQueueCore`: items are
+    ``Packet`` objects; adds the port-level :class:`QueueStats`, the
+    per-color loss estimators and the tracer events."""
 
     def __init__(self, config: Optional[PelsQueueConfig] = None,
                  name: str = "pels-bottleneck") -> None:
         super().__init__(name)
         self.config = config or PelsQueueConfig()
-        cfg = self.config
-
-        self.green_queue = DropTailQueue(cfg.green_buffer, name="green-q")
-        self.yellow_queue = DropTailQueue(cfg.yellow_buffer, name="yellow-q")
-        self.red_queue = DropTailQueue(cfg.red_buffer, name="red-q")
-        self.internet_queue = DropTailQueue(cfg.internet_buffer,
-                                            name="internet-q")
-
-        self.pels_scheduler = StrictPriorityScheduler(
-            [self.green_queue, self.yellow_queue, self.red_queue],
-            classifier=self._color_index, name="pels-priority")
-        self.scheduler = WeightedRoundRobinScheduler(
-            [self.pels_scheduler, self.internet_queue],
-            weights=[cfg.pels_weight, cfg.internet_weight],
-            classifier=self._aggregate_index,
-            quantum_bytes=cfg.quantum_bytes, name="wrr")
+        self.core = PelsQueueCore(self.config)
+        self.green_queue, self.yellow_queue, self.red_queue, \
+            self.internet_queue = self.core.fifos
 
         # Physical per-color loss accounting (Fig. 7 right reads red).
         self.loss_estimators: Dict[Color, WindowedLossEstimator] = {
             color: WindowedLossEstimator(color.name.lower())
             for color in (Color.GREEN, Color.YELLOW, Color.RED)
         }
-        # List views indexed by the IntEnum value: skip the dict hash /
-        # classifier indirection on the per-packet enqueue path
-        # (BEST_EFFORT maps to no estimator and the Internet FIFO).
-        self._estimator_by_color = [self.loss_estimators[Color.GREEN],
-                                    self.loss_estimators[Color.YELLOW],
-                                    self.loss_estimators[Color.RED],
-                                    None]
-        self._leaf_by_color = [self.green_queue, self.yellow_queue,
-                               self.red_queue, self.internet_queue]
-        for color, queue in ((Color.GREEN, self.green_queue),
-                             (Color.YELLOW, self.yellow_queue),
-                             (Color.RED, self.red_queue)):
-            queue.on_drop = self._make_drop_hook(color)
+        # List view indexed by the IntEnum value: skips the dict hash on
+        # the per-packet enqueue path (BEST_EFFORT has no estimator).
+        self._estimator_by_color = [*self.loss_estimators.values(), None]
 
-    @staticmethod
-    def _color_index(packet: Packet) -> int:
-        if packet.color is Color.BEST_EFFORT:
-            raise ValueError("best-effort packet routed into PELS queue")
-        return int(packet.color)
-
-    @staticmethod
-    def _aggregate_index(packet: Packet) -> int:
-        return 0 if packet.color is not Color.BEST_EFFORT else 1
-
-    def _make_drop_hook(self, color: Color):
-        estimator = self.loss_estimators[color]
-
-        def hook(packet: Packet, reason: str) -> None:
-            estimator.record_drop()
-
-        return hook
-
-    # -- QueueDiscipline interface (delegate to the WRR root) ------------
+    # -- QueueDiscipline interface ---------------------------------------
 
     def enqueue(self, packet: Packet) -> bool:
-        # Drops straight into the leaf drop-tail queue for the packet's
-        # color instead of re-classifying through WRR -> strict-priority
-        # -> leaf: the intermediate schedulers only route on enqueue
-        # (their discipline acts on dequeue), and every reader of
-        # arrival/drop statistics uses either this aggregate level or
-        # the leaf queues.
         stats = self.stats
         color = packet.color
+        size = packet.size
         stats.arrivals += 1
-        stats.arrival_bytes += packet.size
+        stats.arrival_bytes += size
         estimator = self._estimator_by_color[color]
         if estimator is not None:
             estimator.record_arrival()
-        accepted = self._leaf_by_color[color].enqueue(packet)
-        if accepted:
-            # Keep the WRR backlog counter coherent: its dequeue() is
-            # still the service path.
-            self.scheduler._backlog += 1
-        else:
+        accepted = self.core.enqueue(color, packet, size)
+        if not accepted:
             stats.drops += 1
-            stats.drop_bytes += packet.size
+            stats.drop_bytes += size
+            if estimator is not None:
+                estimator.record_drop()
+            if self._trace is not None:
+                self._trace.drop(self.core.fifos[color].name, "full-packets",
+                                 int(color), packet.flow_id)
         if self._trace is not None:
             self._trace.enqueue(self.name, int(color), packet.flow_id,
                                 accepted)
         return accepted
 
     def dequeue(self) -> Optional[Packet]:
-        packet = self.scheduler.dequeue()
+        core = self.core
+        packet = core.dequeue()
         if packet is not None:
             stats = self.stats
             stats.departures += 1
             stats.departure_bytes += packet.size
             if self._trace is not None:
-                self._trace.dequeue(self.name, int(packet.color),
-                                    packet.flow_id)
+                color = int(packet.color)
+                self._trace.wrr(core.turn, color, core.deficits[core.turn])
+                self._trace.dequeue(self.name, color, packet.flow_id)
         return packet
 
     def peek(self) -> Optional[Packet]:
-        return self.scheduler.peek()
+        return self.core.peek()
 
     def __len__(self) -> int:
-        return len(self.scheduler)
+        return len(self.core)
 
     @property
     def byte_count(self) -> int:
-        return self.scheduler.byte_count
+        return sum(fifo.byte_count for fifo in self.core.fifos)
 
     # -- measurement helpers ---------------------------------------------
 
-    def queue_for(self, color: Color) -> DropTailQueue:
-        """The drop-tail queue serving a given color."""
-        mapping = {Color.GREEN: self.green_queue,
-                   Color.YELLOW: self.yellow_queue,
-                   Color.RED: self.red_queue,
-                   Color.BEST_EFFORT: self.internet_queue}
-        return mapping[color]
+    def queue_for(self, color: Color) -> ColorFifo:
+        """The FIFO serving a given color."""
+        return self.core.fifos[color]
 
     def sample_losses(self, now: float) -> Dict[Color, Optional[float]]:
         """Close the current loss-measurement window for every color."""

@@ -292,8 +292,7 @@ class PelsSimulation:
         """
         if not 0 < pels_weight < 1:
             raise ValueError("pels weight must be in (0, 1)")
-        wrr = self.bottleneck_queue.scheduler
-        wrr.weights = [pels_weight, 1 - pels_weight]
+        self.bottleneck_queue.core.set_weights(pels_weight, 1 - pels_weight)
         self.feedback.capacity_bps = \
             self.scenario.topology.bottleneck_bps * pels_weight
 

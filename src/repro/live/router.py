@@ -1,12 +1,13 @@
 """The userspace software router: Fig. 4's output port over real UDP.
 
 One datagram endpoint plays the bottleneck router: datagrams arriving
-from the server are classified into the tri-color PELS queues (green,
-yellow, red — served strict-priority) or the Internet FIFO, and the
-composite is drained under deficit weighted round-robin, paced by a
-token bucket filled at the bottleneck link rate.  Every
-``T`` wall-seconds an epoch task closes the Eq. 11 measurement interval
-through the clock-free :class:`~repro.core.feedback.FeedbackComputer`
+from the server are offered to the same clock-free
+:class:`~repro.core.pels_queue.PelsQueueCore` the simulator's
+bottleneck drives — tri-color strict priority plus the Internet FIFO
+under deficit weighted round-robin — with the raw datagram as the item,
+and the port is drained by a token bucket filled at the bottleneck link
+rate.  Every ``T`` wall-seconds an epoch task closes the Eq. 11
+measurement interval through the clock-free :class:`~repro.core.feedback.FeedbackComputer`
 (the same object the simulator's ``RouterFeedback`` drives from the
 event heap) and the fresh ``(router_id, z, p)`` label is stamped into
 every PELS datagram on the forwarding path with the max-loss override
@@ -25,40 +26,35 @@ Two deliberate wall-clock defenses:
 The per-datagram paths are written for throughput (a shard process must
 sustain >=10k pkts/s; ``benchmarks/test_bench_live.py`` gates it):
 
-* classification peeks the raw color byte and indexes flat lists — no
-  ``Color`` enum construction, no dict hashing, no header decode;
+* classification peeks the raw color byte and hands it to the core as
+  a plain index — no ``Color`` enum, no header decode;
 * the forwarding path peeks the flow id with a cached 4-byte ``Struct``
   for the route lookup and re-stamps the label with ``pack_into`` —
   the 48-byte header is never fully unpacked inside the router;
 * when bound to a raw socket (:meth:`bind_socket`, the shard-process
   mode), one readiness wake-up of the event loop drains a whole batch
   of datagrams instead of paying the loop overhead per packet;
-* the service loop's queue handles and counters are pre-bound locals —
-  ``_drain`` is a straight-line byte-credit loop.
+* ``_drain`` is a straight-line byte-credit loop: peek the core's next
+  datagram, and if the credit covers it, dequeue and forward.
 
 Overload defense — **layered load shedding**: under supervisor command
-(:meth:`set_shed_level`) the router discards enhancement-layer traffic
-in-line at ingest, cheapest layer first — level 1 sheds red (the FGS
-probing band), level 2 sheds red *and* yellow — while green base-layer
-packets (and the Internet FIFO) are never shed at any level.  Shedding
-happens *after* the Eq. 11 arrival accounting, so the virtual loss
-keeps reporting the true offered load and the senders' control loops
-keep backing off while the shard recovers; shed traffic is counted
-separately from buffer-overflow drops (``shed_packets`` /
-``shed_bytes`` per color) so base-layer-protection assertions stay
-exact.
+(:meth:`set_shed_level`) the core discards red, then red *and* yellow,
+at ingest; green and the Internet FIFO are never shed.  Shedding happens
+*after* the Eq. 11 arrival accounting, so the virtual loss keeps
+reporting the true offered load and the senders keep backing off while
+the shard recovers; shed traffic is counted apart from buffer-overflow
+drops (``shed_packets`` / ``shed_bytes`` per color).
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.feedback import FeedbackComputer
-from ..core.pels_queue import PelsQueueConfig
+from ..core.pels_queue import PelsQueueConfig, PelsQueueCore
 from ..obs.metrics import current_registry
 from ..obs.trace import current_tracer
 from ..sim.packet import Color
@@ -66,9 +62,6 @@ from ..sim.stats import TimeSeries
 from .wire import HEADER_SIZE, peek_flow_id, stamp_label
 
 __all__ = ["LiveRouter"]
-
-#: Queue service order inside the PELS aggregate (strict priority).
-_PELS_COLORS = (Color.GREEN, Color.YELLOW, Color.RED)
 
 #: Raw color byte of best-effort traffic (= int(Color.BEST_EFFORT)).
 _BE = 3
@@ -78,7 +71,9 @@ _COLOR_OFFSET = 20
 
 
 class LiveRouter(asyncio.DatagramProtocol):
-    """Tri-color strict-priority + FIFO under WRR, on a wall clock.
+    """The wall-clock driver of :class:`PelsQueueCore`: items are raw
+    datagrams; adds the sockets, the token bucket, label stamping and
+    the Eq. 11 epochs.
 
     Parameters
     ----------
@@ -136,41 +131,20 @@ class LiveRouter(asyncio.DatagramProtocol):
             router_id=router_id, window_intervals=window_intervals)
         self._pels_bytes = 0
 
-        cfg = self.config
-        #: Per-color drop-tail queues of raw datagrams (as bytearrays,
-        #: so labels can be stamped in place at service time), indexed
-        #: by the raw color byte — ``Color`` is an IntEnum, so enum
-        #: subscripts keep working for callers while the hot path uses
-        #: plain ints.
-        self._queues: List[Deque[bytearray]] = [deque(), deque(),
-                                                deque(), deque()]
-        self._green, self._yellow, self._red, self._internet = self._queues
-        self._limits = [cfg.green_buffer, cfg.yellow_buffer,
-                        cfg.red_buffer, cfg.internet_buffer]
-        self.arrivals = [0, 0, 0, 0]
-        self.drops = [0, 0, 0, 0]
-        self.forwarded = [0, 0, 0, 0]
+        #: The port.  Items are the raw datagrams as bytearrays (so
+        #: labels can be stamped in place at service time); every count
+        #: below is indexed by the raw color byte — ``Color`` is an
+        #: IntEnum, so enum subscripts work for callers too.
+        self._core = PelsQueueCore(self.config)
+        self.shed_packets = self._core.shed_packets
+        self.shed_bytes = self._core.shed_bytes
         #: Forwards the socket refused: wire loss, not queue drops.
         self.send_errors = 0
-        #: Layered shedding state: 0 = off, 1 = shed red, 2 = shed
-        #: red + yellow.  Green and best-effort are never shed.
-        self.shed_level = 0
-        self._shed = [False, False, False, False]
-        self.shed_packets = [0, 0, 0, 0]
-        self.shed_bytes = [0, 0, 0, 0]
-        # Deficit WRR between the PELS aggregate and the Internet FIFO,
-        # mirroring WeightedRoundRobinScheduler: each aggregate earns
-        # quantum * weight per round and spends it in bytes.
-        total = cfg.pels_weight + cfg.internet_weight
-        self._quanta = (cfg.quantum_bytes * cfg.pels_weight / total,
-                        cfg.quantum_bytes * cfg.internet_weight / total)
-        self._deficit = [0.0, 0.0]
-        self._wrr_turn = 0
         # Token bucket.  Credit cap: a few ticks' worth, so an idle link
         # absorbs a burst without exceeding the configured average rate.
         self._byte_rate = bottleneck_bps / 8
         self._burst_bytes = max(4 * self._byte_rate * service_tick,
-                                2 * cfg.quantum_bytes)
+                                2 * self.config.quantum_bytes)
         self._credit = 0.0
         self._served_at = clock.now
         #: Pending backlog timer / coalesced protocol-mode service call.
@@ -242,37 +216,28 @@ class LiveRouter(asyncio.DatagramProtocol):
     def _ingest(self, data: bytes) -> None:
         """Classify + enqueue; malformed datagrams are dropped.
 
-        Peeks the raw color byte instead of decoding the header; all
-        bookkeeping is flat-list indexing on it.
+        Peeks the raw color byte instead of decoding the header.
         """
-        if len(data) < HEADER_SIZE:
+        size = len(data)
+        if size < HEADER_SIZE:
             return
         color = data[_COLOR_OFFSET]
         if color > _BE:
             return
-        self.arrivals[color] += 1
         if color != _BE:
-            # Eq. 11 counts PELS arrivals at the port, before any drop,
-            # exactly as RouterFeedback.observe counts in the simulator.
-            self._pels_bytes += len(data)
-        if self._shed[color]:
-            # Overload shedding: discard at ingest, after the offered-
-            # load accounting above (senders keep seeing honest virtual
-            # loss) but before the queue ever holds the bytes.
-            self.shed_packets[color] += 1
-            self.shed_bytes[color] += len(data)
-            if self._trace is not None:
-                self._trace.drop("live-router", "shed", color, -1)
-            return
-        queue = self._queues[color]
-        if len(queue) >= self._limits[color]:
-            self.drops[color] += 1
-            if self._trace is not None:
-                self._trace.drop("live-router", "overflow", color, -1)
-            return
-        queue.append(bytearray(data))
+            # Eq. 11 counts PELS arrivals at the port, before any shed
+            # or drop (senders keep seeing honest virtual loss), exactly
+            # as RouterFeedback.observe counts in the simulator.
+            self._pels_bytes += size
+        accepted = self._core.enqueue(color, bytearray(data), size)
         if self._trace is not None:
-            self._trace.enqueue("live-router", color, -1, True)
+            if accepted:
+                self._trace.enqueue("live-router", color, -1, True)
+            else:
+                self._trace.drop(
+                    "live-router",
+                    "shed" if self._core.sheds[color] else "overflow",
+                    color, -1)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -300,85 +265,23 @@ class LiveRouter(asyncio.DatagramProtocol):
 
     # -- service path ------------------------------------------------------
 
-    def _dequeue_pels(self) -> Optional[bytearray]:
-        for color in (0, 1, 2):
-            queue = self._queues[color]
-            if queue:
-                self.forwarded[color] += 1
-                if self._trace is not None:
-                    self._trace.dequeue("live-router", color, -1)
-                return queue.popleft()
-        return None
-
-    def _dequeue_internet(self) -> Optional[bytearray]:
-        queue = self._internet
-        if queue:
-            self.forwarded[_BE] += 1
-            return queue.popleft()
-        return None
-
-    def _next_datagram(self) -> Optional[bytearray]:
-        """One deficit-WRR service decision across the two aggregates."""
-        green, yellow, red = self._green, self._yellow, self._red
-        for _ in range(2):
-            turn = self._wrr_turn
-            if turn == 0:
-                dequeue = self._dequeue_pels
-                queue_empty = not (green or yellow or red)
-            else:
-                dequeue = self._dequeue_internet
-                queue_empty = not self._internet
-            if queue_empty:
-                # Empty aggregates forfeit their deficit (standard DRR),
-                # so an idle Internet queue cannot bank credit.
-                self._deficit[turn] = 0.0
-                self._wrr_turn = 1 - turn
-                continue
-            head_size = len(self._head(turn))
-            if self._deficit[turn] < head_size:
-                self._deficit[turn] += self._quanta[turn]
-                if self._deficit[turn] < head_size:
-                    self._wrr_turn = 1 - turn
-                    continue
-            datagram = dequeue()
-            assert datagram is not None
-            self._deficit[turn] -= len(datagram)
-            return datagram
-        return None
-
-    def _head(self, turn: int) -> bytearray:
-        if turn == 1:
-            return self._internet[0]
-        for queue in (self._green, self._yellow, self._red):
-            if queue:
-                return queue[0]
-        raise AssertionError("head() on empty aggregate")
-
     def _drain(self, credit: float) -> float:
         """Forward every datagram ``credit`` bytes cover; return the rest.
 
         Synchronous so the service loop stays a straight token-credit
-        computation per wake (and so WRR/put-back behavior is unit-
-        testable under a :class:`~repro.core.clock.ManualClock` without
-        sockets or sleeps).  A datagram dequeued under WRR that the
-        link has no credit for yet is put back at the head of its
-        queue with its deficit refunded — it was not serviced.
+        computation per wake (and so the port is unit-testable under a
+        :class:`~repro.core.clock.ManualClock` without sockets or
+        sleeps).  A datagram the link has no credit for yet is never
+        taken out of the core: it stays where WRR will serve it next.
         """
-        next_datagram = self._next_datagram
+        core = self._core
         forward = self._forward
         while True:
-            pending = next_datagram()
-            if pending is None:
+            head = core.peek()
+            if head is None or credit < len(head):
                 return credit
-            size = len(pending)
-            if credit < size:
-                color = pending[_COLOR_OFFSET]
-                self._queues[color].appendleft(pending)
-                self.forwarded[color] -= 1
-                self._deficit[0 if color != _BE else 1] += size
-                return credit
-            credit -= size
-            forward(pending)
+            credit -= len(head)
+            forward(core.dequeue())
 
     def _service(self) -> None:
         """Token-bucket pacing at the bottleneck link rate: turn the clock
@@ -391,7 +294,7 @@ class LiveRouter(asyncio.DatagramProtocol):
                      self._burst_bytes)
         self._served_at = now
         self._credit = self._drain(credit)
-        if self._timer is None and self._running and any(self._queues):
+        if self._timer is None and self._running and len(self._core):
             self._timer = self._loop.call_later(self.service_tick,
                                                 self._on_timer)
 
@@ -400,8 +303,11 @@ class LiveRouter(asyncio.DatagramProtocol):
         self._service()
 
     def _forward(self, datagram: bytearray) -> None:
-        if datagram[_COLOR_OFFSET] != _BE:
+        color = datagram[_COLOR_OFFSET]
+        if color != _BE:
             stamp_label(datagram, self.feedback.label)
+            if self._trace is not None:
+                self._trace.dequeue("live-router", color, -1)
         if self._forwarded_counter is not None:
             self._forwarded_counter.inc()
         routes = self.flow_routes
@@ -437,29 +343,35 @@ class LiveRouter(asyncio.DatagramProtocol):
     # -- overload shedding -------------------------------------------------
 
     def set_shed_level(self, level: int) -> None:
-        """Set layered shedding: 0 = off, 1 = red, 2 = red + yellow.
+        """Set layered shedding: 0 = off, 1 = red, 2 = red + yellow."""
+        self._core.set_shed_level(level)
 
-        Green base-layer packets and the Internet FIFO are never shed
-        at any level — the whole point of the layered codec is that the
-        enhancement bands are the cheap thing to lose.
-        """
-        if not 0 <= level <= 2:
-            raise ValueError("shed level must be 0, 1 or 2")
-        self.shed_level = level
-        self._shed[int(Color.RED)] = level >= 1
-        self._shed[int(Color.YELLOW)] = level >= 2
+    @property
+    def shed_level(self) -> int:
+        return self._core.shed_level
 
     # -- introspection -----------------------------------------------------
 
+    @property
+    def arrivals(self) -> List[int]:
+        """Datagrams offered per color (shed and dropped ones included)."""
+        return [fifo.stats.arrivals for fifo in self._core.fifos]
+
+    @property
+    def drops(self) -> List[int]:
+        """Buffer-overflow drops per color (shed traffic not included)."""
+        return [fifo.stats.drops for fifo in self._core.fifos]
+
+    @property
+    def forwarded(self) -> List[int]:
+        return [fifo.stats.departures for fifo in self._core.fifos]
+
     def queue_depth(self, color: Color) -> int:
-        return len(self._queues[color])
+        return len(self._core.fifos[color])
 
     def queue_depths(self) -> List[int]:
         """Current occupancy of all four queues, indexed by raw color."""
-        return [len(queue) for queue in self._queues]
+        return [len(fifo) for fifo in self._core.fifos]
 
     def mean_virtual_loss(self, t_start: float = 0.0) -> float:
         return self.loss_series.mean(t_start, float("inf"))
-
-    def total_forwarded(self) -> int:
-        return sum(self.forwarded)

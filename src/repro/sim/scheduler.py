@@ -17,13 +17,9 @@ __all__ = ["StrictPriorityScheduler", "WeightedRoundRobinScheduler"]
 Classifier = Callable[[Packet], int]
 
 
-class StrictPriorityScheduler(QueueDiscipline):
-    """Serve child 0 exhaustively before child 1, and so on.
-
-    The paper requires strict priority inside the PELS queue so that no
-    red (upper enhancement) packet is transmitted while any green or
-    yellow packet is waiting (Section 4.1).
-    """
+class _CompositeScheduler(QueueDiscipline):
+    """What both schedulers share: arrivals are classified into a child
+    queue; the service order is the subclass's ``dequeue``."""
 
     __slots__ = ("children", "classifier")
 
@@ -50,6 +46,31 @@ class StrictPriorityScheduler(QueueDiscipline):
             stats.drop_bytes += packet.size
         return accepted
 
+    def peek(self) -> Optional[Packet]:
+        for child in self.children:
+            packet = child.peek()
+            if packet is not None:
+                return packet
+        return None
+
+    def __len__(self) -> int:
+        return sum(len(child) for child in self.children)
+
+    @property
+    def byte_count(self) -> int:
+        return sum(child.byte_count for child in self.children)
+
+
+class StrictPriorityScheduler(_CompositeScheduler):
+    """Serve child 0 exhaustively before child 1, and so on.
+
+    The paper requires strict priority inside the PELS queue so that no
+    red (upper enhancement) packet is transmitted while any green or
+    yellow packet is waiting (Section 4.1).
+    """
+
+    __slots__ = ()
+
     def dequeue(self) -> Optional[Packet]:
         for child in self.children:
             packet = child.dequeue()
@@ -60,22 +81,8 @@ class StrictPriorityScheduler(QueueDiscipline):
                 return packet
         return None
 
-    def peek(self) -> Optional[Packet]:
-        for child in self.children:
-            packet = child.peek()
-            if packet is not None:
-                return packet
-        return None
 
-    def __len__(self) -> int:
-        return sum(len(child) for child in self.children)
-
-    @property
-    def byte_count(self) -> int:
-        return sum(child.byte_count for child in self.children)
-
-
-class WeightedRoundRobinScheduler(QueueDiscipline):
+class WeightedRoundRobinScheduler(_CompositeScheduler):
     """Byte-weighted round-robin (deficit round-robin) over child queues.
 
     Each backlogged child ``i`` receives a long-run share of the link
@@ -85,53 +92,30 @@ class WeightedRoundRobinScheduler(QueueDiscipline):
     transmits head packets while the deficit covers them.
     """
 
-    __slots__ = ("children", "weights", "classifier", "quantum_bytes",
-                 "_deficits", "_turn", "_turn_fresh", "_backlog")
+    __slots__ = ("weights", "quantum_bytes", "_deficits", "_turn",
+                 "_turn_fresh")
 
     def __init__(self, children: Sequence[QueueDiscipline],
                  weights: Sequence[float], classifier: Classifier,
                  quantum_bytes: int = 1500, name: str = "") -> None:
-        super().__init__(name)
+        super().__init__(children, classifier, name)
         if len(children) != len(weights):
             raise ValueError("children and weights must align")
-        if not children:
-            raise ValueError("need at least one child queue")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         total = float(sum(weights))
-        self.children = list(children)
         self.weights = [w / total for w in weights]
-        self.classifier = classifier
         self.quantum_bytes = quantum_bytes
         self._deficits = [0.0] * len(children)
         self._turn = 0
         self._turn_fresh = True  # whether the current turn still owes a quantum
-        # Packets accepted minus packets served through *this* scheduler;
-        # lets dequeue() skip the O(children) emptiness scan on the hot
-        # path.  Direct child manipulation falls back to the exact scan.
-        self._backlog = 0
-
-    def enqueue(self, packet: Packet) -> bool:
-        stats = self.stats
-        stats.arrivals += 1
-        stats.arrival_bytes += packet.size
-        index = self.classifier(packet)
-        if not 0 <= index < len(self.children):
-            raise ValueError(f"classifier returned invalid child index {index}")
-        accepted = self.children[index].enqueue(packet)
-        if accepted:
-            self._backlog += 1
-        else:
-            stats.drops += 1
-            stats.drop_bytes += packet.size
-        return accepted
 
     def _advance_turn(self) -> None:
         self._turn = (self._turn + 1) % len(self.children)
         self._turn_fresh = True
 
     def dequeue(self) -> Optional[Packet]:
-        if self._backlog <= 0 and len(self) == 0:
+        if len(self) == 0:
             return None
         children = self.children
         deficits = self._deficits
@@ -139,7 +123,6 @@ class WeightedRoundRobinScheduler(QueueDiscipline):
         # At most one full cycle of deficit replenishment is needed per
         # packet because some child is backlogged and each fresh turn
         # adds a quantum that eventually covers the head packet.
-        idle_streak = 0
         for _ in range(n * 64):
             turn = self._turn
             child = children[turn]
@@ -148,22 +131,13 @@ class WeightedRoundRobinScheduler(QueueDiscipline):
                 # Idle children forfeit their deficit (DRR rule).
                 deficits[turn] = 0.0
                 self._advance_turn()
-                idle_streak += 1
-                if idle_streak >= n:
-                    # All children empty: the backlog counter drifted
-                    # (direct child manipulation); resync and bail out.
-                    self._backlog = 0
-                    return None
                 continue
-            idle_streak = 0
             if self._turn_fresh:
                 deficits[turn] += self.quantum_bytes * self.weights[turn]
                 self._turn_fresh = False
             if deficits[turn] >= head.size:
                 packet = child.dequeue()
                 deficits[turn] -= packet.size
-                if self._backlog > 0:
-                    self._backlog -= 1
                 stats = self.stats
                 stats.departures += 1
                 stats.departure_bytes += packet.size
@@ -172,17 +146,3 @@ class WeightedRoundRobinScheduler(QueueDiscipline):
                 return packet
             self._advance_turn()
         raise RuntimeError("WRR failed to make progress; quantum too small?")
-
-    def peek(self) -> Optional[Packet]:
-        for child in self.children:
-            packet = child.peek()
-            if packet is not None:
-                return packet
-        return None
-
-    def __len__(self) -> int:
-        return sum(len(child) for child in self.children)
-
-    @property
-    def byte_count(self) -> int:
-        return sum(child.byte_count for child in self.children)

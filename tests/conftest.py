@@ -9,6 +9,15 @@ import pytest
 from repro.core.session import PelsScenario, PelsSimulation
 from repro.sim.engine import Simulator
 
+try:
+    from hypothesis import settings
+except ImportError:  # the live-load CI job installs no hypothesis
+    pass
+else:
+    #: ``pytest --hypothesis-profile=ci``: the depth CI runs the
+    #: differential and peek properties at (tier-1 keeps the default).
+    settings.register_profile("ci", max_examples=2000, deadline=None)
+
 
 def pytest_addoption(parser) -> None:
     parser.addoption(

@@ -79,7 +79,7 @@ class TestSessionConservation:
         q = finished.bottleneck_queue
         dropped = (q.green_queue.stats.drops + q.yellow_queue.stats.drops
                    + q.red_queue.stats.drops)
-        in_queue = len(q.pels_scheduler)
+        in_queue = len(q) - len(q.internet_queue)
         # Access links are overprovisioned: no drops expected there.
         assert sent == received + dropped + in_queue
 
@@ -90,7 +90,8 @@ class TestSessionConservation:
         dropped = (q.green_queue.stats.drop_bytes
                    + q.yellow_queue.stats.drop_bytes
                    + q.red_queue.stats.drop_bytes)
-        assert sent == received + dropped + q.pels_scheduler.byte_count
+        assert sent == received + dropped \
+            + q.byte_count - q.internet_queue.byte_count
 
     def test_frame_log_covers_all_packets(self, finished):
         for source in finished.sources:

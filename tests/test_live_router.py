@@ -2,10 +2,12 @@
 
 The live loopback suite (``--live``) exercises the router end to end
 against real sockets and wall time; these tests pin the service-path
-*logic* — WRR alternation, credit-shortfall put-back, overflow drop
+*logic* — WRR byte shares, the credit-shortfall wait, overflow drop
 accounting, the batched ingest fast path, the serve-on-arrival token
 bucket and its backlog timer — with hand-built datagrams, a stub loop
-and no sleeps, so they run in tier 1.
+and no sleeps, so they run in tier 1.  (The queue policy itself is
+``PelsQueueCore``'s; ``test_pels_core_differential.py`` pins that this
+router and the simulator's bottleneck serve one trace identically.)
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from collections import deque
 import pytest
 
 from repro.core.clock import ManualClock
-from repro.core.pels_queue import PelsQueueConfig
-from repro.live.loadgen import LoadConfig
+from repro.core.pels_queue import PELS_SHARE_SAFE_RANGE, PelsQueueConfig
+from repro.live.loadgen import LoadConfig, _default_queue
 from repro.live.router import LiveRouter
 from repro.live.shard import ShardConfig, _snapshot
 from repro.live.wire import (HEADER_SIZE, LivePacket, decode_packet,
@@ -72,12 +74,19 @@ class TestIngest:
 
     def test_truncated_and_garbage_color_datagrams_are_ignored(self):
         router = make_router()
+        router._ingest(b"")
         router._ingest(b"\x00" * (HEADER_SIZE - 1))
-        bad = bytearray(datagram(Color.GREEN))
-        bad[20] = 200  # color byte beyond BEST_EFFORT
-        router._ingest(bytes(bad))
+        router._ingest(datagram(Color.GREEN)[:HEADER_SIZE - 1])
+        for garbage in (4, 127, 200, 255):  # beyond BEST_EFFORT
+            bad = bytearray(datagram(Color.GREEN))
+            bad[20] = garbage
+            router._ingest(bytes(bad))
+            router._ingest(memoryview(bad))  # the raw-socket path's type
         assert router.arrivals == [0, 0, 0, 0]
-        assert sum(len(q) for q in router._queues) == 0
+        assert router.queue_depths() == [0, 0, 0, 0]
+        assert router._pels_bytes == 0
+        assert router._drain(10_000.0) == 10_000.0
+        assert router.transport.sent == []
 
     def test_overflow_drops_are_counted_per_color(self):
         router = make_router()
@@ -108,19 +117,63 @@ class TestServicePath:
                           int(Color.RED)]
         assert router.forwarded == [1, 1, 1, 0]
 
-    def test_wrr_alternates_between_pels_and_internet(self):
-        router = make_router()
-        for seq in range(3):
-            router._ingest(datagram(Color.GREEN, seq=seq))
-            router._ingest(datagram(Color.BEST_EFFORT, seq=seq))
-        router._drain(10_000.0)
+    @staticmethod
+    def assert_split_tracks_weight(pels_weight, size, quantum=1000, n=40):
+        """Both aggregates backlogged: over every prefix of the
+        forwarded sequence the PELS byte share stays within one
+        quantum (one datagram, where that is larger) of its weight."""
+        router = make_router(config=PelsQueueConfig(
+            pels_weight=pels_weight, internet_weight=1 - pels_weight,
+            green_buffer=n, internet_buffer=n, quantum_bytes=quantum))
+        for seq in range(n):
+            router._ingest(datagram(Color.GREEN, seq=seq, size=size))
+            router._ingest(datagram(Color.BEST_EFFORT, seq=seq, size=size))
+        assert router._drain(float("inf")) == float("inf")
         colors = [peek_color(d) for d, _ in router.transport.sent]
-        # Equal weights, equal sizes: neither aggregate may lag the
-        # other by more than one quantum's worth of packets.
-        assert sorted(colors) == [0, 0, 0, 3, 3, 3]
-        for i in range(1, len(colors)):
-            window = colors[: i + 1]
-            assert abs(window.count(0) - window.count(3)) <= 5
+        assert sorted(colors) == [0] * n + [3] * n
+        # Once one aggregate runs dry the other has the port to itself.
+        backlogged = 1 + min(
+            max(i for i, c in enumerate(colors) if c == kind)
+            for kind in (0, 3))
+        pels = total = 0
+        for color in colors[:backlogged]:
+            total += size
+            pels += size if color == 0 else 0
+            assert abs(pels - pels_weight * total) <= max(quantum, size)
+        return colors
+
+    def test_wrr_alternates_between_pels_and_internet(self):
+        # L1's own defaults: 500 B datagrams, 50/50, quantum 1000.
+        colors = self.assert_split_tracks_weight(0.5, size=500)
+        assert colors[:6] != [0] * 6  # PPPP... until PELS ran dry, once
+
+    @pytest.mark.parametrize("pels_weight", [0.75, 0.9])
+    def test_wrr_byte_split_tracks_the_weight(self, pels_weight):
+        self.assert_split_tracks_weight(pels_weight, size=548)
+
+    @pytest.mark.parametrize("pels_weight", PELS_SHARE_SAFE_RANGE + (0.5,))
+    @pytest.mark.parametrize("quantum", [1, 300, 1000])
+    def test_one_drain_with_ample_credit_empties_the_port(
+            self, pels_weight, quantum):
+        # quantum 1 needs hundreds of DRR rounds a datagram: the port
+        # must neither give up with a backlog nor lose the weighting.
+        self.assert_split_tracks_weight(pels_weight, size=548,
+                                        quantum=quantum)
+
+    def test_best_effort_into_the_load_run_config_is_not_wedged(self):
+        # loadgen's queue gives the Internet FIFO weight 1e-6: one
+        # stray best-effort datagram waits behind PELS, then goes.
+        def scenario(router, clock, loop):
+            router._ingest(datagram(Color.BEST_EFFORT, size=500))
+            for seq in range(8):
+                router._ingest(datagram(Color.GREEN, seq=seq, size=500))
+            clock.advance(0.002)  # 2 Gb/s x 2 ms covers everything
+            router._service()
+            colors = [peek_color(d) for d, _ in router.transport.sent]
+            assert colors == [0] * 8 + [3]
+            assert router.queue_depths() == [0, 0, 0, 0]
+            assert router._timer is None and loop.timers == []
+        run_started(scenario, bottleneck_bps=2e9, config=_default_queue())
 
     def test_credit_shortfall_puts_datagram_back_at_head(self):
         router = make_router()
@@ -129,12 +182,14 @@ class TestServicePath:
         leftover = router._drain(500.0)  # covers one datagram, not two
         assert len(router.transport.sent) == 1
         assert leftover == pytest.approx(100.0)
-        # The un-serviced datagram is back at the head, its forwarded
-        # count restored and its WRR deficit refunded.
+        # The un-served datagram never left the port: it is counted
+        # once and goes next.
         assert router.queue_depth(Color.GREEN) == 1
         assert router.forwarded[Color.GREEN] == 1
-        head = router._queues[Color.GREEN][0]
-        assert peek_color(head) == int(Color.GREEN)
+        assert router._drain(400.0) == 0.0
+        assert [decode_packet(d).seq for d, _ in router.transport.sent] \
+            == [0, 1]
+        assert router.forwarded[Color.GREEN] == 2
 
     def test_put_back_preserves_fifo_order(self):
         router = make_router()
@@ -148,10 +203,18 @@ class TestServicePath:
     def test_empty_aggregate_forfeits_deficit(self):
         # Standard DRR: an idle Internet FIFO must not bank credit and
         # later burst past the PELS aggregate.
-        router = make_router()
-        router._ingest(datagram(Color.GREEN))
-        router._drain(10_000.0)
-        assert router._deficit[1] == 0.0
+        router = make_router(config=PelsQueueConfig(
+            green_buffer=64, internet_buffer=64, quantum_bytes=1000))
+        for seq in range(20):  # PELS alone: Internet's turns pass idle
+            router._ingest(datagram(Color.GREEN, seq=seq, size=500))
+        router._drain(float("inf"))
+        del router.transport.sent[:]
+        for seq in range(20):
+            router._ingest(datagram(Color.GREEN, seq=seq, size=500))
+            router._ingest(datagram(Color.BEST_EFFORT, seq=seq, size=500))
+        router._drain(float("inf"))
+        colors = [peek_color(d) for d, _ in router.transport.sent]
+        assert colors[:8].count(3) <= 5  # a quantum ahead at most
 
     def test_label_stamped_on_pels_not_best_effort(self):
         router = make_router()

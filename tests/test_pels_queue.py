@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.pels_queue import PelsBottleneckQueue, PelsQueueConfig
+from repro.core import pels_queue
+from repro.core.pels_queue import (PelsBottleneckQueue, PelsQueueConfig,
+                                   PelsQueueCore)
 from repro.sim.packet import Color, Packet
 
 
@@ -136,3 +140,46 @@ class TestQueueDisciplineInterface:
 
     def test_empty_dequeue(self):
         assert PelsBottleneckQueue().dequeue() is None
+
+
+class TestCoreNeverGivesUp:
+    """``dequeue``/``peek`` return ``None`` only on an empty port and
+    never raise, however small the quantum is against the head."""
+
+    @pytest.mark.parametrize("internet_weight", [1.0, 1 / 9, 1e-6])
+    def test_lone_best_effort_packet_is_served(self, internet_weight):
+        q = PelsBottleneckQueue(PelsQueueConfig(
+            pels_weight=1.0, internet_weight=internet_weight))
+        packet = pkt(Color.BEST_EFFORT, 1500)
+        q.enqueue(packet)
+        assert q.peek() is packet and q.dequeue() is packet
+        assert q.peek() is None and q.dequeue() is None
+
+    @given(share=st.sampled_from([0.25, 0.5, 0.75]),
+           quantum=st.integers(1, 8),
+           ops=st.lists(st.one_of(
+               st.tuples(st.sampled_from(list(Color)),
+                         st.integers(48, 600)), st.none()),
+               min_size=1, max_size=60))
+    def test_closed_form_jump_agrees_with_walking_every_round(
+            self, share, quantum, ops):
+        # Dyadic shares and integer quanta keep every deficit exact, so
+        # the jump and the round-by-round walk may not differ at all.
+        cfg = PelsQueueConfig(pels_weight=share, internet_weight=1 - share,
+                              quantum_bytes=quantum)
+        jumping, walking = PelsQueueCore(cfg), PelsQueueCore(cfg)
+        for seq, op in enumerate(ops):
+            if op is not None:
+                for core in (jumping, walking):
+                    core.enqueue(op[0], seq, op[1])
+                continue
+            served = jumping.dequeue()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pels_queue, "_SPIN", range(10 ** 6))
+                assert walking.dequeue() == served
+            assert jumping.deficits == walking.deficits
+            assert jumping.turn == walking.turn
+
+    def test_zero_quantum_is_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            PelsBottleneckQueue(PelsQueueConfig(quantum_bytes=0))
