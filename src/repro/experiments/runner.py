@@ -12,17 +12,18 @@ Usage::
     python -m repro.experiments --out-dir runs/ --resume    # restartable
 
 Experiments are independent (each builds its own seeded simulator), so
-``--jobs N`` farms them out to a process pool; results come back in the
-same deterministic order as a serial run.  Per-experiment wall times go
-to stderr so stdout stays byte-stable across hosts.
+``--jobs N`` runs N of them at a time, each in a disposable child
+process; results come back in the same deterministic order as a serial
+run.  Per-experiment wall times go to stderr so stdout stays
+byte-stable across hosts.
 
-The runner is hardened against misbehaving experiments: a worker that
-raises yields a structured FAILED artifact (and exit code 1) instead of
-killing the sweep; transient errors retry with exponential backoff
-(``--retries``); ``--timeout`` runs each experiment in a disposable
-child process that is terminated on expiry, which also isolates hard
-crashes; ``--out-dir`` checkpoints each artifact as it completes and
-``--resume`` skips artifacts already checkpointed there.
+The runner is hardened against misbehaving experiments: an experiment
+that raises yields a structured FAILED artifact (and exit code 1)
+instead of killing the sweep, and so does a child that dies outright;
+transient errors retry with exponential backoff (``--retries``);
+``--timeout`` gives each experiment's child a wall-clock budget and
+kills it on expiry; ``--out-dir`` checkpoints each artifact as it
+completes and ``--resume`` skips artifacts already checkpointed there.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from . import (ablations, bursts_exp, capacity, chaos, closed_loop_be,
                deadlines, fec_comparison, fig2, fig5, fig7, fig8, fig9,
                fig10, heterogeneous, live_chaos, live_exp, live_load,
                multihop, rd_smoothing, scaling, service_exp, table1)
+from ..core import proc
 from ..core.retry import backoff_delay
 from .common import ExperimentResult
 
@@ -258,71 +260,39 @@ def _run_one(key: str, fast: bool, retries: int = 0,
                 + " / ".join(tail), attempt, time.perf_counter() - t0)
 
 
-def _child_run(conn, key: str, fast: bool, jobs: int = 1,
-               chunk: Optional[int] = None) -> None:
-    """Entry point of the per-experiment isolation process."""
-    try:
-        conn.send(_run_one(key, fast, jobs=jobs, chunk=chunk))
-    except BaseException as exc:  # pragma: no cover - belt and braces
-        try:
-            conn.send(_failure_result(key, "worker-error", repr(exc), 1, 0.0))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
 def _run_isolated(key: str, fast: bool, timeout: Optional[float],
                   retries: int = 0, backoff: float = 0.5, jobs: int = 1,
                   chunk: Optional[int] = None) -> ExperimentResult:
     """Run one experiment in a disposable child process.
 
-    The child is terminated when ``timeout`` expires, so a hung
-    experiment cannot stall the sweep; a child that dies without
-    reporting (hard crash, OOM kill) yields a structured failure entry
-    instead of breaking the pool.  Timeouts and crashes count as
-    transient and honour the same bounded retry as in-process errors.
-    The ``jobs``/``chunk`` sweep budget reaches the child's experiment
-    exactly as it would in-process (``_sweep_kwargs`` decides).
+    The child is killed when ``timeout`` expires, so a hung experiment
+    cannot stall the sweep; a child that dies without reporting (hard
+    crash, OOM kill) yields a structured failure entry instead of
+    breaking the sweep.  Timeouts and crashes count as transient and
+    honour the same bounded retry as the errors ``_run_one`` retries
+    inside the child.  The ``jobs``/``chunk`` sweep budget reaches the
+    child's experiment exactly as it would in-process
+    (``_sweep_kwargs`` decides).
     """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context()
     t0 = time.perf_counter()
     attempt = 0
     while True:
         attempt += 1
-        recv, send = ctx.Pipe(duplex=False)
-        # Non-daemonic: experiments may spawn their own children (L2's
-        # router shards, S1/S2's internal sweep pools), which daemonic
-        # processes are forbidden to do.  Orphan safety comes from the
-        # children themselves: they watch their control pipes and exit
-        # on EOF when this process is terminated.
-        proc = ctx.Process(target=_child_run,
-                           args=(send, key, fast, jobs, chunk),
-                           daemon=False)
-        proc.start()
-        send.close()
-        failure: Optional[Tuple[str, str]] = None
-        if recv.poll(timeout):
-            try:
-                result = recv.recv()
-            except EOFError:
-                failure = ("worker-died",
-                           f"isolation process exited without a result "
-                           f"(exitcode {proc.exitcode})")
-            else:
-                recv.close()
-                proc.join()
-                result.wall_time = time.perf_counter() - t0
-                return result
-        else:
-            failure = ("timeout", f"exceeded {timeout:.0f}s wall clock")
-            proc.terminate()
-        recv.close()
-        proc.join()
+        outcome = proc.run_task(
+            _run_one, (key, fast, retries, backoff, jobs, chunk),
+            deadline=timeout)
+        if outcome.kind == "ok":
+            outcome.value.wall_time = time.perf_counter() - t0
+            return outcome.value
         if attempt > retries:
-            return _failure_result(key, failure[0], failure[1], attempt,
+            if outcome.kind == "timeout":
+                kind = "timeout"
+                message = f"exceeded {timeout:.0f}s wall clock"
+            else:
+                kind = "worker-died"
+                message = (f"isolation process exited without a result "
+                           f"(exitcode {outcome.exitcode})")
+            return _failure_result(key, kind, message, attempt,
                                    time.perf_counter() - t0)
         time.sleep(backoff_delay(attempt - 1, backoff))
 
@@ -333,16 +303,15 @@ def _checkpoint_path(out_dir: str, key: str) -> Path:
 
 def _load_checkpoint(out_dir: str, key: str) -> Optional[ExperimentResult]:
     """A previously completed (non-failed) result, or None."""
-    import json
-
+    from ..service.storage import load_json
     from .export import result_from_dict
-    path = _checkpoint_path(out_dir, key)
-    if not path.exists():
-        return None
+    payload = load_json(_checkpoint_path(out_dir, key))
+    if payload is None:
+        return None  # absent, or corrupt/partial (quarantined): re-run
     try:
-        result = result_from_dict(json.loads(path.read_text()))
+        result = result_from_dict(payload)
     except (ValueError, KeyError, TypeError):
-        return None  # corrupt/partial checkpoint: re-run
+        return None
     return None if failed(result) else result
 
 
@@ -350,14 +319,11 @@ def _write_checkpoint(out_dir: str, key: str,
                       result: ExperimentResult) -> None:
     import json
 
+    from ..service.storage import write_atomic
     from .export import result_to_dict
     path = _checkpoint_path(out_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Write-then-rename so an interrupted run never leaves a truncated
-    # checkpoint that --resume would trip over.
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(result_to_dict(result), indent=2))
-    tmp.replace(path)
+    write_atomic(path, json.dumps(result_to_dict(result), indent=2))
 
 
 def run_all(fast: bool = False, only: str = "",
@@ -368,16 +334,18 @@ def run_all(fast: bool = False, only: str = "",
             chunk: Optional[int] = None) -> List[ExperimentResult]:
     """Run the selected experiments and return their results.
 
-    With ``jobs > 1`` the experiments run in a process pool; each one
-    owns a seeded simulator, so results are bit-identical to a serial
-    run and are returned in the same order.  When only a single
-    experiment is selected, ``jobs`` (and the sweep granularity
-    ``chunk``) is forwarded *into* it instead, so sweep experiments
-    like S1/S2 parallelize over their scenario grid.  A ``timeout``
-    switches every experiment — serial or parallel — to a disposable
-    isolation process that is killed on expiry.  With ``out_dir`` each
-    artifact is checkpointed as it completes; ``resume`` skips
-    artifacts already checkpointed there (failed ones re-run).
+    With ``jobs > 1`` the experiments run ``jobs`` at a time, each in
+    a disposable child process; each one owns a seeded simulator, so
+    results are bit-identical to a serial run and are returned in the
+    same order.  When only a single experiment is selected, ``jobs``
+    (and the sweep granularity ``chunk``) is forwarded *into* it
+    instead, so sweep experiments like S1/S2 parallelize over their
+    scenario grid.  A ``timeout`` is the per-experiment deadline of
+    that same out-of-process path (and selects it even for a serial
+    sweep: an in-process experiment cannot be killed).  With
+    ``out_dir`` each artifact is checkpointed as it completes;
+    ``resume`` skips artifacts already checkpointed there (failed ones
+    re-run).
     """
     keys = _select(only, with_ablations)
     done: Dict[str, ExperimentResult] = {}
@@ -388,10 +356,20 @@ def run_all(fast: bool = False, only: str = "",
                 done[key] = loaded
     todo = [key for key in keys if key not in done]
 
-    if timeout is not None:
+    def settle(key: str, result: ExperimentResult) -> None:
+        # Indexed by the *submitted* key, not result.experiment_id — a
+        # misbehaving experiment may return a mislabeled result, and
+        # the sweep's bookkeeping must not depend on experiment
+        # correctness.  Checkpointed now, not after the sweep: an
+        # interrupted run keeps what it finished.
+        done[key] = result
+        if out_dir:
+            _write_checkpoint(out_dir, key, result)
+
+    if timeout is not None or (jobs > 1 and len(todo) > 1):
         # Thread pool driving per-experiment child processes: threads
         # only babysit pipes, the work happens in the children.
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor, as_completed
         # Sweep experiments keep their jobs/chunk budget even when a
         # pool runs above them: the grid of an S1/S2 cell is far finer
         # than the experiment list, so starving it of workers costs
@@ -399,32 +377,19 @@ def run_all(fast: bool = False, only: str = "",
         # are busy (experiments finish staggered).
         inner = _sweep_budget(jobs, len(todo))
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            futures = [pool.submit(_run_isolated, key, fast, timeout,
-                                   retries, backoff, inner, chunk)
-                       for key in todo]
-            fresh = [future.result() for future in futures]
-    elif jobs > 1 and len(todo) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        inner = _sweep_budget(jobs, len(todo))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, key, fast, retries, backoff,
-                                   inner, chunk)
-                       for key in todo]
-            fresh = [future.result() for future in futures]
+            futures = {pool.submit(_run_isolated, key, fast, timeout,
+                                   retries, backoff, inner, chunk): key
+                       for key in todo}
+            for future in as_completed(futures):
+                settle(futures[future], future.result())
     else:
-        # Serial over experiments: the jobs/chunk budget goes to each
+        # Serial and in-process (the byte-identity reference, and what
+        # --profile measures): the jobs/chunk budget goes to each
         # experiment's internal scenario sweep instead (no pool above
         # means no nested-pool hazard).
-        fresh = [_run_one(key, fast, retries, backoff, jobs=jobs,
-                          chunk=chunk) for key in todo]
-
-    # Index by the *submitted* key, not result.experiment_id — a
-    # misbehaving experiment may return a mislabeled result, and the
-    # sweep's bookkeeping must not depend on experiment correctness.
-    for key, result in zip(todo, fresh):
-        done[key] = result
-        if out_dir:
-            _write_checkpoint(out_dir, key, result)
+        for key in todo:
+            settle(key, _run_one(key, fast, retries, backoff, jobs=jobs,
+                                 chunk=chunk))
     return [done[key] for key in keys]
 
 

@@ -30,13 +30,13 @@ for the whole service layer.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..core import proc
 from ..service.api import ExperimentService, ServiceConfig
 from ..service.client import ServiceClient
 from ..service.worker import canonical_artifact_bytes
@@ -116,42 +116,28 @@ class _Fleet:
 
     def worker_pid(self, worker_id: str) -> Optional[int]:
         assert self.service is not None
-        proc = self.service.workers.get(worker_id)
-        return None if proc is None else proc.pid
+        worker = self.service.workers.get(worker_id)
+        return None if worker is None else worker.pid
 
 
-def _direct_child(conn, key: str, fast: bool) -> None:
-    """Run one experiment exactly as the runner would, in a fresh child.
-
-    Mirrors the service's execution context (dedicated process, default
-    start method) so the comparison is service-vs-runner, not
-    service-vs-whatever-state this parent accumulated.
-    """
+def _direct_run(key: str, fast: bool) -> dict:
     from .export import result_to_dict
     from .runner import _run_one
-    try:
-        conn.send(result_to_dict(_run_one(key, fast)))
-    finally:
-        conn.close()
+    return result_to_dict(_run_one(key, fast))
 
 
 def _run_direct(key: str, fast: bool) -> dict:
-    """Direct runner execution of ``key``; returns the exported dict."""
-    ctx = multiprocessing.get_context()
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_direct_child, args=(send, key, fast),
-                       daemon=False)
-    proc.start()
-    send.close()
-    try:
-        payload = recv.recv()
-    except EOFError:
+    """Direct runner execution of ``key``; returns the exported dict.
+
+    In a fresh child, mirroring the service's execution context, so the
+    comparison is service-vs-runner, not service-vs-whatever-state this
+    process accumulated.
+    """
+    outcome = proc.run_task(_direct_run, (key, fast))
+    if outcome.kind != "ok":
         raise RuntimeError(
-            f"direct run of {key} died (exitcode {proc.exitcode})")
-    finally:
-        recv.close()
-        proc.join()
-    return payload
+            f"direct run of {key} died (exitcode {outcome.exitcode})")
+    return outcome.value
 
 
 def _kill_worker_mid_job(fleet: _Fleet, client: ServiceClient,

@@ -20,10 +20,8 @@ The split between the planes is strict:
   with packet service without threads.
 
 :class:`RouterShard` is the parent-side handle (spawn, route, stats,
-stop); :func:`_shard_main` is the child entry point.  The fork start
-method is preferred when available — shard spawning is on the measured
-admission path and fork avoids the interpreter re-exec — falling back
-to the platform default otherwise.
+stop); :func:`_shard_main` is the child entry point.  Spawning and
+reaping are :mod:`repro.core.proc`'s; the control protocol is here.
 
 Supervision support: the handle carries both the synchronous request
 path (``stats()``/``stop()``, which block for their reply) and a
@@ -39,12 +37,12 @@ own answer.
 
 from __future__ import annotations
 
-import multiprocessing
 import socket
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..core import proc
 from ..core.pels_queue import PelsQueueConfig
 
 __all__ = ["ShardConfig", "ShardStats", "RouterShard"]
@@ -214,12 +212,6 @@ def _shard_main(conn, config: ShardConfig) -> None:
     asyncio.run(_shard_serve(conn, config))
 
 
-def _context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
-
-
 class RouterShard:
     """Parent-side handle of one shard process.
 
@@ -234,7 +226,7 @@ class RouterShard:
         self.config = config
         self.start_timeout = start_timeout
         self._conn = None
-        self._process: Optional[multiprocessing.process.BaseProcess] = None
+        self._child: Optional[proc.Child] = None
         self._port: Optional[int] = None
         #: Timestamp payload of the latest heartbeat reply (the value
         #: the supervisor passed to :meth:`ping`), updated by
@@ -264,16 +256,11 @@ class RouterShard:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "RouterShard":
-        if self._process is not None:
+        if self._child is not None:
             raise RuntimeError("shard already started")
-        ctx = _context()
-        self._conn, child_conn = ctx.Pipe()
-        self._process = ctx.Process(target=_shard_main,
-                                    args=(child_conn, self.config),
-                                    daemon=True,
-                                    name=f"pels-shard-{self.shard_id}")
-        self._process.start()
-        child_conn.close()
+        self._child = proc.spawn(_shard_main, (self.config,), daemon=True,
+                                 name=f"pels-shard-{self.shard_id}")
+        self._conn = self._child.conn
         kind, port = self._request(None, expect="ready",
                                    timeout=self.start_timeout)
         self._port = port
@@ -282,12 +269,11 @@ class RouterShard:
     def stop(self, timeout: float = 10.0) -> Optional[ShardStats]:
         """Stop the child; returns its final stats (None if it died).
 
-        Escalates until the process is truly gone: polite stop request,
-        then SIGTERM, then SIGKILL.  The kill step matters for hung
-        children — a SIGSTOP'd process leaves SIGTERM pending forever,
-        but SIGKILL is not maskable.
+        A polite stop request first; ``Child.reap`` then escalates
+        until the process is truly gone (a SIGSTOP'd child cannot
+        answer and leaves SIGTERM pending, but SIGKILL lands).
         """
-        if self._process is None:
+        if self._child is None:
             return None
         stats: Optional[ShardStats] = None
         try:
@@ -295,15 +281,8 @@ class RouterShard:
                                      timeout=timeout)
         except (RuntimeError, BrokenPipeError, EOFError, OSError):
             pass
-        self._process.join(timeout)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(min(timeout, 2.0))
-        if self._process.is_alive():
-            self._process.kill()
-            self._process.join(timeout)
-        self._conn.close()
-        self._process = None
+        self._child.reap(timeout)
+        self._child = None
         return stats
 
     def kill(self) -> None:
@@ -313,29 +292,23 @@ class RouterShard:
         presumed dead or unresponsive — and leaves the handle in the
         stopped state immediately.
         """
-        if self._process is None:
+        if self._child is None:
             return
-        if self._process.is_alive():
-            self._process.kill()
-        self._process.join(5.0)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        self._process = None
+        self._child.kill()
+        self._child = None
 
     @property
     def alive(self) -> bool:
-        return self._process is not None and self._process.is_alive()
+        return self._child is not None and self._child.alive
 
     @property
     def exitcode(self) -> Optional[int]:
         """The child's exit code (None while running or never started)."""
-        return None if self._process is None else self._process.exitcode
+        return None if self._child is None else self._child.exitcode
 
     @property
     def pid(self) -> Optional[int]:
-        return None if self._process is None else self._process.pid
+        return None if self._child is None else self._child.pid
 
     # -- control verbs -----------------------------------------------------
 

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core import proc
 from .queue import JOB_STATES, JobQueue
 from .storage import FileStorage
 from .stream import accept_key, stream_job
@@ -129,6 +129,16 @@ def _json_body(body: bytes) -> dict:
     return payload
 
 
+def _pool_worker(conn, *worker_args) -> None:
+    """Entry point of a service-spawned worker: ``worker_main`` under
+    the orphan rule, so a SIGKILLed service takes its pool (and,
+    through each worker, the job children) down with it —
+    ``JobQueue.recover()`` relies on nothing running at a cold start.
+    A standalone ``worker_main`` has no parent to watch."""
+    proc.exit_with_parent(conn)
+    worker_main(*worker_args)
+
+
 class ExperimentService:
     """The long-running control plane: queue + workers + HTTP API."""
 
@@ -136,7 +146,7 @@ class ExperimentService:
         self.config = config
         self.storage = FileStorage(config.storage_dir)
         self.queue = JobQueue(self.storage)
-        self.workers: Dict[str, multiprocessing.process.BaseProcess] = {}
+        self.workers: Dict[str, proc.Child] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._sweeper: Optional[asyncio.Task] = None
         self._worker_seq = 0
@@ -178,28 +188,19 @@ class ExperimentService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for proc in self.workers.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self.workers.values():
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.kill()
-                proc.join()
+        for worker in self.workers.values():
+            worker.reap()
         self.workers.clear()
 
     def _spawn_worker(self) -> str:
         self._worker_seq += 1
         worker_id = f"w{self._worker_seq:03d}"
-        ctx = multiprocessing.get_context()
         # Non-daemonic: jobs spawn their own execution children.
-        proc = ctx.Process(
-            target=worker_main,
-            args=(self.config.storage_dir, worker_id,
-                  self.config.worker_poll, self.config.worker_heartbeat),
+        self.workers[worker_id] = proc.spawn(
+            _pool_worker,
+            (self.config.storage_dir, worker_id,
+             self.config.worker_poll, self.config.worker_heartbeat),
             daemon=False, name=f"pels-worker-{worker_id}")
-        proc.start()
-        self.workers[worker_id] = proc
         return worker_id
 
     async def _sweep_loop(self) -> None:
@@ -212,12 +213,13 @@ class ExperimentService:
                 pass
             if not self.config.respawn_workers:
                 continue
-            for worker_id, proc in list(self.workers.items()):
-                if not proc.is_alive():
+            for worker_id, worker in list(self.workers.items()):
+                if not worker.alive:
                     del self.workers[worker_id]
+                    exitcode = worker.reap()
                     replacement = self._spawn_worker()
                     print(f"-- worker {worker_id} exited "
-                          f"(exitcode {proc.exitcode}); spawned "
+                          f"(exitcode {exitcode}); spawned "
                           f"{replacement} --")
 
     # -- HTTP --------------------------------------------------------------
@@ -378,12 +380,12 @@ class ExperimentService:
             "uptime": (now - self.started_at) if self.started_at else 0.0,
             "workers": {
                 worker_id: {
-                    "alive": proc.is_alive(),
-                    "pid": proc.pid,
+                    "alive": worker.alive,
+                    "pid": worker.pid,
                     "beat_age": (now - beats[worker_id]["at"])
                     if worker_id in beats else None,
                     "job": beats.get(worker_id, {}).get("job"),
-                } for worker_id, proc in self.workers.items()},
+                } for worker_id, worker in self.workers.items()},
             "jobs": self.queue.counts(),
         }
 

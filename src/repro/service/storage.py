@@ -6,14 +6,15 @@ through the :class:`StorageBackend` protocol, so the filesystem JSON
 backend shipped here can be swapped for a database- or object-store
 backend without touching the queue, workers or API.
 
-The filesystem backend follows the runner's atomic-checkpoint
-discipline: every record is written to a uniquely named temp file and
-``rename``d into place, so a crash mid-write never leaves a truncated
-document behind and concurrent writers never interleave.  Claims use
-``open(..., "x")`` (O_CREAT|O_EXCL), the one filesystem primitive that
-is atomic across processes, so N workers scanning the same queue
-directory agree on exactly one owner per job.  A corrupt record — a
-partially copied backup, a flipped bit — is quarantined to
+Every record of the filesystem backend — and every ``--out-dir``
+checkpoint of the experiment runner — goes through :func:`write_atomic`
+(a uniquely named temp file ``rename``d into place), so a crash
+mid-write never leaves a truncated document behind and concurrent
+writers never interleave, and is read back by :func:`load_json`.
+Claims use ``open(..., "x")`` (O_CREAT|O_EXCL), the one filesystem
+primitive that is atomic across processes, so N workers scanning the
+same queue directory agree on exactly one owner per job.  A corrupt
+record — a partially copied backup, a flipped bit — is quarantined to
 ``<name>.corrupt`` and treated as absent rather than poisoning every
 subsequent scan.
 """
@@ -26,7 +27,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
-__all__ = ["StorageBackend", "FileStorage"]
+__all__ = ["StorageBackend", "FileStorage", "write_atomic", "load_json"]
 
 
 @runtime_checkable
@@ -93,6 +94,38 @@ def _safe_name(name: str) -> str:
     return name
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path``'s content; readers see the old or the new."""
+    # Unique temp name (pid + monotonic ns): concurrent writers to
+    # the same logical record must not truncate each other's temp
+    # files, which a fixed ".tmp" suffix would allow.
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{time.monotonic_ns()}.tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
+def load_json(path: Path) -> Optional[dict]:
+    """The JSON object at ``path``; None if absent or unreadable.
+
+    An unreadable record is moved aside to ``<name>.corrupt`` so scans
+    stop tripping on it.
+    """
+    try:
+        payload = json.loads(path.read_text())
+        if isinstance(payload, dict):
+            return payload
+    except FileNotFoundError:
+        return None
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+        pass
+    try:
+        path.replace(path.with_name(path.name + ".corrupt"))
+    except OSError:  # pragma: no cover - lost a rename race
+        pass
+    return None
+
+
 class FileStorage:
     """Filesystem JSON backend: one document per file, atomic writes.
 
@@ -112,37 +145,6 @@ class FileStorage:
                     "heartbeats", "streams"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
 
-    # -- primitives --------------------------------------------------------
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        # Unique temp name (pid + monotonic ns): concurrent writers to
-        # the same logical record must not truncate each other's temp
-        # files, which a fixed ".tmp" suffix would allow.
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{time.monotonic_ns()}.tmp")
-        tmp.write_text(text)
-        tmp.replace(path)
-
-    def _load_json(self, path: Path) -> Optional[dict]:
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            self._quarantine(path)
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path)
-            return None
-        return payload
-
-    def _quarantine(self, path: Path) -> None:
-        """Move an unreadable record aside so scans stop tripping on it."""
-        try:
-            path.replace(path.with_name(path.name + ".corrupt"))
-        except OSError:  # pragma: no cover - lost a rename race
-            pass
-
     @staticmethod
     def _ids(directory: Path, suffix: str) -> List[str]:
         return sorted(p.name[:-len(suffix)] for p in directory.iterdir()
@@ -152,12 +154,11 @@ class FileStorage:
 
     def save_job(self, job_id: str, payload: dict) -> None:
         path = self.root / "jobs" / f"{_safe_name(job_id)}.json"
-        self._write_atomic(path, json.dumps(payload, indent=2,
-                                            sort_keys=True))
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
     def load_job(self, job_id: str) -> Optional[dict]:
-        return self._load_json(self.root / "jobs"
-                               / f"{_safe_name(job_id)}.json")
+        return load_json(self.root / "jobs"
+                         / f"{_safe_name(job_id)}.json")
 
     def list_job_ids(self) -> List[str]:
         return self._ids(self.root / "jobs", ".json")
@@ -184,19 +185,18 @@ class FileStorage:
             pass
 
     def claim_owner(self, job_id: str) -> Optional[str]:
-        payload = self._load_json(self._claim_path(job_id))
+        payload = load_json(self._claim_path(job_id))
         return payload.get("owner") if payload else None
 
     # -- artifacts ---------------------------------------------------------
 
     def save_artifact(self, job_id: str, payload: dict) -> None:
         path = self.root / "artifacts" / f"{_safe_name(job_id)}.json"
-        self._write_atomic(path, json.dumps(payload, indent=2,
-                                            sort_keys=True))
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
     def load_artifact(self, job_id: str) -> Optional[dict]:
-        return self._load_json(self.root / "artifacts"
-                               / f"{_safe_name(job_id)}.json")
+        return load_json(self.root / "artifacts"
+                         / f"{_safe_name(job_id)}.json")
 
     def list_artifact_ids(self) -> List[str]:
         return self._ids(self.root / "artifacts", ".json")
@@ -205,12 +205,11 @@ class FileStorage:
 
     def save_baseline(self, name: str, payload: dict) -> None:
         path = self.root / "baselines" / f"{_safe_name(name)}.json"
-        self._write_atomic(path, json.dumps(payload, indent=2,
-                                            sort_keys=True))
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
     def load_baseline(self, name: str) -> Optional[dict]:
-        return self._load_json(self.root / "baselines"
-                               / f"{_safe_name(name)}.json")
+        return load_json(self.root / "baselines"
+                         / f"{_safe_name(name)}.json")
 
     def list_baseline_names(self) -> List[str]:
         return self._ids(self.root / "baselines", ".json")
@@ -219,13 +218,13 @@ class FileStorage:
 
     def beat(self, worker_id: str, payload: dict) -> None:
         path = self.root / "heartbeats" / f"{_safe_name(worker_id)}.json"
-        self._write_atomic(path, json.dumps(payload, sort_keys=True))
+        write_atomic(path, json.dumps(payload, sort_keys=True))
 
     def heartbeats(self) -> Dict[str, dict]:
         out: Dict[str, dict] = {}
         for worker_id in self._ids(self.root / "heartbeats", ".json"):
-            payload = self._load_json(self.root / "heartbeats"
-                                      / f"{worker_id}.json")
+            payload = load_json(self.root / "heartbeats"
+                                / f"{worker_id}.json")
             if payload is not None:
                 out[worker_id] = payload
         return out
@@ -249,7 +248,7 @@ class FileStorage:
             handle.write("".join(line + "\n" for line in lines))
 
     def reset_stream(self, job_id: str) -> None:
-        self._write_atomic(self._stream_path(job_id), "")
+        write_atomic(self._stream_path(job_id), "")
 
     def read_stream(self, job_id: str,
                     offset: int = 0) -> Tuple[List[str], int]:

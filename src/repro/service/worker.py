@@ -16,12 +16,10 @@ to the job's stream file, followed at completion by the exact
 ``--metrics-out`` JSONL line(s) the runner would have written for the
 same experiment — byte-identical, which SV1 pins.
 
-Orphan safety mirrors the shard processes: the child holds a control
-pipe whose other end lives in the worker; a watcher thread blocks on
-it and ``os._exit``s the child the instant the pipe dies (worker
-SIGKILLed) or a cancel message arrives.  A SIGKILLed worker therefore
-takes its experiment down with it, and the requeued attempt on another
-worker is the only writer of the job's artifact.
+Spawning, babysitting and teardown of that child are
+:func:`repro.core.proc.run_task`'s; its orphan rule means a SIGKILLed
+worker takes its experiment down with it, so the requeued attempt on
+another worker is the only writer of the job's artifact.
 """
 
 from __future__ import annotations
@@ -30,17 +28,17 @@ import json
 import os
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
+from ..core import proc
 from .queue import Job, JobQueue
 from .storage import FileStorage
 
+if TYPE_CHECKING:  # experiments imports this package (SV1): stay lazy
+    from ..experiments.common import ExperimentResult
+
 __all__ = ["run_worker", "worker_main", "execute_in_child",
            "canonical_artifact_bytes"]
-
-#: Poll slice while babysitting the execution child: short enough that
-#: heartbeats, cancel checks and timeouts stay responsive.
-_BABYSIT_SLICE = 0.1
 
 
 def canonical_artifact_bytes(payload: dict,
@@ -70,42 +68,17 @@ def canonical_artifact_bytes(payload: dict,
 # -- execution child ---------------------------------------------------------
 
 
-def _job_child(result_conn, control_conn, parent_ends, job_payload: dict,
-               storage_root: str) -> None:
-    """Child entry: run the experiment, stream snapshots, send result."""
+def _job_child(job_payload: dict, storage_root: str) -> ExperimentResult:
+    """Child body: run the experiment, stream snapshots, return result."""
     from ..experiments.runner import _run_one
     from ..experiments.export import metrics_jsonl_lines
     from ..obs.metrics import MetricsRegistry, metrics
-
-    # Drop the inherited copies of the worker-side pipe ends.  Under
-    # the fork start method this process holds open duplicates of the
-    # control pipe's *write* end — keeping it, the watcher below would
-    # never see EOF when the worker is SIGKILLed and the orphan would
-    # run to completion, polluting the requeued attempt's stream.
-    for conn in parent_ends:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
 
     job_id = job_payload["job_id"]
     params = job_payload.get("params", {})
     key = params.get("key", "")
     fast = bool(params.get("fast", False))
     storage = FileStorage(storage_root)
-
-    def _watch() -> None:
-        # Blocks until the worker sends a cancel or dies (EOF).  Either
-        # way this process must stop *now*: a cancelled run must not
-        # keep burning CPU, and an orphaned run must not double-write
-        # the artifact its requeued twin is about to produce.
-        try:
-            control_conn.recv()
-        except (EOFError, OSError):
-            pass
-        os._exit(2)
-
-    threading.Thread(target=_watch, daemon=True).start()
 
     registry = MetricsRegistry()
     stop = threading.Event()
@@ -146,10 +119,7 @@ def _job_child(result_conn, control_conn, parent_ends, job_payload: dict,
         storage.append_stream(job_id, lines)
     except OSError:
         pass
-    try:
-        result_conn.send(result)
-    finally:
-        result_conn.close()
+    return result
 
 
 def execute_in_child(queue: JobQueue, storage: FileStorage, job: Job,
@@ -161,75 +131,33 @@ def execute_in_child(queue: JobQueue, storage: FileStorage, job: Job,
     cooperative cancellation tears the child down and finalizes the
     record as ``cancelled``.
     """
-    import multiprocessing
-
     from ..experiments.export import result_to_dict
     from ..experiments.runner import failed
 
-    ctx = multiprocessing.get_context()
-    result_recv, result_send = ctx.Pipe(duplex=False)
-    control_recv, control_send = ctx.Pipe(duplex=False)
-    # Non-daemonic: experiments may spawn their own children (L2's
-    # router shards, sweep pools), which daemonic processes cannot.
-    proc = ctx.Process(target=_job_child,
-                       args=(result_send, control_recv,
-                             (result_recv, control_send), job.to_dict(),
-                             str(storage.root)),
-                       daemon=False)
-    proc.start()
-    result_send.close()
-    control_recv.close()
-
-    deadline = None if job.timeout is None \
-        else time.monotonic() + job.timeout
-    cancel_sent = False
     last_cancel_check = 0.0
-    failure: Optional[str] = None
-    result = None
-    try:
-        while True:
-            beat()
-            now = time.monotonic()
-            if not cancel_sent and now - last_cancel_check >= 0.5:
-                last_cancel_check = now
-                current = queue.get(job.job_id)
-                if current is not None and current.cancel_requested:
-                    try:
-                        control_send.send("cancel")
-                    except (OSError, BrokenPipeError):
-                        pass
-                    cancel_sent = True
-            if result_recv.poll(_BABYSIT_SLICE):
-                try:
-                    result = result_recv.recv()
-                except EOFError:
-                    failure = ("cancelled" if cancel_sent else
-                               f"execution child died without a result "
-                               f"(exitcode {proc.exitcode})")
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                failure = f"timeout: exceeded {job.timeout:.0f}s wall clock"
-                proc.terminate()
-                break
-    finally:
-        try:
-            control_send.close()
-        except OSError:
-            pass
-        result_recv.close()
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - stuck child
-            proc.kill()
-            proc.join()
 
-    if result is not None:
-        if cancel_sent:
-            return queue.finish_cancel(job)
-        return queue.complete(job, result_to_dict(result),
-                              failed_result=failed(result))
-    if cancel_sent:
+    def tick() -> bool:
+        nonlocal last_cancel_check
+        beat()
+        now = time.monotonic()
+        if now - last_cancel_check < 0.5:
+            return False
+        last_cancel_check = now
+        current = queue.get(job.job_id)
+        return current is not None and current.cancel_requested
+
+    outcome = proc.run_task(_job_child, (job.to_dict(), str(storage.root)),
+                            deadline=job.timeout, tick=tick)
+    if outcome.kind == "cancelled":
         return queue.finish_cancel(job)
-    return queue.fail(job, failure or "execution child vanished")
+    if outcome.kind == "ok":
+        return queue.complete(job, result_to_dict(outcome.value),
+                              failed_result=failed(outcome.value))
+    if outcome.kind == "timeout":
+        return queue.fail(
+            job, f"timeout: exceeded {job.timeout:.0f}s wall clock")
+    return queue.fail(job, f"execution child died without a result "
+                           f"(exitcode {outcome.exitcode})")
 
 
 # -- worker loop -------------------------------------------------------------

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from typing import List
 
 import pytest
 
@@ -83,3 +89,62 @@ def converged_four_flow() -> PelsSimulation:
     """A converged 4-flow PELS run (p* ~ 7.4%) for integration tests."""
     scenario = PelsScenario(n_flows=4, duration=60.0, seed=11)
     return PelsSimulation(scenario).run()
+
+
+class OrphanProbe:
+    """Did a process outlive the death of its owner?  (Linux ``/proc``.)"""
+
+    def __init__(self) -> None:
+        self._owners: List[subprocess.Popen] = []
+
+    @staticmethod
+    def gone(pid: int) -> bool:
+        """No such process, or only its zombie (an orphan's exit status
+        waits on whatever reaper the container has; it runs nothing)."""
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rpartition(")")[2].split()[0] == "Z"
+        except OSError:
+            return True
+
+    def survivors(self, pids: List[int], within: float) -> List[int]:
+        """The pids still running ``within`` seconds from now (polled,
+        so the common case returns at once); they are killed, so a
+        failing assertion leaks nothing into the rest of the session."""
+        deadline = time.monotonic() + within
+        while True:
+            left = [pid for pid in pids if not self.gone(pid)]
+            if not left or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        return left
+
+    def after_sigkill(self, code: str, lines: int = 1) -> List[int]:
+        """Run ``code`` in a fresh interpreter until it has printed
+        ``lines`` lines of pids (its descendants'), SIGKILL it, and
+        return those pids."""
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        owner = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                 stdout=subprocess.PIPE, text=True)
+        self._owners.append(owner)
+        pids = [int(token) for _ in range(lines)
+                for token in owner.stdout.readline().split()]
+        owner.kill()
+        owner.wait(timeout=30.0)
+        return pids
+
+    def close(self) -> None:
+        for owner in self._owners:
+            owner.kill()
+            owner.wait(timeout=30.0)
+            owner.stdout.close()
+
+
+@pytest.fixture
+def orphans():
+    probe = OrphanProbe()
+    yield probe
+    probe.close()

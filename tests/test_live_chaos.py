@@ -162,3 +162,19 @@ class TestShardSupervisionVerbs:
                 shard.set_shed_level(3)
         finally:
             shard.stop()
+
+class TestOrphanRule:
+    def test_shards_stop_when_their_owner_is_sigkilled(self, orphans):
+        # Under fork every shard used to inherit the parent's end of
+        # its own control pipe (and of its elder siblings'), so the
+        # EOF that means "parent vanished" could never arrive and the
+        # shards served on, burning a core each.
+        pids = orphans.after_sigkill(
+            "import time\n"
+            "from repro.live.shard import RouterShard, ShardConfig\n"
+            "shards = [RouterShard(ShardConfig(shard_id=i)).start() "
+            "for i in (1, 2)]\n"
+            "print(*[shard.pid for shard in shards], flush=True)\n"
+            "time.sleep(60)\n")
+        assert len(pids) == 2
+        assert orphans.survivors(pids, within=5.0) == []

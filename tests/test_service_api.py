@@ -219,6 +219,35 @@ class TestRestartResume:
                 [interrupted["job_id"], waiting["job_id"]])
 
 
+class TestOrphanRule:
+    def test_sigkilled_service_takes_workers_and_job_child_down(
+            self, tmp_path, orphans):
+        # recover() requeues running jobs on the premise that nothing
+        # of the previous incarnation still runs; workers that outlive
+        # a SIGKILLed service (they used to, and kept claiming) make a
+        # second writer for the same artifact.
+        pids = orphans.after_sigkill(
+            "import asyncio, os, time\n"
+            "from repro.experiments import runner\n"
+            "from repro.service.api import ExperimentService, "
+            "ServiceConfig\n"
+            "def slow(fast=False):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(60)\n"
+            "runner._REGISTRY = {'SLOW': slow}\n"
+            "async def main():\n"
+            f"    config = ServiceConfig(storage_dir={str(tmp_path)!r}, "
+            "workers=2, worker_poll=0.05)\n"
+            "    service = await ExperimentService(config).start()\n"
+            "    print(*[w.pid for w in service.workers.values()], "
+            "flush=True)\n"
+            "    service.queue.submit(params={'key': 'SLOW'})\n"
+            "    await asyncio.Event().wait()\n"
+            "asyncio.run(main())\n", lines=2)
+        assert len(pids) == 3  # two workers, then the job child
+        assert orphans.survivors(pids, within=5.0) == []
+
+
 class TestServiceConfigValidation:
     def test_negative_workers_rejected(self, tmp_path):
         with pytest.raises(ValueError):
