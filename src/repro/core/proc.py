@@ -12,7 +12,9 @@ processes it connects — so EOF means what it says.  **Orphan rule**: a
 child whose parent's end closes exits; shards see the EOF in their
 event loop, everything else calls :func:`exit_with_parent`.  **Reap**
 (:meth:`Child.reap`): wait, SIGTERM, SIGKILL, each rung bounded by
-``GRACE``; the exit code is read last.
+``GRACE``; the exit code is read last.  **Wake** (:meth:`Child.wake`):
+one byte down the same pipe, never blocking, which the child's
+parent-watch thread turns into a ``threading.Event``.
 
 :func:`run_task` is the task shape on top: ``fn(*args)`` in a
 disposable child, an :class:`Outcome` back.
@@ -109,6 +111,21 @@ class Child:
             self._process.kill()
         return self.reap(GRACE)
 
+    def wake(self) -> None:
+        """Set the event :func:`exit_with_parent` returned in the child.
+
+        Never blocks and never raises: the token is one byte written to
+        a non-blocking descriptor, so it cannot be half sent; a full
+        pipe means wakes the child has not read yet, which is a pending
+        wake already; a reaped or dead child has nothing to wake.
+        """
+        try:
+            fd = self.conn.fileno()
+            os.set_blocking(fd, False)
+            os.write(fd, b"\0")
+        except OSError:  # BlockingIOError: full; otherwise: child gone
+            pass
+
 
 def spawn(target: Callable[..., None], args: Tuple = (), *, daemon: bool,
           name: Optional[str] = None) -> Child:
@@ -140,24 +157,33 @@ def spawn(target: Callable[..., None], args: Tuple = (), *, daemon: bool,
     return Child(process, conn)
 
 
-def exit_with_parent(conn: Connection) -> None:
+def exit_with_parent(conn: Connection) -> threading.Event:
     """Apply the orphan rule to this (child) process.
 
     Starts a watcher thread that blocks on ``conn`` and ``os._exit``s
     the moment the parent's end closes — the parent was SIGKILLed, or
     reaped this child.  ``os._exit`` because the work in flight must
     stop *now*: an orphaned job must not write the artifact its
-    requeued twin is about to produce.  The parent never sends on a
-    watched pipe.
+    requeued twin is about to produce.
+
+    Anything the parent does send (:meth:`Child.wake`) sets the
+    returned event; however many bytes arrived before the child looks,
+    it is set once.  The child clears it before it looks for work and
+    waits on it after finding none, so a wake is never lost.
     """
+    wake = threading.Event()
+
     def watch() -> None:
         try:
-            conn.recv()
-        except (EOFError, OSError):
+            # Raw reads: tokens are single bytes, not pickled messages.
+            while os.read(conn.fileno(), 4096):
+                wake.set()
+        except OSError:
             pass
         os._exit(ORPHAN_EXIT)
 
     threading.Thread(target=watch, daemon=True, name="parent-watch").start()
+    return wake
 
 
 class Outcome(NamedTuple):

@@ -40,7 +40,7 @@ from ..core import proc
 from .queue import JOB_STATES, JobQueue
 from .storage import FileStorage
 from .stream import accept_key, stream_job
-from .worker import worker_main
+from .worker import pool_worker_main
 
 __all__ = ["ServiceConfig", "ExperimentService", "serve"]
 
@@ -60,7 +60,9 @@ class ServiceConfig:
     heartbeat_timeout: float = 2.0
     #: Cadence of the stale-job / dead-worker sweep.
     sweep_interval: float = 0.5
-    #: Worker idle poll and heartbeat cadence (forwarded to workers).
+    #: Worker fallback rescan — the service wakes idle workers itself
+    #: when it makes a job claimable — and heartbeat cadence (both
+    #: forwarded to workers).
     worker_poll: float = 0.2
     worker_heartbeat: float = 0.5
     #: Respawn workers that exit (the pool is supposed to be eternal).
@@ -110,11 +112,32 @@ async def _read_request(reader: asyncio.StreamReader
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _HttpError(400, "Content-Length must be a non-negative "
+                              "integer")
     if length > _MAX_BODY:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
     body = await reader.readexactly(length) if length else b""
     return method, target, headers, body
+
+
+def _number(request: dict, name: str, cast, default):
+    """``cast(request[name])``, ``default`` if absent or null; a
+    value that is no number is the client's mistake (400), not the
+    server's (500)."""
+    value = request.get(name)
+    if value is None:
+        return default
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _HttpError(400, f"{name} must be a number, not {value!r}")
 
 
 def _json_body(body: bytes) -> dict:
@@ -127,16 +150,6 @@ def _json_body(body: bytes) -> dict:
     if not isinstance(payload, dict):
         raise _HttpError(400, "request body must be a JSON object")
     return payload
-
-
-def _pool_worker(conn, *worker_args) -> None:
-    """Entry point of a service-spawned worker: ``worker_main`` under
-    the orphan rule, so a SIGKILLed service takes its pool (and,
-    through each worker, the job children) down with it —
-    ``JobQueue.recover()`` relies on nothing running at a cold start.
-    A standalone ``worker_main`` has no parent to watch."""
-    proc.exit_with_parent(conn)
-    worker_main(*worker_args)
 
 
 class ExperimentService:
@@ -165,6 +178,8 @@ class ExperimentService:
         recovered = self.queue.recover()
         for _ in range(self.config.workers):
             self._spawn_worker()
+        if recovered:
+            self._wake_workers()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
         self._sweeper = asyncio.ensure_future(self._sweep_loop())
@@ -197,18 +212,27 @@ class ExperimentService:
         worker_id = f"w{self._worker_seq:03d}"
         # Non-daemonic: jobs spawn their own execution children.
         self.workers[worker_id] = proc.spawn(
-            _pool_worker,
+            pool_worker_main,
             (self.config.storage_dir, worker_id,
              self.config.worker_poll, self.config.worker_heartbeat),
             daemon=False, name=f"pels-worker-{worker_id}")
         return worker_id
+
+    def _wake_workers(self) -> None:
+        """Tell the pool a job became claimable: one token per worker,
+        whatever the size of the batch.  ``Child.wake`` cannot block
+        the event loop, and a worker that is busy or stopped keeps the
+        token for its next look at the queue."""
+        for worker in self.workers.values():
+            worker.wake()
 
     async def _sweep_loop(self) -> None:
         """Requeue stale jobs; replace workers that died."""
         while True:
             await asyncio.sleep(self.config.sweep_interval)
             try:
-                self.queue.requeue_stale(self.config.heartbeat_timeout)
+                if self.queue.requeue_stale(self.config.heartbeat_timeout):
+                    self._wake_workers()
             except OSError:  # pragma: no cover - disk hiccup
                 pass
             if not self.config.respawn_workers:
@@ -308,14 +332,18 @@ class ExperimentService:
             return {"baselines": self.storage.list_baseline_names()}, 200
         if len(parts) == 2 and parts[0] == "baselines":
             name = parts[1]
-            if method == "GET":
-                baseline = self.storage.load_baseline(name)
-                if baseline is None:
-                    raise _HttpError(404, f"no baseline {name!r}")
-                return baseline, 200
-            if method == "PUT":
-                self.storage.save_baseline(name, _json_body(body))
-                return {"stored": name}, 201
+            try:
+                if method == "GET":
+                    baseline = self.storage.load_baseline(name)
+                    if baseline is None:
+                        raise _HttpError(404, f"no baseline {name!r}")
+                    return baseline, 200
+                if method == "PUT":
+                    self.storage.save_baseline(name, _json_body(body))
+                    return {"stored": name}, 201
+            except ValueError:
+                raise _HttpError(404 if method == "GET" else 400,
+                                 f"unusable baseline name {name!r}")
             raise _HttpError(405, f"{method} not supported on baselines")
         raise _HttpError(404, f"no route {method} /{'/'.join(parts)}")
 
@@ -323,7 +351,10 @@ class ExperimentService:
                           query: Dict[str, str], headers: Dict[str, str],
                           reader, writer) -> Tuple[Optional[dict], int]:
         job_id = parts[1]
-        job = self.queue.get(job_id)
+        try:
+            job = self.queue.get(job_id)
+        except ValueError:  # not a name storage will look up
+            job = None
         if job is None:
             raise _HttpError(404, f"no job {job_id!r}")
         if len(parts) == 2 and method == "GET":
@@ -409,23 +440,27 @@ class ExperimentService:
                 hint = f" (did you mean {', '.join(close)}?)" if close \
                     else ""
                 raise _HttpError(400, f"unknown experiment {key!r}{hint}")
-            timeout = request.get("timeout")
-            if timeout is not None:
-                timeout = float(timeout)
-                if timeout <= 0:
-                    raise _HttpError(400, "timeout must be positive")
+            timeout = _number(request, "timeout", float, None)
+            if timeout is not None and not timeout > 0:
+                raise _HttpError(400, "timeout must be positive")
+            retries = _number(request, "retries", int, 1)
+            if retries < 0:
+                raise _HttpError(400, "retries must be non-negative")
             specs.append({
                 "key": key,
                 "fast": bool(request.get("fast", False)),
-                "priority": int(request.get("priority", 0)),
+                "priority": _number(request, "priority", int, 0),
                 "timeout": timeout,
-                "max_retries": int(request.get("retries", 1)),
+                "max_retries": retries,
             })
+        # Every entry passed before the first is stored: a batch is
+        # accepted whole or not at all.
         jobs = [self.queue.submit(
             kind="experiment",
             params={"key": spec["key"], "fast": spec["fast"]},
             priority=spec["priority"], timeout=spec["timeout"],
             max_retries=spec["max_retries"]) for spec in specs]
+        self._wake_workers()
         return {"jobs": [job.to_dict() for job in jobs]}
 
 

@@ -13,6 +13,8 @@ import json
 import time
 from typing import Dict, Iterator, List, Optional
 
+from ..core.retry import backoff_delay
+
 __all__ = ["ServiceError", "ServiceClient"]
 
 
@@ -101,10 +103,17 @@ class ServiceClient:
 
     def wait(self, job_ids: List[str], timeout: float = 600.0,
              poll: float = 0.25) -> Dict[str, dict]:
-        """Block until every job is terminal; returns final records."""
+        """Block until every job is terminal; returns final records.
+
+        Looks again after 10 ms, then 20, 40, ... up to every ``poll``
+        seconds: a short job is not reported a flat ``poll`` late, a
+        long one is not polled any faster than before.
+        """
         deadline = time.monotonic() + timeout
         final: Dict[str, dict] = {}
         pending = list(job_ids)
+        looks = 0
+        delay = 0.0
         while pending:
             if time.monotonic() > deadline:
                 raise TimeoutError(
@@ -115,7 +124,10 @@ class ServiceClient:
                     final[job_id] = record
                     pending.remove(job_id)
             if pending:
-                time.sleep(poll)
+                if delay < poll:  # past the cap the ramp has nothing to add
+                    delay = min(poll, backoff_delay(looks, 0.01))
+                    looks += 1
+                time.sleep(delay)
         return final
 
     def stream(self, job_id: str, poll: float = 0.2,

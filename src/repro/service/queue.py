@@ -28,17 +28,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..core.retry import backoff_delay
-from .storage import StorageBackend
+from .storage import TERMINAL_STATES, StorageBackend
 
 __all__ = ["JOB_STATES", "TERMINAL_STATES", "MAX_REQUEUES", "Job",
            "JobQueue"]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
-
-TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 #: Worker-death requeues tolerated before the job is declared failed.
 MAX_REQUEUES = 3
@@ -142,20 +140,40 @@ class JobQueue:
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
 
+    def _open_jobs(self) -> Iterator[Job]:
+        """The non-terminal jobs in claim order, loaded one at a time.
+
+        Read off the storage's open-job index, which may run ahead of
+        the records.  An entry whose record is terminal was left by a
+        writer that died between saving it and dropping the entry;
+        terminal is absorbing, so it is dropped here.  An entry with
+        no record is a submit in flight (or one that died there) and
+        is left alone: only :meth:`recover`, which runs alone, can
+        tell the two apart.
+        """
+        for job_id in self.storage.open_job_ids():
+            job = self.get(job_id)
+            if job is None:
+                continue
+            if job.terminal:
+                self.storage.drop_open_job(job_id)
+                continue
+            yield job
+
     # -- worker side -------------------------------------------------------
 
     def claim_next(self, worker_id: str) -> Optional[Job]:
         """Claim the best queued job, or None if the queue is drained.
 
-        Candidates are ordered by (priority desc, job id asc); the
-        O_EXCL claim decides races.  The stream is reset on claim so
-        subscribers see exactly one attempt's worth of events.
+        Candidates come off the open-job index in its order (priority
+        desc, job id asc) and only as far as the first one claimed;
+        the O_EXCL claim decides races.  The stream is reset on claim
+        so subscribers see exactly one attempt's worth of events.
         """
         now = time.time()
-        candidates = sorted(
-            (j for j in self.jobs("queued") if j.not_before <= now),
-            key=lambda j: (-j.priority, j.job_id))
-        for job in candidates:
+        for job in self._open_jobs():
+            if job.state != "queued" or job.not_before > now:
+                continue
             if not self.storage.try_claim(job.job_id, worker_id):
                 continue
             # Re-read under the claim: the record may have moved on
@@ -265,7 +283,9 @@ class JobQueue:
         now = time.time() if now is None else now
         beats = self.storage.heartbeats()
         requeued = []
-        for job in self.jobs("running"):
+        for job in self._open_jobs():
+            if job.state != "running":
+                continue
             beat = beats.get(job.worker or "")
             alive = beat is not None and now - beat.get("at", 0.0) \
                 <= heartbeat_timeout
@@ -281,9 +301,28 @@ class JobQueue:
         ``running`` record is an interrupted attempt from the previous
         incarnation.  Requeueing (rather than failing) them is what
         makes kill-the-service-and-restart lossless.
+
+        This is also where the open-job index is made exact, from the
+        one full scan the queue ever does: open records get the entry
+        they lack (a directory written before the index existed has
+        none), entries of terminal or missing records go.
         """
-        return [self._requeue(job, cause="service-restart")
-                for job in self.jobs("running")]
+        stale = set(self.storage.open_job_ids())
+        recovered = []
+        for job in self.jobs():
+            if job.terminal:
+                continue
+            if job.state == "running":
+                recovered.append(self._requeue(job, cause="service-restart"))
+            else:
+                # A canceller that died mid-cancel still holds it.
+                self.storage.release_claim(job.job_id)
+                if job.job_id not in stale:
+                    self._save(job)
+            stale.discard(job.job_id)
+        for job_id in stale:
+            self.storage.drop_open_job(job_id)
+        return recovered
 
     def _requeue(self, job: Job, cause: str) -> Job:
         self.storage.release_claim(job.job_id)

@@ -13,7 +13,10 @@ mid-write never leaves a truncated document behind and concurrent
 writers never interleave, and is read back by :func:`load_json`.
 Claims use ``open(..., "x")`` (O_CREAT|O_EXCL), the one filesystem
 primitive that is atomic across processes, so N workers scanning the
-same queue directory agree on exactly one owner per job.  A corrupt
+same queue directory agree on exactly one owner per job.  Which jobs
+are worth looking at is answered by the open-job index — one entry per
+non-terminal job, named in claim order — so a claim scan costs the
+open jobs, not the history.  A corrupt
 record — a partially copied backup, a flipped bit — is quarantined to
 ``<name>.corrupt`` and treated as absent rather than poisoning every
 subsequent scan.
@@ -27,7 +30,12 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
-__all__ = ["StorageBackend", "FileStorage", "write_atomic", "load_json"]
+__all__ = ["TERMINAL_STATES", "StorageBackend", "FileStorage",
+           "write_atomic", "load_json"]
+
+#: Job states nothing leaves; a record in one of them is off the
+#: open-job index for good.
+TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 
 @runtime_checkable
@@ -37,6 +45,13 @@ class StorageBackend(Protocol):
     All payloads are JSON-ready dicts; implementations own atomicity
     (a reader never observes a half-written record) and corruption
     recovery (an unreadable record loads as ``None``, never raises).
+
+    ``save_job`` also keeps the **open-job index**: a job is listed by
+    ``open_job_ids`` from before its first record is readable until
+    after a record whose ``state`` is in :data:`TERMINAL_STATES` is, so
+    the listing may name a job that is not open (whoever meets one
+    calls ``drop_open_job``) but never misses one that is.  The order
+    is the claim order: ``priority`` descending, job id ascending.
     """
 
     # -- job records -------------------------------------------------------
@@ -46,6 +61,10 @@ class StorageBackend(Protocol):
     def load_job(self, job_id: str) -> Optional[dict]: ...
 
     def list_job_ids(self) -> List[str]: ...
+
+    def open_job_ids(self) -> List[str]: ...
+
+    def drop_open_job(self, job_id: str) -> None: ...
 
     # -- claims (atomic across processes) ----------------------------------
 
@@ -94,13 +113,17 @@ def _safe_name(name: str) -> str:
     return name
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace ``path``'s content; readers see the old or the new."""
+def _temp_path(path: Path) -> Path:
     # Unique temp name (pid + monotonic ns): concurrent writers to
     # the same logical record must not truncate each other's temp
     # files, which a fixed ".tmp" suffix would allow.
-    tmp = path.with_name(
+    return path.with_name(
         f"{path.name}.{os.getpid()}.{time.monotonic_ns()}.tmp")
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path``'s content; readers see the old or the new."""
+    tmp = _temp_path(path)
     tmp.write_text(text)
     tmp.replace(path)
 
@@ -132,6 +155,9 @@ class FileStorage:
     Layout under ``root``::
 
         jobs/<job_id>.json          job records (state machine inside)
+        open/<priority>~<job_id>    open-job index: one name per
+                                    non-terminal job, the claim order
+                                    in it (a hard link, never read)
         claims/<job_id>.claim       O_EXCL ownership markers
         artifacts/<job_id>.json     exported results (schema-versioned)
         baselines/<name>.json       benchmark baselines
@@ -141,9 +167,11 @@ class FileStorage:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        for sub in ("jobs", "claims", "artifacts", "baselines",
+        for sub in ("jobs", "open", "claims", "artifacts", "baselines",
                     "heartbeats", "streams"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
+        # A plain string: the index is touched on every record save.
+        self._open = str(self.root / "open")
 
     @staticmethod
     def _ids(directory: Path, suffix: str) -> List[str]:
@@ -153,8 +181,31 @@ class FileStorage:
     # -- job records -------------------------------------------------------
 
     def save_job(self, job_id: str, payload: dict) -> None:
+        """Store the record; index entry first, or dropped last.
+
+        The order is the crash rule: whichever step a writer dies
+        after, an open job still has its entry, and the worst left
+        behind is an entry without an open job.  The entry is a
+        function of the arguments alone — no record is read — and a
+        second name of the temp file, not a file of its own: creating
+        a file costs a submit ~200 us on the ledger host's ext4, a
+        link ~8.
+        """
         path = self.root / "jobs" / f"{_safe_name(job_id)}.json"
-        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
+        entry = os.path.join(
+            self._open, f"{int(payload.get('priority') or 0)}~{job_id}")
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        if payload.get("state") in TERMINAL_STATES:
+            write_atomic(path, text)
+            self._unlink_entry(entry)
+            return
+        tmp = _temp_path(path)
+        tmp.write_text(text)
+        try:
+            os.link(tmp, entry)
+        except FileExistsError:
+            pass
+        tmp.replace(path)
 
     def load_job(self, job_id: str) -> Optional[dict]:
         return load_json(self.root / "jobs"
@@ -162,6 +213,31 @@ class FileStorage:
 
     def list_job_ids(self) -> List[str]:
         return self._ids(self.root / "jobs", ".json")
+
+    @staticmethod
+    def _unlink_entry(entry: str) -> None:
+        try:
+            os.unlink(entry)
+        except FileNotFoundError:
+            pass
+
+    def open_job_ids(self) -> List[str]:
+        entries = []
+        for name in os.listdir(self._open):
+            priority, _, job_id = name.partition("~")
+            try:
+                entries.append((-int(priority), job_id))
+            except ValueError:  # not an entry: someone else's file
+                pass
+        return [job_id for _, job_id in sorted(entries)]
+
+    def drop_open_job(self, job_id: str) -> None:
+        # The entry's priority is not the caller's to know (the record
+        # may be gone): look the name up.  Off the hot path — a
+        # terminal ``save_job`` unlinks its entry directly.
+        for name in os.listdir(self._open):
+            if name.partition("~")[2] == job_id:
+                self._unlink_entry(os.path.join(self._open, name))
 
     # -- claims ------------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 A worker is a plain loop — heartbeat, claim, execute, repeat — started
 either as a child process of ``pels serve`` or standalone against the
-same storage directory.  Execution reuses the runner's hardening
-recipe from PR 3: the experiment runs in a *disposable child process*
-(crash isolation, enforceable timeouts) whose structured-failure
-semantics come from ``runner._run_one``.
+same storage directory.  An idle pool worker is woken by the service
+the moment a job becomes claimable; the idle poll is the fallback.
+Execution reuses the runner's hardening recipe from PR 3: the
+experiment runs in a *disposable child process* (crash isolation,
+enforceable timeouts) whose structured-failure semantics come from
+``runner._run_one``.
 
 While a job executes the worker keeps heartbeating (so the queue's
 stale-job sweep knows it is alive), polls the record for cooperative
@@ -37,8 +39,8 @@ from .storage import FileStorage
 if TYPE_CHECKING:  # experiments imports this package (SV1): stay lazy
     from ..experiments.common import ExperimentResult
 
-__all__ = ["run_worker", "worker_main", "execute_in_child",
-           "canonical_artifact_bytes"]
+__all__ = ["run_worker", "worker_main", "pool_worker_main",
+           "execute_in_child", "canonical_artifact_bytes"]
 
 
 def canonical_artifact_bytes(payload: dict,
@@ -172,11 +174,29 @@ def run_worker(storage_dir: str, worker_id: str, *,
                stop: Optional[Callable[[], bool]] = None) -> int:
     """Pull-and-execute loop; returns the number of jobs executed.
 
+    ``poll_interval`` is the fallback rescan: how long an idle worker
+    waits for a wake before it looks at the queue anyway.  Nobody wakes
+    a standalone worker, so there it is the whole idle wait; in a pool
+    worker (:func:`pool_worker_main`) it is the net under what no wake
+    announces — a retry's ``not_before`` maturing, a job another
+    process stored.
+
     ``executor`` defaults to :func:`execute_in_child`; tests inject a
     fake to exercise the loop without process machinery.  ``max_jobs``
     / ``idle_exit`` / ``stop`` bound the loop for embedding and tests;
     the service runs it unbounded and terminates the process instead.
     """
+    return _work(threading.Event(), storage_dir, worker_id, poll_interval,
+                 heartbeat_interval, executor, max_jobs, idle_exit, stop)
+
+
+def _work(wake: threading.Event, storage_dir: str, worker_id: str,
+          poll_interval: float, heartbeat_interval: float,
+          executor: Optional[Callable[..., Job]] = None,
+          max_jobs: Optional[int] = None,
+          idle_exit: Optional[float] = None,
+          stop: Optional[Callable[[], bool]] = None) -> int:
+    """The loop of :func:`run_worker`, idling on ``wake``."""
     storage = FileStorage(storage_dir)
     queue = JobQueue(storage)
     execute = executor or execute_in_child
@@ -200,12 +220,16 @@ def run_worker(storage_dir: str, worker_id: str, *,
 
     while not (stop is not None and stop()):
         beat()
+        # Clear, scan, then wait: a wake that lands after the scan
+        # began is still set when the wait starts.  Wakes that arrived
+        # while a job ran are spent on the scan that follows it anyway.
+        wake.clear()
         job = queue.claim_next(worker_id)
         if job is None:
             if idle_exit is not None and \
                     time.monotonic() - idle_since > idle_exit:
                 break
-            time.sleep(poll_interval)
+            wake.wait(poll_interval)
             continue
         current_job = job.job_id
         try:
@@ -223,9 +247,27 @@ def run_worker(storage_dir: str, worker_id: str, *,
 def worker_main(storage_dir: str, worker_id: str,
                 poll_interval: float = 0.2,
                 heartbeat_interval: float = 0.5) -> None:
-    """Process entry point for service-spawned workers."""
+    """Process entry point of a standalone worker."""
     try:
         run_worker(storage_dir, worker_id, poll_interval=poll_interval,
                    heartbeat_interval=heartbeat_interval)
+    except KeyboardInterrupt:  # pragma: no cover - operator ^C
+        pass
+
+
+def pool_worker_main(conn, storage_dir: str, worker_id: str,
+                     poll_interval: float, heartbeat_interval: float) -> None:
+    """Entry point of a service-spawned worker (a ``proc.spawn`` target).
+
+    The pipe to the service does two things.  Its EOF is the orphan
+    rule: a SIGKILLed service takes its pool (and, through each worker,
+    the job children) down with it — ``JobQueue.recover()`` relies on
+    nothing running at a cold start.  A byte on it is a wake: the
+    service made a job claimable, rescan now.
+    """
+    wake = proc.exit_with_parent(conn)
+    try:
+        _work(wake, storage_dir, worker_id, poll_interval,
+              heartbeat_interval)
     except KeyboardInterrupt:  # pragma: no cover - operator ^C
         pass

@@ -80,6 +80,32 @@ class TestSubmitValidation:
             client.submit([{"key": "T1", "timeout": -5}])
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("option", [
+        {"priority": "high"}, {"priority": [1]}, {"priority": True},
+        {"timeout": "soon"}, {"timeout": {}}, {"retries": "many"},
+        {"retries": -3}, {"retries": 1e400}])
+    def test_option_that_is_no_number_rejected(self, client, option):
+        with pytest.raises(ServiceError) as err:
+            client.submit([dict({"key": "T1"}, **option)])
+        assert err.value.status == 400
+        assert list(option)[0] in err.value.message
+        assert client.jobs() == []
+
+    def test_null_option_means_default(self, client):
+        job = client.submit([{"key": "T1", "priority": None,
+                              "timeout": None, "retries": None}])[0]
+        assert (job["priority"], job["timeout"], job["max_retries"]) == \
+            (0, None, 1)
+
+    def test_batch_is_stored_whole_or_not_at_all(self, client):
+        for bad in ({"key": "NOPE"}, {"key": "T1", "retries": -1},
+                    {"key": "T1", "priority": "high"}, "T1"):
+            with pytest.raises(ServiceError) as err:
+                client.submit([{"key": "T1"}, {"key": "F2"}, bad])
+            assert err.value.status == 400
+        assert client.jobs() == []
+        assert client.health()["jobs"]["queued"] == 0
+
     def test_key_is_normalized(self, client):
         jobs = client.submit([{"key": " t1 "}])
         assert jobs[0]["params"]["key"] == "T1"
@@ -109,6 +135,14 @@ class TestJobRoutes:
         with pytest.raises(ServiceError) as err:
             client.job("ghost")
         assert err.value.status == 404
+
+    @pytest.mark.parametrize("job_id", [".hidden", "..%2fx", "..", "a\\b"])
+    def test_job_id_storage_would_refuse_404(self, client, job_id):
+        for method, suffix in (("GET", ""), ("GET", "/artifact"),
+                               ("GET", "/stream"), ("POST", "/cancel")):
+            with pytest.raises(ServiceError) as err:
+                client._request(method, f"/jobs/{job_id}{suffix}")
+            assert err.value.status == 404
 
     def test_artifact_of_unfinished_job_404(self, client):
         job = client.submit([{"key": "T1"}])[0]
@@ -142,6 +176,15 @@ class TestBaselines:
             client.baseline("ghost")
         assert err.value.status == 404
 
+    def test_name_storage_would_refuse(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.baseline(".hidden")
+        assert err.value.status == 404
+        with pytest.raises(ServiceError) as err:
+            client.put_baseline(".hidden", {"x": 1})
+        assert err.value.status == 400
+        assert client.baselines() == []
+
 
 class TestRouting:
     def test_unknown_route_404(self, client):
@@ -166,12 +209,48 @@ class TestRouting:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1e3", b"0x10"])
+    def test_unusable_content_length_400(self, fleet, length):
+        import socket
+        with socket.create_connection(("127.0.0.1", fleet.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: "
+                         + length + b"\r\n\r\n{}")
+            reply = sock.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length" in reply.partition(b"\r\n\r\n")[2]
+
+
+class TestClientWait:
+    def test_ramps_from_10ms_up_to_poll(self, monkeypatch):
+        from repro.service import client as client_module
+        states = iter(["queued"] * 3 + ["running"] * 5 + ["done"])
+        client = ServiceClient(port=1)
+        monkeypatch.setattr(client, "job",
+                            lambda job_id: {"state": next(states)})
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        final = client.wait(["j1"], poll=0.25)
+        assert final == {"j1": {"state": "done"}}
+        assert sleeps == [0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25, 0.25]
+
+    def test_poll_below_the_first_step_is_honoured(self, monkeypatch):
+        from repro.service import client as client_module
+        states = iter(["running"] * 3 + ["done"])
+        client = ServiceClient(port=1)
+        monkeypatch.setattr(client, "job",
+                            lambda job_id: {"state": next(states)})
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        client.wait(["j1"], poll=0.001)
+        assert sleeps == [0.001] * 3
+
 
 class TestEndToEnd:
     def test_submit_executes_on_a_real_worker(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "_REGISTRY", {"OK": _ok_run})
         config = ServiceConfig(storage_dir=str(tmp_path / "store"),
-                               workers=1, port=0, worker_poll=0.05)
+                               workers=1, port=0)
         with _Fleet(config) as fleet:
             client = ServiceClient(port=fleet.port)
             job = client.submit([{"key": "OK", "fast": True}])[0]
@@ -206,8 +285,7 @@ class TestRestartResume:
             fleet.service.queue.claim_next("w001")
 
         # The "crashed" incarnation is gone; restart with real workers.
-        config = ServiceConfig(storage_dir=store, workers=2, port=0,
-                               worker_poll=0.05)
+        config = ServiceConfig(storage_dir=store, workers=2, port=0)
         with _Fleet(config) as fleet:
             client = ServiceClient(port=fleet.port)
             final = client.wait([interrupted["job_id"],
