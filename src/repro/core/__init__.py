@@ -9,8 +9,11 @@
 * :class:`~repro.core.feedback.RouterFeedback` /
   :class:`~repro.core.feedback.FeedbackTracker` — Eq. (11) virtual-loss
   feedback with epoch freshness (Section 5.2).
-* :class:`~repro.core.source.PelsSource` /
-  :class:`~repro.core.sink.PelsSink` — application endpoints.
+* :class:`~repro.core.flow.FlowSender` /
+  :class:`~repro.core.flow.FlowReceiver` — the application endpoints,
+  clock-free; :class:`~repro.core.source.PelsSource` /
+  :class:`~repro.core.sink.PelsSink` drive them in the simulator,
+  :mod:`repro.live` on real UDP.
 * :class:`~repro.core.session.PelsSimulation` — full Fig. 6 assembly.
 """
 
@@ -19,6 +22,7 @@ from .clock import Clock, ManualClock, WallClock
 from .colors import (AllGreenMarkingPolicy, MarkingPolicy, NoRedMarkingPolicy,
                      PelsMarkingPolicy)
 from .feedback import FeedbackComputer, FeedbackTracker, RouterFeedback
+from .flow import FlowReceiver, FlowSender, frame_receptions
 from .gamma import (GammaController, gamma_fixed_point, is_stable_sigma,
                     iterate_gamma, iterate_gamma_delayed, pels_utility_bound)
 from .multihop import MultiHopPelsSimulation, MultiHopScenario
@@ -37,7 +41,9 @@ __all__ = [
     "FeedbackTracker",
     "ManualClock",
     "WallClock",
+    "FlowReceiver",
     "FlowReport",
+    "FlowSender",
     "GammaController",
     "MarkingPolicy",
     "MultiHopPelsSimulation",
@@ -54,6 +60,7 @@ __all__ = [
     "SessionReport",
     "RouterFeedback",
     "build_report",
+    "frame_receptions",
     "gamma_fixed_point",
     "is_stable_sigma",
     "iterate_gamma",

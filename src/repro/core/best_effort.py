@@ -29,6 +29,7 @@ from ..sim.traffic import CbrSource
 from ..video.fgs import FgsConfig
 from .colors import NoRedMarkingPolicy
 from .feedback import RouterFeedback
+from .flow import frame_receptions
 from .gamma import GammaController
 from .sink import PelsSink
 from .source import PelsSource
@@ -171,15 +172,4 @@ class BestEffortSimulation:
         return self.video_queue.enhancement_queue.stats.loss_rate
 
     def frame_receptions(self, flow: int) -> list:
-        source = self.sources[flow]
-        sink = self.sinks[flow]
-        from ..video.decoder import FrameReception
-        receptions = []
-        for frame_id in range(max(source.frame_id, 0)):
-            green, yellow, red = source.frame_log.get(frame_id, (0, 0, 0))
-            reception = sink.frames.get(frame_id,
-                                        FrameReception(frame_id=frame_id))
-            reception.green_sent = green
-            reception.enhancement_sent = yellow + red
-            receptions.append(reception)
-        return receptions
+        return frame_receptions(self.sources[flow], self.sinks[flow])

@@ -25,6 +25,7 @@ from ..sim.topology import Barbell, BarbellConfig, build_barbell
 from ..video.fgs import FgsConfig
 from .colors import MarkingPolicy, PelsMarkingPolicy
 from .feedback import RouterFeedback
+from .flow import frame_receptions
 from .gamma import GammaController
 from .pels_queue import PelsBottleneckQueue, PelsQueueConfig
 from .sink import PelsSink
@@ -311,18 +312,4 @@ class PelsSimulation:
 
     def frame_receptions(self, flow: int) -> list:
         """Ordered per-frame receptions joined with the send log."""
-        source = self.sources[flow]
-        sink = self.sinks[flow]
-        receptions = []
-        # frame_log holds finalized frames; the in-flight frame (id ==
-        # source.frame_id) is excluded until its deadline passes.
-        for frame_id in range(max(source.frame_id, 0)):
-            green, yellow, red = source.frame_log.get(frame_id, (0, 0, 0))
-            reception = sink.frames.get(frame_id)
-            if reception is None:
-                from ..video.decoder import FrameReception
-                reception = FrameReception(frame_id=frame_id)
-            reception.green_sent = green
-            reception.enhancement_sent = yellow + red
-            receptions.append(reception)
-        return receptions
+        return frame_receptions(self.sources[flow], self.sinks[flow])

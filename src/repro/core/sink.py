@@ -1,28 +1,27 @@
-"""The PELS receiver: frame accounting and feedback echo.
+"""The PELS receiver: the simulator's driver of a flow receiver.
 
-The sink records per-frame reception (for the offline PSNR
-reconstruction of Section 6.5), measures one-way packet delays per
-color (Figs. 8-9), and echoes the freshest feedback label back to the
-source in an ACK after the backward propagation delay — the
+Per-frame reception (for the offline PSNR reconstruction of Section
+6.5) and one-way packet delays per color (Figs. 8-9) are
+:class:`~repro.core.flow.FlowReceiver`'s.  The sink adds what is the
+simulator's: it echoes each packet's feedback label back to the source
+in an ACK after the backward propagation delay — the
 uncongested-reverse-path model described in DESIGN.md §5.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..sim.engine import Simulator
 from ..sim.node import Host
-from ..sim.packet import Color, Packet
-from ..sim.stats import DelayProbe
+from ..sim.packet import Packet
+from .flow import FlowReceiver
 from .source import PelsSource
 
 __all__ = ["PelsSink"]
 
-from ..video.decoder import FrameReception
 
-
-class PelsSink:
+class PelsSink(FlowReceiver):
     """Receiver for one PELS flow."""
 
     def __init__(self, sim: Simulator, host: Host, flow_id: int,
@@ -35,9 +34,12 @@ class PelsSink:
                  delay_series_stride: int = 1) -> None:
         if not 0 <= ack_loss_rate < 1:
             raise ValueError("ack loss rate must be in [0, 1)")
+        if green_packets is None:
+            green_packets = 21 if source is None \
+                else source.fgs_config.green_packets
+        super().__init__(flow_id, green_packets, delay_series_stride)
         self.sim = sim
         self.host = host
-        self.flow_id = flow_id
         self.source = source
         self.ack_delay = ack_delay
         self.ack_via_network = ack_via_network
@@ -52,60 +54,17 @@ class PelsSink:
         #: deadline analysis (repro.video.playback).
         self.record_arrivals = record_arrivals
         self.arrivals: List[tuple] = []
-        if green_packets is not None:
-            self.green_packets = green_packets
-        elif source is not None:
-            self.green_packets = source.fgs_config.green_packets
-        else:
-            self.green_packets = 21
-
-        self.frames: Dict[int, FrameReception] = {}
-        #: See DelayProbe.series_stride — 1 records every delay sample,
-        #: 0 keeps only the aggregate counters (mean/max stay exact).
-        self.delay_probes: Dict[Color, DelayProbe] = {
-            color: DelayProbe(color.name.lower(),
-                              series_stride=delay_series_stride)
-            for color in (Color.GREEN, Color.YELLOW, Color.RED)
-        }
-        # Color.is_pels and the dict hash are per-packet costs; a plain
-        # list indexed by the IntEnum value skips both.
-        self._probe_by_color = [self.delay_probes[Color.GREEN],
-                                self.delay_probes[Color.YELLOW],
-                                self.delay_probes[Color.RED],
-                                None]
-        self.packets_received = 0
-        self.bytes_received = 0
         self._source_receive = None if source is None else source.receive
         host.attach_agent(self, flow_id)
 
     def receive(self, packet: Packet) -> None:
         if packet.is_ack:
             return
-        self.packets_received += 1
-        self.bytes_received += packet.size
         now = self.sim.now
         if self.record_arrivals and packet.frame_id is not None:
             self.arrivals.append((packet.frame_id, now, packet.color))
-        probe = self._probe_by_color[packet.color]
-        if probe is not None:
-            probe.record(now, now - packet.created_at)
-        self._account_frame(packet)
+        self.account(packet, now, packet.created_at)
         self._ack(packet)
-
-    def _account_frame(self, packet: Packet) -> None:
-        if packet.frame_id is None or packet.index_in_frame is None:
-            return
-        reception = self.frames.get(packet.frame_id)
-        if reception is None:
-            reception = FrameReception(frame_id=packet.frame_id)
-            self.frames[packet.frame_id] = reception
-        if packet.color is Color.GREEN:
-            reception.green_received += 1
-        else:
-            # Green packets occupy frame indices [0, green_packets); the
-            # enhancement index is relative to the first FGS packet.
-            reception.enhancement_received.add(
-                packet.index_in_frame - self.green_packets)
 
     def _ack(self, data_packet: Packet) -> None:
         if self.ack_loss_rate > 0 and \
@@ -117,31 +76,3 @@ class PelsSink:
             self.host.send(ack)
         elif self._source_receive is not None:
             self.sim.call_later(self.ack_delay, self._source_receive, ack)
-
-    # -- reconstruction helpers ------------------------------------------
-
-    def frame_receptions(self, n_frames: int,
-                         green_sent: int, enhancement_sent_per_frame:
-                         Optional[Dict[int, int]] = None) -> List[FrameReception]:
-        """Materialize ordered receptions for frames ``0..n_frames-1``.
-
-        The source knows how many packets it sent per frame; the caller
-        passes those counts so utility (useful/sent) is well-defined.
-        """
-        out: List[FrameReception] = []
-        for frame_id in range(n_frames):
-            reception = self.frames.get(frame_id,
-                                        FrameReception(frame_id=frame_id))
-            reception.green_sent = green_sent
-            if enhancement_sent_per_frame is not None:
-                reception.enhancement_sent = enhancement_sent_per_frame.get(
-                    frame_id, 0)
-            else:
-                reception.enhancement_sent = max(
-                    reception.enhancement_received, default=-1) + 1
-            out.append(reception)
-        return out
-
-    def mean_delay(self, color: Color) -> float:
-        """Average one-way delay observed for a color."""
-        return self.delay_probes[color].mean

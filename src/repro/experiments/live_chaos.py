@@ -20,18 +20,21 @@ are shed, green base-layer packets never are.  Checks:
   failover settles) is >= 90% of the full per-shard Lemma 6 oracle —
   the replacement carries its slot's share, it is not a zombie;
 * zero green packets shed and zero green drops anywhere, while the
-  shed probe demonstrably shed red traffic.
+  shed probe demonstrably shed red traffic;
+* the killed slot's senders went blind over the failover gap and every
+  blind episode was ended by a label from the replacement.
 
 **control** — identical run, kill included, supervisor off.  The
 killed slot's flows must be *stranded* (post-window delivered rate
-under 10% of their Lemma 6 share): the healing in the supervised run
-comes from the supervisor, not from some accidental recovery path.
+under 10% of their Lemma 6 share) and their senders blind to the end
+with no recovery: the healing in the supervised run comes from the
+supervisor, not from some accidental recovery path.
 
-Senders ride the failover gap with the PR 3 blind-mode watchdog
-(``feedback_timeout``); resynchronization is the Section 5.2 rule —
-the first label from the replacement's fresh ``router_id`` is adopted
-immediately.  Like L1/L2 this is wall-clock: checks assert bands and
-invariants, not exact bytes.
+Senders ride the failover gap with the starvation watchdog of
+:mod:`repro.core.flow` (``feedback_timeout``); resynchronization is
+the Section 5.2 rule — the first label from the replacement's fresh
+``router_id`` is adopted immediately.  Like L1/L2 this is wall-clock:
+checks assert bands and invariants, not exact bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..faults import Callback, FaultSchedule, ShardKill
-from ..live.loadgen import ChaosContext, LoadConfig, LoadResult, run_load
+from ..live.loadgen import (ChaosContext, LoadConfig, LoadResult, ShardLoad,
+                            run_load)
 from ..live.supervisor import SupervisorConfig
 from .common import ExperimentResult, check
 
@@ -113,6 +117,17 @@ def _chaos_builder(config: LoadConfig, picked: Dict[str, int],
     return build
 
 
+def _slot(result: LoadResult, slot: int) -> Optional[ShardLoad]:
+    return next((s for s in result.per_shard if s.slot == slot), None)
+
+
+def _watchdog_cell(shard: Optional[ShardLoad]) -> str:
+    """The killed slot's summed blind intervals / episodes / recoveries."""
+    if shard is None:
+        return "-"
+    return f"{shard.blind_intervals}/{shard.rate_freezes}/{shard.recoveries}"
+
+
 def _kill_time(result: LoadResult) -> float:
     for at, description in result.faults:
         if description.startswith("shard-kill"):
@@ -159,6 +174,10 @@ def run(fast: bool = False) -> ExperimentResult:
     admitted_ok = 1.0 \
         if supervised.admitted >= 0.95 * sup_config.flows else 0.0
     check(result, "sup_admitted_ok", admitted_ok, 1.0, 0.0)
+    sup_shard = _slot(supervised, kill_slot)
+    rode_blind = 1.0 if sup_shard is not None and \
+        0 < sup_shard.rate_freezes == sup_shard.recoveries else 0.0
+    check(result, "sup_blind_episodes_all_recovered", rode_blind, 1.0, 0.0)
 
     # -- unsupervised control run ------------------------------------------
     ctl_config = _config(fast, supervise=False)
@@ -167,8 +186,7 @@ def run(fast: bool = False) -> ExperimentResult:
                        chaos=_chaos_builder(ctl_config, ctl_picked,
                                             with_shed_probe=False))
     ctl_slot = ctl_picked.get("kill_slot", -1)
-    ctl_shard = next((s for s in control.per_shard if s.slot == ctl_slot),
-                     None)
+    ctl_shard = _slot(control, ctl_slot)
     stranded_floor = STRANDED_RATE_FRACTION * \
         (ctl_shard.lemma6_rate_bps if ctl_shard else float("inf"))
     killed_flows = [flow_id
@@ -180,22 +198,25 @@ def run(fast: bool = False) -> ExperimentResult:
     all_stranded = 1.0 \
         if killed_flows and len(stranded) == len(killed_flows) else 0.0
     check(result, "ctl_killed_flows_stranded", all_stranded, 1.0, 0.0)
+    stayed_blind = 1.0 if ctl_shard is not None and \
+        ctl_shard.rate_freezes > 0 and ctl_shard.recoveries == 0 else 0.0
+    check(result, "ctl_blind_never_recovered", stayed_blind, 1.0, 0.0)
 
     # -- report ------------------------------------------------------------
     green = supervised.delays["green"]
     result.add_table(
         ["run", "flows", "shards", "kill slot", "rehomed",
          "kill->healed s", "post vs oracle", "red shed", "green shed",
-         "green drops"],
+         "green drops", "blind/episodes/recovered"],
         [["supervised", supervised.admitted, sup_config.shards,
           kill_slot, int(rehomed), kill_to_healed,
           supervised.post_goodput_vs_oracle,
           supervised.shed_packets[2], supervised.shed_packets[0],
-          supervised.green_drops],
+          supervised.green_drops, _watchdog_cell(sup_shard)],
          ["control", control.admitted, ctl_config.shards, ctl_slot,
           0, float("nan"), control.post_goodput_vs_oracle,
           control.shed_packets[2], control.shed_packets[0],
-          control.green_drops]],
+          control.green_drops, _watchdog_cell(ctl_shard)]],
         title=f"shard kill at 0.45x{sup_config.duration:.0f}s, "
               f"seed {SEED}")
 
@@ -216,6 +237,14 @@ def run(fast: bool = False) -> ExperimentResult:
     result.metrics["sup_yellow_shed_packets"] = \
         float(supervised.shed_packets[1])
     result.metrics["sup_green_p99_ms"] = green["p99_ms"]
+    for key, shard in (("sup", sup_shard), ("ctl", ctl_shard)):
+        if shard is not None:
+            result.metrics[f"{key}_killed_blind_intervals"] = \
+                float(shard.blind_intervals)
+            result.metrics[f"{key}_killed_rate_freezes"] = \
+                float(shard.rate_freezes)
+            result.metrics[f"{key}_killed_recoveries"] = \
+                float(shard.recoveries)
     result.metrics["ctl_post_vs_oracle"] = control.post_goodput_vs_oracle
     result.metrics["ctl_stranded_flows"] = float(len(stranded))
     result.metrics["ctl_killed_population"] = float(len(killed_flows))

@@ -23,12 +23,14 @@ Topology (one process, three UDP endpoints on 127.0.0.1)::
   token-bucket capacity pacing, Eq. 11 label stamping every T wall
   seconds (via the clock-free
   :class:`~repro.core.feedback.FeedbackComputer`).
-* :mod:`~repro.live.server` — packetizes synthetic FGS frames with
-  :func:`repro.video.fgs.plan_frame` and drives the registered
-  congestion controller plus the gamma controller from real-time ACKs.
-* :mod:`~repro.live.client` — measures per-color one-way delay, keeps
-  frame receptions for offline PSNR reconstruction, echoes the freshest
-  label back to the server.
+* :mod:`~repro.live.server` — wall-clock driver of the simulator's own
+  :class:`~repro.core.flow.FlowSender` per flow: a credit pacer stepped
+  by ``LiveServer.advance`` and an ACK intake that rejects labels no
+  router can emit.
+* :mod:`~repro.live.client` — feeds each flow's
+  :class:`~repro.core.flow.FlowReceiver` (per-color one-way delay,
+  frame receptions for offline PSNR reconstruction) and echoes every
+  packet's label back to the server.
 * :mod:`~repro.live.session` — wires the three together on loopback,
   runs for a wall-clock duration and emits a
   :class:`~repro.core.report.SessionReport`.

@@ -1,11 +1,12 @@
 """The live PELS receiver: delay probes, frame accounting, label echo.
 
-For every data packet the client measures the one-way delay per color
-(the sender's monotonic timestamp is directly comparable on loopback,
-where both endpoints share a clock — see :mod:`repro.core.clock`),
-accumulates :class:`~repro.video.decoder.FrameReception` state for the
-offline PSNR reconstruction of Section 6.5, and echoes the packet's
-feedback label straight back to the server in an ACK.  The ACK path
+For every data packet the client feeds the flow's
+:class:`~repro.core.flow.FlowReceiver` — the object the simulator's
+``PelsSink`` drives: one-way delay per color (the sender's monotonic
+timestamp is directly comparable on loopback, where both endpoints
+share a clock — see :mod:`repro.core.clock`) and per-frame reception
+for the offline PSNR reconstruction of Section 6.5 — and echoes the
+packet's feedback label straight back to the server in an ACK.  The ACK path
 deliberately bypasses the router — the uncongested-reverse-path model
 of DESIGN.md §5 — and per-packet echo plus the server-side epoch
 freshness filter reproduce the simulator's feedback loop exactly: any
@@ -15,67 +16,14 @@ surviving ACK of an epoch delivers the identical label.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.clock import Clock
-from ..obs.trace import current_tracer
+from ..core.flow import FlowReceiver
 from ..sim.packet import Color, FeedbackLabel
-from ..sim.stats import DelayProbe
-from ..video.decoder import FrameReception
 from .wire import LivePacket, WireFormatError, decode_packet, encode_packet
 
-__all__ = ["FlowReceiver", "LiveClient"]
-
-
-class FlowReceiver:
-    """Receiver-side state of one live PELS flow."""
-
-    def __init__(self, flow_id: int, green_packets: int,
-                 delay_series_stride: int = 1) -> None:
-        self.flow_id = flow_id
-        self.green_packets = green_packets
-        self.packets_received = 0
-        self.bytes_received = 0
-        self.frames: Dict[int, FrameReception] = {}
-        #: The freshest label seen, by (router switch | larger epoch) —
-        #: exposed for tests; the echo itself is per packet.
-        self.last_label: Optional[FeedbackLabel] = None
-        self.delay_probes: Dict[Color, DelayProbe] = {
-            color: DelayProbe(color.name.lower(),
-                              series_stride=delay_series_stride)
-            for color in (Color.GREEN, Color.YELLOW, Color.RED)
-        }
-        self._probe_by_color = [self.delay_probes[Color.GREEN],
-                                self.delay_probes[Color.YELLOW],
-                                self.delay_probes[Color.RED],
-                                None]
-
-    def mean_delay(self, color: Color) -> float:
-        return self.delay_probes[color].mean
-
-    def frame_receptions(self, n_frames: int, green_sent: int,
-                         enhancement_sent_per_frame:
-                         Optional[Dict[int, int]] = None
-                         ) -> List[FrameReception]:
-        """Ordered receptions for frames ``0..n_frames-1``.
-
-        Same contract as ``PelsSink.frame_receptions``: the sender
-        knows what it emitted per frame, so the caller passes those
-        counts and utility (useful/sent) is well-defined.
-        """
-        out: List[FrameReception] = []
-        for frame_id in range(n_frames):
-            reception = self.frames.get(frame_id,
-                                        FrameReception(frame_id=frame_id))
-            reception.green_sent = green_sent
-            if enhancement_sent_per_frame is not None:
-                reception.enhancement_sent = enhancement_sent_per_frame.get(
-                    frame_id, 0)
-            else:
-                reception.enhancement_sent = max(
-                    reception.enhancement_received, default=-1) + 1
-            out.append(reception)
-        return out
+__all__ = ["LiveClient"]
 
 
 class LiveClient(asyncio.DatagramProtocol):
@@ -87,12 +35,14 @@ class LiveClient(asyncio.DatagramProtocol):
         self.green_packets = green_packets
         self.delay_series_stride = delay_series_stride
         self.flows: Dict[int, FlowReceiver] = {}
+        #: flow_id -> the freshest label seen, by (router switch |
+        #: larger epoch) — exposed for tests; the echo is per packet.
+        self.last_label: Dict[int, FeedbackLabel] = {}
         #: Where ACKs go (the server's endpoint, set by the session).
         self.server_addr: Optional[Tuple[str, int]] = None
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.cross_packets_received = 0
         self.malformed = 0
-        self._trace = current_tracer()
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -100,9 +50,8 @@ class LiveClient(asyncio.DatagramProtocol):
     def flow(self, flow_id: int) -> FlowReceiver:
         receiver = self.flows.get(flow_id)
         if receiver is None:
-            receiver = FlowReceiver(flow_id, self.green_packets,
-                                    self.delay_series_stride)
-            self.flows[flow_id] = receiver
+            receiver = self.flows[flow_id] = FlowReceiver(
+                flow_id, self.green_packets, self.delay_series_stride)
         return receiver
 
     def datagram_received(self, data: bytes, addr) -> None:
@@ -117,36 +66,14 @@ class LiveClient(asyncio.DatagramProtocol):
             self.cross_packets_received += 1
             return
         now = self.clock.now
-        receiver = self.flow(packet.flow_id)
-        receiver.packets_received += 1
-        receiver.bytes_received += packet.size
-        probe = receiver._probe_by_color[packet.color]
-        if probe is not None:
-            probe.record(now, now - packet.sent_at)
-        self._account_frame(receiver, packet)
+        self.flow(packet.flow_id).account(packet, now, packet.sent_at)
         label = packet.label
         if label is not None:
-            previous = receiver.last_label
+            previous = self.last_label.get(packet.flow_id)
             if previous is None or label.router_id != previous.router_id \
                     or label.epoch > previous.epoch:
-                receiver.last_label = label
+                self.last_label[packet.flow_id] = label
         self._ack(packet, now)
-
-    def _account_frame(self, receiver: FlowReceiver,
-                       packet: LivePacket) -> None:
-        if packet.frame_id is None or packet.index_in_frame is None:
-            return
-        reception = receiver.frames.get(packet.frame_id)
-        if reception is None:
-            reception = FrameReception(frame_id=packet.frame_id)
-            receiver.frames[packet.frame_id] = reception
-        if packet.color is Color.GREEN:
-            reception.green_received += 1
-        else:
-            # Green occupies indices [0, green_packets); enhancement
-            # indices are relative to the first FGS packet.
-            reception.enhancement_received.add(
-                packet.index_in_frame - receiver.green_packets)
 
     def _ack(self, packet: LivePacket, now: float) -> None:
         """Echo the packet's label to the server, router bypassed."""

@@ -217,6 +217,11 @@ class ShardLoad:
     shed_packets: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     shed_bytes: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     shed_level: int = 0
+    #: Starvation-watchdog evidence summed over the slot's flows: blind
+    #: frame intervals, blind episodes, episodes ended by a fresh label.
+    blind_intervals: int = 0
+    rate_freezes: int = 0
+    recoveries: int = 0
 
     @property
     def goodput_vs_oracle(self) -> float:
@@ -259,6 +264,11 @@ class LoadResult:
     #: index 0 (green) staying at zero is the base-layer guarantee.
     shed_packets: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     shed_bytes: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
+    #: Starvation-watchdog counters summed over every sender (per slot:
+    #: ``per_shard[i].blind_intervals`` etc.).
+    blind_intervals: int = 0
+    rate_freezes: int = 0
+    recoveries: int = 0
 
     @property
     def goodput_vs_oracle(self) -> float:
@@ -406,7 +416,7 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
             fgs=config.fgs, cbr_rate_bps=0.0, pace_tick=config.pace_tick,
             flow_ids=[d.flow_id for d in admitted],
             flow_tenants={d.flow_id: d.tenant for d in admitted},
-            grouped_pacing=True, seed=config.seed,
+            seed=config.seed,
             feedback_timeout=config.feedback_timeout,
             blind_backoff=config.blind_backoff)
         for decision in admitted:
@@ -533,6 +543,7 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
         if fault_schedule is not None else [],
         "post_seconds": post_seconds,
         "post_delivered": post_delivered,
+        "senders": server.flows,
     }
 
 
@@ -584,6 +595,7 @@ def run_load(config: Optional[LoadConfig] = None,
     final_shards: List[RouterShard] = measured["final_shards"]
     delivered: Dict[int, int] = measured["delivered"]
     window: float = measured["window"]
+    senders = measured["senders"]
 
     per_shard: List[ShardLoad] = []
     total_goodput = 0.0
@@ -612,6 +624,7 @@ def run_load(config: Optional[LoadConfig] = None,
             else [0, 0, 0, 0]
         shed_b = list(shard_stats.shed_bytes) if shard_stats \
             else [0, 0, 0, 0]
+        slot_senders = [senders[flow_id] for flow_id in flow_ids]
         per_shard.append(ShardLoad(
             shard_id=shard.shard_id, n_flows=n_flows,
             capacity_bps=shard.capacity_bps, lemma6_rate_bps=r_star,
@@ -628,7 +641,10 @@ def run_load(config: Optional[LoadConfig] = None,
             cpu_seconds=shard_stats.cpu_seconds if shard_stats else 0.0,
             wall_seconds=shard_stats.wall_seconds if shard_stats else 0.0,
             slot=slot, shed_packets=shed_p, shed_bytes=shed_b,
-            shed_level=shard_stats.shed_level if shard_stats else 0))
+            shed_level=shard_stats.shed_level if shard_stats else 0,
+            blind_intervals=sum(f.blind_intervals for f in slot_senders),
+            rate_freezes=sum(f.rate_freezes for f in slot_senders),
+            recoveries=sum(f.recoveries for f in slot_senders)))
         total_goodput += goodput
         total_oracle += oracle
         green_drops += drops[0]
@@ -671,4 +687,7 @@ def run_load(config: Optional[LoadConfig] = None,
         post_flow_goodput=post_flow_goodput,
         flow_slots=dict(flow_slot),
         shed_packets=shed_packets_total,
-        shed_bytes=shed_bytes_total)
+        shed_bytes=shed_bytes_total,
+        blind_intervals=sum(s.blind_intervals for s in per_shard),
+        rate_freezes=sum(s.rate_freezes for s in per_shard),
+        recoveries=sum(s.recoveries for s in per_shard))

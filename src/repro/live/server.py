@@ -1,43 +1,36 @@
-"""The live PELS sender: FGS packetization + closed-loop control.
+"""The live PELS sender: the wall-clock driver of the flow senders.
 
-One datagram endpoint hosts every flow of the session.  Per flow, the
-frame clock runs: at each frame boundary the frame is planned with the
-standard marking policy (green base, yellow/red FGS split at the
-current gamma — the exact :func:`repro.video.fgs.plan_frame` the
-simulator uses) sized by the congestion controller's current rate,
-then paced out with a credit loop that re-reads the controller rate
-continuously, so rate changes take effect within a few packet times,
-mirroring ``PelsSource``'s adaptive pacing.  If the rate drops
-mid-frame the unsent tail is truncated at the frame deadline — FGS
-truncation semantics.
+One datagram endpoint hosts every flow of the session.  What a sender
+*does* per frame and per ACK — plan with the standard marking policy
+(green base, yellow/red FGS split at the current gamma) sized by the
+congestion controller's rate; admit each router epoch once and step
+Eq. 8 and Eq. 4; ride out feedback starvation blind — is
+:class:`~repro.core.flow.FlowSender`, the very object the simulator's
+``PelsSource`` drives.  This module is what the wire adds:
 
-Two pacing modes share that frame logic:
-
-* **per-flow tasks** (default, the PR-5 behavior): one asyncio task per
-  flow sleeps its own pace tick — simple, and fine for a handful of
-  flows;
-* **tenant-grouped pacing** (``grouped_pacing=True``, the gateway
-  mode): one task per tenant advances every member flow's frame clock
-  each wake, so a thousand admitted flows cost a handful of timers per
-  tick instead of a thousand — the timer-wake amortization that makes
-  the sharded gateway's flow counts affordable.
-
-ACKs from the client arrive on the same endpoint (the reverse path
-bypasses the router).  The ACK path peeks the flow id and the
-``(router_id, z, p)`` label with cached ``Struct`` slices instead of
-decoding the full 48-byte header; the per-flow
-:class:`~repro.core.feedback.FeedbackTracker` admits each router epoch
-once, and a fresh loss sample drives the registered rate controller
-(Eq. 8 for MKC) and the Eq. 4 gamma controller — the same controller
-*objects* the simulator drives, exercised here against
-``time.monotonic`` (see :mod:`repro.core.clock`).
-
-An optional CBR task keeps the Internet FIFO backlogged (best-effort
-color, its own flow id) so WRR grants the PELS aggregate exactly its
-configured share, as in the simulator's default scenario.  Its wake
-phase is jittered by a seeded RNG so the cross traffic cannot
-phase-lock with the router's service tick; passing the same ``seed``
-reproduces the jitter schedule.
+* **the pacer** — :meth:`LiveServer.advance` is one synchronous step:
+  each flow whose (golden-ratio phased) frame deadline has passed
+  truncates the unsent tail (FGS semantics) and begins its next frame;
+  elapsed time becomes byte credit at the flow's *instantaneous*
+  controller rate, so a fresh ACK alters the pacing within one tick,
+  mirroring ``PelsSource``'s adaptive gaps; credit is capped at a
+  handful of packets, so a scheduler stall produces a small burst,
+  never an unbounded one.  One task per tenant sleeps ``pace_tick`` and
+  steps its members, so a thousand admitted flows cost a handful of
+  timers per tick instead of a thousand;
+* **the ACK intake** — ACKs from the client arrive on the same endpoint
+  (the reverse path bypasses the router).  The header is never fully
+  decoded: validity, flow id and the ``(router_id, z, p)`` label are
+  cached-``Struct`` peeks.  This is where hostile input is rejected: a
+  label whose loss is not a finite number in [0, 1] — which no router
+  can emit — is dropped and counted before the flow's freshness
+  tracker sees it;
+* per-flow destinations (each flow's shard), retire/retarget for the
+  gateway's teardown and failover paths, and an optional CBR task that
+  keeps the Internet FIFO backlogged (best-effort color, its own flow
+  id) so WRR grants the PELS aggregate exactly its configured share.
+  Its wake phase is jittered by a seeded RNG so the cross traffic
+  cannot phase-lock with the router's service tick.
 """
 
 from __future__ import annotations
@@ -48,12 +41,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cc.base import RateController, make_controller
 from ..core.clock import Clock
-from ..core.colors import PelsMarkingPolicy
-from ..core.feedback import FeedbackTracker
+from ..core.flow import FlowSender
 from ..core.gamma import GammaController
 from ..obs.trace import current_tracer
 from ..sim.packet import Color, FeedbackLabel
-from ..sim.stats import TimeSeries
 from ..video.fgs import FgsConfig, PacketPlan
 from .wire import (HEADER_SIZE, LivePacket, encode_packet, peek_flow_id,
                    peek_is_valid, peek_label, peek_ptype)
@@ -69,66 +60,31 @@ CROSS_TRAFFIC_FLOW_ID = 10_000
 _GOLDEN = 0.6180339887
 
 
-class LiveFlow:
-    """Sender-side state of one live PELS flow."""
+class LiveFlow(FlowSender):
+    """One flow of a :class:`LiveServer`: the shared sender plus the
+    fields only the wire needs."""
 
     def __init__(self, flow_id: int, controller: RateController,
-                 gamma_controller: GammaController,
-                 fgs: FgsConfig, tenant: str = "") -> None:
-        self.flow_id = flow_id
+                 gamma_controller: GammaController, fgs: FgsConfig,
+                 tenant: str = "", **sender_kwargs) -> None:
+        super().__init__(flow_id, controller, gamma_controller, fgs,
+                         **sender_kwargs)
         self.tenant = tenant
-        self.controller = controller
-        self.gamma_controller = gamma_controller
-        self.fgs = fgs
-        self.marking_policy = PelsMarkingPolicy(fgs)
-        self.tracker = FeedbackTracker()
-        self.rate_series = TimeSeries(f"rate-flow{flow_id}")
-        self.gamma_series = TimeSeries(f"gamma-flow{flow_id}")
-        self.loss_series = TimeSeries(f"loss-flow{flow_id}")
         #: Where this flow's data goes (its shard's router endpoint);
         #: ``None`` falls back to the server-wide ``dst_addr``.
         self.dst_addr: Optional[Tuple[str, int]] = None
         #: Cleared by ``LiveServer.retire_flow``: a retired flow stops
         #: emitting (mid-run teardown) but keeps its state for reports.
         self.active = True
-        #: Clock time of the last *accepted* loss sample (None until
-        #: the first); drives the blind-mode starvation watchdog.
-        self.last_feedback: Optional[float] = None
-        #: How many times the watchdog applied a blind decay.
-        self.blind_intervals = 0
-        self.next_seq = 0
-        self.frame_id = -1
-        self.packets_sent = 0
-        self.bytes_sent = 0
-        self.frames_sent = 0
         self.acks_received = 0
-        #: frame_id -> (green, yellow, red) counts actually emitted.
-        self.frame_log: Dict[int, Tuple[int, int, int]] = {}
-
-    @property
-    def rate_bps(self) -> float:
-        return self.controller.rate_bps
-
-    @property
-    def gamma(self) -> float:
-        return self.gamma_controller.gamma
-
-
-class _PaceState:
-    """Frame-clock state of one flow inside a grouped pacer task."""
-
-    __slots__ = ("flow", "deadline", "plan", "pos", "counts", "credit",
-                 "last", "started")
-
-    def __init__(self, flow: LiveFlow, start_at: float) -> None:
-        self.flow = flow
-        self.deadline = start_at  # first frame begins at the phase offset
+        #: Credit-pacer state: when the next frame begins, the plan
+        #: being paced out and how far it got, byte credit and the time
+        #: it was last topped up.
+        self.deadline = 0.0
         self.plan: Optional[List[PacketPlan]] = None
         self.pos = 0
-        self.counts = [0, 0, 0]
         self.credit = 0.0
-        self.last = start_at
-        self.started = False
+        self.last = 0.0
 
 
 class LiveServer(asyncio.DatagramProtocol):
@@ -141,16 +97,15 @@ class LiveServer(asyncio.DatagramProtocol):
     ``flow_ids`` overrides the default ``range(n_flows)`` identities —
     the gateway allocates global flow ids, so a load generator builds
     its server around the admitted set.  ``flow_tenants`` names each
-    flow's tenant; with ``grouped_pacing=True`` flows of one tenant
-    share a single pacer task (see module docstring).
+    flow's tenant; flows of one tenant share a pacer task (unnamed
+    flows share the empty tenant).
 
-    ``feedback_timeout`` (seconds, 0 = off) arms the blind-mode
-    watchdog from PR 3 on the live path: a flow whose feedback has
+    ``feedback_timeout`` (seconds, 0 = off) arms the starvation
+    watchdog (see :mod:`repro.core.flow`): a flow whose feedback has
     been silent that long — its shard died, a blackhole swallowed its
-    data — has its controller rate multiplied by ``blind_backoff``
-    once per timeout interval at frame boundaries, riding out the gap
-    conservatively until the first label from a replacement shard
-    resynchronizes it (the tracker adopts a fresh ``router_id``'s
+    data — decays its rate by ``blind_backoff`` per frame, riding out
+    the gap conservatively until the first label from a replacement
+    shard resynchronizes it (the tracker adopts a fresh ``router_id``'s
     epoch clock immediately).
     """
 
@@ -163,7 +118,6 @@ class LiveServer(asyncio.DatagramProtocol):
                  pace_tick: float = 0.005,
                  flow_ids: Optional[Sequence[int]] = None,
                  flow_tenants: Optional[Dict[int, str]] = None,
-                 grouped_pacing: bool = False,
                  seed: Optional[int] = None,
                  feedback_timeout: float = 0.0,
                  blind_backoff: float = 0.85) -> None:
@@ -175,30 +129,32 @@ class LiveServer(asyncio.DatagramProtocol):
             raise ValueError("need at least one live flow")
         if pace_tick <= 0:
             raise ValueError("pace tick must be positive")
-        if feedback_timeout < 0:
-            raise ValueError("feedback timeout cannot be negative")
-        if not 0 < blind_backoff <= 1:
-            raise ValueError("blind backoff must be in (0, 1]")
         self.clock = clock
         self.fgs = fgs or FgsConfig(frame_packets=256)
         self.pace_tick = pace_tick
         self.cbr_rate_bps = cbr_rate_bps
-        self.grouped_pacing = grouped_pacing
-        self.feedback_timeout = feedback_timeout
-        self.blind_backoff = blind_backoff
         self._rng = random.Random(seed)
         tenants = flow_tenants or {}
+        trace = current_tracer()
         self.flows: Dict[int, LiveFlow] = {}
+        #: tenant -> its flows: the unit one pacer task steps per wake.
+        self._groups: Dict[str, List[LiveFlow]] = {}
         for flow_id in flow_ids:
-            self.flows[flow_id] = LiveFlow(
+            flow = self.flows[flow_id] = LiveFlow(
                 flow_id,
                 make_controller(controller_name, **(controller_kwargs or {})),
                 GammaController(**(gamma_kwargs or {})),
-                self.fgs, tenant=tenants.get(flow_id, ""))
+                self.fgs, tenant=tenants.get(flow_id, ""),
+                feedback_timeout=feedback_timeout or None,
+                blind_backoff=blind_backoff, trace=trace)
+            self._groups.setdefault(flow.tenant, []).append(flow)
         self.dst_addr: Optional[Tuple[str, int]] = None
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.cross_packets_sent = 0
-        self._trace = current_tracer()
+        #: ACKs dropped at the socket for carrying a label no router
+        #: can emit (loss not a finite number in [0, 1]).
+        self.malformed_acks = 0
+        self._phased = False
         self._tasks: List[asyncio.Task] = []
         self._running = False
 
@@ -221,222 +177,107 @@ class LiveServer(asyncio.DatagramProtocol):
         if flow is None:
             return
         flow.acks_received += 1
-        router_id, epoch, loss_value = peek_label(data)
+        router_id, epoch, loss = peek_label(data)
         if router_id == 0:
             return  # no router has stamped this packet's path yet
-        loss = flow.tracker.accept(FeedbackLabel(router_id, epoch,
-                                                 loss_value))
-        if loss is None:
+        if not 0.0 <= loss <= 1.0:
+            # NaN and the infinities fail the comparison too.  Rejected
+            # here, not in the tracker: a forged label must not advance
+            # the flow's epoch clock either.
+            self.malformed_acks += 1
             return
         now = self.clock.now
-        flow.last_feedback = now
-        flow.controller.on_feedback(loss, now)
-        flow.gamma_controller.update(loss)
-        flow.loss_series.record(now, loss)
-        flow.rate_series.record(now, flow.controller.rate_bps)
-        flow.gamma_series.record(now, flow.gamma_controller.gamma)
-        if self._trace is not None:
-            self._trace.rate(now, flow.flow_id, loss,
-                             flow.controller.rate_bps)
-            self._trace.gamma_step(now, flow.flow_id,
-                                   flow.gamma_controller.gamma)
+        if flow.on_label(FeedbackLabel(router_id, epoch, loss),
+                         now) is not None:
+            # Live series are per accepted sample (the simulator's are
+            # per frame): wall-clock reports average over few frames.
+            flow.rate_series.record(now, flow.controller.rate_bps)
+            flow.gamma_series.record(now, flow.gamma_controller.gamma)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Launch the pacing tasks (plus cross traffic)."""
+        """Launch one pacer task per tenant (plus cross traffic)."""
         if self._running:
             raise RuntimeError("server already started")
         self._running = True
-        if self.grouped_pacing:
-            groups: Dict[str, List[LiveFlow]] = {}
-            for flow in self.flows.values():
-                groups.setdefault(flow.tenant, []).append(flow)
-            self._tasks = [asyncio.ensure_future(self._stream_group(members))
-                           for members in groups.values()]
-        else:
-            self._tasks = [asyncio.ensure_future(self._stream(flow))
-                           for flow in self.flows.values()]
+        self._tasks = [asyncio.ensure_future(self._pacer(tenant))
+                       for tenant in self._groups]
         if self.cbr_rate_bps > 0:
             self._tasks.append(asyncio.ensure_future(self._cross_traffic()))
 
     async def stop(self) -> None:
+        """Cancel the tasks and log every flow's in-flight frame."""
         self._running = False
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
+        for flow in self.flows.values():
+            flow.finish()
 
-    # -- transmit path (per-flow tasks) ------------------------------------
+    # -- transmit path -----------------------------------------------------
 
-    async def _stream(self, flow: LiveFlow) -> None:
-        """The frame clock of one flow: plan, then pace adaptively."""
-        interval = flow.fgs.frame_interval
-        await asyncio.sleep((flow.flow_id * _GOLDEN) % 1.0 * interval)
-        while self._running and flow.active:
-            frame_start = self.clock.now
-            deadline = frame_start + interval
-            self._maybe_blind(flow, frame_start)
-            rate = flow.controller.rate_bps
-            gamma = flow.gamma_controller.gamma
-            flow.frame_id += 1
-            flow.frames_sent += 1
-            flow.rate_series.record(frame_start, rate)
-            flow.gamma_series.record(frame_start, gamma)
-            plan = flow.marking_policy.plan(rate, gamma)
-            counts = [0, 0, 0]
-            await self._pace(flow, plan, deadline, counts)
-            flow.frame_log[flow.frame_id] = (counts[0], counts[1], counts[2])
-            remaining = deadline - self.clock.now
-            if remaining > 0:
-                await asyncio.sleep(remaining)
-
-    async def _pace(self, flow: LiveFlow, plan: List[PacketPlan],
-                    deadline: float, counts: List[int]) -> None:
-        """Credit-paced emission at the *instantaneous* controller rate.
-
-        Each wake-up converts elapsed wall time into byte credit at the
-        rate the controller holds right now, so a mid-frame rate change
-        (a fresh ACK) alters the pacing within one tick.  Credit is
-        capped at a handful of packets: a long scheduler stall produces
-        a small burst, never an unbounded one.
-        """
-        pos = 0
-        credit = float(self.fgs.packet_size)  # first packet goes now
-        cap = 8.0 * self.fgs.packet_size
-        last = self.clock.now
-        while pos < len(plan) and self._running:
-            now = self.clock.now
-            if now >= deadline:
-                return  # FGS truncation: the red-most tail is unsent
-            credit = min(cap,
-                         credit + (now - last) *
-                         flow.controller.rate_bps / 8)
-            last = now
-            while pos < len(plan) and credit >= plan[pos].size:
-                self._emit(flow, plan[pos], counts)
-                credit -= plan[pos].size
-                pos += 1
-            if pos < len(plan):
-                await asyncio.sleep(min(self.pace_tick,
-                                        max(0.0, deadline - now)))
-
-    # -- transmit path (grouped pacing) ------------------------------------
-
-    async def _stream_group(self, members: List[LiveFlow]) -> None:
-        """One pacer task advancing every flow of a tenant per wake.
-
-        Per wake: elapsed wall time becomes byte credit per flow at
-        that flow's instantaneous controller rate; frames begin at each
-        flow's own (golden-ratio phased) deadline and truncate at the
-        next one — the same semantics as the per-flow task, minus
-        ``len(members) - 1`` timers per tick.
-        """
-        interval = self.fgs.frame_interval
-        now = self.clock.now
-        states = [
-            _PaceState(flow,
-                       now + (flow.flow_id * _GOLDEN) % 1.0 * interval)
-            for flow in members]
-        advance = self._advance_flow
-        sleep = asyncio.sleep
-        tick = self.pace_tick
+    async def _pacer(self, tenant: str) -> None:
         while self._running:
-            await sleep(tick)
-            now = self.clock.now
-            for state in states:
-                if state.flow.active:
-                    advance(state, now, interval)
+            await asyncio.sleep(self.pace_tick)
+            self.advance(self.clock.now, tenant)
 
-    def _maybe_blind(self, flow: LiveFlow, now: float) -> None:
-        """Frame-boundary feedback-starvation check (watchdog off when
-        ``feedback_timeout`` is 0).  Applies at most one decay per
-        timeout interval by advancing the starvation reference."""
-        timeout = self.feedback_timeout
-        if timeout <= 0:
-            return
-        if flow.last_feedback is None:
-            # No feedback yet at all: start the starvation clock at the
-            # first frame rather than decaying a flow that just joined.
-            flow.last_feedback = now
-            return
-        if now - flow.last_feedback >= timeout:
-            flow.controller.blind_decay(self.blind_backoff, now)
-            flow.blind_intervals += 1
-            flow.last_feedback = now
-            if self._trace is not None:
-                self._trace.rate(now, flow.flow_id, -1.0,
-                                 flow.controller.rate_bps)
+    def advance(self, now: float, tenant: Optional[str] = None) -> None:
+        """Step every active flow (of ``tenant``, if given) to ``now``.
 
-    def _begin_frame(self, state: _PaceState, now: float,
-                     interval: float) -> None:
-        flow = state.flow
-        if state.started:
-            flow.frame_log[flow.frame_id] = tuple(state.counts)
-        state.started = True
-        self._maybe_blind(flow, now)
-        rate = flow.controller.rate_bps
-        gamma = flow.gamma_controller.gamma
-        flow.frame_id += 1
-        flow.frames_sent += 1
-        flow.rate_series.record(now, rate)
-        flow.gamma_series.record(now, gamma)
-        state.plan = flow.marking_policy.plan(rate, gamma)
-        state.pos = 0
-        state.counts = [0, 0, 0]
-        # Keep the frame cadence anchored to the phase offset; after a
-        # long stall, re-anchor at now instead of bursting catch-up
-        # frames back to back.
-        state.deadline += interval
-        if state.deadline <= now:
-            state.deadline = now + interval
-        state.credit = float(self.fgs.packet_size)  # first packet now
-        state.last = now
-
-    def _advance_flow(self, state: _PaceState, now: float,
-                      interval: float) -> None:
-        if not state.started:
-            if now < state.deadline:
-                return  # still inside the initial phase offset
-            self._begin_frame(state, now, interval)
-        elif now >= state.deadline:
-            # Frame boundary passed: truncate the unsent tail (FGS
-            # semantics) and plan the next frame.
-            self._begin_frame(state, now, interval)
-        flow = state.flow
-        plan = state.plan
-        credit = min(8.0 * self.fgs.packet_size,
-                     state.credit + (now - state.last) *
-                     flow.controller.rate_bps / 8)
-        state.last = now
-        pos = state.pos
-        counts = state.counts
-        emit = self._emit
-        while pos < len(plan) and credit >= plan[pos].size:
-            emit(flow, plan[pos], counts)
-            credit -= plan[pos].size
-            pos += 1
-        state.pos = pos
-        state.credit = credit
-
-    def _emit(self, flow: LiveFlow, plan: PacketPlan,
-              counts: List[int]) -> None:
-        packet = LivePacket(flow_id=flow.flow_id, seq=flow.next_seq,
-                            color=plan.color, frame_id=flow.frame_id,
-                            index_in_frame=plan.index_in_frame,
-                            sent_at=self.clock.now, size=plan.size)
-        flow.next_seq += 1
-        flow.packets_sent += 1
-        flow.bytes_sent += plan.size
-        if plan.color is Color.GREEN:
-            counts[0] += 1
-        elif plan.color is Color.YELLOW:
-            counts[1] += 1
-        else:
-            counts[2] += 1
-        dst = flow.dst_addr or self.dst_addr
-        if self.transport is not None and dst is not None:
-            self.transport.sendto(encode_packet(packet), dst)
+        The whole pacer, synchronously: frame boundaries, credit,
+        emission.  The first call phases the frame clocks from its
+        ``now``.
+        """
+        size = self.fgs.packet_size
+        interval = self.fgs.frame_interval
+        if not self._phased:
+            self._phased = True
+            for flow in self.flows.values():
+                flow.start_time = flow.deadline = \
+                    now + (flow.flow_id * _GOLDEN) % 1.0 * interval
+        clock = self.clock
+        transport = self.transport
+        for flow in (self.flows.values() if tenant is None
+                     else self._groups[tenant]):
+            if not flow.active:
+                continue
+            if now >= flow.deadline:
+                # Frame boundary: the unsent tail is truncated (FGS
+                # semantics) and the next frame planned.
+                flow.plan = flow.begin_frame(now)
+                flow.pos = 0
+                # Keep the frame cadence anchored to the phase offset;
+                # after a long stall, re-anchor at now instead of
+                # bursting catch-up frames back to back.
+                flow.deadline += interval
+                if flow.deadline <= now:
+                    flow.deadline = now + interval
+                credit = float(size)  # first packet goes now
+            elif flow.plan is None:
+                continue  # still inside the initial phase offset
+            else:
+                credit = min(8.0 * size,
+                             flow.credit + (now - flow.last) *
+                             flow.controller.rate_bps / 8)
+            flow.last = now
+            plan = flow.plan
+            pos = flow.pos
+            dst = flow.dst_addr or self.dst_addr
+            while pos < len(plan) and credit >= plan[pos].size:
+                item = plan[pos]
+                packet = LivePacket(flow_id=flow.flow_id,
+                                    seq=flow.account(item), color=item.color,
+                                    frame_id=flow.frame_id,
+                                    index_in_frame=item.index_in_frame,
+                                    sent_at=clock.now, size=item.size)
+                if transport is not None and dst is not None:
+                    transport.sendto(encode_packet(packet), dst)
+                credit -= item.size
+                pos += 1
+            flow.pos = pos
+            flow.credit = credit
 
     async def _cross_traffic(self) -> None:
         """Best-effort CBR keeping the Internet FIFO backlogged.
@@ -467,17 +308,19 @@ class LiveServer(asyncio.DatagramProtocol):
                     self.transport.sendto(encode_packet(packet),
                                           self.dst_addr)
 
-    # -- introspection -----------------------------------------------------
+    # -- gateway teardown / failover ---------------------------------------
 
     def retire_flow(self, flow_id: int) -> None:
         """Stop a flow's emission mid-run (gateway teardown path).
 
-        The flow object and its series stay queryable, so reports over
-        a retired flow are partial, not missing.
+        The in-flight frame is logged; the flow object and its series
+        stay queryable, so reports over a retired flow are partial, not
+        missing.
         """
         flow = self.flows.get(flow_id)
         if flow is not None:
             flow.active = False
+            flow.finish()
 
     def retarget_flow(self, flow_id: int,
                       addr: Tuple[str, int]) -> bool:
@@ -492,8 +335,3 @@ class LiveServer(asyncio.DatagramProtocol):
             return False
         flow.dst_addr = tuple(addr)
         return True
-
-    def enhancement_sent_per_frame(self, flow_id: int) -> Dict[int, int]:
-        """frame_id -> FGS (yellow + red) packets actually emitted."""
-        return {frame: counts[1] + counts[2]
-                for frame, counts in self.flows[flow_id].frame_log.items()}

@@ -27,6 +27,7 @@ from typing import List, Optional
 from ..cc.mkc import mkc_equilibrium_loss, mkc_stationary_rate
 from ..control.meta import MetaController, MetaControllerConfig
 from ..core.clock import WallClock
+from ..core.flow import frame_receptions
 from ..core.pels_queue import PelsQueueConfig
 from ..obs.monitor import EpochObservation
 from ..core.report import FlowReport, SessionReport
@@ -149,9 +150,7 @@ class LiveSessionResult:
                 f"flow {flow_id} has no sender-side record (rejected by "
                 f"admission or never registered); PSNR reconstruction "
                 f"needs the sender's frame log")
-        receptions = self.client.flow(flow_id).frame_receptions(
-            flow.frames_sent, self.config.fgs.green_packets,
-            self.server.enhancement_sent_per_frame(flow_id))
+        receptions = frame_receptions(flow, self.client.flow(flow_id))
         trace = generate_foreman_like(n_frames=max(1, flow.frames_sent))
         return reconstruct_psnr(trace, receptions,
                                 packet_size=self.config.fgs.packet_size)
@@ -311,10 +310,9 @@ def build_live_report(result: LiveSessionResult,
                 base_intact_ratio=float("nan"), delays_ms=delays))
             continue
         warmup_frames = int(flow.frames_sent * warmup_fraction)
-        receptions = [r for r in receiver.frame_receptions(
-            flow.frames_sent, config.fgs.green_packets,
-            result.server.enhancement_sent_per_frame(flow_id))
-            [warmup_frames:] if r.enhancement_sent]
+        receptions = [r for r in
+                      frame_receptions(flow, receiver)[warmup_frames:]
+                      if r.enhancement_sent]
         utilities = [r.utility() for r in receptions]
         intact = [1.0 if r.base_intact else 0.0 for r in receptions]
         delays = {}
@@ -334,6 +332,8 @@ def build_live_report(result: LiveSessionResult,
             else float("nan"),
             delays_ms=delays,
             stale_discarded=flow.tracker.stale_discarded,
+            blind_intervals=flow.blind_intervals,
+            rate_freezes=flow.rate_freezes,
         ))
 
     return SessionReport(

@@ -57,6 +57,10 @@ class TestKillFailover:
         assert result.post_goodput_bps > 0
         assert result.green_drops == 0
         assert result.shed_packets[0] == 0
+        # Whoever went blind over the failover gap was resynchronized
+        # by the replacement's fresh router id.
+        slot = next(s for s in result.per_shard if s.slot == 0)
+        assert slot.recoveries == slot.rate_freezes
 
     def test_unsupervised_kill_strands_the_slot(self):
         config = chaos_config(supervise=False)
@@ -73,6 +77,12 @@ class TestKillFailover:
         # the post-recovery window for the stranded flows.
         for flow_id in killed:
             assert result.post_flow_goodput[flow_id] == 0.0
+        # Every stranded sender went blind, kept decaying frame after
+        # frame, and nothing ever recovered it.
+        slot = next(s for s in result.per_shard if s.slot == 0)
+        assert slot.rate_freezes >= len(killed)
+        assert slot.blind_intervals > slot.rate_freezes
+        assert slot.recoveries == 0
 
 
 class TestStallFailover:

@@ -10,6 +10,8 @@ paths — a real :class:`RouterShard` child and a small
 
 from __future__ import annotations
 
+import asyncio
+import math
 import socket
 import time
 
@@ -21,7 +23,7 @@ from repro.live.gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                                 TransientRegistrationError, shard_index)
 from repro.live.loadgen import (LoadConfig, _percentile,
                                 register_with_retry)
-from repro.live.server import LiveServer, _PaceState
+from repro.live.server import LiveServer
 from repro.live.shard import RouterShard, ShardConfig
 from repro.live.wire import LivePacket, decode_packet, encode_packet
 from repro.sim.packet import Color
@@ -359,62 +361,177 @@ class TestLoadConfig:
         assert _percentile([], 0.5) != _percentile([], 0.5)  # NaN
 
 
-class TestGroupedPacing:
-    """The tenant-grouped pacer under a ManualClock (no tasks)."""
+class CapturingTransport:
+    """Fake datagram transport: keeps what the server sends."""
 
-    def make_server(self, flow_ids=(0, 1), clock=None):
-        clock = clock or ManualClock()
+    def __init__(self) -> None:
+        self.sent = []
+
+    def sendto(self, data, addr) -> None:
+        self.sent.append((decode_packet(data), addr))
+
+
+class TestGroupedPacing:
+    """The pacer stepped through ``LiveServer.advance`` under a
+    ManualClock: no tasks, no sleeps, no sockets."""
+
+    INTERVAL = 0.5
+
+    def make_server(self, flow_ids=(0, 1), **kwargs):
         fgs = FgsConfig(packet_size=100, frame_packets=8, green_packets=2,
-                        frame_interval=0.5)
+                        frame_interval=self.INTERVAL)
         server = LiveServer(
-            clock, 0, fgs=fgs,
+            ManualClock(), 0, fgs=fgs,
             controller_kwargs={"initial_rate_bps": 16_000.0,
                                "min_rate_bps": 1_000.0},
             flow_ids=list(flow_ids),
             flow_tenants={fid: f"t{fid % 2}" for fid in flow_ids},
-            grouped_pacing=True, seed=1)
-        return server, clock
+            seed=1, **kwargs)
+        server.connection_made(CapturingTransport())
+        server.dst_addr = ("127.0.0.1", 9)
+        return server
+
+    def step(self, server, now, tenant=None):
+        server.clock.now = now
+        server.advance(now, tenant)
 
     def test_frames_begin_after_phase_and_packets_flow(self):
-        server, clock = self.make_server(flow_ids=(0,))
-        flow = server.flows[0]
-        state = _PaceState(flow, start_at=0.0)
-        interval = server.fgs.frame_interval
-        server._advance_flow(state, 0.0, interval)
-        assert flow.frames_sent == 1
-        assert flow.packets_sent >= 1  # first packet's worth of credit
-        before = flow.packets_sent
-        server._advance_flow(state, 0.1, interval)  # 16 kb/s x 0.1 s
-        assert flow.packets_sent > before
+        server = self.make_server(flow_ids=(0, 1))
+        early, late = server.flows[0], server.flows[1]
+        self.step(server, 0.0)
+        # Flow 0 has phase 0; flow 1 waits out its golden-ratio offset.
+        assert early.frames_sent == 1
+        assert early.packets_sent == 1  # first packet's worth of credit
+        assert late.frames_sent == 0 and late.packets_sent == 0
+        self.step(server, 0.1)  # 16 kb/s x 0.1 s = 2 more packets
+        assert early.packets_sent == 3
+        assert late.frames_sent == 0
+        self.step(server, 0.618 * self.INTERVAL + 0.001)
+        assert late.frames_sent == 1 and late.packets_sent == 1
+        sent = [packet for packet, _ in server.transport.sent]
+        assert [p.seq for p in sent if p.flow_id == 0] == list(range(7))
+        assert all(addr == ("127.0.0.1", 9)
+                   for _, addr in server.transport.sent)
 
     def test_frame_boundary_truncates_and_logs_counts(self):
-        server, clock = self.make_server(flow_ids=(0,))
+        server = self.make_server(flow_ids=(0,))
         flow = server.flows[0]
-        state = _PaceState(flow, start_at=0.0)
-        interval = server.fgs.frame_interval
-        server._advance_flow(state, 0.0, interval)
-        server._advance_flow(state, interval + 0.01, interval)
+        self.step(server, 0.0)
+        planned = len(flow.plan)
+        self.step(server, self.INTERVAL + 0.01)
         assert flow.frames_sent == 2
-        assert 0 in flow.frame_log  # finished frame's emitted counts
-        green, yellow, red = flow.frame_log[0]
-        assert green + yellow + red >= 1
+        # Only the first packet of frame 0 made it out before the
+        # boundary; the tail was truncated, and the log says so.
+        assert planned > 1
+        assert flow.frame_log == {0: (1, 0, 0)}
+        # The cadence stays anchored to the phase offset, not to the
+        # (late) wake that noticed the boundary.
+        assert flow.deadline == pytest.approx(2 * self.INTERVAL)
+
+    def test_stall_reanchors_instead_of_bursting_catch_up_frames(self):
+        server = self.make_server(flow_ids=(0,))
+        flow = server.flows[0]
+        self.step(server, 0.0)
+        stall = 5 * self.INTERVAL + 0.2
+        self.step(server, stall)
+        assert flow.frames_sent == 2  # one new frame, not five
+        assert flow.deadline == pytest.approx(stall + self.INTERVAL)
+        # The credit cap held the burst at the fresh frame's first packet.
+        assert flow.packets_sent == 2
 
     def test_retired_flow_stops_emitting(self):
-        server, clock = self.make_server(flow_ids=(0,))
+        server = self.make_server(flow_ids=(0,))
         flow = server.flows[0]
-        state = _PaceState(flow, start_at=0.0)
-        server._advance_flow(state, 0.0, server.fgs.frame_interval)
+        self.step(server, 0.0)
         server.retire_flow(0)
         assert not flow.active
+        sent = flow.packets_sent
+        self.step(server, 0.2)
+        self.step(server, self.INTERVAL + 0.1)
+        assert flow.packets_sent == sent and flow.frames_sent == 1
 
     def test_tenants_map_onto_flows(self):
-        server, _ = self.make_server(flow_ids=(3, 4, 5))
+        server = self.make_server(flow_ids=(0, 2, 3))
         assert server.flows[3].tenant == "t1"
-        assert server.flows[4].tenant == "t0"
+        assert server.flows[2].tenant == "t0"
+        self.step(server, 0.0)  # phases all three; flow 0 begins
+        self.step(server, 1.0, "t1")
+        assert server.flows[3].frames_sent == 1
+        assert (server.flows[0].frames_sent,
+                server.flows[2].frames_sent) == (1, 0)
+        self.step(server, 1.0, "t0")
+        assert (server.flows[0].frames_sent,
+                server.flows[2].frames_sent) == (2, 1)
 
     def test_flow_ids_override_requires_nonempty(self):
         with pytest.raises(ValueError):
             LiveServer(ManualClock(), 0, flow_ids=[])
+
+    # -- the in-flight frame is logged (lost on the parent) ----------------
+
+    def test_retire_logs_the_in_flight_frame(self):
+        server = self.make_server(flow_ids=(0,))
+        flow = server.flows[0]
+        self.step(server, 0.0)
+        self.step(server, 0.1)
+        assert flow.frame_log == {}
+        server.retire_flow(0)
+        assert flow.frame_log == {0: (2, 1, 0)}
+        assert sum(flow.frame_log[0]) == flow.packets_sent
+
+    def test_stop_logs_every_in_flight_frame(self):
+        server = self.make_server(flow_ids=(0, 2))
+        self.step(server, 0.0)
+        self.step(server, 0.4)
+        asyncio.run(server.stop())
+        for flow in server.flows.values():
+            assert set(flow.frame_log) == {0} == {flow.frame_id}
+            assert sum(flow.frame_log[0]) == flow.packets_sent > 0
+        asyncio.run(server.stop())  # idempotent (sessions stop twice)
+        assert len(server.flows[0].frame_log) == 1
+
+    # -- the live starvation watchdog --------------------------------------
+
+    def label(self, server, router_id, epoch, loss=0.1, flow_id=0):
+        server.datagram_received(encode_packet(LivePacket(
+            flow_id=flow_id, seq=0, is_ack=True, router_id=router_id,
+            epoch=epoch, loss=loss, sent_at=0.0)), ("127.0.0.1", 1))
+
+    def test_watchdog_enters_decays_per_frame_and_recovers(self):
+        server = self.make_server(flow_ids=(0,), feedback_timeout=0.4,
+                                  blind_backoff=0.5)
+        flow = server.flows[0]
+        self.step(server, 0.0)
+        server.clock.now = 0.2
+        self.label(server, router_id=7, epoch=900)
+        assert flow.tracker.epoch == 900
+        rate = flow.rate_bps
+        self.step(server, 0.5)  # 0.3 s of silence: still closed-loop
+        assert not flow.blind and flow.rate_bps == rate
+        self.step(server, 1.0)  # 0.8 s: blind, first decay
+        assert flow.blind
+        assert (flow.rate_freezes, flow.blind_intervals) == (1, 1)
+        assert flow.rate_bps == pytest.approx(rate * 0.5)
+        assert flow.tracker.router_id is None  # epoch clock dropped
+        self.step(server, 1.5)  # every blind frame decays again
+        assert (flow.rate_freezes, flow.blind_intervals) == (1, 2)
+        assert flow.rate_bps == pytest.approx(rate * 0.25)
+        # A replacement shard: fresh router id, small epoch.
+        server.clock.now = 1.6
+        self.label(server, router_id=8, epoch=1, loss=0.0)
+        assert not flow.blind and flow.recoveries == 1
+        assert flow.tracker.router_id == 8
+        self.step(server, 2.0)
+        assert (flow.rate_freezes, flow.blind_intervals) == (1, 2)
+
+    def test_watchdog_is_off_at_the_default_timeout(self):
+        server = self.make_server(flow_ids=(0,))
+        flow = server.flows[0]
+        for k in range(6):
+            self.step(server, k * self.INTERVAL)
+        assert flow.feedback_timeout is None
+        assert not flow.blind and flow.blind_intervals == 0
+        assert flow.rate_bps == 16_000.0
 
 
 class TestAckFastPath:
@@ -448,6 +565,44 @@ class TestAckFastPath:
         server.datagram_received(data, ("127.0.0.1", 1))  # not an ACK
         assert server.flows[0].acks_received == 1  # only the unlabeled one
         assert len(server.flows[0].loss_series) == 0
+
+
+    @pytest.mark.parametrize("loss", [
+        float("-inf"), -50.0, float("inf"), 5.0, float("nan"), -1e-9,
+        1.0 + 1e-9])
+    def test_forged_label_is_dropped_before_the_tracker(self, loss):
+        """One valid-magic ACK with an impossible loss used to own the
+        flow (-inf pinned the rate at max, nan at the floor)."""
+        server = LiveServer(ManualClock(), 1, controller_kwargs={
+            "initial_rate_bps": 128_000.0})
+        flow = server.flows[0]
+        rate, gamma = flow.rate_bps, flow.gamma
+
+        def ack(router_id, epoch, value):
+            server.datagram_received(encode_packet(LivePacket(
+                flow_id=0, seq=1, is_ack=True, router_id=router_id,
+                epoch=epoch, loss=value, sent_at=0.0)), ("127.0.0.1", 1))
+
+        ack(99, 1_000_000, loss)
+        assert server.malformed_acks == 1
+        assert (flow.rate_bps, flow.gamma) == (rate, gamma)
+        assert len(flow.loss_series) == len(flow.rate_series) == 0
+        # The forged (router_id, epoch) did not become the flow's clock:
+        # an honest router's small epoch is still fresh.
+        assert flow.tracker.router_id is None
+        assert flow.tracker.accepted == flow.tracker.rejected == 0
+        ack(3, 1, 0.25)
+        assert flow.tracker.accepted == 1 and flow.rate_bps != rate
+        assert all(math.isfinite(v) for _, v in flow.rate_series)
+
+    @pytest.mark.parametrize("loss", [0.0, 1.0])
+    def test_the_closed_unit_interval_is_accepted(self, loss):
+        server = LiveServer(ManualClock(), 1)
+        server.datagram_received(encode_packet(LivePacket(
+            flow_id=0, seq=1, is_ack=True, router_id=3, epoch=1, loss=loss,
+            sent_at=0.0)), ("127.0.0.1", 1))
+        assert server.malformed_acks == 0
+        assert server.flows[0].tracker.accepted == 1
 
 
 @pytest.mark.live

@@ -45,7 +45,7 @@ class TestLoopbackSmoke:
     def test_router_stamps_advancing_epochs(self, short_session):
         router = short_session.router
         assert router.feedback.epoch > 30  # ~66 expected in 2 s
-        label = short_session.client.flow(0).last_label
+        label = short_session.client.last_label.get(0)
         assert label is not None
         assert label.router_id == router.feedback.router_id
         assert 0 < label.epoch <= router.feedback.epoch
