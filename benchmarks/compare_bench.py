@@ -15,8 +15,10 @@ change of ``stats.median`` is printed, and any benchmark slower than
 
 Benchmarks present on one side only are reported but never fail the
 run: baselines age as suites grow, and a rename must not masquerade as
-a perf win.  This turns the committed BENCH_*.json trajectories into an
-enforced guardrail instead of archaeology.
+a perf win.  This turns the committed ``benchmarks/baselines/*.json``
+into an enforced guardrail instead of archaeology.  (The repo-root
+``BENCH_<pr>.json`` files are perf-ledger rows, not pytest-benchmark
+JSON; ``perfledger/compare.py`` reads those.)
 """
 
 from __future__ import annotations

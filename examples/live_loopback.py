@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.live import LiveConfig, build_live_report, run_live_session
+from repro.core.report import build_report
+from repro.live import LiveConfig, run_live_session
 from repro.sim.packet import Color
 
 
@@ -33,7 +34,7 @@ def main() -> None:
     session = run_live_session(config)
     # Measure the steady state over the final 40%: the live ramp from
     # 128 kb/s eats the first couple of wall-clock seconds.
-    report = build_live_report(session, warmup_fraction=0.6)
+    report = build_report(session.view, warmup_fraction=0.6)
 
     oracle = config.lemma6_rate_bps()
     rates = [flow.mean_rate_bps for flow in report.flows]

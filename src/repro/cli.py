@@ -312,7 +312,7 @@ def _cmd_simulate(args) -> int:
         sigma=args.sigma, controller_name=args.controller,
         cross_traffic=args.cross_traffic, meta_controller=meta_config)
     sim = PelsSimulation(scenario).run()
-    report = build_report(sim)
+    report = build_report(sim.view)
     print(report.render())
     if sim.meta is not None:
         print(f"  meta-control: {sim.meta.adjustments} adjustments over "
@@ -325,7 +325,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_live(args) -> int:
-    from .live.session import LiveConfig, build_live_report, run_live_session
+    from .core.report import build_report
+    from .live.session import LiveConfig, run_live_session
 
     config = LiveConfig(
         n_flows=args.flows, duration=args.duration,
@@ -338,10 +339,10 @@ def _cmd_live(args) -> int:
     result = run_live_session(config)
     if result.meta is not None:
         print(f"  meta-control: {result.meta.adjustments} adjustments over "
-              f"{result.meta.steps} samples")
+              f"{result.meta.steps} epochs")
     # The live ramp from 128 kb/s eats ~2 s of wall clock; measure the
     # steady state over the final 40% (see experiments/live_exp.py).
-    report = build_live_report(result, warmup_fraction=0.6)
+    report = build_report(result.view, warmup_fraction=0.6)
     print(report.render())
     oracle = config.lemma6_rate_bps()
     rates = [flow.mean_rate_bps for flow in report.flows]

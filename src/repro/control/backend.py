@@ -11,12 +11,18 @@ without touching the control loop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
-__all__ = ["StateBackend", "MemoryBackend"]
+__all__ = ["StateBackend", "MemoryBackend", "HISTORY_LIMIT"]
 
 #: One applied adjustment: (time, loop name, {param: value}).
 Adjustment = Tuple[float, str, Dict[str, float]]
+
+#: Adjustments :class:`MemoryBackend` remembers.  A tuned live run
+#: applies several per second for as long as it lives; the log is an
+#: audit trail of the recent past, not state anything steers by.
+HISTORY_LIMIT = 4096
 
 
 class StateBackend:
@@ -41,10 +47,11 @@ class StateBackend:
 
 
 class MemoryBackend(StateBackend):
-    """Append-only in-process backend (the default)."""
+    """In-process backend (the default): the last ``HISTORY_LIMIT``
+    adjustments, and — exactly, however old — the latest per loop."""
 
     def __init__(self) -> None:
-        self._log: List[Adjustment] = []
+        self._log: Deque[Adjustment] = deque(maxlen=HISTORY_LIMIT)
         self._latest: Dict[str, Dict[str, float]] = {}
 
     def record(self, t: float, loop: str,

@@ -39,10 +39,10 @@ Every applied adjustment is recorded through a pluggable
 the interface is what a ``pels serve`` storage layer will implement).
 
 The controller is clock-free and event-free: it only acts inside
-:meth:`step`, which the host calls from the router's epoch hook (sim)
-or a periodic task (live).  With no meta-controller attached nothing
-in this module runs — untuned simulations remain event- and
-byte-identical.
+:meth:`step`, which :meth:`MetaController.attach` hangs on the router's
+epoch hook — once per Eq. 11 epoch, in the simulator and the live
+stack alike.  With no meta-controller attached nothing in this module
+runs — untuned simulations remain event- and byte-identical.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from ..obs.monitor import EpochObservation
+from ..obs.monitor import EpochObservation, observe_epoch
 from .backend import MemoryBackend, StateBackend
 from .pid import PIDController
 
@@ -153,7 +153,7 @@ class MetaController:
         the baseline parameters — the setpoint never moves with the
         tuned alpha, which is what makes the rate loop self-correcting.
         ``wrr_apply`` receives the new PELS share when the WRR loop is
-        enabled (e.g. ``PelsSimulation.reconfigure_pels_share``).
+        enabled (``SessionView.set_pels_share``).
         """
         if r_star <= 0:
             raise ValueError("r_star must be positive")
@@ -183,42 +183,32 @@ class MetaController:
             update_interval=c.update_interval,
             integral_leak=c.rate_leak_s)
 
-    def attach(self, assembly) -> "MetaController":
-        """Wire into an assembled simulation (single- or multi-hop).
+    def attach(self, view) -> "MetaController":
+        """Wire into a session's :class:`~repro.core.report.SessionView`
+        (single-hop, multi-hop or live alike).
 
-        Chains onto the first feedback process's ``epoch_hook`` *after*
-        any already-installed hook (the :class:`SimulationMonitor`
+        Chains onto the first port's ``epoch_hook`` *after* any
+        already-installed hook (the :class:`~repro.obs.monitor.SimulationMonitor`
         attaches first), so the monitor snapshots each epoch before the
         parameters move — tuned runs are auditable epoch-by-epoch.
-        Adds no events to the heap.
+        One step per Eq. 11 epoch; adds no events to the heap.
         """
-        from ..obs.monitor import SimulationMonitor, observe_epoch
+        r_star = view.lemma6_rate_bps()
+        self.bind([sender.controller for sender in view.senders],
+                  [sender.gamma_controller for sender in view.senders],
+                  r_star,
+                  wrr_apply=view.set_pels_share if self.config.tune_wrr
+                  else None, wrr_share0=view.pels_share)
 
-        feedbacks = getattr(assembly, "feedbacks", None)
-        feedbacks = list(feedbacks) if feedbacks is not None \
-            else [assembly.feedback]
-        hop_queues = getattr(assembly, "hop_queues", None)
-        queues = list(hop_queues) if hop_queues is not None \
-            else [assembly.bottleneck_queue]
-        r_star = SimulationMonitor._lemma6_rate(assembly.scenario)
+        epochs = view.ports[0].epochs
+        previous = epochs.epoch_hook
 
-        wrr_apply = getattr(assembly, "reconfigure_pels_share", None) \
-            if self.config.tune_wrr else None
-        self.bind([src.controller for src in assembly.sources],
-                  [src.gamma_controller for src in assembly.sources],
-                  r_star, wrr_apply=wrr_apply,
-                  wrr_share0=assembly.scenario.queue.pels_share())
-
-        sim = assembly.sim
-        previous = feedbacks[0].epoch_hook
-
-        def _on_epoch(feedback) -> None:
+        def _on_epoch(log) -> None:
             if previous is not None:
-                previous(feedback)
-            obs = observe_epoch(assembly, queues, feedbacks, r_star, sim.now)
-            self.step(obs, sim.now)
+                previous(log)
+            self.step(observe_epoch(view, r_star), view.clock.now)
 
-        feedbacks[0].epoch_hook = _on_epoch
+        epochs.epoch_hook = _on_epoch
         return self
 
     # -- the control step ----------------------------------------------

@@ -15,19 +15,24 @@
   :class:`~repro.core.sink.PelsSink` drive them in the simulator,
   :mod:`repro.live` on real UDP.
 * :class:`~repro.core.session.PelsSimulation` — full Fig. 6 assembly.
+* :class:`~repro.core.report.SessionView` /
+  :func:`~repro.core.report.build_report` — the one read-out of a
+  session, simulated or live.
 """
 
 from .best_effort import BestEffortScenario, BestEffortSimulation
 from .clock import Clock, ManualClock, WallClock
 from .colors import (AllGreenMarkingPolicy, MarkingPolicy, NoRedMarkingPolicy,
                      PelsMarkingPolicy)
-from .feedback import FeedbackComputer, FeedbackTracker, RouterFeedback
+from .feedback import (EpochLog, FeedbackComputer, FeedbackTracker,
+                       RouterFeedback)
 from .flow import FlowReceiver, FlowSender, frame_receptions
 from .gamma import (GammaController, gamma_fixed_point, is_stable_sigma,
                     iterate_gamma, iterate_gamma_delayed, pels_utility_bound)
 from .multihop import MultiHopPelsSimulation, MultiHopScenario
 from .pels_queue import PelsBottleneckQueue, PelsQueueConfig, PelsQueueCore
-from .report import FlowReport, SessionReport, build_report
+from .report import (FlowReport, PortView, SessionReport, SessionView,
+                     build_report)
 from .session import PelsScenario, PelsSimulation
 from .sink import PelsSink
 from .source import PelsSource
@@ -37,6 +42,7 @@ __all__ = [
     "BestEffortScenario",
     "BestEffortSimulation",
     "Clock",
+    "EpochLog",
     "FeedbackComputer",
     "FeedbackTracker",
     "ManualClock",
@@ -57,7 +63,9 @@ __all__ = [
     "PelsSimulation",
     "PelsSink",
     "PelsSource",
+    "PortView",
     "SessionReport",
+    "SessionView",
     "RouterFeedback",
     "build_report",
     "frame_receptions",

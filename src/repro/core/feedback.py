@@ -23,7 +23,8 @@ from ..sim.engine import Process, Simulator
 from ..sim.packet import FeedbackLabel, Packet
 from ..sim.stats import TimeSeries
 
-__all__ = ["FeedbackComputer", "RouterFeedback", "FeedbackTracker"]
+__all__ = ["FeedbackComputer", "EpochLog", "RouterFeedback",
+           "FeedbackTracker"]
 
 
 class FeedbackComputer:
@@ -33,9 +34,10 @@ class FeedbackComputer:
     sliding byte-count window, the epoch counter ``z``, the current
     virtual loss ``p`` and the ``(router_id, z, p)`` label — but never
     schedules anything and never reads a clock.  The caller counts the
-    PELS bytes of each interval and hands them to :meth:`close`; in the
-    simulator that caller is :class:`RouterFeedback` on the event heap,
-    in :mod:`repro.live` it is an asyncio task on the wall clock.
+    PELS bytes of each interval and hands them to :meth:`close` (through
+    :meth:`EpochLog.close_epoch`); in the simulator that caller is
+    :class:`RouterFeedback` on the event heap, in :mod:`repro.live` it
+    is ``LiveRouter.close_epoch`` on the wall clock.
 
     Wall-clock callers pass the *measured* interval length as
     ``elapsed`` so timer jitter (an asyncio sleep that overshoots T)
@@ -117,11 +119,50 @@ class FeedbackComputer:
         self.restarts += 1
 
 
-class RouterFeedback(Process):
-    """The per-router PELS feedback computer (Eq. 11).
+class EpochLog(FeedbackComputer):
+    """Eq. 11 plus what every epoch leaves behind, once for both drivers.
+
+    :meth:`close_epoch` is the whole close of an interval ``T``, in this
+    order: Eq. 11, the virtual-loss and arrival-rate series, the
+    tracer's ``epoch`` event, then ``epoch_hook`` — the seam the
+    :class:`~repro.obs.monitor.SimulationMonitor` and the
+    meta-controller attach to, so a hook always sees the epoch it is
+    told about already logged.  Still clock-free: the driver counts the
+    bytes where they arrive and passes them in with its ``now``.
+    """
+
+    def __init__(self, capacity_bps: float, interval: float = 0.030,
+                 router_id: int = 1, window_intervals: int = 5,
+                 trace=None) -> None:
+        super().__init__(capacity_bps, interval, router_id, window_intervals)
+        self.loss_series = TimeSeries("virtual-loss")
+        self.rate_series = TimeSeries("pels-arrival-rate")
+        self._trace = trace
+        self.epoch_hook: Optional[Callable[["EpochLog"], None]] = None
+
+    def close_epoch(self, byte_count: int, now: float,
+                    elapsed: Optional[float] = None) -> FeedbackLabel:
+        """Close the interval ending at ``now``; returns the new label."""
+        label = self.close(byte_count, elapsed)
+        self.loss_series.record(now, self.loss)
+        self.rate_series.record(now, self.rate_bps)
+        if self._trace is not None:
+            self._trace.epoch(now, self.router_id, self.epoch,
+                              self.rate_bps, self.loss)
+        hook = self.epoch_hook
+        if hook is not None:
+            hook(self)
+        return label
+
+
+class RouterFeedback(EpochLog, Process):
+    """The per-router PELS feedback computer (Eq. 11) on the event heap.
 
     Attach :meth:`observe` as a router packet hook; it counts PELS bytes
-    and stamps the current label into every passing PELS packet.
+    and stamps the current label into every passing PELS packet.  All
+    Eq. 11 state and the epoch log are the clock-free :class:`EpochLog`
+    shared with the live stack; this process only supplies the
+    event-heap cadence.
 
     Parameters
     ----------
@@ -130,76 +171,36 @@ class RouterFeedback(Process):
         2 mb/s when WRR grants PELS half of a 4 mb/s bottleneck.
     interval:
         ``T``, the feedback computation period (30 ms in Section 6.5).
+    window_intervals:
+        The arrival rate R is averaged over this many measurement
+        intervals before Eq. 11 is applied.  Publishing the raw per-T
+        value (window = 1) adds a Jensen bias: whole-packet counting
+        noise passes through the max(0, (R-C)/R) nonlinearity and
+        inflates the mean loss, which in turn breaks the p_R -> p_thr
+        convergence of Lemma 4 when the true overload is only a few
+        percent.  A short sliding window removes the bias while keeping
+        the epoch cadence at T.
     """
 
     def __init__(self, sim: Simulator, capacity_bps: float,
                  interval: float = 0.030, router_id: Optional[int] = None,
                  window_intervals: int = 5, name: str = "") -> None:
-        super().__init__(sim, name or "router-feedback")
+        Process.__init__(self, sim, name or "router-feedback")
         # Allocated per-simulator so router ids in reports don't depend
         # on process history (see Simulator.next_id); starts at 1 so 0
         # never collides with a FeedbackTracker that has seen no label.
-        resolved_id = router_id if router_id is not None \
-            else sim.next_id("router-feedback", start=1)
-        #: The arrival rate R is averaged over the last
-        #: ``window_intervals`` measurement intervals before Eq. 11 is
-        #: applied.  Publishing the raw per-T value (window = 1) adds a
-        #: Jensen bias: whole-packet counting noise passes through the
-        #: max(0, (R-C)/R) nonlinearity and inflates the mean loss,
-        #: which in turn breaks the p_R -> p_thr convergence of Lemma 4
-        #: when the true overload is only a few percent.  A short
-        #: sliding window removes the bias while keeping the epoch
-        #: cadence at T.  The window (and all other Eq. 11 state) lives
-        #: in the clock-free FeedbackComputer shared with the live
-        #: stack; this process only supplies the event-heap cadence.
-        self.computer = FeedbackComputer(
-            capacity_bps, interval=interval, router_id=resolved_id,
-            window_intervals=window_intervals)
-        self.interval = interval
+        # The tracer rides on the epoch close, adding no heap events.
+        EpochLog.__init__(
+            self, capacity_bps, interval,
+            router_id if router_id is not None
+            else sim.next_id("router-feedback", start=1),
+            window_intervals, trace=sim.tracer)
         self._byte_counter = 0
         # One label object per epoch, shared by every packet stamped in
         # that epoch (stamp_feedback copies on override, so sharing is
         # safe) — the per-packet allocation was a router hot-path cost.
-        self._label = self.computer.label
-        self.loss_series = TimeSeries("virtual-loss")
-        self.rate_series = TimeSeries("pels-arrival-rate")
-        #: Observability: the simulator's tracer (None when off) and an
-        #: optional per-epoch callback (the SimulationMonitor attaches
-        #: here) — both piggyback on _compute, adding no heap events.
-        self._trace = sim.tracer
-        self.epoch_hook: Optional[Callable[["RouterFeedback"], None]] = None
+        self._label = self.label
         self._timer = self.every(interval, self._compute, start_delay=interval)
-
-    # Delegated Eq. 11 state: reports, faults and the WRR renegotiation
-    # knob all read (and, for capacity, write) these on the process.
-
-    @property
-    def capacity_bps(self) -> float:
-        return self.computer.capacity_bps
-
-    @capacity_bps.setter
-    def capacity_bps(self, value: float) -> None:
-        self.computer.capacity_bps = value
-
-    @property
-    def router_id(self) -> int:
-        return self.computer.router_id
-
-    @property
-    def epoch(self) -> int:
-        return self.computer.epoch
-
-    @property
-    def loss(self) -> float:
-        return self.computer.loss
-
-    @property
-    def restarts(self) -> int:
-        return self.computer.restarts
-
-    @property
-    def window_intervals(self) -> int:
-        return self.computer.window_intervals
 
     def observe(self, packet: Packet) -> None:
         """Router packet hook: count PELS bytes and stamp the label."""
@@ -210,18 +211,8 @@ class RouterFeedback(Process):
 
     def _compute(self) -> None:
         """Close interval ``T``: Eq. 11 update of (R, p, z, S)."""
-        computer = self.computer
-        self._label = computer.close(self._byte_counter)
+        self._label = self.close_epoch(self._byte_counter, self.sim.now)
         self._byte_counter = 0
-        rate = computer.rate_bps
-        self.loss_series.record(self.sim.now, computer.loss)
-        self.rate_series.record(self.sim.now, rate)
-        if self._trace is not None:
-            self._trace.epoch(self.sim.now, computer.router_id,
-                              computer.epoch, rate, computer.loss)
-        hook = self.epoch_hook
-        if hook is not None:
-            hook(self)
 
     def restart(self, new_router_id: Optional[int] = None) -> None:
         """Simulate a router crash/reboot: all feedback state is lost.
@@ -235,9 +226,9 @@ class RouterFeedback(Process):
         ``new_router_id`` models a route change to a different box
         instead; sources then adopt the new clock immediately.
         """
-        self.computer.restart(new_router_id)
+        super().restart(new_router_id)
         self._byte_counter = 0
-        self._label = self.computer.label
+        self._label = self.label
 
     def stop(self) -> None:
         self._timer.stop()

@@ -25,6 +25,7 @@ from ..video.fgs import FgsConfig
 from .feedback import RouterFeedback
 from .gamma import GammaController
 from .pels_queue import PelsBottleneckQueue, PelsQueueConfig
+from .report import PortView, SessionView
 from .sink import PelsSink
 from .source import PelsSource
 
@@ -144,16 +145,24 @@ class MultiHopPelsSimulation:
                 packet_size=500, color=Color.RED,
                 start_time=start, stop_time=stop))
 
+        #: What reports, the monitor and the meta-controller read.
+        self.view = SessionView(
+            senders=self.sources, receivers=self.sinks,
+            ports=[PortView(queue.name, queue.core, feedback) for
+                   queue, feedback in zip(self.hop_queues, self.feedbacks)],
+            n_flows=s.n_flows, alpha_bps=s.alpha_bps, beta=s.beta,
+            p_thr=s.p_thr, clock=self.sim, engine=self.sim)
+
         # Epoch-boundary metrics snapshots, as in PelsSimulation.
         registry = current_registry()
-        self.monitor = SimulationMonitor(self, registry) \
+        self.monitor = SimulationMonitor(self.view, registry) \
             if registry is not None else None
 
         # Opt-in online meta-control (chained after the monitor; the
         # r* oracle uses the tightest hop, as the monitor does).
         self.meta: Optional[MetaController] = None
         if s.meta_controller is not None:
-            self.meta = MetaController(s.meta_controller).attach(self)
+            self.meta = MetaController(s.meta_controller).attach(self.view)
 
     def run(self, until: Optional[float] = None) -> "MultiHopPelsSimulation":
         self.sim.run(until=until if until is not None

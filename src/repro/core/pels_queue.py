@@ -12,23 +12,24 @@ live router (:mod:`repro.live.router`) with raw datagrams.
 
 :class:`PelsBottleneckQueue` is a
 :class:`~repro.sim.queues.QueueDiscipline`, so it plugs directly into a
-:class:`~repro.sim.link.Link`.  Per-color loss estimators are built in
-because every PELS figure (7, 8, 9) reads them.
+:class:`~repro.sim.link.Link`.  Physical per-color loss (Figs. 7, 8, 9)
+is sampled off the core's own counters by :class:`ColorLossSampler`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from math import ceil
-from typing import Dict, Optional
+from typing import List, Optional
 
 from ..cc.base import Tunable, TunableParam
 from ..sim.packet import Color, Packet
 from ..sim.queues import QueueDiscipline, QueueStats
-from ..sim.stats import WindowedLossEstimator
+from ..sim.stats import TimeSeries
 
-__all__ = ["PelsQueueConfig", "PelsQueueCore", "PelsBottleneckQueue",
-           "PELS_SHARE_SAFE_RANGE"]
+__all__ = ["PelsQueueConfig", "PelsQueueCore", "ColorLossSampler",
+           "PelsBottleneckQueue", "PELS_SHARE_SAFE_RANGE"]
 
 
 #: Safe online-tuning envelope for the PELS WRR share: neither
@@ -110,6 +111,56 @@ class ColorFifo:
         return sum(self.sizes)
 
 
+class ColorLossSampler:
+    """Windowed physical loss of the three PELS colors (Fig. 7 right).
+
+    Reads the FIFOs' own arrival/drop counters: each :meth:`sample`
+    closes a window by differencing them against the previous call, so
+    the per-packet path pays nothing for it.  Clock-free — the
+    simulator samples on a periodic event, the live router at its epoch
+    step.  A shed arrival counts as offered, not as dropped (shedding is
+    accounted apart, see :meth:`PelsQueueCore.set_shed_level`).
+    """
+
+    __slots__ = ("_stats", "_seen", "series", "_arrivals")
+
+    def __init__(self, fifos: List[ColorFifo]) -> None:
+        self._stats = [fifo.stats for fifo in fifos]
+        self._seen = [(0, 0)] * len(fifos)
+        #: Per color: drops/arrivals of every window that saw arrivals.
+        self.series = [TimeSeries(f"{color.name.lower()}-loss")
+                       for color in (Color.GREEN, Color.YELLOW, Color.RED)]
+        #: The arrivals behind each sample: the weights :meth:`loss_in`
+        #: needs to pool windows of unequal traffic.
+        self._arrivals: List[List[int]] = [[] for _ in fifos]
+
+    def sample(self, now: float) -> None:
+        """Close the current window of every color (idle ones record
+        nothing)."""
+        for color, stats in enumerate(self._stats):
+            seen_arrivals, seen_drops = self._seen[color]
+            arrivals = stats.arrivals - seen_arrivals
+            if arrivals:
+                self._seen[color] = (stats.arrivals, stats.drops)
+                self.series[color].record(
+                    now, (stats.drops - seen_drops) / arrivals)
+                self._arrivals[color].append(arrivals)
+
+    def loss_in(self, color: int, t_start: float,
+                t_end: float) -> Optional[float]:
+        """Drops / arrivals over the windows closed in ``(t_start,
+        t_end]`` (one closing *at* ``t_start`` measured the time before
+        it); ``None`` when they saw no arrival."""
+        series = self.series[color]
+        lo = bisect_right(series.times, t_start)
+        hi = bisect_right(series.times, t_end)
+        weights = self._arrivals[color][lo:hi]
+        if not weights:
+            return None
+        return sum(loss * n for loss, n in
+                   zip(series.values[lo:hi], weights)) / sum(weights)
+
+
 #: Turns one service decision walks before it skips ahead: 64 rounds,
 #: as many as ``WeightedRoundRobinScheduler`` tries before giving up.
 _SPIN = range(128)
@@ -130,7 +181,7 @@ class PelsQueueCore:
 
     __slots__ = ("fifos", "quantum_bytes", "_quanta", "deficits", "turn",
                  "_fresh", "_next", "shed_level", "sheds", "shed_packets",
-                 "shed_bytes")
+                 "shed_bytes", "losses")
 
     def __init__(self, config: PelsQueueConfig) -> None:
         self.fifos = [ColorFifo("green-q", config.green_buffer),
@@ -149,6 +200,7 @@ class PelsQueueCore:
         self.sheds = [False, False, False, False]
         self.shed_packets = [0, 0, 0, 0]
         self.shed_bytes = [0, 0, 0, 0]
+        self.losses = ColorLossSampler(self.fifos[:3])
 
     def set_weights(self, pels_weight: float, internet_weight: float) -> None:
         """Renegotiate the WRR split; deficits and the turn carry over."""
@@ -250,8 +302,8 @@ class PelsQueueCore:
 
 class PelsBottleneckQueue(QueueDiscipline):
     """The simulator's driver of :class:`PelsQueueCore`: items are
-    ``Packet`` objects; adds the port-level :class:`QueueStats`, the
-    per-color loss estimators and the tracer events."""
+    ``Packet`` objects; adds the port-level :class:`QueueStats` and the
+    tracer events."""
 
     def __init__(self, config: Optional[PelsQueueConfig] = None,
                  name: str = "pels-bottleneck") -> None:
@@ -261,15 +313,6 @@ class PelsBottleneckQueue(QueueDiscipline):
         self.green_queue, self.yellow_queue, self.red_queue, \
             self.internet_queue = self.core.fifos
 
-        # Physical per-color loss accounting (Fig. 7 right reads red).
-        self.loss_estimators: Dict[Color, WindowedLossEstimator] = {
-            color: WindowedLossEstimator(color.name.lower())
-            for color in (Color.GREEN, Color.YELLOW, Color.RED)
-        }
-        # List view indexed by the IntEnum value: skips the dict hash on
-        # the per-packet enqueue path (BEST_EFFORT has no estimator).
-        self._estimator_by_color = [*self.loss_estimators.values(), None]
-
     # -- QueueDiscipline interface ---------------------------------------
 
     def enqueue(self, packet: Packet) -> bool:
@@ -278,15 +321,10 @@ class PelsBottleneckQueue(QueueDiscipline):
         size = packet.size
         stats.arrivals += 1
         stats.arrival_bytes += size
-        estimator = self._estimator_by_color[color]
-        if estimator is not None:
-            estimator.record_arrival()
         accepted = self.core.enqueue(color, packet, size)
         if not accepted:
             stats.drops += 1
             stats.drop_bytes += size
-            if estimator is not None:
-                estimator.record_drop()
             if self._trace is not None:
                 self._trace.drop(self.core.fifos[color].name, "full-packets",
                                  int(color), packet.flow_id)
@@ -323,8 +361,3 @@ class PelsBottleneckQueue(QueueDiscipline):
     def queue_for(self, color: Color) -> ColorFifo:
         """The FIFO serving a given color."""
         return self.core.fifos[color]
-
-    def sample_losses(self, now: float) -> Dict[Color, Optional[float]]:
-        """Close the current loss-measurement window for every color."""
-        return {color: est.sample(now)
-                for color, est in self.loss_estimators.items()}

@@ -1,23 +1,98 @@
-"""Structured session reports.
+"""The session read-out: one view, one report.
 
-Collects the quantities every PELS evaluation reads — per-flow rates,
-control state, per-color loss/delay, utility — into one serializable
-object, with the corresponding theoretical values alongside so a report
-is self-interpreting.  Used by the ``pels simulate`` CLI and handy in
-notebooks/tests.
+What the paper evaluates is small — per-flow rate against the Lemma 6
+point ``r* = C/N + alpha/beta``, gamma, per-color loss and delay,
+utility — and every driver already owns the objects it is read from.
+A session hands them over as a :class:`SessionView`: its
+:class:`~repro.core.flow.FlowSender` s and
+:class:`~repro.core.flow.FlowReceiver` s, its ports (each the
+:class:`~repro.core.pels_queue.PelsQueueCore` plus that port's
+:class:`~repro.core.feedback.EpochLog`), the Lemma 6 parameters and a
+clock.  :func:`build_report`, the epoch observation and monitor
+(:mod:`repro.obs.monitor`) and the meta-controller read that and
+nothing else, so the single-hop simulator, the multi-hop simulator and
+the live stack are read back by the same code; a report carries the
+theoretical values alongside so it is self-interpreting.
+
+One warm-up rule: ``warmup_fraction`` of the elapsed time is excluded
+from every average — rates, gamma and virtual loss by series window,
+per-color delays by :meth:`~repro.sim.stats.DelayProbe.mean_in` (the
+whole-run mean where ``delay_series_stride=0`` kept no series),
+physical red loss by the loss windows closed after it — and a flow's
+utility skips the same fraction of *its* finalised frames.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence)
 
 from ..cc.mkc import mkc_equilibrium_loss, mkc_stationary_rate
+from ..sim.engine import Simulator
 from ..sim.packet import Color
-from .session import PelsSimulation
+from .clock import Clock
+from .feedback import EpochLog
+from .flow import FlowReceiver, FlowSender, frame_receptions
+from .pels_queue import PelsQueueCore
 
-__all__ = ["FlowReport", "SessionReport", "build_report"]
+__all__ = ["PortView", "SessionView", "FlowReport", "SessionReport",
+           "build_report"]
+
+
+class PortView(NamedTuple):
+    """One PELS output port: the two clock-free objects both drivers
+    drive."""
+
+    name: str
+    #: ``fifos[c].stats`` and ``len(fifos[c])`` are the per-color
+    #: arrivals, drops and occupancy; ``losses`` the windowed loss.
+    core: PelsQueueCore
+    #: Current ``p`` (``loss``), ``loss_series``, ``C``
+    #: (``capacity_bps``) and the ``epoch_hook``.
+    epochs: EpochLog
+
+
+@dataclass(frozen=True)
+class SessionView:
+    """What a session hands over to be read back (see module docstring).
+
+    ``senders`` and ``receivers`` are the driver's own collections (a
+    live session's grow as flows appear), joined by ``flow_id``.
+    """
+
+    senders: Iterable[FlowSender]
+    receivers: Iterable[FlowReceiver]
+    #: Hop order; a single bottleneck is a one-element list.
+    ports: Sequence[PortView]
+    n_flows: int
+    alpha_bps: float
+    beta: float
+    p_thr: float
+    clock: Clock
+    #: The event engine, where there is one (engine-health gauges).
+    engine: Optional[Simulator] = None
+    #: The WRR knob, where the session can renegotiate it at runtime.
+    pels_share: float = 0.5
+    set_pels_share: Optional[Callable[[float], None]] = None
+
+    def capacity_bps(self) -> float:
+        """``C`` of the tightest port: the one Lemma 6 is about."""
+        return min(port.epochs.capacity_bps for port in self.ports)
+
+    def lemma6_rate_bps(self) -> float:
+        """The Lemma 6 equilibrium ``r* = C/N + alpha/beta``."""
+        return mkc_stationary_rate(self.capacity_bps(), self.n_flows,
+                                   self.alpha_bps, self.beta)
+
+    def drops(self) -> Dict[str, int]:
+        """Cumulative drops per queue, summed over the ports."""
+        return {name: sum(port.core.fifos[index].stats.drops
+                          for port in self.ports)
+                for index, name in enumerate(
+                    ("green", "yellow", "red", "internet"))}
 
 
 @dataclass
@@ -101,67 +176,78 @@ class SessionReport:
         return "\n".join(lines)
 
 
-def build_report(sim: PelsSimulation,
+def build_report(view: SessionView,
                  warmup_fraction: float = 0.5) -> SessionReport:
-    """Summarize a finished (or paused) simulation.
+    """Summarize a finished (or paused, or still running) session.
 
-    ``warmup_fraction`` of the elapsed time is excluded from averages so
-    the report reflects steady state.
+    ``view`` is any session's — ``PelsSimulation.view``,
+    ``MultiHopPelsSimulation.view``, ``LiveSessionResult.view``.  With
+    several ports, virtual and red loss follow the most congested one,
+    theory the tightest, and drops are summed.  A flow known to one
+    endpoint only (rejected by admission, torn down mid-run) gets a
+    partial row instead of raising.
     """
     if not 0 <= warmup_fraction < 1:
         raise ValueError("warmup fraction must be in [0, 1)")
-    scenario = sim.scenario
-    now = sim.sim.now
+    now = view.clock.now
     warmup = now * warmup_fraction
+    nan = math.nan
 
-    capacity = scenario.pels_capacity_bps()
-    p_theory = mkc_equilibrium_loss(capacity, scenario.n_flows,
-                                    scenario.alpha_bps, scenario.beta)
-    r_theory = mkc_stationary_rate(capacity, scenario.n_flows,
-                                   scenario.alpha_bps, scenario.beta)
-    red_tail = [v for t, v in sim.red_loss_series() if t > warmup]
-    q = sim.bottleneck_queue
+    virtual_losses = [port.epochs.loss_series.mean(warmup, math.inf)
+                      for port in view.ports]
+    congested = virtual_losses.index(max(virtual_losses))
+    capacity = view.capacity_bps()
+    drops = view.drops()
+    del drops["internet"]
 
+    senders = {sender.flow_id: sender for sender in view.senders}
+    receivers = {receiver.flow_id: receiver for receiver in view.receivers}
     flows: List[FlowReport] = []
-    for flow in range(scenario.n_flows):
-        source = sim.sources[flow]
-        sink = sim.sinks[flow]
-        receptions = [r for r in sim.frame_receptions(flow)[10:]
-                      if r.enhancement_sent]
-        utilities = [r.utility() for r in receptions]
-        intact = [1.0 if r.base_intact else 0.0 for r in receptions]
+    for flow_id in sorted(senders.keys() | receivers.keys()):
+        sender = senders.get(flow_id)
+        receiver = receivers.get(flow_id) or FlowReceiver(flow_id)
         delays = {}
-        for color in (Color.GREEN, Color.YELLOW, Color.RED):
-            probe = sink.delay_probes[color]
-            if probe.count:
-                delays[color.name.lower()] = probe.mean * 1000
+        for color, probe in receiver.delay_probes.items():
+            delay = probe.mean_in(warmup, now) if probe.series_stride \
+                else probe.mean
+            if not math.isnan(delay):  # something was measured
+                delays[color.name.lower()] = delay * 1000
+        if sender is None:
+            flows.append(FlowReport(flow_id, nan, nan, 0, 0, nan, nan,
+                                    delays))
+            continue
+        receptions = frame_receptions(sender, receiver)
+        receptions = [r for r in
+                      receptions[int(len(receptions) * warmup_fraction):]
+                      if r.enhancement_sent]
         flows.append(FlowReport(
-            flow_id=flow,
-            mean_rate_bps=source.rate_series.mean(warmup, now),
-            gamma=source.gamma_series.mean(warmup, now),
-            packets_sent=source.packets_sent,
-            frames_sent=source.frames_sent,
-            mean_utility=statistics.mean(utilities) if utilities
-            else float("nan"),
-            base_intact_ratio=statistics.mean(intact) if intact
-            else float("nan"),
+            flow_id=flow_id,
+            mean_rate_bps=sender.rate_series.mean(warmup, now),
+            gamma=sender.gamma_series.mean(warmup, now),
+            packets_sent=sender.packets_sent,
+            frames_sent=sender.frames_sent,
+            mean_utility=statistics.mean(r.utility() for r in receptions)
+            if receptions else nan,
+            base_intact_ratio=statistics.mean(
+                1.0 if r.base_intact else 0.0 for r in receptions)
+            if receptions else nan,
             delays_ms=delays,
-            stale_discarded=source.tracker.stale_discarded,
-            blind_intervals=source.blind_intervals,
-            rate_freezes=source.rate_freezes,
+            stale_discarded=sender.tracker.stale_discarded,
+            blind_intervals=sender.blind_intervals,
+            rate_freezes=sender.rate_freezes,
         ))
 
     return SessionReport(
-        n_flows=scenario.n_flows,
+        n_flows=view.n_flows,
         duration_s=now,
         pels_capacity_bps=capacity,
-        virtual_loss=sim.mean_virtual_loss(warmup),
-        virtual_loss_theory=p_theory,
-        rate_theory_bps=r_theory,
-        red_loss=statistics.mean(red_tail) if red_tail else None,
-        p_thr=scenario.p_thr,
-        drops={"green": q.green_queue.stats.drops,
-               "yellow": q.yellow_queue.stats.drops,
-               "red": q.red_queue.stats.drops},
+        virtual_loss=virtual_losses[congested],
+        virtual_loss_theory=mkc_equilibrium_loss(
+            capacity, view.n_flows, view.alpha_bps, view.beta),
+        rate_theory_bps=view.lemma6_rate_bps(),
+        red_loss=view.ports[congested].core.losses.loss_in(
+            Color.RED, warmup, now),
+        p_thr=view.p_thr,
+        drops=drops,
         flows=flows,
     )

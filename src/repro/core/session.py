@@ -10,7 +10,7 @@ periodic measurement sampling.  Every evaluation figure runs through
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..cc.base import make_controller
 from ..cc.tcp import TcpSink, TcpSource
@@ -28,6 +28,7 @@ from .feedback import RouterFeedback
 from .flow import frame_receptions
 from .gamma import GammaController
 from .pels_queue import PelsBottleneckQueue, PelsQueueConfig
+from .report import PortView, SessionView
 from .sink import PelsSink
 from .source import PelsSource
 
@@ -249,18 +250,24 @@ class PelsSimulation:
                 shape=s.lrd_shape)
 
         # Periodic measurement: per-color physical loss at the bottleneck.
-        self.color_loss_series: Dict[Color, TimeSeries] = {
-            color: TimeSeries(f"{color.name.lower()}-loss")
-            for color in (Color.GREEN, Color.YELLOW, Color.RED)
-        }
         self._sampler = self.feedback.every(s.sample_interval, self._sample)
 
+        #: What reports, the monitor and the meta-controller read.
+        self.view = SessionView(
+            senders=self.sources, receivers=self.sinks,
+            ports=[PortView(self.bottleneck_queue.name,
+                            self.bottleneck_queue.core, self.feedback)],
+            n_flows=s.n_flows, alpha_bps=s.alpha_bps, beta=s.beta,
+            p_thr=s.p_thr, clock=self.sim, engine=self.sim,
+            pels_share=s.queue.pels_share(),
+            set_pels_share=self.reconfigure_pels_share)
+
         # With an active metrics registry, snapshot queue/flow/engine
-        # health at every feedback epoch (piggybacked on _compute — no
-        # extra heap events, so traced and plain runs stay
+        # health at every feedback epoch (piggybacked on the epoch close
+        # — no extra heap events, so traced and plain runs stay
         # event-identical).  None when metrics are off (the default).
         registry = current_registry()
-        self.monitor = SimulationMonitor(self, registry) \
+        self.monitor = SimulationMonitor(self.view, registry) \
             if registry is not None else None
 
         # Opt-in online meta-control: chains onto the same epoch hook
@@ -268,13 +275,10 @@ class PelsSimulation:
         # before the parameters move.  None (default) attaches nothing.
         self.meta: Optional[MetaController] = None
         if s.meta_controller is not None:
-            self.meta = MetaController(s.meta_controller).attach(self)
+            self.meta = MetaController(s.meta_controller).attach(self.view)
 
     def _sample(self) -> None:
-        losses = self.bottleneck_queue.sample_losses(self.sim.now)
-        for color, loss in losses.items():
-            if loss is not None:
-                self.color_loss_series[color].record(self.sim.now, loss)
+        self.bottleneck_queue.core.losses.sample(self.sim.now)
 
     # -- execution ---------------------------------------------------------
 
@@ -301,7 +305,7 @@ class PelsSimulation:
 
     def red_loss_series(self) -> TimeSeries:
         """Sampled physical loss rate in the red queue (Fig. 7 right)."""
-        return self.color_loss_series[Color.RED]
+        return self.bottleneck_queue.core.losses.series[Color.RED]
 
     def mean_virtual_loss(self, t_start: float = 0.0) -> float:
         """Average router-computed loss p(k) after ``t_start``."""

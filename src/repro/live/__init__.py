@@ -63,8 +63,7 @@ from .gateway import (AdmissionDecision, LiveGateway, TenantPolicy,
 from .loadgen import LoadConfig, LoadResult, run_load
 from .router import LiveRouter
 from .server import LiveServer
-from .session import (LiveConfig, LiveSessionResult, build_live_report,
-                      run_live_session)
+from .session import LiveConfig, LiveSessionResult, run_live_session
 from .shard import RouterShard, ShardConfig, ShardStats
 from .supervisor import FailoverRecord, ShardSupervisor, SupervisorConfig
 from .wire import (HEADER_SIZE, LivePacket, WireFormatError, decode_packet,
@@ -92,7 +91,6 @@ __all__ = [
     "TokenBucket",
     "TransientRegistrationError",
     "WireFormatError",
-    "build_live_report",
     "decode_packet",
     "encode_packet",
     "run_live_session",

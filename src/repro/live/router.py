@@ -6,18 +6,17 @@ from the server are offered to the same clock-free
 bottleneck drives — tri-color strict priority plus the Internet FIFO
 under deficit weighted round-robin — with the raw datagram as the item,
 and the port is drained by a token bucket filled at the bottleneck link
-rate.  Every ``T`` wall-seconds an epoch task closes the Eq. 11
-measurement interval through the clock-free :class:`~repro.core.feedback.FeedbackComputer`
-(the same object the simulator's ``RouterFeedback`` drives from the
-event heap) and the fresh ``(router_id, z, p)`` label is stamped into
-every PELS datagram on the forwarding path with the max-loss override
-rule.
+rate.  Every ``T`` wall-seconds :meth:`LiveRouter.close_epoch` closes
+the Eq. 11 measurement interval through the clock-free
+:class:`~repro.core.feedback.EpochLog` (the same epoch close the
+simulator's ``RouterFeedback`` runs from the event heap) and the fresh
+``(router_id, z, p)`` label is stamped into every PELS datagram on the
+forwarding path with the max-loss override rule.
 
 Two deliberate wall-clock defenses:
 
-* the epoch task passes the *measured* interval length to
-  ``FeedbackComputer.close`` so asyncio timer jitter cannot read as an
-  arrival-rate change;
+* the epoch step passes the *measured* interval length to the close,
+  so asyncio timer jitter cannot read as an arrival-rate change;
 * service is credit-based — every ingest wake (and, only while a backlog
   waits for credit, a ``service_tick`` timer) converts elapsed time into
   byte tokens and drains whatever they cover — so an uncongested port
@@ -53,12 +52,11 @@ import socket
 from typing import Dict, List, Optional, Tuple
 
 from ..core.clock import Clock
-from ..core.feedback import FeedbackComputer
+from ..core.feedback import EpochLog
 from ..core.pels_queue import PelsQueueConfig, PelsQueueCore
 from ..obs.metrics import current_registry
 from ..obs.trace import current_tracer
 from ..sim.packet import Color
-from ..sim.stats import TimeSeries
 from .wire import HEADER_SIZE, peek_flow_id, stamp_label
 
 __all__ = ["LiveRouter"]
@@ -73,7 +71,7 @@ _COLOR_OFFSET = 20
 class LiveRouter(asyncio.DatagramProtocol):
     """The wall-clock driver of :class:`PelsQueueCore`: items are raw
     datagrams; adds the sockets, the token bucket, label stamping and
-    the Eq. 11 epochs.
+    the Eq. 11 epoch cadence.
 
     Parameters
     ----------
@@ -126,18 +124,21 @@ class LiveRouter(asyncio.DatagramProtocol):
         self.interval = interval
         self.service_tick = service_tick
         self.recv_batch = recv_batch
-        self.feedback = FeedbackComputer(
+        self._trace = current_tracer()
+        self.feedback = EpochLog(
             bottleneck_bps * self.config.pels_share(), interval=interval,
-            router_id=router_id, window_intervals=window_intervals)
+            router_id=router_id, window_intervals=window_intervals,
+            trace=self._trace)
         self._pels_bytes = 0
+        self._epoch_at = clock.now
 
         #: The port.  Items are the raw datagrams as bytearrays (so
         #: labels can be stamped in place at service time); every count
         #: below is indexed by the raw color byte — ``Color`` is an
         #: IntEnum, so enum subscripts work for callers too.
-        self._core = PelsQueueCore(self.config)
-        self.shed_packets = self._core.shed_packets
-        self.shed_bytes = self._core.shed_bytes
+        self.core = PelsQueueCore(self.config)
+        self.shed_packets = self.core.shed_packets
+        self.shed_bytes = self.core.shed_bytes
         #: Forwards the socket refused: wire loss, not queue drops.
         self.send_errors = 0
         # Token bucket.  Credit cap: a few ticks' worth, so an idle link
@@ -158,9 +159,6 @@ class LiveRouter(asyncio.DatagramProtocol):
         self._sock: Optional[socket.socket] = None
         self._recv_view = memoryview(bytearray(65536))
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self.loss_series = TimeSeries("virtual-loss")
-        self.rate_series = TimeSeries("pels-arrival-rate")
-        self._trace = current_tracer()
         registry = current_registry()
         self._forwarded_counter = registry.counter("live_router_forwarded") \
             if registry is not None else None
@@ -229,14 +227,14 @@ class LiveRouter(asyncio.DatagramProtocol):
             # or drop (senders keep seeing honest virtual loss), exactly
             # as RouterFeedback.observe counts in the simulator.
             self._pels_bytes += size
-        accepted = self._core.enqueue(color, bytearray(data), size)
+        accepted = self.core.enqueue(color, bytearray(data), size)
         if self._trace is not None:
             if accepted:
                 self._trace.enqueue("live-router", color, -1, True)
             else:
                 self._trace.drop(
                     "live-router",
-                    "shed" if self._core.sheds[color] else "overflow",
+                    "shed" if self.core.sheds[color] else "overflow",
                     color, -1)
 
     # -- lifecycle ---------------------------------------------------------
@@ -247,7 +245,7 @@ class LiveRouter(asyncio.DatagramProtocol):
             raise RuntimeError("router already started")
         self._running = True
         self._loop = self._loop or asyncio.get_running_loop()
-        self._served_at = self.clock.now
+        self._served_at = self._epoch_at = self.clock.now
         self._tasks = [asyncio.ensure_future(self._epochs())]
 
     async def stop(self) -> None:
@@ -274,7 +272,7 @@ class LiveRouter(asyncio.DatagramProtocol):
         sleeps).  A datagram the link has no credit for yet is never
         taken out of the core: it stays where WRR will serve it next.
         """
-        core = self._core
+        core = self.core
         forward = self._forward
         while True:
             head = core.peek()
@@ -294,7 +292,7 @@ class LiveRouter(asyncio.DatagramProtocol):
                      self._burst_bytes)
         self._served_at = now
         self._credit = self._drain(credit)
-        if self._timer is None and self._running and len(self._core):
+        if self._timer is None and self._running and len(self.core):
             self._timer = self._loop.call_later(self.service_tick,
                                                 self._on_timer)
 
@@ -326,52 +324,52 @@ class LiveRouter(asyncio.DatagramProtocol):
     # -- Eq. 11 epochs -----------------------------------------------------
 
     async def _epochs(self) -> None:
-        last = self.clock.now
         while self._running:
             await asyncio.sleep(self.interval)
-            now = self.clock.now
-            elapsed = now - last
-            last = now
-            label = self.feedback.close(self._pels_bytes, elapsed=elapsed)
-            self._pels_bytes = 0
-            self.loss_series.record(now, label.loss)
-            self.rate_series.record(now, self.feedback.rate_bps)
-            if self._trace is not None:
-                self._trace.epoch(now, label.router_id, label.epoch,
-                                  self.feedback.rate_bps, label.loss)
+            self.close_epoch(self.clock.now)
+
+    def close_epoch(self, now: float) -> None:
+        """One Eq. 11 epoch, synchronously: the PELS bytes counted since
+        the last step and the *measured* interval go to the shared
+        epoch close; the physical-loss windows close with it."""
+        elapsed = now - self._epoch_at
+        self._epoch_at = now
+        self.feedback.close_epoch(self._pels_bytes, now, elapsed)
+        self._pels_bytes = 0
+        self.core.losses.sample(now)
 
     # -- overload shedding -------------------------------------------------
 
     def set_shed_level(self, level: int) -> None:
         """Set layered shedding: 0 = off, 1 = red, 2 = red + yellow."""
-        self._core.set_shed_level(level)
+        self.core.set_shed_level(level)
 
     @property
     def shed_level(self) -> int:
-        return self._core.shed_level
+        return self.core.shed_level
 
     # -- introspection -----------------------------------------------------
 
     @property
     def arrivals(self) -> List[int]:
         """Datagrams offered per color (shed and dropped ones included)."""
-        return [fifo.stats.arrivals for fifo in self._core.fifos]
+        return [fifo.stats.arrivals for fifo in self.core.fifos]
 
     @property
     def drops(self) -> List[int]:
         """Buffer-overflow drops per color (shed traffic not included)."""
-        return [fifo.stats.drops for fifo in self._core.fifos]
+        return [fifo.stats.drops for fifo in self.core.fifos]
 
     @property
     def forwarded(self) -> List[int]:
-        return [fifo.stats.departures for fifo in self._core.fifos]
+        return [fifo.stats.departures for fifo in self.core.fifos]
 
     def queue_depth(self, color: Color) -> int:
-        return len(self._core.fifos[color])
+        return len(self.core.fifos[color])
 
     def queue_depths(self) -> List[int]:
         """Current occupancy of all four queues, indexed by raw color."""
-        return [len(fifo) for fifo in self._core.fifos]
+        return [len(fifo) for fifo in self.core.fifos]
 
     def mean_virtual_loss(self, t_start: float = 0.0) -> float:
-        return self.loss_series.mean(t_start, float("inf"))
+        return self.feedback.loss_series.mean(t_start, float("inf"))

@@ -4,11 +4,14 @@
 interface (client, router, server — in that order, so every downstream
 address exists before its upstream sender starts), streams for a
 wall-clock duration and returns a :class:`LiveSessionResult` holding
-the live objects for inspection.  :func:`build_live_report` then
-summarizes the run into the same :class:`~repro.core.report.SessionReport`
-the simulator produces, with the Lemma 6 / Eq. 9 theory columns
-alongside, so live and simulated runs are directly comparable (the
-``L1`` experiment diffs exactly these columns).
+the live objects for inspection.  Its ``view`` is the same
+:class:`~repro.core.report.SessionView` the simulator's assemblies
+produce, so :func:`~repro.core.report.build_report` summarizes the run
+into the same :class:`~repro.core.report.SessionReport`, with the
+Lemma 6 / Eq. 9 theory columns alongside (the ``L1`` experiment diffs
+exactly these columns), and — during the run — the metrics monitor and
+the ``--tune`` meta-controller hang on the router's epoch hook exactly
+as they do in a simulation.
 
 Wall-clock tolerances: a live run is *not* deterministic — scheduler
 jitter moves individual packets — but the paper's steady-state
@@ -20,19 +23,18 @@ green ≤ yellow ≤ red) are robust to it; the defaults here (2 flows,
 from __future__ import annotations
 
 import asyncio
-import statistics
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-from ..cc.mkc import mkc_equilibrium_loss, mkc_stationary_rate
-from ..control.meta import MetaController, MetaControllerConfig
-from ..core.clock import WallClock
+from ..cc.mkc import mkc_stationary_rate
+from ..control.meta import MetaController
+from ..core.clock import Clock, ManualClock, WallClock
 from ..core.flow import frame_receptions
 from ..core.pels_queue import PelsQueueConfig
-from ..obs.monitor import EpochObservation
-from ..core.report import FlowReport, SessionReport
+from ..core.report import PortView, SessionView
+from ..obs.metrics import current_registry
+from ..obs.monitor import SimulationMonitor
 from ..obs.trace import current_tracer
-from ..sim.packet import Color
 from ..video.fgs import FgsConfig
 from ..video.psnr import PsnrResult, reconstruct_psnr
 from ..video.traces import generate_foreman_like
@@ -40,8 +42,8 @@ from .client import LiveClient
 from .router import LiveRouter
 from .server import LiveServer
 
-__all__ = ["LiveConfig", "LiveSessionResult", "run_live_session",
-           "build_live_report"]
+__all__ = ["LiveConfig", "LiveSessionResult", "live_view",
+           "run_live_session"]
 
 
 @dataclass
@@ -93,14 +95,10 @@ class LiveConfig:
     #: timings still vary run to run, the *schedule* does not.
     seed: Optional[int] = None
 
-    #: Online meta-control (``pels live --tune``): a periodic task
-    #: samples the flows and router and PID-tunes alpha/sigma through
-    #: the same seam the simulator uses.  Off by default.
+    #: Online meta-control (``pels live --tune``): a meta-controller on
+    #: the router's epoch hook PID-tunes alpha/sigma once per Eq. 11
+    #: epoch, exactly as in a tuned simulation.  Off by default.
     tune: bool = False
-    tune_config: Optional[MetaControllerConfig] = None
-    #: Wall seconds between tuner samples (the PID's own
-    #: update-interval gating still applies on top).
-    tune_interval: float = 0.25
 
     def pels_capacity_bps(self) -> float:
         """The PELS share of the bottleneck (``C`` of Eq. 11)."""
@@ -137,6 +135,13 @@ class LiveSessionResult:
     #: The meta-controller when the run was tuned (``tune=True``).
     meta: Optional[MetaController] = None
 
+    @property
+    def view(self) -> SessionView:
+        """The finished run as reports read it: the clock stands at
+        :attr:`elapsed`."""
+        return live_view(self.config, self.server, self.client,
+                         self.router, ManualClock(self.elapsed))
+
     def psnr(self, flow_id: int) -> PsnrResult:
         """Offline PSNR reconstruction for one flow (Section 6.5).
 
@@ -156,27 +161,14 @@ class LiveSessionResult:
                                 packet_size=self.config.fgs.packet_size)
 
 
-def _live_observation(server: LiveServer, router: LiveRouter,
-                      r_star: float, now: float) -> EpochObservation:
-    """The live counterpart of :func:`repro.obs.monitor.observe_epoch`."""
-    flows = list(server.flows.values())
-    rates = tuple(flow.controller.rate_bps for flow in flows)
-    mean_rate = sum(rates) / len(rates) if rates else 0.0
-    conv = (mean_rate - r_star) / r_star if r_star else 0.0
-    max_abs = max((abs(r - r_star) / r_star for r in rates),
-                  default=0.0) if r_star else 0.0
-    loss = router.feedback.loss
-    gammas = [flow.gamma_controller for flow in flows]
-    mean_gamma = sum(g.gamma for g in gammas) / len(gammas) if gammas else 0.0
-    clamped = max(0.0, loss)
-    innovation = sum(abs(g.expected_fixed_point(clamped) - g.gamma)
-                     for g in gammas) / len(gammas) if gammas else 0.0
-    drops = {color.name.lower(): router.drops[color]
-             for color in (Color.GREEN, Color.YELLOW, Color.RED)}
-    return EpochObservation(
-        t=now, r_star=r_star, rates_bps=rates, mean_rate_bps=mean_rate,
-        conv_error=conv, max_abs_conv_error=max_abs, virtual_loss=loss,
-        mean_gamma=mean_gamma, gamma_innovation=innovation, drops=drops)
+def live_view(config: LiveConfig, server: LiveServer, client: LiveClient,
+              router: LiveRouter, clock: Clock) -> SessionView:
+    """The read-out view of a loopback session's three endpoints."""
+    return SessionView(
+        senders=server.flows.values(), receivers=client.flows.values(),
+        ports=[PortView("live-router", router.core, router.feedback)],
+        n_flows=config.n_flows, alpha_bps=config.alpha_bps,
+        beta=config.beta, p_thr=config.p_thr, clock=clock)
 
 
 async def _run(config: LiveConfig) -> LiveSessionResult:
@@ -212,32 +204,16 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
     server.dst_addr = router_addr
     client.server_addr = server_transport.get_extra_info("sockname")[:2]
 
+    # Monitor first, then the tuner: each epoch is snapshotted before
+    # the parameters move (the order PelsSimulation wires them in).
+    view = live_view(config, server, client, router, clock)
+    registry = current_registry()
+    if registry is not None:
+        SimulationMonitor(view, registry)
+    meta = MetaController().attach(view) if config.tune else None
+
     router.start()
     server.start()
-
-    meta: Optional[MetaController] = None
-    tuner: Optional[asyncio.Task] = None
-    if config.tune:
-        meta = MetaController(config.tune_config or MetaControllerConfig())
-        r_star = config.lemma6_rate_bps()
-        bound_meta = meta
-
-        async def _tune_loop() -> None:
-            bound = False
-            while True:
-                await asyncio.sleep(config.tune_interval)
-                flows = list(server.flows.values())
-                if not flows:
-                    continue
-                if not bound:
-                    bound_meta.bind(
-                        [flow.controller for flow in flows],
-                        [flow.gamma_controller for flow in flows], r_star)
-                    bound = True
-                obs = _live_observation(server, router, r_star, clock.now)
-                bound_meta.step(obs, clock.now)
-
-        tuner = asyncio.ensure_future(_tune_loop())
 
     try:
         await asyncio.sleep(config.duration)
@@ -246,8 +222,6 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
         # clock stops; the router keeps serving during the drain.
         await asyncio.sleep(config.drain)
     finally:
-        if tuner is not None:
-            tuner.cancel()
         await server.stop()
         await router.stop()
         elapsed = clock.now
@@ -262,91 +236,3 @@ def run_live_session(config: Optional[LiveConfig] = None
                      ) -> LiveSessionResult:
     """Run one loopback session to completion (blocking entry point)."""
     return asyncio.run(_run(config or LiveConfig()))
-
-
-def build_live_report(result: LiveSessionResult,
-                      warmup_fraction: float = 0.5) -> SessionReport:
-    """Summarize a live run into the simulator's report shape.
-
-    ``warmup_fraction`` of the elapsed time is excluded from every
-    average so the report reflects the converged regime, matching
-    :func:`repro.core.report.build_report`.
-    """
-    if not 0 <= warmup_fraction < 1:
-        raise ValueError("warmup fraction must be in [0, 1)")
-    config = result.config
-    now = result.elapsed
-    warmup = now * warmup_fraction
-
-    capacity = config.pels_capacity_bps()
-    p_theory = mkc_equilibrium_loss(capacity, config.n_flows,
-                                    config.alpha_bps, config.beta)
-    r_theory = config.lemma6_rate_bps()
-    router = result.router
-    red_arrivals = router.arrivals[Color.RED]
-    red_loss = (router.drops[Color.RED] / red_arrivals
-                if red_arrivals else None)
-
-    # Union of both endpoints' flow ids: a flow rejected by admission
-    # (or registered but never streamed) exists only server-side with
-    # zero frames; one torn down mid-run may have client-side state the
-    # server already forgot.  Either way the report carries a partial
-    # row instead of raising.
-    flows: List[FlowReport] = []
-    flow_ids = sorted(set(result.server.flows) | set(result.client.flows))
-    for flow_id in flow_ids:
-        flow = result.server.flows.get(flow_id)
-        receiver = result.client.flow(flow_id)
-        if flow is None:
-            delays = {}
-            for color in (Color.GREEN, Color.YELLOW, Color.RED):
-                probe = receiver.delay_probes[color]
-                if probe.count:
-                    delays[color.name.lower()] = probe.mean * 1000
-            flows.append(FlowReport(
-                flow_id=flow_id, mean_rate_bps=float("nan"),
-                gamma=float("nan"), packets_sent=0, frames_sent=0,
-                mean_utility=float("nan"),
-                base_intact_ratio=float("nan"), delays_ms=delays))
-            continue
-        warmup_frames = int(flow.frames_sent * warmup_fraction)
-        receptions = [r for r in
-                      frame_receptions(flow, receiver)[warmup_frames:]
-                      if r.enhancement_sent]
-        utilities = [r.utility() for r in receptions]
-        intact = [1.0 if r.base_intact else 0.0 for r in receptions]
-        delays = {}
-        for color in (Color.GREEN, Color.YELLOW, Color.RED):
-            probe = receiver.delay_probes[color]
-            if probe.count:
-                delays[color.name.lower()] = probe.mean * 1000
-        flows.append(FlowReport(
-            flow_id=flow_id,
-            mean_rate_bps=flow.rate_series.mean(warmup, now),
-            gamma=flow.gamma_series.mean(warmup, now),
-            packets_sent=flow.packets_sent,
-            frames_sent=flow.frames_sent,
-            mean_utility=statistics.mean(utilities) if utilities
-            else float("nan"),
-            base_intact_ratio=statistics.mean(intact) if intact
-            else float("nan"),
-            delays_ms=delays,
-            stale_discarded=flow.tracker.stale_discarded,
-            blind_intervals=flow.blind_intervals,
-            rate_freezes=flow.rate_freezes,
-        ))
-
-    return SessionReport(
-        n_flows=config.n_flows,
-        duration_s=now,
-        pels_capacity_bps=capacity,
-        virtual_loss=router.mean_virtual_loss(warmup),
-        virtual_loss_theory=p_theory,
-        rate_theory_bps=r_theory,
-        red_loss=red_loss,
-        p_thr=config.p_thr,
-        drops={"green": router.drops[Color.GREEN],
-               "yellow": router.drops[Color.YELLOW],
-               "red": router.drops[Color.RED]},
-        flows=flows,
-    )

@@ -1,11 +1,11 @@
-"""Per-epoch simulation monitor feeding a :class:`MetricsRegistry`.
+"""Per-epoch session monitor feeding a :class:`MetricsRegistry`.
 
-``SimulationMonitor`` attaches to an assembled simulation (single-hop
-:class:`~repro.core.session.PelsSimulation` or the multi-hop variant)
-and snapshots the registry at every ``T``-epoch boundary — piggybacked
-on the router feedback computation through ``RouterFeedback.epoch_hook``
-so monitoring adds *zero* events to the heap and cannot perturb event
-order.
+``SimulationMonitor`` attaches to a session's
+:class:`~repro.core.report.SessionView` — single-hop or multi-hop
+simulation, or a live loopback session — and snapshots the registry at
+every ``T``-epoch boundary, piggybacked on the Eq. 11 epoch close
+through ``EpochLog.epoch_hook``, so monitoring adds *zero* events to
+the simulator's heap and cannot perturb event order.
 
 Recorded per epoch:
 
@@ -13,8 +13,9 @@ Recorded per epoch:
 * per-flow rate and Eq. 8 convergence error against the Lemma 6 oracle
   ``r* = C/N + alpha/beta``
 * per-flow stale-discard counts (cumulative, from the freshness tracker)
-* event-heap depth (plus a histogram of its distribution)
-* wall-clock seconds consumed per simulated second
+* where the view carries an event engine: event-heap depth (plus a
+  histogram of its distribution) and wall-clock seconds consumed per
+  simulated second
 
 Sessions attach a monitor automatically when a registry is active (see
 ``current_registry``); with metrics off the constructor is never called.
@@ -26,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..cc.mkc import mkc_stationary_rate
 from .metrics import MetricsRegistry
 
 __all__ = ["SimulationMonitor", "EpochObservation", "observe_epoch"]
@@ -59,113 +59,80 @@ class EpochObservation:
     gamma_innovation: float
     #: Cumulative drops per color, summed over hops.
     drops: Dict[str, int] = field(default_factory=dict)
-    #: Mean end-to-end delay per color (seconds), where measured.
+    #: Whole-run mean end-to-end delay per color (seconds) at the first
+    #: receiver, where measured.
     delays_s: Dict[str, float] = field(default_factory=dict)
 
 
-def observe_epoch(assembly, queues, feedbacks, r_star: float,
-                  t: float) -> EpochObservation:
-    """Build an :class:`EpochObservation` from an assembled simulation."""
-    sources = assembly.sources
-    rates = tuple(source.rate_bps for source in sources)
+def observe_epoch(view, r_star: float) -> EpochObservation:
+    """One epoch's :class:`EpochObservation` of a session view."""
+    rates = tuple(sender.rate_bps for sender in view.senders)
     mean_rate = sum(rates) / len(rates) if rates else 0.0
     conv = (mean_rate - r_star) / r_star if r_star else 0.0
     max_abs = max((abs(r - r_star) / r_star for r in rates),
                   default=0.0) if r_star else 0.0
 
-    loss = max((fb.loss for fb in feedbacks), default=0.0)
-    gammas = [source.gamma_controller for source in sources
-              if getattr(source, "gamma_controller", None) is not None]
+    loss = max((port.epochs.loss for port in view.ports), default=0.0)
+    gammas = [sender.gamma_controller for sender in view.senders]
     mean_gamma = sum(g.gamma for g in gammas) / len(gammas) if gammas else 0.0
     clamped_loss = max(0.0, loss)
     innovation = sum(abs(g.expected_fixed_point(clamped_loss) - g.gamma)
                      for g in gammas) / len(gammas) if gammas else 0.0
 
-    drops = {"green": 0, "yellow": 0, "red": 0, "internet": 0}
-    for queue in queues:
-        drops["green"] += queue.green_queue.stats.drops
-        drops["yellow"] += queue.yellow_queue.stats.drops
-        drops["red"] += queue.red_queue.stats.drops
-        drops["internet"] += queue.internet_queue.stats.drops
-
-    delays: Dict[str, float] = {}
-    sinks = getattr(assembly, "sinks", None) or ()
-    if sinks:
-        probes = getattr(sinks[0], "delay_probes", None)
-        if probes:
-            for color, probe in probes.items():
-                if probe.count:
-                    delays[color.name.lower()] = probe.mean
+    # Whole-run delay means of the first receiver only: the WRR loop's
+    # green-delay sample (and A4's output) is defined on it.
+    first = next(iter(view.receivers), None)
+    delays = {color.name.lower(): probe.mean
+              for color, probe in first.delay_probes.items()
+              if probe.count} if first is not None else {}
 
     return EpochObservation(
-        t=t, r_star=r_star, rates_bps=rates, mean_rate_bps=mean_rate,
-        conv_error=conv, max_abs_conv_error=max_abs, virtual_loss=loss,
+        t=view.clock.now, r_star=r_star, rates_bps=rates,
+        mean_rate_bps=mean_rate, conv_error=conv,
+        max_abs_conv_error=max_abs, virtual_loss=loss,
         mean_gamma=mean_gamma, gamma_innovation=innovation,
-        drops=drops, delays_s=delays)
+        drops=view.drops(), delays_s=delays)
 
 
 class SimulationMonitor:
     """Snapshot queue/flow/engine health at every feedback epoch."""
 
-    def __init__(self, assembly, registry: MetricsRegistry) -> None:
-        self.assembly = assembly
+    def __init__(self, view, registry: MetricsRegistry) -> None:
+        self.view = view
         self.registry = registry
-        self.sim = assembly.sim
         self.epochs_observed = 0
-
-        hop_queues = getattr(assembly, "hop_queues", None)
-        self.queues = list(hop_queues) if hop_queues is not None \
-            else [assembly.bottleneck_queue]
-        feedbacks = getattr(assembly, "feedbacks", None)
-        self.feedbacks = list(feedbacks) if feedbacks is not None \
-            else [assembly.feedback]
-
-        self.r_star = self._lemma6_rate(assembly.scenario)
+        self.r_star = view.lemma6_rate_bps()
 
         self._wall_last = time.perf_counter()
-        self._sim_last = self.sim.now
+        self._sim_last = view.clock.now
 
-        # The first feedback process defines the epoch cadence; its hook
+        # The first port's epoch log defines the epoch cadence; its hook
         # drives the snapshot (one attribute check per T, no new events).
-        self.feedbacks[0].epoch_hook = self._on_epoch
+        view.ports[0].epochs.epoch_hook = self._on_epoch
 
-    @staticmethod
-    def _lemma6_rate(scenario) -> float:
-        """The Lemma 6 equilibrium ``r* = C/N + alpha/beta`` for a scenario."""
-        if hasattr(scenario, "pels_capacity_bps"):
-            capacity = scenario.pels_capacity_bps()
-        else:
-            capacity = min(scenario.pels_capacity_of(i)
-                           for i in range(len(scenario.hop_bps)))
-        return mkc_stationary_rate(capacity, scenario.n_flows,
-                                   scenario.alpha_bps, scenario.beta)
-
-    def _on_epoch(self, feedback) -> None:
+    def _on_epoch(self, epochs) -> None:
         registry = self.registry
         gauge = registry.gauge
-        sim = self.sim
+        view = self.view
 
-        for queue in self.queues:
-            prefix = f"queue.{queue.name}"
-            gauge(f"{prefix}.green").set(len(queue.green_queue))
-            gauge(f"{prefix}.yellow").set(len(queue.yellow_queue))
-            gauge(f"{prefix}.red").set(len(queue.red_queue))
-            gauge(f"{prefix}.internet").set(len(queue.internet_queue))
+        for port in view.ports:
+            for name, fifo in zip(("green", "yellow", "red", "internet"),
+                                  port.core.fifos):
+                gauge(f"queue.{port.name}.{name}").set(len(fifo))
 
         r_star = self.r_star
-        for source in self.assembly.sources:
-            prefix = f"flow.{source.flow_id}"
-            rate = source.rate_bps
+        for sender in view.senders:
+            prefix = f"flow.{sender.flow_id}"
+            rate = sender.rate_bps
             gauge(f"{prefix}.rate_bps").set(rate)
             gauge(f"{prefix}.conv_err").set(abs(rate - r_star) / r_star)
             gauge(f"{prefix}.stale_discarded").set(
-                source.tracker.stale_discarded)
+                sender.tracker.stale_discarded)
 
         # Aggregate control-plane view: the same structure the
         # meta-controller consumes, recorded so tuned runs can be
         # audited epoch-by-epoch from the snapshot ring.
-        obs = observe_epoch(self.assembly, self.queues, self.feedbacks,
-                            r_star, sim.now)
+        obs = observe_epoch(view, r_star)
         gauge("control.conv_err").set(obs.conv_error)
         gauge("control.virtual_loss").set(obs.virtual_loss)
         gauge("control.mean_gamma").set(obs.mean_gamma)
@@ -175,21 +142,22 @@ class SimulationMonitor:
         for color, delay in obs.delays_s.items():
             gauge(f"delay.{color}_ms").set(delay * 1000)
 
-        depth = sim.pending()
-        gauge("engine.heap_depth").set(depth)
-        registry.histogram("engine.heap_depth").observe(depth)
+        engine = view.engine
+        if engine is not None:
+            depth = engine.pending()
+            gauge("engine.heap_depth").set(depth)
+            registry.histogram("engine.heap_depth").observe(depth)
 
-        wall = time.perf_counter()
-        sim_now = sim.now
-        d_sim = sim_now - self._sim_last
-        if d_sim > 0:
-            ratio = (wall - self._wall_last) / d_sim
-            gauge("engine.wall_per_sim_s").set(ratio)
-            registry.histogram("engine.wall_per_sim_s",
-                               bounds=(0.001, 0.01, 0.1, 1.0, 10.0,
-                                       100.0)).observe(ratio)
-        self._wall_last = wall
-        self._sim_last = sim_now
+            wall = time.perf_counter()
+            d_sim = obs.t - self._sim_last
+            if d_sim > 0:
+                ratio = (wall - self._wall_last) / d_sim
+                gauge("engine.wall_per_sim_s").set(ratio)
+                registry.histogram("engine.wall_per_sim_s",
+                                   bounds=(0.001, 0.01, 0.1, 1.0, 10.0,
+                                           100.0)).observe(ratio)
+            self._wall_last = wall
+            self._sim_last = obs.t
 
         self.epochs_observed += 1
-        registry.snapshot(sim_now)
+        registry.snapshot(obs.t)

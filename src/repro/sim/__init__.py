@@ -21,8 +21,7 @@ from .node import Agent, Host, Node, Router
 from .packet import ACK_SIZE, Color, FeedbackLabel, Packet
 from .queues import DropTailQueue, QueueDiscipline, QueueStats, REDQueue
 from .scheduler import StrictPriorityScheduler, WeightedRoundRobinScheduler
-from .stats import (DelayProbe, RateMeter, TimeSeries, WindowedLossEstimator,
-                    summarize)
+from .stats import DelayProbe, RateMeter, TimeSeries, summarize
 from .topology import Barbell, BarbellConfig, build_barbell
 from .traffic import CbrSource, PoissonSource
 
@@ -56,7 +55,6 @@ __all__ = [
     "StrictPriorityScheduler",
     "TimeSeries",
     "WeightedRoundRobinScheduler",
-    "WindowedLossEstimator",
     "build_barbell",
     "build_chain",
     "summarize",

@@ -16,7 +16,6 @@ __all__ = [
     "TimeSeries",
     "DelayProbe",
     "RateMeter",
-    "WindowedLossEstimator",
     "summarize",
 ]
 
@@ -150,52 +149,6 @@ class RateMeter:
 
     def mean_rate(self, t_start: float = 0.0, t_end: float = math.inf) -> float:
         return self.series.mean(t_start, t_end)
-
-
-class WindowedLossEstimator:
-    """Loss-rate estimator over sampling intervals.
-
-    Counts arrivals and drops between ``sample`` calls; each call closes
-    the interval and appends drops/arrivals to a series.  Used for the
-    red-queue physical loss in Fig. 7 (right).
-    """
-
-    __slots__ = ("name", "series", "_arrivals", "_drops",
-                 "total_arrivals", "total_drops")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.series = TimeSeries(name)
-        self._arrivals = 0
-        self._drops = 0
-        self.total_arrivals = 0
-        self.total_drops = 0
-
-    def record_arrival(self) -> None:
-        self._arrivals += 1
-        self.total_arrivals += 1
-
-    def record_drop(self) -> None:
-        self._drops += 1
-        self.total_drops += 1
-
-    def sample(self, now: float) -> Optional[float]:
-        """Close the interval; returns its loss rate (None if idle)."""
-        if self._arrivals == 0:
-            self._arrivals = 0
-            self._drops = 0
-            return None
-        loss = self._drops / self._arrivals
-        self.series.record(now, loss)
-        self._arrivals = 0
-        self._drops = 0
-        return loss
-
-    @property
-    def lifetime_loss(self) -> float:
-        if self.total_arrivals == 0:
-            return 0.0
-        return self.total_drops / self.total_arrivals
 
 
 @dataclass

@@ -86,7 +86,7 @@ class TestRestartSameRouter:
 
     def test_report_surfaces_the_robustness_counters(self, run):
         sim, _ = run
-        report = build_report(sim)
+        report = build_report(sim.view)
         for flow in report.flows:
             assert flow.stale_discarded >= 1
             assert flow.rate_freezes == 1
@@ -98,7 +98,7 @@ class TestRestartSameRouter:
         scenario = PelsScenario(n_flows=1, duration=6.0, seed=4,
                                 feedback_timeout=1.0)
         sim = PelsSimulation(scenario).run()
-        assert "stale=" not in build_report(sim).render()
+        assert "stale=" not in build_report(sim.view).render()
 
 
 class TestRestartNewRouterId:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.live import LiveConfig, build_live_report, run_live_session
+from repro.core.report import build_report
+from repro.live import LiveConfig, run_live_session
 from repro.sim.packet import Color
 
 pytestmark = pytest.mark.live
@@ -66,7 +67,7 @@ class TestLoopbackSmoke:
         assert short_session.client.malformed == 0
 
     def test_report_builds_with_live_numbers(self, short_session):
-        report = build_live_report(short_session, warmup_fraction=0.5)
+        report = build_report(short_session.view, warmup_fraction=0.5)
         assert report.n_flows == 2
         assert report.duration_s >= 2.0
         rendered = report.render()

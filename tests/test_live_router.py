@@ -20,6 +20,7 @@ from collections import deque
 import pytest
 
 from repro.core.clock import ManualClock
+from repro.core.feedback import FeedbackComputer
 from repro.core.pels_queue import PELS_SHARE_SAFE_RANGE, PelsQueueConfig
 from repro.live.loadgen import LoadConfig, _default_queue
 from repro.live.router import LiveRouter
@@ -27,6 +28,7 @@ from repro.live.shard import ShardConfig, _snapshot
 from repro.live.wire import (HEADER_SIZE, LivePacket, decode_packet,
                              encode_packet, peek_color, peek_flow_id,
                              peek_is_valid, peek_label, peek_ptype)
+from repro.obs.trace import Tracer, tracing
 from repro.sim.packet import Color
 
 
@@ -474,6 +476,91 @@ class TestTokenBucketService:
         run_started(scenario, bottleneck_bps=50e6, config=PelsQueueConfig(
             pels_weight=1.0, internet_weight=1e-6, green_buffer=64,
             yellow_buffer=128, red_buffer=64, internet_buffer=16))
+
+
+class TestEpochStep:
+    """``close_epoch(now)`` is the whole Eq. 11 epoch, synchronously:
+    no loop, no task, no sleep."""
+
+    #: 12 x 400 B per ~30 ms = 1.28 mb/s into C = 0.5 mb/s: p > 0.
+    BURST = 12
+
+    def offer(self, router) -> int:
+        for seq in range(self.BURST):
+            router._ingest(datagram(Color.GREEN, seq=seq, size=400))
+        router._drain(float("inf"))
+        return self.BURST * 400
+
+    def test_each_step_closes_one_epoch_on_the_measured_interval(self):
+        clock = ManualClock()
+        with tracing(Tracer()) as tracer:
+            router = make_router(clock=clock)
+        oracle = FeedbackComputer(router.feedback.capacity_bps,
+                                  interval=router.interval)
+        hooked = []
+        router.feedback.epoch_hook = lambda log: hooked.append(
+            (log.epoch, len(log.loss_series), len(log.rate_series),
+             sum(e["type"] == "epoch" for e in tracer.to_dicts())))
+        # Nominal T, an overshooting timer, nominal again: Eq. 11
+        # divides by the time that actually passed.
+        for step, elapsed in enumerate((0.030, 0.047, 0.030), start=1):
+            offered = self.offer(router)
+            clock.advance(elapsed)
+            router.close_epoch(clock.now)
+            expected = oracle.close(offered, elapsed=elapsed)
+            assert router.feedback.label == expected
+            assert router.feedback.loss == oracle.loss > 0
+            assert router.feedback.rate_bps == oracle.rate_bps
+            assert router._pels_bytes == 0
+            # Logged, traced, then announced - once, in that order.
+            assert hooked[-1] == (step, step, step, step)
+            assert len(hooked) == step
+            assert router.feedback.loss_series.times[-1] == clock.now
+            assert router.feedback.loss_series.values[-1] == oracle.loss
+            assert router.feedback.rate_series.values[-1] == oracle.rate_bps
+        assert router.mean_virtual_loss() == pytest.approx(
+            sum(router.feedback.loss_series.values) / 3)
+        # The physical-loss windows close with the epoch: the port
+        # drained between bursts, so 8 of every 12 greens overflowed.
+        assert router.core.losses.series[Color.GREEN].values == [8 / 12] * 3
+
+    def test_restart_is_survived(self):
+        clock = ManualClock()
+        router = make_router(clock=clock)
+        hooked = []
+        router.feedback.epoch_hook = lambda log: hooked.append(log.epoch)
+        for _ in range(3):
+            self.offer(router)
+            clock.advance(0.030)
+            router.close_epoch(clock.now)
+        router.feedback.restart()
+        assert router.feedback.label.epoch == 0
+        self.offer(router)
+        clock.advance(0.030)
+        router.close_epoch(clock.now)
+        # z re-counts from boot; the window was wiped, so R is this one
+        # interval's; the log and the hook carry on.
+        assert hooked == [1, 2, 3, 1]
+        assert router.feedback.rate_bps == pytest.approx(
+            self.BURST * 400 * 8 / 0.030)
+        assert len(router.feedback.loss_series) == 4
+
+    def test_started_router_measures_from_its_start_instant(self):
+        async def main():
+            clock = ManualClock()
+            router = make_router(clock=clock)
+            clock.advance(5.0)  # built long before it is started
+            router._loop = StubLoop()
+            router.start()
+            try:
+                self.offer(router)
+                clock.advance(0.040)
+                router.close_epoch(clock.now)
+                assert router.feedback.rate_bps == pytest.approx(
+                    self.BURST * 400 * 8 / 0.040)
+            finally:
+                await router.stop()
+        asyncio.run(main())
 
 
 class TestProtocolModeCoalescing:

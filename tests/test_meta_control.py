@@ -24,6 +24,7 @@ from repro.cc.base import (RateController, TunableParam, make_controller,
 from repro.cc.mkc import ALPHA_SAFE_RANGE, BETA_SAFE_RANGE, MkcController
 from repro.control import (MemoryBackend, MetaController,
                            MetaControllerConfig, PIDController)
+from repro.control.backend import HISTORY_LIMIT
 from repro.core.gamma import (P_THR_SAFE_RANGE, SIGMA_SAFE_RANGE,
                               GammaController)
 from repro.core.pels_queue import PELS_SHARE_SAFE_RANGE, PelsQueueConfig
@@ -324,6 +325,20 @@ class TestMemoryBackend:
         b.record(1.0, "rate", {"x": 1.0})
         b.history()[0][2]["x"] = 99.0
         assert b.latest("rate") == {"x": 1.0}
+
+    def test_record_and_prune(self):
+        # A --tune'd live run records for as long as it lives: the log
+        # keeps the newest HISTORY_LIMIT entries, latest() stays exact
+        # even for a loop whose every entry was pruned.
+        b = MemoryBackend()
+        b.record(0.0, "wrr", {"pels_share": 0.4})
+        for i in range(1, HISTORY_LIMIT + 10):
+            b.record(float(i), "rate", {"alpha_bps_0": float(i)})
+        assert len(b) == len(b.history()) == HISTORY_LIMIT
+        assert b.history()[0][0] == 10.0  # the oldest ten are gone
+        assert b.history("wrr") == []
+        assert b.latest("wrr") == {"pels_share": 0.4}
+        assert b.latest("rate") == {"alpha_bps_0": HISTORY_LIMIT + 9.0}
 
 
 # ---------------------------------------------------------------------------

@@ -96,23 +96,24 @@ class TestLossAccounting:
         q = PelsBottleneckQueue(PelsQueueConfig(red_buffer=2))
         for _ in range(5):
             q.enqueue(pkt(Color.RED))
-        est = q.loss_estimators[Color.RED]
-        assert est.total_arrivals == 5
-        assert est.total_drops == 3
+        assert q.red_queue.stats.arrivals == 5
+        assert q.red_queue.stats.drops == 3
 
     def test_sample_losses_windows(self):
         q = PelsBottleneckQueue(PelsQueueConfig(red_buffer=1))
         q.enqueue(pkt(Color.RED))
         q.enqueue(pkt(Color.RED))
-        losses = q.sample_losses(now=1.0)
-        assert losses[Color.RED] == pytest.approx(0.5)
-        assert losses[Color.GREEN] is None  # no green arrivals
+        losses = q.core.losses
+        losses.sample(now=1.0)
+        assert list(losses.series[Color.RED]) == [(1.0, 0.5)]
+        assert len(losses.series[Color.GREEN]) == 0  # no green arrivals
 
     def test_internet_drops_not_counted_as_pels(self):
         q = PelsBottleneckQueue(PelsQueueConfig(internet_buffer=1))
         q.enqueue(pkt(Color.BEST_EFFORT))
         q.enqueue(pkt(Color.BEST_EFFORT))
-        assert q.loss_estimators[Color.RED].total_arrivals == 0
+        q.core.losses.sample(now=1.0)
+        assert all(len(series) == 0 for series in q.core.losses.series)
         assert q.stats.drops == 1
 
     def test_aggregate_stats(self):
@@ -123,6 +124,64 @@ class TestLossAccounting:
         assert q.stats.arrivals == 2
         assert q.stats.drops == 1
         assert q.stats.departures == 1
+
+
+class TestColorLossSampler:
+    """Windowed physical loss read off the core's own counters."""
+
+    @staticmethod
+    def offer(core, color, arrivals):
+        for _ in range(arrivals):
+            core.enqueue(color, object(), 500)
+
+    def test_loss_per_window(self):
+        core = PelsQueueCore(PelsQueueConfig(red_buffer=6))
+        self.offer(core, Color.RED, 8)
+        core.losses.sample(1.0)
+        assert list(core.losses.series[Color.RED]) == [(1.0, 0.25)]
+
+    def test_idle_window_records_nothing(self):
+        core = PelsQueueCore(PelsQueueConfig())
+        core.losses.sample(1.0)
+        assert all(len(series) == 0 for series in core.losses.series)
+
+    def test_window_resets(self):
+        core = PelsQueueCore(PelsQueueConfig(red_buffer=1))
+        self.offer(core, Color.RED, 2)
+        core.losses.sample(1.0)
+        core.dequeue()
+        self.offer(core, Color.RED, 1)
+        core.losses.sample(2.0)
+        assert core.losses.series[Color.RED].values == [0.5, 0.0]
+
+    def test_loss_in_pools_windows_by_arrivals(self):
+        # 1 of 2 dropped, then 9 of 10: the pooled loss is 10/12, not
+        # the 0.7 an unweighted mean of the two windows would claim.
+        core = PelsQueueCore(PelsQueueConfig(red_buffer=1))
+        self.offer(core, Color.RED, 2)
+        core.losses.sample(1.0)
+        core.dequeue()
+        self.offer(core, Color.RED, 10)
+        core.losses.sample(2.0)
+        assert core.losses.loss_in(Color.RED, 0.0, 2.0) \
+            == pytest.approx(10 / 12)
+        # A window closing at t_start measured the time before it.
+        assert core.losses.loss_in(Color.RED, 1.0, 2.0) \
+            == pytest.approx(0.9)
+
+    def test_loss_in_without_arrivals_is_none(self):
+        core = PelsQueueCore(PelsQueueConfig())
+        self.offer(core, Color.RED, 2)
+        core.losses.sample(1.0)
+        assert core.losses.loss_in(Color.GREEN, 0.0, 5.0) is None
+        assert core.losses.loss_in(Color.RED, 1.0, 5.0) is None
+
+    def test_shed_arrivals_are_offered_not_dropped(self):
+        core = PelsQueueCore(PelsQueueConfig())
+        core.set_shed_level(1)
+        self.offer(core, Color.RED, 4)
+        core.losses.sample(1.0)
+        assert core.losses.series[Color.RED].values == [0.0]
 
 
 class TestQueueDisciplineInterface:

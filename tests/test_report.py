@@ -14,7 +14,7 @@ from repro.core.report import build_report
 class TestSessionReport:
     @pytest.fixture(scope="class")
     def report(self, converged_four_flow):
-        return build_report(converged_four_flow)
+        return build_report(converged_four_flow.view)
 
     def test_theory_columns_match_measurement(self, report):
         assert report.virtual_loss == pytest.approx(
@@ -52,7 +52,7 @@ class TestSessionReport:
 
     def test_warmup_validation(self, converged_four_flow):
         with pytest.raises(ValueError):
-            build_report(converged_four_flow, warmup_fraction=1.0)
+            build_report(converged_four_flow.view, warmup_fraction=1.0)
 
 
 class TestEmptyishReport:
@@ -60,7 +60,7 @@ class TestEmptyishReport:
         from repro.core.session import PelsScenario, PelsSimulation
         sim = PelsSimulation(PelsScenario(n_flows=1, duration=2.0,
                                           seed=3)).run()
-        report = build_report(sim)
+        report = build_report(sim.view)
         assert report.n_flows == 1
         assert report.duration_s == pytest.approx(2.0)
         # Early in the run there may be no red samples yet.

@@ -6,8 +6,7 @@ import math
 
 import pytest
 
-from repro.sim.stats import (DelayProbe, RateMeter, TimeSeries,
-                             WindowedLossEstimator, summarize)
+from repro.sim.stats import DelayProbe, RateMeter, TimeSeries, summarize
 
 
 class TestTimeSeries:
@@ -109,41 +108,6 @@ class TestRateMeter:
         meter.add(2500)
         meter.sample(now=2.0)
         assert meter.mean_rate() == pytest.approx(15_000.0)
-
-
-class TestWindowedLossEstimator:
-    def test_loss_per_window(self):
-        est = WindowedLossEstimator()
-        for _ in range(8):
-            est.record_arrival()
-        for _ in range(2):
-            est.record_drop()
-        assert est.sample(1.0) == pytest.approx(0.25)
-
-    def test_idle_window_returns_none(self):
-        est = WindowedLossEstimator()
-        assert est.sample(1.0) is None
-        assert len(est.series) == 0
-
-    def test_window_resets(self):
-        est = WindowedLossEstimator()
-        est.record_arrival()
-        est.record_drop()
-        est.sample(1.0)
-        est.record_arrival()
-        assert est.sample(2.0) == 0.0
-
-    def test_lifetime_loss(self):
-        est = WindowedLossEstimator()
-        for _ in range(10):
-            est.record_arrival()
-        for _ in range(3):
-            est.record_drop()
-        est.sample(1.0)
-        assert est.lifetime_loss == pytest.approx(0.3)
-
-    def test_lifetime_loss_no_arrivals(self):
-        assert WindowedLossEstimator().lifetime_loss == 0.0
 
 
 class TestSummarize:
