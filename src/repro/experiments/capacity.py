@@ -74,9 +74,10 @@ def run(fast: bool = False, jobs: int = 1,
               "fabrics (extension)")
 
     grid = _scenarios(fast)
-    # backend=None honours REPRO_FLUID_BACKEND and defaults to the
-    # stdlib list backend; CI's fluid job exports the numpy backend for
-    # the million-flow row.  Rendered values round far above the
+    # backend="auto" takes the numpy backend when numpy is importable
+    # and the stdlib list backend otherwise; REPRO_FLUID_BACKEND is
+    # still validated but selects nothing here (it only fills in for
+    # backend=None).  Rendered values round far above the
     # backends' 1e-12-relative disagreement, so the report text does
     # not depend on the choice.
     summaries = sweep_fluid([sc for _label, sc in grid],

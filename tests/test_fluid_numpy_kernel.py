@@ -1,0 +1,278 @@
+"""The fluid numpy kernel steps lag runs: the differential and the fence.
+
+Differential.  ``FluidEngine._run_numpy`` as it stood when it ran one
+Python iteration per ``(fwd, bwd, start)`` class per epoch is frozen in
+``tests/frozen_fluid_numpy.py``.  Today's kernel steps each lag run —
+the classes sharing ``(fwd, bwd)`` — once, slides the matched filter
+over the whole row on every epoch and patches only the classes inside
+their warm-up window.  Elementwise arithmetic does not depend on how a
+row is sliced, so over a generated family — clustered and spread
+starts (inside another class's warm-up, closer together than a
+feedback delay), 1-3 routers with chain or explicit paths, interferer
+steps, per-flow and ``flow_groups`` populations, fast-forward and flow
+recording on and off — every ``FluidResult`` series and the final
+rates and gammas must be equal **bit for bit**.
+
+Fence.  ``_run_numpy`` takes the ``np`` module as an argument; a
+counting proxy for it shows that the explicit ``np.*`` calls of a
+post-warm-up epoch do not depend on the number of start waves and are
+bounded by the number of lag runs, not classes.  Deterministic, no
+wall clock.
+
+Tier-1 runs Hypothesis' default example count; CI reruns the file with
+``--hypothesis-profile=ci``.  Without numpy the whole file is skipped.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+from frozen_fluid_numpy import frozen_run_numpy
+
+from repro.fluid import engine as engine_mod
+from repro.fluid.engine import FluidEngine
+from repro.fluid.scenario import FluidScenario, fat_tree_scenario
+from repro.obs.trace import tracing
+
+# Before hypothesis: the numpy-free CI job installs neither.
+np = pytest.importorskip("numpy")
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+T = 0.030
+
+SERIES = ("backend", "n_epochs", "times", "mean_rate_bps", "router_loss",
+          "router_rate_bps", "gamma_mean", "bottleneck", "flow_rates",
+          "final_rates", "final_gammas")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def kernel_for_small_cases():
+    """Let populations of a few segments reach the numpy kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_mod, "_NUMPY_MIN_SEGMENTS", 1)
+        yield
+
+
+def _bits(value):
+    """Floats as hex, recursively: ``==`` passes -0.0 for 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    return value
+
+
+def assert_bit_identical(scenario: FluidScenario, fast_forward: bool = True):
+    engine = FluidEngine(scenario, backend="numpy",
+                         fast_forward=fast_forward)
+    new = engine.run()
+    old = frozen_run_numpy(engine, np)
+    for name in SERIES:
+        assert _bits(getattr(new, name)) == _bits(getattr(old, name)), name
+    return new
+
+
+# -- generated scenarios ------------------------------------------------------
+
+@st.composite
+def scenarios(draw) -> FluidScenario:
+    n_routers = draw(st.integers(1, 3))
+    routers = list(range(n_routers))
+    paths = None
+    if draw(st.booleans()):
+        paths = tuple(draw(st.lists(
+            st.lists(st.sampled_from(routers), min_size=1,
+                     max_size=n_routers, unique=True).map(tuple),
+            min_size=1, max_size=3)))
+    # A few access-delay tiers, so several start classes share a lag
+    # run; start epochs either clustered (a few epochs apart: inside
+    # the previous class's W-epoch warm-up and closer than a feedback
+    # delay of up to 10 epochs) or anywhere in the first 60 epochs.
+    tiers = draw(st.lists(
+        st.sampled_from([0.0, 0.012, 0.030, 0.045, 0.080, 0.130]),
+        min_size=1, max_size=3, unique=True))
+    start_epoch = st.one_of(st.integers(0, 8), st.integers(0, 60))
+    members = draw(st.lists(
+        st.tuples(st.sampled_from(tiers), start_epoch,
+                  st.integers(0, len(paths) - 1 if paths else 0)),
+        min_size=2, max_size=10))
+    n_epochs = draw(st.integers(30, 200))
+    duration = n_epochs * T
+    interferers = tuple(
+        (router, begin * T, (begin + length) * T, rate)
+        for router, begin, length, rate in draw(st.lists(
+            st.tuples(st.sampled_from(routers), st.integers(0, n_epochs),
+                      st.integers(0, 120), st.floats(0.05e6, 2e6)),
+            max_size=2)))
+    common = dict(
+        duration=duration, paths=paths, interferers=interferers,
+        feedback_window=draw(st.integers(1, 6)),
+        beta=draw(st.sampled_from([0.25, 0.5, 0.9])),
+        sigma=draw(st.sampled_from([0.3, 0.5, 1.2])),
+        max_rate_bps=draw(st.sampled_from([10e6, 300e3])),
+        sample_interval=draw(st.sampled_from([0.03, 0.09, 0.30])))
+    if draw(st.booleans()):
+        # flow_groups population: no flow identity, weights up to 10^3.
+        counts = draw(st.lists(st.integers(1, 1000), min_size=len(members),
+                               max_size=len(members)))
+        n = sum(counts)
+        return FluidScenario(
+            n_flows=n,
+            capacities_bps=tuple(draw(st.floats(0.1e6, 1.5e6)) * n
+                                 for _ in routers),
+            flow_groups=tuple(
+                (count, extra, epoch * T + 0.01, path)
+                for count, (extra, epoch, path) in zip(counts, members)),
+            **common)
+    n = len(members)
+    return FluidScenario(
+        n_flows=n,
+        capacities_bps=tuple(draw(st.floats(0.1e6, 1.5e6)) * n
+                             for _ in routers),
+        extra_delay={i: extra for i, (extra, _, _) in enumerate(members)},
+        start_times=[epoch * T + 0.01 for _, epoch, _ in members],
+        flow_path=([path for _, _, path in members]
+                   if paths is not None else None),
+        record_flows=draw(st.booleans()), **common)
+
+
+class TestDifferential:
+    @given(scenario=scenarios(), fast_forward=st.booleans())
+    def test_generated_scenarios(self, scenario, fast_forward):
+        assert_bit_identical(scenario, fast_forward)
+
+    @pytest.mark.parametrize("fast_forward", [True, False])
+    def test_staggered_fabric(self, fast_forward):
+        """The ledger's fabric in miniature: 12 waves x 3 delay tiers
+        (36 classes, 3 lag runs); the detector runs but never fires."""
+        scenario = fat_tree_scenario(duration=9.0, start_waves=12,
+                                     wave_interval_s=0.4)
+        assert_bit_identical(scenario, fast_forward)
+
+    def test_fast_forward_jumps(self):
+        """Rates pinned at the clamp are stationary at once, so the
+        engine jumps to the interferer's start, integrates through it
+        and jumps again from its end."""
+        scenario = fat_tree_scenario(
+            duration=30.0, start_waves=6, wave_interval_s=0.2,
+            max_rate_bps=150e3, interferers=((0, 12.0, 20.0, 12e6),))
+        result = assert_bit_identical(scenario)
+        assert max(row[0] for row in result.router_loss) > 0.3
+        jumping, stepping = CountingNumpy(), CountingNumpy()
+        FluidEngine(scenario, backend="numpy")._run_numpy(jumping)
+        FluidEngine(scenario, backend="numpy",
+                    fast_forward=False)._run_numpy(stepping)
+        assert jumping.calls < stepping.calls / 2
+
+    def test_random_population(self):
+        scenario = dataclasses.replace(random_population(), duration=9.0)
+        assert_bit_identical(scenario)
+
+    def test_trace_samples(self):
+        """``p_max`` is now read only where an epoch is sampled or
+        fast-forwarded from: the tracer must see the same values."""
+        scenario = fat_tree_scenario(
+            duration=9.0, interferers=((0, 6.0, 9.0, 4e6),))
+        engine = FluidEngine(scenario, backend="numpy")
+        with tracing() as new_trace:
+            new = engine.run()
+        with tracing() as old_trace:
+            frozen_run_numpy(engine, np)
+        assert len(new_trace.events) == len(new.times)
+        assert _bits(list(new_trace.events)) == _bits(list(old_trace.events))
+
+
+# -- dispatch fence -----------------------------------------------------------
+
+class _Counted:
+    def __init__(self, owner: "CountingNumpy", target) -> None:
+        self._owner = owner
+        self._target = target
+
+    def __call__(self, *args, **kwargs):
+        self._owner.calls += 1
+        return self._target(*args, **kwargs)
+
+    def __getattr__(self, name):  # np.maximum.reduceat
+        return _Counted(self._owner, getattr(self._target, name))
+
+
+class CountingNumpy:
+    """Stands in for the ``np`` module and counts every explicit
+    ``np.name(...)`` call (ufunc methods included); dtypes and other
+    non-functions pass through."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+        return _Counted(self, attr)
+
+
+def random_population(seed: int = 20, n: int = 2000) -> FluidScenario:
+    """``test_fluid_batched``'s seeded random family at 2,000 flows:
+    random starts in 0-4 s, random access delays on half the flows —
+    571 segments in 571 classes, yet only 5 lag runs."""
+    rng = random.Random(seed)
+    return FluidScenario(
+        n_flows=n, duration=rng.uniform(25.0, 45.0),
+        capacities_bps=tuple(rng.uniform(0.4e6, 1.2e6) * n
+                             for _ in range(rng.randint(1, 3))),
+        extra_delay={i: rng.uniform(0.0, 0.12)
+                     for i in range(n) if rng.random() < 0.5},
+        start_times=[rng.uniform(0.0, 4.0) for _ in range(n)],
+        record_flows=False)
+
+
+def _calls(scenario: FluidScenario, epochs: int) -> int:
+    """Explicit ``np.*`` calls of a run of ``epochs`` epochs, every one
+    of them integrated (no fast-forward, hence no detector either)."""
+    counter = CountingNumpy()
+    engine = FluidEngine(dataclasses.replace(scenario, duration=epochs * T),
+                         backend="numpy", fast_forward=False)
+    assert engine._run_numpy(counter).n_epochs == epochs
+    return counter.calls
+
+
+def _steady_calls_per_epoch(scenario: FluidScenario, warm: int) -> float:
+    """Calls per epoch once every class is fed and past its filter
+    warm-up, measured between two horizons on the sampling grid."""
+    stride = scenario.sample_stride()
+    first = -(-warm // stride) * stride
+    span = 10 * stride
+    return (_calls(scenario, first + span) - _calls(scenario, first)) / span
+
+
+def _geometry(scenario: FluidScenario):
+    engine = FluidEngine(scenario, backend="numpy")
+    lag_runs = {(c.fwd, c.bwd) for c in engine.classes}
+    warm = (engine.max_start + engine.max_delay
+            + scenario.feedback_window + 2)
+    return len(engine.classes), len(lag_runs), warm
+
+
+class TestDispatchFence:
+    def test_calls_do_not_scale_with_start_waves(self):
+        few = fat_tree_scenario(start_waves=2, wave_interval_s=0.3)
+        many = fat_tree_scenario(start_waves=12, wave_interval_s=0.3)
+        few_classes, few_runs, _ = _geometry(few)
+        many_classes, many_runs, warm = _geometry(many)
+        assert (few_classes, many_classes) == (6, 36)
+        assert few_runs == many_runs == 3
+        assert _steady_calls_per_epoch(few, warm) \
+            == _steady_calls_per_epoch(many, warm)
+
+    def test_calls_bounded_by_lag_runs(self):
+        scenario = random_population()
+        classes, runs, warm = _geometry(scenario)
+        assert (classes, runs) == (571, 5)
+        assert _steady_calls_per_epoch(scenario, warm) <= 16 * (runs + 1)
