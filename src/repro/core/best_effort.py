@@ -17,22 +17,17 @@ useful-prefix statistics should match Eq. (2) at the measured loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Optional
 
-from ..cc.mkc import MkcController
-from ..sim.engine import Simulator
 from ..sim.packet import Color, Packet
 from ..sim.queues import DropTailQueue, QueueDiscipline, REDQueue
 from ..sim.scheduler import StrictPriorityScheduler, WeightedRoundRobinScheduler
 from ..sim.topology import Barbell, BarbellConfig, build_barbell
 from ..sim.traffic import CbrSource
 from ..video.fgs import FgsConfig
+from .assembly import PacketAssembly
 from .colors import NoRedMarkingPolicy
-from .feedback import RouterFeedback
-from .flow import frame_receptions
-from .gamma import GammaController
-from .sink import PelsSink
-from .source import PelsSource
+from .params import ControlParams
 
 __all__ = ["BestEffortScenario", "BestEffortSimulation"]
 
@@ -83,18 +78,20 @@ class _ProtectedBaseQueue(QueueDiscipline):
         return self.scheduler.byte_count
 
 
+#: Golden-ratio frame-clock phasing of the best-effort assembly.
+FRAME_PHASE = 0.618
+
+
 @dataclass
-class BestEffortScenario:
+class BestEffortScenario(ControlParams):
     """Best-effort streaming over a RED bottleneck (no PELS queues)."""
 
     n_flows: int = 4
     duration: float = 60.0
     seed: int = 1
-    alpha_bps: float = 20_000.0
-    beta: float = 0.5
-    initial_rate_bps: float = 128_000.0
-    feedback_interval: float = 0.030
-    feedback_window: int = 5
+    #: gamma is irrelevant in best-effort: all enhancement is one class
+    #: (NoRedMarkingPolicy marks base green, rest yellow).
+    gamma0: float = 0.05
     fgs: FgsConfig = field(default_factory=lambda: FgsConfig(
         frame_packets=256))
     topology: BarbellConfig = field(default_factory=BarbellConfig)
@@ -106,13 +103,12 @@ class BestEffortScenario:
         return self.topology.bottleneck_bps * self.video_share
 
 
-class BestEffortSimulation:
+class BestEffortSimulation(PacketAssembly):
     """MKC video flows over a color-blind RED bottleneck."""
 
     def __init__(self, scenario: Optional[BestEffortScenario] = None) -> None:
-        self.scenario = scenario or BestEffortScenario()
+        super().__init__(scenario or BestEffortScenario())
         s = self.scenario
-        self.sim = Simulator(seed=s.seed)
 
         self.video_queue = _ProtectedBaseQueue(self.sim.rng)
         internet_queue = DropTailQueue(capacity_packets=64, name="internet-q")
@@ -126,50 +122,15 @@ class BestEffortSimulation:
         self.barbell: Barbell = build_barbell(
             self.sim, topo_cfg, bottleneck_queue=lambda: bottleneck_queue)
 
-        self.feedback = RouterFeedback(
-            self.sim, capacity_bps=s.video_capacity_bps(),
-            interval=s.feedback_interval,
-            window_intervals=s.feedback_window, name="be-feedback")
-        self.barbell.left_router.add_packet_hook(self.feedback.observe)
-
-        backward = topo_cfg.rtt() / 2
-        self.sources: List[PelsSource] = []
-        self.sinks: List[PelsSink] = []
-        for flow in range(s.n_flows):
-            src_host, dst_host = self.barbell.source_sink_pair(flow)
-            delay_est = topo_cfg.rtt() + s.feedback_interval \
-                * (s.feedback_window + 1) / 2
-            controller = MkcController(
-                alpha_bps=s.alpha_bps, beta=s.beta,
-                feedback_delay=delay_est,
-                initial_rate_bps=s.initial_rate_bps,
-                max_rate_bps=s.fgs.max_rate_bps)
-            # gamma is irrelevant in best-effort; all enhancement is one
-            # class (NoRedMarkingPolicy marks base green, rest yellow).
-            source = PelsSource(
-                self.sim, src_host, dst_host, flow_id=flow,
-                controller=controller,
-                gamma_controller=GammaController(gamma0=0.05),
-                fgs_config=s.fgs,
-                marking_policy=NoRedMarkingPolicy(s.fgs),
-                start_time=(flow * 0.618) % 1.0 * s.fgs.frame_interval)
-            sink = PelsSink(self.sim, dst_host, flow_id=flow, source=source,
-                            ack_delay=backward)
-            self.sources.append(source)
-            self.sinks.append(sink)
+        self.feedback = self.attach_feedback(
+            self.barbell.left_router, s.video_capacity_bps(), "be-feedback")
+        self.build_flows(self.barbell, FRAME_PHASE,
+                         marking_policy=NoRedMarkingPolicy)
 
         be_src, be_dst = self.barbell.source_sink_pair(s.n_flows)
         self.cbr = CbrSource(self.sim, be_src, be_dst, flow_id=1000,
                              rate_bps=3_000_000.0)
 
-    def run(self, until: Optional[float] = None) -> "BestEffortSimulation":
-        self.sim.run(until=until if until is not None
-                     else self.scenario.duration)
-        return self
-
     def enhancement_loss_rate(self) -> float:
         """Physical loss rate of the (color-blind) enhancement queue."""
         return self.video_queue.enhancement_queue.stats.loss_rate
-
-    def frame_receptions(self, flow: int) -> list:
-        return frame_receptions(self.sources[flow], self.sinks[flow])

@@ -12,37 +12,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from ..cc.base import make_controller
 from ..cc.tcp import TcpSink, TcpSource
-from ..control.meta import MetaController, MetaControllerConfig
-from ..obs.metrics import current_registry
-from ..obs.monitor import SimulationMonitor
+from ..control.meta import MetaControllerConfig
 from ..sim.traffic import CbrSource, ParetoBurstSource
-from ..sim.engine import Simulator
 from ..sim.packet import Color
 from ..sim.stats import TimeSeries
 from ..sim.topology import Barbell, BarbellConfig, build_barbell
 from ..video.fgs import FgsConfig
-from .colors import MarkingPolicy, PelsMarkingPolicy
-from .feedback import RouterFeedback
-from .flow import frame_receptions
-from .gamma import GammaController
+from .assembly import PacketAssembly, frame_start
+from .colors import PelsMarkingPolicy
+from .params import ControlParams
 from .pels_queue import PelsBottleneckQueue, PelsQueueConfig
-from .report import PortView, SessionView
-from .sink import PelsSink
-from .source import PelsSource
 
 __all__ = ["PelsScenario", "PelsSimulation"]
 
+#: Golden-ratio frame-clock phasing of the single-hop assembly.
+FRAME_PHASE = 0.6180339887
+
 
 @dataclass
-class PelsScenario:
+class PelsScenario(ControlParams):
     """Complete parameterization of a PELS experiment run.
 
     Defaults reproduce the setup of Section 6: 4 mb/s bottleneck with
-    50% WRR share for PELS, MKC with alpha = 20 kb/s and beta = 0.5,
-    gamma control with sigma = 0.5 and p_thr = 0.75, feedback every
-    T = 30 ms, flows starting at 128 kb/s.
+    50% WRR share for PELS and the :class:`ControlParams` control
+    plane, driven by MKC unless ``controller_name`` says otherwise.
     """
 
     n_flows: int = 2
@@ -52,16 +46,6 @@ class PelsScenario:
     start_times: Optional[List[float]] = None
 
     controller_name: str = "mkc"
-    alpha_bps: float = 20_000.0
-    beta: float = 0.5
-    initial_rate_bps: float = 128_000.0
-    max_rate_bps: float = 10_000_000.0
-
-    sigma: float = 0.5
-    p_thr: float = 0.75
-    gamma0: float = 0.5
-    gamma_low: float = 0.05
-    gamma_high: float = 0.95
 
     #: Random reverse-path ACK loss probability (robustness tests).
     ack_loss_rate: float = 0.0
@@ -80,10 +64,6 @@ class PelsScenario:
     #: 0 disables the series (aggregate mean/max stay exact).
     delay_series_stride: int = 1
 
-    feedback_interval: float = 0.030
-    #: Sliding-window length (in feedback intervals) for the router's
-    #: arrival-rate estimate; see RouterFeedback.window_intervals.
-    feedback_window: int = 5
     sample_interval: float = 1.0
 
     #: FGS geometry; the scenario default raises ``frame_packets`` to 256
@@ -116,19 +96,12 @@ class PelsScenario:
     meta_controller: Optional[MetaControllerConfig] = None
 
     def start_time_of(self, flow: int) -> float:
-        base = 0.0 if self.start_times is None else self.start_times[flow]
-        return base + self.frame_phase_of(flow)
+        return frame_start(flow, self.fgs, FRAME_PHASE, self.start_times)
 
     def frame_phase_of(self, flow: int) -> float:
-        """Deterministic per-flow frame-clock offset.
-
-        Without it every flow would (re)plan frames at identical
-        instants — an artificial synchronization that correlates the
-        plan-time gamma with the aggregate-rate oscillation and skews
-        the effective red share.  Golden-ratio spacing decorrelates the
-        frame clocks while keeping runs reproducible.
-        """
-        return (flow * 0.6180339887) % 1.0 * self.fgs.frame_interval
+        """Deterministic per-flow frame-clock offset (see
+        :func:`~repro.core.assembly.frame_start`)."""
+        return frame_start(flow, self.fgs, FRAME_PHASE)
 
     def pels_capacity_bps(self) -> float:
         """The PELS share of the bottleneck (``C`` of Eq. 11)."""
@@ -141,12 +114,11 @@ class PelsScenario:
         return replace(self, start_times=starts)
 
 
-class PelsSimulation:
+class PelsSimulation(PacketAssembly):
     """A fully wired PELS run over the bar-bell topology."""
 
     def __init__(self, scenario: Optional[PelsScenario] = None) -> None:
-        self.scenario = scenario or PelsScenario()
-        s = self.scenario
+        s = scenario or PelsScenario()
         if s.n_flows < 1:
             raise ValueError("need at least one PELS flow")
         if s.start_times is not None and len(s.start_times) != s.n_flows:
@@ -155,7 +127,7 @@ class PelsSimulation:
         if s.cross_traffic not in ("none", "cbr", "tcp", "lrd"):
             raise ValueError(
                 "cross_traffic must be 'none', 'cbr', 'tcp' or 'lrd'")
-        self.sim = Simulator(seed=s.seed)
+        super().__init__(s)
         self.bottleneck_queue = PelsBottleneckQueue(s.queue)
         n_cross = (s.tcp_flows if s.cross_traffic == "tcp"
                    else 1 if s.cross_traffic in ("cbr", "lrd") else 0)
@@ -163,57 +135,19 @@ class PelsSimulation:
         self.barbell: Barbell = build_barbell(
             self.sim, topo_cfg, bottleneck_queue=lambda: self.bottleneck_queue)
 
-        self.feedback = RouterFeedback(
-            self.sim, capacity_bps=s.pels_capacity_bps(),
-            interval=s.feedback_interval, window_intervals=s.feedback_window,
-            name="bottleneck-feedback")
-        self.barbell.left_router.add_packet_hook(self.feedback.observe)
+        self.feedback = self.attach_feedback(
+            self.barbell.left_router, s.pels_capacity_bps(),
+            "bottleneck-feedback")
+        self.build_flows(
+            self.barbell, FRAME_PHASE, controller_name=s.controller_name,
+            start_times=s.start_times,
+            marking_policy=s.marking_policy_factory or PelsMarkingPolicy,
+            feedback_timeout=s.feedback_timeout,
+            blind_backoff=s.blind_backoff, ack_loss_rate=s.ack_loss_rate,
+            record_arrivals=s.record_arrivals,
+            delay_series_stride=s.delay_series_stride)
 
         backward_delay = topo_cfg.rtt() / 2
-        self.sources: List[PelsSource] = []
-        self.sinks: List[PelsSink] = []
-        for flow in range(s.n_flows):
-            src_host, dst_host = self.barbell.source_sink_pair(flow)
-            # The source cannot transmit faster than the coded R_max, so
-            # the controller is clamped there too (otherwise MKC would
-            # integrate its rate far beyond the physical sending rate).
-            max_rate = min(s.max_rate_bps, s.fgs.max_rate_bps)
-            # Age of the loss samples reaching this flow: round trip
-            # plus the router's windowed-measurement lag; Eq. (8)
-            # references the rate from that long ago.
-            delay_est = (topo_cfg.rtt(flow) + s.feedback_interval
-                         * (s.feedback_window + 1) / 2)
-            controller = make_controller(
-                s.controller_name, alpha_bps=s.alpha_bps, beta=s.beta,
-                feedback_delay=delay_est,
-                initial_rate_bps=s.initial_rate_bps,
-                max_rate_bps=max_rate,
-            ) if s.controller_name == "mkc" else make_controller(
-                s.controller_name, initial_rate_bps=s.initial_rate_bps,
-                max_rate_bps=max_rate)
-            gamma = GammaController(
-                sigma=s.sigma, p_thr=s.p_thr, gamma0=s.gamma0,
-                gamma_low=s.gamma_low, gamma_high=s.gamma_high)
-            policy: MarkingPolicy
-            if s.marking_policy_factory is not None:
-                policy = s.marking_policy_factory(s.fgs)
-            else:
-                policy = PelsMarkingPolicy(s.fgs)
-            source = PelsSource(
-                self.sim, src_host, dst_host, flow_id=flow,
-                controller=controller, gamma_controller=gamma,
-                fgs_config=s.fgs, marking_policy=policy,
-                start_time=s.start_time_of(flow),
-                feedback_timeout=s.feedback_timeout,
-                blind_backoff=s.blind_backoff)
-            sink = PelsSink(self.sim, dst_host, flow_id=flow, source=source,
-                            ack_delay=backward_delay,
-                            ack_loss_rate=s.ack_loss_rate,
-                            record_arrivals=s.record_arrivals,
-                            delay_series_stride=s.delay_series_stride)
-            self.sources.append(source)
-            self.sinks.append(sink)
-
         self.tcp_sources: List[TcpSource] = []
         self.tcp_sinks: List[TcpSink] = []
         self.cbr_source: Optional[CbrSource] = None
@@ -252,40 +186,12 @@ class PelsSimulation:
         # Periodic measurement: per-color physical loss at the bottleneck.
         self._sampler = self.feedback.every(s.sample_interval, self._sample)
 
-        #: What reports, the monitor and the meta-controller read.
-        self.view = SessionView(
-            senders=self.sources, receivers=self.sinks,
-            ports=[PortView(self.bottleneck_queue.name,
-                            self.bottleneck_queue.core, self.feedback)],
-            n_flows=s.n_flows, alpha_bps=s.alpha_bps, beta=s.beta,
-            p_thr=s.p_thr, clock=self.sim, engine=self.sim,
-            pels_share=s.queue.pels_share(),
-            set_pels_share=self.reconfigure_pels_share)
-
-        # With an active metrics registry, snapshot queue/flow/engine
-        # health at every feedback epoch (piggybacked on the epoch close
-        # — no extra heap events, so traced and plain runs stay
-        # event-identical).  None when metrics are off (the default).
-        registry = current_registry()
-        self.monitor = SimulationMonitor(self.view, registry) \
-            if registry is not None else None
-
-        # Opt-in online meta-control: chains onto the same epoch hook
-        # *after* the monitor, so snapshots capture each epoch's state
-        # before the parameters move.  None (default) attaches nothing.
-        self.meta: Optional[MetaController] = None
-        if s.meta_controller is not None:
-            self.meta = MetaController(s.meta_controller).attach(self.view)
+        self.read_out([(self.bottleneck_queue, self.feedback)],
+                      pels_share=s.queue.pels_share(),
+                      set_pels_share=self.reconfigure_pels_share)
 
     def _sample(self) -> None:
         self.bottleneck_queue.core.losses.sample(self.sim.now)
-
-    # -- execution ---------------------------------------------------------
-
-    def run(self, until: Optional[float] = None) -> "PelsSimulation":
-        """Advance the simulation (defaults to the scenario duration)."""
-        self.sim.run(until=until if until is not None else self.scenario.duration)
-        return self
 
     def reconfigure_pels_share(self, pels_weight: float) -> None:
         """Renegotiate the WRR split at runtime (administrative knob).
@@ -313,7 +219,3 @@ class PelsSimulation:
 
     def flow_rates_bps(self) -> List[float]:
         return [source.rate_bps for source in self.sources]
-
-    def frame_receptions(self, flow: int) -> list:
-        """Ordered per-frame receptions joined with the send log."""
-        return frame_receptions(self.sources[flow], self.sinks[flow])

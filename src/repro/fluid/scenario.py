@@ -8,13 +8,13 @@ once per feedback interval ``T`` — so a deterministic fluid engine that
 integrates those recurrences directly reproduces the control dynamics
 at O(epochs x flows + epochs x routers), independent of packet rates.
 
-:class:`FluidScenario` parameterizes such a run.  It deliberately
-mirrors :class:`repro.core.session.PelsScenario` (same controller
-gains, feedback cadence and windowing) so a packet scenario has an
-exact fluid twin (see :mod:`repro.fluid.validate`), while adding the
-multi-hop pieces of :class:`repro.core.multihop.MultiHopScenario`:
-per-router capacities and PELS-colored interferers that move the
-bottleneck.
+:class:`FluidScenario` parameterizes such a run.  It inherits the same
+:class:`repro.core.params.ControlParams` record the packet scenarios do
+(controller gains, gamma loop, feedback cadence and windowing), so a
+packet scenario has an exact fluid twin derived from that record (see
+:mod:`repro.fluid.validate`), and adds the multi-hop pieces of
+:class:`repro.core.multihop.MultiHopScenario`: per-router capacities
+and PELS-colored interferers that move the bottleneck.
 
 Beyond the seed chain topology (every flow crossing every router), a
 scenario can now describe a multi-bottleneck fabric:
@@ -39,18 +39,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cc.mkc import mkc_equilibrium_loss, mkc_stationary_rate
+from ..core.params import ControlParams, check_interferers
 
 __all__ = ["FluidScenario", "fat_tree_scenario", "chain_grid_scenario"]
 
 
 @dataclass
-class FluidScenario:
+class FluidScenario(ControlParams):
     """Complete parameterization of a fluid-model PELS run.
 
     Defaults match the Section 6 setup seen through the PELS share of
-    the bottleneck: C = 2 mb/s, MKC with alpha = 20 kb/s, beta = 0.5,
-    gamma control with sigma = 0.5 and p_thr = 0.75, feedback every
-    T = 30 ms averaged over a 5-interval window.
+    the bottleneck: C = 2 mb/s under the :class:`ControlParams`
+    control plane.
     """
 
     n_flows: int = 4
@@ -58,21 +58,7 @@ class FluidScenario:
     #: PELS share of each hop's capacity (``C`` of Eq. 11); the tuple
     #: length sets the number of PELS-enabled routers on the path.
     capacities_bps: Tuple[float, ...] = (2_000_000.0,)
-
-    alpha_bps: float = 20_000.0
-    beta: float = 0.5
-    initial_rate_bps: float = 128_000.0
     min_rate_bps: float = 8_000.0
-    max_rate_bps: float = 10_000_000.0
-
-    sigma: float = 0.5
-    p_thr: float = 0.75
-    gamma0: float = 0.5
-    gamma_low: float = 0.05
-    gamma_high: float = 0.95
-
-    feedback_interval: float = 0.030
-    feedback_window: int = 5
 
     #: Base round-trip propagation delay (bar-bell default: 40 ms).
     rtt_s: float = 0.040
@@ -141,13 +127,7 @@ class FluidScenario:
                 and len(self.start_times) != self.n_flows:
             raise ValueError("start_times must have one entry per flow")
         n_routers = len(self.capacities_bps)
-        for router, start, stop, rate in self.interferers:
-            if not 0 <= router < n_routers:
-                raise ValueError(f"interferer router {router} out of range")
-            if stop < start:
-                raise ValueError("interferer stops before it starts")
-            if rate <= 0:
-                raise ValueError("interferer rate must be positive")
+        check_interferers(self.interferers, n_routers)
         if self.paths is not None:
             if not self.paths:
                 raise ValueError("paths must name at least one path")
@@ -198,13 +178,6 @@ class FluidScenario:
     def rtt_of(self, flow: int) -> float:
         """Round-trip propagation delay of one flow."""
         return self.rtt_s + 2 * self.extra_delay.get(flow, 0.0)
-
-    def feedback_delay_s(self, flow: int) -> float:
-        """Age of loss samples reaching a flow: round trip plus the
-        router's windowed-measurement lag (same estimate the packet
-        assembly hands to :class:`repro.cc.mkc.MkcController`)."""
-        return self.rtt_of(flow) + self.feedback_interval \
-            * (self.feedback_window + 1) / 2
 
     def owd_up_s(self, flow: int) -> float:
         """One-way propagation from the source to the first router."""
@@ -402,8 +375,8 @@ def fat_tree_scenario(edge_routers: int = 8, agg_routers: int = 4,
     if flows_per_edge < delay_tiers * start_waves:
         raise ValueError("flows_per_edge must cover every "
                          "delay-tier x start-wave group")
-    alpha = overrides.get("alpha_bps", 20_000.0)
-    beta = overrides.get("beta", 0.5)
+    alpha = overrides.get("alpha_bps", FluidScenario.alpha_bps)
+    beta = overrides.get("beta", FluidScenario.beta)
     eq_arrival_per_edge = flows_per_edge * (per_flow_share_bps
                                             + alpha / beta)
 
@@ -459,8 +432,8 @@ def chain_grid_scenario(chains: int = 4, hops_per_chain: int = 3,
         raise ValueError("need at least one chain and one hop")
     if flows_per_chain < delay_tiers:
         raise ValueError("flows_per_chain must cover every delay tier")
-    alpha = overrides.get("alpha_bps", 20_000.0)
-    beta = overrides.get("beta", 0.5)
+    alpha = overrides.get("alpha_bps", FluidScenario.alpha_bps)
+    beta = overrides.get("beta", FluidScenario.beta)
 
     paths = []
     capacities = []

@@ -3,10 +3,12 @@
 Cross-validation needs the two engines to integrate the *same* control
 problem: identical controller gains, feedback cadence and windowing,
 capacities seen through the PELS WRR share, rate clamps (including the
-FGS coding ceiling ``R_max``) and per-flow delays.  These builders
-derive a :class:`repro.fluid.scenario.FluidScenario` from the packet
-assemblies so tests and benchmarks can't drift the two apart by
-editing one side only.
+FGS coding ceiling ``R_max``) and per-flow delays.  Packet and fluid
+scenarios inherit one :class:`repro.core.params.ControlParams`; these
+builders hand the packet scenario's record (clamped at ``R_max``, as
+the packet assembly clamps it) to the twin whole and add only what
+genuinely differs: capacities through the WRR share and the RTT, start
+and interferer geometry.
 
 The fluid model abstracts away what the packet simulator resolves
 packet by packet: cross traffic exists only as the WRR share it leaves
@@ -36,26 +38,19 @@ __all__ = ["fluid_twin_of_session", "fluid_twin_of_multihop"]
 
 def fluid_twin_of_session(scenario: "PelsScenario") -> FluidScenario:
     """Fluid twin of a bar-bell :class:`PelsScenario` (single hop)."""
+    if scenario.controller_name != "mkc":
+        raise ValueError(
+            f"no fluid twin for controller {scenario.controller_name!r}: "
+            "the fluid engine integrates MKC (Eq. 8) only")
     top = scenario.topology
-    base_rtt = 2 * (2 * top.access_delay + top.bottleneck_delay)
     start_times = None if scenario.start_times is None \
         else list(scenario.start_times)
     return FluidScenario(
+        **vars(scenario.control(scenario.fgs.max_rate_bps)),
         n_flows=scenario.n_flows,
         duration=scenario.duration,
         capacities_bps=(scenario.pels_capacity_bps(),),
-        alpha_bps=scenario.alpha_bps,
-        beta=scenario.beta,
-        initial_rate_bps=scenario.initial_rate_bps,
-        max_rate_bps=min(scenario.max_rate_bps, scenario.fgs.max_rate_bps),
-        sigma=scenario.sigma,
-        p_thr=scenario.p_thr,
-        gamma0=scenario.gamma0,
-        gamma_low=scenario.gamma_low,
-        gamma_high=scenario.gamma_high,
-        feedback_interval=scenario.feedback_interval,
-        feedback_window=scenario.feedback_window,
-        rtt_s=base_rtt,
+        rtt_s=2 * (2 * top.access_delay + top.bottleneck_delay),
         source_router_delay_s=top.access_delay,
         extra_delay=dict(top.extra_access_delay),
         start_times=start_times,
@@ -66,23 +61,14 @@ def fluid_twin_of_session(scenario: "PelsScenario") -> FluidScenario:
 def fluid_twin_of_multihop(scenario: "MultiHopScenario") -> FluidScenario:
     """Fluid twin of a chain :class:`MultiHopScenario` (per-hop AQM)."""
     from ..sim.chain import ChainConfig
-    n_hops = len(scenario.hop_bps)
     chain = ChainConfig(hop_bps=tuple(scenario.hop_bps))
-    base_rtt = chain.rtt()
     return FluidScenario(
+        **vars(scenario.control(scenario.fgs.max_rate_bps)),
         n_flows=scenario.n_flows,
         duration=scenario.duration,
         capacities_bps=tuple(scenario.pels_capacity_of(i)
-                             for i in range(n_hops)),
-        alpha_bps=scenario.alpha_bps,
-        beta=scenario.beta,
-        initial_rate_bps=scenario.initial_rate_bps,
-        max_rate_bps=scenario.fgs.max_rate_bps,
-        sigma=scenario.sigma,
-        p_thr=scenario.p_thr,
-        feedback_interval=scenario.feedback_interval,
-        feedback_window=scenario.feedback_window,
-        rtt_s=base_rtt,
+                             for i in range(chain.n_hops)),
+        rtt_s=chain.rtt(),
         source_router_delay_s=chain.access_delay,
         interferers=tuple(scenario.pels_interferers),
     )

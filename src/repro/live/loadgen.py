@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cc.mkc import mkc_stationary_rate
+from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
 from ..core.retry import backoff_delay
 from ..faults.live import AsyncFaultDriver
@@ -103,7 +104,7 @@ def _default_queue() -> PelsQueueConfig:
 
 
 @dataclass
-class LoadConfig:
+class LoadConfig(ControlParams):
     """Parameters of one gateway load run."""
 
     flows: int = 50
@@ -118,15 +119,12 @@ class LoadConfig:
     flow_share_bps: float = 12_000.0
     capacity_headroom: float = 1.25
     alpha_bps: float = 1_000.0
-    beta: float = 0.5
     #: Start near the equilibrium so the measurement window is steady.
     initial_rate_bps: float = 14_000.0
     max_rate_bps: float = 64_000.0
 
     fgs: FgsConfig = field(default_factory=_default_fgs)
     queue: PelsQueueConfig = field(default_factory=_default_queue)
-    feedback_interval: float = 0.030
-    feedback_window: int = 5
     #: Shard burst granularity under backlog (``ShardConfig.service_tick``).
     service_tick: float = 0.002
     #: Grouped-pacer wake period (one wake advances a whole tenant).
@@ -181,11 +179,6 @@ class LoadConfig:
 
     def tenant_of(self, flow_key: int) -> str:
         return f"tenant-{flow_key % self.tenants}"
-
-    def controller_kwargs(self) -> dict:
-        return {"initial_rate_bps": self.initial_rate_bps,
-                "max_rate_bps": self.max_rate_bps,
-                "alpha_bps": self.alpha_bps, "beta": self.beta}
 
 
 @dataclass
@@ -413,6 +406,7 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
         server = LiveServer(
             clock, 0,
             controller_kwargs=config.controller_kwargs(),
+            gamma_kwargs=config.gamma_kwargs(),
             fgs=config.fgs, cbr_rate_bps=0.0, pace_tick=config.pace_tick,
             flow_ids=[d.flow_id for d in admitted],
             flow_tenants={d.flow_id: d.tenant for d in admitted},

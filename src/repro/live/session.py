@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cc.mkc import mkc_stationary_rate
-from ..control.meta import MetaController
+from ..control.meta import MetaController, MetaControllerConfig
+from ..core.assembly import attach_readout
 from ..core.clock import Clock, ManualClock, WallClock
 from ..core.flow import frame_receptions
+from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
 from ..core.report import PortView, SessionView
-from ..obs.metrics import current_registry
-from ..obs.monitor import SimulationMonitor
 from ..obs.trace import current_tracer
 from ..video.fgs import FgsConfig
 from ..video.psnr import PsnrResult, reconstruct_psnr
@@ -47,14 +47,13 @@ __all__ = ["LiveConfig", "LiveSessionResult", "live_view",
 
 
 @dataclass
-class LiveConfig:
+class LiveConfig(ControlParams):
     """Parameters of a live loopback run.
 
-    Defaults mirror the simulator's ``PelsScenario``: a 4 mb/s
-    bottleneck with 50% WRR share for PELS (C = 2 mb/s), MKC with
-    α = 20 kb/s and β = 0.5, gamma control with σ = 0.5 and
-    p_thr = 0.75, feedback every T = 30 ms, flows starting at 128 kb/s,
-    and CBR cross traffic keeping the Internet FIFO backlogged.
+    Defaults are the simulator's ``PelsScenario``: a 4 mb/s bottleneck
+    with 50% WRR share for PELS (C = 2 mb/s), the same inherited
+    :class:`ControlParams` control plane, and CBR cross traffic keeping
+    the Internet FIFO backlogged.
     """
 
     n_flows: int = 2
@@ -62,21 +61,9 @@ class LiveConfig:
     host: str = "127.0.0.1"
 
     controller_name: str = "mkc"
-    alpha_bps: float = 20_000.0
-    beta: float = 0.5
-    initial_rate_bps: float = 128_000.0
-    max_rate_bps: float = 10_000_000.0
-
-    sigma: float = 0.5
-    p_thr: float = 0.75
-    gamma0: float = 0.5
-    gamma_low: float = 0.05
-    gamma_high: float = 0.95
 
     bottleneck_bps: float = 4_000_000.0
     queue: PelsQueueConfig = field(default_factory=PelsQueueConfig)
-    feedback_interval: float = 0.030
-    feedback_window: int = 5
 
     fgs: FgsConfig = field(default_factory=lambda: FgsConfig(
         frame_packets=256))
@@ -108,18 +95,6 @@ class LiveConfig:
         """The oracle the live equilibrium is checked against."""
         return mkc_stationary_rate(self.pels_capacity_bps(), self.n_flows,
                                    self.alpha_bps, self.beta)
-
-    def controller_kwargs(self) -> dict:
-        kwargs = {"initial_rate_bps": self.initial_rate_bps,
-                  "max_rate_bps": self.max_rate_bps}
-        if self.controller_name == "mkc":
-            kwargs.update(alpha_bps=self.alpha_bps, beta=self.beta)
-        return kwargs
-
-    def gamma_kwargs(self) -> dict:
-        return {"sigma": self.sigma, "p_thr": self.p_thr,
-                "gamma0": self.gamma0, "gamma_low": self.gamma_low,
-                "gamma_high": self.gamma_high}
 
 
 @dataclass
@@ -195,7 +170,8 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
     cbr = config.cbr_rate_bps if config.cross_traffic == "cbr" else 0.0
     server = LiveServer(clock, config.n_flows,
                         controller_name=config.controller_name,
-                        controller_kwargs=config.controller_kwargs(),
+                        controller_kwargs=config.controller_kwargs(
+                            config.controller_name),
                         gamma_kwargs=config.gamma_kwargs(),
                         fgs=config.fgs, cbr_rate_bps=cbr,
                         pace_tick=config.pace_tick, seed=config.seed)
@@ -204,13 +180,9 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
     server.dst_addr = router_addr
     client.server_addr = server_transport.get_extra_info("sockname")[:2]
 
-    # Monitor first, then the tuner: each epoch is snapshotted before
-    # the parameters move (the order PelsSimulation wires them in).
-    view = live_view(config, server, client, router, clock)
-    registry = current_registry()
-    if registry is not None:
-        SimulationMonitor(view, registry)
-    meta = MetaController().attach(view) if config.tune else None
+    _, meta = attach_readout(
+        live_view(config, server, client, router, clock),
+        MetaControllerConfig() if config.tune else None)
 
     router.start()
     server.start()

@@ -1,23 +1,23 @@
-"""Bar-bell (dumbbell) topology builder.
+"""Bar-bell (dumbbell) topology: the chain at one hop, in Fig. 6's words.
 
 The paper's simulations (Fig. 6) use a single-bottleneck bar-bell:
 multiple PELS and TCP sources on the left, a 4 mb/s bottleneck between
-two routers, and sinks on the right; access links are 10 mb/s.
-
-The builder is queue-agnostic: callers supply a factory for the
-bottleneck queue discipline, so the same topology hosts PELS AQM,
-drop-tail or RED bottlenecks.
+two routers, and sinks on the right; access links are 10 mb/s.  That is
+:func:`repro.sim.chain.build_chain` with one inter-router hop, so this
+module only translates the bar-bell's vocabulary (``bottleneck_bps``,
+``left_router``, link ``bottleneck``) onto it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
+from .chain import Chain, ChainConfig, build_chain
 from .engine import Simulator
 from .link import Link
-from .node import Host, Router
-from .queues import DropTailQueue, QueueDiscipline
+from .node import Router
+from .queues import QueueDiscipline
 
 __all__ = ["BarbellConfig", "Barbell", "build_barbell"]
 
@@ -37,82 +37,47 @@ class BarbellConfig:
     #: Per-flow extra access delay, for heterogeneous-RTT experiments.
     extra_access_delay: Dict[int, float] = field(default_factory=dict)
 
+    def as_chain(self) -> ChainConfig:
+        return ChainConfig(
+            n_flows=self.n_flows, hop_bps=(self.bottleneck_bps,),
+            hop_delay=self.bottleneck_delay, access_bps=self.access_bps,
+            access_delay=self.access_delay,
+            access_queue_packets=self.access_queue_packets,
+            extra_access_delay=self.extra_access_delay)
+
     def rtt(self, flow: int = 0) -> float:
         """Round-trip propagation delay for a flow (no queueing)."""
-        one_way = (self.access_delay + self.extra_access_delay.get(flow, 0.0)
-                   + self.bottleneck_delay + self.access_delay)
-        return 2 * one_way
+        return self.as_chain().rtt(flow)
 
 
-@dataclass
-class Barbell:
-    """The wired-up topology: nodes, links and convenience lookups."""
+class Barbell(Chain):
+    """A one-hop :class:`Chain`; ``config`` is its :class:`ChainConfig`."""
 
-    sim: Simulator
-    config: BarbellConfig
-    sources: List[Host]
-    sinks: List[Host]
-    left_router: Router
-    right_router: Router
-    bottleneck: Link
-    access_links: List[Link]
+    @property
+    def left_router(self) -> Router:
+        return self.routers[0]
 
-    def source_sink_pair(self, flow: int) -> tuple[Host, Host]:
-        return self.sources[flow], self.sinks[flow]
+    @property
+    def right_router(self) -> Router:
+        return self.routers[1]
+
+    @property
+    def bottleneck(self) -> Link:
+        return self.hop_links[0]
 
 
 def build_barbell(sim: Simulator, config: Optional[BarbellConfig] = None,
                   bottleneck_queue: Optional[QueueFactory] = None) -> Barbell:
     """Construct the bar-bell of Fig. 6 and populate routing tables.
 
-    Parameters
-    ----------
-    sim:
-        Simulator that owns all nodes and links.
-    config:
-        Topology parameters; defaults match the paper.
-    bottleneck_queue:
-        Factory producing the bottleneck queue discipline.  Defaults to
-        a generous drop-tail FIFO (callers reproducing PELS inject the
-        tri-color WRR structure from :mod:`repro.core.pels_queue`).
+    ``bottleneck_queue`` produces the bottleneck queue discipline; the
+    default is a generous drop-tail FIFO (callers reproducing PELS
+    inject the tri-color WRR structure from :mod:`repro.core.pels_queue`).
     """
-    config = config or BarbellConfig()
-    if config.n_flows < 1:
-        raise ValueError("need at least one flow")
-
-    left = Router(sim, "left-router")
-    right = Router(sim, "right-router")
-
-    queue = (bottleneck_queue() if bottleneck_queue is not None
-             else DropTailQueue(capacity_packets=128, name="bottleneck-q"))
-    bottleneck = Link(sim, left, right, config.bottleneck_bps,
-                      config.bottleneck_delay, queue=queue, name="bottleneck")
-    left.default_route = bottleneck
-
-    sources: List[Host] = []
-    sinks: List[Host] = []
-    access_links: List[Link] = []
-    for flow in range(config.n_flows):
-        delay = config.access_delay + config.extra_access_delay.get(flow, 0.0)
-
-        src = Host(sim, f"src{flow}")
-        up = Link(sim, src, left, config.access_bps, delay,
-                  queue=DropTailQueue(capacity_packets=config.access_queue_packets,
-                                      name=f"src{flow}-up-q"),
-                  name=f"src{flow}->left")
-        src.default_route = up
-
-        dst = Host(sim, f"sink{flow}")
-        down = Link(sim, right, dst, config.access_bps, delay,
-                    queue=DropTailQueue(capacity_packets=config.access_queue_packets,
-                                        name=f"sink{flow}-down-q"),
-                    name=f"right->sink{flow}")
-        right.add_route(dst.node_id, down)
-
-        sources.append(src)
-        sinks.append(dst)
-        access_links.extend([up, down])
-
-    return Barbell(sim=sim, config=config, sources=sources, sinks=sinks,
-                   left_router=left, right_router=right,
-                   bottleneck=bottleneck, access_links=access_links)
+    chain = build_chain(
+        sim, (config or BarbellConfig()).as_chain(),
+        hop_queue=bottleneck_queue and (lambda _hop: bottleneck_queue()),
+        router_names=("left", "right"), hop_names=("bottleneck",))
+    for router in chain.routers:  # links say "left", the node "left-router"
+        router.name += "-router"
+    return Barbell(**vars(chain))

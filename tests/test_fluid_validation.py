@@ -10,12 +10,18 @@ feedback delays, and a multi-hop chain with a bottleneck shift.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
+from repro.cc.mkc import MkcController
+from repro.core.gamma import GammaController
 from repro.core.multihop import MultiHopPelsSimulation, MultiHopScenario
+from repro.core.params import ControlParams
 from repro.core.session import PelsScenario, PelsSimulation
 from repro.experiments.multihop import shifted_equilibrium_rate
-from repro.fluid import (FluidEngine, fluid_twin_of_multihop,
+from repro.fluid import (FluidEngine, FluidScenario, fluid_twin_of_multihop,
                          fluid_twin_of_session)
 
 
@@ -137,15 +143,40 @@ class TestTwinBuilders:
         twin = fluid_twin_of_session(scenario)
         assert twin.n_flows == 4
         assert twin.capacities_bps == (scenario.pels_capacity_bps(),)
-        assert twin.alpha_bps == scenario.alpha_bps
-        assert twin.beta == scenario.beta
-        assert twin.feedback_interval == scenario.feedback_interval
-        assert twin.feedback_window == scenario.feedback_window
-        # Controller clamped at the FGS coding ceiling, like the packet
-        # assembly does.
-        assert twin.max_rate_bps == min(scenario.max_rate_bps,
-                                        scenario.fgs.max_rate_bps)
         assert twin.rtt_s == pytest.approx(scenario.topology.rtt())
+        # Every control field off its default, so a twin that fell back
+        # to a default instead of deriving the field cannot pass.
+        off = {f.name: type(f.default)(f.default * 0.8)
+               for f in dataclasses.fields(ControlParams)}
+        for build, twin_of in ((PelsScenario, fluid_twin_of_session),
+                               (MultiHopScenario, fluid_twin_of_multihop)):
+            for max_rate_bps in (900_000.0, 50_000_000.0):
+                scenario = build(**{**off, "max_rate_bps": max_rate_bps})
+                twin = twin_of(scenario)
+                # Clamped at the FGS coding ceiling, like the packet
+                # assembly clamps its controllers.
+                scenario.max_rate_bps = min(max_rate_bps,
+                                            scenario.fgs.max_rate_bps)
+                for name in off:
+                    assert getattr(twin, name) == getattr(scenario, name), \
+                        (build.__name__, name)
+
+    def test_defaults_match_the_controllers(self):
+        """The record and the two controller signatures are the only
+        places a control default lives; they may not drift.  (MKC's own
+        ``max_rate_bps`` is "unbounded", the record's a scenario clamp.)"""
+        record = dataclasses.asdict(ControlParams())
+        del record["max_rate_bps"]
+        shared = [p for cls in (MkcController, GammaController)
+                  for p in inspect.signature(cls).parameters.values()
+                  if p.name in record]
+        assert len(shared) == 8
+        for p in shared:
+            assert p.default == record[p.name], p.name
+
+    def test_session_twin_rejects_other_controllers(self):
+        with pytest.raises(ValueError, match="aimd"):
+            fluid_twin_of_session(PelsScenario(controller_name="aimd"))
 
     def test_multihop_twin_copies_hops_and_interferers(self):
         scenario = MultiHopScenario(
@@ -155,3 +186,17 @@ class TestTwinBuilders:
         assert len(twin.capacities_bps) == 3
         assert twin.capacities_bps[0] == scenario.pels_capacity_of(0)
         assert twin.interferers == ((1, 10.0, 20.0, 1e6),)
+
+    @pytest.mark.parametrize("interferer, message", [
+        ((-1, 0.0, 1.0, 1e6), "interferer router -1 out of range"),
+        ((2, 0.0, 1.0, 1e6), "interferer router 2 out of range"),
+        ((0, 2.0, 1.0, 1e6), "interferer stops before it starts"),
+        ((0, 0.0, 1.0, 0.0), "interferer rate must be positive")])
+    def test_both_engines_reject_the_same_interferers(self, interferer,
+                                                       message):
+        with pytest.raises(ValueError, match=message):
+            MultiHopScenario(hop_bps=(4e6, 6e6),
+                             pels_interferers=(interferer,))
+        with pytest.raises(ValueError, match=message):
+            FluidScenario(capacities_bps=(2e6, 3e6),
+                          interferers=(interferer,))
