@@ -109,7 +109,12 @@ class RateController(Tunable):
         raise NotImplementedError
 
     def _clamp(self, rate: float) -> float:
-        return min(self.max_rate_bps, max(self.min_rate_bps, rate))
+        # min(max_rate, max(min_rate, rate)) as two comparisons (one
+        # clamp per fresh label; NaN falls to min_rate either way).
+        low, high = self.min_rate_bps, self.max_rate_bps
+        if not rate > low:
+            rate = low
+        return rate if rate < high else high
 
     def reset(self, rate_bps: float) -> None:
         """Restart from a given rate (used when a flow re-joins, and by

@@ -61,9 +61,8 @@ class TcpSource:
         self._arm_timer()
 
     def _transmit(self, seq: int) -> None:
-        packet = Packet(flow_id=self.flow_id, size=self.packet_size,
-                        color=Color.BEST_EFFORT, seq=seq,
-                        created_at=self.sim.now, dst=self.dst_host.node_id)
+        packet = Packet(self.flow_id, self.packet_size, Color.BEST_EFFORT,
+                        seq, self.sim.now, self.dst_host.node_id)
         self.host.send(packet)
         self.packets_sent += 1
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..sim.engine import Process, Simulator
-from ..sim.packet import FeedbackLabel, Packet
+from ..sim.packet import Color, FeedbackLabel, Packet
 from ..sim.stats import TimeSeries
 
 __all__ = ["FeedbackComputer", "EpochLog", "RouterFeedback",
            "FeedbackTracker"]
+
+_BEST_EFFORT = Color.BEST_EFFORT
 
 
 class FeedbackComputer:
@@ -196,15 +198,14 @@ class RouterFeedback(EpochLog, Process):
             else sim.next_id("router-feedback", start=1),
             window_intervals, trace=sim.tracer)
         self._byte_counter = 0
-        # One label object per epoch, shared by every packet stamped in
-        # that epoch (stamp_feedback copies on override, so sharing is
-        # safe) — the per-packet allocation was a router hot-path cost.
+        # One (immutable) label object per epoch, shared by every
+        # packet stamped in that epoch and every ACK echoing it.
         self._label = self.label
         self._timer = self.every(interval, self._compute, start_delay=interval)
 
     def observe(self, packet: Packet) -> None:
         """Router packet hook: count PELS bytes and stamp the label."""
-        if packet.is_ack or not packet.color.is_pels:
+        if packet.is_ack or packet.color is _BEST_EFFORT:
             return
         self._byte_counter += packet.size
         packet.stamp_feedback(self._label)
@@ -256,18 +257,19 @@ class FeedbackTracker:
     def accept(self, label: Optional[FeedbackLabel]) -> Optional[float]:
         if label is None:
             return None
-        if label.router_id != self.router_id:
+        router_id, epoch, loss = label
+        if router_id != self.router_id:
             # Bottleneck shifted: adopt the new router's clock.
-            self.router_id = label.router_id
-            self.epoch = label.epoch
+            self.router_id = router_id
+            self.epoch = epoch
             self.accepted += 1
-            return label.loss
-        if label.epoch > self.epoch:
-            self.epoch = label.epoch
+            return loss
+        if epoch > self.epoch:
+            self.epoch = epoch
             self.accepted += 1
-            return label.loss
+            return loss
         self.rejected += 1
-        if label.epoch < self.epoch:
+        if epoch < self.epoch:
             self.stale_discarded += 1
         return None
 

@@ -50,6 +50,8 @@ from .gamma import GammaController
 
 __all__ = ["FlowSender", "FlowReceiver", "frame_receptions"]
 
+_GREEN = Color.GREEN
+
 
 class FlowSender:
     """Sender half of one PELS flow: marking + Eq. 4 + Eq. 8 + watchdog."""
@@ -160,12 +162,9 @@ class FlowSender:
         self.next_seq = seq + 1
         self.packets_sent += 1
         self.bytes_sent += plan.size
-        if plan.color is Color.GREEN:
-            self._counts[0] += 1
-        elif plan.color is Color.YELLOW:
-            self._counts[1] += 1
-        else:
-            self._counts[2] += 1
+        color = plan.color
+        # Green, yellow, and everything else counted as red.
+        self._counts[color if color < 2 else 2] += 1
         return seq
 
     # -- per ACK -----------------------------------------------------------
@@ -232,23 +231,24 @@ class FlowReceiver:
         ``frame_id`` and ``index_in_frame``) that arrived at ``now``."""
         self.packets_received += 1
         self.bytes_received += packet.size
-        probe = self._probe_by_color[packet.color]
+        color = packet.color
+        probe = self._probe_by_color[color]
         if probe is not None:
             probe.record(now, now - sent_at)
         frame_id = packet.frame_id
-        if frame_id is None or packet.index_in_frame is None:
+        index = packet.index_in_frame
+        if frame_id is None or index is None:
             return
         reception = self.frames.get(frame_id)
         if reception is None:
             reception = self.frames[frame_id] = FrameReception(
                 frame_id=frame_id)
-        if packet.color is Color.GREEN:
+        if color is _GREEN:
             reception.green_received += 1
         else:
             # Green packets occupy frame indices [0, green_packets); the
             # enhancement index is relative to the first FGS packet.
-            reception.enhancement_received.add(
-                packet.index_in_frame - self.green_packets)
+            reception.enhancement_received.add(index - self.green_packets)
 
     def mean_delay(self, color: Color) -> float:
         """Average one-way delay observed for a color."""

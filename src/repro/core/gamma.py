@@ -152,11 +152,18 @@ class GammaController(Tunable):
         capacity) is floored at zero here: a negative loss means "no
         loss" for the purposes of red-band sizing.
         """
-        loss = max(0.0, loss)
-        raw = self.gamma + self.sigma * (loss / self.p_thr - self.gamma)
-        self.gamma = min(self.gamma_high, max(self.gamma_low, raw))
+        if not loss > 0.0:
+            loss = 0.0
+        gamma = self.gamma
+        gamma += self.sigma * (loss / self.p_thr - gamma)
+        # min(gamma_high, max(gamma_low, gamma)) as two comparisons.
+        if not gamma > self.gamma_low:
+            gamma = self.gamma_low
+        if not gamma < self.gamma_high:
+            gamma = self.gamma_high
+        self.gamma = gamma
         self.updates += 1
-        return self.gamma
+        return gamma
 
     def expected_fixed_point(self, loss: float) -> float:
         """Clamped stationary point for a stationary loss level."""

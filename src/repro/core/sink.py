@@ -60,19 +60,16 @@ class PelsSink(FlowReceiver):
     def receive(self, packet: Packet) -> None:
         if packet.is_ack:
             return
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         if self.record_arrivals and packet.frame_id is not None:
             self.arrivals.append((packet.frame_id, now, packet.color))
         self.account(packet, now, packet.created_at)
-        self._ack(packet)
-
-    def _ack(self, data_packet: Packet) -> None:
-        if self.ack_loss_rate > 0 and \
-                self.sim.rng.random() < self.ack_loss_rate:
+        if self.ack_loss_rate > 0 and sim.rng.random() < self.ack_loss_rate:
             self.acks_dropped += 1
             return
-        ack = data_packet.make_ack(self.sim.now)
+        ack = packet.make_ack(now)
         if self.ack_via_network:
             self.host.send(ack)
         elif self._source_receive is not None:
-            self.sim.call_later(self.ack_delay, self._source_receive, ack)
+            sim.call_later(self.ack_delay, self._source_receive, ack)

@@ -88,22 +88,24 @@ class PelsSource(FlowSender):
         """Emit the next planned packet, then pace at the current rate."""
         if self._stopped or generation != self._generation:
             return
-        if self._plan_pos >= len(self._plan):
-            return
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         if now >= self._frame_deadline:
             # Frame deadline passed: the unsent tail is truncated, which
             # drops the top (red-most) portion of the FGS slice.
             return
-        plan = self._plan[self._plan_pos]
+        try:
+            plan = self._plan[self._plan_pos]
+        except IndexError:  # the whole plan went out before the deadline
+            return
         self._plan_pos += 1
-        self.host.send(Packet(flow_id=self.flow_id, size=plan.size,
-                              color=plan.color, seq=self.account(plan),
-                              frame_id=self.frame_id,
-                              index_in_frame=plan.index_in_frame,
-                              created_at=now, dst=self.dst_host.node_id))
-        gap = plan.size * 8 / max(self.controller.rate_bps, 1.0)
-        self.sim.call_later(gap, self._emit_next_cb, generation)
+        size = plan.size
+        self.host.send(Packet(self.flow_id, size, plan.color,
+                              self.account(plan), now, self.dst_host.node_id,
+                              self.frame_id, plan.index_in_frame))
+        rate = self.controller.rate_bps
+        sim.call_later(size * 8 / (1.0 if rate < 1.0 else rate),
+                       self._emit_next_cb, generation)
 
     # -- feedback path -------------------------------------------------------
 

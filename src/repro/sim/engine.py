@@ -153,8 +153,9 @@ class Simulator:
         Callers that never cancel should prefer :meth:`call_later`,
         which skips the handle allocation.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
+        if not delay >= 0:  # negative — or NaN, which would unorder the heap
+            raise SimulationError(
+                f"cannot schedule {delay:.6f}s from now: in the past or NaN")
         seq = self._seq
         self._seq = seq + 1
         entry = [self.now + delay, seq, callback, args]
@@ -171,8 +172,9 @@ class Simulator:
         The fast path for hot components (links, sources) whose events
         are never cancelled.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
+        if not delay >= 0:  # negative — or NaN, which would unorder the heap
+            raise SimulationError(
+                f"cannot schedule {delay:.6f}s from now: in the past or NaN")
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._heap, [self.now + delay, seq, callback, args])
@@ -232,11 +234,10 @@ class Simulator:
             if prof is None:
                 while heap:
                     entry = pop(heap)
-                    callback = entry[_CALLBACK]
+                    event_time, _, callback, args = entry
                     if callback is None:
                         self._stale -= 1
                         continue
-                    event_time = entry[_TIME]
                     if event_time > stop:
                         # Put it back for a later run() call and stop.
                         push(heap, entry)
@@ -246,7 +247,7 @@ class Simulator:
                     # Null the slot so a late cancel() of this handle is
                     # a no-op instead of corrupting the pending count.
                     entry[_CALLBACK] = None
-                    callback(*entry[_ARGS])
+                    callback(*args)
                     dispatched += 1
                     if dispatched >= budget:
                         return
@@ -257,11 +258,10 @@ class Simulator:
                 perf = _perf_counter
                 while heap:
                     entry = pop(heap)
-                    callback = entry[_CALLBACK]
+                    event_time, _, callback, args = entry
                     if callback is None:
                         self._stale -= 1
                         continue
-                    event_time = entry[_TIME]
                     if event_time > stop:
                         push(heap, entry)
                         self.now = stop
@@ -269,7 +269,7 @@ class Simulator:
                     self.now = event_time
                     entry[_CALLBACK] = None
                     started = perf()
-                    callback(*entry[_ARGS])
+                    callback(*args)
                     elapsed = perf() - started
                     key = getattr(callback, "__qualname__", None) \
                         or repr(callback)

@@ -29,8 +29,10 @@ class Link:
     sim:
         The simulator providing the clock.
     src, dst:
-        Endpoint nodes; ``dst.receive(packet, link)`` is invoked on
-        arrival.
+        Endpoint nodes; the delivery event calls ``dst.receive(packet)``
+        — a :class:`~repro.sim.node.Host`'s agent dispatch, a
+        :class:`~repro.sim.node.Router`'s ``forward`` — bound once, when
+        ``dst`` is set.
     rate_bps:
         Link capacity in bits per second.
     delay:
@@ -42,7 +44,7 @@ class Link:
     __slots__ = ("sim", "src", "_dst", "rate_bps", "delay", "queue", "name",
                  "busy", "bytes_sent", "packets_sent", "on_transmit",
                  "up", "fault_drops",
-                 "_finish_cb", "_deliver_cb", "_call_later", "_dst_receive",
+                 "_finish_cb", "_call_later", "_consume",
                  "_queue_enqueue", "_queue_transit", "_queue_dequeue")
 
     def __init__(self, sim: Simulator, src: "object", dst: "object",
@@ -54,12 +56,12 @@ class Link:
             raise ValueError("propagation delay cannot be negative")
         self.sim = sim
         self.src = src
+        self.busy = False
         self.dst = dst
         self.rate_bps = rate_bps
         self.delay = delay
         self.queue = queue if queue is not None else DropTailQueue(name=f"{name}-q")
         self.name = name or f"{getattr(src, 'name', src)}->{getattr(dst, 'name', dst)}"
-        self.busy = False
         self.bytes_sent = 0
         self.packets_sent = 0
         self.on_transmit: Optional[TxHook] = None
@@ -74,7 +76,6 @@ class Link:
         # entry points — neither is ever replaced after construction)
         # once instead of re-resolving attributes on every packet.
         self._finish_cb = self._finish_transmission
-        self._deliver_cb = self._deliver
         self._call_later = sim.call_later
         self._queue_enqueue = self.queue.enqueue
         self._queue_transit = self.queue.transit
@@ -87,10 +88,13 @@ class Link:
     @dst.setter
     def dst(self, node: "object") -> None:
         # Topology builders may re-point a link after construction (the
-        # multi-hop interferer wiring does); route the prebound receive
-        # through a setter so the delivery fast path never goes stale.
+        # multi-hop interferer wiring does).  The delivery event carries
+        # the consumer bound here, so a packet already serialized still
+        # arrives where the wire went when it left: re-point idle links.
+        if self.busy:
+            raise RuntimeError(f"cannot re-point {self.name} mid-transmission")
         self._dst = node
-        self._dst_receive = node.receive
+        self._consume = node.receive
 
     def send(self, packet: Packet) -> bool:
         """Offer a packet to the egress queue; start the transmitter if idle.
@@ -100,7 +104,6 @@ class Link:
         if not self.up:
             self.fault_drops += 1
             return False
-        packet.enqueued_at = self.sim.now
         if self.busy:
             return self._queue_enqueue(packet)
         # Idle transmitter: admit and serve in one call (see
@@ -128,37 +131,35 @@ class Link:
         if tracer is not None and up != was_up:
             tracer.link_state(self.name, up)
         if up and not was_up and not self.busy:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        if not self.up:
-            self.busy = False
-            return
-        packet = self._queue_dequeue()
-        if packet is None:
-            self.busy = False
-            return
-        self.busy = True
-        if self.on_transmit is not None:
-            self.on_transmit(packet, self)
-        self._call_later(packet.size * 8 / self.rate_bps,
-                         self._finish_cb, packet)
+            # Resume the paused transmitter on whatever queued before
+            # the cut (the steps _finish_transmission ends with).
+            packet = self._queue_dequeue()
+            if packet is not None:
+                self.busy = True
+                if self.on_transmit is not None:
+                    self.on_transmit(packet, self)
+                self._call_later(packet.size * 8 / self.rate_bps,
+                                 self._finish_cb, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
         self.bytes_sent += packet.size
         self.packets_sent += 1
-        self._call_later(self.delay, self._deliver_cb, packet)
-        # Immediately begin the next packet, if any.
-        self._start_next()
-
-    def _deliver(self, packet: Packet) -> None:
+        # The hop is counted as the packet leaves: nothing can look at
+        # it again before the consumer does, one propagation delay on.
         packet.hops += 1
-        self._dst_receive(packet, self)
-
-    @property
-    def utilization_bytes(self) -> int:
-        """Total bytes that completed transmission on this link."""
-        return self.bytes_sent
+        call_later = self._call_later
+        call_later(self.delay, self._consume, packet)
+        # Immediately begin the next packet, if any; a down link pauses
+        # with its queue intact.
+        if self.up:
+            packet = self._queue_dequeue()
+            if packet is not None:
+                if self.on_transmit is not None:
+                    self.on_transmit(packet, self)
+                call_later(packet.size * 8 / self.rate_bps,
+                           self._finish_cb, packet)
+                return
+        self.busy = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Link {self.name} {self.rate_bps/1e6:.1f}mb/s {self.delay*1e3:.1f}ms>"

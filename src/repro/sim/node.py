@@ -46,12 +46,9 @@ class Node:
         """Route packets destined to node ``dst_id`` out of ``link``."""
         self.routes[dst_id] = link
 
-    def route_for(self, packet: Packet) -> Optional[Link]:
-        # routes is keyed by int node ids, so a packet.dst of None falls
-        # through to the default route exactly as the explicit check did.
-        return self.routes.get(packet.dst, self.default_route)
-
-    def receive(self, packet: Packet, link: Optional[Link]) -> None:
+    def receive(self, packet: Packet) -> None:
+        """Take a packet off an incoming link.  Links bind this entry
+        once (see ``Link.dst``) and schedule it as the delivery event."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -78,11 +75,12 @@ class Host(Node):
         else:
             self._agents[flow_id] = agent
 
-    def receive(self, packet: Packet, link: Optional[Link]) -> None:
-        if packet.dst is not None and packet.dst != self.node_id:
+    def receive(self, packet: Packet) -> None:
+        dst = packet.dst
+        if dst is not None and dst != self.node_id:
             # Hosts do not forward; a misrouted packet is a topology bug.
             raise RuntimeError(
-                f"{self.name} received packet destined for node {packet.dst}")
+                f"{self.name} received packet destined for node {dst}")
         self.received += 1
         agent = self._agents.get(packet.flow_id, self._catch_all)
         if agent is not None:
@@ -91,6 +89,8 @@ class Host(Node):
     def send(self, packet: Packet) -> bool:
         """Inject a locally generated packet into the network."""
         packet.src = self.node_id
+        # routes is keyed by int node ids, so a packet.dst of None falls
+        # through to the default route.
         link = self.routes.get(packet.dst, self.default_route)
         if link is None:
             raise RuntimeError(f"{self.name} has no route for {packet}")
@@ -109,14 +109,14 @@ class Router(Node):
     def __init__(self, sim: Simulator, name: str = "") -> None:
         super().__init__(sim, name)
         self._hooks: List[PacketHook] = []
-        self.forwarded = 0
         self.no_route_drops = 0
+        # A router's arrival *is* forwarding: links bind ``receive``
+        # once, so hand them ``forward`` itself, not a trampoline frame
+        # per packet per hop.
+        self.receive = self.forward
 
     def add_packet_hook(self, hook: PacketHook) -> None:
         self._hooks.append(hook)
-
-    def receive(self, packet: Packet, link: Optional[Link]) -> None:
-        self.forward(packet)
 
     def forward(self, packet: Packet) -> bool:
         """Apply hooks then enqueue on the egress link toward the dst."""

@@ -8,9 +8,8 @@ fields described in the paper (Section 5.2): the color mark and the
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 __all__ = ["Color", "FeedbackLabel", "Packet", "ACK_SIZE"]
 
@@ -38,29 +37,33 @@ class Color(enum.IntEnum):
         return self is not Color.BEST_EFFORT
 
 
-@dataclass(slots=True)
-class FeedbackLabel:
+_GREEN = Color.GREEN
+
+
+class FeedbackLabel(NamedTuple):
     """The ``(router ID, z, p(k))`` label from the paper (Section 5.2).
 
     Routers along the path override the label only when their own loss
     estimate exceeds the one already recorded, so end flows react to the
     most congested resource (max-min feedback).
+
+    Immutable, so one label object is *shared*: by every packet a router
+    stamps in an epoch, by each ACK that echoes it and by the source
+    that reads it.  Nothing on the per-packet path copies one.
     """
 
     router_id: int
     epoch: int
     loss: float
 
-    def copy(self) -> "FeedbackLabel":
-        return FeedbackLabel(self.router_id, self.epoch, self.loss)
-
-
-_packet_ids = itertools.count()
-
 
 @dataclass(slots=True)
 class Packet:
     """A network packet.
+
+    Fields are ordered so the per-packet constructions (a source's data
+    packet, a cross-traffic packet) are short positional calls; any
+    field may also be given by keyword.
 
     Attributes
     ----------
@@ -73,32 +76,35 @@ class Packet:
         PELS priority class or best-effort.
     seq:
         Flow-level sequence number.
+    created_at:
+        Simulation time the source emitted the packet.
+    dst / src:
+        Node ids of the destination and (stamped by ``Host.send``) the
+        origin host.
     frame_id / index_in_frame:
         Position of this packet inside its video frame; used by the
         receiver-side decoder to count consecutively received packets.
         ``None`` for non-video traffic.
-    created_at:
-        Simulation time the source emitted the packet.
     feedback:
         Label stamped by congested routers (Section 5.2).
-    is_ack / acked_feedback:
+    is_ack:
         ACKs echo the most recent feedback label back to the source.
+    hops:
+        Links this packet has been transmitted over.
     """
 
     flow_id: int
     size: int
     color: Color = Color.BEST_EFFORT
     seq: int = 0
+    created_at: float = 0.0
+    dst: Optional[int] = None
     frame_id: Optional[int] = None
     index_in_frame: Optional[int] = None
-    created_at: float = 0.0
+    src: Optional[int] = None
     feedback: Optional[FeedbackLabel] = None
     is_ack: bool = False
-    uid: int = field(default_factory=lambda: next(_packet_ids))
-    enqueued_at: float = 0.0
     hops: int = 0
-    src: Optional[int] = None
-    dst: Optional[int] = None
 
     @property
     def size_bits(self) -> int:
@@ -113,19 +119,13 @@ class Packet:
         (paper, Section 5.2), so the source learns about the most
         congested bottleneck on the path.
         """
-        if self.feedback is None or label.loss > self.feedback.loss:
-            self.feedback = label.copy()
+        feedback = self.feedback
+        if feedback is None or label.loss > feedback.loss:
+            self.feedback = label
 
     def make_ack(self, now: float) -> "Packet":
-        """Build the acknowledgment a receiver returns for this packet."""
-        return Packet(
-            flow_id=self.flow_id,
-            size=ACK_SIZE,
-            color=Color.GREEN,
-            seq=self.seq,
-            created_at=now,
-            feedback=self.feedback.copy() if self.feedback else None,
-            is_ack=True,
-            src=self.dst,
-            dst=self.src,
-        )
+        """Build the acknowledgment a receiver returns for this packet:
+        same flow and sequence number, endpoints reversed, the feedback
+        label echoed (shared, see :class:`FeedbackLabel`)."""
+        return Packet(self.flow_id, ACK_SIZE, _GREEN, self.seq, now, self.src,
+                      None, None, self.dst, self.feedback, True)

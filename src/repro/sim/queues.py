@@ -129,6 +129,9 @@ class DropTailQueue(QueueDiscipline):
         super().__init__(name)
         if capacity_packets is None and capacity_bytes is None:
             raise ValueError("queue needs at least one capacity bound")
+        for bound in (capacity_packets, capacity_bytes):
+            if bound is not None and bound < 1:
+                raise ValueError("a capacity bound must be at least 1")
         self.capacity_packets = capacity_packets
         self.capacity_bytes = capacity_bytes
         self._queue: deque[Packet] = deque()
@@ -171,8 +174,8 @@ class DropTailQueue(QueueDiscipline):
 
     def transit(self, packet: Packet) -> Optional[Packet]:
         # Uncontended fast path: an empty FIFO admits the packet (one
-        # packet never exceeds capacity_packets >= 1) and serves it
-        # straight back, so only the counters need updating.  A
+        # packet never exceeds capacity_packets, validated >= 1) and
+        # serves it straight back, so only the counters need updating.  A
         # non-empty queue falls back to the generic path, which serves
         # the proper head.
         if self._queue:

@@ -108,7 +108,15 @@ class DelayProbe:
             self._tick += 1
             if self._tick >= stride:
                 self._tick = 0
-                self.series.record(now, delay)
+                # TimeSeries.record, in place: this runs once per
+                # delivered packet.
+                series = self.series
+                times = series.times
+                if times and now < times[-1]:
+                    raise ValueError(
+                        "time series records must be monotonic in time")
+                times.append(now)
+                series.values.append(delay)
 
     @property
     def mean(self) -> float:

@@ -40,20 +40,18 @@ class CbrSource:
         self._emit_cb = self._emit
         sim.call_later(start_time, self._emit_cb)
 
-    @property
-    def interval(self) -> float:
-        return self.packet_size * 8 / self.rate_bps
-
     def _emit(self) -> None:
-        if self.stop_time is not None and self.sim.now >= self.stop_time:
+        sim = self.sim
+        now = sim.now
+        if self.stop_time is not None and now >= self.stop_time:
             return
-        packet = Packet(flow_id=self.flow_id, size=self.packet_size,
-                        color=self.color, seq=self._seq,
-                        created_at=self.sim.now, dst=self.dst_host.node_id)
+        size = self.packet_size
+        packet = Packet(self.flow_id, size, self.color, self._seq, now,
+                        self.dst_host.node_id)
         self._seq += 1
         self.packets_sent += 1
         self.host.send(packet)
-        self.sim.call_later(self.interval, self._emit_cb)
+        sim.call_later(size * 8 / self.rate_bps, self._emit_cb)
 
 
 class PoissonSource:
@@ -85,11 +83,11 @@ class PoissonSource:
         return self.sim.rng.expovariate(1.0 / mean_interval)
 
     def _emit(self) -> None:
-        if self.stop_time is not None and self.sim.now >= self.stop_time:
+        now = self.sim.now
+        if self.stop_time is not None and now >= self.stop_time:
             return
-        packet = Packet(flow_id=self.flow_id, size=self.packet_size,
-                        color=self.color, seq=self._seq,
-                        created_at=self.sim.now, dst=self.dst_host.node_id)
+        packet = Packet(self.flow_id, self.packet_size, self.color,
+                        self._seq, now, self.dst_host.node_id)
         self._seq += 1
         self.packets_sent += 1
         self.host.send(packet)
@@ -179,9 +177,8 @@ class ParetoBurstSource:
             self.sim.call_later(self._draw_pareto(self.mean_idle_s),
                                 self._begin_cb)
             return
-        packet = Packet(flow_id=self.flow_id, size=self.packet_size,
-                        color=self.color, seq=self._seq,
-                        created_at=now, dst=self.dst_host.node_id)
+        packet = Packet(self.flow_id, self.packet_size, self.color,
+                        self._seq, now, self.dst_host.node_id)
         self._seq += 1
         self.packets_sent += 1
         self.host.send(packet)

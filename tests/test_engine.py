@@ -201,6 +201,16 @@ class TestRunBoundaries:
         with pytest.raises(SimulationError):
             sim.call_later(-0.5, lambda: None)
 
+    @pytest.mark.parametrize("entry", ["schedule", "call_later",
+                                       "schedule_at", "call_at"])
+    def test_nan_time_rejected(self, sim, entry):
+        # NaN compares false against everything: it slipped past a
+        # ``delay < 0`` guard and unordered the heap without an error.
+        sim.call_later(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            getattr(sim, entry)(float("nan"), lambda: None)
+        assert sim.pending() == 1
+
 
 class TestCancellationDrain:
     """Lazy deletion plus the eager compaction of mostly-stale heaps."""

@@ -29,7 +29,7 @@ class _Catcher:
     def __init__(self) -> None:
         self.packets = []
 
-    def receive(self, packet, link) -> None:
+    def receive(self, packet) -> None:
         self.packets.append(packet)
 
 

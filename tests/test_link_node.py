@@ -70,11 +70,12 @@ class TestLink:
     def test_on_transmit_hook(self, sim):
         a, b, link, agent = two_hosts(sim)
         seen = []
-        link.on_transmit = lambda p, l: seen.append((p.uid, l))
+        link.on_transmit = lambda p, l: seen.append((p, l))
         packet = Packet(flow_id=1, size=500, dst=b.node_id)
         a.send(packet)
         sim.run()
-        assert seen == [(packet.uid, link)]
+        assert len(seen) == 1
+        assert seen[0][0] is packet and seen[0][1] is link
 
     def test_invalid_parameters(self, sim):
         a, b = Host(sim), Host(sim)
@@ -117,7 +118,7 @@ class TestHost:
     def test_misrouted_packet_raises(self, sim):
         a, b, link, agent = two_hosts(sim)
         with pytest.raises(RuntimeError):
-            b.receive(Packet(flow_id=1, size=100, dst=123456), None)
+            b.receive(Packet(flow_id=1, size=100, dst=123456))
 
     def test_send_without_route_raises(self, sim):
         lonely = Host(sim)
@@ -170,11 +171,11 @@ class TestRouter:
     def test_hooks_see_packets_before_forwarding(self, sim):
         a, router, b, agent = self._chain(sim)
         seen = []
-        router.add_packet_hook(lambda p: seen.append(p.uid))
+        router.add_packet_hook(seen.append)
         packet = Packet(flow_id=1, size=100, dst=b.node_id)
         a.send(packet)
         sim.run()
-        assert seen == [packet.uid]
+        assert len(seen) == 1 and seen[0] is packet
 
     def test_multiple_hooks_in_order(self, sim):
         a, router, b, agent = self._chain(sim)

@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.sim.packet import Packet
+from repro.core.pels_queue import PelsBottleneckQueue, PelsQueueConfig
+from repro.sim.packet import Color, Packet
 from repro.sim.queues import DropTailQueue, REDQueue
 
 
@@ -78,6 +81,16 @@ class TestDropTail:
 
     def test_peek_empty(self):
         assert DropTailQueue(capacity_packets=4).peek() is None
+
+    @pytest.mark.parametrize("bounds", [
+        dict(capacity_packets=0), dict(capacity_packets=-1),
+        dict(capacity_packets=None, capacity_bytes=0),
+        dict(capacity_packets=4, capacity_bytes=0)])
+    def test_zero_capacity_rejected(self, bounds):
+        # A bound of 0 dropped on enqueue() but admitted on the
+        # idle-link transit() fast path.
+        with pytest.raises(ValueError):
+            DropTailQueue(**bounds)
 
     def test_byte_count_tracks_queue(self):
         q = DropTailQueue(capacity_packets=10)
@@ -158,3 +171,60 @@ class TestRed:
         longest = max(len(run) for run in "".join(map(str, pattern)).split("0")) \
             if any(pattern) else 0
         assert longest <= 6
+
+
+# -- transit(p) == enqueue(p); dequeue() --------------------------------------
+
+DISCIPLINES = {
+    "droptail-packets": lambda: DropTailQueue(capacity_packets=3),
+    "droptail-bytes": lambda: DropTailQueue(capacity_packets=None,
+                                            capacity_bytes=1200),
+    "droptail-both": lambda: DropTailQueue(capacity_packets=3,
+                                           capacity_bytes=1200),
+    "red": lambda: REDQueue(capacity_packets=6, min_thresh=1, max_thresh=4,
+                            max_p=0.5, weight=0.5, rng=random.Random(7)),
+    "pels": lambda: PelsBottleneckQueue(PelsQueueConfig(
+        green_buffer=2, yellow_buffer=2, red_buffer=1, internet_buffer=2)),
+}
+
+#: ("transit" | "enqueue", colour, size) or ("dequeue",).
+OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["transit", "transit", "enqueue"]),
+              st.sampled_from(list(Color)),
+              st.sampled_from([40, 500, 1000, 1500])),
+    st.just(("dequeue",))), max_size=60)
+
+
+def _observe(queue, drops) -> tuple:
+    stats = [queue.stats]
+    if isinstance(queue, PelsBottleneckQueue):
+        stats += [fifo.stats for fifo in queue.core.fifos]
+    return ([(s.arrivals, s.arrival_bytes, s.drops, s.drop_bytes,
+              s.departures, s.departure_bytes) for s in stats],
+            len(queue), queue.byte_count, queue.arrival_log, drops,
+            getattr(queue, "avg", None))
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+@given(ops=OPS)
+def test_transit_is_enqueue_then_dequeue(discipline, ops):
+    """The idle-link fast path and the two-call round trip it replaces
+    return the same packet and leave the same counters, backlog,
+    ``arrival_log`` and drop reports behind, whatever came before."""
+    fast, slow = DISCIPLINES[discipline](), DISCIPLINES[discipline]()
+    fast_drops, slow_drops = [], []
+    for queue, drops in ((fast, fast_drops), (slow, slow_drops)):
+        queue.arrival_log = []
+        queue.on_drop = lambda p, reason, drops=drops: drops.append(
+            (id(p), reason))
+    for op in ops:
+        if op[0] == "dequeue":
+            assert fast.dequeue() is slow.dequeue()
+        else:
+            packet = Packet(flow_id=1, size=op[2], color=op[1])
+            if op[0] == "transit":
+                served = slow.dequeue() if slow.enqueue(packet) else None
+                assert fast.transit(packet) is served
+            else:
+                assert fast.enqueue(packet) == slow.enqueue(packet)
+        assert _observe(fast, fast_drops) == _observe(slow, slow_drops)
