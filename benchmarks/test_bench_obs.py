@@ -1,7 +1,7 @@
 """Observability overhead benchmarks.
 
 The design contract of :mod:`repro.obs` is *zero cost when off*: with no
-tracer active and profiling disabled, the engine's dispatch loop is
+tracer active, the engine's dispatch loop is
 byte-for-byte the historical (pre-instrumentation) one.  The guardrail
 test here replays the engine microbenchmark workload on the shipped
 ``Simulator`` and on an in-file replica whose ``run()`` is a verbatim
@@ -10,8 +10,8 @@ loop is within 2% — so the contract cannot erode silently as
 instrumentation sites accrete.
 
 The remaining benchmarks track what instrumentation costs when it *is*
-on (the profiled dispatch twin, raw tracer emit throughput) so the
-committed baselines expose regressions in the opt-in paths too.
+on (raw tracer emit throughput) so the committed baselines expose
+regressions in the opt-in path too.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import sys
 import time
 from heapq import heappop, heappush
 
-from repro.obs import (Tracer, disable_profiling, enable_profiling,
-                       reset_profile)
+from repro.obs import Tracer
 from repro.sim.engine import _ARGS, _CALLBACK, _TIME, Simulator
 
 N_EVENTS = 50_000
@@ -114,21 +113,6 @@ def test_tracing_off_overhead_within_two_percent():
 def test_bench_dispatch_instrumentation_off(benchmark):
     """The args-dispatch chain with observability off (the default)."""
     benchmark(_dispatch_workload, Simulator)
-
-
-def test_bench_dispatch_profiled(benchmark):
-    """Cost of the instrumented dispatch twin (per-callback timing on)."""
-
-    def run_profiled():
-        reset_profile()
-        enable_profiling()
-        try:
-            return _dispatch_workload(Simulator)
-        finally:
-            disable_profiling()
-            reset_profile()
-
-    benchmark(run_profiled)
 
 
 def test_bench_tracer_emit_throughput(benchmark):

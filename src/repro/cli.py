@@ -14,303 +14,205 @@ Installed as the ``pels`` console script::
     pels analyze --loss 0.1 --frame 100            # closed-form numbers
     pels trace --frames 300 --out trace.json       # synthetic Foreman
 
-Also runnable as ``python -m repro.cli ...``.
+Also runnable as ``python -m repro.cli ...``.  ``pels experiments`` and
+``python -m repro.experiments`` are the same parser
+(:func:`repro.experiments.runner.add_arguments`).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import List, Optional
+import typing
+from typing import Callable, List, Optional
 
 __all__ = ["main", "build_parser"]
 
 
-def _controller_names() -> List[str]:
-    """Registered congestion-controller names, for ``choices=``.
+class _VerbParser(argparse.ArgumentParser):
+    """One ``pels`` verb; its flags are declared on first use.
 
-    Resolved at parser-build time from the controller registry, so a
-    typo'd ``--controller`` fails inside argparse (with the valid names
-    listed) instead of deep inside a running session.
+    A verb reads the types and defaults of its flags off the config
+    record it constructs, and importing every verb's record at start-up
+    (the live stack, the experiment registry and numpy behind it) would
+    cost each verb — ``pels serve`` most visibly — a quarter of a second
+    it has no use for.
     """
+
+    declare: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+    def declared(self) -> "_VerbParser":
+        if self.declare is not None:
+            declare, self.declare = self.declare, None
+            declare(self)
+        return self
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.declared()
+        return super().parse_known_args(args, namespace)
+
+
+# ``(flag, record field, help[, add_argument overrides])`` rows: a flag's
+# type and default are those of the field (``_add_flags``), and the
+# verb's record is built back from the same rows (``_from_flags``).
+_ALPHA = ("--alpha", "alpha_bps", "MKC additive gain (b/s)")
+_BETA = ("--beta", "beta", "MKC multiplicative gain")
+_P_THR = ("--p-thr", "p_thr", "target red-queue loss")
+_SIGMA = ("--sigma", "sigma", "gamma controller gain")
+_CONTROL = (_ALPHA, _BETA, _P_THR, _SIGMA)
+_FLOWS = ("--flows", "n_flows", None)
+
+
+def _controller_row() -> tuple:
+    """``--controller``, its choices read from the registry when the
+    verb is declared: a typo fails inside argparse (with the valid
+    names listed) instead of deep inside a running session."""
     from .cc import available_controllers
-    return available_controllers()
+    return ("--controller", "controller_name", "congestion controller",
+            {"choices": available_controllers()})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pels",
-        description="PELS (ICDCS 2004) reproduction toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    controllers = _controller_names()
+def _simulate_rows() -> tuple:
+    return (
+        _FLOWS, ("--duration", "duration", None, {"default": 30.0}),
+        ("--seed", "seed", None), *_CONTROL, _controller_row(),
+        ("--cross-traffic", "cross_traffic", None,
+         {"choices": ["cbr", "tcp", "lrd", "none"]}))
 
-    sim = sub.add_parser("simulate", help="run a PELS bar-bell session")
-    sim.add_argument("--flows", type=int, default=2)
-    sim.add_argument("--duration", type=float, default=30.0)
-    sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--alpha", type=float, default=20_000.0,
-                     help="MKC additive gain (b/s)")
-    sim.add_argument("--beta", type=float, default=0.5,
-                     help="MKC multiplicative gain")
-    sim.add_argument("--p-thr", type=float, default=0.75,
-                     help="target red-queue loss")
-    sim.add_argument("--sigma", type=float, default=0.5,
-                     help="gamma controller gain")
-    sim.add_argument("--controller", default="mkc", choices=controllers,
-                     help="congestion controller")
-    sim.add_argument("--cross-traffic", default="cbr",
-                     choices=["cbr", "tcp", "lrd", "none"])
-    sim.add_argument("--tune", action="store_true",
-                     help="attach the online meta-controller (PID tuning "
-                          "of MKC alpha and gamma sigma within their "
-                          "stability-safe ranges)")
-    sim.add_argument("--json", default="", help="write summary JSON here")
 
-    live = sub.add_parser(
-        "live",
-        help="run the PELS stack over real UDP sockets (wall clock)",
-        description="Stream synthetic FGS video from an asyncio server "
-                    "through a userspace software router (tri-color "
-                    "strict-priority + WRR, Eq. 11 labels) to a client, "
-                    "all on loopback UDP under time.monotonic, and "
-                    "compare the converged rate to the Lemma 6 oracle "
-                    "r* = C/N + alpha/beta.")
-    live.add_argument("--flows", type=int, default=2)
-    live.add_argument("--duration", type=float, default=5.0,
-                      help="wall-clock streaming seconds")
-    live.add_argument("--alpha", type=float, default=20_000.0,
-                      help="MKC additive gain (b/s)")
-    live.add_argument("--beta", type=float, default=0.5,
-                      help="MKC multiplicative gain")
-    live.add_argument("--p-thr", type=float, default=0.75,
-                      help="target red-queue loss")
-    live.add_argument("--sigma", type=float, default=0.5,
-                      help="gamma controller gain")
-    live.add_argument("--controller", default="mkc", choices=controllers,
-                      help="congestion controller")
-    live.add_argument("--bottleneck", type=float, default=4_000_000.0,
-                      help="bottleneck link rate (b/s); PELS gets the "
-                           "WRR share of it")
-    live.add_argument("--interval", type=float, default=0.030,
-                      help="feedback computation period T (s)")
-    live.add_argument("--cross-traffic", default="cbr",
-                      choices=["cbr", "none"])
-    live.add_argument("--seed", type=int, default=None,
-                      help="seed the server-side RNG (cross-traffic wake "
-                           "jitter) so the emission schedule reproduces")
-    live.add_argument("--tune", action="store_true",
-                      help="attach the online meta-controller (PID tuning "
-                           "of MKC alpha and gamma sigma)")
-    live.add_argument("--json", default="", help="write summary JSON here")
+def _live_rows() -> tuple:
+    return (
+        _FLOWS, ("--duration", "duration", "wall-clock streaming seconds"),
+        *_CONTROL, _controller_row(),
+        ("--bottleneck", "bottleneck_bps",
+         "bottleneck link rate (b/s); PELS gets the WRR share of it"),
+        ("--interval", "feedback_interval",
+         "feedback computation period T (s)"),
+        ("--cross-traffic", "cross_traffic", None,
+         {"choices": ["cbr", "none"]}),
+        ("--seed", "seed", "seed the server-side RNG (cross-traffic wake "
+                           "jitter) so the emission schedule reproduces"),
+        ("--tune", "tune", "attach the online meta-controller (PID "
+                           "tuning of MKC alpha and gamma sigma)"))
 
-    gwy = sub.add_parser(
-        "gateway",
-        help="load-test the sharded live gateway (admission control + "
-             "router shard processes)",
-        description="Spawn a pool of router shard processes, register "
-                    "a population of flows through the admission "
-                    "gateway (per-tenant token buckets, concurrency "
-                    "caps, per-shard capacity budgets, stable-hash "
-                    "placement), stream them all from one tenant-"
-                    "grouped sender, and report goodput vs the Lemma 6 "
-                    "oracle, per-color delay percentiles, admission "
-                    "throughput, and CPU per flow.")
-    gwy.add_argument("--flows", type=int, default=100,
-                     help="flows to register through the gateway")
-    gwy.add_argument("--shards", type=int, default=2,
-                     help="router shard processes")
-    gwy.add_argument("--duration", type=float, default=8.0,
-                     help="wall-clock streaming seconds")
-    gwy.add_argument("--tenants", type=int, default=4,
-                     help="tenants the flows are spread across")
-    gwy.add_argument("--flow-share", type=float, default=12_000.0,
-                     help="per-flow capacity share sizing each shard's "
-                          "bottleneck (b/s)")
-    gwy.add_argument("--alpha", type=float, default=1_000.0,
-                     help="MKC additive gain (b/s)")
-    gwy.add_argument("--beta", type=float, default=0.5,
-                     help="MKC multiplicative gain")
-    gwy.add_argument("--churn", type=int, default=0,
-                     help="flows torn down at half-run (teardown path)")
-    gwy.add_argument("--supervise", action="store_true",
-                     help="run a ShardSupervisor over the pool (health "
-                          "checks, failover with flow re-homing, layered "
-                          "overload shedding)")
-    gwy.add_argument("--chaos", default="", choices=["", "kill", "stall"],
-                     help="inject a live fault mid-run: SIGKILL or "
-                          "SIGSTOP the busiest shard (implies the "
-                          "sender-side blind-mode watchdog)")
-    gwy.add_argument("--chaos-at", type=float, default=None, metavar="S",
-                     help="fault fire time in run seconds (default: "
-                          "45%% of --duration)")
-    gwy.add_argument("--seed", type=int, default=None,
-                     help="seed for the run's RNG-driven schedules")
-    gwy.add_argument("--json", default="", help="write summary JSON here")
 
-    fld = sub.add_parser("fluid",
-                         help="epoch-batched fluid run (paper recurrences, "
-                              "no packets: thousand-flow scaling)")
-    fld.add_argument("--flows", type=int, default=4)
-    fld.add_argument("--duration", type=float, default=60.0)
-    fld.add_argument("--capacity", type=float, nargs="+",
-                     default=[2_000_000.0], metavar="BPS",
-                     help="PELS capacity per router; several values "
-                          "build a multi-hop chain")
-    fld.add_argument("--alpha", type=float, default=20_000.0,
-                     help="MKC additive gain (b/s)")
-    fld.add_argument("--beta", type=float, default=0.5,
-                     help="MKC multiplicative gain")
-    fld.add_argument("--p-thr", type=float, default=0.75,
-                     help="target red-queue loss")
-    fld.add_argument("--sigma", type=float, default=0.5,
-                     help="gamma controller gain")
-    fld.add_argument("--rtt", type=float, default=0.040,
-                     help="base round-trip propagation delay (s)")
-    fld.add_argument("--backend", default=None,
-                     choices=["list", "numpy", "auto"],
-                     help="array backend (default: list, or "
-                          "$REPRO_FLUID_BACKEND)")
-    fld.add_argument("--json", default="", help="write summary JSON here")
+_GATEWAY = (
+    ("--flows", "flows", "flows to register through the gateway",
+     {"default": 100}),
+    ("--shards", "shards", "router shard processes", {"default": 2}),
+    ("--duration", "duration", "wall-clock streaming seconds"),
+    ("--tenants", "tenants", "tenants the flows are spread across"),
+    ("--flow-share", "flow_share_bps",
+     "per-flow capacity share sizing each shard's bottleneck (b/s)"),
+    _ALPHA, _BETA,
+    ("--churn", "churn_flows",
+     "flows torn down at half-run (teardown path)"),
+    ("--seed", "seed", "seed for the run's RNG-driven schedules"))
 
-    srv = sub.add_parser(
-        "serve",
-        help="run the experiment-fleet service (job queue + workers + "
-             "HTTP API + live metric streaming)",
-        description="Long-running control plane over the experiment "
-                    "fleet: submit experiment jobs over HTTP, N worker "
-                    "processes pull from a persistent queue (heartbeats, "
-                    "stale-job requeue, crash-isolated execution), "
-                    "artifacts and baselines persist in the storage "
-                    "directory, and obs metric snapshots stream to "
-                    "subscribed clients while jobs run.")
-    srv.add_argument("--workers", type=int, default=2, metavar="N",
-                     help="worker processes pulling from the queue")
-    srv.add_argument("--storage", default="pels-service", metavar="DIR",
-                     help="persistent storage directory (jobs, artifacts, "
-                          "baselines, streams)")
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument("--port", type=int, default=7475,
-                     help="HTTP port (0 = ephemeral)")
-    srv.add_argument("--heartbeat-timeout", type=float, default=2.0,
-                     metavar="S", help="heartbeat silence before a "
-                     "running job is requeued")
+_FLUID = (
+    _FLOWS, ("--duration", "duration", None),
+    ("--capacity", "capacities_bps",
+     "PELS capacity per router; several values build a multi-hop chain",
+     {"metavar": "BPS"}),
+    *_CONTROL,
+    ("--rtt", "rtt_s", "base round-trip propagation delay (s)"))
 
-    sbm = sub.add_parser(
-        "submit",
-        help="submit experiment jobs to a running pels service")
-    sbm.add_argument("experiments", nargs="+", metavar="KEY",
-                     help="registry keys to submit (see pels experiments "
-                          "--list)")
-    sbm.add_argument("--fast", action="store_true",
-                     help="submit CI-sized runs")
-    sbm.add_argument("--priority", type=int, default=0)
-    sbm.add_argument("--timeout", type=float, default=None, metavar="S",
-                     help="per-attempt wall-clock budget")
-    sbm.add_argument("--retries", type=int, default=1, metavar="N")
-    sbm.add_argument("--host", default="127.0.0.1")
-    sbm.add_argument("--port", type=int, default=7475)
-    sbm.add_argument("--wait", action="store_true",
-                     help="block until the submitted jobs settle")
-    sbm.add_argument("--json", default="", help="write job records here")
+_SERVE = (
+    ("--workers", "workers", "worker processes pulling from the queue",
+     {"metavar": "N"}),
+    ("--storage", "storage_dir",
+     "persistent storage directory (jobs, artifacts, baselines, streams)",
+     {"default": "pels-service", "metavar": "DIR"}),
+    ("--host", "host", None),
+    ("--port", "port", "HTTP port (0 = ephemeral)", {"default": 7475}),
+    ("--heartbeat-timeout", "heartbeat_timeout",
+     "heartbeat silence before a running job is requeued",
+     {"metavar": "S"}))
 
-    sts = sub.add_parser(
-        "status",
-        help="service health and job states (optionally one job)")
-    sts.add_argument("job", nargs="?", default="",
-                     help="job id (omit for the whole service)")
-    sts.add_argument("--state", default="",
-                     help="filter the job list by state")
-    sts.add_argument("--host", default="127.0.0.1")
-    sts.add_argument("--port", type=int, default=7475)
-    sts.add_argument("--json", default="", help="write the status here")
+_ANALYZE = (("--p-thr", "p_thr", None), ("--alpha", "alpha_bps", None),
+            ("--beta", "beta", None))
 
-    art = sub.add_parser(
-        "artifacts",
-        help="list stored artifacts, or fetch one job's artifact")
-    art.add_argument("job", nargs="?", default="",
-                     help="job id to fetch (omit to list)")
-    art.add_argument("--host", default="127.0.0.1")
-    art.add_argument("--port", type=int, default=7475)
-    art.add_argument("--out", default="", metavar="PATH",
-                     help="write the fetched artifact JSON here")
 
-    exp = sub.add_parser("experiments",
-                         help="regenerate the paper's tables and figures")
-    exp.add_argument("--fast", action="store_true")
-    exp.add_argument("--only", default="")
-    exp.add_argument("--list", action="store_true",
-                     help="list runnable artifact keys with one-line "
-                          "descriptions and exit")
-    exp.add_argument("--no-ablations", action="store_true")
-    exp.add_argument("--jobs", type=int, default=1, metavar="N")
-    exp.add_argument("--chunk", type=int, default=None, metavar="M")
-    exp.add_argument("--json", default="")
-    exp.add_argument("--timeout", type=float, default=None, metavar="S")
-    exp.add_argument("--retries", type=int, default=0, metavar="N")
-    exp.add_argument("--retry-backoff", type=float, default=0.5, metavar="S")
-    exp.add_argument("--out-dir", default="", metavar="DIR")
-    exp.add_argument("--resume", action="store_true")
-    exp.add_argument("--metrics-out", default="", metavar="PATH",
-                     help="write per-artifact metrics as JSONL here")
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
-    ana = sub.add_parser("analyze",
-                         help="closed-form values (Lemmas 1-6)")
-    ana.add_argument("--loss", type=float, required=True)
-    ana.add_argument("--frame", type=int, default=100,
-                     help="FGS frame size H in packets")
-    ana.add_argument("--p-thr", type=float, default=0.75)
-    ana.add_argument("--capacity", type=float, default=2_000_000.0)
-    ana.add_argument("--flows", type=int, default=2)
-    ana.add_argument("--alpha", type=float, default=20_000.0)
-    ana.add_argument("--beta", type=float, default=0.5)
 
-    trc = sub.add_parser(
-        "trace",
-        help="trace an experiment as JSONL, or generate a synthetic "
-             "video trace",
-        description="With an experiment id (e.g. F2, R1), run it with "
-                    "the structured tracer and metrics registry active "
-                    "and emit the JSONL timeline.  Without one, "
-                    "generate a synthetic Foreman-like video trace "
-                    "(legacy mode).")
-    trc.add_argument("experiment", nargs="?", default="",
-                     help="experiment id to trace (omit for the "
-                          "synthetic video-trace mode)")
-    trc.add_argument("--fast", action="store_true",
-                     help="CI-sized run of the traced experiment")
-    trc.add_argument("--events", type=int, default=262_144,
-                     metavar="N", help="tracer ring capacity (oldest "
-                                       "events evicted beyond this)")
-    trc.add_argument("--frames", type=int, default=300)
-    trc.add_argument("--seed", type=int, default=7)
-    trc.add_argument("--out", default="", help="write JSON(L) here "
-                                               "(default stdout)")
+def _add_flags(parser: argparse.ArgumentParser, record: type,
+               rows) -> None:
+    """Add each row's flag with the type and default of ``record``'s
+    field: ``bool`` is a switch, ``Optional[X]`` parses as ``X``, a
+    ``Tuple[X, ...]`` takes one or more ``X``, ``str`` needs no type."""
+    hints = typing.get_type_hints(record)
+    fields = {field.name: field for field in dataclasses.fields(record)}
+    for flag, name, help_text, *overrides in rows:
+        kind, default = hints[name], fields[name].default
+        if typing.get_origin(kind) is typing.Union:
+            kind = typing.get_args(kind)[0]
+        options = {"default": default}
+        if kind is bool:
+            options = {"action": "store_true"}
+        elif typing.get_origin(kind) is tuple:
+            options.update(type=typing.get_args(kind)[0], nargs="+",
+                           default=list(default))
+        elif kind is not str:
+            options["type"] = kind
+        options.update(*overrides)
+        parser.add_argument(flag, help=help_text, **options)
 
-    plt = sub.add_parser("plot", help="chart a series from a results "
-                                      "JSON (see experiments --json)")
-    plt.add_argument("results", help="JSON file from experiments --json")
-    plt.add_argument("artifact", help="artifact id, e.g. F9")
-    plt.add_argument("series", nargs="*",
-                     help="series names (default: all in the artifact)")
-    plt.add_argument("--width", type=int, default=72)
-    plt.add_argument("--height", type=int, default=16)
-    return parser
+
+def _from_flags(record: type, rows, args, **unflagged):
+    """The ``record`` the parsed flags describe."""
+    for flag, name, *_ in rows:
+        value = getattr(args, _dest(flag))
+        unflagged[name] = tuple(value) if isinstance(value, list) else value
+    return record(**unflagged)
+
+
+def _json_flag(parser: argparse.ArgumentParser,
+               help_text: str = "write summary JSON here") -> None:
+    parser.add_argument("--json", default="", help=help_text)
+
+
+def _service_flags(parser: argparse.ArgumentParser) -> None:
+    """Where ``submit``/``status``/``artifacts`` find the service."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=7475)
+
+
+def _write(text: str, path: str, what: str) -> None:
+    """``text`` into the file ``path`` (and say so), or to stdout."""
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text)
+        print(f"{what} written to {path}")
+    else:
+        print(text)
+
+
+def _write_json(payload, path: str, what: str) -> None:
+    _write(json.dumps(payload, indent=2), path, f"  {what}")
+
+
+def _declare_simulate(parser) -> None:
+    from .core.session import PelsScenario
+    _add_flags(parser, PelsScenario, _simulate_rows())
+    parser.add_argument("--tune", action="store_true",
+                        help="attach the online meta-controller (PID tuning "
+                             "of MKC alpha and gamma sigma within their "
+                             "stability-safe ranges)")
+    _json_flag(parser)
 
 
 def _cmd_simulate(args) -> int:
+    from .control.meta import MetaControllerConfig
     from .core.report import build_report
     from .core.session import PelsScenario, PelsSimulation
 
-    meta_config = None
-    if args.tune:
-        from .control.meta import MetaControllerConfig
-        meta_config = MetaControllerConfig()
-    scenario = PelsScenario(
-        n_flows=args.flows, duration=args.duration, seed=args.seed,
-        alpha_bps=args.alpha, beta=args.beta, p_thr=args.p_thr,
-        sigma=args.sigma, controller_name=args.controller,
-        cross_traffic=args.cross_traffic, meta_controller=meta_config)
+    scenario = _from_flags(
+        PelsScenario, _simulate_rows(), args,
+        meta_controller=MetaControllerConfig() if args.tune else None)
     sim = PelsSimulation(scenario).run()
     report = build_report(sim.view)
     print(report.render())
@@ -318,24 +220,21 @@ def _cmd_simulate(args) -> int:
         print(f"  meta-control: {sim.meta.adjustments} adjustments over "
               f"{sim.meta.steps} epochs")
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"  report written to {args.json}")
+        _write_json(report.to_dict(), args.json, "report")
     return 0
+
+
+def _declare_live(parser) -> None:
+    from .live.session import LiveConfig
+    _add_flags(parser, LiveConfig, _live_rows())
+    _json_flag(parser)
 
 
 def _cmd_live(args) -> int:
     from .core.report import build_report
     from .live.session import LiveConfig, run_live_session
 
-    config = LiveConfig(
-        n_flows=args.flows, duration=args.duration,
-        controller_name=args.controller, alpha_bps=args.alpha,
-        beta=args.beta, p_thr=args.p_thr, sigma=args.sigma,
-        bottleneck_bps=args.bottleneck,
-        feedback_interval=args.interval,
-        cross_traffic=args.cross_traffic, seed=args.seed,
-        tune=args.tune)
+    config = _from_flags(LiveConfig, _live_rows(), args)
     result = run_live_session(config)
     if result.meta is not None:
         print(f"  meta-control: {result.meta.adjustments} adjustments over "
@@ -355,26 +254,38 @@ def _cmd_live(args) -> int:
         payload["lemma6_rate_bps"] = oracle
         payload["live_mean_rate_bps"] = mean_rate
         payload["lemma6_error"] = error
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"  report written to {args.json}")
+        _write_json(payload, args.json, "report")
     return 0
+
+
+def _declare_gateway(parser) -> None:
+    from .live.loadgen import LoadConfig
+    _add_flags(parser, LoadConfig, _GATEWAY)
+    parser.add_argument("--supervise", action="store_true",
+                        help="run a ShardSupervisor over the pool (health "
+                             "checks, failover with flow re-homing, "
+                             "layered overload shedding)")
+    parser.add_argument("--chaos", default="", choices=["", "kill", "stall"],
+                        help="inject a live fault mid-run: SIGKILL or "
+                             "SIGSTOP the busiest shard (implies the "
+                             "sender-side blind-mode watchdog)")
+    parser.add_argument("--chaos-at", type=float, default=None, metavar="S",
+                        help="fault fire time in run seconds (default: "
+                             "45%% of --duration)")
+    _json_flag(parser)
 
 
 def _cmd_gateway(args) -> int:
     from .live.loadgen import LoadConfig, run_load
 
+    # A chaos run is supervised, rides the outage out on the sender's
+    # blind-mode watchdog and measures a post-recovery window.
     chaos_kind = args.chaos
-    supervise = args.supervise or bool(chaos_kind)
-    config = LoadConfig(flows=args.flows, shards=args.shards,
-                        duration=args.duration, tenants=args.tenants,
-                        flow_share_bps=args.flow_share,
-                        alpha_bps=args.alpha, beta=args.beta,
-                        churn_flows=args.churn, seed=args.seed,
-                        supervise=supervise,
-                        feedback_timeout=0.4 if chaos_kind else 0.0,
-                        post_window=min(2.5, args.duration / 3)
-                        if chaos_kind else 0.0)
+    config = _from_flags(
+        LoadConfig, _GATEWAY, args,
+        supervise=args.supervise or bool(chaos_kind),
+        feedback_timeout=0.4 if chaos_kind else 0.0,
+        post_window=min(2.5, args.duration / 3) if chaos_kind else 0.0)
 
     chaos = None
     if chaos_kind:
@@ -442,47 +353,24 @@ def _cmd_gateway(args) -> int:
                   f"last {result.post_window_seconds:.1f}s "
                   f"({result.post_goodput_vs_oracle*100:.1f}% of oracle)")
     if args.json:
-        payload = {
-            "flows": config.flows,
-            "shards": config.shards,
-            "admitted": result.admitted,
-            "rejected": result.rejected,
-            "churned": result.churned,
-            "flows_per_sec": result.flows_per_sec,
-            "aggregate_goodput_bps": result.aggregate_goodput_bps,
-            "oracle_goodput_bps": result.oracle_goodput_bps,
-            "goodput_vs_oracle": result.goodput_vs_oracle,
-            "green_drops": result.green_drops,
-            "delays": result.delays,
-            "cpu_seconds": result.cpu_seconds,
-            "per_shard": [{
-                "shard_id": s.shard_id, "n_flows": s.n_flows,
-                "capacity_bps": s.capacity_bps,
-                "goodput_bps": s.goodput_bps,
-                "goodput_vs_oracle": s.goodput_vs_oracle,
-                "fairness": s.fairness, "drops": s.drops,
-                "cpu_seconds": s.cpu_seconds,
-            } for s in result.per_shard],
-            "supervisor": result.supervisor,
-            "faults": result.faults,
-            "shed_packets": result.shed_packets,
-            "shed_bytes": result.shed_bytes,
-            "post_window_seconds": result.post_window_seconds,
-            "post_goodput_bps": result.post_goodput_bps,
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"  summary written to {args.json}")
+        _write_json(result.to_dict(), args.json, "summary")
     return 0
+
+
+def _declare_fluid(parser) -> None:
+    from .fluid.scenario import FluidScenario
+    _add_flags(parser, FluidScenario, _FLUID)
+    parser.add_argument("--backend", default=None,
+                        choices=["list", "numpy", "auto"],
+                        help="array backend (default: list, or "
+                             "$REPRO_FLUID_BACKEND)")
+    _json_flag(parser)
 
 
 def _cmd_fluid(args) -> int:
     from .fluid import FluidEngine, FluidScenario
 
-    scenario = FluidScenario(
-        n_flows=args.flows, duration=args.duration,
-        capacities_bps=tuple(args.capacity), alpha_bps=args.alpha,
-        beta=args.beta, p_thr=args.p_thr, sigma=args.sigma, rtt_s=args.rtt)
+    scenario = _from_flags(FluidScenario, _FLUID, args)
     result = FluidEngine(scenario, backend=args.backend).run()
     expected = scenario.lemma6_rate_bps()
     conv = result.convergence_time(target=expected)
@@ -516,10 +404,18 @@ def _cmd_fluid(args) -> int:
             "final_bottleneck": result.bottleneck[-1],
             "wall_time_s": result.wall_time,
         }
-        with open(args.json, "w") as handle:
-            json.dump(summary, handle, indent=2)
-        print(f"  summary written to {args.json}")
+        _write_json(summary, args.json, "summary")
     return 0
+
+
+def _declare_analyze(parser) -> None:
+    from .core.params import ControlParams
+    parser.add_argument("--loss", type=float, required=True)
+    parser.add_argument("--frame", type=int, default=100,
+                        help="FGS frame size H in packets")
+    parser.add_argument("--capacity", type=float, default=2_000_000.0)
+    parser.add_argument("--flows", type=int, default=2)
+    _add_flags(parser, ControlParams, _ANALYZE)
 
 
 def _cmd_analyze(args) -> int:
@@ -549,6 +445,21 @@ def _cmd_analyze(args) -> int:
           f"{args.flows} flows on {args.capacity/1e6:.1f} mb/s")
     print(f"  MKC equilibrium loss p*    : {p_star:.4f}")
     return 0
+
+
+def _declare_trace(parser) -> None:
+    parser.add_argument("experiment", nargs="?", default="",
+                        help="experiment id to trace (omit for the "
+                             "synthetic video-trace mode)")
+    parser.add_argument("--fast", action="store_true",
+                        help="CI-sized run of the traced experiment")
+    parser.add_argument("--events", type=int, default=262_144, metavar="N",
+                        help="tracer ring capacity (oldest events evicted "
+                             "beyond this)")
+    parser.add_argument("--frames", type=int, default=300)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", default="",
+                        help="write JSON(L) here (default stdout)")
 
 
 def _cmd_trace_experiment(args) -> int:
@@ -608,14 +519,14 @@ def _cmd_trace(args) -> int:
                     "complexity": f.complexity, "intra": f.is_intra}
                    for f in trace.frames],
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"{args.frames}-frame trace written to {args.out}")
-    else:
-        print(text)
+    _write(json.dumps(payload, indent=2), args.out,
+           f"{args.frames}-frame trace")
     return 0
+
+
+def _declare_serve(parser) -> None:
+    from .service.api import ServiceConfig
+    _add_flags(parser, ServiceConfig, _SERVE)
 
 
 def _cmd_serve(args) -> int:
@@ -626,9 +537,7 @@ def _cmd_serve(args) -> int:
     if args.workers < 0:
         print("--workers must be non-negative", file=sys.stderr)
         return 2
-    config = ServiceConfig(storage_dir=args.storage, workers=args.workers,
-                           host=args.host, port=args.port,
-                           heartbeat_timeout=args.heartbeat_timeout)
+    config = _from_flags(ServiceConfig, _SERVE, args)
     try:
         asyncio.run(serve(config))
     except KeyboardInterrupt:
@@ -639,6 +548,22 @@ def _cmd_serve(args) -> int:
 def _service_client(args):
     from .service.client import ServiceClient
     return ServiceClient(args.host, args.port)
+
+
+def _declare_submit(parser) -> None:
+    parser.add_argument("experiments", nargs="+", metavar="KEY",
+                        help="registry keys to submit (see pels experiments "
+                             "--list)")
+    parser.add_argument("--fast", action="store_true",
+                        help="submit CI-sized runs")
+    parser.add_argument("--priority", type=int, default=0)
+    parser.add_argument("--timeout", type=float, default=None, metavar="S",
+                        help="per-attempt wall-clock budget")
+    parser.add_argument("--retries", type=int, default=1, metavar="N")
+    _service_flags(parser)
+    parser.add_argument("--wait", action="store_true",
+                        help="block until the submitted jobs settle")
+    _json_flag(parser, "write job records here")
 
 
 def _cmd_submit(args) -> int:
@@ -667,10 +592,17 @@ def _cmd_submit(args) -> int:
         if any(record["state"] != "done" for record in jobs):
             return 1
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump({"jobs": jobs}, handle, indent=2)
-        print(f"  job records written to {args.json}")
+        _write_json({"jobs": jobs}, args.json, "job records")
     return 0
+
+
+def _declare_status(parser) -> None:
+    parser.add_argument("job", nargs="?", default="",
+                        help="job id (omit for the whole service)")
+    parser.add_argument("--state", default="",
+                        help="filter the job list by state")
+    _service_flags(parser)
+    _json_flag(parser, "write the status here")
 
 
 def _cmd_status(args) -> int:
@@ -708,10 +640,16 @@ def _cmd_status(args) -> int:
         print(f"status failed: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"  status written to {args.json}")
+        _write_json(payload, args.json, "status")
     return 0
+
+
+def _declare_artifacts(parser) -> None:
+    parser.add_argument("job", nargs="?", default="",
+                        help="job id to fetch (omit to list)")
+    _service_flags(parser)
+    parser.add_argument("--out", default="", metavar="PATH",
+                        help="write the fetched artifact JSON here")
 
 
 def _cmd_artifacts(args) -> int:
@@ -727,16 +665,29 @@ def _cmd_artifacts(args) -> int:
     except (ServiceError, OSError) as exc:
         print(f"artifacts failed: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(artifact, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"artifact {artifact.get('experiment_id')} "
-              f"(schema v{artifact.get('schema_version')}) written to "
-              f"{args.out}")
-    else:
-        print(text)
+    _write(json.dumps(artifact, indent=2, sort_keys=True), args.out,
+           f"artifact {artifact.get('experiment_id')} "
+           f"(schema v{artifact.get('schema_version')})")
     return 0
+
+
+def _declare_experiments(parser) -> None:
+    from .experiments.runner import add_arguments
+    add_arguments(parser)
+
+
+def _cmd_experiments(args) -> int:
+    from .experiments.runner import run_cli
+    return run_cli(args)
+
+
+def _declare_plot(parser) -> None:
+    parser.add_argument("results", help="JSON file from experiments --json")
+    parser.add_argument("artifact", help="artifact id, e.g. F9")
+    parser.add_argument("series", nargs="*",
+                        help="series names (default: all in the artifact)")
+    parser.add_argument("--width", type=int, default=72)
+    parser.add_argument("--height", type=int, default=16)
 
 
 def _cmd_plot(args) -> int:
@@ -767,10 +718,77 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+#: ``(verb, flag declaration, command, one-line help, description)``.
+_VERBS = (
+    ("simulate", _declare_simulate, _cmd_simulate,
+     "run a PELS bar-bell session", None),
+    ("live", _declare_live, _cmd_live,
+     "run the PELS stack over real UDP sockets (wall clock)",
+     "Stream synthetic FGS video from an asyncio server through a "
+     "userspace software router (tri-color strict-priority + WRR, Eq. 11 "
+     "labels) to a client, all on loopback UDP under time.monotonic, and "
+     "compare the converged rate to the Lemma 6 oracle "
+     "r* = C/N + alpha/beta."),
+    ("gateway", _declare_gateway, _cmd_gateway,
+     "load-test the sharded live gateway (admission control + router "
+     "shard processes)",
+     "Spawn a pool of router shard processes, register a population of "
+     "flows through the admission gateway (per-tenant token buckets, "
+     "concurrency caps, per-shard capacity budgets, stable-hash "
+     "placement), stream them all from one tenant-grouped sender, and "
+     "report goodput vs the Lemma 6 oracle, per-color delay percentiles, "
+     "admission throughput, and CPU per flow."),
+    ("fluid", _declare_fluid, _cmd_fluid,
+     "epoch-batched fluid run (paper recurrences, no packets: "
+     "thousand-flow scaling)", None),
+    ("serve", _declare_serve, _cmd_serve,
+     "run the experiment-fleet service (job queue + workers + HTTP API "
+     "+ live metric streaming)",
+     "Long-running control plane over the experiment fleet: submit "
+     "experiment jobs over HTTP, N worker processes pull from a "
+     "persistent queue (heartbeats, stale-job requeue, crash-isolated "
+     "execution), artifacts and baselines persist in the storage "
+     "directory, and obs metric snapshots stream to subscribed clients "
+     "while jobs run."),
+    ("submit", _declare_submit, _cmd_submit,
+     "submit experiment jobs to a running pels service", None),
+    ("status", _declare_status, _cmd_status,
+     "service health and job states (optionally one job)", None),
+    ("artifacts", _declare_artifacts, _cmd_artifacts,
+     "list stored artifacts, or fetch one job's artifact", None),
+    ("experiments", _declare_experiments, _cmd_experiments,
+     "regenerate the paper's tables and figures", None),
+    ("analyze", _declare_analyze, _cmd_analyze,
+     "closed-form values (Lemmas 1-6)", None),
+    ("trace", _declare_trace, _cmd_trace,
+     "trace an experiment as JSONL, or generate a synthetic video trace",
+     "With an experiment id (e.g. F2, R1), run it with the structured "
+     "tracer and metrics registry active and emit the JSONL timeline.  "
+     "Without one, generate a synthetic Foreman-like video trace (legacy "
+     "mode)."),
+    ("plot", _declare_plot, _cmd_plot,
+     "chart a series from a results JSON (see experiments --json)", None),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pels",
+        description="PELS (ICDCS 2004) reproduction toolkit")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_VerbParser)
+    for verb, declare, command, help_text, description in _VERBS:
+        verb_parser = sub.add_parser(verb, help=help_text,
+                                     description=description)
+        verb_parser.declare = declare
+        verb_parser.set_defaults(func=command)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.func(args)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         try:
@@ -778,62 +796,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError:
             pass
         return 0
-
-
-def _dispatch(args) -> int:
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "live":
-        return _cmd_live(args)
-    if args.command == "gateway":
-        return _cmd_gateway(args)
-    if args.command == "fluid":
-        return _cmd_fluid(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "plot":
-        return _cmd_plot(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "artifacts":
-        return _cmd_artifacts(args)
-    if args.command == "experiments":
-        from .experiments.runner import main as experiments_main
-        forwarded: List[str] = []
-        if args.list:
-            forwarded.append("--list")
-        if args.fast:
-            forwarded.append("--fast")
-        if args.only:
-            forwarded.extend(["--only", args.only])
-        if args.no_ablations:
-            forwarded.append("--no-ablations")
-        if args.jobs != 1:
-            forwarded.extend(["--jobs", str(args.jobs)])
-        if args.chunk is not None:
-            forwarded.extend(["--chunk", str(args.chunk)])
-        if args.json:
-            forwarded.extend(["--json", args.json])
-        if args.timeout is not None:
-            forwarded.extend(["--timeout", str(args.timeout)])
-        if args.retries:
-            forwarded.extend(["--retries", str(args.retries)])
-        if args.retry_backoff != 0.5:
-            forwarded.extend(["--retry-backoff", str(args.retry_backoff)])
-        if args.out_dir:
-            forwarded.extend(["--out-dir", args.out_dir])
-        if args.resume:
-            forwarded.append("--resume")
-        if args.metrics_out:
-            forwarded.extend(["--metrics-out", args.metrics_out])
-        return experiments_main(forwarded)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,9 +6,9 @@ scenario (or ``--tune``) asks for one, so default runs carry zero
 adaptive-control state.
 """
 
-from .backend import MemoryBackend, StateBackend
+from .backend import MemoryBackend
 from .meta import MetaController, MetaControllerConfig
 from .pid import PIDController
 
 __all__ = ["PIDController", "MetaController", "MetaControllerConfig",
-           "StateBackend", "MemoryBackend"]
+           "MemoryBackend"]

@@ -1,12 +1,9 @@
-"""Pluggable state backends for the meta-control layer.
+"""The meta-controller's adjustment log.
 
 The meta-controller records every parameter adjustment it applies — a
-``(t, loop, params)`` triple — through a :class:`StateBackend`.  The
-in-memory implementation backs tests, experiments and the A4 ablation;
-the interface is deliberately the minimal surface a ``pels serve``
-storage layer needs (append adjustments, read them back, persist the
-latest applied parameter set), so a SQLite/HTTP backend can slot in
-without touching the control loop.
+``(t, loop, params)`` triple — through a :class:`MemoryBackend`: append
+adjustments, read them back, keep the latest applied parameter set per
+loop.  It backs tests, experiments and the A4 ablation.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-__all__ = ["StateBackend", "MemoryBackend", "HISTORY_LIMIT"]
+__all__ = ["MemoryBackend", "HISTORY_LIMIT"]
 
 #: One applied adjustment: (time, loop name, {param: value}).
 Adjustment = Tuple[float, str, Dict[str, float]]
@@ -25,30 +22,10 @@ Adjustment = Tuple[float, str, Dict[str, float]]
 HISTORY_LIMIT = 4096
 
 
-class StateBackend:
-    """Interface the meta-controller persists its decisions through."""
-
-    def record(self, t: float, loop: str,
-               params: Dict[str, float]) -> None:
-        """Append one applied adjustment."""
-        raise NotImplementedError
-
-    def history(self, loop: Optional[str] = None) -> List[Adjustment]:
-        """All recorded adjustments, optionally filtered by loop name."""
-        raise NotImplementedError
-
-    def latest(self, loop: str) -> Optional[Dict[str, float]]:
-        """The most recent parameter set applied by ``loop``, if any."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop all recorded state (meta-controller ``reset()``)."""
-        raise NotImplementedError
-
-
-class MemoryBackend(StateBackend):
-    """In-process backend (the default): the last ``HISTORY_LIMIT``
-    adjustments, and — exactly, however old — the latest per loop."""
+class MemoryBackend:
+    """What the meta-controller persists its decisions through: the
+    last ``HISTORY_LIMIT`` adjustments, and — exactly, however old —
+    the latest per loop."""
 
     def __init__(self) -> None:
         self._log: Deque[Adjustment] = deque(maxlen=HISTORY_LIMIT)
@@ -56,19 +33,23 @@ class MemoryBackend(StateBackend):
 
     def record(self, t: float, loop: str,
                params: Dict[str, float]) -> None:
+        """Append one applied adjustment."""
         self._log.append((t, loop, dict(params)))
         self._latest[loop] = dict(params)
 
     def history(self, loop: Optional[str] = None) -> List[Adjustment]:
+        """All recorded adjustments, optionally filtered by loop name."""
         if loop is None:
             return list(self._log)
         return [entry for entry in self._log if entry[1] == loop]
 
     def latest(self, loop: str) -> Optional[Dict[str, float]]:
+        """The most recent parameter set applied by ``loop``, if any."""
         params = self._latest.get(loop)
         return dict(params) if params is not None else None
 
     def clear(self) -> None:
+        """Drop all recorded state."""
         self._log.clear()
         self._latest.clear()
 

@@ -34,9 +34,8 @@ Three loops, each a :class:`~repro.control.pid.PIDController`:
   closed-loop.  Off by default because changing the share moves the
   capacity ``C`` of the oracle itself.
 
-Every applied adjustment is recorded through a pluggable
-:class:`~repro.control.backend.StateBackend` (``MemoryBackend`` here;
-the interface is what a ``pels serve`` storage layer will implement).
+Every applied adjustment is recorded in a
+:class:`~repro.control.backend.MemoryBackend`.
 
 The controller is clock-free and event-free: it only acts inside
 :meth:`step`, which :meth:`MetaController.attach` hangs on the router's
@@ -47,71 +46,67 @@ runs — untuned simulations remain event- and byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..obs.monitor import EpochObservation, observe_epoch
-from .backend import MemoryBackend, StateBackend
+from .backend import MemoryBackend
 from .pid import PIDController
 
 __all__ = ["MetaControllerConfig", "MetaController"]
 
 
+# The loop constants.  Conservative on purpose: at the 30 ms epoch
+# cadence the output clamps keep the commanded parameters within a few
+# multiples of their baselines (the tuning seam then enforces the hard
+# stability envelopes independently).
+
+# -- rate loop: alpha = alpha0 * (1 + u) --------------------------------
+#: P-dominant: the boost follows the error down, so alpha returns to
+#: alpha0 as reconvergence completes rather than overshooting.
+RATE_KP, RATE_KI, RATE_KD = 2.0, 0.1, 0.0
+#: Forgetting time constant (s) of the rate integral: a transient boost
+#: unwinds on its own within a few seconds of quiet.
+RATE_LEAK_S = 2.0
+#: Clamp on u: alpha ranges over [alpha0 * (1 + lo), alpha0 * (1 + hi)].
+RATE_OUTPUT_RANGE = (-0.5, 2.0)
+
+# -- gamma loop: sigma = sigma0 * (1 - v) -------------------------------
+GAMMA_KP, GAMMA_KI, GAMMA_KD = 3.0, 0.2, 0.0
+GAMMA_LEAK_S = 3.0
+#: Innovation level considered "converged" (the setpoint).
+INNOVATION_TOLERANCE = 0.02
+#: EMA weight of each new innovation sample.
+INNOVATION_SMOOTHING = 0.3
+#: Clamp on v: sigma ranges over [sigma0 * (1 - hi), sigma0 * (1 - lo)].
+GAMMA_OUTPUT_RANGE = (-2.0, 0.5)
+
+# -- WRR loop: share = share0 + w ---------------------------------------
+WRR_KP, WRR_KI = 2.0, 0.2
+#: Green-queue mean delay target (seconds).
+GREEN_DELAY_TARGET_S = 0.005
+#: Clamp on the share offset w.
+WRR_OUTPUT_RANGE = (-0.3, 0.3)
+
+
 @dataclass
 class MetaControllerConfig:
-    """Gains, setpoints and loop toggles of the meta-controller.
-
-    Defaults are deliberately conservative: at the 30 ms epoch cadence
-    an adjustment is applied at most every ``update_interval`` seconds,
-    and the output clamps keep the commanded parameters within a few
-    multiples of their baselines (the tuning seam then enforces the
-    hard stability envelopes independently).
-    """
+    """Cadence and loop toggles of the meta-controller (the gains,
+    setpoints and clamps are the module constants above)."""
 
     #: Minimum seconds between applied adjustments (PID gating).
     update_interval: float = 0.24
-
-    # -- rate loop: alpha = alpha0 * (1 + u) ----------------------------
     tune_rate: bool = True
-    #: P-dominant: the boost follows the error down, so alpha returns
-    #: to alpha0 as reconvergence completes rather than overshooting.
-    rate_kp: float = 2.0
-    rate_ki: float = 0.1
-    rate_kd: float = 0.0
-    #: Forgetting time constant (s) of the rate integral: a transient
-    #: boost unwinds on its own within a few seconds of quiet.
-    rate_leak_s: float = 2.0
-    #: Clamp on u: alpha ranges over [alpha0 * (1 + lo), alpha0 * (1 + hi)].
-    rate_output_range: tuple = (-0.5, 2.0)
-
-    # -- gamma loop: sigma = sigma0 * (1 - v) ---------------------------
     tune_gamma: bool = True
-    gamma_kp: float = 3.0
-    gamma_ki: float = 0.2
-    gamma_kd: float = 0.0
-    gamma_leak_s: float = 3.0
-    #: Innovation level considered "converged" (the setpoint).
-    innovation_tolerance: float = 0.02
-    #: EMA weight of each new innovation sample.
-    innovation_smoothing: float = 0.3
-    #: Clamp on v: sigma ranges over [sigma0 * (1 - hi), sigma0 * (1 - lo)].
-    gamma_output_range: tuple = (-2.0, 0.5)
-
-    # -- WRR loop: share = share0 + w (opt-in) --------------------------
+    #: Opt-in: changing the share moves the oracle's capacity ``C``.
     tune_wrr: bool = False
-    wrr_kp: float = 2.0
-    wrr_ki: float = 0.2
-    #: Green-queue mean delay target (seconds).
-    green_delay_target_s: float = 0.005
-    #: Clamp on the share offset w.
-    wrr_output_range: tuple = (-0.3, 0.3)
 
 
 class MetaController:
     """Online PID tuning of an attached PELS control plane."""
 
     def __init__(self, config: Optional[MetaControllerConfig] = None,
-                 backend: Optional[StateBackend] = None) -> None:
+                 backend: Optional[MemoryBackend] = None) -> None:
         self.config = config or MetaControllerConfig()
         self.backend = backend if backend is not None else MemoryBackend()
         c = self.config
@@ -119,16 +114,16 @@ class MetaController:
         #: One rate PID per bound flow — created by :meth:`bind`.
         self.rate_pids: List[Optional[PIDController]] = []
         self.gamma_pid = PIDController(
-            kp=c.gamma_kp, ki=c.gamma_ki, kd=c.gamma_kd,
-            setpoint=c.innovation_tolerance,
-            output_min=c.gamma_output_range[0],
-            output_max=c.gamma_output_range[1],
+            kp=GAMMA_KP, ki=GAMMA_KI, kd=GAMMA_KD,
+            setpoint=INNOVATION_TOLERANCE,
+            output_min=GAMMA_OUTPUT_RANGE[0],
+            output_max=GAMMA_OUTPUT_RANGE[1],
             update_interval=c.update_interval,
-            integral_leak=c.gamma_leak_s)
+            integral_leak=GAMMA_LEAK_S)
         self.wrr_pid = PIDController(
-            kp=c.wrr_kp, ki=c.wrr_ki, setpoint=c.green_delay_target_s,
-            output_min=c.wrr_output_range[0],
-            output_max=c.wrr_output_range[1],
+            kp=WRR_KP, ki=WRR_KI, setpoint=GREEN_DELAY_TARGET_S,
+            output_min=WRR_OUTPUT_RANGE[0],
+            output_max=WRR_OUTPUT_RANGE[1],
             update_interval=c.update_interval)
 
         self.controllers: List = []
@@ -175,13 +170,12 @@ class MetaController:
         return self
 
     def _make_rate_pid(self) -> PIDController:
-        c = self.config
         return PIDController(
-            kp=c.rate_kp, ki=c.rate_ki, kd=c.rate_kd, setpoint=0.0,
-            output_min=c.rate_output_range[0],
-            output_max=c.rate_output_range[1],
-            update_interval=c.update_interval,
-            integral_leak=c.rate_leak_s)
+            kp=RATE_KP, ki=RATE_KI, kd=RATE_KD, setpoint=0.0,
+            output_min=RATE_OUTPUT_RANGE[0],
+            output_max=RATE_OUTPUT_RANGE[1],
+            update_interval=self.config.update_interval,
+            integral_leak=RATE_LEAK_S)
 
     def attach(self, view) -> "MetaController":
         """Wire into a session's :class:`~repro.core.report.SessionView`
@@ -231,7 +225,7 @@ class MetaController:
             sample = obs.gamma_innovation
             ema = self._innovation_ema
             ema = sample if ema is None else \
-                ema + c.innovation_smoothing * (sample - ema)
+                ema + INNOVATION_SMOOTHING * (sample - ema)
             self._innovation_ema = ema
             v = self.gamma_pid.update(ema, now)
             if v is not None:

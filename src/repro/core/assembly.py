@@ -28,7 +28,12 @@ from .report import PortView, SessionView
 from .sink import PelsSink
 from .source import PelsSource
 
-__all__ = ["PacketAssembly", "attach_readout", "frame_start"]
+__all__ = ["FRAME_PHASE", "PacketAssembly", "attach_readout", "frame_start"]
+
+
+#: Golden-ratio frame-clock phasing of the single-hop assembly and the
+#: live server's pacer (multi-hop and best-effort carry their own).
+FRAME_PHASE = 0.6180339887
 
 
 def frame_start(flow: int, fgs: FgsConfig, phase: float,

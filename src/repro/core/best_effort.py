@@ -80,6 +80,9 @@ class _ProtectedBaseQueue(QueueDiscipline):
 
 #: Golden-ratio frame-clock phasing of the best-effort assembly.
 FRAME_PHASE = 0.618
+#: Fraction of the bottleneck reserved for the video aggregate (0.5 so
+#: operating points match the PELS scenarios).
+VIDEO_SHARE = 0.5
 
 
 @dataclass
@@ -95,12 +98,9 @@ class BestEffortScenario(ControlParams):
     fgs: FgsConfig = field(default_factory=lambda: FgsConfig(
         frame_packets=256))
     topology: BarbellConfig = field(default_factory=BarbellConfig)
-    #: Fraction of the bottleneck reserved for the video aggregate
-    #: (kept at 0.5 so operating points match the PELS scenarios).
-    video_share: float = 0.5
 
     def video_capacity_bps(self) -> float:
-        return self.topology.bottleneck_bps * self.video_share
+        return self.topology.bottleneck_bps * VIDEO_SHARE
 
 
 class BestEffortSimulation(PacketAssembly):
@@ -114,7 +114,7 @@ class BestEffortSimulation(PacketAssembly):
         internet_queue = DropTailQueue(capacity_packets=64, name="internet-q")
         bottleneck_queue = WeightedRoundRobinScheduler(
             [self.video_queue, internet_queue],
-            weights=[s.video_share, 1 - s.video_share],
+            weights=[VIDEO_SHARE, 1 - VIDEO_SHARE],
             classifier=lambda p: 0 if p.color.is_pels else 1,
             quantum_bytes=1000, name="wrr")
 

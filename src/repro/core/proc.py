@@ -213,7 +213,7 @@ def run_task(fn: Callable[..., Any], args: Tuple = (), *,
     heartbeat; returning true cancels the task.  However it ends, the
     child is reaped before this returns.
     """
-    # Non-daemonic: tasks (experiments) may spawn shards and sweep pools.
+    # Non-daemonic: tasks (experiments) may spawn shards and sweep chunks.
     child = spawn(_task_main, (fn, args), daemon=False)
     expires = None if deadline is None else time.monotonic() + deadline
     kind, value = "died", None
@@ -223,7 +223,7 @@ def run_task(fn: Callable[..., Any], args: Tuple = (), *,
                 kind = "cancelled"
                 break
             # Liveness as well as the pipe: a crashed child's own
-            # descendants (a sweep pool) may still hold its pipe end.
+            # descendants (a sweep chunk) may still hold its pipe end.
             if child.conn.poll(SLICE) or not child.alive:
                 try:
                     if child.conn.poll():

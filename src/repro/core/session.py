@@ -19,15 +19,19 @@ from ..sim.packet import Color
 from ..sim.stats import TimeSeries
 from ..sim.topology import Barbell, BarbellConfig, build_barbell
 from ..video.fgs import FgsConfig
-from .assembly import PacketAssembly, frame_start
+from .assembly import FRAME_PHASE, PacketAssembly, frame_start
 from .colors import PelsMarkingPolicy
 from .params import ControlParams
 from .pels_queue import PelsBottleneckQueue, PelsQueueConfig
 
 __all__ = ["PelsScenario", "PelsSimulation"]
 
-#: Golden-ratio frame-clock phasing of the single-hop assembly.
-FRAME_PHASE = 0.6180339887
+#: LRD cross-traffic shape (see ParetoBurstSource): Pareto shape, mean
+#: burst, and a peak sized with the idle mean so the long-run average
+#: equals ``cbr_rate_bps``.
+LRD_PEAK_BPS = 6_000_000.0
+LRD_SHAPE = 1.5
+LRD_MEAN_BURST_S = 0.4
 
 
 @dataclass
@@ -83,11 +87,6 @@ class PelsScenario(ControlParams):
     cross_traffic: str = "cbr"
     cbr_rate_bps: float = 3_000_000.0
     tcp_flows: int = 2
-    #: LRD cross-traffic shape (see ParetoBurstSource); the peak is
-    #: sized so the long-run mean equals ``cbr_rate_bps``.
-    lrd_peak_bps: float = 6_000_000.0
-    lrd_shape: float = 1.5
-    lrd_mean_burst_s: float = 0.4
     #: Optional per-flow marking policy factory override (see colors.py).
     marking_policy_factory: Optional[type] = None
     #: Opt-in online meta-control (PID tuning of alpha/sigma/WRR); None
@@ -173,15 +172,16 @@ class PelsSimulation(PacketAssembly):
             # Idle-period mean sized so the long-run average matches the
             # CBR rate at the configured peak (same offered load, very
             # different burst structure).
-            duty = s.cbr_rate_bps / s.lrd_peak_bps
+            duty = s.cbr_rate_bps / LRD_PEAK_BPS
             if not 0 < duty < 1:
-                raise ValueError("lrd_peak_bps must exceed cbr_rate_bps")
-            mean_idle = s.lrd_mean_burst_s * (1 - duty) / duty
+                raise ValueError("cbr_rate_bps must stay below the "
+                                 f"{LRD_PEAK_BPS:.0f} b/s LRD peak")
+            mean_idle = LRD_MEAN_BURST_S * (1 - duty) / duty
             self.lrd_source = ParetoBurstSource(
                 self.sim, src_host, dst_host, flow_id=1000,
-                peak_rate_bps=s.lrd_peak_bps,
-                mean_burst_s=s.lrd_mean_burst_s, mean_idle_s=mean_idle,
-                shape=s.lrd_shape)
+                peak_rate_bps=LRD_PEAK_BPS,
+                mean_burst_s=LRD_MEAN_BURST_S, mean_idle_s=mean_idle,
+                shape=LRD_SHAPE)
 
         # Periodic measurement: per-color physical loss at the bottleneck.
         self._sampler = self.feedback.every(s.sample_interval, self._sample)

@@ -41,10 +41,11 @@ from . import (ablations, bursts_exp, capacity, chaos, closed_loop_be,
                fig10, heterogeneous, live_chaos, live_exp, live_load,
                multihop, rd_smoothing, scaling, service_exp, table1)
 from ..core import proc
-from ..core.retry import backoff_delay
+from ..core.retry import retry_call
 from .common import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "describe_registry", "run_all", "main"]
+__all__ = ["EXPERIMENTS", "describe_registry", "run_all", "add_arguments",
+           "run_cli", "main"]
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "T1": table1.run,
@@ -236,28 +237,37 @@ def _run_one(key: str, fast: bool, retries: int = 0,
     exponential backoff.
     """
     t0 = time.perf_counter()
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            fn = _registry()[key]
-            result = fn(fast=fast, **_sweep_kwargs(fn, jobs, chunk))
-            result.wall_time = time.perf_counter() - t0
-            return result
-        except KeyboardInterrupt:
-            raise
-        except TRANSIENT_ERRORS as exc:
-            if attempt > retries:
-                return _failure_result(
-                    key, "transient-error",
-                    f"{type(exc).__name__}: {exc}", attempt,
-                    time.perf_counter() - t0)
-            time.sleep(backoff_delay(attempt - 1, backoff))
-        except Exception as exc:
-            tail = traceback.format_exc().strip().splitlines()[-3:]
-            return _failure_result(
-                key, "error", f"{type(exc).__name__}: {exc} | "
-                + " / ".join(tail), attempt, time.perf_counter() - t0)
+    attempts = 0
+
+    def attempt() -> ExperimentResult:
+        nonlocal attempts
+        attempts += 1
+        fn = _registry()[key]
+        return fn(fast=fast, **_sweep_kwargs(fn, jobs, chunk))
+
+    try:
+        result = retry_call(attempt, retries=retries, base=backoff,
+                            transient=TRANSIENT_ERRORS)
+    except TRANSIENT_ERRORS as exc:
+        return _failure_result(
+            key, "transient-error", f"{type(exc).__name__}: {exc}",
+            attempts, time.perf_counter() - t0)
+    except Exception as exc:
+        tail = traceback.format_exc().strip().splitlines()[-3:]
+        return _failure_result(
+            key, "error", f"{type(exc).__name__}: {exc} | "
+            + " / ".join(tail), attempts, time.perf_counter() - t0)
+    result.wall_time = time.perf_counter() - t0
+    return result
+
+
+class _ChildFailed(Exception):
+    """An isolation child ended without a result (carries the
+    :class:`~repro.core.proc.Outcome`)."""
+
+    def __init__(self, outcome: proc.Outcome) -> None:
+        super().__init__(outcome.kind)
+        self.outcome = outcome
 
 
 def _run_isolated(key: str, fast: bool, timeout: Optional[float],
@@ -275,26 +285,30 @@ def _run_isolated(key: str, fast: bool, timeout: Optional[float],
     (``_sweep_kwargs`` decides).
     """
     t0 = time.perf_counter()
-    attempt = 0
-    while True:
-        attempt += 1
+
+    def attempt() -> ExperimentResult:
         outcome = proc.run_task(
             _run_one, (key, fast, retries, backoff, jobs, chunk),
             deadline=timeout)
-        if outcome.kind == "ok":
-            outcome.value.wall_time = time.perf_counter() - t0
-            return outcome.value
-        if attempt > retries:
-            if outcome.kind == "timeout":
-                kind = "timeout"
-                message = f"exceeded {timeout:.0f}s wall clock"
-            else:
-                kind = "worker-died"
-                message = (f"isolation process exited without a result "
-                           f"(exitcode {outcome.exitcode})")
-            return _failure_result(key, kind, message, attempt,
-                                   time.perf_counter() - t0)
-        time.sleep(backoff_delay(attempt - 1, backoff))
+        if outcome.kind != "ok":
+            raise _ChildFailed(outcome)
+        return outcome.value
+
+    try:
+        result = retry_call(attempt, retries=retries, base=backoff,
+                            transient=(_ChildFailed,))
+    except _ChildFailed as exc:
+        if exc.outcome.kind == "timeout":
+            kind = "timeout"
+            message = f"exceeded {timeout:.0f}s wall clock"
+        else:
+            kind = "worker-died"
+            message = (f"isolation process exited without a result "
+                       f"(exitcode {exc.outcome.exitcode})")
+        return _failure_result(key, kind, message, retries + 1,
+                               time.perf_counter() - t0)
+    result.wall_time = time.perf_counter() - t0
+    return result
 
 
 def _checkpoint_path(out_dir: str, key: str) -> Path:
@@ -427,9 +441,10 @@ def _print_timings(results: List[ExperimentResult]) -> None:
               f"  {share:5.1f}%", file=sys.stderr)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's tables and figures")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the sweep's flags on ``parser`` — the one declaration
+    behind both ``python -m repro.experiments`` and ``pels experiments``."""
+    parser.description = "Regenerate the paper's tables and figures"
     parser.add_argument("--fast", action="store_true",
                         help="short runs (CI-sized)")
     parser.add_argument("--only", default="",
@@ -475,23 +490,33 @@ def main(argv=None) -> int:
     parser.add_argument("--resume", action="store_true",
                         help="skip artifacts already checkpointed in "
                              "--out-dir (failed ones re-run)")
-    args = parser.parse_args(argv)
+    parser.set_defaults(error=parser.error)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser()
+    add_arguments(parser)
+    return run_cli(parser.parse_args(argv))
+
+
+def run_cli(args: argparse.Namespace) -> int:
+    """Run the sweep a namespace parsed by :func:`add_arguments` asks for."""
     if args.list:
         for key, description in describe_registry():
             print(f"{key:<4} {description}")
         return 0
     if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+        args.error("--jobs must be at least 1")
     if args.chunk is not None and args.chunk < 1:
-        parser.error("--chunk must be at least 1")
+        args.error("--chunk must be at least 1")
     if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
+        args.error("--timeout must be positive")
     if args.retries < 0:
-        parser.error("--retries must be non-negative")
+        args.error("--retries must be non-negative")
     if args.retry_backoff < 0:
-        parser.error("--retry-backoff must be non-negative")
+        args.error("--retry-backoff must be non-negative")
     if args.resume and not args.out_dir:
-        parser.error("--resume requires --out-dir")
+        args.error("--resume requires --out-dir")
 
     profiler = None
     jobs = args.jobs
@@ -503,9 +528,9 @@ def main(argv=None) -> int:
             print("-- profiling runs serially; ignoring --jobs --",
                   file=sys.stderr)
             jobs = 1
-        # Per-callback-type engine timings ride along with cProfile:
-        # the simulators merge their per-run tallies into the obs
-        # accumulator, reported to stderr after the sweep.
+        # The fluid engines' per-section timings ride along with
+        # cProfile (it cannot see inside one function): they merge into
+        # the obs accumulator, reported to stderr after the sweep.
         reset_profile()
         enable_profiling()
         profiler = cProfile.Profile()

@@ -1,10 +1,11 @@
-"""Shared-memory parallel fluid sweeps with deterministic output.
+"""Parallel fluid sweeps with deterministic output.
 
 Experiments that integrate many independent :class:`FluidScenario`
 instances (S1's population ladder, S2's capacity-planning grid) funnel
 through :func:`sweep_fluid`: scenarios go in, compact
 :class:`FluidSummary` objects come out, **in input order**, whether the
-batch ran serially or fanned out over a process pool.  Workers return
+batch ran serially or fanned out over ``core/proc.py`` task children
+(so a killed sweep takes its chunks down with it).  Workers return
 summaries — the sampled mean-rate/gamma series plus terminal router
 state — rather than full :class:`repro.fluid.engine.FluidResult`
 objects, so the pickle traffic per scenario stays a few kilobytes even
@@ -19,10 +20,11 @@ block (stderr) and must never reach rendered tables.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
+from ..core import proc
 from ..fluid.engine import FluidEngine
 from ..fluid.scenario import FluidScenario
 
@@ -101,12 +103,20 @@ def _summarize(engine: FluidEngine) -> FluidSummary:
     )
 
 
-def _run_chunk(payload: Tuple[List[FluidScenario], Optional[str]]
-               ) -> List[FluidSummary]:
-    """Pool entry point: integrate one chunk of scenarios in order."""
-    scenarios, backend = payload
+def _run_chunk(scenarios: List[FluidScenario],
+               backend: Optional[str]) -> List[FluidSummary]:
+    """Task entry point: integrate one chunk of scenarios in order."""
     return [_summarize(FluidEngine(sc, backend=backend))
             for sc in scenarios]
+
+
+def _run_chunk_isolated(scenarios: List[FluidScenario],
+                        backend: Optional[str]) -> List[FluidSummary]:
+    outcome = proc.run_task(_run_chunk, (scenarios, backend))
+    if outcome.kind != "ok":
+        raise RuntimeError("sweep chunk child exited without a result "
+                           f"(exitcode {outcome.exitcode})")
+    return outcome.value
 
 
 def sweep_fluid(scenarios: Sequence[FluidScenario],
@@ -114,25 +124,24 @@ def sweep_fluid(scenarios: Sequence[FluidScenario],
                 chunk: Optional[int] = None) -> List[FluidSummary]:
     """Integrate every scenario; summaries come back in input order.
 
-    ``jobs > 1`` fans chunks of scenarios out over a process pool; each
-    worker constructs one engine per scenario and ships back only the
-    summary.  ``chunk`` sets the scenarios-per-task granularity
-    (default: an even split over the workers — one task per worker).
-    Serial and parallel runs produce identical summaries.
+    ``jobs > 1`` fans chunks of scenarios out, each to a disposable
+    ``proc.run_task`` child babysat by a pool thread (the shape
+    ``runner.run_all`` uses); each child constructs one engine per
+    scenario and ships back only the summaries.  ``chunk`` sets the
+    scenarios-per-task granularity (default: an even split over the
+    workers — one task per worker).  Serial and parallel runs produce
+    identical summaries.
     """
     scenarios = list(scenarios)
     if chunk is not None and chunk < 1:
         raise ValueError("chunk must be >= 1")
     if jobs <= 1 or len(scenarios) <= 1:
-        return _run_chunk((scenarios, backend))
+        return _run_chunk(scenarios, backend)
     if chunk is None:
         chunk = max(1, -(-len(scenarios) // jobs))
     chunks = [scenarios[i:i + chunk]
               for i in range(0, len(scenarios), chunk)]
-    workers = min(jobs, len(chunks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        out: List[FluidSummary] = []
-        for part in pool.map(_run_chunk,
-                             [(c, backend) for c in chunks]):
-            out.extend(part)
-    return out
+    with ThreadPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        parts = pool.map(_run_chunk_isolated, chunks,
+                         [backend] * len(chunks))
+        return [summary for part in parts for summary in part]

@@ -45,7 +45,7 @@ the same machinery to hundreds–thousands of concurrent flows:
   bucket registration rate, concurrency caps, per-shard capacity
   budgets) and stable hashing of admitted flows onto the shard pool.
 * :mod:`~repro.live.shard` — router shard processes: one
-  :class:`LiveRouter` + bottleneck per ``multiprocessing`` child,
+  :class:`LiveRouter` + bottleneck per ``core/proc.py`` child,
   control over a pipe, data over the shard's own UDP socket.
 * :mod:`~repro.live.loadgen` — the load generator behind the L2
   experiment: registers a flow population, streams it from one

@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..cc.mkc import mkc_stationary_rate
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
-from ..core.retry import backoff_delay
+from ..core.retry import retry_call
 from ..faults.live import AsyncFaultDriver
 from ..faults.schedule import FaultSchedule
 from ..video.fgs import FgsConfig
@@ -148,10 +148,6 @@ class LoadConfig(ControlParams):
     #: experiment so flows ride out the failover gap.
     feedback_timeout: float = 0.0
     blind_backoff: float = 0.85
-    #: Registration retry policy (exponential backoff with seeded
-    #: jitter); retries transient errors and retryable rejections.
-    registration_retries: int = 4
-    registration_backoff: float = 0.05
     #: Tail window (seconds before the run end) over which a second
     #: "post-recovery" goodput measurement is taken; 0 disables it.
     post_window: float = 0.0
@@ -165,8 +161,6 @@ class LoadConfig(ControlParams):
             raise ValueError("warmup fraction must be in [0, 1)")
         if self.churn_flows >= self.flows:
             raise ValueError("churn must leave at least one flow running")
-        if self.registration_retries < 0 or self.registration_backoff < 0:
-            raise ValueError("registration retry policy cannot be negative")
         if self.post_window < 0 or self.post_window >= self.duration:
             if self.post_window != 0.0:
                 raise ValueError(
@@ -220,6 +214,11 @@ class ShardLoad:
     def goodput_vs_oracle(self) -> float:
         return self.goodput_bps / self.oracle_goodput_bps \
             if self.oracle_goodput_bps else float("nan")
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in (
+            "shard_id", "n_flows", "capacity_bps", "goodput_bps",
+            "goodput_vs_oracle", "fairness", "drops", "cpu_seconds")}
 
 
 @dataclass
@@ -278,6 +277,19 @@ class LoadResult:
         return self.cpu_seconds / self.admitted if self.admitted \
             else float("nan")
 
+    def to_dict(self) -> dict:
+        """JSON-ready summary (``pels gateway --json``)."""
+        payload = {"flows": self.config.flows, "shards": self.config.shards}
+        payload.update((name, getattr(self, name)) for name in (
+            "admitted", "rejected", "churned", "flows_per_sec",
+            "aggregate_goodput_bps", "oracle_goodput_bps",
+            "goodput_vs_oracle", "green_drops", "delays", "cpu_seconds"))
+        payload["per_shard"] = [shard.to_dict() for shard in self.per_shard]
+        payload.update((name, getattr(self, name)) for name in (
+            "supervisor", "faults", "shed_packets", "shed_bytes",
+            "post_window_seconds", "post_goodput_bps"))
+        return payload
+
 
 @dataclass
 class ChaosContext:
@@ -300,6 +312,15 @@ class ChaosContext:
         return self.gateway.shards
 
 
+class _RetryableRejection(Exception):
+    """A rejection worth another attempt, carried through
+    :func:`~repro.core.retry.retry_call`."""
+
+    def __init__(self, decision: AdmissionDecision) -> None:
+        super().__init__(decision.reason)
+        self.decision = decision
+
+
 def register_with_retry(gateway: LiveGateway, tenant: str, flow_key: int,
                         client_addr: Tuple[str, int], retries: int = 4,
                         backoff: float = 0.05,
@@ -316,23 +337,32 @@ def register_with_retry(gateway: LiveGateway, tenant: str, flow_key: int,
     Returns the last decision; exhausted transient *errors* surface as
     a synthetic ``registration_error`` rejection rather than raising.
     """
-    rng = rng or random.Random()
-    last: Optional[AdmissionDecision] = None
-    for attempt in range(retries + 1):
-        try:
-            last = gateway.register(tenant, flow_key, client_addr)
-        except (TransientRegistrationError, OSError):
-            last = None
-        else:
-            if last.admitted or last.reason not in _RETRYABLE_REASONS:
-                return last
-        if attempt < retries:
-            sleep(backoff_delay(attempt, backoff, rng=rng))
-    if last is None:
-        last = AdmissionDecision(admitted=False,
+    def attempt() -> AdmissionDecision:
+        decision = gateway.register(tenant, flow_key, client_addr)
+        if not decision.admitted and decision.reason in _RETRYABLE_REASONS:
+            raise _RetryableRejection(decision)
+        return decision
+
+    try:
+        return retry_call(
+            attempt, retries=retries, base=backoff,
+            transient=(TransientRegistrationError, OSError,
+                       _RetryableRejection),
+            rng=rng or random.Random(), sleep=sleep)
+    except _RetryableRejection as exc:
+        return exc.decision
+    except (TransientRegistrationError, OSError):
+        return AdmissionDecision(admitted=False,
                                  reason="registration_error",
                                  tenant=tenant, flow_key=flow_key)
-    return last
+
+
+def _no_stats(shard_id: int) -> ShardStats:
+    """What a shard that never delivered its final stats counts as."""
+    return ShardStats(shard_id=shard_id, port=0, arrivals=[0, 0, 0, 0],
+                      drops=[0, 0, 0, 0], forwarded=[0, 0, 0, 0],
+                      mean_virtual_loss=float("nan"), routes=0,
+                      cpu_seconds=0.0, wall_seconds=0.0)
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -393,8 +423,7 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
         for flow_key in range(config.flows):
             decisions.append(register_with_retry(
                 gateway, config.tenant_of(flow_key), flow_key, client_addr,
-                retries=config.registration_retries,
-                backoff=config.registration_backoff, rng=reg_rng))
+                rng=reg_rng))
         registration_seconds = time.perf_counter() - reg_started
         admitted = [d for d in decisions if d.admitted]
         if not admitted:
@@ -599,7 +628,7 @@ def run_load(config: Optional[LoadConfig] = None,
     shed_packets_total = [0, 0, 0, 0]
     shed_bytes_total = [0, 0, 0, 0]
     for slot, shard in enumerate(final_shards):
-        shard_stats = stats.get(shard.shard_id)
+        shard_stats = stats.get(shard.shard_id) or _no_stats(shard.shard_id)
         flow_ids = [d.flow_id for d in admitted
                     if flow_slot[d.flow_id] == slot]
         rates = [delivered.get(flow_id, 0) * 8 / window
@@ -613,11 +642,9 @@ def run_load(config: Optional[LoadConfig] = None,
             else 0.0
         fairness = (min(rates) / max(rates)
                     if rates and max(rates) > 0 else float("nan"))
-        drops = shard_stats.drops if shard_stats else [0, 0, 0, 0]
-        shed_p = list(shard_stats.shed_packets) if shard_stats \
-            else [0, 0, 0, 0]
-        shed_b = list(shard_stats.shed_bytes) if shard_stats \
-            else [0, 0, 0, 0]
+        drops = list(shard_stats.drops)
+        shed_p = list(shard_stats.shed_packets)
+        shed_b = list(shard_stats.shed_bytes)
         slot_senders = [senders[flow_id] for flow_id in flow_ids]
         per_shard.append(ShardLoad(
             shard_id=shard.shard_id, n_flows=n_flows,
@@ -625,17 +652,14 @@ def run_load(config: Optional[LoadConfig] = None,
             oracle_goodput_bps=oracle, goodput_bps=goodput,
             mean_flow_goodput_bps=goodput / n_flows if n_flows
             else float("nan"),
-            fairness=fairness, green_drops=drops[0], drops=list(drops),
-            arrivals=list(shard_stats.arrivals) if shard_stats
-            else [0, 0, 0, 0],
-            forwarded=list(shard_stats.forwarded) if shard_stats
-            else [0, 0, 0, 0],
-            mean_virtual_loss=shard_stats.mean_virtual_loss
-            if shard_stats else float("nan"),
-            cpu_seconds=shard_stats.cpu_seconds if shard_stats else 0.0,
-            wall_seconds=shard_stats.wall_seconds if shard_stats else 0.0,
+            fairness=fairness, green_drops=drops[0], drops=drops,
+            arrivals=list(shard_stats.arrivals),
+            forwarded=list(shard_stats.forwarded),
+            mean_virtual_loss=shard_stats.mean_virtual_loss,
+            cpu_seconds=shard_stats.cpu_seconds,
+            wall_seconds=shard_stats.wall_seconds,
             slot=slot, shed_packets=shed_p, shed_bytes=shed_b,
-            shed_level=shard_stats.shed_level if shard_stats else 0,
+            shed_level=shard_stats.shed_level,
             blind_intervals=sum(f.blind_intervals for f in slot_senders),
             rate_freezes=sum(f.rate_freezes for f in slot_senders),
             recoveries=sum(f.recoveries for f in slot_senders)))

@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.feedback import EpochLog
+from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig, PelsQueueCore
 from ..obs.metrics import current_registry
 from ..obs.trace import current_tracer
@@ -106,8 +107,9 @@ class LiveRouter(asyncio.DatagramProtocol):
 
     def __init__(self, clock: Clock, bottleneck_bps: float,
                  config: Optional[PelsQueueConfig] = None,
-                 interval: float = 0.030, router_id: int = 1,
-                 window_intervals: int = 5,
+                 interval: float = ControlParams.feedback_interval,
+                 router_id: int = 1,
+                 window_intervals: int = ControlParams.feedback_window,
                  service_tick: float = 0.002,
                  recv_batch: int = 64) -> None:
         if bottleneck_bps <= 0:

@@ -40,6 +40,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cc.base import RateController, make_controller
+from ..core.assembly import FRAME_PHASE, frame_start
 from ..core.clock import Clock
 from ..core.flow import FlowSender
 from ..core.gamma import GammaController
@@ -54,10 +55,6 @@ __all__ = ["LiveFlow", "LiveServer", "CROSS_TRAFFIC_FLOW_ID"]
 #: Flow id of the best-effort CBR cross traffic (kept far away from the
 #: PELS flow ids, which count from 0).
 CROSS_TRAFFIC_FLOW_ID = 10_000
-
-#: Golden-ratio frame-clock phasing, as in PelsScenario.frame_phase_of:
-#: decorrelates the flows' plan instants while staying deterministic.
-_GOLDEN = 0.6180339887
 
 
 class LiveFlow(FlowSender):
@@ -236,7 +233,7 @@ class LiveServer(asyncio.DatagramProtocol):
             self._phased = True
             for flow in self.flows.values():
                 flow.start_time = flow.deadline = \
-                    now + (flow.flow_id * _GOLDEN) % 1.0 * interval
+                    now + frame_start(flow.flow_id, self.fgs, FRAME_PHASE)
         clock = self.clock
         transport = self.transport
         for flow in (self.flows.values() if tenant is None

@@ -13,7 +13,7 @@ The split between the planes is strict:
 * **data** never touches the pipe — senders transmit straight to the
   shard's UDP port, the shard forwards straight to the receiver address
   the gateway routed for that flow id;
-* **control** is a ``multiprocessing.Pipe`` carrying small tuples:
+* **control** is the ``core/proc.py`` duplex pipe carrying small tuples:
   route installs/removals from the gateway, stats requests, heartbeat
   pings, shed-level commands, stop.  The child drains the pipe from a
   readiness callback on its event loop, so control messages interleave
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core import proc
+from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
 
 __all__ = ["ShardConfig", "ShardStats", "RouterShard"]
@@ -61,8 +62,8 @@ class ShardConfig:
     host: str = "127.0.0.1"
     bottleneck_bps: float = 2_000_000.0
     queue: PelsQueueConfig = field(default_factory=PelsQueueConfig)
-    feedback_interval: float = 0.030
-    feedback_window: int = 5
+    feedback_interval: float = ControlParams.feedback_interval
+    feedback_window: int = ControlParams.feedback_window
     #: Burst granularity under backlog: the router's credit timer runs
     #: only while datagrams wait for link credit (an uncongested shard
     #: forwards on arrival, an idle one sleeps in the selector).

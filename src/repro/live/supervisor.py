@@ -72,9 +72,26 @@ _FAILOVER_BOUNDS = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
 _SHED_COLOR_NAMES = ("green", "yellow", "red", "best_effort")
 
 
+#: CPU utilization at/above which a poll counts as hot, and at/below
+#: which it counts as calm.
+OVERLOAD_UTILIZATION = 0.90
+RECOVER_UTILIZATION = 0.70
+#: Red-queue occupancy (fraction of buffer) that also counts as hot,
+#: and at/below which a poll can count as calm.
+OVERLOAD_OCCUPANCY = 0.90
+RECOVER_OCCUPANCY = 0.30
+#: Consecutive hot (calm) polls before the shed level escalates
+#: (de-escalates).
+OVERLOAD_POLLS = 2
+RECOVER_POLLS = 2
+#: Restarts per slot before the supervisor gives up (slot stays closed
+#: ``shard_down`` and is marked failed).
+MAX_RESTARTS = 3
+
+
 @dataclass
 class SupervisorConfig:
-    """Thresholds and cadence of the supervision loop."""
+    """Cadence of the supervision loop."""
 
     #: Seconds between ticks of the async poll loop.
     poll_interval: float = 0.25
@@ -82,21 +99,6 @@ class SupervisorConfig:
     #: Must comfortably exceed ``poll_interval`` — a healthy pong is
     #: one poll old by construction.
     hang_timeout: float = 1.2
-    #: CPU utilization at/above which a poll counts as hot.
-    overload_utilization: float = 0.90
-    #: Utilization at/below which a poll counts as calm.
-    recover_utilization: float = 0.70
-    #: Red-queue occupancy (fraction of buffer) that also counts as hot.
-    overload_occupancy: float = 0.90
-    #: Occupancy at/below which a poll can count as calm.
-    recover_occupancy: float = 0.30
-    #: Consecutive hot polls before the shed level escalates.
-    overload_polls: int = 2
-    #: Consecutive calm polls before the shed level de-escalates.
-    recover_polls: int = 2
-    #: Restarts per slot before the supervisor gives up (slot stays
-    #: closed ``shard_down`` and is marked failed).
-    max_restarts: int = 3
 
 
 @dataclass
@@ -152,7 +154,7 @@ class ShardSupervisor:
         supervised; the supervisor closes/opens slots and swaps
         replacement handles in via ``replace_shard``.
     config:
-        Thresholds; see :class:`SupervisorConfig`.
+        Cadence; see :class:`SupervisorConfig`.
     retarget:
         ``(flow_id, addr) -> None`` — called for every re-homed flow so
         the sender re-aims its datagrams (``LiveServer.retarget_flow``
@@ -280,7 +282,6 @@ class ShardSupervisor:
 
     def _evaluate_load(self, slot: int, shard, state: _SlotState,
                        stats: ShardStats) -> None:
-        cfg = self.config
         if state._prev_wall is not None and \
                 stats.wall_seconds > state._prev_wall:
             state.utilization = (stats.cpu_seconds - state._prev_cpu) / \
@@ -291,20 +292,20 @@ class ShardSupervisor:
         state.send_errors = stats.send_errors
         self._account_shed(state, stats)
 
-        hot = state.utilization >= cfg.overload_utilization or \
-            state.red_occupancy >= cfg.overload_occupancy
-        calm = state.utilization <= cfg.recover_utilization and \
-            state.red_occupancy <= cfg.recover_occupancy
+        hot = state.utilization >= OVERLOAD_UTILIZATION or \
+            state.red_occupancy >= OVERLOAD_OCCUPANCY
+        calm = state.utilization <= RECOVER_UTILIZATION and \
+            state.red_occupancy <= RECOVER_OCCUPANCY
         if hot:
             state.hot_polls += 1
             state.calm_polls = 0
-            if state.hot_polls >= cfg.overload_polls:
+            if state.hot_polls >= OVERLOAD_POLLS:
                 state.hot_polls = 0
                 self._escalate(slot, shard, state)
         elif calm:
             state.calm_polls += 1
             state.hot_polls = 0
-            if state.calm_polls >= cfg.recover_polls:
+            if state.calm_polls >= RECOVER_POLLS:
                 state.calm_polls = 0
                 self._deescalate(slot, shard, state)
         else:
@@ -361,7 +362,7 @@ class ShardSupervisor:
         """Replace a dead/hung shard and re-home its flows.
 
         Returns the :class:`FailoverRecord`, or None when the slot has
-        exhausted ``max_restarts`` and is marked failed (closed to new
+        exhausted ``MAX_RESTARTS`` and is marked failed (closed to new
         admissions for good).
         """
         detected = self.clock.now if now is None else now
@@ -373,7 +374,7 @@ class ShardSupervisor:
         if kill is not None:
             kill()
 
-        if state.restarts >= self.config.max_restarts:
+        if state.restarts >= MAX_RESTARTS:
             state.state = STATE_FAILED
             self._set_gauge(slot, state)
             record = FailoverRecord(

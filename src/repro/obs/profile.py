@@ -1,16 +1,14 @@
-"""Profiling hooks: per-callback cumulative time for both engines.
+"""Profiling hooks: per-section cumulative time inside the fluid engine.
 
-The discrete-event engine has one hot loop; when profiling is active it
-switches to an instrumented twin that wraps every callback dispatch in
-``perf_counter`` pairs keyed by the callback's qualified name.  The
-fluid engine times its four per-epoch sections the same way.  Both
-merge into a process-global accumulator that the experiment runner's
-``--profile`` flag reports to stderr, so a sweep profile aggregates
-across every simulation it built.
+``--profile`` runs ``cProfile`` around the sweep, which attributes the
+event engine's time per callback; what it cannot see is the inside of
+one function, so the fluid engine times its four per-epoch sections in
+``perf_counter`` pairs and merges them into a process-global
+accumulator that ``--profile`` reports to stderr next to the cProfile
+table, aggregated across every engine the sweep built.
 
 Profiling is activated explicitly (``enable_profiling()``); when off,
-the engine's dispatch loop is byte-for-byte the historical one and the
-fluid engine skips the timing branch entirely.
+the fluid engine skips the timing branch entirely.
 """
 
 from __future__ import annotations

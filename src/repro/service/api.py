@@ -46,6 +46,8 @@ __all__ = ["ServiceConfig", "ExperimentService", "serve"]
 
 _MAX_BODY = 16 << 20
 _MAX_HEADER = 64 << 10
+#: Heartbeat cadence of the pool's workers (seconds).
+WORKER_HEARTBEAT = 0.5
 
 
 @dataclass
@@ -60,13 +62,9 @@ class ServiceConfig:
     heartbeat_timeout: float = 2.0
     #: Cadence of the stale-job / dead-worker sweep.
     sweep_interval: float = 0.5
-    #: Worker fallback rescan — the service wakes idle workers itself
-    #: when it makes a job claimable — and heartbeat cadence (both
-    #: forwarded to workers).
+    #: Worker fallback rescan (forwarded to workers) — the service
+    #: wakes idle workers itself when it makes a job claimable.
     worker_poll: float = 0.2
-    worker_heartbeat: float = 0.5
-    #: Respawn workers that exit (the pool is supposed to be eternal).
-    respawn_workers: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -214,7 +212,7 @@ class ExperimentService:
         self.workers[worker_id] = proc.spawn(
             pool_worker_main,
             (self.config.storage_dir, worker_id,
-             self.config.worker_poll, self.config.worker_heartbeat),
+             self.config.worker_poll, WORKER_HEARTBEAT),
             daemon=False, name=f"pels-worker-{worker_id}")
         return worker_id
 
@@ -235,8 +233,6 @@ class ExperimentService:
                     self._wake_workers()
             except OSError:  # pragma: no cover - disk hiccup
                 pass
-            if not self.config.respawn_workers:
-                continue
             for worker_id, worker in list(self.workers.items()):
                 if not worker.alive:
                     del self.workers[worker_id]

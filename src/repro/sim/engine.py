@@ -33,11 +33,8 @@ import itertools
 import random
 import sys
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
-from time import perf_counter as _perf_counter
 from typing import Any, Callable, Optional
 
-from ..obs.profile import merge_profile as _merge_profile
-from ..obs.profile import profiling_active as _profiling_active
 from ..obs.trace import current_tracer as _current_tracer
 
 __all__ = ["Event", "Simulator", "Process", "SimulationError"]
@@ -123,15 +120,12 @@ class Simulator:
         self.rng = random.Random(seed)
         self.events_dispatched = 0
         self._id_counters: dict = {}
-        # Opt-in observability, both captured at construction time (off
-        # by default).  The active tracer gets this simulator as its
-        # clock so sim-less components (queues, schedulers) can stamp
-        # events; with profiling on, per-callback cumulative times
-        # accumulate into ``profile`` as {qualname: [count, seconds]}.
+        # Opt-in observability, captured at construction time (off by
+        # default).  The active tracer gets this simulator as its clock
+        # so sim-less components (queues, schedulers) can stamp events.
         self.tracer = _current_tracer()
         if self.tracer is not None:
             self.tracer.bind_clock(self)
-        self.profile: Optional[dict] = {} if _profiling_active() else None
 
     def next_id(self, namespace: str = "node", start: int = 0) -> int:
         """Allocate a monotonically increasing id in ``namespace``.
@@ -226,77 +220,32 @@ class Simulator:
         stop = _INF if until is None else until
         budget = sys.maxsize if max_events is None else max_events
         dispatched = 0
-        # One run's worth of per-callback timings; None keeps the plain
-        # dispatch loop below byte-for-byte the historical one.
-        prof = None if self.profile is None else {}
         self._running = True
         try:
-            if prof is None:
-                while heap:
-                    entry = pop(heap)
-                    event_time, _, callback, args = entry
-                    if callback is None:
-                        self._stale -= 1
-                        continue
-                    if event_time > stop:
-                        # Put it back for a later run() call and stop.
-                        push(heap, entry)
-                        self.now = stop
-                        return
-                    self.now = event_time
-                    # Null the slot so a late cancel() of this handle is
-                    # a no-op instead of corrupting the pending count.
-                    entry[_CALLBACK] = None
-                    callback(*args)
-                    dispatched += 1
-                    if dispatched >= budget:
-                        return
-            else:
-                # Instrumented twin of the loop above: identical event
-                # semantics, plus a perf_counter pair around every
-                # dispatch keyed by the callback's qualified name.
-                perf = _perf_counter
-                while heap:
-                    entry = pop(heap)
-                    event_time, _, callback, args = entry
-                    if callback is None:
-                        self._stale -= 1
-                        continue
-                    if event_time > stop:
-                        push(heap, entry)
-                        self.now = stop
-                        return
-                    self.now = event_time
-                    entry[_CALLBACK] = None
-                    started = perf()
-                    callback(*args)
-                    elapsed = perf() - started
-                    key = getattr(callback, "__qualname__", None) \
-                        or repr(callback)
-                    stat = prof.get(key)
-                    if stat is None:
-                        prof[key] = [1, elapsed]
-                    else:
-                        stat[0] += 1
-                        stat[1] += elapsed
-                    dispatched += 1
-                    if dispatched >= budget:
-                        return
+            while heap:
+                entry = pop(heap)
+                event_time, _, callback, args = entry
+                if callback is None:
+                    self._stale -= 1
+                    continue
+                if event_time > stop:
+                    # Put it back for a later run() call and stop.
+                    push(heap, entry)
+                    self.now = stop
+                    return
+                self.now = event_time
+                # Null the slot so a late cancel() of this handle is
+                # a no-op instead of corrupting the pending count.
+                entry[_CALLBACK] = None
+                callback(*args)
+                dispatched += 1
+                if dispatched >= budget:
+                    return
             if until is not None and until > self.now:
                 self.now = until
         finally:
             self._running = False
             self.events_dispatched += dispatched
-            if prof:
-                own = self.profile
-                for key, stat in prof.items():
-                    total = own.get(key)
-                    if total is None:
-                        own[key] = list(stat)
-                    else:
-                        total[0] += stat[0]
-                        total[1] += stat[1]
-                _merge_profile(prof)
 
     def run_until_idle(self) -> None:
         """Run until no events remain."""

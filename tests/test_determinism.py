@@ -17,8 +17,7 @@ from repro.core.session import PelsScenario, PelsSimulation
 from repro.experiments.runner import _run_one, main as runner_main, run_all
 from repro.experiments import ablations
 from repro.faults import FaultSchedule, LinkFlap, RouterRestart
-from repro.obs import (disable_profiling, enable_profiling, metrics,
-                       reset_profile, tracing)
+from repro.obs import metrics, tracing
 
 
 def _fingerprint(sim: PelsSimulation) -> dict:
@@ -115,18 +114,6 @@ class TestInstrumentationDeterminism:
                 PelsSimulation(PelsScenario(**self.SCENARIO)).run())
         assert traced == plain
         assert len(tracer) > 0  # the tracer really was recording
-
-    def test_profiled_run_is_event_identical_to_plain(self):
-        plain = self._plain()
-        reset_profile()
-        enable_profiling()
-        try:
-            sim = PelsSimulation(PelsScenario(**self.SCENARIO)).run()
-        finally:
-            disable_profiling()
-            reset_profile()
-        assert sim.sim.profile, "profiling did not record"
-        assert _fingerprint(sim) == plain
 
     def test_metrics_jsonl_identical_serial_and_jobs(self, tmp_path,
                                                      capsys):

@@ -20,10 +20,9 @@ from repro.experiments.runner import main as runner_main
 from repro.obs import (EVENT_TYPES, Counter, Gauge, Histogram,
                        MetricsRegistry, Tracer, activate, activate_metrics,
                        current_registry, current_tracer, deactivate,
-                       deactivate_metrics, disable_profiling,
-                       enable_profiling, merge_profile, metrics,
-                       profile_snapshot, profiling_active, reset_profile,
-                       tracing, write_profile_report)
+                       deactivate_metrics, disable_profiling, merge_profile,
+                       metrics, profile_snapshot, reset_profile, tracing,
+                       write_profile_report)
 from repro.obs.monitor import SimulationMonitor
 
 
@@ -212,25 +211,6 @@ class TestProfiling:
         stream = io.StringIO()
         write_profile_report(stream)
         assert "no instrumented callbacks" in stream.getvalue()
-
-    def test_engine_records_per_callback_time_when_enabled(self):
-        reset_profile()
-        enable_profiling()
-        assert profiling_active()
-        sim = PelsSimulation(PelsScenario(n_flows=2, duration=2.0, seed=3))
-        assert sim.sim.profile == {}
-        sim.run()
-        assert sim.sim.profile, "no callbacks profiled"
-        for count, seconds in sim.sim.profile.values():
-            assert count > 0 and seconds >= 0.0
-        snap = profile_snapshot()
-        assert set(sim.sim.profile) <= set(snap)
-
-    def test_engine_skips_profiling_when_disabled(self):
-        sim = PelsSimulation(PelsScenario(n_flows=2, duration=0.5, seed=3))
-        assert sim.sim.profile is None
-        sim.run()
-        assert sim.sim.profile is None
 
 
 class TestSimulationMonitor:

@@ -301,3 +301,21 @@ class TestOrphanRule:
             "proc.run_task(outer)\n", lines=2)
         assert len(pids) == 2
         assert orphans.survivors(pids, within=5.0) == []
+
+    def test_a_sweep_takes_its_chunk_children_down(self, orphans):
+        # S1/S2 fan chunks out below the experiment child; a --timeout
+        # kill or a service cancel of that child must not leave them
+        # integrating (a ProcessPoolExecutor's workers did).
+        pids = orphans.after_sigkill(
+            "import os, time\n"
+            "from repro.experiments import sweep\n"
+            "from repro.fluid.scenario import FluidScenario\n"
+            "def slow(*chunk):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(60)\n"
+            "sweep._run_chunk = slow\n"
+            "sweep.sweep_fluid([FluidScenario(), FluidScenario()],\n"
+            "                  jobs=2, chunk=1)\n", lines=2)
+        assert len(pids) == 2
+        assert orphans.survivors(pids, within=proc.GRACE) == []
+
