@@ -735,7 +735,7 @@ _VERBS = (
      "Spawn a pool of router shard processes, register a population of "
      "flows through the admission gateway (per-tenant token buckets, "
      "concurrency caps, per-shard capacity budgets, stable-hash "
-     "placement), stream them all from one tenant-grouped sender, and "
+     "placement), stream them all from one paced sender, and "
      "report goodput vs the Lemma 6 oracle, per-color delay percentiles, "
      "admission throughput, and CPU per flow."),
     ("fluid", _declare_fluid, _cmd_fluid,

@@ -49,7 +49,7 @@ the same machinery to hundreds–thousands of concurrent flows:
   control over a pipe, data over the shard's own UDP socket.
 * :mod:`~repro.live.loadgen` — the load generator behind the L2
   experiment: registers a flow population, streams it from one
-  tenant-grouped server, and measures goodput / delay percentiles /
+  server (one pacer wheel), and measures goodput / delay percentiles /
   CPU per flow against the Lemma 6 oracle.
 * :mod:`~repro.live.supervisor` — the self-healing layer (L3): shard
   health checks over pipe heartbeats, crash/hang failover with flow

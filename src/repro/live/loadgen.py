@@ -12,8 +12,8 @@ and the ``pels gateway`` CLI subcommand.  One invocation:
 2. registers ``config.flows`` flows through the
    :class:`~repro.live.gateway.LiveGateway` (tenants round-robin),
    timing the loop — the reported *flows/sec admitted*;
-3. streams from one :class:`~repro.live.server.LiveServer` (tenant-
-   grouped pacing, per-flow destinations = each flow's shard) to one
+3. streams from one :class:`~repro.live.server.LiveServer` (one pacer
+   wheel, per-flow destinations = each flow's shard) to one
    :class:`~repro.live.client.LiveClient` endpoint that demultiplexes
    every flow, for ``config.duration`` wall seconds;
 4. measures over the post-warmup window — per-flow delivered bytes by
@@ -127,7 +127,7 @@ class LoadConfig(ControlParams):
     queue: PelsQueueConfig = field(default_factory=_default_queue)
     #: Shard burst granularity under backlog (``ShardConfig.service_tick``).
     service_tick: float = 0.002
-    #: Grouped-pacer wake period (one wake advances a whole tenant).
+    #: Pacer wheel period: every flow is stepped once per tick.
     pace_tick: float = 0.010
     recv_batch: int = 64
 
@@ -438,7 +438,6 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
             gamma_kwargs=config.gamma_kwargs(),
             fgs=config.fgs, cbr_rate_bps=0.0, pace_tick=config.pace_tick,
             flow_ids=[d.flow_id for d in admitted],
-            flow_tenants={d.flow_id: d.tenant for d in admitted},
             seed=config.seed,
             feedback_timeout=config.feedback_timeout,
             blind_backoff=config.blind_backoff)

@@ -15,9 +15,14 @@ Eq. 8 and Eq. 4; ride out feedback starvation blind — is
   controller rate, so a fresh ACK alters the pacing within one tick,
   mirroring ``PelsSource``'s adaptive gaps; credit is capped at a
   handful of packets, so a scheduler stall produces a small burst,
-  never an unbounded one.  One task per tenant sleeps ``pace_tick`` and
-  steps its members, so a thousand admitted flows cost a handful of
-  timers per tick instead of a thousand;
+  never an unbounded one.  One timing wheel drives it: the flows sit
+  in ``n = min(flows, pace_tick / 1 ms)`` slots (flow *i*, in
+  admission order, in slot ``i mod n``) and one re-armed
+  ``loop.call_at`` handle steps slot ``k mod n`` at the absolute time
+  ``t0 + k * pace_tick / n``.  Every flow is still stepped once per
+  ``pace_tick``, but the loop polls its sockets between slices of the
+  population instead of after all of it, so a datagram's one-way delay
+  is the queue's, not the wait for the sender's own burst to end;
 * **the ACK intake** — ACKs from the client arrive on the same endpoint
   (the reverse path bypasses the router).  The header is never fully
   decoded: validity, flow id and the ``(router_id, z, p)`` label are
@@ -50,11 +55,16 @@ from ..video.fgs import FgsConfig, PacketPlan
 from .wire import (HEADER_SIZE, LivePacket, encode_packet, peek_flow_id,
                    peek_is_valid, peek_label, peek_ptype)
 
-__all__ = ["LiveFlow", "LiveServer", "CROSS_TRAFFIC_FLOW_ID"]
+__all__ = ["LiveFlow", "LiveServer", "CROSS_TRAFFIC_FLOW_ID", "MIN_STEP"]
 
 #: Flow id of the best-effort CBR cross traffic (kept far away from the
 #: PELS flow ids, which count from 0).
 CROSS_TRAFFIC_FLOW_ID = 10_000
+
+#: Shortest step of the pacer wheel, seconds.  A platform floor, not a
+#: tuning knob: ``selectors.EpollSelector.select`` rounds its timeout
+#: *up* to whole milliseconds, so the loop cannot honour a shorter one.
+MIN_STEP = 0.001
 
 
 class LiveFlow(FlowSender):
@@ -63,16 +73,12 @@ class LiveFlow(FlowSender):
 
     def __init__(self, flow_id: int, controller: RateController,
                  gamma_controller: GammaController, fgs: FgsConfig,
-                 tenant: str = "", **sender_kwargs) -> None:
+                 **sender_kwargs) -> None:
         super().__init__(flow_id, controller, gamma_controller, fgs,
                          **sender_kwargs)
-        self.tenant = tenant
         #: Where this flow's data goes (its shard's router endpoint);
         #: ``None`` falls back to the server-wide ``dst_addr``.
         self.dst_addr: Optional[Tuple[str, int]] = None
-        #: Cleared by ``LiveServer.retire_flow``: a retired flow stops
-        #: emitting (mid-run teardown) but keeps its state for reports.
-        self.active = True
         self.acks_received = 0
         #: Credit-pacer state: when the next frame begins, the plan
         #: being paced out and how far it got, byte credit and the time
@@ -93,9 +99,10 @@ class LiveServer(asyncio.DatagramProtocol):
 
     ``flow_ids`` overrides the default ``range(n_flows)`` identities —
     the gateway allocates global flow ids, so a load generator builds
-    its server around the admitted set.  ``flow_tenants`` names each
-    flow's tenant; flows of one tenant share a pacer task (unnamed
-    flows share the empty tenant).
+    its server around the admitted set.
+
+    ``slots`` is the pacer wheel of the module docstring; ``advance(now,
+    slot)`` steps one of them, ``advance(now)`` all of them.
 
     ``feedback_timeout`` (seconds, 0 = off) arms the starvation
     watchdog (see :mod:`repro.core.flow`): a flow whose feedback has
@@ -114,15 +121,12 @@ class LiveServer(asyncio.DatagramProtocol):
                  cbr_rate_bps: float = 0.0,
                  pace_tick: float = 0.005,
                  flow_ids: Optional[Sequence[int]] = None,
-                 flow_tenants: Optional[Dict[int, str]] = None,
                  seed: Optional[int] = None,
                  feedback_timeout: float = 0.0,
                  blind_backoff: float = 0.85) -> None:
         if flow_ids is None:
             flow_ids = range(n_flows)
-        else:
-            n_flows = len(flow_ids)
-        if n_flows < 1:
+        if len(flow_ids) < 1:
             raise ValueError("need at least one live flow")
         if pace_tick <= 0:
             raise ValueError("pace tick must be positive")
@@ -131,20 +135,19 @@ class LiveServer(asyncio.DatagramProtocol):
         self.pace_tick = pace_tick
         self.cbr_rate_bps = cbr_rate_bps
         self._rng = random.Random(seed)
-        tenants = flow_tenants or {}
         trace = current_tracer()
         self.flows: Dict[int, LiveFlow] = {}
-        #: tenant -> its flows: the unit one pacer task steps per wake.
-        self._groups: Dict[str, List[LiveFlow]] = {}
-        for flow_id in flow_ids:
+        n_slots = max(1, min(len(flow_ids), int(pace_tick / MIN_STEP)))
+        #: The pacer wheel: a slot is what one timer wake steps.
+        self.slots: List[List[LiveFlow]] = [[] for _ in range(n_slots)]
+        for index, flow_id in enumerate(flow_ids):
             flow = self.flows[flow_id] = LiveFlow(
                 flow_id,
                 make_controller(controller_name, **(controller_kwargs or {})),
                 GammaController(**(gamma_kwargs or {})),
-                self.fgs, tenant=tenants.get(flow_id, ""),
-                feedback_timeout=feedback_timeout or None,
+                self.fgs, feedback_timeout=feedback_timeout or None,
                 blind_backoff=blind_backoff, trace=trace)
-            self._groups.setdefault(flow.tenant, []).append(flow)
+            self.slots[index % n_slots].append(flow)
         self.dst_addr: Optional[Tuple[str, int]] = None
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.cross_packets_sent = 0
@@ -152,8 +155,11 @@ class LiveServer(asyncio.DatagramProtocol):
         #: can emit (loss not a finite number in [0, 1]).
         self.malformed_acks = 0
         self._phased = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The wheel's one pending ``call_at`` handle (``None`` while
+        #: stopped); it carries the deadline and the slot that is due.
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._tasks: List[asyncio.Task] = []
-        self._running = False
 
     # -- asyncio protocol --------------------------------------------------
 
@@ -194,18 +200,19 @@ class LiveServer(asyncio.DatagramProtocol):
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Launch one pacer task per tenant (plus cross traffic)."""
-        if self._running:
+        """Arm the pacer wheel's one timer (plus cross traffic)."""
+        if self._timer is not None:
             raise RuntimeError("server already started")
-        self._running = True
-        self._tasks = [asyncio.ensure_future(self._pacer(tenant))
-                       for tenant in self._groups]
+        self._loop = self._loop or asyncio.get_running_loop()
+        self._timer = self._loop.call_at(self._loop.time(), self._turn, 0)
         if self.cbr_rate_bps > 0:
-            self._tasks.append(asyncio.ensure_future(self._cross_traffic()))
+            self._tasks = [asyncio.ensure_future(self._cross_traffic())]
 
     async def stop(self) -> None:
-        """Cancel the tasks and log every flow's in-flight frame."""
-        self._running = False
+        """Cancel the timer and the task; log every in-flight frame."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -215,13 +222,23 @@ class LiveServer(asyncio.DatagramProtocol):
 
     # -- transmit path -----------------------------------------------------
 
-    async def _pacer(self, tenant: str) -> None:
-        while self._running:
-            await asyncio.sleep(self.pace_tick)
-            self.advance(self.clock.now, tenant)
+    def _turn(self, slot: int) -> None:
+        """One wheel step: advance the slot that is due, re-arm for the
+        next one at its absolute deadline — so the period is
+        ``pace_tick`` whatever the step costs.  Late by more than a
+        step (a stalled loop), the wheel re-anchors at now: one step,
+        never a burst of the missed ones."""
+        step = self.pace_tick / len(self.slots)
+        due = self._timer.when()
+        now = self._loop.time()
+        if now - due > step:
+            due = now
+        self.advance(self.clock.now, slot)
+        self._timer = self._loop.call_at(due + step, self._turn,
+                                         (slot + 1) % len(self.slots))
 
-    def advance(self, now: float, tenant: Optional[str] = None) -> None:
-        """Step every active flow (of ``tenant``, if given) to ``now``.
+    def advance(self, now: float, slot: Optional[int] = None) -> None:
+        """Step every active flow (of wheel ``slot``, if given) to ``now``.
 
         The whole pacer, synchronously: frame boundaries, credit,
         emission.  The first call phases the frame clocks from its
@@ -236,10 +253,8 @@ class LiveServer(asyncio.DatagramProtocol):
                     now + frame_start(flow.flow_id, self.fgs, FRAME_PHASE)
         clock = self.clock
         transport = self.transport
-        for flow in (self.flows.values() if tenant is None
-                     else self._groups[tenant]):
-            if not flow.active:
-                continue
+        for flow in (self.slots[slot] if slot is not None
+                     else [f for members in self.slots for f in members]):
             if now >= flow.deadline:
                 # Frame boundary: the unsent tail is truncated (FGS
                 # semantics) and the next frame planned.
@@ -284,11 +299,10 @@ class LiveServer(asyncio.DatagramProtocol):
         budget stays exactly ``cbr_rate_bps``.
         """
         size = self.fgs.packet_size
-        seq = 0
         credit = 0.0
         last = self.clock.now
         uniform = self._rng.uniform
-        while self._running:
+        while True:
             await asyncio.sleep(self.pace_tick * uniform(0.5, 1.5))
             now = self.clock.now
             credit = min(8.0 * size,
@@ -296,10 +310,10 @@ class LiveServer(asyncio.DatagramProtocol):
             last = now
             while credit >= size:
                 credit -= size
-                packet = LivePacket(flow_id=CROSS_TRAFFIC_FLOW_ID, seq=seq,
+                packet = LivePacket(flow_id=CROSS_TRAFFIC_FLOW_ID,
+                                    seq=self.cross_packets_sent,
                                     color=Color.BEST_EFFORT,
                                     sent_at=now, size=size)
-                seq += 1
                 self.cross_packets_sent += 1
                 if self.transport is not None and self.dst_addr is not None:
                     self.transport.sendto(encode_packet(packet),
@@ -310,14 +324,17 @@ class LiveServer(asyncio.DatagramProtocol):
     def retire_flow(self, flow_id: int) -> None:
         """Stop a flow's emission mid-run (gateway teardown path).
 
-        The in-flight frame is logged; the flow object and its series
-        stay queryable, so reports over a retired flow are partial, not
-        missing.
+        The flow leaves its wheel slot, so a churned server steps only
+        what is live.  The in-flight frame is logged; the flow object
+        and its series stay queryable, so reports over a retired flow
+        are partial, not missing.
         """
         flow = self.flows.get(flow_id)
         if flow is not None:
-            flow.active = False
             flow.finish()
+            for members in self.slots:
+                if flow in members:
+                    members.remove(flow)
 
     def retarget_flow(self, flow_id: int,
                       addr: Tuple[str, int]) -> bool:

@@ -272,7 +272,7 @@ def run_live(script: Script, frame_times: List[float], end: float) -> dict:
             # LiveServer has no un-retire verb (no live caller churns a
             # flow back in); do by hand what PelsSource.restart does.
             flow.rejoin(at, op[1])
-            flow.active = True
+            server.slots[0].append(flow)
             flow.deadline = at
             server.advance(at)
             flow.credit = cap
