@@ -9,12 +9,23 @@ as an argument.  That contract is what lets the same controller objects
 run both inside the discrete-event :class:`~repro.sim.engine.Simulator`
 and against the wall clock in :mod:`repro.live`.
 
-This module names the contract: a :class:`Clock` is anything with a
-``now`` property returning seconds as a float.  The simulator already
-satisfies it (``Simulator.now``); :class:`WallClock` is the real-time
-implementation the live stack uses (monotonic, origin at construction,
-immune to NTP steps); :class:`ManualClock` is a hand-advanced clock for
-deterministic unit tests of wall-clock code paths.
+The clock is also the one place the live components keep time.  The
+router's Eq. 11 epoch and backlog timer, the sender's pacer wheel and
+cross traffic, and the shard supervisor's poll are steps re-armed with
+two fire-and-forget calls — ``call_later(delay, fn, *args)`` and
+``call_at(when, fn, *args)``, ``when`` in the clock's own time — so who
+drives them is whoever the clock is.  Three implementations, each
+satisfying what it can:
+
+* :class:`~repro.sim.engine.Simulator` — ``now`` and both timer calls,
+  on its event heap in virtual time: a live stack on a simulator clock
+  runs deterministically, with no socket and no sleep;
+* :class:`WallClock` — ``now`` from ``time.monotonic`` (origin at
+  construction, immune to NTP steps) and both timer calls on the
+  running asyncio loop;
+* :class:`ManualClock` — ``now`` only, hand-advanced: enough for the
+  synchronous steps (``advance``, ``close_epoch``, ``tick``) of a
+  component that is never started.
 """
 
 from __future__ import annotations
@@ -32,7 +43,9 @@ class Clock(Protocol):
     Satisfied structurally by :class:`~repro.sim.engine.Simulator`
     (virtual time), :class:`WallClock` (real time) and
     :class:`ManualClock` (test time) — callers holding a ``Clock``
-    cannot tell which world they run in, which is the point.
+    cannot tell which world they run in, which is the point.  A started
+    live component also arms timers on it (``call_later``/``call_at``,
+    see the module docstring), which the first two provide.
     """
 
     @property
@@ -41,22 +54,40 @@ class Clock(Protocol):
 
 
 class WallClock:
-    """Real time in seconds since construction.
+    """Real time in seconds since construction, timers on asyncio.
 
     Backed by ``time.monotonic`` so the origin is stable under system
     clock adjustments; starting at zero keeps live timestamps in the
     same magnitude range as simulator timestamps, so series recorded
-    against either clock render and compare identically.
+    against either clock render and compare identically.  The timer
+    calls need a running event loop (asyncio is imported on first
+    construction, not by the simulator's import of this module).
     """
 
-    __slots__ = ("_origin",)
+    __slots__ = ("_origin", "_running_loop")
 
     def __init__(self) -> None:
+        from asyncio import get_running_loop
+
         self._origin = time.monotonic()
+        self._running_loop = get_running_loop
 
     @property
     def now(self) -> float:
         return time.monotonic() - self._origin
+
+    def call_later(self, delay: float, fn, *args) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now."""
+        self._running_loop().call_later(delay, fn, *args)
+
+    def call_at(self, when: float, fn, *args) -> None:
+        """Run ``fn(*args)`` at clock time ``when``.
+
+        The loop's own clock has another origin, so the deadline is
+        translated through the time left until it; one already past
+        fires on the next loop iteration.
+        """
+        self._running_loop().call_later(when - self.now, fn, *args)
 
 
 class ManualClock:

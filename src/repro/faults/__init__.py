@@ -11,7 +11,7 @@ fixed seed is pinned by the run-boundary tests.
 
 :mod:`repro.faults.live` extends the same schedules to wall-clock
 targets: :class:`AsyncFaultDriver` satisfies the installer's ``sim``
-protocol over an asyncio loop, and the live injectors (ShardKill,
+protocol over a live clock's timers, and the live injectors (ShardKill,
 ShardStall, SocketBlackhole, RegistrationErrors) hit real shard
 processes, sockets and the gateway control plane — the L3 chaos
 experiment drives them against the supervised gateway.

@@ -1,13 +1,14 @@
 """Fault injection for the live (wall-clock) gateway stack.
 
-PR 3's :class:`~repro.faults.schedule.FaultSchedule` can torture the
+:class:`~repro.faults.schedule.FaultSchedule` can torture the
 simulator; these injectors point the same deterministic machinery at
-real processes and sockets.  The bridge is
-:class:`AsyncFaultDriver` — ``FaultSchedule.install`` only needs a
+real processes and sockets.  ``FaultSchedule.install`` only needs a
 ``sim``-shaped object (``now``, ``call_at``, ``call_later``, ``rng``,
-``tracer``), so the driver satisfies that protocol over an asyncio
-event loop and a :class:`~repro.core.clock.WallClock`: schedules built
-for the simulator install unchanged against wall time.
+``tracer``), and a :class:`~repro.core.clock.WallClock` already
+schedules (``call_at`` in clock time, on the running asyncio loop), so
+:class:`AsyncFaultDriver` is that clock plus a seeded RNG and the
+tracer: schedules built for the simulator install unchanged against
+wall time, and fire through the same timers as the stack they break.
 
 The live taxonomy mirrors real operational failures:
 
@@ -33,7 +34,6 @@ experiment harness.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import random
 import signal
@@ -49,47 +49,28 @@ __all__ = ["AsyncFaultDriver", "ShardKill", "ShardStall",
 
 
 class AsyncFaultDriver:
-    """A ``Simulator``-shaped shim that fires faults on an asyncio loop.
+    """A ``Simulator``-shaped view of a live clock, for fault schedules.
 
     ``FaultSchedule.install`` and the injectors' ``apply`` only touch
     ``sim.now`` / ``sim.call_at`` / ``sim.call_later`` / ``sim.rng`` /
-    ``sim.tracer``; this object provides those against wall time.
-    Schedule times are relative to the driver's clock origin (a
+    ``sim.tracer``: the first three are the clock's own, the driver
+    adds the other two.  Schedule times are clock times (a
     :class:`~repro.core.clock.WallClock` reads 0 at construction, so
-    "kill at t=6" means six wall seconds after the clock was built).
+    "kill at t=6" means six wall seconds after the clock was built; one
+    already past fires at once).  A fault still armed when the run's
+    event loop closes never fires.
     """
 
-    def __init__(self, clock: Clock,
-                 loop: Optional[asyncio.AbstractEventLoop] = None,
-                 seed: int = 0) -> None:
+    def __init__(self, clock: Clock, seed: int = 0) -> None:
         self.clock = clock
-        self._loop = loop
+        self.call_at = clock.call_at
+        self.call_later = clock.call_later
         self.rng = random.Random(seed)
         self.tracer = current_tracer()
-        self._handles: List[asyncio.TimerHandle] = []
 
     @property
     def now(self) -> float:
         return self.clock.now
-
-    def _resolve_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            self._loop = asyncio.get_running_loop()
-        return self._loop
-
-    def call_at(self, at: float, fn, *args) -> None:
-        """Arm ``fn(*args)`` at clock time ``at`` (>= now)."""
-        self.call_later(max(at - self.clock.now, 0.0), fn, *args)
-
-    def call_later(self, delay: float, fn, *args) -> None:
-        handle = self._resolve_loop().call_later(max(delay, 0.0), fn, *args)
-        self._handles.append(handle)
-
-    def cancel(self) -> None:
-        """Cancel every pending fault (teardown path)."""
-        for handle in self._handles:
-            handle.cancel()
-        self._handles = []
 
 
 def _kill(pid: Optional[int], sig: int) -> bool:

@@ -134,11 +134,11 @@ class LiveGateway:
     """Admission control + routing for a pool of router shards.
 
     ``shards`` is any sequence of shard handles exposing ``shard_id``,
-    ``addr``, ``capacity_bps``, ``install_route`` and ``remove_route``
-    (:class:`~repro.live.shard.RouterShard` in production, fakes in
-    tier-1 tests).  ``flow_reserve_bps`` is the capacity one flow
-    reserves on its shard — the planning-side counterpart of the Lemma
-    6 share the controllers converge to.
+    ``addr``, ``capacity_bps``, ``install_route``, ``install_routes``
+    and ``remove_route`` (:class:`~repro.live.shard.RouterShard` in
+    production, fakes in tier-1 tests).  ``flow_reserve_bps`` is the
+    capacity one flow reserves on its shard — the planning-side
+    counterpart of the Lemma 6 share the controllers converge to.
     """
 
     def __init__(self, clock: Clock, shards: Sequence,
@@ -273,8 +273,8 @@ class LiveGateway:
     def replace_shard(self, index: int, shard) -> List[int]:
         """Swap a (restarted) shard handle into a slot and re-home.
 
-        Re-installs every surviving flow's route on the replacement —
-        one bulk pipe message when the handle supports it — and returns
+        Re-installs every surviving flow's route on the replacement in
+        one bulk ``install_routes`` call (one pipe message) and returns
         the re-homed flow ids.  Reservations carry over unchanged: the
         flows still exist, only their carrier changed.
         """
@@ -283,12 +283,7 @@ class LiveGateway:
         self.shards[index] = shard
         routes = self.flows_on(index)
         if routes:
-            install_bulk = getattr(shard, "install_routes", None)
-            if install_bulk is not None:
-                install_bulk(routes)
-            else:
-                for flow_id, addr in routes.items():
-                    shard.install_route(flow_id, addr)
+            shard.install_routes(routes)
         return sorted(routes)
 
     # -- introspection -----------------------------------------------------

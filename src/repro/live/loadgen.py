@@ -38,13 +38,15 @@ the run — crashed/hung shards are replaced mid-stream, their flows
 re-homed and re-targeted; a ``chaos`` callback passed to
 :func:`run_load` builds a :class:`~repro.faults.FaultSchedule` of live
 injectors (ShardKill, ShardStall, ...) installed on an
-:class:`~repro.faults.AsyncFaultDriver` against the run clock (time 0
-= run start).  ``config.post_window`` carves a second measurement
-window out of the run's tail so post-recovery goodput is comparable
-against the oracle independently of the outage dip.  Shard processes
-are torn down on *every* exit path — exceptions and Ctrl-C included —
-and every replacement the supervisor spawns joins the same teardown
-list, so an aborted run leaves no orphan children or bound sockets.
+:class:`~repro.faults.AsyncFaultDriver` over the run clock (time 0 =
+run start) — the clock whose timers also pace the senders, poll the
+shards and take the run's snapshots.  ``config.post_window`` carves a
+second measurement window out of the run's tail so post-recovery
+goodput is comparable against the oracle independently of the outage
+dip.  Shard processes are torn down on *every* exit path — exceptions
+and Ctrl-C included — and every replacement the supervisor spawns joins
+the same teardown list, so an aborted run leaves no orphan children or
+bound sockets.
 """
 
 from __future__ import annotations
@@ -188,14 +190,12 @@ class ShardLoad:
     #: Oracle delivered goodput: min(C_s, N_s x r*).
     oracle_goodput_bps: float
     goodput_bps: float
-    mean_flow_goodput_bps: float
     #: min/max of per-flow delivered rates (1.0 = perfectly fair).
     fairness: float
     green_drops: int
     drops: List[int]
     arrivals: List[int]
     forwarded: List[int]
-    mean_virtual_loss: float
     cpu_seconds: float
     wall_seconds: float
     #: Pool slot the shard occupies (stable across failover; the
@@ -360,8 +360,7 @@ def register_with_retry(gateway: LiveGateway, tenant: str, flow_key: int,
 def _no_stats(shard_id: int) -> ShardStats:
     """What a shard that never delivered its final stats counts as."""
     return ShardStats(shard_id=shard_id, port=0, arrivals=[0, 0, 0, 0],
-                      drops=[0, 0, 0, 0], forwarded=[0, 0, 0, 0],
-                      mean_virtual_loss=float("nan"), routes=0,
+                      drops=[0, 0, 0, 0], forwarded=[0, 0, 0, 0], routes=0,
                       cpu_seconds=0.0, wall_seconds=0.0)
 
 
@@ -403,7 +402,6 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
 
     server_transport = None
     supervisor: Optional[ShardSupervisor] = None
-    driver: Optional[AsyncFaultDriver] = None
     fault_schedule: Optional[FaultSchedule] = None
     server: Optional[LiveServer] = None
     try:
@@ -460,53 +458,39 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
                 config.supervisor or SupervisorConfig(),
                 retarget=server.retarget_flow, on_spawn=spawned.append)
         if chaos is not None:
-            driver = AsyncFaultDriver(clock, loop,
-                                      seed=config.seed or 0)
             fault_schedule = chaos(ChaosContext(
                 clock=clock, gateway=gateway, server=server, client=client,
                 decisions=admitted, supervisor=supervisor))
+
+        # The run's timeline, on the clock: the measurement window opens
+        # after the warm-up, churn at the midpoint, the post-recovery
+        # snapshot at duration - post_window (neither before the window).
+        snapshots: Dict[str, Tuple[float, Dict[int, int]]] = {}
+
+        def snapshot(name: str) -> None:
+            snapshots[name] = (clock.now, {
+                flow_id: receiver.bytes_received
+                for flow_id, receiver in client.flows.items()})
+
+        def churn() -> None:
+            for flow_id in churn_ids:
+                server.retire_flow(flow_id)
+                gateway.deregister(flow_id)
 
         server.start()
         if supervisor is not None:
             supervisor.start()
         if fault_schedule is not None:
-            fault_schedule.install(driver)
-
+            fault_schedule.install(
+                AsyncFaultDriver(clock, seed=config.seed or 0))
         warmup = config.duration * config.warmup_fraction
-        window_started = clock.now
-        post_started: Optional[float] = None
-        post_before: Dict[int, int] = {}
-        before: Dict[int, int] = {}
-        await asyncio.sleep(warmup)
-        window_started = clock.now
-        before = {flow_id: receiver.bytes_received
-                  for flow_id, receiver in client.flows.items()}
-        # Post-warmup timeline: churn at the run's midpoint, the
-        # post-recovery snapshot at duration - post_window; both are
-        # offsets from the warmup end, served in order.
-        rest = config.duration - warmup
-        marks: List[Tuple[float, str]] = []
+        clock.call_later(warmup, snapshot, "window")
         if churn_ids:
-            marks.append((max(0.0, config.duration / 2 - warmup), "churn"))
+            clock.call_later(max(warmup, config.duration / 2), churn)
         if config.post_window > 0:
-            marks.append((max(0.0, rest - config.post_window), "post"))
-        marks.sort()
-        done = 0.0
-        for at, action in marks:
-            if at > done:
-                await asyncio.sleep(at - done)
-                done = at
-            if action == "churn":
-                for flow_id in churn_ids:
-                    server.retire_flow(flow_id)
-                    gateway.deregister(flow_id)
-            else:
-                post_started = clock.now
-                post_before = {
-                    flow_id: receiver.bytes_received
-                    for flow_id, receiver in client.flows.items()}
-        if rest > done:
-            await asyncio.sleep(rest - done)
+            clock.call_later(max(warmup, config.duration - config.post_window),
+                             snapshot, "post")
+        await asyncio.sleep(config.duration)
         await server.stop()
         stopped_at = clock.now
         await asyncio.sleep(config.drain)
@@ -515,19 +499,19 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
             await server.stop()
         if supervisor is not None:
             await supervisor.stop()
-        if driver is not None:
-            driver.cancel()
         if server_transport is not None:
             server_transport.close()
         client_transport.close()
     elapsed = clock.now
+    window_started, before = snapshots["window"]
     window = elapsed - window_started
 
     delivered = {flow_id: receiver.bytes_received - before.get(flow_id, 0)
                  for flow_id, receiver in client.flows.items()}
     post_delivered: Dict[int, int] = {}
     post_seconds = 0.0
-    if post_started is not None:
+    if "post" in snapshots:
+        post_started, post_before = snapshots["post"]
         post_seconds = stopped_at - post_started
         post_delivered = {
             flow_id: receiver.bytes_received - post_before.get(flow_id, 0)
@@ -649,12 +633,9 @@ def run_load(config: Optional[LoadConfig] = None,
             shard_id=shard.shard_id, n_flows=n_flows,
             capacity_bps=shard.capacity_bps, lemma6_rate_bps=r_star,
             oracle_goodput_bps=oracle, goodput_bps=goodput,
-            mean_flow_goodput_bps=goodput / n_flows if n_flows
-            else float("nan"),
             fairness=fairness, green_drops=drops[0], drops=drops,
             arrivals=list(shard_stats.arrivals),
             forwarded=list(shard_stats.forwarded),
-            mean_virtual_loss=shard_stats.mean_virtual_loss,
             cpu_seconds=shard_stats.cpu_seconds,
             wall_seconds=shard_stats.wall_seconds,
             slot=slot, shed_packets=shed_p, shed_bytes=shed_b,

@@ -6,12 +6,15 @@ from the server are offered to the same clock-free
 bottleneck drives — tri-color strict priority plus the Internet FIFO
 under deficit weighted round-robin — with the raw datagram as the item,
 and the port is drained by a token bucket filled at the bottleneck link
-rate.  Every ``T`` wall-seconds :meth:`LiveRouter.close_epoch` closes
-the Eq. 11 measurement interval through the clock-free
-:class:`~repro.core.feedback.EpochLog` (the same epoch close the
-simulator's ``RouterFeedback`` runs from the event heap) and the fresh
-``(router_id, z, p)`` label is stamped into every PELS datagram on the
-forwarding path with the max-loss override rule.
+rate.  Every ``T`` a timer on the router's clock steps
+:meth:`LiveRouter.close_epoch`, which closes the Eq. 11 measurement
+interval through the clock-free :class:`~repro.core.feedback.EpochLog`
+(the same epoch close the simulator's ``RouterFeedback`` runs from the
+event heap), and the fresh ``(router_id, z, p)`` label is stamped into
+every PELS datagram on the forwarding path with the max-loss override
+rule.  The router owns no task: its timers are the clock's
+(:mod:`repro.core.clock`), so a :class:`~repro.sim.engine.Simulator`
+drives it as readily as the asyncio loop behind a ``WallClock``.
 
 Two deliberate wall-clock defenses:
 
@@ -88,7 +91,7 @@ class LiveRouter(asyncio.DatagramProtocol):
         uses, so live and simulated bottlenecks are parameterized
         identically.
     interval:
-        ``T``, the Eq. 11 feedback computation period (wall seconds).
+        ``T``, the Eq. 11 feedback computation period (clock seconds).
     router_id:
         Label identity; must be >= 1 (0 marks "never stamped").
     service_tick:
@@ -150,8 +153,8 @@ class LiveRouter(asyncio.DatagramProtocol):
                                 2 * self.config.quantum_bytes)
         self._credit = 0.0
         self._served_at = clock.now
-        #: Pending backlog timer / coalesced protocol-mode service call.
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Backlog timer armed / coalesced protocol-mode service call.
+        self._timer = False
         self._service_scheduled = False
 
         #: Per-flow forwarding destinations (gateway-installed routes).
@@ -160,11 +163,11 @@ class LiveRouter(asyncio.DatagramProtocol):
         self.transport: Optional[asyncio.DatagramTransport] = None
         self._sock: Optional[socket.socket] = None
         self._recv_view = memoryview(bytearray(65536))
+        #: The loop watching ``_sock`` (raw-socket mode only).
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         registry = current_registry()
         self._forwarded_counter = registry.counter("live_router_forwarded") \
             if registry is not None else None
-        self._tasks: List[asyncio.Task] = []
         self._running = False
 
     # -- asyncio protocol --------------------------------------------------
@@ -177,7 +180,7 @@ class LiveRouter(asyncio.DatagramProtocol):
         # One service call per loop iteration, however many arrive in it.
         if self._running and not self._service_scheduled:
             self._service_scheduled = True
-            self._loop.call_soon(self._service)
+            self.clock.call_later(0.0, self._service)
 
     # -- raw-socket mode (shard processes) ---------------------------------
 
@@ -242,23 +245,20 @@ class LiveRouter(asyncio.DatagramProtocol):
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Open the token bucket, arm the epoch task (once, in a loop)."""
+        """Open the token bucket, arm the Eq. 11 epoch timer (once)."""
         if self._running:
             raise RuntimeError("router already started")
         self._running = True
-        self._loop = self._loop or asyncio.get_running_loop()
         self._served_at = self._epoch_at = self.clock.now
-        self._tasks = [asyncio.ensure_future(self._epochs())]
+        self.clock.call_later(self.interval, self._epoch)
 
     async def stop(self) -> None:
+        """Stop serving; timers already armed fire into a no-op.
+
+        A coroutine for its callers' sake (sessions and probes await
+        it); nothing in it waits.
+        """
         self._running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
         if self._sock is not None and self._loop is not None:
             self._loop.remove_reader(self._sock.fileno())
         self._loop = None
@@ -294,13 +294,14 @@ class LiveRouter(asyncio.DatagramProtocol):
                      self._burst_bytes)
         self._served_at = now
         self._credit = self._drain(credit)
-        if self._timer is None and self._running and len(self.core):
-            self._timer = self._loop.call_later(self.service_tick,
-                                                self._on_timer)
+        if not self._timer and self._running and len(self.core):
+            self._timer = True
+            self.clock.call_later(self.service_tick, self._on_timer)
 
     def _on_timer(self) -> None:
-        self._timer = None
-        self._service()
+        self._timer = False
+        if self._running:
+            self._service()
 
     def _forward(self, datagram: bytearray) -> None:
         color = datagram[_COLOR_OFFSET]
@@ -325,10 +326,10 @@ class LiveRouter(asyncio.DatagramProtocol):
 
     # -- Eq. 11 epochs -----------------------------------------------------
 
-    async def _epochs(self) -> None:
-        while self._running:
-            await asyncio.sleep(self.interval)
+    def _epoch(self) -> None:
+        if self._running:
             self.close_epoch(self.clock.now)
+            self.clock.call_later(self.interval, self._epoch)
 
     def close_epoch(self, now: float) -> None:
         """One Eq. 11 epoch, synchronously: the PELS bytes counted since
@@ -372,6 +373,3 @@ class LiveRouter(asyncio.DatagramProtocol):
     def queue_depths(self) -> List[int]:
         """Current occupancy of all four queues, indexed by raw color."""
         return [len(fifo) for fifo in self.core.fifos]
-
-    def mean_virtual_loss(self, t_start: float = 0.0) -> float:
-        return self.feedback.loss_series.mean(t_start, float("inf"))

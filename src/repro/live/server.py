@@ -17,9 +17,10 @@ Eq. 8 and Eq. 4; ride out feedback starvation blind — is
   handful of packets, so a scheduler stall produces a small burst,
   never an unbounded one.  One timing wheel drives it: the flows sit
   in ``n = min(flows, pace_tick / 1 ms)`` slots (flow *i*, in
-  admission order, in slot ``i mod n``) and one re-armed
-  ``loop.call_at`` handle steps slot ``k mod n`` at the absolute time
-  ``t0 + k * pace_tick / n``.  Every flow is still stepped once per
+  admission order, in slot ``i mod n``) and one timer, re-armed with
+  the clock's ``call_at`` (:mod:`repro.core.clock`), steps slot
+  ``k mod n`` at the absolute clock time ``t0 + k * pace_tick / n``.
+  Every flow is still stepped once per
   ``pace_tick``, but the loop polls its sockets between slices of the
   population instead of after all of it, so a datagram's one-way delay
   is the queue's, not the wait for the sender's own burst to end;
@@ -31,11 +32,15 @@ Eq. 8 and Eq. 4; ride out feedback starvation blind — is
   can emit — is dropped and counted before the flow's freshness
   tracker sees it;
 * per-flow destinations (each flow's shard), retire/retarget for the
-  gateway's teardown and failover paths, and an optional CBR task that
+  gateway's teardown and failover paths, and an optional CBR timer that
   keeps the Internet FIFO backlogged (best-effort color, its own flow
   id) so WRR grants the PELS aggregate exactly its configured share.
   Its wake phase is jittered by a seeded RNG so the cross traffic
   cannot phase-lock with the router's service tick.
+
+The server owns no task: both timers are the clock's, so the same
+object paces on the asyncio loop behind a ``WallClock`` and on a
+:class:`~repro.sim.engine.Simulator`.
 """
 
 from __future__ import annotations
@@ -155,11 +160,9 @@ class LiveServer(asyncio.DatagramProtocol):
         #: can emit (loss not a finite number in [0, 1]).
         self.malformed_acks = 0
         self._phased = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: The wheel's one pending ``call_at`` handle (``None`` while
-        #: stopped); it carries the deadline and the slot that is due.
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._tasks: List[asyncio.Task] = []
+        #: Between ``start()`` and ``stop()``; a timer still armed at
+        #: ``stop()`` fires into a no-op.
+        self._running = False
 
     # -- asyncio protocol --------------------------------------------------
 
@@ -201,41 +204,40 @@ class LiveServer(asyncio.DatagramProtocol):
 
     def start(self) -> None:
         """Arm the pacer wheel's one timer (plus cross traffic)."""
-        if self._timer is not None:
+        if self._running:
             raise RuntimeError("server already started")
-        self._loop = self._loop or asyncio.get_running_loop()
-        self._timer = self._loop.call_at(self._loop.time(), self._turn, 0)
+        self._running = True
+        now = self.clock.now
+        self.clock.call_at(now, self._turn, 0, now)
         if self.cbr_rate_bps > 0:
-            self._tasks = [asyncio.ensure_future(self._cross_traffic())]
+            self._cross_traffic(0.0, now)
 
     async def stop(self) -> None:
-        """Cancel the timer and the task; log every in-flight frame."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
+        """Stop the timers; log every in-flight frame.
+
+        A coroutine for its callers' sake; nothing in it waits.
+        """
+        self._running = False
         for flow in self.flows.values():
             flow.finish()
 
     # -- transmit path -----------------------------------------------------
 
-    def _turn(self, slot: int) -> None:
-        """One wheel step: advance the slot that is due, re-arm for the
-        next one at its absolute deadline — so the period is
-        ``pace_tick`` whatever the step costs.  Late by more than a
-        step (a stalled loop), the wheel re-anchors at now: one step,
-        never a burst of the missed ones."""
+    def _turn(self, slot: int, due: float) -> None:
+        """One wheel step, due at clock time ``due``: advance the slot,
+        re-arm for the next one at its absolute deadline ``due + step``
+        — so the period is ``pace_tick`` whatever the step costs.  Late
+        by more than a step (a stalled loop), the wheel re-anchors at
+        now: one step, never a burst of the missed ones."""
+        if not self._running:
+            return
         step = self.pace_tick / len(self.slots)
-        due = self._timer.when()
-        now = self._loop.time()
-        if now - due > step:
-            due = now
-        self.advance(self.clock.now, slot)
-        self._timer = self._loop.call_at(due + step, self._turn,
-                                         (slot + 1) % len(self.slots))
+        now = self.clock.now
+        self.advance(now, slot)
+        due += step
+        if due < now:
+            due = now + step
+        self.clock.call_at(due, self._turn, (slot + 1) % len(self.slots), due)
 
     def advance(self, now: float, slot: Optional[int] = None) -> None:
         """Step every active flow (of wheel ``slot``, if given) to ``now``.
@@ -291,33 +293,31 @@ class LiveServer(asyncio.DatagramProtocol):
             flow.pos = pos
             flow.credit = credit
 
-    async def _cross_traffic(self) -> None:
-        """Best-effort CBR keeping the Internet FIFO backlogged.
+    def _cross_traffic(self, credit: float, last: float) -> None:
+        """Best-effort CBR keeping the Internet FIFO backlogged: emit
+        what the credit earned since ``last`` covers, re-arm.
 
         The wake phase is jittered (seeded RNG) so the CBR emission
         cannot phase-lock with the router's service tick; the byte
         budget stays exactly ``cbr_rate_bps``.
         """
+        if not self._running:
+            return
         size = self.fgs.packet_size
-        credit = 0.0
-        last = self.clock.now
-        uniform = self._rng.uniform
-        while True:
-            await asyncio.sleep(self.pace_tick * uniform(0.5, 1.5))
-            now = self.clock.now
-            credit = min(8.0 * size,
-                         credit + (now - last) * self.cbr_rate_bps / 8)
-            last = now
-            while credit >= size:
-                credit -= size
-                packet = LivePacket(flow_id=CROSS_TRAFFIC_FLOW_ID,
-                                    seq=self.cross_packets_sent,
-                                    color=Color.BEST_EFFORT,
-                                    sent_at=now, size=size)
-                self.cross_packets_sent += 1
-                if self.transport is not None and self.dst_addr is not None:
-                    self.transport.sendto(encode_packet(packet),
-                                          self.dst_addr)
+        now = self.clock.now
+        credit = min(8.0 * size,
+                     credit + (now - last) * self.cbr_rate_bps / 8)
+        while credit >= size:
+            credit -= size
+            packet = LivePacket(flow_id=CROSS_TRAFFIC_FLOW_ID,
+                                seq=self.cross_packets_sent,
+                                color=Color.BEST_EFFORT,
+                                sent_at=now, size=size)
+            self.cross_packets_sent += 1
+            if self.transport is not None and self.dst_addr is not None:
+                self.transport.sendto(encode_packet(packet), self.dst_addr)
+        self.clock.call_later(self.pace_tick * self._rng.uniform(0.5, 1.5),
+                              self._cross_traffic, credit, now)
 
     # -- gateway teardown / failover ---------------------------------------
 

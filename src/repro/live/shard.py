@@ -86,7 +86,6 @@ class ShardStats:
     arrivals: List[int]
     drops: List[int]
     forwarded: List[int]
-    mean_virtual_loss: float
     routes: int
     #: CPU seconds consumed by the shard *process* (user + system) and
     #: the wall seconds it has been serving — their ratio is the
@@ -123,7 +122,6 @@ def _snapshot(router, config: ShardConfig, port: int,
         shard_id=config.shard_id, port=port,
         arrivals=list(router.arrivals), drops=list(router.drops),
         forwarded=list(router.forwarded),
-        mean_virtual_loss=router.mean_virtual_loss(),
         routes=len(router.flow_routes),
         cpu_seconds=time.process_time(),
         wall_seconds=time.monotonic() - started,

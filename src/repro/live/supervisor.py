@@ -31,8 +31,12 @@ de-escalate level by level once the shard runs calm again.
 
 Everything decision-shaped lives in the synchronous :meth:`tick` so
 tier-1 tests drive the whole state machine with fake shards and a
-:class:`~repro.core.clock.ManualClock`; :meth:`start` merely arms an
-asyncio task that calls ``tick`` on the poll cadence.  Obs instruments
+:class:`~repro.core.clock.ManualClock`; :meth:`start` merely arms a
+timer on the clock that calls ``tick`` on the poll cadence.  A slot's
+handle is a :class:`~repro.live.shard.RouterShard` or anything with its
+supervision surface (``poll_messages``, ``exitcode``, ``alive``,
+``last_pong``, ``ping``, ``request_stats``, ``last_stats``,
+``set_shed_level``, ``kill``).  Obs instruments
 (failover-latency histogram, per-slot state gauges, shed-bytes
 counters) attach only when a metrics registry is active, as everywhere
 else in the repo.
@@ -40,7 +44,6 @@ else in the repo.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -93,7 +96,7 @@ MAX_RESTARTS = 3
 class SupervisorConfig:
     """Cadence of the supervision loop."""
 
-    #: Seconds between ticks of the async poll loop.
+    #: Seconds between ticks of the poll timer.
     poll_interval: float = 0.25
     #: Pong age (seconds) past which an alive shard counts as hung.
     #: Must comfortably exceed ``poll_interval`` — a healthy pong is
@@ -201,32 +204,26 @@ class ShardSupervisor:
             registry.counter(f"live_shed_bytes_{name}")
             for name in _SHED_COLOR_NAMES] \
             if registry is not None else None
-        self._task: Optional[asyncio.Task] = None
         self._running = False
 
-    # -- poll loop (async shell over the synchronous tick) -----------------
+    # -- poll timer (a clock timer over the synchronous tick) --------------
 
     def start(self) -> None:
-        """Arm the poll task (call once, inside a running loop)."""
+        """Arm the poll timer (call once); the first tick is the next
+        thing the clock runs."""
         if self._running:
             raise RuntimeError("supervisor already started")
         self._running = True
-        self._task = asyncio.ensure_future(self._run())
+        self.clock.call_later(0.0, self._poll)
 
-    async def _run(self) -> None:
-        while self._running:
+    def _poll(self) -> None:
+        if self._running:
             self.tick(self.clock.now)
-            await asyncio.sleep(self.config.poll_interval)
+            self.clock.call_later(self.config.poll_interval, self._poll)
 
     async def stop(self) -> None:
+        """Stop polling; an armed poll fires into a no-op."""
         self._running = False
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
 
     # -- the state machine -------------------------------------------------
 
@@ -241,20 +238,16 @@ class ShardSupervisor:
         if state.state == STATE_FAILED:
             return
         shard = self.gateway.shards[slot]
-        poll = getattr(shard, "poll_messages", None)
-        if poll is not None:
-            poll()
+        shard.poll_messages()
 
         # Crash: the process is gone.
-        exitcode = getattr(shard, "exitcode", None)
-        if exitcode is not None or not getattr(shard, "alive", True):
+        if shard.exitcode is not None or not shard.alive:
             self.failover(slot, "crash", now)
             return
 
         # Hang: alive but silent past the pong deadline.
-        pong = getattr(shard, "last_pong", None)
-        if pong is not None:
-            state.last_pong = pong
+        if shard.last_pong is not None:
+            state.last_pong = shard.last_pong
         reference = state.last_pong if state.last_pong is not None \
             else state.first_ping
         if reference is not None and \
@@ -265,17 +258,12 @@ class ShardSupervisor:
             return
 
         # Next heartbeat + stats request (replies land next tick).
-        ping = getattr(shard, "ping", None)
-        if ping is not None:
-            if ping(now) and state.first_ping is None:
-                state.first_ping = now
-        request_stats = getattr(shard, "request_stats", None)
-        if request_stats is not None:
-            request_stats()
+        if shard.ping(now) and state.first_ping is None:
+            state.first_ping = now
+        shard.request_stats()
 
-        stats = getattr(shard, "last_stats", None)
-        if stats is not None:
-            self._evaluate_load(slot, shard, state, stats)
+        if shard.last_stats is not None:
+            self._evaluate_load(slot, shard, state, shard.last_stats)
         self._set_gauge(slot, state)
 
     # -- overload / shedding -----------------------------------------------
@@ -334,9 +322,7 @@ class ShardSupervisor:
     def _apply_shed(self, slot: int, shard, state: _SlotState,
                     level: int) -> None:
         state.shed_level = level
-        set_shed = getattr(shard, "set_shed_level", None)
-        if set_shed is not None:
-            set_shed(level)
+        shard.set_shed_level(level)
         self.shed_transitions.append((self.clock.now, slot, level))
         if level > 0:
             state.state = STATE_OVERLOADED
@@ -370,9 +356,7 @@ class ShardSupervisor:
         old = self.gateway.shards[slot]
         old_id = old.shard_id
         self.gateway.close_shard(slot, REASON_SHARD_DOWN)
-        kill = getattr(old, "kill", None)
-        if kill is not None:
-            kill()
+        old.kill()
 
         if state.restarts >= MAX_RESTARTS:
             state.state = STATE_FAILED

@@ -307,7 +307,7 @@ class TestFaultSchedule:
 
 
 class TestAsyncFaultDriver:
-    """The wall-clock shim satisfies the installer's sim protocol."""
+    """The installer's sim protocol over a WallClock's timers."""
 
     def run_loop(self, coro):
         import asyncio
@@ -321,8 +321,7 @@ class TestAsyncFaultDriver:
 
         async def scenario():
             clock = WallClock()
-            driver = AsyncFaultDriver(clock, asyncio.get_running_loop(),
-                                      seed=3)
+            driver = AsyncFaultDriver(clock, seed=3)
             fired = []
             schedule = (FaultSchedule()
                         .add(0.01, Callback(lambda: fired.append("a"), "a"))
@@ -335,25 +334,6 @@ class TestAsyncFaultDriver:
         assert fired == ["a", "b"]
         assert [label for _, label in applied] == ["a", "b"]
 
-    def test_cancel_disarms_pending_faults(self):
-        import asyncio
-
-        from repro.core.clock import WallClock
-        from repro.faults import AsyncFaultDriver
-
-        async def scenario():
-            clock = WallClock()
-            driver = AsyncFaultDriver(clock, asyncio.get_running_loop())
-            fired = []
-            FaultSchedule().add(
-                0.05, Callback(lambda: fired.append("late"), "late")) \
-                .install(driver)
-            driver.cancel()
-            await asyncio.sleep(0.1)
-            return fired
-
-        assert self.run_loop(scenario()) == []
-
     def test_past_times_clamp_to_now_instead_of_raising(self):
         import asyncio
 
@@ -363,24 +343,13 @@ class TestAsyncFaultDriver:
         async def scenario():
             clock = WallClock()
             await asyncio.sleep(0.02)
-            driver = AsyncFaultDriver(clock, asyncio.get_running_loop())
+            driver = AsyncFaultDriver(clock)
             fired = []
             driver.call_at(0.0, fired.append, "now")  # already past
             await asyncio.sleep(0.02)
             return fired
 
         assert self.run_loop(scenario()) == ["now"]
-
-
-class FakeDriver:
-    """Captures call_later arms for injector tests (no loop, no time)."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.later = []
-
-    def call_later(self, delay, fn, *args):
-        self.later.append((delay, fn, args))
 
 
 class TestSocketBlackhole:
@@ -407,16 +376,15 @@ class TestSocketBlackhole:
         server = self.Server({1: self.Flow(original),
                               2: self.Flow(original)})
         hole = SocketBlackhole(server, [1, 2], duration=1.0)
-        driver = FakeDriver()
-        hole.apply(driver)
+        sim = Simulator(seed=1)
+        hole.apply(sim)
         hole_addr = tuple(server.flows[1].dst_addr)
         assert hole_addr != original
         assert server.flows[2].dst_addr == hole_addr
         # Mid-blackhole, a failover re-homes flow 2 elsewhere.
         server.flows[2].dst_addr = ("127.0.0.1", 9999)
-        delay, fn, args = driver.later[0]
-        assert delay == 1.0
-        fn(*args)  # the scheduled restore
+        assert sim.peek_time() == 1.0
+        sim.run()  # the scheduled restore
         assert server.flows[1].dst_addr == original  # restored
         assert server.flows[2].dst_addr == ("127.0.0.1", 9999)  # kept
 
@@ -424,10 +392,9 @@ class TestSocketBlackhole:
         from repro.faults import SocketBlackhole
         server = self.Server({1: self.Flow(("127.0.0.1", 7001))})
         hole = SocketBlackhole(server, [1, 42], duration=0.5)
-        driver = FakeDriver()
-        hole.apply(driver)
-        delay, fn, args = driver.later[0]
-        fn(*args)
+        sim = Simulator(seed=1)
+        hole.apply(sim)
+        sim.run()
         assert server.flows[1].dst_addr == ("127.0.0.1", 7001)
 
     def test_rejects_nonpositive_duration(self):

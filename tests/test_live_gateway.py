@@ -37,6 +37,7 @@ class FakeShard:
         self.shard_id = shard_id
         self.capacity_bps = capacity_bps
         self.routes = {}
+        self.bulk_installs = []
 
     @property
     def addr(self):
@@ -44,6 +45,10 @@ class FakeShard:
 
     def install_route(self, flow_id, addr):
         self.routes[flow_id] = addr
+
+    def install_routes(self, routes):
+        self.bulk_installs.append(dict(routes))
+        self.routes.update(routes)
 
     def remove_route(self, flow_id):
         self.routes.pop(flow_id, None)
@@ -226,8 +231,7 @@ class TestClosedSlots:
 
 
 class TestReplaceShard:
-    def test_replace_rehomes_flows_without_bulk_support(self):
-        # FakeShard has no install_routes: the per-flow fallback runs.
+    def test_replace_rehomes_flows_in_one_bulk_install(self):
         gateway, shards, _ = make_gateway(n_shards=1)
         ids = [gateway.register("t", key, CLIENT).flow_id
                for key in range(3)]
@@ -235,6 +239,7 @@ class TestReplaceShard:
         rehomed = gateway.replace_shard(0, replacement)
         assert rehomed == sorted(ids)
         assert sorted(replacement.routes) == sorted(ids)
+        assert replacement.bulk_installs == [{fid: CLIENT for fid in ids}]
         assert gateway.shards[0] is replacement
 
     def test_reservations_survive_replacement(self):

@@ -1,99 +1,32 @@
-"""The session read-out over a hand-stepped live stack (tier 1).
+"""The session read-out over a whole live stack on a simulated clock.
 
 ``LiveServer`` -> ``LiveRouter`` -> ``LiveClient`` -> (ACKs) ->
-``LiveServer``, wired by transports that deliver synchronously, under a
-:class:`ManualClock`: the pacer is ``server.advance(now)``, the port is
-``router._service()``, the Eq. 11 epoch is ``router.close_epoch(now)``.
-No socket, no event loop, no sleep - and the whole loop still closes
-(the flows converge on Lemma 6), so what the one report builder, the
-one monitor and the one tuner say about a *live* view is checked
-against what the script did.
+``LiveServer`` with a :class:`~repro.sim.engine.Simulator` as their
+clock (:mod:`live_loopback`): the pacer wheel, the cross traffic, the
+router's service and its Eq. 11 epoch run on their own timers, the
+datagrams cross zero-delay hops.  No socket, no event loop, no sleep -
+and the whole loop still closes (the flows converge on Lemma 6), so
+what the one report builder, the one monitor and the one tuner say
+about a *live* view is checked against what the run did.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 
 import pytest
 
+from live_loopback import Loopback
 from repro.control import MetaController, MetaControllerConfig
-from repro.core.clock import ManualClock
 from repro.core.flow import frame_receptions
 from repro.core.report import build_report
-from repro.live.client import LiveClient
-from repro.live.router import LiveRouter
-from repro.live.server import CROSS_TRAFFIC_FLOW_ID, LiveServer
-from repro.live.session import LiveConfig, LiveSessionResult, live_view
-from repro.live.wire import LivePacket, encode_packet
+from repro.live.wire import LivePacket
 from repro.obs.metrics import metrics
 from repro.obs.monitor import SimulationMonitor
 from repro.sim.packet import Color
 
-ADDR = ("127.0.0.1", 9)
-
-#: Binary fractions, so every instant of the script is exact: 8 pacer
-#: ticks per Eq. 11 epoch (T = 1/32 s), 32 epochs per second.
-TICK = 1 / 256
-EPOCH_TICKS = 8
-
 PELS = (Color.GREEN, Color.YELLOW, Color.RED)
-
-
-class Pipe:
-    """A transport whose ``sendto`` is the peer's ``datagram_received``."""
-
-    def __init__(self, deliver) -> None:
-        self.deliver = deliver
-
-    def sendto(self, data, addr=None) -> None:
-        self.deliver(bytes(data), addr)
-
-
-class Loopback:
-    """The three live endpoints, meeting without a network."""
-
-    def __init__(self, **overrides) -> None:
-        self.config = config = LiveConfig(
-            feedback_interval=TICK * EPOCH_TICKS, **overrides)
-        self.clock = clock = ManualClock()
-        self.server = LiveServer(
-            clock, config.n_flows,
-            controller_kwargs=config.controller_kwargs(),
-            gamma_kwargs=config.gamma_kwargs(), fgs=config.fgs)
-        self.client = LiveClient(clock,
-                                 green_packets=config.fgs.green_packets)
-        self.router = LiveRouter(clock, config.bottleneck_bps, config.queue,
-                                 interval=config.feedback_interval)
-        self.server.connection_made(Pipe(self.router.datagram_received))
-        self.router.connection_made(Pipe(self.client.datagram_received))
-        self.client.connection_made(Pipe(self.server.datagram_received))
-        self.server.dst_addr = self.router.dst_addr = \
-            self.client.server_addr = ADDR
-        self.view = live_view(config, self.server, self.client, self.router,
-                              clock)
-        self.ticks = 0
-        # One best-effort datagram per tick (1 mb/s) keeps the Internet
-        # FIFO backlogged, so WRR holds PELS to its share.
-        self._cross = encode_packet(LivePacket(
-            flow_id=CROSS_TRAFFIC_FLOW_ID, seq=0, color=Color.BEST_EFFORT,
-            sent_at=0.0, size=500))
-
-    def run(self, seconds: float) -> "Loopback":
-        for _ in range(round(seconds / TICK)):
-            self.ticks += 1
-            self.clock.now = now = self.ticks * TICK
-            self.server.advance(now)
-            self.router.datagram_received(self._cross, ADDR)
-            self.router._service()
-            if self.ticks % EPOCH_TICKS == 0:
-                self.router.close_epoch(now)
-        return self
-
-    def result(self) -> LiveSessionResult:
-        for flow in self.server.flows.values():
-            flow.finish()
-        return LiveSessionResult(self.config, self.server, self.client,
-                                 self.router, self.clock.now)
 
 
 def mean(values) -> float:
@@ -146,7 +79,9 @@ class TestLiveReport:
             assert len(frames) == flow.frames_sent
             tail = [r for r in frames[len(frames) // 2:]
                     if r.enhancement_sent]
-            assert row.mean_utility == mean(r.utility() for r in tail)
+            # Averaged exactly, as the report does (statistics.mean).
+            assert row.mean_utility == statistics.mean(
+                r.utility() for r in tail)
             assert row.base_intact_ratio == 1.0
             for color in PELS:
                 probe = receiver.delay_probes[color]

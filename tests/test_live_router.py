@@ -1,11 +1,13 @@
-"""Deterministic LiveRouter internals under a ManualClock.
+"""Deterministic LiveRouter internals under a ManualClock or a Simulator.
 
 The live loopback suite (``--live``) exercises the router end to end
 against real sockets and wall time; these tests pin the service-path
 *logic* — WRR byte shares, the credit-shortfall wait, overflow drop
 accounting, the batched ingest fast path, the serve-on-arrival token
-bucket and its backlog timer — with hand-built datagrams, a stub loop
-and no sleeps, so they run in tier 1.  (The queue policy itself is
+bucket and its backlog timer — with hand-built datagrams and no sleeps,
+so they run in tier 1.  A started router keeps time through its clock,
+so here the clock is a :class:`~repro.sim.engine.Simulator` and its
+timers are events on the heap.  (The queue policy itself is
 ``PelsQueueCore``'s; ``test_pels_core_differential.py`` pins that this
 router and the simulator's bottleneck serve one trace identically.)
 """
@@ -19,7 +21,8 @@ from collections import deque
 
 import pytest
 
-from repro.core.clock import ManualClock
+from live_loopback import stop
+from repro.core.clock import ManualClock, WallClock
 from repro.core.feedback import FeedbackComputer
 from repro.core.pels_queue import PELS_SHARE_SAFE_RANGE, PelsQueueConfig
 from repro.live.loadgen import LoadConfig, _default_queue
@@ -29,6 +32,7 @@ from repro.live.wire import (HEADER_SIZE, LivePacket, decode_packet,
                              encode_packet, peek_color, peek_flow_id,
                              peek_is_valid, peek_label, peek_ptype)
 from repro.obs.trace import Tracer, tracing
+from repro.sim.engine import Simulator
 from repro.sim.packet import Color
 
 
@@ -165,16 +169,16 @@ class TestServicePath:
     def test_best_effort_into_the_load_run_config_is_not_wedged(self):
         # loadgen's queue gives the Internet FIFO weight 1e-6: one
         # stray best-effort datagram waits behind PELS, then goes.
-        def scenario(router, clock, loop):
+        def scenario(router, sim):
             router._ingest(datagram(Color.BEST_EFFORT, size=500))
             for seq in range(8):
                 router._ingest(datagram(Color.GREEN, seq=seq, size=500))
-            clock.advance(0.002)  # 2 Gb/s x 2 ms covers everything
+            advance(sim, 0.002)  # 2 Gb/s x 2 ms covers everything
             router._service()
             colors = [peek_color(d) for d, _ in router.transport.sent]
             assert colors == [0] * 8 + [3]
             assert router.queue_depths() == [0, 0, 0, 0]
-            assert router._timer is None and loop.timers == []
+            assert not router._timer and backlog_timers(sim, router) == []
         run_started(scenario, bottleneck_bps=2e9, config=_default_queue())
 
     def test_credit_shortfall_puts_datagram_back_at_head(self):
@@ -253,32 +257,30 @@ class TestServicePath:
         assert credit == pytest.approx(1250.0 - 1200.0)
 
 
-class StubHandle:
-    def __init__(self, delay: float, callback) -> None:
-        self.delay = delay
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class StubLoop:
-    """Records what the router schedules; the test fires it by hand."""
+class TimerLog(Simulator):
+    """A Simulator that also logs what is armed on it, as ``(delay,
+    callback)``, so a test can count the router's timers without firing
+    them by hand."""
 
     def __init__(self) -> None:
-        self.timers = []
-        self.soon = []
+        super().__init__(seed=1)
+        self.armed = []
 
-    def call_later(self, delay, callback) -> StubHandle:
-        self.timers.append(StubHandle(delay, callback))
-        return self.timers[-1]
+    def call_later(self, delay, callback, *args) -> None:
+        self.armed.append((delay, callback))
+        super().call_later(delay, callback, *args)
 
-    def call_soon(self, callback) -> None:
-        self.soon.append(callback)
 
-    def remove_reader(self, fd) -> None:
-        pass
+def backlog_timers(sim: TimerLog, router: LiveRouter):
+    return [arm for arm in sim.armed if arm[1] == router._on_timer]
+
+
+def service_calls(sim: TimerLog, router: LiveRouter):
+    return [arm for arm in sim.armed if arm[1] == router._service]
+
+
+def advance(sim: Simulator, dt: float) -> None:
+    sim.run(until=sim.now + dt)
 
 
 class FakeSocket:
@@ -313,31 +315,27 @@ def flood_batch(size: int = 500):
 
 
 def run_started(scenario, raw_socket: bool = False, **overrides):
-    """``scenario(router, clock, loop)`` on a started router.
-
-    The router's epoch task lives on a real event loop that is never
-    yielded to; everything the token bucket schedules lands on the
-    :class:`StubLoop`, and time is the :class:`ManualClock`.
+    """``scenario(router, sim)`` on a router started on a
+    :class:`TimerLog`: its epoch and backlog timers and its coalesced
+    service calls are events on the simulator's heap, and time moves
+    only by ``sim.run``.
     """
-    async def main():
-        clock = ManualClock()
-        router = make_router(clock=clock, **overrides)
-        if raw_socket:
-            router.transport = None
-            router._sock = FakeSocket()
-        router._loop = loop = StubLoop()
-        router.start()
-        try:
-            return scenario(router, clock, loop)
-        finally:
-            await router.stop()
-    return asyncio.run(main())
+    sim = TimerLog()
+    router = make_router(clock=sim, **overrides)
+    if raw_socket:
+        router.transport = None
+        router._sock = FakeSocket()
+    router.start()
+    try:
+        return scenario(router, sim)
+    finally:
+        stop(router)
 
 
 class TestTokenBucketService:
     def test_ingest_with_credit_is_forwarded_by_the_same_wake(self):
-        def scenario(router, clock, loop):
-            clock.advance(0.01)  # 1 mb/s x 10 ms = 1250 B of credit
+        def scenario(router, sim):
+            advance(sim, 0.01)  # 1 mb/s x 10 ms = 1250 B of credit
             for seq in range(3):
                 router._sock.pending.append(
                     datagram(Color.GREEN, seq=seq, size=400))
@@ -345,83 +343,87 @@ class TestTokenBucketService:
             assert [decode_packet(d).seq for d, _ in router._sock.sent] \
                 == [0, 1, 2]
             assert router.queue_depths() == [0, 0, 0, 0]
-            assert router._timer is None and loop.timers == []
+            assert not router._timer and backlog_timers(sim, router) == []
         run_started(scenario, raw_socket=True)
 
     def test_credit_shortfall_arms_exactly_one_timer(self):
-        def scenario(router, clock, loop):
+        def scenario(router, sim):
             for seq in range(3):
                 router._ingest(datagram(Color.GREEN, seq=seq, size=400))
             router._service()  # no time has passed: no credit
             assert router.transport.sent == []
-            assert len(loop.timers) == 1
-            first = loop.timers[0]
-            assert router._timer is first
-            assert first.delay >= router.service_tick
+            assert router._timer and len(backlog_timers(sim, router)) == 1
+            (first,) = backlog_timers(sim, router)
+            assert first[0] >= router.service_tick
             # Further ingest wakes serve but never arm a second timer.
             router._ingest(datagram(Color.GREEN, seq=3, size=400))
             router._service()
-            assert loop.timers == [first]
+            assert backlog_timers(sim, router) == [first]
 
             # 4 ms at 1 mb/s = 500 B: the fire covers one datagram,
             # keeps the 100 B remainder and re-arms for the backlog.
-            clock.advance(0.004)
-            first.callback()
+            advance(sim, 0.004)
             assert len(router.transport.sent) == 1
             assert router._credit == pytest.approx(100.0)
-            assert len(loop.timers) == 2 and router._timer is loop.timers[1]
+            assert router._timer and len(backlog_timers(sim, router)) == 2
 
             # A long stall earns the burst cap (2 x quantum), not more;
-            # it clears the backlog and nothing is re-armed.
-            clock.advance(1.0)
-            loop.timers[1].callback()
+            # it clears the backlog and nothing is re-armed.  (A loop
+            # that stalls fires its timer late, which a simulator never
+            # does: the late fire is made by hand.)
+            sim.now += 1.0
+            router._on_timer()
             assert len(router.transport.sent) == 4
             assert router._credit == pytest.approx(2000.0 - 3 * 400)
-            assert router._timer is None and len(loop.timers) == 2
-        run_started(scenario)
+            assert not router._timer and len(backlog_timers(sim, router)) == 2
+        # A 4 ms tick, so the first fire is the 4 ms this test steps.
+        run_started(scenario, service_tick=0.004)
 
     def test_idle_router_holds_no_timer(self):
-        def scenario(router, clock, loop):
-            assert router._timer is None
-            clock.advance(5.0)
+        def scenario(router, sim):
+            assert not router._timer
+            advance(sim, 5.0)
             router._service()
-            assert router._timer is None
-            assert loop.timers == [] and loop.soon == []
+            assert not router._timer
+            assert backlog_timers(sim, router) == [] \
+                and service_calls(sim, router) == []
         run_started(scenario)
 
     def test_stop_cancels_the_timer_and_is_idempotent(self):
-        async def main():
-            router = make_router()
-            await router.stop()  # before start(): nothing to undo
-            router._loop = loop = StubLoop()
-            router.start()
-            router._ingest(datagram(Color.GREEN))
-            router._service()
-            handle = router._timer
-            assert handle is loop.timers[0] and not handle.cancelled
-            await router.stop()
-            assert handle.cancelled and router._timer is None
-            await router.stop()
-            # A coalesced service call that outlives stop() is inert.
-            router._service()
-            assert router._timer is None and len(loop.timers) == 1
-        asyncio.run(main())
+        sim = TimerLog()
+        router = make_router(clock=sim)
+        stop(router)  # before start(): nothing to undo
+        router.start()
+        router._ingest(datagram(Color.GREEN))
+        router._service()
+        assert router._timer and len(backlog_timers(sim, router)) == 1
+        stop(router)
+        stop(router)
+        # A coalesced service call that outlives stop() is inert.
+        router._service()
+        assert len(backlog_timers(sim, router)) == 1
+        # So are the timers armed before it: they fire into a no-op,
+        # serve nothing and re-arm nothing.
+        sim.run(until=1.0)
+        assert not router._timer and sim.pending() == 0
+        assert router.transport.sent == []
+        assert router.queue_depth(Color.GREEN) == 1
 
     def test_load_run_default_buffers_hold_100k_pps_at_2_gbps(self):
         # PR 11 finding: the load-run default red_buffer=64 dropped red
         # at 80k+ pps even at 2 Gb/s, because the queues only emptied
         # once per 2 ms tick.  Served on arrival, 64-datagram batches
         # every 0.64 ms never leave a datagram behind.
-        def scenario(router, clock, loop):
+        def scenario(router, sim):
             batch = flood_batch()
             for _ in range(200):
-                clock.advance(64 / 100_000)
+                advance(sim, 64 / 100_000)
                 router._sock.pending.extend(batch)
                 router._on_readable()
                 assert router.queue_depths() == [0, 0, 0, 0]
             assert router.drops == [0, 0, 0, 0]
             assert sum(router.forwarded) == len(router._sock.sent) == 12_800
-            assert loop.timers == []
+            assert backlog_timers(sim, router) == []
         queue = LoadConfig().queue
         assert queue.red_buffer == 64
         run_started(scenario, raw_socket=True, bottleneck_bps=2e9,
@@ -432,7 +434,7 @@ class TestTokenBucketService:
         # 50 Mb/s: arrivals every 3.2 ms, the backlog timer in between.
         rate = 50e6 / 8
 
-        def scenario(router, clock, loop):
+        def scenario(router, sim):
             violations = []
 
             def checked_sendto(data, addr, send=router.transport.sendto):
@@ -443,24 +445,14 @@ class TestTokenBucketService:
             router.transport.sendto = checked_sendto
 
             batch = flood_batch()
-            next_batch, timer_due, armed = 0.0032, None, 0
-            while True:
-                if len(loop.timers) > armed:  # newly armed: note when due
-                    armed = len(loop.timers)
-                    timer_due = clock.now + loop.timers[-1].delay
-                due = min(next_batch, timer_due or next_batch)
-                if due > 1.0:
-                    break
-                clock.advance(due - clock.now)
-                if due == timer_due:
-                    timer_due = None
-                    loop.timers[-1].callback()
-                else:
-                    next_batch += 0.0032
-                    for data in batch:
-                        router._ingest(data)
-                    router._service()
-            clock.advance(1.0 - clock.now)
+
+            def arrive() -> None:
+                for data in batch:
+                    router._ingest(data)
+                router._service()
+                sim.call_later(0.0032, arrive)
+            sim.call_later(0.0032, arrive)
+            sim.run(until=1.0)
 
             sent_bytes = sum(len(d) for d, _ in router.transport.sent)
             assert sent_bytes <= rate * 1.0 + router._burst_bytes
@@ -471,8 +463,9 @@ class TestTokenBucketService:
             assert loss[2] >= loss[1] >= loss[0] == 0.0
             # Tick-sized bursts: the timer never fires faster than the
             # tick, so a second holds at most 500 of them.
-            assert all(t.delay >= router.service_tick for t in loop.timers)
-            assert len(loop.timers) <= 500
+            timers = backlog_timers(sim, router)
+            assert all(delay >= router.service_tick for delay, _ in timers)
+            assert 0 < len(timers) <= 500
         run_started(scenario, bottleneck_bps=50e6, config=PelsQueueConfig(
             pels_weight=1.0, internet_weight=1e-6, green_buffer=64,
             yellow_buffer=128, red_buffer=64, internet_buffer=16))
@@ -518,8 +511,6 @@ class TestEpochStep:
             assert router.feedback.loss_series.times[-1] == clock.now
             assert router.feedback.loss_series.values[-1] == oracle.loss
             assert router.feedback.rate_series.values[-1] == oracle.rate_bps
-        assert router.mean_virtual_loss() == pytest.approx(
-            sum(router.feedback.loss_series.values) / 3)
         # The physical-loss windows close with the epoch: the port
         # drained between bursts, so 8 of every 12 greens overflowed.
         assert router.core.losses.series[Color.GREEN].values == [8 / 12] * 3
@@ -546,53 +537,55 @@ class TestEpochStep:
         assert len(router.feedback.loss_series) == 4
 
     def test_started_router_measures_from_its_start_instant(self):
-        async def main():
-            clock = ManualClock()
-            router = make_router(clock=clock)
-            clock.advance(5.0)  # built long before it is started
-            router._loop = StubLoop()
-            router.start()
-            try:
-                self.offer(router)
-                clock.advance(0.040)
-                router.close_epoch(clock.now)
-                assert router.feedback.rate_bps == pytest.approx(
-                    self.BURST * 400 * 8 / 0.040)
-            finally:
-                await router.stop()
-        asyncio.run(main())
+        sim = Simulator()
+        router = make_router(clock=sim, interval=0.040)
+        advance(sim, 5.0)  # built long before it is started
+        router.start()
+        try:
+            self.offer(router)
+            advance(sim, 0.040)  # the router's own epoch timer closes it
+            assert router.feedback.epoch == 1
+            assert router.feedback.rate_bps == pytest.approx(
+                self.BURST * 400 * 8 / 0.040)
+        finally:
+            stop(router)
 
 
 class TestProtocolModeCoalescing:
     def test_one_service_call_per_loop_iteration(self):
-        def scenario(router, clock, loop):
-            clock.advance(0.01)
+        def scenario(router, sim):
+            advance(sim, 0.01)
             for seq in range(3):
                 router.datagram_received(
                     datagram(Color.GREEN, seq=seq, size=400), None)
-            assert len(loop.soon) == 1
+            assert len(service_calls(sim, router)) == 1
             assert router.transport.sent == []  # served by the callback
-            loop.soon.pop()()
+            sim.run(until=sim.now)  # the rest of this instant
             assert len(router.transport.sent) == 3
             # The next iteration's first arrival schedules again.
             router.datagram_received(datagram(Color.GREEN, seq=3), None)
-            assert len(loop.soon) == 1
+            assert len(service_calls(sim, router)) == 2
         run_started(scenario)
 
     def test_real_loop_runs_the_coalesced_call_once(self):
         async def main():
-            clock = ManualClock()
-            router = make_router(clock=clock)
+            # A WallClock arms on the running loop; at 100 Gb/s the
+            # microseconds before the call earn the credit it needs.
+            clock = WallClock()
+            router = make_router(clock=clock, bottleneck_bps=1e11)
             router.start()
             calls = []
             service = router._service
             router._service = lambda: (calls.append(clock.now), service())
             try:
-                clock.advance(0.01)
                 for seq in range(3):
                     router.datagram_received(
                         datagram(Color.GREEN, seq=seq, size=400), None)
-                await asyncio.sleep(0)  # one loop iteration, no waiting
+                # A zero-delay timer runs in the loop's next iteration,
+                # behind what was ready before it (this task's resume):
+                # two iterations, no waiting.
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
                 assert len(calls) == 1
                 assert len(router.transport.sent) == 3
             finally:

@@ -3,7 +3,8 @@
 The supervisor's whole decision surface is the synchronous
 :meth:`ShardSupervisor.tick`, so every failure signature — crash,
 hang, overload — is driven here with fake shard handles and a
-ManualClock; no processes, no sockets, no sleeps.  The live-marked
+ManualClock, and its poll timer on a Simulator clock; no processes, no
+sockets, no sleeps.  The live-marked
 chaos tests (``test_live_chaos.py``) exercise the same state machine
 against real SIGKILL'd children.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from live_loopback import stop
 from repro.core.clock import ManualClock
 from repro.live.gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                                 LiveGateway, TenantPolicy)
@@ -20,6 +22,7 @@ from repro.live.supervisor import (STATE_FAILED, STATE_HEALTHY,
                                    STATE_OVERLOADED, ShardSupervisor,
                                    SupervisorConfig)
 from repro.obs.metrics import MetricsRegistry, metrics
+from repro.sim.engine import Simulator
 
 CLIENT = ("127.0.0.1", 5555)
 
@@ -79,16 +82,16 @@ class FakeShard:
 def make_stats(cpu=0.0, wall=0.0, red_occupancy=0.0, shed_bytes=None,
                send_errors=0):
     return ShardStats(shard_id=1, port=0, arrivals=[0] * 4, drops=[0] * 4,
-                      forwarded=[0] * 4, mean_virtual_loss=0.0, routes=0,
+                      forwarded=[0] * 4, routes=0,
                       cpu_seconds=cpu, wall_seconds=wall,
                       red_occupancy=red_occupancy,
                       shed_bytes=shed_bytes or [0, 0, 0, 0],
                       send_errors=send_errors)
 
 
-def make_pool(n_shards=2, flows_per_shard=0):
+def make_pool(n_shards=2, flows_per_shard=0, clock=None):
     """Gateway over fakes, a supervisor with injected spawn/retarget."""
-    clock = ManualClock()
+    clock = clock or ManualClock()
     shards = [FakeShard(i + 1) for i in range(n_shards)]
     gateway = LiveGateway(clock, shards, flow_reserve_bps=1_000.0,
                           default_policy=TenantPolicy(
@@ -163,6 +166,21 @@ class TestCrashFailover:
             supervisor.tick(clock.now)
         assert supervisor.failovers == []
         assert set(supervisor.states().values()) == {STATE_HEALTHY}
+
+
+class TestPollTimer:
+    def test_polls_on_its_clock_until_stopped(self):
+        sim = Simulator()
+        supervisor, _, _, _, _ = make_pool(n_shards=2, clock=sim)
+        supervisor.start()
+        with pytest.raises(RuntimeError):
+            supervisor.start()
+        sim.run(until=1.0)
+        assert supervisor.ticks == 5  # t = 0, 0.25, 0.5, 0.75, 1.0
+        stop(supervisor)
+        sim.run(until=2.0)  # the armed poll fires into a no-op
+        assert supervisor.ticks == 5 and sim.pending() == 0
+        assert supervisor.failovers == []
 
 
 class TestHangDetection:

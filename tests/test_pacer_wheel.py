@@ -2,17 +2,20 @@
 
 ``LiveServer`` keeps its flows in ``n = max(1, min(flows, pace_tick /
 MIN_STEP))`` slots (flow *i*, admission order, in slot ``i mod n``) and
-one re-armed ``loop.call_at`` handle steps slot ``k mod n`` at ``t0 + k
-* pace_tick / n``.  Nothing here opens a socket: the slot rule and the
-synchronous step run under a :class:`ManualClock`, the timer under
-:class:`FakeLoop` — a loop whose time *is* that clock and whose handles
-fire when the test says so.  One short test checks the same calls
-against a real asyncio loop.
+one timer, re-armed with the clock's ``call_at``, steps slot ``k mod n``
+at ``t0 + k * pace_tick / n``.  Nothing here opens a socket: the slot
+rule and the synchronous step run under a :class:`ManualClock`, the
+timer on a :class:`~repro.sim.engine.Simulator` clock — except where a
+step must cost time or the loop must stall, which a simulator never
+does: those tests keep :class:`LateClock`, whose timers fire late when
+the test says so.  One short test runs the wheel on a ``WallClock``
+over a real asyncio loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
 import math
 from collections import Counter
 
@@ -20,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clock import ManualClock
+from live_loopback import stop
+from repro.core.clock import ManualClock, WallClock
 from repro.live.server import MIN_STEP, LiveServer
 from repro.live.wire import decode_packet
+from repro.sim.engine import Simulator
 from repro.video.fgs import FgsConfig
 
 
@@ -34,61 +39,38 @@ class CapturingTransport:
         self.sent.append(decode_packet(data))
 
 
-class FakeHandle:
-    def __init__(self, when, callback, args) -> None:
-        self._when = when
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
+class LateClock(ManualClock):
+    """A hand-moved clock with the wheel's timer call.
 
-    def when(self) -> float:
-        return self._when
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class FakeLoop:
-    """``loop.time``/``loop.call_at`` over a ManualClock.
-
-    ``run_until`` fires the pending handles in deadline order, moving
-    the clock to each deadline first — unless the clock is already past
-    it (a stall the test injected, or work a callback charged), in which
-    case the handle fires late, as on a real loop.
+    ``run_until`` fires the pending timers in deadline order, moving the
+    clock to each deadline first — unless the clock is already past it
+    (a stall the test injected, or work a step charged), in which case
+    the timer fires late, as on a real loop.
     """
 
-    def __init__(self, clock: ManualClock) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
+        super().__init__()
         self.pending = []
+        self._seq = 0
 
-    def time(self) -> float:
-        return self.clock.now
-
-    def call_at(self, when, callback, *args) -> FakeHandle:
-        self.pending.append(FakeHandle(when, callback, args))
-        return self.pending[-1]
-
-    def live(self):
-        return [h for h in self.pending if not h.cancelled]
+    def call_at(self, when, fn, *args) -> None:
+        self._seq += 1
+        heapq.heappush(self.pending, (when, self._seq, fn, args))
 
     def run_until(self, until: float) -> None:
-        while True:
-            due = [h for h in self.live() if h.when() <= until]
-            if not due:
-                break
-            handle = min(due, key=FakeHandle.when)
-            self.pending.remove(handle)
-            self.clock.now = max(self.clock.now, handle.when())
-            handle.callback(*handle.args)
-        self.clock.now = max(self.clock.now, until)
+        while self.pending and self.pending[0][0] <= until:
+            when, _, fn, args = heapq.heappop(self.pending)
+            self.now = max(self.now, when)
+            fn(*args)
+        self.now = max(self.now, until)
 
 
 def make_server(flows: int, pace_tick: float, frame_interval: float = 0.1,
-                rate_bps: float = 29_840.0) -> LiveServer:
+                rate_bps: float = 29_840.0, clock=None) -> LiveServer:
     """100-byte packets at a rate that earns 37.3 B of credit per 10 ms
     tick: under one packet a tick, and never exactly a packet."""
     server = LiveServer(
-        ManualClock(), flows, pace_tick=pace_tick,
+        clock or ManualClock(), flows, pace_tick=pace_tick,
         fgs=FgsConfig(packet_size=100, frame_packets=64, green_packets=8,
                       frame_interval=frame_interval),
         controller_kwargs={"initial_rate_bps": rate_bps,
@@ -98,10 +80,10 @@ def make_server(flows: int, pace_tick: float, frame_interval: float = 0.1,
     return server
 
 
-def on_fake_loop(server: LiveServer, work: float = 0.0):
-    """Start ``server`` on a FakeLoop; every ``advance`` is recorded as
-    ``(now, slot)`` and charges ``work`` seconds to the clock."""
-    loop = server._loop = FakeLoop(server.clock)
+def started(server: LiveServer, work: float = 0.0):
+    """Start ``server`` on its clock; every ``advance`` is recorded as
+    ``(now, slot)`` and (on a :class:`LateClock`) charges ``work``
+    seconds to the clock."""
     steps = []
     advance = server.advance
 
@@ -112,7 +94,7 @@ def on_fake_loop(server: LiveServer, work: float = 0.0):
 
     server.advance = recording
     server.start()
-    return loop, steps
+    return steps
 
 
 # -- (a) the slot rule --------------------------------------------------------
@@ -215,10 +197,11 @@ def test_period_is_the_tick_whatever_a_step_costs(flows, work_share):
     when each step eats most of its interval (``sleep(pace_tick)`` after
     the work made the period tick + work)."""
     pace_tick, ticks = 0.010, 50
-    server = make_server(flows, pace_tick)
+    clock = LateClock()
+    server = make_server(flows, pace_tick, clock=clock)
     step = pace_tick / len(server.slots)
-    loop, steps = on_fake_loop(server, work=work_share * step)
-    loop.run_until(ticks * pace_tick)
+    steps = started(server, work=work_share * step)
+    clock.run_until(ticks * pace_tick)
     per_slot = Counter(slot for _, slot in steps)
     assert set(per_slot) == set(range(len(server.slots)))
     assert all(abs(count - ticks) <= 1 for count in per_slot.values())
@@ -226,24 +209,25 @@ def test_period_is_the_tick_whatever_a_step_costs(flows, work_share):
     assert [slot for _, slot in steps[:2 * len(server.slots)]] == \
         list(range(len(server.slots))) * 2
     assert all(now >= k * step - 1e-12 for k, (now, _) in enumerate(steps))
-    assert len(loop.live()) == 1
+    assert len(clock.pending) == 1
 
 
 def test_a_stall_reanchors_with_one_step_not_a_burst():
     pace_tick = 0.010
-    server = make_server(40, pace_tick)
+    clock = LateClock()
+    server = make_server(40, pace_tick, clock=clock)
     step = pace_tick / len(server.slots)
-    loop, steps = on_fake_loop(server)
-    loop.run_until(3 * pace_tick)
+    steps = started(server)
+    clock.run_until(3 * pace_tick)
     before = len(steps)
-    stalled_until = server.clock.now + 4.5 * pace_tick  # 45 missed steps
-    server.clock.now = stalled_until
-    loop.run_until(stalled_until + 0.999 * step)
+    stalled_until = clock.now + 4.5 * pace_tick  # 45 missed steps
+    clock.now = stalled_until
+    clock.run_until(stalled_until + 0.999 * step)
     assert [now for now, _ in steps[before:]] == [stalled_until]
-    (handle,) = loop.live()
-    assert handle.when() == pytest.approx(stalled_until + step)
+    ((when, *_),) = clock.pending
+    assert when == pytest.approx(stalled_until + step)
     # The rotation resumes where it stopped, at the tick's pace.
-    loop.run_until(stalled_until + pace_tick + step / 2)
+    clock.run_until(stalled_until + pace_tick + step / 2)
     resumed = steps[before:]
     assert [slot for _, slot in resumed[:3]] == \
         [(steps[before - 1][1] + k) % len(server.slots) for k in (1, 2, 3)]
@@ -253,20 +237,22 @@ def test_a_stall_reanchors_with_one_step_not_a_burst():
 def test_slightly_late_steps_keep_the_absolute_grid():
     """Late by less than a step is not a stall: the next deadline stays
     on the grid (no drift), it is not pushed out by the lateness."""
-    server = make_server(10, 0.010)
-    loop, steps = on_fake_loop(server)
-    loop.run_until(0.0)
-    server.clock.now = 0.0014  # busy elsewhere: the 1 ms step fires late
-    loop.run_until(0.0014)
+    clock = LateClock()
+    server = make_server(10, 0.010, clock=clock)
+    steps = started(server)
+    clock.run_until(0.0)
+    clock.now = 0.0014  # busy elsewhere: the 1 ms step fires late
+    clock.run_until(0.0014)
     assert steps == [(0.0, 0), (0.0014, 1)]
-    (handle,) = loop.live()
-    assert handle.when() == pytest.approx(0.002)
+    ((when, *_),) = clock.pending
+    assert when == pytest.approx(0.002)
 
 
 def test_retired_flows_leave_the_wheel_but_stay_queryable():
-    server = make_server(25, 0.010)
-    loop, _ = on_fake_loop(server)
-    loop.run_until(0.25)
+    sim = Simulator()
+    server = make_server(25, 0.010, clock=sim)
+    started(server)
+    sim.run(until=0.25)
     for flow_id in (0, 10, 13):
         server.retire_flow(flow_id)
     assert all(server.flows[fid] not in slot
@@ -274,7 +260,7 @@ def test_retired_flows_leave_the_wheel_but_stay_queryable():
     assert sum(len(slot) for slot in server.slots) == 22
     sent = {fid: server.flows[fid].packets_sent for fid in server.flows}
     logged = {fid: dict(server.flows[fid].frame_log) for fid in (0, 10, 13)}
-    loop.run_until(0.5)
+    sim.run(until=0.5)
     for fid, flow in server.flows.items():
         if fid in logged:
             assert flow.packets_sent == sent[fid] > 0
@@ -285,31 +271,49 @@ def test_retired_flows_leave_the_wheel_but_stay_queryable():
 
 @pytest.mark.parametrize("flows", [1, 7, 400])
 def test_one_handle_whatever_the_flow_count_and_none_after_stop(flows):
-    server = make_server(flows, 0.010)
-    loop, steps = on_fake_loop(server)
-    assert len(loop.live()) == 1
+    sim = Simulator()
+    server = make_server(flows, 0.010, clock=sim)
+    steps = started(server)
+    assert sim.pending() == 1
     with pytest.raises(RuntimeError):
         server.start()
-    loop.run_until(0.05)
-    assert len(loop.live()) == 1
-    asyncio.run(server.stop())
-    assert loop.live() == []
+    sim.run(until=0.05)
+    assert sim.pending() == 1
+    stop(server)
+    # The armed timer fires into a no-op and re-arms nothing.
     done = len(steps)
-    loop.run_until(1.0)
+    sim.run(until=1.0)
+    assert sim.pending() == 0
     assert len(steps) == done
-    asyncio.run(server.stop())  # sessions stop twice
+    stop(server)  # sessions stop twice
+
+
+def test_cross_traffic_keeps_its_budget_and_stops_with_the_server():
+    """The CBR timer's jittered wakes spend exactly ``cbr_rate_bps``
+    (400 kb/s of 100-byte datagrams: 500 a second), and stop with it."""
+    sim = Simulator()
+    server = make_server(1, 0.005, clock=sim)
+    server.cbr_rate_bps = 400_000.0
+    started(server)
+    sim.run(until=1.0)
+    # The last wake is at most 1.5 ticks (7.5 ms, 3.75 datagrams) old.
+    assert 496 <= server.cross_packets_sent <= 500
+    stop(server)
+    sent = server.cross_packets_sent
+    sim.run(until=2.0)
+    assert server.cross_packets_sent == sent and sim.pending() == 0
 
 
 def test_on_a_real_loop():
-    """The same ``call_at`` / ``TimerHandle.when`` calls against
-    asyncio's own loop (no sockets; 60 ms of wall clock)."""
-    server = make_server(3, 0.005)
+    """The same timer calls on a ``WallClock`` over asyncio's own loop
+    (no sockets; 60 ms of wall clock)."""
     steps = []
-    advance = server.advance
-    server.advance = lambda now, slot=None: (steps.append(slot),
-                                             advance(now, slot))
 
     async def main():
+        server = make_server(3, 0.005, clock=WallClock())
+        advance = server.advance
+        server.advance = lambda now, slot=None: (steps.append(slot),
+                                                 advance(now, slot))
         server.start()
         await asyncio.sleep(0.06)
         await server.stop()
