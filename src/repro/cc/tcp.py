@@ -19,6 +19,9 @@ from ..sim.packet import Color, Packet
 
 __all__ = ["TcpSource", "TcpSink"]
 
+#: Coarse retransmission timeout (seconds), re-armed on every new ACK.
+RTO = 1.0
+
 
 class TcpSource:
     """Simplified Reno source attached to a :class:`~repro.sim.node.Host`."""
@@ -26,7 +29,7 @@ class TcpSource:
     def __init__(self, sim: Simulator, host: Host, dst_host: Host,
                  flow_id: int, packet_size: int = 1000,
                  initial_cwnd: float = 2.0, ssthresh: float = 64.0,
-                 rto: float = 1.0, start_time: float = 0.0) -> None:
+                 start_time: float = 0.0) -> None:
         self.sim = sim
         self.host = host
         self.dst_host = dst_host
@@ -34,7 +37,6 @@ class TcpSource:
         self.packet_size = packet_size
         self.cwnd = initial_cwnd
         self.ssthresh = ssthresh
-        self.rto = rto
 
         self.next_seq = 0           # next new sequence number to send
         self.high_acked = -1        # highest cumulatively ACKed seq
@@ -69,7 +71,7 @@ class TcpSource:
     def _arm_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
-        self._timer = self.sim.schedule(self.rto, self._on_timeout)
+        self._timer = self.sim.schedule(RTO, self._on_timeout)
 
     # -- receiving ACKs ---------------------------------------------------
 
@@ -123,19 +125,17 @@ class TcpSource:
 class TcpSink:
     """Receiver returning cumulative ACKs for a :class:`TcpSource`.
 
-    ACKs carry the highest in-order sequence number; they are delivered
-    back through the network so the reverse path exists in the topology
-    (for the bar-bell, sinks route via the right router's tables).
+    ACKs carry the highest in-order sequence number and reach the
+    source ``ack_delay`` later over an uncongested reverse path, as the
+    PELS ACKs do.
     """
 
     def __init__(self, sim: Simulator, host: Host, flow_id: int,
-                 ack_via_network: bool = False,
                  source: Optional[TcpSource] = None,
                  ack_delay: float = 0.02) -> None:
         self.sim = sim
         self.host = host
         self.flow_id = flow_id
-        self.ack_via_network = ack_via_network
         self.source = source
         self.ack_delay = ack_delay
         self.next_expected = 0
@@ -159,9 +159,5 @@ class TcpSink:
     def _ack(self, data_packet: Packet) -> None:
         ack = data_packet.make_ack(self.sim.now)
         ack.seq = self.next_expected - 1
-        if self.ack_via_network:
-            self.host.send(ack)
-        elif self.source is not None:
-            # Direct delivery after a fixed backward delay (uncongested
-            # reverse path), matching the PELS ACK model.
+        if self.source is not None:
             self.sim.schedule(self.ack_delay, self.source.receive, ack)

@@ -41,15 +41,12 @@ class _ProtectedBaseQueue(QueueDiscipline):
     random RED drops.
     """
 
-    def __init__(self, rng, enhancement_capacity: int = 200,
-                 min_thresh: float = 10, max_thresh: float = 150,
-                 max_p: float = 1.0, name: str = "best-effort-q") -> None:
-        super().__init__(name)
+    def __init__(self, rng) -> None:
+        super().__init__("best-effort-q")
         self.base_queue = DropTailQueue(capacity_packets=100, name="base-q")
         self.enhancement_queue = REDQueue(
-            capacity_packets=enhancement_capacity, min_thresh=min_thresh,
-            max_thresh=max_thresh, max_p=max_p, weight=0.02, rng=rng,
-            name="enh-red-q")
+            capacity_packets=200, min_thresh=10, max_thresh=150, max_p=1.0,
+            weight=0.02, rng=rng, name="enh-red-q")
         self.scheduler = StrictPriorityScheduler(
             [self.base_queue, self.enhancement_queue],
             classifier=lambda p: 0 if p.color is Color.GREEN else 1)

@@ -27,7 +27,6 @@ class PelsSink(FlowReceiver):
     def __init__(self, sim: Simulator, host: Host, flow_id: int,
                  source: Optional[PelsSource] = None,
                  ack_delay: float = 0.020,
-                 ack_via_network: bool = False,
                  ack_loss_rate: float = 0.0,
                  green_packets: Optional[int] = None,
                  record_arrivals: bool = False,
@@ -42,7 +41,6 @@ class PelsSink(FlowReceiver):
         self.host = host
         self.source = source
         self.ack_delay = ack_delay
-        self.ack_via_network = ack_via_network
         #: Random ACK drop probability (reverse-path impairment).  The
         #: epoch-freshness scheme of Section 5.2 makes the control loop
         #: insensitive to individual ACK losses: any surviving ACK of
@@ -68,8 +66,6 @@ class PelsSink(FlowReceiver):
         if self.ack_loss_rate > 0 and sim.rng.random() < self.ack_loss_rate:
             self.acks_dropped += 1
             return
-        ack = packet.make_ack(now)
-        if self.ack_via_network:
-            self.host.send(ack)
-        elif self._source_receive is not None:
-            sim.call_later(self.ack_delay, self._source_receive, ack)
+        if self._source_receive is not None:
+            sim.call_later(self.ack_delay, self._source_receive,
+                           packet.make_ack(now))

@@ -179,10 +179,6 @@ class FluidScenario(ControlParams):
         """Round-trip propagation delay of one flow."""
         return self.rtt_s + 2 * self.extra_delay.get(flow, 0.0)
 
-    def owd_up_s(self, flow: int) -> float:
-        """One-way propagation from the source to the first router."""
-        return self.source_router_delay_s + self.extra_delay.get(flow, 0.0)
-
     def _epoch_geometry(self, extra_s: float) -> Tuple[int, int]:
         """(forward, backward) epochs for ``extra_s`` of one-way access
         delay — the shared rounding behind the per-flow accessors and
@@ -237,10 +233,6 @@ class FluidScenario(ControlParams):
 
     def n_paths(self) -> int:
         return len(self.paths) if self.paths is not None else 1
-
-    def path_of(self, flow: int) -> int:
-        """Path index of one flow (per-flow modes only)."""
-        return 0 if self.flow_path is None else self.flow_path[flow]
 
     def is_homogeneous(self) -> bool:
         """True when every flow shares one delay/start/path behaviour

@@ -294,6 +294,3 @@ class LiveGateway:
         for record in self.flows.values():
             counts[self.shards[record.shard_index].shard_id] += 1
         return counts
-
-    def total_rejected(self) -> int:
-        return sum(self.rejected.values())

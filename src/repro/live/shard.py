@@ -53,6 +53,9 @@ __all__ = ["ShardConfig", "ShardStats", "RouterShard"]
 #: scheduler stalls at 10k pkts/s x ~250-byte datagrams.
 SOCKET_BUFFER_BYTES = 1 << 21
 
+#: Seconds :meth:`RouterShard.start` waits for the child's ``ready``.
+START_TIMEOUT = 15.0
+
 
 @dataclass
 class ShardConfig:
@@ -108,10 +111,6 @@ class ShardStats:
     @property
     def total_forwarded(self) -> int:
         return sum(self.forwarded)
-
-    @property
-    def total_shed_bytes(self) -> int:
-        return sum(self.shed_bytes)
 
 
 def _snapshot(router, config: ShardConfig, port: int,
@@ -220,10 +219,8 @@ class RouterShard:
     sends); the data plane never passes through this object.
     """
 
-    def __init__(self, config: ShardConfig,
-                 start_timeout: float = 15.0) -> None:
+    def __init__(self, config: ShardConfig) -> None:
         self.config = config
-        self.start_timeout = start_timeout
         self._conn = None
         self._child: Optional[proc.Child] = None
         self._port: Optional[int] = None
@@ -261,7 +258,7 @@ class RouterShard:
                                  name=f"pels-shard-{self.shard_id}")
         self._conn = self._child.conn
         kind, port = self._request(None, expect="ready",
-                                   timeout=self.start_timeout)
+                                   timeout=START_TIMEOUT)
         self._port = port
         return self
 

@@ -247,10 +247,6 @@ class Simulator:
             self._running = False
             self.events_dispatched += dispatched
 
-    def run_until_idle(self) -> None:
-        """Run until no events remain."""
-        self.run()
-
     def pending(self) -> int:
         """Number of non-cancelled events still queued (O(1))."""
         return len(self._heap) - self._stale

@@ -58,10 +58,6 @@ class Barbell(Chain):
         return self.routers[0]
 
     @property
-    def right_router(self) -> Router:
-        return self.routers[1]
-
-    @property
     def bottleneck(self) -> Link:
         return self.hop_links[0]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, Set
 
 __all__ = [
     "useful_prefix_length",
@@ -134,8 +134,3 @@ def monte_carlo_useful_packets_pmf(pmf: "dict[int, float]", loss: float,
         total += simulate_bernoulli_frame(frame_size, loss,
                                           rng).useful_enhancement
     return total / n_frames
-
-
-def useful_series(receptions: Sequence[FrameReception]) -> List[int]:
-    """Per-frame useful enhancement counts for a sequence of frames."""
-    return [r.useful_enhancement for r in receptions]

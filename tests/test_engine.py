@@ -228,6 +228,32 @@ class TestCancellationDrain:
         sim.run()
         assert fired == ["keep"]
 
+    def test_cancel_and_rearm_per_event_keeps_heap_bounded(self, sim):
+        """The TCP retransmit-timer pattern: every event cancels the
+        pending long timer and arms a new one, so a stale entry arrives
+        with each event; the drain must keep the heap compact all run
+        long, not only after a one-off mass cancel."""
+        n_events = 20_000
+        fired = [0]
+        peak = [0]
+        pending = [sim.schedule(10.0, lambda: None)]
+
+        def tick():
+            fired[0] += 1
+            peak[0] = max(peak[0], len(sim._heap))
+            pending[0].cancel()
+            if fired[0] < n_events:
+                pending[0] = sim.schedule(10.0, lambda: None)
+                sim.call_later(0.001, tick)
+
+        sim.call_later(0.001, tick)
+        sim.run()
+        assert fired[0] == n_events
+        # 10 s timers re-armed every 1 ms: without the drain ~10,000
+        # stale entries would sit in the heap at once.
+        assert peak[0] < 4096
+        assert sim.pending() == 0
+
     def test_pending_is_exact_through_cancel_and_dispatch(self, sim):
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
         events[3].cancel()
