@@ -362,8 +362,7 @@ def _declare_fluid(parser) -> None:
     _add_flags(parser, FluidScenario, _FLUID)
     parser.add_argument("--backend", default=None,
                         choices=["list", "numpy", "auto"],
-                        help="array backend (default: list, or "
-                             "$REPRO_FLUID_BACKEND)")
+                        help="array backend (default: list)")
     _json_flag(parser)
 
 

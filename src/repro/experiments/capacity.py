@@ -75,11 +75,9 @@ def run(fast: bool = False, jobs: int = 1,
 
     grid = _scenarios(fast)
     # backend="auto" takes the numpy backend when numpy is importable
-    # and the stdlib list backend otherwise; REPRO_FLUID_BACKEND is
-    # still validated but selects nothing here (it only fills in for
-    # backend=None).  Rendered values round far above the
-    # backends' 1e-12-relative disagreement, so the report text does
-    # not depend on the choice.
+    # and the stdlib list backend otherwise.  Rendered values round far
+    # above the backends' 1e-12-relative disagreement, so the report
+    # text does not depend on the choice.
     summaries = sweep_fluid([sc for _label, sc in grid],
                             backend="auto", jobs=jobs, chunk=chunk)
 

@@ -25,27 +25,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core import proc
-from ..fluid.engine import FluidEngine
+from ..fluid.engine import FluidEngine, convergence_time, tail_mean
 from ..fluid.scenario import FluidScenario
 
-__all__ = ["FluidSummary", "convergence_time", "sweep_fluid"]
-
-
-def convergence_time(times: Sequence[float], rates: Sequence[float],
-                     target: float,
-                     rel_tol: float = 0.02) -> Optional[float]:
-    """First sample time after which ``rates`` stays within ``rel_tol``
-    of ``target`` (None if it never settles).  Mirrors
-    :meth:`FluidResult.convergence_time` for summarized series."""
-    if not times:
-        return None
-    band = rel_tol * abs(target)
-    last_bad = len(rates) - 1
-    while last_bad >= 0 and abs(rates[last_bad] - target) <= band:
-        last_bad -= 1
-    if last_bad + 1 >= len(times):
-        return None
-    return times[last_bad + 1]
+__all__ = ["FluidSummary", "sweep_fluid"]
 
 
 @dataclass
@@ -67,9 +50,7 @@ class FluidSummary:
     peak_rss_bytes: Optional[int]
 
     def tail_mean_rate(self, frac: float = 0.2) -> float:
-        series = self.mean_rate_bps
-        n = max(1, int(len(series) * frac))
-        return sum(series[len(series) - n:]) / n
+        return tail_mean(self.mean_rate_bps, frac)
 
     def epochs_per_second(self) -> float:
         return self.n_epochs / self.wall_time if self.wall_time else 0.0

@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.oracles import (check_network_equilibrium,
                                     network_equilibrium)
 from repro.fluid import engine as engine_mod
-from repro.fluid.engine import FluidEngine, resolve_backend
+from repro.fluid.engine import FluidEngine
 from repro.fluid.reference import ReferenceFluidEngine
 from repro.fluid.scenario import (FluidScenario, chain_grid_scenario,
                                   fat_tree_scenario)
@@ -111,8 +111,8 @@ class TestReferenceParity:
 
     @needs_numpy
     def test_scalar_and_numpy_backend_identical_below_threshold(self):
-        """Below the segment threshold both backends share the scalar
-        kernel and must agree bit for bit."""
+        """Below the segment threshold both backends run the list rows
+        and must agree bit for bit."""
         scenario = FluidScenario(n_flows=5, duration=30.0,
                                  capacities_bps=(1e6,),
                                  extra_delay={1: 0.03, 3: 0.09})
@@ -147,18 +147,6 @@ class TestFastForward:
 
 
 class TestBackendResolution:
-    def test_env_value_validated_even_with_explicit_backend(self,
-                                                           monkeypatch):
-        """A typo'd REPRO_FLUID_BACKEND fails eagerly, with the same
-        message as the keyword path, even when a keyword overrides it."""
-        monkeypatch.setenv("REPRO_FLUID_BACKEND", "nunpy")
-        with pytest.raises(ValueError, match="unknown fluid backend "
-                                             "'nunpy'"):
-            resolve_backend("list")
-        with pytest.raises(ValueError, match="have 'list', 'numpy', "
-                                             "'auto'"):
-            resolve_backend(None)
-
     def test_numpy_probe_is_cached(self, monkeypatch):
         calls = []
         real_import = __import__

@@ -6,7 +6,11 @@ import pytest
 
 from repro.experiments.multihop import shifted_equilibrium_rate
 from repro.fluid import FluidEngine, FluidScenario, resolve_backend
+from repro.fluid import engine as engine_mod
 from repro.fluid.engine import _numpy_or_none
+from repro.fluid.scenario import fat_tree_scenario
+from repro.obs import (disable_profiling, enable_profiling, profile_snapshot,
+                       reset_profile)
 
 HAVE_NUMPY = _numpy_or_none() is not None
 
@@ -14,8 +18,7 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy missing")
 
 
 class TestResolveBackend:
-    def test_default_is_list(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLUID_BACKEND", raising=False)
+    def test_default_is_list(self):
         assert resolve_backend(None) == "list"
 
     def test_explicit_list(self):
@@ -23,14 +26,6 @@ class TestResolveBackend:
 
     def test_auto_matches_availability(self):
         assert resolve_backend("auto") == ("numpy" if HAVE_NUMPY else "list")
-
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_BACKEND", "auto")
-        assert resolve_backend(None) == ("numpy" if HAVE_NUMPY else "list")
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_BACKEND", "numpy")
-        assert resolve_backend("list") == "list"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown fluid backend"):
@@ -185,3 +180,29 @@ class TestResultApi:
         assert result.wall_time > 0
         assert result.epochs_per_second() > 0
         assert result.wall_per_sim_second() > 0
+
+
+class TestProfileSections:
+    """``--profile`` reads four per-epoch sections off the fluid engine."""
+
+    def teardown_method(self):
+        disable_profiling()
+        reset_profile()
+
+    @pytest.mark.parametrize(
+        "backend", ["list", pytest.param("numpy", marks=needs_numpy)])
+    def test_each_section_timed_once_per_epoch(self, backend):
+        # 72 segments: enough for the numpy rows to engage.
+        engine = FluidEngine(fat_tree_scenario(duration=3.0, start_waves=3),
+                             backend=backend, fast_forward=False)
+        assert engine.n_segments >= engine_mod._NUMPY_MIN_SEGMENTS
+        reset_profile()
+        enable_profiling()
+        result = engine.run()
+        disable_profiling()
+        sections = profile_snapshot()
+        assert set(sections) == {"FluidEngine.controller",
+                                 "FluidEngine.filter", "FluidEngine.router",
+                                 "FluidEngine.sampling"}
+        assert [count for count, _ in sections.values()] \
+            == [result.n_epochs] * 4
