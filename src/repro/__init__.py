@@ -20,46 +20,27 @@ Quickstart::
     print(sim.flow_rates_bps())
 """
 
-from .analysis import (best_effort_utility, expected_useful_packets,
-                       pels_utility_lower_bound)
-from .cc import (AimdController, KellyController, MkcController,
-                 RateController, make_controller, mkc_equilibrium_loss,
-                 mkc_stationary_rate)
-from .core import (GammaController, PelsBottleneckQueue, PelsQueueConfig,
-                   PelsScenario, PelsSimulation, PelsSink, PelsSource,
-                   RouterFeedback)
-from .sim import BarbellConfig, Color, Packet, Simulator, build_barbell
-from .video import (FgsConfig, VideoTrace, generate_foreman_like,
-                    reconstruct_psnr)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AimdController",
-    "BarbellConfig",
-    "Color",
-    "FgsConfig",
-    "GammaController",
-    "KellyController",
-    "MkcController",
-    "Packet",
-    "PelsBottleneckQueue",
-    "PelsQueueConfig",
-    "PelsScenario",
-    "PelsSimulation",
-    "PelsSink",
-    "PelsSource",
-    "RateController",
-    "RouterFeedback",
-    "Simulator",
-    "VideoTrace",
-    "best_effort_utility",
-    "build_barbell",
-    "expected_useful_packets",
-    "generate_foreman_like",
-    "make_controller",
-    "mkc_equilibrium_loss",
-    "mkc_stationary_rate",
-    "pels_utility_lower_bound",
-    "reconstruct_psnr",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".analysis.best_effort": "best_effort_utility expected_useful_packets",
+    ".analysis.pels_model": "pels_utility_lower_bound",
+    ".cc.aimd": "AimdController",
+    ".cc.base": "RateController make_controller",
+    ".cc.kelly": "KellyController",
+    ".cc.mkc": "MkcController mkc_equilibrium_loss mkc_stationary_rate",
+    ".core.feedback": "RouterFeedback",
+    ".core.gamma": "GammaController",
+    ".core.pels_queue": "PelsBottleneckQueue PelsQueueConfig",
+    ".core.session": "PelsScenario PelsSimulation",
+    ".core.sink": "PelsSink",
+    ".core.source": "PelsSource",
+    ".sim.engine": "Simulator",
+    ".sim.packet": "Color Packet",
+    ".sim.topology": "BarbellConfig build_barbell",
+    ".video.fgs": "FgsConfig",
+    ".video.psnr": "reconstruct_psnr",
+    ".video.traces": "VideoTrace generate_foreman_like",
+})

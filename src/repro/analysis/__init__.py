@@ -1,58 +1,1 @@
 """Closed-form models: Lemmas 1-6 and Eqs. (1)-(6) of the paper."""
-
-from .bursts import (burst_pmf, drop_bursts, fit_geometric_rate,
-                     geometric_pmf, mean_burst_length, tail_beyond)
-from .best_effort import (best_effort_utility, expected_useful_packets,
-                          expected_useful_packets_pmf, optimal_useful_packets,
-                          optimal_utility, useful_packets_saturation)
-from .oracles import (OracleVerdict, check_eq2_identity, check_eq3_identity,
-                      check_eq6_bound, check_gamma_stability,
-                      check_lemma4_fixed_point, check_lemma4_fluid,
-                      check_lemma6_fluid, check_lemma6_rates,
-                      draw_fluid_scenario, draw_gamma_config,
-                      draw_loss_horizon)
-from .pels_model import (gamma_stationary, pels_utility_lower_bound,
-                         red_loss_stationary, useful_packets_pels,
-                         yellow_cushion_fraction)
-from .stability import (converges, gamma_is_stable, gamma_pole,
-                        iterate_linear_delay, mkc_is_stable, mkc_pole,
-                        spectral_radius_delay)
-
-__all__ = [
-    "OracleVerdict",
-    "best_effort_utility",
-    "burst_pmf",
-    "check_eq2_identity",
-    "check_eq3_identity",
-    "check_eq6_bound",
-    "check_gamma_stability",
-    "check_lemma4_fixed_point",
-    "check_lemma4_fluid",
-    "check_lemma6_fluid",
-    "check_lemma6_rates",
-    "draw_fluid_scenario",
-    "draw_gamma_config",
-    "draw_loss_horizon",
-    "converges",
-    "drop_bursts",
-    "fit_geometric_rate",
-    "geometric_pmf",
-    "expected_useful_packets",
-    "expected_useful_packets_pmf",
-    "gamma_is_stable",
-    "gamma_pole",
-    "gamma_stationary",
-    "iterate_linear_delay",
-    "mean_burst_length",
-    "mkc_is_stable",
-    "mkc_pole",
-    "optimal_useful_packets",
-    "optimal_utility",
-    "pels_utility_lower_bound",
-    "red_loss_stationary",
-    "spectral_radius_delay",
-    "tail_beyond",
-    "useful_packets_pels",
-    "useful_packets_saturation",
-    "yellow_cushion_fraction",
-]

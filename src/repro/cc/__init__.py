@@ -5,6 +5,7 @@ controller is Max-min Kelly Control (MKC, Eq. 8).  Baselines are kept
 here for the comparison experiments.
 """
 
+# Eager: importing a controller module registers it with make_controller.
 from .aimd import AimdController
 from .base import (RateController, available_controllers, make_controller,
                    register_controller)

@@ -6,9 +6,10 @@ scenario (or ``--tune``) asks for one, so default runs carry zero
 adaptive-control state.
 """
 
-from .backend import MemoryBackend
-from .meta import MetaController, MetaControllerConfig
-from .pid import PIDController
+from .._lazy import lazy_exports
 
-__all__ = ["PIDController", "MetaController", "MetaControllerConfig",
-           "MemoryBackend"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".backend": "MemoryBackend",
+    ".meta": "MetaController MetaControllerConfig",
+    ".pid": "PIDController",
+})

@@ -19,59 +19,3 @@
   :func:`~repro.core.report.build_report` — the one read-out of a
   session, simulated or live.
 """
-
-from .best_effort import BestEffortScenario, BestEffortSimulation
-from .clock import Clock, ManualClock, WallClock
-from .colors import (AllGreenMarkingPolicy, MarkingPolicy, NoRedMarkingPolicy,
-                     PelsMarkingPolicy)
-from .feedback import (EpochLog, FeedbackComputer, FeedbackTracker,
-                       RouterFeedback)
-from .flow import FlowReceiver, FlowSender, frame_receptions
-from .gamma import (GammaController, gamma_fixed_point, is_stable_sigma,
-                    iterate_gamma, iterate_gamma_delayed, pels_utility_bound)
-from .multihop import MultiHopPelsSimulation, MultiHopScenario
-from .pels_queue import PelsBottleneckQueue, PelsQueueConfig, PelsQueueCore
-from .report import (FlowReport, PortView, SessionReport, SessionView,
-                     build_report)
-from .session import PelsScenario, PelsSimulation
-from .sink import PelsSink
-from .source import PelsSource
-
-__all__ = [
-    "AllGreenMarkingPolicy",
-    "BestEffortScenario",
-    "BestEffortSimulation",
-    "Clock",
-    "EpochLog",
-    "FeedbackComputer",
-    "FeedbackTracker",
-    "ManualClock",
-    "WallClock",
-    "FlowReceiver",
-    "FlowReport",
-    "FlowSender",
-    "GammaController",
-    "MarkingPolicy",
-    "MultiHopPelsSimulation",
-    "MultiHopScenario",
-    "NoRedMarkingPolicy",
-    "PelsBottleneckQueue",
-    "PelsMarkingPolicy",
-    "PelsQueueConfig",
-    "PelsQueueCore",
-    "PelsScenario",
-    "PelsSimulation",
-    "PelsSink",
-    "PelsSource",
-    "PortView",
-    "SessionReport",
-    "SessionView",
-    "RouterFeedback",
-    "build_report",
-    "frame_receptions",
-    "gamma_fixed_point",
-    "is_stable_sigma",
-    "iterate_gamma",
-    "iterate_gamma_delayed",
-    "pels_utility_bound",
-]

@@ -21,39 +21,14 @@
 Run ``python -m repro.experiments [--fast] [--only F7]``.
 """
 
-from . import (ablations, bursts_exp, closed_loop_be, deadlines,
-               fec_comparison, fig2, fig5, fig7, fig8, fig9, fig10,
-               heterogeneous, multihop, rd_smoothing, scaling, table1)
-from .ascii_plot import plot_series, plot_values
-from .common import ExperimentResult, format_table
-from .export import result_to_dict, write_json, write_series_csv
-from .runner import EXPERIMENTS, main, run_all
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "ablations",
-    "bursts_exp",
-    "closed_loop_be",
-    "deadlines",
-    "fec_comparison",
-    "fig2",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "format_table",
-    "heterogeneous",
-    "multihop",
-    "plot_series",
-    "plot_values",
-    "rd_smoothing",
-    "main",
-    "result_to_dict",
-    "run_all",
-    "scaling",
-    "table1",
-    "write_json",
-    "write_series_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": "ablations bursts_exp closed_loop_be deadlines fec_comparison "
+         "fig2 fig5 fig7 fig8 fig9 fig10 heterogeneous multihop "
+         "rd_smoothing scaling table1",
+    ".ascii_plot": "plot_series plot_values",
+    ".common": "ExperimentResult format_table",
+    ".export": "result_to_dict write_json write_series_csv",
+    ".runner": "EXPERIMENTS main run_all",
+})

@@ -17,18 +17,13 @@ processes, sockets and the gateway control plane — the L3 chaos
 experiment drives them against the supervised gateway.
 """
 
-from .injectors import (AckLoss, AckReorder, Callback, FlowJoin, FlowLeave,
-                        LinkCapacity, LinkDown, LinkFlap, LinkUp,
-                        RouteFlip, RouterRestart)
-from .live import (AsyncFaultDriver, RegistrationErrors, ShardKill,
-                   ShardStall, SocketBlackhole)
-from .schedule import Fault, FaultEvent, FaultSchedule
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Fault", "FaultEvent", "FaultSchedule",
-    "LinkDown", "LinkUp", "LinkFlap", "LinkCapacity",
-    "RouterRestart", "AckLoss", "AckReorder", "RouteFlip",
-    "FlowLeave", "FlowJoin", "Callback",
-    "AsyncFaultDriver", "ShardKill", "ShardStall",
-    "SocketBlackhole", "RegistrationErrors",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".injectors": "AckLoss AckReorder Callback FlowJoin FlowLeave "
+                  "LinkCapacity LinkDown LinkFlap LinkUp RouteFlip "
+                  "RouterRestart",
+    ".live": "AsyncFaultDriver RegistrationErrors ShardKill ShardStall "
+             "SocketBlackhole",
+    ".schedule": "Fault FaultEvent FaultSchedule",
+})

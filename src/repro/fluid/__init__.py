@@ -21,19 +21,11 @@ fluid twins of the packet scenarios for cross-validation, and
 multi-bottleneck capacity-planning topologies.
 """
 
-from .engine import FluidEngine, FluidResult, resolve_backend
-from .reference import ReferenceFluidEngine
-from .scenario import FluidScenario, chain_grid_scenario, fat_tree_scenario
-from .validate import fluid_twin_of_multihop, fluid_twin_of_session
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FluidEngine",
-    "FluidResult",
-    "FluidScenario",
-    "ReferenceFluidEngine",
-    "chain_grid_scenario",
-    "fat_tree_scenario",
-    "fluid_twin_of_multihop",
-    "fluid_twin_of_session",
-    "resolve_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".engine": "FluidEngine FluidResult resolve_backend",
+    ".reference": "ReferenceFluidEngine",
+    ".scenario": "FluidScenario chain_grid_scenario fat_tree_scenario",
+    ".validate": "fluid_twin_of_multihop fluid_twin_of_session",
+})

@@ -60,42 +60,18 @@ the same machinery to hundreds–thousands of concurrent flows:
   (red, then yellow — never green).
 """
 
-from .client import LiveClient
-from .gateway import (AdmissionDecision, LiveGateway, TenantPolicy,
-                      TokenBucket, TransientRegistrationError)
-from .loadgen import LoadConfig, LoadResult, run_load
-from .router import LiveRouter
-from .server import LiveServer
-from .session import LiveConfig, LiveSessionResult, run_live_session
-from .shard import RouterShard, ShardConfig, ShardStats
-from .supervisor import FailoverRecord, ShardSupervisor, SupervisorConfig
-from .wire import (HEADER_SIZE, LivePacket, WireFormatError, decode_packet,
-                   encode_packet)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionDecision",
-    "FailoverRecord",
-    "HEADER_SIZE",
-    "LiveClient",
-    "LiveConfig",
-    "LiveGateway",
-    "LivePacket",
-    "LiveRouter",
-    "LiveServer",
-    "LiveSessionResult",
-    "LoadConfig",
-    "LoadResult",
-    "RouterShard",
-    "ShardConfig",
-    "ShardStats",
-    "ShardSupervisor",
-    "SupervisorConfig",
-    "TenantPolicy",
-    "TokenBucket",
-    "TransientRegistrationError",
-    "WireFormatError",
-    "decode_packet",
-    "encode_packet",
-    "run_live_session",
-    "run_load",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".client": "LiveClient",
+    ".gateway": "AdmissionDecision LiveGateway TenantPolicy TokenBucket "
+                "TransientRegistrationError",
+    ".loadgen": "LoadConfig LoadResult run_load",
+    ".router": "LiveRouter",
+    ".server": "LiveServer",
+    ".session": "LiveConfig LiveSessionResult run_live_session",
+    ".shard": "RouterShard ShardConfig ShardStats",
+    ".supervisor": "FailoverRecord ShardSupervisor SupervisorConfig",
+    ".wire": "HEADER_SIZE LivePacket WireFormatError decode_packet "
+             "encode_packet",
+})

@@ -37,14 +37,20 @@ own answer.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core import proc
+from ..core.clock import WallClock
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
+# At module scope, not in the child: the forked shard inherits the
+# router and asyncio from its parent instead of importing them itself,
+# which keeps each shard's peak RSS down.
+from .router import LiveRouter
 
 __all__ = ["ShardConfig", "ShardStats", "RouterShard"]
 
@@ -133,11 +139,6 @@ def _snapshot(router, config: ShardConfig, port: int,
 
 
 async def _shard_serve(conn, config: ShardConfig) -> None:
-    import asyncio
-
-    from ..core.clock import WallClock
-    from .router import LiveRouter
-
     loop = asyncio.get_running_loop()
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF):
@@ -206,7 +207,6 @@ async def _shard_serve(conn, config: ShardConfig) -> None:
 
 def _shard_main(conn, config: ShardConfig) -> None:
     """Child process entry point: one event loop, one router."""
-    import asyncio
     asyncio.run(_shard_serve(conn, config))
 
 

@@ -8,6 +8,7 @@ single identity check.  Activation is explicit and module-global —
 ``pels trace`` CLI go through these).
 """
 
+# Eager: lazily, ``metrics`` would resolve to the submodule, not the function.
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       activate_metrics, current_registry,
                       deactivate_metrics, metrics)

@@ -23,8 +23,9 @@ Modules:
   ``pels submit``/``status``/``artifacts`` and the tests.
 """
 
-from .queue import (JOB_STATES, TERMINAL_STATES, Job, JobQueue)
-from .storage import FileStorage, StorageBackend
+from .._lazy import lazy_exports
 
-__all__ = ["JOB_STATES", "TERMINAL_STATES", "Job", "JobQueue",
-           "FileStorage", "StorageBackend"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".queue": "JOB_STATES Job JobQueue",
+    ".storage": "FileStorage StorageBackend TERMINAL_STATES",
+})

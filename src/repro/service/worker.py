@@ -197,6 +197,9 @@ def _work(wake: threading.Event, storage_dir: str, worker_id: str,
           idle_exit: Optional[float] = None,
           stop: Optional[Callable[[], bool]] = None) -> int:
     """The loop of :func:`run_worker`, idling on ``wake``."""
+    # Job children fork from this process: load the experiment registry
+    # before the first claim, not inside the first job's latency.
+    from ..experiments import runner  # noqa: F401
     storage = FileStorage(storage_dir)
     queue = JobQueue(storage)
     execute = executor or execute_in_child

@@ -3,58 +3,3 @@
 Stands in for the MPEG-4 FGS codec and the CIF Foreman bitstream used
 by the paper (see DESIGN.md §2 for the substitution argument).
 """
-
-from .decoder import (FrameReception, monte_carlo_useful_packets,
-                      monte_carlo_useful_packets_pmf,
-                      simulate_bernoulli_frame, useful_prefix_length)
-from .fec import (FecConfig, block_failure_probability,
-                  expected_useful_packets_fec, fec_efficiency,
-                  optimal_parity, simulate_fec_frame)
-from .fgs import FgsConfig, PacketPlan, plan_frame, split_enhancement
-from .io import frame_size_pmf, load_trace, save_trace, trace_summary
-from .playback import (DeadlineReport, PlaybackSchedule,
-                       expected_retransmissions,
-                       retransmission_recovery_probability)
-from .psnr import PsnrResult, improvement_percent, reconstruct_psnr
-from .rd import BitplaneRdCurve, LogRdCurve, default_curve
-from .rd_scaling import (allocate_constant_quality, allocate_uniform,
-                         psnr_of_allocation)
-from .traces import FrameInfo, VideoTrace, generate_foreman_like
-
-__all__ = [
-    "BitplaneRdCurve",
-    "DeadlineReport",
-    "FecConfig",
-    "FgsConfig",
-    "FrameInfo",
-    "FrameReception",
-    "LogRdCurve",
-    "PacketPlan",
-    "PlaybackSchedule",
-    "PsnrResult",
-    "VideoTrace",
-    "block_failure_probability",
-    "allocate_constant_quality",
-    "allocate_uniform",
-    "default_curve",
-    "expected_retransmissions",
-    "expected_useful_packets_fec",
-    "fec_efficiency",
-    "frame_size_pmf",
-    "generate_foreman_like",
-    "improvement_percent",
-    "load_trace",
-    "monte_carlo_useful_packets",
-    "monte_carlo_useful_packets_pmf",
-    "optimal_parity",
-    "plan_frame",
-    "psnr_of_allocation",
-    "reconstruct_psnr",
-    "save_trace",
-    "retransmission_recovery_probability",
-    "simulate_bernoulli_frame",
-    "simulate_fec_frame",
-    "split_enhancement",
-    "trace_summary",
-    "useful_prefix_length",
-]

@@ -1,0 +1,141 @@
+"""Start-up fence: what each entry point imports, and that it still resolves.
+
+Every package ``__init__`` except ``repro.obs`` and ``repro.cc`` is a
+lazy table (:mod:`repro._lazy`): a public name imports its defining
+submodule when first read, so ``import repro.x.y`` loads only what
+``y`` needs.  Each check runs in a fresh interpreter, because the test
+process itself has long since imported everything.
+
+=============================================  ======  =======
+``repro`` modules loaded by                    eager   lazy
+=============================================  ======  =======
+``import repro.live.shard`` (one router shard)     80       30
+``import repro.cli, repro.service.api``            73       12
+``import repro.core.session``                      64       44
+=============================================  ======  =======
+
+A forbidden set below that starts failing means an import moved to
+module scope somewhere on that path: find it with
+``python -X importtime -c "import <module>"`` before widening the set.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Entry point -> modules (with their submodules) it must not load.
+FORBIDDEN = {
+    "repro.sim.engine": {"repro.live", "repro.fluid", "repro.experiments",
+                         "repro.service", "asyncio", "numpy"},
+    "repro.core.session": {"repro.live", "repro.fluid", "repro.experiments",
+                           "repro.service", "asyncio", "numpy"},
+    # One router shard: the paper's Fig. 4 output port and nothing else.
+    "repro.live.shard": {"repro.experiments", "repro.fluid", "repro.service",
+                         "repro.core.session", "numpy"},
+    # The ``pels serve`` start: no live stack, no experiment registry.
+    "repro.cli, repro.service.api": {"repro.live", "repro.sim",
+                                     "repro.experiments", "numpy"},
+}
+
+#: Every controller ``pels simulate --controller`` has offered.
+CONTROLLERS = ["aimd", "kelly", "kelly-classic", "mkc", "tfrc"]
+
+
+def run_fresh(*argv: str) -> str:
+    """Run a new interpreter on this checkout; its stdout."""
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("entry", sorted(FORBIDDEN))
+def test_import_closure(entry):
+    loaded = json.loads(run_fresh(
+        "-c", f"import json, sys\nimport {entry}\n"
+        "print(json.dumps(sorted(sys.modules)))"))
+    hits = sorted(name for name in loaded for banned in FORBIDDEN[entry]
+                  if name == banned or name.startswith(banned + "."))
+    assert hits == [], f"import {entry} loads {hits}"
+
+
+SURFACE = """
+import importlib, json, pkgutil, sys
+import repro
+problems = []
+packages = ["repro"] + [m.name for m in pkgutil.walk_packages(
+    repro.__path__, "repro.") if m.ispkg]
+for name in packages:
+    package = importlib.import_module(name)
+    for attr in getattr(package, "__all__", ()):
+        try:
+            getattr(package, attr)
+        except AttributeError as exc:
+            problems.append(f"{name}.{attr}: {exc}")
+        if attr not in dir(package):
+            problems.append(f"{name}.{attr}: not in dir()")
+    try:
+        exec(f"from {name} import *", {})
+    except Exception as exc:
+        problems.append(f"from {name} import *: {exc!r}")
+from repro.obs import metrics, MetricsRegistry
+registry = MetricsRegistry()
+with metrics(registry) as active:
+    if active is not registry:
+        problems.append("repro.obs.metrics is not the context manager")
+print(json.dumps({"packages": packages, "problems": problems}))
+"""
+
+
+def test_public_surface_resolves():
+    report = json.loads(run_fresh("-c", SURFACE))
+    assert report["problems"] == []
+    assert {"repro", "repro.fluid", "repro.live", "repro.obs",
+            "repro.cc"} <= set(report["packages"])
+
+
+ALONE = """
+import importlib, json, pkgutil, sys, traceback
+import repro
+names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+failed = {}
+for name in names:
+    for loaded in [m for m in sys.modules
+                   if m == "repro" or m.startswith("repro.")]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except Exception:
+        failed[name] = traceback.format_exc(limit=-3)
+print(json.dumps({"count": len(names), "failed": failed}))
+"""
+
+
+def test_every_module_imports_alone():
+    """A cycle that eager ``__init__``s used to hide fails here."""
+    report = json.loads(run_fresh("-c", ALONE))
+    assert report["failed"] == {}
+    assert report["count"] > 100
+
+
+def test_controller_registry_is_complete():
+    names = json.loads(run_fresh(
+        "-c", "import json\nfrom repro.cc.base import available_controllers\n"
+        "print(json.dumps(available_controllers()))"))
+    assert sorted(names) == CONTROLLERS
+    help_text = run_fresh("-m", "repro.cli", "simulate", "--help")
+    choices = re.search(r"--controller \{([^}]*)\}", help_text)
+    assert choices is not None, help_text
+    assert sorted(choices.group(1).split(",")) == CONTROLLERS
