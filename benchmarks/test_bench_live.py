@@ -6,7 +6,7 @@ each holds on any host:
 * the router's synchronous datagram path (ingest -> classify -> WRR
   drain -> forward) must sustain >= 10,000 pkts/s single-threaded —
   this is the per-shard capacity the L2 capacity planning assumes;
-* a real shard process (UDP in, UDP out, asyncio loop, feedback
+* a real shard process (UDP in, UDP out, selector loop, feedback
   epochs) must carry >= 10,000 pkts/s over loopback;
 * gateway admission must run >= 10,000 registrations/s, so admitting
   the L2 populations is control-plane noise, not load;

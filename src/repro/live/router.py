@@ -14,12 +14,13 @@ event heap), and the fresh ``(router_id, z, p)`` label is stamped into
 every PELS datagram on the forwarding path with the max-loss override
 rule.  The router owns no task: its timers are the clock's
 (:mod:`repro.core.clock`), so a :class:`~repro.sim.engine.Simulator`
-drives it as readily as the asyncio loop behind a ``WallClock``.
+drives it as readily as the asyncio loop behind a ``WallClock`` or a
+shard's :class:`~repro.core.clock.SelectorClock`.
 
 Two deliberate wall-clock defenses:
 
 * the epoch step passes the *measured* interval length to the close,
-  so asyncio timer jitter cannot read as an arrival-rate change;
+  so timer jitter cannot read as an arrival-rate change;
 * service is credit-based — every ingest wake (and, only while a backlog
   waits for credit, a ``service_tick`` timer) converts elapsed time into
   byte tokens and drains whatever they cover — so an uncongested port
@@ -34,7 +35,7 @@ sustain >=10k pkts/s; ``benchmarks/test_bench_live.py`` gates it):
   for the route lookup and re-stamps the label with ``pack_into`` —
   the 48-byte header is never fully unpacked inside the router;
 * when bound to a raw socket (:meth:`bind_socket`, the shard-process
-  mode), one readiness wake-up of the event loop drains a whole batch
+  mode), one readiness wake-up of the driver drains a whole batch
   of datagrams instead of paying the loop overhead per packet;
 * ``_drain`` is a straight-line byte-credit loop: peek the core's next
   datagram, and if the credit covers it, dequeue and forward.
@@ -50,9 +51,8 @@ drops (``shed_packets`` / ``shed_bytes`` per color).
 
 from __future__ import annotations
 
-import asyncio
 import socket
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.feedback import EpochLog
@@ -63,6 +63,9 @@ from ..obs.trace import current_tracer
 from ..sim.packet import Color
 from .wire import HEADER_SIZE, peek_flow_id, stamp_label
 
+if TYPE_CHECKING:
+    from asyncio import DatagramTransport
+
 __all__ = ["LiveRouter"]
 
 #: Raw color byte of best-effort traffic (= int(Color.BEST_EFFORT)).
@@ -72,10 +75,14 @@ _BE = 3
 _COLOR_OFFSET = 20
 
 
-class LiveRouter(asyncio.DatagramProtocol):
+class LiveRouter:
     """The wall-clock driver of :class:`PelsQueueCore`: items are raw
     datagrams; adds the sockets, the token bucket, label stamping and
     the Eq. 11 epoch cadence.
+
+    It is an asyncio datagram protocol by shape, not by base class
+    (asyncio is never imported here), so ``create_datagram_endpoint(
+    lambda: router, ...)`` serves it as well as :meth:`bind_socket`.
 
     Parameters
     ----------
@@ -99,7 +106,7 @@ class LiveRouter(asyncio.DatagramProtocol):
         the bucket only while queued datagrams wait for credit; with
         credit in hand the ingesting wake forwards them at once.
     recv_batch:
-        Datagrams read per event-loop wake in :meth:`bind_socket` mode
+        Datagrams read per readiness wake in :meth:`bind_socket` mode
         (one reader callback drains up to this many before yielding).
 
     Forwarding destinations: :attr:`flow_routes` maps a flow id to the
@@ -160,11 +167,12 @@ class LiveRouter(asyncio.DatagramProtocol):
         #: Per-flow forwarding destinations (gateway-installed routes).
         self.flow_routes: Dict[int, Tuple[str, int]] = {}
         self.dst_addr: Optional[Tuple[str, int]] = None
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        self.transport: Optional[DatagramTransport] = None
         self._sock: Optional[socket.socket] = None
         self._recv_view = memoryview(bytearray(65536))
-        #: The loop watching ``_sock`` (raw-socket mode only).
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: What watches ``_sock`` (raw-socket mode only): anything with
+        #: ``add_reader``/``remove_reader``.
+        self._loop = None
         registry = current_registry()
         self._forwarded_counter = registry.counter("live_router_forwarded") \
             if registry is not None else None
@@ -175,6 +183,18 @@ class LiveRouter(asyncio.DatagramProtocol):
     def connection_made(self, transport) -> None:
         self.transport = transport
 
+    def connection_lost(self, exc) -> None:
+        pass
+
+    def error_received(self, exc) -> None:
+        pass
+
+    def pause_writing(self) -> None:
+        pass
+
+    def resume_writing(self) -> None:
+        pass
+
     def datagram_received(self, data: bytes, addr) -> None:
         self._ingest(data)
         # One service call per loop iteration, however many arrive in it.
@@ -184,22 +204,23 @@ class LiveRouter(asyncio.DatagramProtocol):
 
     # -- raw-socket mode (shard processes) ---------------------------------
 
-    def bind_socket(self, sock: socket.socket,
-                    loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
+    def bind_socket(self, sock: socket.socket, loop) -> None:
         """Serve a non-blocking UDP socket with batched reads.
 
-        Registers a readiness callback that drains up to ``recv_batch``
-        datagrams per event-loop wake — the asyncio datagram protocol
-        pays one callback (and one loop iteration) per packet, which at
-        thousands of packets per second is the dominant cost.  The
-        socket is also the forwarding transport (``sock.sendto``).
+        Registers on ``loop`` (a shard's
+        :class:`~repro.core.clock.SelectorClock`, or anything with
+        ``add_reader``) a readiness callback that drains up to
+        ``recv_batch`` datagrams per wake — the asyncio datagram
+        protocol pays one callback (and one loop iteration) per packet,
+        which at thousands of packets per second is the dominant cost.
+        The socket is also the forwarding transport (``sock.sendto``).
         """
         if self.transport is not None:
             raise RuntimeError("router already has a datagram transport")
         sock.setblocking(False)
         self._sock = sock
-        self._loop = loop or asyncio.get_running_loop()
-        self._loop.add_reader(sock.fileno(), self._on_readable)
+        self._loop = loop
+        loop.add_reader(sock.fileno(), self._on_readable)
 
     def _on_readable(self) -> None:
         """One readiness wake: ingest a batch in place, then serve it."""

@@ -1,12 +1,16 @@
 """Router shard processes: one ``LiveRouter`` + bottleneck per core.
 
-A single asyncio event loop tops out well below the packet rates the
-gateway admits, so the bottleneck tier is sharded across processes:
-each shard process runs its own event loop hosting one
-:class:`~repro.live.router.LiveRouter` bound to its own UDP socket (the
-batched raw-socket mode), with its own Eq. 11 feedback identity
-(``router_id`` = shard id, so labels from different shards never alias
-in the per-flow :class:`~repro.core.feedback.FeedbackTracker`).
+One process tops out well below the packet rates the gateway admits,
+so the bottleneck tier is sharded across processes: each shard process
+runs one :class:`~repro.live.router.LiveRouter` bound to its own UDP
+socket (the batched raw-socket mode), with its own Eq. 11 feedback
+identity (``router_id`` = shard id, so labels from different shards
+never alias in the per-flow
+:class:`~repro.core.feedback.FeedbackTracker`).  What runs it is a
+:class:`~repro.core.clock.SelectorClock` — one timer heap and one
+selector over the data socket and the control pipe — so a shard
+process runs no asyncio loop and imports no asyncio of its own (one
+forked from a process that loaded asyncio still inherits its pages).
 
 The split between the planes is strict:
 
@@ -16,7 +20,7 @@ The split between the planes is strict:
 * **control** is the ``core/proc.py`` duplex pipe carrying small tuples:
   route installs/removals from the gateway, stats requests, heartbeat
   pings, shed-level commands, stop.  The child drains the pipe from a
-  readiness callback on its event loop, so control messages interleave
+  readiness callback on its driver, so control messages interleave
   with packet service without threads.
 
 :class:`RouterShard` is the parent-side handle (spawn, route, stats,
@@ -37,19 +41,18 @@ own answer.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core import proc
-from ..core.clock import WallClock
+from ..core.clock import SelectorClock
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
 # At module scope, not in the child: the forked shard inherits the
-# router and asyncio from its parent instead of importing them itself,
-# which keeps each shard's peak RSS down.
+# router and the port's modules from its parent instead of importing
+# them itself, which keeps each shard's peak RSS down.
 from .router import LiveRouter
 
 __all__ = ["ShardConfig", "ShardStats", "RouterShard"]
@@ -138,8 +141,9 @@ def _snapshot(router, config: ShardConfig, port: int,
         send_errors=router.send_errors)
 
 
-async def _shard_serve(conn, config: ShardConfig) -> None:
-    loop = asyncio.get_running_loop()
+def _shard_main(conn, config: ShardConfig) -> None:
+    """Child process entry point: one driver, one router."""
+    driver = SelectorClock()
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF):
         try:
@@ -149,16 +153,15 @@ async def _shard_serve(conn, config: ShardConfig) -> None:
     sock.bind((config.host, 0))
     port = sock.getsockname()[1]
 
-    router = LiveRouter(WallClock(), config.bottleneck_bps, config.queue,
+    router = LiveRouter(driver, config.bottleneck_bps, config.queue,
                         interval=config.feedback_interval,
                         router_id=config.shard_id,
                         window_intervals=config.feedback_window,
                         service_tick=config.service_tick,
                         recv_batch=config.recv_batch)
-    router.bind_socket(sock, loop)
+    router.bind_socket(sock, driver)
     router.start()
     started = time.monotonic()
-    stopping = asyncio.Event()
 
     def on_control() -> None:
         try:
@@ -180,34 +183,30 @@ async def _shard_serve(conn, config: ShardConfig) -> None:
                                _snapshot(router, config, port, started)))
                 elif kind == "ping":
                     # Heartbeat: echo the supervisor's timestamp.  A
-                    # stalled loop (or SIGSTOP'd process) simply stops
+                    # stalled driver (or SIGSTOP'd process) simply stops
                     # answering, which is exactly the signal.
                     conn.send(("pong", message[1]))
                 elif kind == "shed":
                     router.set_shed_level(message[1])
                 elif kind == "stop":
-                    stopping.set()
+                    driver.stop()
         except (EOFError, OSError):
-            stopping.set()  # parent vanished: shut down cleanly
+            driver.stop()  # parent vanished: shut down cleanly
 
-    loop.add_reader(conn.fileno(), on_control)
+    driver.add_reader(conn.fileno(), on_control)
     conn.send(("ready", port))
     try:
-        await stopping.wait()
-    finally:
-        loop.remove_reader(conn.fileno())
-        await router.stop()
+        # A callback that raises ends run() with it: the child exits
+        # non-zero and its supervisor sees a death, not a silent stall.
+        driver.run()
         try:
             conn.send(("stopped", _snapshot(router, config, port, started)))
         except (BrokenPipeError, OSError):
             pass
+    finally:
+        driver.close()
         sock.close()
         conn.close()
-
-
-def _shard_main(conn, config: ShardConfig) -> None:
-    """Child process entry point: one event loop, one router."""
-    asyncio.run(_shard_serve(conn, config))
 
 
 class RouterShard:

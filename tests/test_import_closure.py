@@ -14,6 +14,10 @@ process itself has long since imported everything.
 ``import repro.core.session``                      64       44
 =============================================  ======  =======
 
+A router shard runs on ``SelectorClock``, so neither its import nor its
+running child loads asyncio: ``import repro.live.shard`` loads 174
+modules in all on Python 3.11, 43 fewer than with an asyncio router.
+
 A forbidden set below that starts failing means an import moved to
 module scope somewhere on that path: find it with
 ``python -X importtime -c "import <module>"`` before widening the set.
@@ -40,7 +44,7 @@ FORBIDDEN = {
                            "repro.service", "asyncio", "numpy"},
     # One router shard: the paper's Fig. 4 output port and nothing else.
     "repro.live.shard": {"repro.experiments", "repro.fluid", "repro.service",
-                         "repro.core.session", "numpy"},
+                         "repro.core.session", "numpy", "asyncio"},
     # The ``pels serve`` start: no live stack, no experiment registry.
     "repro.cli, repro.service.api": {"repro.live", "repro.sim",
                                      "repro.experiments", "numpy"},
@@ -69,6 +73,44 @@ def test_import_closure(entry):
     hits = sorted(name for name in loaded for banned in FORBIDDEN[entry]
                   if name == banned or name.startswith(banned + "."))
     assert hits == [], f"import {entry} loads {hits}"
+
+
+SHARD_CHILD = """
+import json, sys, threading
+from multiprocessing import Pipe
+from repro.live.shard import ShardConfig, _shard_main
+parent, child = Pipe()
+shard = threading.Thread(target=_shard_main,
+                         args=(child, ShardConfig(shard_id=3)))
+shard.start()
+def reply():
+    assert parent.poll(30), "the shard did not answer"
+    return parent.recv()
+kind, port = reply()
+parent.send(("stats",))
+_, stats = reply()
+parent.send(("stop",))
+final_kind, final = reply()
+shard.join(30)
+print(json.dumps({"replies": [kind, final_kind], "port": port,
+                  "shard_ids": [stats.shard_id, final.shard_id],
+                  "alive": shard.is_alive(),
+                  "asyncio": sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "asyncio")}))
+"""
+
+
+def test_running_shard_child_never_loads_asyncio():
+    """The child side of the fork: ``_shard_main`` on a thread against
+    a pipe answers ``ready``, ``stats`` and ``stop`` and imports no
+    asyncio itself (a child forked from an asyncio process inherits
+    it, which this interpreter does not)."""
+    report = json.loads(run_fresh("-c", SHARD_CHILD))
+    assert report["replies"] == ["ready", "stopped"]
+    assert report["port"] > 0
+    assert report["shard_ids"] == [3, 3]
+    assert not report["alive"]
+    assert report["asyncio"] == []
 
 
 SURFACE = """
