@@ -723,7 +723,7 @@ _VERBS = (
      "run a PELS bar-bell session", None),
     ("live", _declare_live, _cmd_live,
      "run the PELS stack over real UDP sockets (wall clock)",
-     "Stream synthetic FGS video from an asyncio server through a "
+     "Stream synthetic FGS video from a paced server through a "
      "userspace software router (tri-color strict-priority + WRR, Eq. 11 "
      "labels) to a client, all on loopback UDP under time.monotonic, and "
      "compare the converged rate to the Lemma 6 oracle "

@@ -4,7 +4,8 @@ Every other artifact runs inside the discrete-event simulator, where
 timers are perfectly punctual and feedback arrives exactly when
 scheduled.  L1 executes the same control laws — Eq. 8 MKC, the Eq. 4
 gamma controller, Eq. 11 virtual-loss feedback behind a tri-color
-strict-priority queue — on asyncio timers over real loopback UDP
+strict-priority queue — on one real-time driver's timers
+(:class:`~repro.core.clock.SelectorClock`) over real loopback UDP
 sockets (:mod:`repro.live`) and checks that the *wall-clock* stack
 still lands on the paper's operating point:
 

@@ -26,7 +26,7 @@ seconds per flow across the shard pool.
 Like L1 this is wall-clock and therefore not byte-deterministic; every
 cell asserts steady-state bands, not exact bytes.  The full sweep
 scales flows and shards together — (50, 1), (200, 2), (800, 4) — so
-per-shard load stays in the regime a single event loop handles with
+per-shard load stays in the regime a single shard process handles with
 headroom and what varies is exactly what sharding is for.
 """
 

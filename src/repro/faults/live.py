@@ -4,9 +4,9 @@
 simulator; these injectors point the same deterministic machinery at
 real processes and sockets.  ``FaultSchedule.install`` only needs a
 ``sim``-shaped object (``now``, ``call_at``, ``call_later``, ``rng``,
-``tracer``), and a :class:`~repro.core.clock.WallClock` already
-schedules (``call_at`` in clock time, on the running asyncio loop), so
-:class:`AsyncFaultDriver` is that clock plus a seeded RNG and the
+``tracer``), and a live run's :class:`~repro.core.clock.SelectorClock`
+already schedules (``call_at`` in clock time, on its own timer heap),
+so :class:`AsyncFaultDriver` is that clock plus a seeded RNG and the
 tracer: schedules built for the simulator install unchanged against
 wall time, and fire through the same timers as the stack they break.
 
@@ -58,7 +58,7 @@ class AsyncFaultDriver:
     :class:`~repro.core.clock.WallClock` reads 0 at construction, so
     "kill at t=6" means six wall seconds after the clock was built; one
     already past fires at once).  A fault still armed when the run's
-    event loop closes never fires.
+    clock stops for good never fires.
     """
 
     def __init__(self, clock: Clock, seed: int = 0) -> None:

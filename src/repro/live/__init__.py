@@ -4,9 +4,11 @@ Everything else in this repository runs inside the discrete-event
 simulator; this package is the second leg the paper's own evaluation
 methodology implies: the same controllers (Eq. 8 MKC, Eq. 4 gamma), the
 same Eq. 11 virtual-loss feedback and the same tri-color strict-priority
-AQM, but executed on asyncio timers against ``time.monotonic`` with
-datagrams crossing real loopback sockets.  The timers are the
-:class:`~repro.core.clock.WallClock`'s; on a
+AQM, but executed on real-time timers against ``time.monotonic`` with
+datagrams crossing real loopback sockets.  Every live process — the
+loopback session, the load generator, each router shard — is driven by
+one :class:`~repro.core.clock.SelectorClock` (a timer heap and a
+selector; no module here imports asyncio); on a
 :class:`~repro.sim.engine.Simulator` clock the same components run in
 virtual time, no socket needed.  If the equations only held
 under the simulator's perfectly punctual timers, they would be a

@@ -15,7 +15,6 @@ surviving ACK of an epoch delivers the identical label.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict, Optional, Tuple
 
 from ..core.clock import Clock
@@ -26,8 +25,9 @@ from .wire import LivePacket, WireFormatError, decode_packet, encode_packet
 __all__ = ["LiveClient"]
 
 
-class LiveClient(asyncio.DatagramProtocol):
-    """Receiving endpoint for every flow of a live session."""
+class LiveClient:
+    """Receiving endpoint for every flow of a live session: a datagram
+    protocol by shape, as :class:`~repro.live.server.LiveServer` is."""
 
     def __init__(self, clock: Clock, green_packets: int = 21,
                  delay_series_stride: int = 1) -> None:
@@ -40,12 +40,15 @@ class LiveClient(asyncio.DatagramProtocol):
         self.last_label: Dict[int, FeedbackLabel] = {}
         #: Where ACKs go (the server's endpoint, set by the session).
         self.server_addr: Optional[Tuple[str, int]] = None
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        self.transport = None
         self.cross_packets_received = 0
         self.malformed = 0
 
     def connection_made(self, transport) -> None:
         self.transport = transport
+
+    def error_received(self, exc) -> None:
+        pass
 
     def flow(self, flow_id: int) -> FlowReceiver:
         receiver = self.flows.get(flow_id)

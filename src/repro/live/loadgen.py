@@ -51,7 +51,6 @@ bound sockets.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import random
 import socket
@@ -60,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cc.mkc import mkc_stationary_rate
+from ..core.clock import DatagramEndpoint, SelectorClock
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
 from ..core.retry import retry_call
@@ -385,22 +385,17 @@ def _endpoint_socket(host: str) -> socket.socket:
     return sock
 
 
-async def _drive(config: LoadConfig, shards: List[RouterShard],
-                 spawned: List[RouterShard],
-                 chaos: Optional[Callable[[ChaosContext],
-                                          FaultSchedule]]) -> dict:
-    """The in-loop phase: register, stream, (maybe) break, measure."""
-    from ..core.clock import WallClock
-
-    clock = WallClock()
-    loop = asyncio.get_running_loop()
-
+def _drive(config: LoadConfig, shards: List[RouterShard],
+           spawned: List[RouterShard],
+           chaos: Optional[Callable[[ChaosContext], FaultSchedule]]) -> dict:
+    """The driven phase: register, stream, (maybe) break, measure."""
+    clock = SelectorClock()
     client = LiveClient(clock, green_packets=config.fgs.green_packets)
-    client_transport, _ = await loop.create_datagram_endpoint(
-        lambda: client, sock=_endpoint_socket(config.host))
-    client_addr = client_transport.get_extra_info("sockname")[:2]
+    client_end = DatagramEndpoint(clock, _endpoint_socket(config.host),
+                                  client)
+    client_addr = client_end.get_extra_info("sockname")[:2]
 
-    server_transport = None
+    server_end = None
     supervisor: Optional[ShardSupervisor] = None
     fault_schedule: Optional[FaultSchedule] = None
     server: Optional[LiveServer] = None
@@ -441,9 +436,9 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
             blind_backoff=config.blind_backoff)
         for decision in admitted:
             server.flows[decision.flow_id].dst_addr = decision.shard_addr
-        server_transport, _ = await loop.create_datagram_endpoint(
-            lambda: server, sock=_endpoint_socket(config.host))
-        client.server_addr = server_transport.get_extra_info("sockname")[:2]
+        server_end = DatagramEndpoint(clock, _endpoint_socket(config.host),
+                                      server)
+        client.server_addr = server_end.get_extra_info("sockname")[:2]
 
         flow_slot = {d.flow_id: d.shard_slot for d in admitted}
         churn_ids: List[int] = []
@@ -490,18 +485,21 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
         if config.post_window > 0:
             clock.call_later(max(warmup, config.duration - config.post_window),
                              snapshot, "post")
-        await asyncio.sleep(config.duration)
-        await server.stop()
+        clock.call_later(config.duration, clock.stop)
+        clock.run()
+        server.stop()
         stopped_at = clock.now
-        await asyncio.sleep(config.drain)
+        clock.call_later(config.drain, clock.stop)
+        clock.run()
     finally:
         if server is not None:
-            await server.stop()
+            server.stop()
         if supervisor is not None:
-            await supervisor.stop()
-        if server_transport is not None:
-            server_transport.close()
-        client_transport.close()
+            supervisor.stop()
+        if server_end is not None:
+            server_end.close()
+        client_end.close()
+        clock.close()
     elapsed = clock.now
     window_started, before = snapshots["window"]
     window = elapsed - window_started
@@ -582,7 +580,7 @@ def run_load(config: Optional[LoadConfig] = None,
     try:
         for shard in shards:
             shard.start()
-        measured = asyncio.run(_drive(config, shards, spawned, chaos))
+        measured = _drive(config, shards, spawned, chaos)
     finally:
         for shard in spawned:
             try:

@@ -14,8 +14,8 @@ event heap), and the fresh ``(router_id, z, p)`` label is stamped into
 every PELS datagram on the forwarding path with the max-loss override
 rule.  The router owns no task: its timers are the clock's
 (:mod:`repro.core.clock`), so a :class:`~repro.sim.engine.Simulator`
-drives it as readily as the asyncio loop behind a ``WallClock`` or a
-shard's :class:`~repro.core.clock.SelectorClock`.
+drives it as readily as the :class:`~repro.core.clock.SelectorClock`
+of a live process.
 
 Two deliberate wall-clock defenses:
 
@@ -52,7 +52,7 @@ drops (``shed_packets`` / ``shed_bytes`` per color).
 from __future__ import annotations
 
 import socket
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.feedback import EpochLog
@@ -62,9 +62,6 @@ from ..obs.metrics import current_registry
 from ..obs.trace import current_tracer
 from ..sim.packet import Color
 from .wire import HEADER_SIZE, peek_flow_id, stamp_label
-
-if TYPE_CHECKING:
-    from asyncio import DatagramTransport
 
 __all__ = ["LiveRouter"]
 
@@ -80,9 +77,10 @@ class LiveRouter:
     datagrams; adds the sockets, the token bucket, label stamping and
     the Eq. 11 epoch cadence.
 
-    It is an asyncio datagram protocol by shape, not by base class
-    (asyncio is never imported here), so ``create_datagram_endpoint(
-    lambda: router, ...)`` serves it as well as :meth:`bind_socket`.
+    It is a datagram protocol by shape (``connection_made``,
+    ``datagram_received``, ``error_received``), so a
+    :class:`~repro.core.clock.DatagramEndpoint` serves it (the loopback
+    session) as well as :meth:`bind_socket` does (a shard).
 
     Parameters
     ----------
@@ -167,7 +165,7 @@ class LiveRouter:
         #: Per-flow forwarding destinations (gateway-installed routes).
         self.flow_routes: Dict[int, Tuple[str, int]] = {}
         self.dst_addr: Optional[Tuple[str, int]] = None
-        self.transport: Optional[DatagramTransport] = None
+        self.transport = None
         self._sock: Optional[socket.socket] = None
         self._recv_view = memoryview(bytearray(65536))
         #: What watches ``_sock`` (raw-socket mode only): anything with
@@ -178,21 +176,12 @@ class LiveRouter:
             if registry is not None else None
         self._running = False
 
-    # -- asyncio protocol --------------------------------------------------
+    # -- datagram protocol -------------------------------------------------
 
     def connection_made(self, transport) -> None:
         self.transport = transport
 
-    def connection_lost(self, exc) -> None:
-        pass
-
     def error_received(self, exc) -> None:
-        pass
-
-    def pause_writing(self) -> None:
-        pass
-
-    def resume_writing(self) -> None:
         pass
 
     def datagram_received(self, data: bytes, addr) -> None:
@@ -210,8 +199,8 @@ class LiveRouter:
         Registers on ``loop`` (a shard's
         :class:`~repro.core.clock.SelectorClock`, or anything with
         ``add_reader``) a readiness callback that drains up to
-        ``recv_batch`` datagrams per wake — the asyncio datagram
-        protocol pays one callback (and one loop iteration) per packet,
+        ``recv_batch`` datagrams per wake — a datagram endpoint pays
+        one callback (and one driver turn) per packet,
         which at thousands of packets per second is the dominant cost.
         The socket is also the forwarding transport (``sock.sendto``).
         """
@@ -276,8 +265,9 @@ class LiveRouter:
     async def stop(self) -> None:
         """Stop serving; timers already armed fire into a no-op.
 
-        A coroutine for its callers' sake (sessions and probes await
-        it); nothing in it waits.
+        Nothing in it waits: it is a coroutine only because the perf
+        ledger's router probe awaits it.  A live process stops its
+        router by ending its clock's run and closing the socket.
         """
         self._running = False
         if self._sock is not None and self._loop is not None:

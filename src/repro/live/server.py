@@ -21,7 +21,7 @@ Eq. 8 and Eq. 4; ride out feedback starvation blind — is
   the clock's ``call_at`` (:mod:`repro.core.clock`), steps slot
   ``k mod n`` at the absolute clock time ``t0 + k * pace_tick / n``.
   Every flow is still stepped once per
-  ``pace_tick``, but the loop polls its sockets between slices of the
+  ``pace_tick``, but the driver polls its sockets between slices of the
   population instead of after all of it, so a datagram's one-way delay
   is the queue's, not the wait for the sender's own burst to end;
 * **the ACK intake** — ACKs from the client arrive on the same endpoint
@@ -39,13 +39,12 @@ Eq. 8 and Eq. 4; ride out feedback starvation blind — is
   cannot phase-lock with the router's service tick.
 
 The server owns no task: both timers are the clock's, so the same
-object paces on the asyncio loop behind a ``WallClock`` and on a
-:class:`~repro.sim.engine.Simulator`.
+object paces on the :class:`~repro.core.clock.SelectorClock` of a live
+process and on a :class:`~repro.sim.engine.Simulator`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +67,7 @@ CROSS_TRAFFIC_FLOW_ID = 10_000
 
 #: Shortest step of the pacer wheel, seconds.  A platform floor, not a
 #: tuning knob: ``selectors.EpollSelector.select`` rounds its timeout
-#: *up* to whole milliseconds, so the loop cannot honour a shorter one.
+#: *up* to whole milliseconds, so no driver can honour a shorter one.
 MIN_STEP = 0.001
 
 
@@ -95,8 +94,14 @@ class LiveFlow(FlowSender):
         self.last = 0.0
 
 
-class LiveServer(asyncio.DatagramProtocol):
+class LiveServer:
     """All sending flows of a live session behind one UDP endpoint.
+
+    A datagram protocol by shape (``connection_made``,
+    ``datagram_received``, ``error_received``), as
+    :class:`~repro.live.router.LiveRouter` is: its transport is a
+    :class:`~repro.core.clock.DatagramEndpoint`, or anything with
+    ``sendto(data, addr)``.
 
     Parameters mirror the simulator's ``PelsScenario`` controller /
     gamma blocks; ``controller_kwargs`` is passed verbatim to
@@ -154,7 +159,7 @@ class LiveServer(asyncio.DatagramProtocol):
                 blind_backoff=blind_backoff, trace=trace)
             self.slots[index % n_slots].append(flow)
         self.dst_addr: Optional[Tuple[str, int]] = None
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        self.transport = None
         self.cross_packets_sent = 0
         #: ACKs dropped at the socket for carrying a label no router
         #: can emit (loss not a finite number in [0, 1]).
@@ -164,10 +169,13 @@ class LiveServer(asyncio.DatagramProtocol):
         #: ``stop()`` fires into a no-op.
         self._running = False
 
-    # -- asyncio protocol --------------------------------------------------
+    # -- datagram protocol -------------------------------------------------
 
     def connection_made(self, transport) -> None:
         self.transport = transport
+
+    def error_received(self, exc) -> None:
+        pass
 
     def datagram_received(self, data: bytes, addr) -> None:
         """Feedback path: ACKs echoing the freshest router label.
@@ -212,11 +220,8 @@ class LiveServer(asyncio.DatagramProtocol):
         if self.cbr_rate_bps > 0:
             self._cross_traffic(0.0, now)
 
-    async def stop(self) -> None:
-        """Stop the timers; log every in-flight frame.
-
-        A coroutine for its callers' sake; nothing in it waits.
-        """
+    def stop(self) -> None:
+        """Stop the timers; log every in-flight frame (idempotent)."""
         self._running = False
         for flow in self.flows.values():
             flow.finish()

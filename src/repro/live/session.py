@@ -22,14 +22,14 @@ green ≤ yellow ≤ red) are robust to it; the defaults here (2 flows,
 
 from __future__ import annotations
 
-import asyncio
+import socket
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cc.mkc import mkc_stationary_rate
 from ..control.meta import MetaController, MetaControllerConfig
 from ..core.assembly import attach_readout
-from ..core.clock import Clock, ManualClock, WallClock
+from ..core.clock import Clock, DatagramEndpoint, ManualClock, SelectorClock
 from ..core.flow import frame_receptions
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
@@ -146,26 +146,31 @@ def live_view(config: LiveConfig, server: LiveServer, client: LiveClient,
         beta=config.beta, p_thr=config.p_thr, clock=clock)
 
 
-async def _run(config: LiveConfig) -> LiveSessionResult:
-    clock = WallClock()
+def _endpoint(clock: SelectorClock, protocol, host: str) -> DatagramEndpoint:
+    """``protocol`` on a fresh UDP socket bound to ``(host, 0)``."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind((host, 0))
+    return DatagramEndpoint(clock, sock, protocol)
+
+
+def run_live_session(config: Optional[LiveConfig] = None
+                     ) -> LiveSessionResult:
+    """Run one loopback session to completion (blocking entry point)."""
+    config = config or LiveConfig()
+    clock = SelectorClock()
     tracer = current_tracer()
     if tracer is not None:
         tracer.bind_clock(clock)
-    loop = asyncio.get_running_loop()
 
     client = LiveClient(clock, green_packets=config.fgs.green_packets)
-    client_transport, _ = await loop.create_datagram_endpoint(
-        lambda: client, local_addr=(config.host, 0))
-    client_addr = client_transport.get_extra_info("sockname")[:2]
+    client_end = _endpoint(clock, client, config.host)
 
     router = LiveRouter(clock, config.bottleneck_bps, config.queue,
                         interval=config.feedback_interval,
                         window_intervals=config.feedback_window,
                         service_tick=config.service_tick)
-    router_transport, _ = await loop.create_datagram_endpoint(
-        lambda: router, local_addr=(config.host, 0))
-    router.dst_addr = client_addr
-    router_addr = router_transport.get_extra_info("sockname")[:2]
+    router_end = _endpoint(clock, router, config.host)
+    router.dst_addr = client_end.get_extra_info("sockname")[:2]
 
     cbr = config.cbr_rate_bps if config.cross_traffic == "cbr" else 0.0
     server = LiveServer(clock, config.n_flows,
@@ -175,10 +180,9 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
                         gamma_kwargs=config.gamma_kwargs(),
                         fgs=config.fgs, cbr_rate_bps=cbr,
                         pace_tick=config.pace_tick, seed=config.seed)
-    server_transport, _ = await loop.create_datagram_endpoint(
-        lambda: server, local_addr=(config.host, 0))
-    server.dst_addr = router_addr
-    client.server_addr = server_transport.get_extra_info("sockname")[:2]
+    server_end = _endpoint(clock, server, config.host)
+    server.dst_addr = router_end.get_extra_info("sockname")[:2]
+    client.server_addr = server_end.get_extra_info("sockname")[:2]
 
     _, meta = attach_readout(
         live_view(config, server, client, router, clock),
@@ -186,25 +190,21 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
 
     router.start()
     server.start()
-
     try:
-        await asyncio.sleep(config.duration)
-        await server.stop()
+        clock.call_later(config.duration, clock.stop)
+        clock.run()
+        server.stop()
         # Let queued datagrams drain and final ACKs land before the
         # clock stops; the router keeps serving during the drain.
-        await asyncio.sleep(config.drain)
+        clock.call_later(config.drain, clock.stop)
+        clock.run()
     finally:
-        await server.stop()
-        await router.stop()
+        # The router stops as a shard's does: its clock runs no more
+        # and its socket closes.
+        server.stop()
         elapsed = clock.now
-        server_transport.close()
-        router_transport.close()
-        client_transport.close()
+        for end in (server_end, router_end, client_end):
+            end.close()
+        clock.close()
     return LiveSessionResult(config=config, server=server, client=client,
                              router=router, elapsed=elapsed, meta=meta)
-
-
-def run_live_session(config: Optional[LiveConfig] = None
-                     ) -> LiveSessionResult:
-    """Run one loopback session to completion (blocking entry point)."""
-    return asyncio.run(_run(config or LiveConfig()))

@@ -221,7 +221,7 @@ class ShardSupervisor:
             self.tick(self.clock.now)
             self.clock.call_later(self.config.poll_interval, self._poll)
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
         """Stop polling; an armed poll fires into a no-op."""
         self._running = False
 

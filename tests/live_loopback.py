@@ -29,9 +29,10 @@ TICK = 1 / 256
 EPOCH_TICKS = 8
 
 
-def stop(component) -> None:
-    """Run a component's ``stop()`` (a coroutine that never waits)."""
-    asyncio.run(component.stop())
+def stop(router: LiveRouter) -> None:
+    """Run a router's ``stop()`` (a coroutine that never waits; the
+    server's and the supervisor's are plain methods)."""
+    asyncio.run(router.stop())
 
 
 class Wire:

@@ -14,9 +14,11 @@ process itself has long since imported everything.
 ``import repro.core.session``                      64       44
 =============================================  ======  =======
 
-A router shard runs on ``SelectorClock``, so neither its import nor its
-running child loads asyncio: ``import repro.live.shard`` loads 174
-modules in all on Python 3.11, 43 fewer than with an asyncio router.
+Every live process runs on ``SelectorClock``, so no ``repro.live``
+import and no running shard child or load generator loads asyncio or
+``ssl``: on Python 3.11 ``import repro.live.shard`` loads 174 modules
+in all (43 fewer than with an asyncio router), ``import
+repro.live.loadgen`` 205 (43 fewer than with an asyncio driver).
 
 A forbidden set below that starts failing means an import moved to
 module scope somewhere on that path: find it with
@@ -48,6 +50,12 @@ FORBIDDEN = {
     # The ``pels serve`` start: no live stack, no experiment registry.
     "repro.cli, repro.service.api": {"repro.live", "repro.sim",
                                      "repro.experiments", "numpy"},
+    # The load generator and the loopback session drive SelectorClock.
+    "repro.live.loadgen": {"asyncio", "ssl"},
+    "repro.live.session": {"asyncio", "ssl"},
+    # A clock that only reads ``now`` (the gateway's) loads no asyncio.
+    "from repro.core.clock import WallClock; WallClock()": {"asyncio",
+                                                            "ssl"},
 }
 
 #: Every controller ``pels simulate --controller`` has offered.
@@ -67,8 +75,9 @@ def run_fresh(*argv: str) -> str:
 
 @pytest.mark.parametrize("entry", sorted(FORBIDDEN))
 def test_import_closure(entry):
+    statement = entry if entry.startswith("from ") else f"import {entry}"
     loaded = json.loads(run_fresh(
-        "-c", f"import json, sys\nimport {entry}\n"
+        "-c", f"import json, sys\n{statement}\n"
         "print(json.dumps(sorted(sys.modules)))"))
     hits = sorted(name for name in loaded for banned in FORBIDDEN[entry]
                   if name == banned or name.startswith(banned + "."))
@@ -111,6 +120,26 @@ def test_running_shard_child_never_loads_asyncio():
     assert report["shard_ids"] == [3, 3]
     assert not report["alive"]
     assert report["asyncio"] == []
+
+
+LOAD_RUN = """
+import json, sys
+from repro.live.loadgen import LoadConfig, run_load
+result = run_load(LoadConfig(flows=4, shards=1, duration=0.3))
+print(json.dumps({"admitted": result.admitted,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.split(".")[0] in ("asyncio", "ssl"))}))
+"""
+
+
+@pytest.mark.live
+def test_a_load_run_never_loads_asyncio_or_ssl():
+    """The driver side of ``run_load``: a whole run (shard spawned,
+    flows admitted, streamed, drained, shard stopped) on
+    ``SelectorClock`` ends with neither module loaded."""
+    report = json.loads(run_fresh("-c", LOAD_RUN))
+    assert report["admitted"] == 4
+    assert report["loaded"] == []
 
 
 SURFACE = """

@@ -10,7 +10,6 @@ paths — a real :class:`RouterShard` child and a small
 
 from __future__ import annotations
 
-import asyncio
 import math
 import socket
 import time
@@ -476,11 +475,11 @@ class TestGroupedPacing:
         server = self.make_server(flow_ids=(0, 2))
         self.step(server, 0.0)
         self.step(server, 0.4)
-        asyncio.run(server.stop())
+        server.stop()
         for flow in server.flows.values():
             assert set(flow.frame_log) == {0} == {flow.frame_id}
             assert sum(flow.frame_log[0]) == flow.packets_sent > 0
-        asyncio.run(server.stop())  # idempotent (sessions stop twice)
+        server.stop()  # idempotent (sessions stop twice)
         assert len(server.flows[0].frame_log) == 1
 
     # -- the live starvation watchdog --------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from live_loopback import stop
 from repro.core.clock import ManualClock
 from repro.live.gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                                 LiveGateway, TenantPolicy)
@@ -177,7 +176,7 @@ class TestPollTimer:
             supervisor.start()
         sim.run(until=1.0)
         assert supervisor.ticks == 5  # t = 0, 0.25, 0.5, 0.75, 1.0
-        stop(supervisor)
+        supervisor.stop()
         sim.run(until=2.0)  # the armed poll fires into a no-op
         assert supervisor.ticks == 5 and sim.pending() == 0
         assert supervisor.failovers == []

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from live_loopback import stop
 from repro.core.clock import ManualClock, WallClock
 from repro.live.server import MIN_STEP, LiveServer
 from repro.live.wire import decode_packet
@@ -279,13 +278,13 @@ def test_one_handle_whatever_the_flow_count_and_none_after_stop(flows):
         server.start()
     sim.run(until=0.05)
     assert sim.pending() == 1
-    stop(server)
+    server.stop()
     # The armed timer fires into a no-op and re-arms nothing.
     done = len(steps)
     sim.run(until=1.0)
     assert sim.pending() == 0
     assert len(steps) == done
-    stop(server)  # sessions stop twice
+    server.stop()  # sessions stop twice
 
 
 def test_cross_traffic_keeps_its_budget_and_stops_with_the_server():
@@ -298,7 +297,7 @@ def test_cross_traffic_keeps_its_budget_and_stops_with_the_server():
     sim.run(until=1.0)
     # The last wake is at most 1.5 ticks (7.5 ms, 3.75 datagrams) old.
     assert 496 <= server.cross_packets_sent <= 500
-    stop(server)
+    server.stop()
     sent = server.cross_packets_sent
     sim.run(until=2.0)
     assert server.cross_packets_sent == sent and sim.pending() == 0
@@ -316,7 +315,7 @@ def test_on_a_real_loop():
                                                  advance(now, slot))
         server.start()
         await asyncio.sleep(0.06)
-        await server.stop()
+        server.stop()
         done = len(steps)
         await asyncio.sleep(0.02)
         return done
