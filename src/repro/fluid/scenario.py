@@ -249,13 +249,18 @@ class FluidScenario(ControlParams):
         bit-identical trajectories; the engine integrates each such
         segment once and weights it by its population.  Delay and start
         quantization to the epoch grid does the collapsing naturally.
+        Groups far outnumber their distinct extra delays, so the epoch
+        geometry is memoized per delay, as in :meth:`flow_segment_keys`.
         """
         agg: Dict[Tuple[int, int, int, int], int] = {}
         T = self.feedback_interval
         if self.flow_groups is not None:
+            geometry: Dict[float, Tuple[int, int]] = {}
             for count, extra, start_s, path in self.flow_groups:
-                fwd, bwd = self._epoch_geometry(extra)
-                key = (fwd, bwd, int(start_s / T) + 1, path)
+                fb = geometry.get(extra)
+                if fb is None:
+                    fb = geometry[extra] = self._epoch_geometry(extra)
+                key = (fb[0], fb[1], int(start_s / T) + 1, path)
                 agg[key] = agg.get(key, 0) + count
         else:
             for key in self.flow_segment_keys():

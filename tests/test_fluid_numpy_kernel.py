@@ -1,11 +1,13 @@
-"""The fluid numpy kernel steps lag runs: the differential and the fence.
+"""The fluid numpy kernel works on lag runs: the differential, the
+controller's partial feeds and the fence.
 
 Differential.  ``FluidEngine._run_numpy`` as it stood when it ran one
 Python iteration per ``(fwd, bwd, start)`` class per epoch is frozen in
-``tests/frozen_fluid_numpy.py``.  Today's kernel steps each lag run —
-the classes sharing ``(fwd, bwd)`` — once, slides the matched filter
-over the whole row on every epoch and patches only the classes inside
-their warm-up window.  Elementwise arithmetic does not depend on how a
+``tests/frozen_fluid_numpy.py``.  Today's kernel runs the controller
+once over the whole row, with only a label gather and a reference
+multiply per lag run (the classes sharing ``(fwd, bwd)``), slides the
+matched filter over the whole row on every epoch and patches only the
+classes inside their warm-up window.  Elementwise arithmetic does not depend on how a
 row is sliced, so over a generated family — clustered and spread
 starts (inside another class's warm-up, closer together than a
 feedback delay), 1-3 routers with chain or explicit paths, interferer
@@ -13,10 +15,16 @@ steps, per-flow and ``flow_groups`` populations, fast-forward and flow
 recording on and off — every ``FluidResult`` series and the final
 rates and gammas must be equal **bit for bit**.
 
+Controller.  ``_ListRows.control`` and ``_NumpyRows.control`` get
+every lag run's span in one call; driven from identical state with
+unfed, partly fed and fully fed runs they must write the same rate row
+and gamma bit for bit, leaving unfed segments' gamma and fills alone.
+
 Fence.  ``_run_numpy`` takes the ``np`` module as an argument; a
 counting proxy for it shows that the explicit ``np.*`` calls of a
-post-warm-up epoch do not depend on the number of start waves and are
-bounded by the number of lag runs, not classes.  Deterministic, no
+post-warm-up epoch do not depend on the number of start waves, and
+that an extra lag run costs at most three of them (one controller call
+over the whole row, a per-run gather and multiply).  Deterministic, no
 wall clock.
 
 Tier-1 runs Hypothesis' default example count; CI reruns the file with
@@ -188,6 +196,60 @@ class TestDifferential:
         assert _bits(list(new_trace.events)) == _bits(list(old_trace.events))
 
 
+# -- one controller call, partial feeds ---------------------------------------
+
+def _control_rows():
+    """A list and a numpy row set on one 3-run fabric (lags 1, 3, 5;
+    three 8-segment classes a run) holding identical random state."""
+    engine = FluidEngine(fat_tree_scenario(start_waves=3, wave_interval_s=0.3,
+                                           delay_tiers=4), backend="numpy")
+    assert [run[0].delay for run in engine.lag_runs] == [1, 3, 5]
+    rows_list = engine_mod._ListRows(engine)
+    rows_np = engine_mod._NumpyRows(engine, np)
+    rng = random.Random(5)
+    for ring, low, high in (("rate_hist", 0.0, 9e5), ("y_hist", 1e5, 9e5),
+                            ("pp_hist", 0.0, 0.4)):
+        for slot_list, slot_np in zip(getattr(rows_list, ring),
+                                      getattr(rows_np, ring)):
+            slot_list[:] = [rng.uniform(low, high) for _ in slot_list]
+            slot_np[:] = slot_list
+    # Stale scratch, as a router close leaves it.
+    rows_np.buf_s[:] = [rng.uniform(0.0, 1e9)
+                        for _ in range(engine.n_segments)]
+    return engine, rows_list, rows_np
+
+
+class TestControl:
+    @pytest.mark.parametrize("arrangement", [
+        # (fed classes, begun classes) per run: partly fed, none fed,
+        # all fed; then none, all, partly (adjacent fed prefixes).
+        ((1, 2), (0, 1), (3, 3)),
+        ((0, 2), (3, 3), (1, 1)),
+    ])
+    def test_partial_feeds_match_the_list_rows(self, arrangement):
+        engine, rows_list, rows_np = _control_rows()
+        k = 4  # k - D = 3, 1, -1: the lag-5 run reads r0
+        spans = []
+        for run, (fed, begun) in zip(engine.lag_runs, arrangement):
+            edges = [run[0].lo] + [c.hi for c in run]
+            spans.append((run[0].lo, edges[fed], edges[begun], run[-1].hi,
+                          run[0].bwd, run[0].delay))
+        gamma0 = engine.scenario.gamma0
+        rows_list.control(k, spans)
+        rows_np.control(k, spans)
+        row_list = rows_list.rate_hist[k % rows_list.H]
+        row_np = rows_np.rate_hist[k % rows_np.H].tolist()
+        assert _bits(row_np) == _bits(row_list)
+        assert _bits(rows_np.gamma.tolist()) == _bits(rows_list.gamma)
+        r0 = engine.scenario.initial_rate_bps
+        for lo, fed_hi, begun_hi, hi, _, _ in spans:
+            assert rows_np.gamma[fed_hi:hi].tolist() \
+                == [gamma0] * (hi - fed_hi)
+            assert row_np[fed_hi:begun_hi] == [r0] * (begun_hi - fed_hi)
+            assert row_np[begun_hi:hi] == [0.0] * (hi - begun_hi)
+            assert all(g != gamma0 for g in rows_np.gamma[lo:fed_hi])
+
+
 # -- dispatch fence -----------------------------------------------------------
 
 class _Counted:
@@ -271,8 +333,26 @@ class TestDispatchFence:
         assert _steady_calls_per_epoch(few, warm) \
             == _steady_calls_per_epoch(many, warm)
 
+    def test_calls_per_extra_lag_run(self):
+        """One controller call per epoch: a lag run adds its
+        delayed-reference multiply and its ZOH arrival add, nothing
+        more (a per-run controller step read 24.2 -> 50.2, +13 a
+        run)."""
+        one = fat_tree_scenario(start_waves=2, wave_interval_s=0.3,
+                                delay_tiers=1)
+        three = fat_tree_scenario(start_waves=2, wave_interval_s=0.3,
+                                  delay_tiers=4)
+        _, one_runs, _ = _geometry(one)
+        _, three_runs, warm = _geometry(three)
+        assert (one_runs, three_runs) == (1, 3)
+        extra = (_steady_calls_per_epoch(three, warm)
+                 - _steady_calls_per_epoch(one, warm))
+        assert extra <= 3 * (three_runs - one_runs)
+
     def test_calls_bounded_by_lag_runs(self):
+        """32.2 calls an epoch over 5 runs (a per-run controller step
+        read 76.2)."""
         scenario = random_population()
         classes, runs, warm = _geometry(scenario)
         assert (classes, runs) == (571, 5)
-        assert _steady_calls_per_epoch(scenario, warm) <= 16 * (runs + 1)
+        assert _steady_calls_per_epoch(scenario, warm) <= 24 + 3 * runs
