@@ -29,17 +29,14 @@ completes and ``--resume`` skips artifacts already checkpointed there.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from pathlib import Path
 
-from . import (ablations, bursts_exp, capacity, chaos, closed_loop_be,
-               deadlines, fec_comparison, fig2, fig5, fig7, fig8, fig9,
-               fig10, heterogeneous, live_chaos, live_exp, live_load,
-               multihop, rd_smoothing, scaling, service_exp, table1)
 from ..core import proc
 from ..core.retry import retry_call
 from .common import ExperimentResult
@@ -47,44 +44,97 @@ from .common import ExperimentResult
 __all__ = ["EXPERIMENTS", "describe_registry", "run_all", "add_arguments",
            "run_cli", "main"]
 
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "T1": table1.run,
-    "F2": fig2.run,
-    "F5": fig5.run,
-    "F7": fig7.run,
-    "F8": fig8.run,
-    "F9": fig9.run,
-    "F10": fig10.run,
-    "X1": multihop.run,
-    "X2": heterogeneous.run,
-    "X3": rd_smoothing.run,
-    "X4": closed_loop_be.run,
-    "X5": bursts_exp.run,
-    "X6": deadlines.run,
-    "X7": fec_comparison.run,
-    "S1": scaling.run,
-    "S2": capacity.run,
-    "R1": chaos.run,
-    "L1": live_exp.run,
-    "L2": live_load.run,
-    "L3": live_chaos.run,
-    "SV1": service_exp.run,
+#: Figure/table key -> (module in this package, entry function).  Names,
+#: not functions: reading the table imports no experiment.
+EXPERIMENTS: Dict[str, Tuple[str, str]] = {
+    "T1": ("table1", "run"),
+    "F2": ("fig2", "run"),
+    "F5": ("fig5", "run"),
+    "F7": ("fig7", "run"),
+    "F8": ("fig8", "run"),
+    "F9": ("fig9", "run"),
+    "F10": ("fig10", "run"),
+    "X1": ("multihop", "run"),
+    "X2": ("heterogeneous", "run"),
+    "X3": ("rd_smoothing", "run"),
+    "X4": ("closed_loop_be", "run"),
+    "X5": ("bursts_exp", "run"),
+    "X6": ("deadlines", "run"),
+    "X7": ("fec_comparison", "run"),
+    "S1": ("scaling", "run"),
+    "S2": ("capacity", "run"),
+    "R1": ("chaos", "run"),
+    "L1": ("live_exp", "run"),
+    "L2": ("live_load", "run"),
+    "L3": ("live_chaos", "run"),
+    "SV1": ("service_exp", "run"),
 }
 
-_REGISTRY: Optional[Dict[str, Callable[..., ExperimentResult]]] = None
+#: ``ablations.ABLATIONS`` by name, in its order.
+ABLATIONS: Dict[str, Tuple[str, str]] = {
+    "A1": ("ablations", "run_sigma_sweep"),
+    "A2": ("ablations", "run_pthr_sweep"),
+    "A3": ("ablations", "run_wrr_sweep"),
+    "A4": ("ablations", "run_meta_control"),
+    "A5": ("ablations", "run_controller_comparison"),
+    "A6": ("ablations", "run_two_priority"),
+    "A7": ("ablations", "run_robustness"),
+    "A8": ("ablations", "run_red_buffer_sweep"),
+}
 
 
-def _registry() -> Dict[str, Callable[..., ExperimentResult]]:
+class _Registry(Mapping[str, Callable[..., ExperimentResult]]):
+    """Key -> entry function; a key's module is imported when it is
+    looked up, so ``in``, ``len`` and iteration import nothing."""
+
+    def __init__(self, names: Dict[str, Tuple[str, str]]) -> None:
+        self._names = names
+
+    def __getitem__(self, key: str) -> Callable[..., ExperimentResult]:
+        module, attr = self._names[key]
+        return getattr(importlib.import_module(f"{__package__}.{module}"),
+                       attr)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+_REGISTRY: Optional[Mapping[str, Callable[..., ExperimentResult]]] = None
+
+
+def _registry() -> Mapping[str, Callable[..., ExperimentResult]]:
     """All runnable artifacts: figures/tables plus ablations.
 
-    Built once per process and cached — ``_run_one`` used to rebuild
-    the dict for every experiment, in every ``--jobs`` worker.
+    Built once per process and cached.  Checking or listing keys
+    imports nothing; ``_registry()[key]`` imports that key's module
+    (an import error raises there, for ``_run_one`` to report as the
+    key's structured failure).
     """
     global _REGISTRY
     if _REGISTRY is None:
-        _REGISTRY = dict(EXPERIMENTS)
-        _REGISTRY.update(ablations.ABLATIONS)
+        _REGISTRY = _Registry({**EXPERIMENTS, **ABLATIONS})
     return _REGISTRY
+
+
+def _preload(keys: List[str]) -> None:
+    """Import the modules of ``keys`` here, so children forked from
+    this process inherit them instead of each importing its own.
+
+    A key whose module fails to import is skipped: its run fails in
+    ``_run_one``, as that key's structured failure, not here.
+    """
+    registry = _registry()
+    for key in keys:
+        try:
+            registry[key]
+        except Exception:  # noqa: BLE001 - reported by _run_one
+            pass
 
 
 def describe_registry() -> List[Tuple[str, str]]:
@@ -95,6 +145,8 @@ def describe_registry() -> List[Tuple[str, str]]:
     where the per-sweep function docstring is the specific one.  This
     powers ``--list`` and the service API's ``GET /experiments``, so
     clients can discover submittable jobs without reading source.
+    Reading those docstrings resolves every key, so this one call
+    imports every experiment module.
     """
     import inspect
     entries: List[Tuple[str, str]] = []
@@ -143,7 +195,7 @@ def _select(only: str, with_ablations: bool) -> List[str]:
         return [] if unknown else known
     keys = list(EXPERIMENTS)
     if with_ablations:
-        keys.extend(ablations.ABLATIONS)
+        keys.extend(ABLATIONS)
     return keys
 
 
@@ -390,6 +442,7 @@ def run_all(fast: bool = False, only: str = "",
         # more than the transient oversubscription while both pools
         # are busy (experiments finish staggered).
         inner = _sweep_budget(jobs, len(todo))
+        _preload(todo)
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
             futures = {pool.submit(_run_isolated, key, fast, timeout,
                                    retries, backoff, inner, chunk): key

@@ -34,13 +34,14 @@ import os
 import signal
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core import proc
-from ..service.api import ExperimentService, ServiceConfig
-from ..service.client import ServiceClient
-from ..service.worker import canonical_artifact_bytes
 from .common import ExperimentResult
+
+if TYPE_CHECKING:  # the service (asyncio, ssl, http) loads when SV1 runs
+    from ..service.api import ExperimentService, ServiceConfig
+    from ..service.client import ServiceClient
 
 __all__ = ["run", "BATCH", "VOLATILE_METRICS", "KILL_TARGET"]
 
@@ -92,6 +93,8 @@ class _Fleet:
 
     def _main(self) -> None:
         import asyncio
+
+        from ..service.api import ExperimentService
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         service = ExperimentService(self.config)
@@ -171,6 +174,10 @@ def _collect_stream(client: ServiceClient, job_id: str,
 
 def run(fast: bool = False) -> ExperimentResult:
     import tempfile
+
+    from ..service.api import ServiceConfig
+    from ..service.client import ServiceClient
+    from ..service.worker import canonical_artifact_bytes
 
     result = ExperimentResult(
         experiment_id="SV1",

@@ -134,8 +134,11 @@ def execute_in_child(queue: JobQueue, storage: FileStorage, job: Job,
     record as ``cancelled``.
     """
     from ..experiments.export import result_to_dict
-    from ..experiments.runner import failed
+    from ..experiments.runner import _preload, failed
 
+    # The child forks from this process: import the job's experiment
+    # here, once per worker and key, not inside every job's latency.
+    _preload([job.params.get("key", "")])
     last_cancel_check = 0.0
 
     def tick() -> bool:
@@ -197,9 +200,11 @@ def _work(wake: threading.Event, storage_dir: str, worker_id: str,
           idle_exit: Optional[float] = None,
           stop: Optional[Callable[[], bool]] = None) -> int:
     """The loop of :func:`run_worker`, idling on ``wake``."""
-    # Job children fork from this process: load the experiment registry
-    # before the first claim, not inside the first job's latency.
-    from ..experiments import runner  # noqa: F401
+    # Job children fork from this process: load their harness (runner,
+    # export, obs metrics) before the first claim, not inside a job's
+    # latency.  The experiment itself loads per key: execute_in_child.
+    from ..experiments import export, runner  # noqa: F401
+    from ..obs import metrics  # noqa: F401
     storage = FileStorage(storage_dir)
     queue = JobQueue(storage)
     execute = executor or execute_in_child

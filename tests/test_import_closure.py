@@ -12,6 +12,7 @@ process itself has long since imported everything.
 ``import repro.live.shard`` (one router shard)     80       30
 ``import repro.cli, repro.service.api``            73       12
 ``import repro.core.session``                      64       44
+``import repro.experiments.runner``               112        8
 =============================================  ======  =======
 
 Every live process runs on ``SelectorClock``, so no ``repro.live``
@@ -50,6 +51,14 @@ FORBIDDEN = {
     # The ``pels serve`` start: no live stack, no experiment registry.
     "repro.cli, repro.service.api": {"repro.live", "repro.sim",
                                      "repro.experiments", "numpy"},
+    # The experiment registry is a table of names: a key's module loads
+    # when the key runs, not when the registry does.
+    "repro.experiments.runner": {"repro.sim", "repro.live", "repro.fluid",
+                                 "repro.service", "asyncio", "numpy"},
+    # Listing every experiment (``--list``, ``GET /experiments``) loads
+    # each module, but SV1's service stack only when SV1 runs.
+    "from repro.experiments.runner import describe_registry; "
+    "describe_registry()": {"asyncio", "ssl"},
     # The load generator and the loopback session drive SelectorClock.
     "repro.live.loadgen": {"asyncio", "ssl"},
     "repro.live.session": {"asyncio", "ssl"},
@@ -82,6 +91,61 @@ def test_import_closure(entry):
     hits = sorted(name for name in loaded for banned in FORBIDDEN[entry]
                   if name == banned or name.startswith(banned + "."))
     assert hits == [], f"import {entry} loads {hits}"
+
+
+SUBMIT = """
+import json, sys
+from repro.service.api import ExperimentService, ServiceConfig, _HttpError
+service = ExperimentService(ServiceConfig(storage_dir=root, workers=0))
+[job] = service._submit({"key": "F2"})["jobs"]
+try:
+    service._submit({"key": "F22"})
+except _HttpError as exc:
+    error = [exc.status, exc.message]
+print(json.dumps({"state": job["state"], "error": error,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.startswith("repro.experiments."))}))
+"""
+
+
+def test_submit_checks_keys_without_loading_experiments(tmp_path):
+    """``pels serve`` accepts a job and rejects a typo (400, with a
+    hint) against the registry's names: the runner and its result
+    record load, no experiment module does."""
+    report = json.loads(run_fresh(
+        "-c", f"root = {str(tmp_path)!r}\n" + SUBMIT))
+    assert report["state"] == "queued"
+    assert report["error"][0] == 400
+    assert "did you mean F2" in report["error"][1]
+    assert report["loaded"] == ["repro.experiments.common",
+                                "repro.experiments.runner"]
+
+
+WORKER_RUN = """
+import json, sys
+from repro.service.queue import JobQueue
+from repro.service.storage import FileStorage
+from repro.service.worker import run_worker
+queue = JobQueue(FileStorage(root))
+job = queue.submit(params={"key": "F2", "fast": True})
+ran = run_worker(root, "w001", max_jobs=1)
+print(json.dumps({"ran": ran, "state": queue.get(job.job_id).state,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.startswith("repro.experiments."))}))
+"""
+
+
+def test_a_worker_holds_only_what_it_has_run(tmp_path):
+    """A worker imports the claimed job's experiment before it forks
+    the job child, and no other: after one F2 job it holds fig2 and
+    none of the heavy or service-backed experiments."""
+    report = json.loads(run_fresh(
+        "-c", f"root = {str(tmp_path)!r}\n" + WORKER_RUN))
+    assert report["ran"] == 1
+    assert report["state"] == "done"
+    assert "repro.experiments.fig2" in report["loaded"]
+    for name in ("capacity", "live_load", "live_chaos", "service_exp"):
+        assert f"repro.experiments.{name}" not in report["loaded"]
 
 
 SHARD_CHILD = """

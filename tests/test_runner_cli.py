@@ -27,6 +27,18 @@ class TestRegistry:
         assert "A1" in registry
         assert "S1" in registry
 
+    def test_ablation_names_follow_the_ablations_table(self):
+        from repro.experiments import ablations
+        assert list(runner.ABLATIONS) == list(ablations.ABLATIONS)
+        for key, fn in ablations.ABLATIONS.items():
+            assert _registry()[key] is fn
+
+    def test_every_figure_key_resolves_to_its_module_run(self):
+        import importlib
+        for key, (module, _) in runner.EXPERIMENTS.items():
+            run = importlib.import_module(f"repro.experiments.{module}").run
+            assert _registry()[key] is run
+
 
 class TestListFlag:
     def test_list_prints_every_key_with_description(self, capsys):

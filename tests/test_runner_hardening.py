@@ -327,3 +327,53 @@ class TestCheckpointResume:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+
+def _break_entry(monkeypatch, key="X7"):
+    """Point ``key`` at a module that does not exist."""
+    names = {**runner.EXPERIMENTS, **runner.ABLATIONS,
+             key: ("no_such_experiment", "run")}
+    monkeypatch.setattr(runner, "_REGISTRY", runner._Registry(names))
+
+
+class TestUnimportableEntry:
+    """A key resolves only when it runs, so an entry whose module fails
+    to import fails that key alone, as a structured failure."""
+
+    def test_run_all_reports_a_structured_error(self, monkeypatch):
+        _break_entry(monkeypatch)
+        [result] = run_all(fast=True, only="X7")
+        assert failed(result)
+        assert result.title == "FAILED (error)"
+        assert any("No module named" in note for note in result.notes)
+
+    def test_the_pool_parent_leaves_it_to_the_child(self, monkeypatch):
+        _break_entry(monkeypatch)
+        results = run_all(fast=True, only="X7,A1", jobs=2)
+        assert [failed(r) for r in results] == [True, False]
+        assert any("No module named" in note for note in results[0].notes)
+
+    def test_other_keys_still_run(self, monkeypatch, capsys):
+        _break_entry(monkeypatch)
+        assert main(["--fast", "--only", "F2"]) == 0
+        assert "0 checks diverged" in capsys.readouterr().out
+
+    def test_service_job_fails_and_the_worker_keeps_claiming(
+            self, monkeypatch, tmp_path):
+        from repro.service.queue import JobQueue
+        from repro.service.storage import FileStorage
+        from repro.service.worker import run_worker
+
+        _break_entry(monkeypatch)
+        storage = FileStorage(tmp_path / "store")
+        queue = JobQueue(storage)
+        broken = queue.submit(params={"key": "X7", "fast": True},
+                              max_retries=3)
+        fine = queue.submit(params={"key": "A1", "fast": True})
+        assert run_worker(str(storage.root), "w001", max_jobs=2) == 2
+        record = queue.get(broken.job_id)
+        assert record.state == "failed"
+        assert record.attempts == 1  # deterministic: no retry
+        notes = storage.load_artifact(broken.job_id)["notes"]
+        assert any("No module named" in note for note in notes)
+        assert queue.get(fine.job_id).state == "done"
