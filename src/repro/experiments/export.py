@@ -115,9 +115,11 @@ def metrics_jsonl_lines(results: Iterable[ExperimentResult]
                         ) -> Iterable[str]:
     """One sorted-key JSON line per result: id, title, failed, metrics.
 
-    Deliberately excludes wall times and any other host-dependent
-    field, so the file is byte-identical between serial and ``--jobs``
-    sweeps (the determinism suite pins this).
+    Deliberately excludes ``wall_time``, so a serial and a ``--jobs``
+    sweep write the same line for every exact artifact (the
+    determinism suite pins this).  S1's and S2's lines differ only in
+    the host-fact metric families ``runner.HOST_FACTS`` declares; the
+    live artifacts' lines (L1, L2, L3, SV1) are not byte-stable.
     """
     for result in results:
         yield json.dumps({

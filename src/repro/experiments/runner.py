@@ -41,8 +41,8 @@ from ..core import proc
 from ..core.retry import retry_call
 from .common import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "describe_registry", "run_all", "add_arguments",
-           "run_cli", "main"]
+__all__ = ["EXPERIMENTS", "HOST_FACTS", "describe_registry", "run_all",
+           "add_arguments", "run_cli", "main"]
 
 #: Figure/table key -> (module in this package, entry function).  Names,
 #: not functions: reading the table imports no experiment.
@@ -81,6 +81,17 @@ ABLATIONS: Dict[str, Tuple[str, str]] = {
     "A7": ("ablations", "run_robustness"),
     "A8": ("ablations", "run_red_buffer_sweep"),
 }
+
+
+#: What "the same artifact" means per key, for ``compare.diverging``.
+#: An absent key (or ``()``) is exact: byte-equal but for ``wall_time``.
+#: A tuple names metric-prefix families that are host facts (wall time,
+#: throughput, RSS), exact otherwise.  ``None`` is live on the wall
+#: clock: present, never byte-stable.
+HOST_FACTS: Dict[str, Optional[Tuple[str, ...]]] = {
+    "S1": ("wall_per_sim_s_", "epochs_per_s_", "peak_rss_bytes_"),
+    "S2": ("wall_s_", "epochs_per_s_", "peak_rss_bytes_"),
+    "L1": None, "L2": None, "L3": None, "SV1": None}
 
 
 class _Registry(Mapping[str, Callable[..., ExperimentResult]]):
@@ -402,7 +413,7 @@ def run_all(fast: bool = False, only: str = "",
 
     With ``jobs > 1`` the experiments run ``jobs`` at a time, each in
     a disposable child process; each one owns a seeded simulator, so
-    results are bit-identical to a serial run and are returned in the
+    results are the same as a serial run's (``compare.diverging``), in the
     same order.  When only a single experiment is selected, ``jobs``
     (and the sweep granularity ``chunk``) is forwarded *into* it
     instead, so sweep experiments like S1/S2 parallelize over their
@@ -535,8 +546,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         "retry attempts (doubles each attempt)")
     parser.add_argument("--metrics-out", default="", metavar="PATH",
                         help="write one JSON line per artifact (id, title, "
-                             "failed flag, metrics) to PATH; byte-identical "
-                             "between serial and --jobs runs")
+                             "failed flag, metrics) to PATH; the same serial "
+                             "or --jobs for exact artifacts, S1/S2 but for "
+                             "host facts; live ones are not byte-stable")
     parser.add_argument("--out-dir", default="", metavar="DIR",
                         help="checkpoint each artifact to DIR/<KEY>.json "
                              "as it completes")

@@ -10,14 +10,13 @@ whole contract at once:
 * **no lost jobs**: every job reaches ``done``; the killed worker's job
   is requeued (worker-death burns a requeue, not a retry) and completes
   on a surviving or respawned worker; the pool is back to 3 workers.
-* **artifact fidelity**: the service-produced artifacts are
-  byte-identical to direct ``runner`` execution of the same experiment
-  (canonical form: ``wall_time`` dropped, as the export layer's metrics
-  JSONL already does).  A4 must match in full; S2 must match everywhere
-  except its declared wall-clock metric families
-  (``wall_s_*``/``epochs_per_s_*``/``peak_rss_bytes_*`` — host facts,
-  not simulation outputs); L2 drives a live wall-clock gateway, so it is
-  checked for completion and structural validity, not byte equality.
+* **artifact fidelity**: each service-produced artifact is the same
+  as direct ``runner`` execution of the experiment, as
+  ``compare.diverging`` reads ``runner.HOST_FACTS``: A4 byte-equal but
+  for ``wall_time``, S2 but for its declared host-fact metric families
+  (``wall_s_*``/``epochs_per_s_*``/``peak_rss_bytes_*``); L2 drives a
+  live wall-clock gateway, so it is checked for completion and its key,
+  not byte equality.
 * **stream fidelity**: each job's streamed ``metrics`` events carry
   exactly the ``--metrics-out`` JSONL line(s) of its final artifact,
   and the simulation-backed A4 job streamed live epoch snapshots.
@@ -43,7 +42,7 @@ if TYPE_CHECKING:  # the service (asyncio, ssl, http) loads when SV1 runs
     from ..service.api import ExperimentService, ServiceConfig
     from ..service.client import ServiceClient
 
-__all__ = ["run", "BATCH", "VOLATILE_METRICS", "KILL_TARGET"]
+__all__ = ["run", "BATCH", "KILL_TARGET"]
 
 #: The mixed batch: a PelsSimulation ablation (long, snapshot-rich), a
 #: fluid-engine sweep (fast, wall-clock metrics) and a live gateway run
@@ -53,17 +52,6 @@ BATCH: Tuple[str, ...] = ("A4", "S2", "L2")
 #: The job whose worker gets SIGKILLed mid-run — A4 is the longest
 #: deterministic job in the batch, so the kill lands well inside it.
 KILL_TARGET = "A4"
-
-#: Metric families that are host wall-clock facts rather than
-#: simulation outputs, per experiment; everything else must compare
-#: byte-identical.  ``None`` means the experiment is live (real
-#: wall-clock gateway) and exempt from the byte comparison entirely.
-VOLATILE_METRICS: Dict[str, Optional[Tuple[str, ...]]] = {
-    "A4": (),
-    "S2": ("wall_s_", "epochs_per_s_", "peak_rss_bytes_"),
-    "L2": None,
-}
-
 
 class _Fleet:
     """A live service instance on a background thread's event loop."""
@@ -177,7 +165,6 @@ def run(fast: bool = False) -> ExperimentResult:
 
     from ..service.api import ServiceConfig
     from ..service.client import ServiceClient
-    from ..service.worker import canonical_artifact_bytes
 
     result = ExperimentResult(
         experiment_id="SV1",
@@ -234,25 +221,15 @@ def run(fast: bool = False) -> ExperimentResult:
                         f"at completion")
 
     # -- artifact fidelity vs direct runner execution -----------------------
+    from .compare import diverging
     from .export import metrics_jsonl_lines, result_from_dict
+    from .runner import HOST_FACTS
 
-    identical: Dict[str, str] = {}
-    for key in BATCH:
-        volatile = VOLATILE_METRICS[key]
-        if volatile is None:
-            identical[key] = "live"
-            if artifacts[key].get("experiment_id") != key:
-                problems.append(f"{key} artifact is structurally wrong: "
-                                f"experiment_id="
-                                f"{artifacts[key].get('experiment_id')!r}")
-            continue
-        direct = _run_direct(key, fast)
-        same = canonical_artifact_bytes(artifacts[key], volatile) == \
-            canonical_artifact_bytes(direct, volatile)
-        identical[key] = "yes" if same else "NO"
-        if not same:
-            problems.append(f"{key} artifact differs from direct runner "
-                            f"execution")
+    live = {key for key in BATCH if HOST_FACTS.get(key, ()) is None}
+    direct = [{"experiment_id": key} if key in live
+              else _run_direct(key, fast) for key in BATCH]
+    problems.extend(f"{line} (service vs direct runner)" for line in
+                    diverging([artifacts[key] for key in BATCH], direct))
 
     # -- stream fidelity ----------------------------------------------------
     stream_match: Dict[str, str] = {}
@@ -283,24 +260,22 @@ def run(fast: bool = False) -> ExperimentResult:
     result.add_table(
         ["job", "state", "attempts", "requeues", "artifact", "stream"],
         [[key, records[key]["state"], records[key]["attempts"],
-          records[key]["requeues"], identical[key], stream_match[key]]
+          records[key]["requeues"], "live" if key in live else "yes",
+          stream_match[key]]
          for key in BATCH],
         title="SV1: 3-worker fleet, SIGKILL of the A4 worker mid-job")
     result.note(f"worker {victim_worker} was SIGKILLed while running "
                 f"{KILL_TARGET}; the stale-heartbeat sweep requeued the "
                 f"job and a surviving/respawned worker completed it")
-    result.note("artifact comparison is canonical bytes (wall_time "
-                "dropped); S2 additionally excludes its declared "
-                "wall-clock metric families "
-                "(wall_s_*/epochs_per_s_*/peak_rss_bytes_*); L2 is a "
-                "live wall-clock gateway, checked structurally")
+    result.note("artifacts compared by compare.diverging under "
+                "runner.HOST_FACTS: S2 but for its host-fact metric "
+                "families, L2 (live wall-clock gateway) by key only")
     result.metrics["jobs_done"] = float(
         sum(1 for r in records.values() if r["state"] == "done"))
     result.metrics["victim_requeues"] = float(victim["requeues"])
     result.metrics["victim_attempts"] = float(victim["attempts"])
     result.metrics["workers_alive_at_end"] = float(alive)
-    result.metrics["artifacts_identical"] = float(
-        sum(1 for v in identical.values() if v == "yes"))
+    result.metrics["artifacts_identical"] = float(len(BATCH) - len(live))
     result.metrics["streams_matching"] = float(
         sum(1 for v in stream_match.values() if v == "yes"))
     result.metrics["snapshots_streamed_A4"] = float(

@@ -55,8 +55,7 @@ def canonical_artifact_bytes(payload: dict,
 
     ``volatile_prefixes`` additionally drops named metric families for
     experiments that record wall-clock facts *inside* their metrics
-    (S2's ``wall_s_*``/``epochs_per_s_*``/``peak_rss_bytes_*`` rows):
-    the caller declares exactly which keys are host-dependent, and
+    (S1's and S2's, declared in ``experiments.runner.HOST_FACTS``):
     everything else still must match to the byte.
     """
     slim = {k: v for k, v in payload.items() if k != "wall_time"}

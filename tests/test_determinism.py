@@ -14,6 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.core.session import PelsScenario, PelsSimulation
+from repro.experiments.compare import diverging
+from repro.experiments.export import result_to_dict
 from repro.experiments.runner import _run_one, main as runner_main, run_all
 from repro.experiments import ablations
 from repro.faults import FaultSchedule, LinkFlap, RouterRestart
@@ -91,9 +93,8 @@ class TestRunnerDeterminism:
         serial = _run_one("A1", True)
         with ProcessPoolExecutor(max_workers=1) as pool:
             pooled = pool.submit(_run_one, "A1", True).result()
-        assert pooled.experiment_id == serial.experiment_id
-        assert pooled.render() == serial.render()
-        assert pooled.metrics == serial.metrics
+        assert diverging([result_to_dict(serial)],
+                         [result_to_dict(pooled)]) == []
 
 
 class TestInstrumentationDeterminism:
@@ -137,8 +138,8 @@ class TestMetaControlDeterminism:
         serial = _run_one("A4", True)
         with ProcessPoolExecutor(max_workers=1) as pool:
             pooled = pool.submit(_run_one, "A4", True).result()
-        assert pooled.render() == serial.render()
-        assert pooled.metrics == serial.metrics
+        assert diverging([result_to_dict(serial)],
+                         [result_to_dict(pooled)]) == []
 
     def test_disabled_meta_is_event_identical_to_none(self):
         from repro.control import MetaControllerConfig
@@ -200,5 +201,5 @@ class TestFaultedRunDeterminism:
         serial = _run_one("R1", True)
         with ProcessPoolExecutor(max_workers=1) as pool:
             pooled = pool.submit(_run_one, "R1", True).result()
-        assert pooled.render() == serial.render()
-        assert pooled.metrics == serial.metrics
+        assert diverging([result_to_dict(serial)],
+                         [result_to_dict(pooled)]) == []

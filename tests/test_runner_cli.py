@@ -1,18 +1,21 @@
 """CLI-path coverage for the experiment runner.
 
-Pins the runner's contract surface: byte-identical stdout between
-serial and ``--jobs`` runs, ``--profile`` forcing serial mode,
-comma-separated ``--only`` selection, exit code 2 with near-miss
-suggestions on unknown artifacts, and whole-series ``--plot``
+Pins the runner's contract surface: the same artifacts between serial
+and ``--jobs`` runs (``compare.diverging``), ``--profile`` forcing
+serial mode, comma-separated ``--only`` selection, exit code 2 with
+near-miss suggestions on unknown artifacts, and whole-series ``--plot``
 validation.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments import runner
 from repro.experiments.common import ExperimentResult
+from repro.experiments.compare import diverging
 from repro.experiments.runner import (_is_plottable, _parse_only, _registry,
                                       main, run_all)
 
@@ -89,16 +92,16 @@ class TestOnlySelection:
 
 class TestJobsByteIdentical:
     @pytest.mark.slow
-    def test_jobs_stdout_matches_serial(self, capsys):
-        """Serial and --jobs N must render byte-identical reports,
-        including the fluid S1 family."""
-        argv = ["--fast", "--only", "A1,F2,S1"]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-        assert "== S1:" in serial
+    def test_jobs_stdout_matches_serial(self, capsys, tmp_path):
+        """Serial and --jobs N must export the same artifacts (reports,
+        metrics and series), including the fluid S1 family."""
+        argv = ["--fast", "--only", "A1,F2,S1", "--json"]
+        serial, parallel = tmp_path / "serial.json", tmp_path / "jobs.json"
+        assert main(argv + [str(serial)]) == 0
+        assert main(argv + [str(parallel), "--jobs", "2"]) == 0
+        assert "== S1:" in capsys.readouterr().out
+        assert diverging(*(json.loads(path.read_text())["artifacts"]
+                           for path in (serial, parallel))) == []
 
     def test_jobs_must_be_positive(self, capsys):
         with pytest.raises(SystemExit) as exc:
