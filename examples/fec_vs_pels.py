@@ -14,7 +14,7 @@ Usage: python examples/fec_vs_pels.py
 from __future__ import annotations
 
 from repro.analysis.best_effort import expected_useful_packets
-from repro.analysis.pels_model import useful_packets_pels
+from repro.core.gamma import useful_packets_pels
 from repro.video.fec import expected_useful_packets_fec, optimal_parity
 
 SLICE = 100  # transmitted packets per frame

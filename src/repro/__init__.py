@@ -9,7 +9,8 @@ end to end on a pure-Python discrete-event network simulator:
 * :mod:`repro.video` — FGS video model, synthetic Foreman trace, R-D/PSNR.
 * :mod:`repro.core` — the PELS contribution: tri-color priority AQM,
   gamma control, router feedback, sources/sinks, full-session assembly.
-* :mod:`repro.analysis` — the paper's closed-form results (Lemmas 1-6).
+* :mod:`repro.analysis` — best-effort closed forms (Lemma 1, Eqs. 1-3)
+  and the oracles that check every engine against the paper's lemmas.
 * :mod:`repro.experiments` — regenerates every table and figure.
 
 Quickstart::
@@ -26,13 +27,12 @@ __version__ = "1.0.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".analysis.best_effort": "best_effort_utility expected_useful_packets",
-    ".analysis.pels_model": "pels_utility_lower_bound",
     ".cc.aimd": "AimdController",
     ".cc.base": "RateController make_controller",
     ".cc.kelly": "KellyController",
     ".cc.mkc": "MkcController mkc_equilibrium_loss mkc_stationary_rate",
     ".core.feedback": "RouterFeedback",
-    ".core.gamma": "GammaController",
+    ".core.gamma": "GammaController pels_utility_lower_bound",
     ".core.pels_queue": "PelsBottleneckQueue PelsQueueConfig",
     ".core.session": "PelsScenario PelsSimulation",
     ".core.sink": "PelsSink",

@@ -24,11 +24,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..cc.mkc import mkc_equilibrium_loss, mkc_stationary_rate
 from ..core.gamma import (gamma_fixed_point, is_stable_sigma, iterate_gamma,
-                          iterate_gamma_delayed, pels_utility_bound)
+                          iterate_gamma_delayed, pels_utility_lower_bound)
 from ..fluid.engine import FluidEngine, FluidResult
 from ..fluid.scenario import FluidScenario
 from .best_effort import best_effort_utility, expected_useful_packets
-from .pels_model import pels_utility_lower_bound
 
 __all__ = [
     "NetworkEquilibrium",
@@ -260,20 +259,19 @@ def check_eq3_identity(loss: float, frame_size: int,
 
 def check_eq6_bound(loss: float, p_thr: float,
                     tol: float = 1e-12) -> OracleVerdict:
-    """Eq. 6 bound: identity, range, and asymptotic dominance.
+    """Eq. 6 bound: identity, edge, range, and asymptotic dominance.
 
-    Checks that both implementations agree on
-    ``(1 - p/p_thr) / (1 - p)``, that the bound equals
-    ``(1 - gamma*) / (1 - p)`` (protected fraction of received
-    packets), and that for ``p < p_thr`` it eventually beats the
-    best-effort utility, whose Eq. 3 value decays like ``1/(H p)``.
+    Below ``p_thr`` the bound must equal ``(1 - gamma*) / (1 - p)``,
+    the protected fraction of received packets; at and above it
+    (``gamma* >= 1``) it must be 0.  It must lie in [0, 1], and for
+    ``p < p_thr`` eventually beat the best-effort utility, whose Eq. 3
+    value decays like ``1/(H p)``.
     """
-    bound = pels_utility_bound(loss, p_thr)
-    model = pels_utility_lower_bound(loss, p_thr)
+    bound = pels_utility_lower_bound(loss, p_thr)
     gamma_star = gamma_fixed_point(loss, p_thr)
-    identity = (1 - gamma_star) / (1 - loss)
-    agree = abs(bound - model) <= tol and abs(bound - identity) <= tol
-    in_range = (0.0 <= bound <= 1.0 + 1e-12) if loss <= p_thr else True
+    expected = (1 - gamma_star) / (1 - loss) if loss < p_thr else 0.0
+    identity = abs(bound - expected) <= tol
+    in_range = 0.0 <= bound <= 1.0 + 1e-12
     dominates = True
     if loss < p_thr and bound > 0:
         horizon = 1
@@ -283,11 +281,11 @@ def check_eq6_bound(loss: float, p_thr: float,
                 dominates = True
                 break
             horizon *= 2
-    ok = agree and in_range and dominates
+    ok = identity and in_range and dominates
     return OracleVerdict(
-        name="eq6-pels-bound", ok=ok, measured=bound, expected=identity,
+        name="eq6-pels-bound", ok=ok, measured=bound, expected=expected,
         tolerance=tol,
-        detail=f"p={loss:.4f} p_thr={p_thr:.3f} agree={agree} "
+        detail=f"p={loss:.4f} p_thr={p_thr:.3f} identity={identity} "
                f"in_range={in_range} dominates={dominates}")
 
 

@@ -421,25 +421,29 @@ def _cmd_analyze(args) -> int:
     from .analysis.best_effort import (best_effort_utility,
                                        expected_useful_packets,
                                        optimal_useful_packets)
-    from .analysis.pels_model import (gamma_stationary,
-                                      pels_utility_lower_bound)
     from .cc.mkc import mkc_equilibrium_loss, mkc_stationary_rate
+    from .core.gamma import gamma_fixed_point, pels_utility_lower_bound
 
     p, h = args.loss, args.frame
+    try:  # every value before any line, so bad input prints none
+        ey = expected_useful_packets(p, h)
+        ey_opt = optimal_useful_packets(p, h)
+        utility = best_effort_utility(p, h)
+        bound = pels_utility_lower_bound(p, args.p_thr)
+        gamma = gamma_fixed_point(p, args.p_thr)
+        r_star = mkc_stationary_rate(args.capacity, args.flows, args.alpha,
+                                     args.beta)
+        p_star = mkc_equilibrium_loss(args.capacity, args.flows, args.alpha,
+                                      args.beta)
+    except ValueError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
     print(f"Closed forms at p = {p}, H = {h}, p_thr = {args.p_thr}:")
-    print(f"  E[Y] best-effort (Eq. 2)   : "
-          f"{expected_useful_packets(p, h):.2f} packets")
-    print(f"  E[Y] optimal               : "
-          f"{optimal_useful_packets(p, h):.2f} packets")
-    print(f"  utility best-effort (Eq. 3): {best_effort_utility(p, h):.4f}")
-    print(f"  utility PELS bound (Eq. 6) : "
-          f"{pels_utility_lower_bound(p, args.p_thr):.4f}")
-    print(f"  gamma* = p/p_thr           : "
-          f"{gamma_stationary(p, args.p_thr):.4f}")
-    r_star = mkc_stationary_rate(args.capacity, args.flows, args.alpha,
-                                 args.beta)
-    p_star = mkc_equilibrium_loss(args.capacity, args.flows, args.alpha,
-                                  args.beta)
+    print(f"  E[Y] best-effort (Eq. 2)   : {ey:.2f} packets")
+    print(f"  E[Y] optimal               : {ey_opt:.2f} packets")
+    print(f"  utility best-effort (Eq. 3): {utility:.4f}")
+    print(f"  utility PELS bound (Eq. 6) : {bound:.4f}")
+    print(f"  gamma* = p/p_thr           : {gamma:.4f}")
     print(f"  MKC r* (Lemma 6)           : {r_star/1e3:.1f} kb/s for "
           f"{args.flows} flows on {args.capacity/1e6:.1f} mb/s")
     print(f"  MKC equilibrium loss p*    : {p_star:.4f}")

@@ -7,6 +7,9 @@ converges to ``p_thr`` (Lemma 4), keeping the yellow queue loss-free
 with a ``(1 - p_thr)`` safety cushion.  Lemmas 2-3: stable iff
 ``0 < sigma < 2``, with or without feedback delay.
 
+The loop's closed forms each have their one definition here:
+:func:`gamma_fixed_point` (Eq. 4, Lemma 4), :func:`is_stable_sigma`
+(Lemmas 2-3) and :func:`pels_utility_lower_bound` (Eq. 6).
 Pure iteration helpers (:func:`iterate_gamma`, :func:`iterate_gamma_delayed`)
 regenerate Fig. 5; :class:`GammaController` is the stateful form the
 PELS source embeds, with the operational bounds the simulations use
@@ -27,7 +30,8 @@ __all__ = [
     "is_stable_sigma",
     "iterate_gamma",
     "iterate_gamma_delayed",
-    "pels_utility_bound",
+    "pels_utility_lower_bound",
+    "useful_packets_pels",
 ]
 
 
@@ -40,31 +44,55 @@ P_THR_SAFE_RANGE = (0.05, 1.0)
 
 
 def gamma_fixed_point(loss: float, p_thr: float) -> float:
-    """Stationary point ``gamma* = p / p_thr`` of Eq. (4) (Lemma 4)."""
+    """Eq. (4)'s fixed point ``gamma* = p / p_thr`` (Lemma 4).
+
+    The domain every closed form here shares: ``loss`` in [0, 1] and
+    ``p_thr`` in (0, 1]; NaN is outside both.
+    """
     if not 0 < p_thr <= 1:
         raise ValueError("p_thr must be in (0, 1]")
-    if loss < 0:
-        raise ValueError("loss cannot be negative")
+    if not 0 <= loss <= 1:
+        raise ValueError("loss must be a probability in [0, 1]")
     return loss / p_thr
 
 
 def is_stable_sigma(sigma: float) -> bool:
-    """Lemma 2/3 stability condition for the gain parameter."""
+    """Lemmas 2-3: Eq. (4), and Eq. (5) under any feedback delay D,
+    is stable iff ``0 < sigma < 2``.
+
+    The roots of ``z^D = 1 - sigma`` all have magnitude
+    ``|1 - sigma|^(1/D)``, inside the unit circle iff ``|1 - sigma| < 1``
+    whatever D, so the range takes no delay.
+    """
     return 0 < sigma < 2
 
 
-def pels_utility_bound(loss: float, p_thr: float) -> float:
-    """Eq. (6): lower bound on PELS utility under converged gamma.
+def pels_utility_lower_bound(loss: float, p_thr: float) -> float:
+    """Eq. (6): ``U >= (1 - p/p_thr) / (1 - p)`` under converged gamma.
 
-        U >= (1 - p/p_thr) / (1 - p)
-
-    assuming only yellow packets are recovered from the FGS layer.
+    The protected (yellow + green) share ``1 - gamma*`` of what is sent
+    arrives whole, out of the ``1 - p`` that arrives at all; recovered
+    red packets can only raise utility.  Once ``gamma* >= 1`` nothing is
+    protected and the bound is 0, not the formula's negative value.
+    ``loss = 1`` is rejected: no packet arrives, so there is no share.
     """
-    if not 0 <= loss < 1:
-        raise ValueError("loss must be in [0, 1)")
-    if not 0 < p_thr <= 1:
-        raise ValueError("p_thr must be in (0, 1]")
-    return (1 - loss / p_thr) / (1 - loss)
+    gamma = gamma_fixed_point(loss, p_thr)
+    if loss == 1:
+        raise ValueError("Eq. 6 needs loss < 1: at p = 1 no packet arrives")
+    if gamma >= 1:
+        return 0.0
+    return (1 - gamma) / (1 - loss)
+
+
+def useful_packets_pels(loss: float, p_thr: float, frame_size: int) -> float:
+    """Expected useful packets per frame for converged PELS.
+
+    The protected prefix ``(1 - gamma*) H`` sees no loss once gamma has
+    converged, so all of it is useful; compare Eq. (2)'s best effort.
+    """
+    if frame_size < 0:
+        raise ValueError("frame size cannot be negative")
+    return max(0.0, 1 - gamma_fixed_point(loss, p_thr)) * frame_size
 
 
 def iterate_gamma(sigma: float, p_thr: float, losses: Sequence[float],

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import statistics
 
-from ..analysis.pels_model import pels_utility_lower_bound
-from ..core.gamma import iterate_gamma
+from ..core.gamma import iterate_gamma, pels_utility_lower_bound
 from ..core.pels_queue import PelsQueueConfig
 from ..core.session import PelsScenario, PelsSimulation
 from ..sim.packet import Color

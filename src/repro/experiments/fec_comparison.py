@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 
 from ..analysis.best_effort import expected_useful_packets
-from ..analysis.pels_model import useful_packets_pels
+from ..core.gamma import useful_packets_pels
 from ..video.fec import (expected_useful_packets_fec, optimal_parity,
                          simulate_fec_frame)
 from .common import ExperimentResult, check

@@ -9,8 +9,8 @@ Lemma 3: the stability range does not shrink with feedback delay.
 
 from __future__ import annotations
 
-from ..analysis.stability import gamma_is_stable
-from ..core.gamma import gamma_fixed_point, iterate_gamma, iterate_gamma_delayed
+from ..core.gamma import (gamma_fixed_point, is_stable_sigma, iterate_gamma,
+                          iterate_gamma_delayed)
 from .common import ExperimentResult, check
 
 __all__ = ["run"]
@@ -32,7 +32,7 @@ def run(fast: bool = False, loss: float = 0.5, p_thr: float = 0.75,
         gammas = iterate_gamma(sigma, p_thr, losses, gamma0=0.5)
         final = gammas[-1]
         amplitude = max(abs(g - target) for g in gammas[-5:])
-        stable = gamma_is_stable(sigma)
+        stable = is_stable_sigma(sigma)
         rows.append((sigma, "stable" if stable else "UNSTABLE",
                      round(final, 3) if abs(final) < 1e6 else float(final),
                      round(amplitude, 4) if amplitude < 1e6 else float(amplitude)))

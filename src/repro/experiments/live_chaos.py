@@ -24,6 +24,10 @@ are shed, green base-layer packets never are.  Checks:
 * no sender on the killed slot is left blind at the end: every blind
   episode it had, if any, was ended by a fresh label.
 
+A second table splits the post window by pool slot: each slot's
+goodput against its own ``min(C_s, N_s r*)`` and its final shard's
+``cpu_seconds / wall_seconds``, so a shortfall names its slot.
+
 The failover heals (≈0.13 s) faster than the senders' starvation
 watchdog fires (``feedback_timeout`` 0.4 s), so the killed slot's
 flows normally do *not* go blind because of the kill; the episodes
@@ -143,6 +147,17 @@ def _watchdog_cell(shard: Optional[ShardLoad]) -> str:
     return f"{shard.blind_intervals}/{shard.rate_freezes}/{shard.recoveries}"
 
 
+def _slot_row(result: LoadResult, shard: ShardLoad) -> list:
+    """One slot's post-window goodput vs its oracle, and its CPU share."""
+    post = sum(rate for flow_id, rate in result.post_flow_goodput.items()
+               if result.flow_slots.get(flow_id) == shard.slot)
+    oracle = shard.oracle_goodput_bps
+    return [shard.slot, shard.n_flows, post / 1e3, oracle / 1e3,
+            post / oracle if oracle else float("nan"),
+            shard.cpu_seconds / shard.wall_seconds
+            if shard.wall_seconds else float("nan")]
+
+
 def _kill_time(result: LoadResult) -> float:
     for at, description in result.faults:
         if description.startswith("shard-kill"):
@@ -240,6 +255,12 @@ def run(fast: bool = False) -> ExperimentResult:
           control.green_drops, _watchdog_cell(ctl_shard)]],
         title=f"shard kill at 0.45x{sup_config.duration:.0f}s, "
               f"seed {SEED}")
+    result.add_table(
+        ["slot", "flows", "post kb/s", "oracle kb/s", "post vs oracle",
+         "shard cpu/wall"],
+        [_slot_row(supervised, shard) for shard in supervised.per_shard],
+        title="supervised, per pool slot: post-window goodput vs "
+              "min(C_s, N_s r*), and the slot's final shard's CPU share")
 
     result.metrics["sup_kill_to_healed_s"] = kill_to_healed
     if failover is not None:

@@ -1,8 +1,6 @@
-"""Unit + property tests for the closed-form models (Lemmas 1-6)."""
+"""Unit + property tests for the closed-form models (Lemmas 1-4, Eqs. 1-6)."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +12,9 @@ from repro.analysis.best_effort import (best_effort_utility,
                                         optimal_useful_packets,
                                         optimal_utility,
                                         useful_packets_saturation)
-from repro.analysis.pels_model import (gamma_stationary,
-                                       pels_utility_lower_bound,
-                                       red_loss_stationary,
-                                       useful_packets_pels,
-                                       yellow_cushion_fraction)
-from repro.analysis.stability import (converges, gamma_is_stable, gamma_pole,
-                                      iterate_linear_delay, mkc_is_stable,
-                                      mkc_pole, spectral_radius_delay)
+from repro.core.gamma import (gamma_fixed_point, is_stable_sigma,
+                              iterate_gamma_delayed, pels_utility_lower_bound,
+                              useful_packets_pels)
 
 
 class TestExpectedUsefulPackets:
@@ -111,10 +104,7 @@ class TestUtility:
 
 class TestPelsModel:
     def test_gamma_star(self):
-        assert gamma_stationary(0.5, 0.75) == pytest.approx(2 / 3)
-
-    def test_red_loss_target(self):
-        assert red_loss_stationary(0.75) == 0.75
+        assert gamma_fixed_point(0.5, 0.75) == pytest.approx(2 / 3)
 
     def test_eq6_paper_values(self):
         """U >= 0.96 at p=0.1 and >= 0.996 at p=0.01 (p_thr = 0.75)."""
@@ -122,10 +112,9 @@ class TestPelsModel:
         assert pels_utility_lower_bound(0.01, 0.75) >= 0.996
 
     def test_eq6_degenerate_when_gamma_saturates(self):
-        assert pels_utility_lower_bound(0.8, 0.75) == 0.0
-
-    def test_cushion(self):
-        assert yellow_cushion_fraction(0.75) == pytest.approx(0.25)
+        """gamma* >= 1: nothing is protected; 0, not a negative bound."""
+        for loss in (0.75, 0.8, 0.9):
+            assert pels_utility_lower_bound(loss, 0.75) == 0.0
 
     def test_useful_packets_pels_beats_best_effort(self):
         """The 'ten times more useful packets' claim at p=0.1, H=100."""
@@ -141,7 +130,7 @@ class TestPelsModel:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gamma_stationary(0.5, 0.0)
+            gamma_fixed_point(0.5, 0.0)
         with pytest.raises(ValueError):
             pels_utility_lower_bound(1.0, 0.75)
         with pytest.raises(ValueError):
@@ -149,53 +138,39 @@ class TestPelsModel:
 
 
 class TestStability:
+    """Lemmas 2-3 against the Eq. (5) iteration F5 runs."""
+
     def test_lemma2_range(self):
-        assert not gamma_is_stable(0.0)
-        assert gamma_is_stable(0.5)
-        assert gamma_is_stable(1.99)
-        assert not gamma_is_stable(2.0)
-        assert not gamma_is_stable(3.0)
+        assert not is_stable_sigma(0.0)
+        assert is_stable_sigma(0.5)
+        assert is_stable_sigma(1.99)
+        assert not is_stable_sigma(2.0)
+        assert not is_stable_sigma(3.0)
 
     def test_lemma3_delay_independent(self):
+        """The range holds under every delay, as the iteration shows."""
         for delay in (1, 2, 5, 20):
-            assert gamma_is_stable(1.5, delay=delay)
-            assert not gamma_is_stable(2.5, delay=delay)
-
-    def test_lemma5_range(self):
-        assert mkc_is_stable(0.5)
-        assert mkc_is_stable(1.9)
-        assert not mkc_is_stable(2.0)
-        assert not mkc_is_stable(0.0)
-
-    def test_poles(self):
-        assert gamma_pole(0.5) == 0.5
-        assert mkc_pole(0.5, 0.1) == pytest.approx(0.95)
-
-    def test_spectral_radius(self):
-        assert spectral_radius_delay(0.25, 1) == 0.25
-        assert spectral_radius_delay(0.25, 2) == 0.5
-        with pytest.raises(ValueError):
-            spectral_radius_delay(0.5, 0)
+            for sigma in (1.5, 2.5):
+                gammas = iterate_gamma_delayed(sigma, 0.75, [0.3] * 1000,
+                                               delay=delay, gamma0=0.9)
+                settled = abs(gammas[-1] - 0.4) < 1e-3
+                assert settled == is_stable_sigma(sigma), (sigma, delay)
 
     def test_iterate_stable_converges(self):
-        xs = iterate_linear_delay(pole=0.5, forcing=1.0, delay=3,
-                                  x0=0.0, steps=200)
-        assert converges(xs, target=2.0, tolerance=1e-6)
+        gammas = iterate_gamma_delayed(0.5, 0.75, [0.3] * 200, delay=3,
+                                       gamma0=0.05)
+        assert gammas[-1] == pytest.approx(0.4, abs=1e-6)
 
     def test_iterate_unstable_diverges(self):
-        xs = iterate_linear_delay(pole=-2.0, forcing=1.0, delay=2,
-                                  x0=0.1, steps=60)
-        assert abs(xs[-1]) > 1e6
-
-    def test_converges_helper(self):
-        assert not converges([1.0] * 5, target=1.0, tail=10)
-        assert converges([0.0] * 5 + [1.0] * 10, target=1.0, tail=10)
-        assert not converges([math.nan] * 20, target=0.0)
+        """sigma = 3 is outside (0, 2): the error doubles every D steps."""
+        gammas = iterate_gamma_delayed(3.0, 0.75, [0.3] * 60, delay=2,
+                                       gamma0=0.1)
+        assert abs(gammas[-1]) > 1e6
 
     @given(sigma=st.floats(0.01, 1.99), delay=st.integers(1, 8))
     @settings(max_examples=50)
     def test_gamma_recursion_stable_across_delays_property(self, sigma, delay):
         """Numerical confirmation of Lemma 3 over the stable gain range."""
-        xs = iterate_linear_delay(pole=1 - sigma, forcing=sigma * 0.4,
-                                  delay=delay, x0=0.9, steps=3000)
-        assert abs(xs[-1] - 0.4) < 0.05
+        gammas = iterate_gamma_delayed(sigma, 0.75, [0.3] * 3000,
+                                       delay=delay, gamma0=0.9)
+        assert abs(gammas[-1] - 0.3 / 0.75) < 0.05

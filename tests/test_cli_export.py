@@ -41,6 +41,52 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "1040.0 kb/s" in out  # 4M/4 + 40k
 
+    #: Byte-exact stdout below, at and above p_thr (gamma* > 1: bound 0).
+    PINNED = {
+        "0.1": """Closed forms at p = 0.1, H = 100, p_thr = 0.75:
+  E[Y] best-effort (Eq. 2)   : 9.00 packets
+  E[Y] optimal               : 90.00 packets
+  utility best-effort (Eq. 3): 0.1000
+  utility PELS bound (Eq. 6) : 0.9630
+  gamma* = p/p_thr           : 0.1333
+  MKC r* (Lemma 6)           : 1040.0 kb/s for 2 flows on 2.0 mb/s
+  MKC equilibrium loss p*    : 0.0385
+""",
+        "0.75": """Closed forms at p = 0.75, H = 100, p_thr = 0.75:
+  E[Y] best-effort (Eq. 2)   : 0.33 packets
+  E[Y] optimal               : 25.00 packets
+  utility best-effort (Eq. 3): 0.0133
+  utility PELS bound (Eq. 6) : 0.0000
+  gamma* = p/p_thr           : 1.0000
+  MKC r* (Lemma 6)           : 1040.0 kb/s for 2 flows on 2.0 mb/s
+  MKC equilibrium loss p*    : 0.0385
+""",
+        "0.9": """Closed forms at p = 0.9, H = 100, p_thr = 0.75:
+  E[Y] best-effort (Eq. 2)   : 0.11 packets
+  E[Y] optimal               : 10.00 packets
+  utility best-effort (Eq. 3): 0.0111
+  utility PELS bound (Eq. 6) : 0.0000
+  gamma* = p/p_thr           : 1.2000
+  MKC r* (Lemma 6)           : 1040.0 kb/s for 2 flows on 2.0 mb/s
+  MKC equilibrium loss p*    : 0.0385
+"""}
+
+    @pytest.mark.parametrize("loss", sorted(PINNED))
+    def test_pinned_output(self, capsys, loss):
+        assert main(["analyze", "--loss", loss, "--p-thr", "0.75"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == self.PINNED[loss]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--loss", "1.0"], ["--loss", "-0.1"],
+        ["--loss", "0.1", "--p-thr", "0"], ["--loss", "0.1", "--frame", "-3"]])
+    def test_out_of_domain_is_one_line_and_exit_2(self, capsys, argv):
+        assert main(["analyze", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestTrace:
     def test_writes_json_file(self, tmp_path, capsys):

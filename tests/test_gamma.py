@@ -1,4 +1,5 @@
-"""Unit + property tests for the gamma controller (Eqs. 4-5)."""
+"""Unit + property tests for the gamma controller (Eqs. 4-5) and the
+closed forms beside it (Lemmas 2-4, Eq. 6)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.gamma import (GammaController, gamma_fixed_point,
                               is_stable_sigma, iterate_gamma,
-                              iterate_gamma_delayed, pels_utility_bound)
+                              iterate_gamma_delayed, pels_utility_lower_bound)
 
 
 class TestIterateGamma:
@@ -131,7 +132,7 @@ class TestGammaController:
 
 class TestUtilityBound:
     def test_matches_eq6(self):
-        assert pels_utility_bound(0.1, 0.75) == pytest.approx(
+        assert pels_utility_lower_bound(0.1, 0.75) == pytest.approx(
             (1 - 0.1 / 0.75) / 0.9)
 
     def test_stable_sigma_helper(self):
@@ -142,3 +143,12 @@ class TestUtilityBound:
         assert gamma_fixed_point(0.15, 0.75) == pytest.approx(0.2)
         with pytest.raises(ValueError):
             gamma_fixed_point(-0.1, 0.75)
+
+
+class TestClosedFormDomain:
+    """One domain for every closed form: loss in [0, 1], p_thr in (0, 1]."""
+
+    @pytest.mark.parametrize("loss", [1.5, float("nan")])
+    def test_fixed_point_rejects_loss_outside_unit_interval(self, loss):
+        with pytest.raises(ValueError):
+            gamma_fixed_point(loss, 0.75)

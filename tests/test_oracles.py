@@ -205,6 +205,15 @@ class TestClosedFormIdentities:
             assert verdict.ok, str(verdict)
             assert verdict.measured == pytest.approx(0.0, abs=1e-12)
 
+    def test_eq6_bound_is_zero_above_threshold(self):
+        """gamma* > 1: nothing is protected, the bound is 0, not negative."""
+        rng = random.Random(63_3)
+        for _ in range(N_DRAWS):
+            p_thr = rng.uniform(0.3, 0.95)
+            verdict = check_eq6_bound(rng.uniform(p_thr, 0.99), p_thr)
+            assert verdict.ok, str(verdict)
+            assert verdict.measured == 0.0
+
 
 class TestVerdictDiagnostics:
     def test_violations_filters_failed_checks(self):
