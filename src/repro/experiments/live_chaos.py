@@ -26,7 +26,10 @@ are shed, green base-layer packets never are.  Checks:
 
 A second table splits the post window by pool slot: each slot's
 goodput against its own ``min(C_s, N_s r*)`` and its final shard's
-``cpu_seconds / wall_seconds``, so a shortfall names its slot.
+``cpu_seconds / wall_seconds``, so a shortfall names its slot.  Its
+last row is the load generator itself, the one process that runs every
+sender and receiver: its ``time.process_time()`` over the same window
+against the wall time it spans.
 
 The failover heals (≈0.13 s) faster than the senders' starvation
 watchdog fires (``feedback_timeout`` 0.4 s), so the killed slot's
@@ -49,6 +52,7 @@ assert bands and invariants, not exact bytes.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional
 
 from ..faults import Callback, FaultSchedule, ShardKill
@@ -96,12 +100,26 @@ def _chaos_builder(config: LoadConfig, picked: Dict[str, int],
     placement (deterministic under the seed): the kill hits the most
     populated slot, the probe the second-most — both choices land in
     ``picked`` for the assertion phase, and so do the killed slot's
-    summed watchdog counters at the kill instant.
+    summed watchdog counters at the kill instant and this process's
+    CPU share over the post window (``loadgen_cpu_share``).
     """
     kill_at = 0.45 * config.duration
     warmup = config.duration * config.warmup_fraction
 
     def build(ctx: ChaosContext) -> FaultSchedule:
+        # Armed just before run_load arms its post snapshot and its stop,
+        # so each mark fires first at its edge of the window.
+        marks = []
+
+        def mark() -> None:
+            marks.append((time.process_time(), ctx.clock.now))
+            if len(marks) == 2:
+                (cpu0, wall0), (cpu1, wall1) = marks
+                picked["loadgen_cpu_share"] = (cpu1 - cpu0) / (wall1 - wall0)
+
+        ctx.clock.call_later(max(warmup, config.duration - config.post_window),
+                             mark)
+        ctx.clock.call_later(config.duration, mark)
         population: Dict[int, int] = {}
         for decision in ctx.decisions:
             population[decision.shard_slot] = \
@@ -255,12 +273,18 @@ def run(fast: bool = False) -> ExperimentResult:
           control.green_drops, _watchdog_cell(ctl_shard)]],
         title=f"shard kill at 0.45x{sup_config.duration:.0f}s, "
               f"seed {SEED}")
+    loadgen_share = sup_picked.get("loadgen_cpu_share", float("nan"))
     result.add_table(
         ["slot", "flows", "post kb/s", "oracle kb/s", "post vs oracle",
-         "shard cpu/wall"],
-        [_slot_row(supervised, shard) for shard in supervised.per_shard],
+         "cpu/wall"],
+        [_slot_row(supervised, shard) for shard in supervised.per_shard]
+        + [["loadgen", supervised.admitted,
+            supervised.post_goodput_bps / 1e3,
+            supervised.oracle_goodput_bps / 1e3,
+            supervised.post_goodput_vs_oracle, loadgen_share]],
         title="supervised, per pool slot: post-window goodput vs "
-              "min(C_s, N_s r*), and the slot's final shard's CPU share")
+              "min(C_s, N_s r*) and the slot's final shard's CPU share; "
+              "loadgen = the load generator, all slots")
 
     result.metrics["sup_kill_to_healed_s"] = kill_to_healed
     if failover is not None:
@@ -279,6 +303,7 @@ def run(fast: bool = False) -> ExperimentResult:
     result.metrics["sup_yellow_shed_packets"] = \
         float(supervised.shed_packets[1])
     result.metrics["sup_green_p99_ms"] = green["p99_ms"]
+    result.metrics["sup_loadgen_post_cpu_share"] = loadgen_share
     for key, shard in (("sup", sup_shard), ("ctl", ctl_shard)):
         if shard is not None:
             result.metrics[f"{key}_killed_blind_intervals"] = \

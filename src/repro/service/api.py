@@ -26,13 +26,21 @@ recovers interrupted jobs from storage on start, spawns the worker
 pool, requeues jobs whose workers stopped heartbeating, and respawns
 dead workers — the queue/storage layer guarantees none of that loses
 or duplicates work.
+
+Only the socket layer is asyncio: ``start_server``,
+:func:`_read_request`, ``_handle_connection`` with the WebSocket
+upgrade, and :func:`serve`.  Routing is a plain function of the parsed
+request, ``(status, payload)`` out; the upgrade is decided there as
+status 101 and carried out by ``_handle_connection`` alone.  The
+stale-job / dead-worker sweep is one synchronous pass, ``_sweep()``,
+re-armed with the loop's ``call_later``.  Every timestamp comes from
+the queue's clock, ``self.queue.now``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -159,7 +167,7 @@ class ExperimentService:
         self.queue = JobQueue(self.storage)
         self.workers: Dict[str, proc.Child] = {}
         self._server: Optional[asyncio.base_events.Server] = None
-        self._sweeper: Optional[asyncio.Task] = None
+        self._sweeper: Optional[asyncio.TimerHandle] = None
         self._worker_seq = 0
         self.started_at: Optional[float] = None
 
@@ -180,8 +188,9 @@ class ExperimentService:
             self._wake_workers()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
-        self._sweeper = asyncio.ensure_future(self._sweep_loop())
-        self.started_at = time.time()
+        self._sweeper = asyncio.get_running_loop().call_later(
+            self.config.sweep_interval, self._sweep)
+        self.started_at = self.queue.now()
         if recovered:
             # Visible on the serving side: interrupted attempts from a
             # previous incarnation went back to the queue.
@@ -192,10 +201,6 @@ class ExperimentService:
     async def stop(self) -> None:
         if self._sweeper is not None:
             self._sweeper.cancel()
-            try:
-                await self._sweeper
-            except asyncio.CancelledError:
-                pass
             self._sweeper = None
         if self._server is not None:
             self._server.close()
@@ -224,23 +229,28 @@ class ExperimentService:
         for worker in self.workers.values():
             worker.wake()
 
-    async def _sweep_loop(self) -> None:
-        """Requeue stale jobs; replace workers that died."""
-        while True:
-            await asyncio.sleep(self.config.sweep_interval)
-            try:
-                if self.queue.requeue_stale(self.config.heartbeat_timeout):
-                    self._wake_workers()
-            except OSError:  # pragma: no cover - disk hiccup
-                pass
-            for worker_id, worker in list(self.workers.items()):
-                if not worker.alive:
-                    del self.workers[worker_id]
-                    exitcode = worker.reap()
-                    replacement = self._spawn_worker()
-                    print(f"-- worker {worker_id} exited "
-                          f"(exitcode {exitcode}); spawned "
-                          f"{replacement} --")
+    def _sweep(self) -> None:
+        """One pass: requeue stale jobs, replace workers that died.
+
+        While the service runs the pass re-arms itself on the loop
+        first, so a pass that raises still gets its successor.
+        """
+        if self._sweeper is not None:
+            self._sweeper = asyncio.get_running_loop().call_later(
+                self.config.sweep_interval, self._sweep)
+        try:
+            if self.queue.requeue_stale(self.config.heartbeat_timeout):
+                self._wake_workers()
+        except OSError:  # pragma: no cover - disk hiccup
+            pass
+        for worker_id, worker in list(self.workers.items()):
+            if not worker.alive:
+                del self.workers[worker_id]
+                exitcode = worker.reap()
+                replacement = self._spawn_worker()
+                print(f"-- worker {worker_id} exited "
+                      f"(exitcode {exitcode}); spawned "
+                      f"{replacement} --")
 
     # -- HTTP --------------------------------------------------------------
 
@@ -248,16 +258,28 @@ class ExperimentService:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, target, headers, body = await _read_request(reader)
+                request = await _read_request(reader)
             except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
                     ConnectionError):
                 return
             except _HttpError as exc:
-                writer.write(_response(exc.status, {"error": exc.message}))
+                status, payload = exc.status, {"error": exc.message}
+            else:
+                status, payload = self._route(*request)
+            if status != 101:
+                writer.write(_response(status, payload))
                 await writer.drain()
                 return
-            await self._route(method, target, headers, body,
-                              reader, writer)
+            # The one route that keeps the socket: the WebSocket tail.
+            writer.write(
+                b"HTTP/1.1 101 Switching Protocols\r\n"
+                b"Upgrade: websocket\r\n"
+                b"Connection: Upgrade\r\n"
+                b"Sec-WebSocket-Accept: "
+                + payload["accept"].encode() + b"\r\n\r\n")
+            await writer.drain()
+            await stream_job(reader, writer, self.storage, self.queue,
+                             payload["job_id"], offset=payload["offset"])
         except (ConnectionError, BrokenPipeError):
             pass
         except Exception as exc:  # noqa: BLE001 - API must not die
@@ -274,10 +296,14 @@ class ExperimentService:
             except (ConnectionError, BrokenPipeError, OSError):
                 pass
 
-    async def _route(self, method: str, target: str,
-                     headers: Dict[str, str], body: bytes,
-                     reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
+    def _route(self, method: str, target: str, headers: Dict[str, str],
+               body: bytes) -> Tuple[int, dict]:
+        """One parsed request in, ``(status, payload)`` out.
+
+        Status 101 is the WebSocket upgrade of a job's stream: its
+        payload names the job, the offset and the accept key, and the
+        socket layer does the rest.
+        """
         path, _, query_text = target.partition("?")
         query: Dict[str, str] = {}
         for pair in query_text.split("&"):
@@ -286,46 +312,37 @@ class ExperimentService:
                 query[name] = value
         parts = [p for p in path.split("/") if p]
         try:
-            payload, status = await self._dispatch(
-                method, parts, query, headers, body, reader, writer)
+            return self._dispatch(method, parts, query, headers, body)
         except _HttpError as exc:
-            writer.write(_response(exc.status, {"error": exc.message}))
-            await writer.drain()
-            return
-        if payload is None:  # stream route: already handled the socket
-            return
-        writer.write(_response(status, payload))
-        await writer.drain()
+            return exc.status, {"error": exc.message}
 
-    async def _dispatch(self, method: str, parts: List[str],
-                        query: Dict[str, str], headers: Dict[str, str],
-                        body: bytes, reader, writer
-                        ) -> Tuple[Optional[dict], int]:
+    def _dispatch(self, method: str, parts: List[str],
+                  query: Dict[str, str], headers: Dict[str, str],
+                  body: bytes) -> Tuple[int, dict]:
         if parts == ["healthz"] and method == "GET":
-            return self._health(), 200
+            return 200, self._health()
         if parts == ["experiments"] and method == "GET":
             from ..experiments.runner import describe_registry
-            return {"experiments": [
+            return 200, {"experiments": [
                 {"key": key, "description": description}
-                for key, description in describe_registry()]}, 200
+                for key, description in describe_registry()]}
         if parts == ["jobs"]:
             if method == "POST":
-                return self._submit(_json_body(body)), 201
+                return 201, self._submit(_json_body(body))
             if method == "GET":
                 state = query.get("state") or None
                 if state is not None and state not in JOB_STATES:
                     raise _HttpError(400, f"unknown state {state!r}; "
                                           f"have {sorted(JOB_STATES)}")
-                return {"jobs": [job.to_dict()
-                                 for job in self.queue.jobs(state)]}, 200
+                return 200, {"jobs": [job.to_dict()
+                                      for job in self.queue.jobs(state)]}
             raise _HttpError(405, f"{method} not supported on /jobs")
         if len(parts) >= 2 and parts[0] == "jobs":
-            return await self._job_routes(method, parts, query,
-                                          headers, reader, writer)
+            return self._job_routes(method, parts, query, headers)
         if parts == ["artifacts"] and method == "GET":
-            return {"artifacts": self.storage.list_artifact_ids()}, 200
+            return 200, {"artifacts": self.storage.list_artifact_ids()}
         if parts == ["baselines"] and method == "GET":
-            return {"baselines": self.storage.list_baseline_names()}, 200
+            return 200, {"baselines": self.storage.list_baseline_names()}
         if len(parts) == 2 and parts[0] == "baselines":
             name = parts[1]
             try:
@@ -333,19 +350,19 @@ class ExperimentService:
                     baseline = self.storage.load_baseline(name)
                     if baseline is None:
                         raise _HttpError(404, f"no baseline {name!r}")
-                    return baseline, 200
+                    return 200, baseline
                 if method == "PUT":
                     self.storage.save_baseline(name, _json_body(body))
-                    return {"stored": name}, 201
+                    return 201, {"stored": name}
             except ValueError:
                 raise _HttpError(404 if method == "GET" else 400,
                                  f"unusable baseline name {name!r}")
             raise _HttpError(405, f"{method} not supported on baselines")
         raise _HttpError(404, f"no route {method} /{'/'.join(parts)}")
 
-    async def _job_routes(self, method: str, parts: List[str],
-                          query: Dict[str, str], headers: Dict[str, str],
-                          reader, writer) -> Tuple[Optional[dict], int]:
+    def _job_routes(self, method: str, parts: List[str],
+                    query: Dict[str, str], headers: Dict[str, str]
+                    ) -> Tuple[int, dict]:
         job_id = parts[1]
         try:
             job = self.queue.get(job_id)
@@ -354,54 +371,40 @@ class ExperimentService:
         if job is None:
             raise _HttpError(404, f"no job {job_id!r}")
         if len(parts) == 2 and method == "GET":
-            return job.to_dict(), 200
+            return 200, job.to_dict()
         if parts[2:] == ["cancel"] and method == "POST":
             cancelled = self.queue.cancel(job_id)
-            return cancelled.to_dict() if cancelled else job.to_dict(), 200
+            return 200, cancelled.to_dict() if cancelled else job.to_dict()
         if parts[2:] == ["artifact"] and method == "GET":
             artifact = self.storage.load_artifact(job_id)
             if artifact is None:
                 raise _HttpError(
                     404, f"job {job_id!r} has no artifact yet "
                          f"(state {job.state})")
-            return artifact, 200
+            return 200, artifact
         if parts[2:] == ["stream"] and method == "GET":
             try:
                 offset = int(query.get("offset", "0") or "0")
             except ValueError:
                 raise _HttpError(400, "offset must be an integer")
             if headers.get("upgrade", "").lower() == "websocket":
-                await self._upgrade_and_stream(headers, reader, writer,
-                                               job_id, offset)
-                return None, 200
+                client_key = headers.get("sec-websocket-key", "")
+                if not client_key:
+                    raise _HttpError(400, "missing Sec-WebSocket-Key")
+                return 101, {"job_id": job_id, "offset": offset,
+                             "accept": accept_key(client_key)}
             lines, new_offset = self.storage.read_stream(job_id, offset)
             current = self.queue.get(job_id)
-            return {"lines": lines, "offset": new_offset,
-                    "state": current.state if current else "unknown",
-                    "done": current is None or current.terminal}, 200
+            return 200, {"lines": lines, "offset": new_offset,
+                         "state": current.state if current else "unknown",
+                         "done": current is None or current.terminal}
         raise _HttpError(404, f"no route {method} /{'/'.join(parts)}")
-
-    async def _upgrade_and_stream(self, headers: Dict[str, str],
-                                  reader, writer, job_id: str,
-                                  offset: int) -> None:
-        client_key = headers.get("sec-websocket-key", "")
-        if not client_key:
-            raise _HttpError(400, "missing Sec-WebSocket-Key")
-        writer.write(
-            b"HTTP/1.1 101 Switching Protocols\r\n"
-            b"Upgrade: websocket\r\n"
-            b"Connection: Upgrade\r\n"
-            b"Sec-WebSocket-Accept: "
-            + accept_key(client_key).encode() + b"\r\n\r\n")
-        await writer.drain()
-        await stream_job(reader, writer, self.storage, self.queue,
-                         job_id, offset=offset)
 
     # -- handlers ----------------------------------------------------------
 
     def _health(self) -> dict:
         beats = self.storage.heartbeats()
-        now = time.time()
+        now = self.queue.now()
         return {
             "status": "ok",
             "uptime": (now - self.started_at) if self.started_at else 0.0,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..core.retry import backoff_delay
 from .storage import TERMINAL_STATES, StorageBackend
@@ -44,14 +44,14 @@ MAX_REQUEUES = 3
 _COUNTER = iter(range(1, 1 << 62))
 
 
-def _new_job_id() -> str:
+def _new_job_id(now: float) -> str:
     """Unique, sortable-by-submission id (time + counter + entropy).
 
     The per-process counter sits before the random suffix so ids
     minted in the same millisecond still sort in submission order —
     the queue's FIFO tie-break relies on it.
     """
-    return (f"j{int(time.time() * 1000):013d}"
+    return (f"j{int(now * 1000):013d}"
             f"-{next(_COUNTER):06d}-{os.urandom(3).hex()}")
 
 
@@ -104,20 +104,27 @@ class JobQueue:
     operate on the same backend concurrently.  The claim primitive
     serializes ownership; record saves are atomic; scans tolerate
     records appearing, finishing and vanishing mid-iteration.
+
+    ``now`` is the job service's one clock.  It reads epoch seconds,
+    not an interval clock: records, heartbeats and ``not_before`` are
+    compared across processes and across restarts.
     """
 
-    def __init__(self, storage: StorageBackend) -> None:
+    def __init__(self, storage: StorageBackend,
+                 now: Callable[[], float] = time.time) -> None:
         self.storage = storage
+        self.now = now
 
     # -- submission & lookup ----------------------------------------------
 
     def submit(self, kind: str = "experiment", params: Optional[dict] = None,
                priority: int = 0, timeout: Optional[float] = None,
                max_retries: int = 1, retry_backoff: float = 0.5) -> Job:
-        job = Job(job_id=_new_job_id(), kind=kind, params=dict(params or {}),
-                  priority=priority, timeout=timeout,
-                  max_retries=max_retries, retry_backoff=retry_backoff,
-                  submitted_at=time.time())
+        now = self.now()
+        job = Job(job_id=_new_job_id(now), kind=kind,
+                  params=dict(params or {}), priority=priority,
+                  timeout=timeout, max_retries=max_retries,
+                  retry_backoff=retry_backoff, submitted_at=now)
         self._save(job)
         self._log(job, "queued")
         return job
@@ -170,7 +177,7 @@ class JobQueue:
         the O_EXCL claim decides races.  The stream is reset on claim
         so subscribers see exactly one attempt's worth of events.
         """
-        now = time.time()
+        now = self.now()
         for job in self._open_jobs():
             if job.state != "queued" or job.not_before > now:
                 continue
@@ -185,7 +192,7 @@ class JobQueue:
             current.state = "running"
             current.worker = worker_id
             current.attempts += 1
-            current.started_at = time.time()
+            current.started_at = self.now()
             self._save(current)
             self.storage.reset_stream(current.job_id)
             self._log(current, "running",
@@ -205,32 +212,23 @@ class JobQueue:
         which go through :meth:`fail`.
         """
         self.storage.save_artifact(job.job_id, artifact)
-        job.state = "failed" if failed_result else "done"
         if failed_result:
             job.error = "experiment reported a structured failure"
-        job.finished_at = time.time()
-        self._save(job)
-        self.storage.release_claim(job.job_id)
-        self._log(job, job.state, artifact=True)
-        return job
+        return self._finish(job, "failed" if failed_result else "done",
+                            artifact=True)
 
     def fail(self, job: Job, error: str) -> Job:
         """Burn a retry on an execution failure; requeue or go terminal."""
         job.error = error
-        if job.attempts <= job.max_retries and not job.cancel_requested:
-            job.state = "queued"
-            job.worker = None
-            job.not_before = time.time() + backoff_delay(
-                job.attempts - 1, job.retry_backoff)
-            self._save(job)
-            self.storage.release_claim(job.job_id)
-            self._log(job, "queued", retry=True, error=error)
-        else:
-            job.state = "failed"
-            job.finished_at = time.time()
-            self._save(job)
-            self.storage.release_claim(job.job_id)
-            self._log(job, "failed", error=error)
+        if job.attempts > job.max_retries or job.cancel_requested:
+            return self._finish(job, "failed", error=error)
+        job.state = "queued"
+        job.worker = None
+        job.not_before = self.now() + backoff_delay(
+            job.attempts - 1, job.retry_backoff)
+        self._save(job)
+        self.storage.release_claim(job.job_id)
+        self._log(job, "queued", retry=True, error=error)
         return job
 
     # -- control plane -----------------------------------------------------
@@ -253,26 +251,15 @@ class JobQueue:
                 current = self.get(job_id)
                 if current is not None and current.state == "queued":
                     current.cancel_requested = True
-                    current.state = "cancelled"
-                    current.finished_at = time.time()
-                    self._save(current)
-                    self.storage.release_claim(job_id)
-                    self._log(current, "cancelled")
-                    return current
+                    return self._finish(current, "cancelled")
                 self.storage.release_claim(job_id)
         self._save(job)
         return job
 
     def finish_cancel(self, job: Job) -> Job:
-        job.state = "cancelled"
-        job.finished_at = time.time()
-        self._save(job)
-        self.storage.release_claim(job.job_id)
-        self._log(job, "cancelled")
-        return job
+        return self._finish(job, "cancelled")
 
-    def requeue_stale(self, heartbeat_timeout: float,
-                      now: Optional[float] = None) -> List[Job]:
+    def requeue_stale(self, heartbeat_timeout: float) -> List[Job]:
         """Requeue running jobs whose worker stopped heartbeating.
 
         A worker killed mid-job leaves a ``running`` record and a
@@ -280,18 +267,17 @@ class JobQueue:
         the job goes back to ``queued`` (worker-death budget, not the
         retry budget) for any live worker to pick up.
         """
-        now = time.time() if now is None else now
-        beats = self.storage.heartbeats()
+        now = self.now()
         requeued = []
         for job in self._open_jobs():
             if job.state != "running":
                 continue
-            beat = beats.get(job.worker or "")
-            alive = beat is not None and now - beat.get("at", 0.0) \
-                <= heartbeat_timeout
-            if alive:
-                continue
-            requeued.append(self._requeue(job, cause="stale-heartbeat"))
+            # Read after the record: a worker beats before it claims, so
+            # the claim this record shows has its beat in this read.
+            beat = self.storage.heartbeats().get(job.worker or "")
+            if beat is None or \
+                    not now - beat.get("at", 0.0) <= heartbeat_timeout:
+                requeued.append(self._requeue(job, cause="stale-heartbeat"))
         return requeued
 
     def recover(self) -> List[Job]:
@@ -325,24 +311,32 @@ class JobQueue:
         return recovered
 
     def _requeue(self, job: Job, cause: str) -> Job:
-        self.storage.release_claim(job.job_id)
         job.requeues += 1
         if job.cancel_requested:
             return self.finish_cancel(job)
         if job.requeues > MAX_REQUEUES:
-            job.state = "failed"
             job.error = f"exceeded {MAX_REQUEUES} worker-death requeues"
-            job.finished_at = time.time()
-            self._save(job)
-            self._log(job, "failed", cause=cause)
-            return job
+            return self._finish(job, "failed", cause=cause)
         job.state = "queued"
         job.worker = None
         self._save(job)
+        # Logged while the dead worker's claim still fences the job: a
+        # claim resets the stream, so the next attempt's stream cannot
+        # get this line after its own "running".
         self._log(job, "queued", cause=cause, requeues=job.requeues)
+        self.storage.release_claim(job.job_id)
         return job
 
     # -- internals ---------------------------------------------------------
+
+    def _finish(self, job: Job, state: str, **detail) -> Job:
+        """Make ``job`` terminal: save it, drop its claim, log it."""
+        job.state = state
+        job.finished_at = self.now()
+        self._save(job)
+        self.storage.release_claim(job.job_id)
+        self._log(job, state, **detail)
+        return job
 
     def _save(self, job: Job) -> None:
         self.storage.save_job(job.job_id, job.to_dict())
@@ -350,7 +344,7 @@ class JobQueue:
     def _log(self, job: Job, state: str, **detail) -> None:
         """Append a lifecycle event to the job's stream."""
         import json
-        record = {"type": "state", "state": state, "t": time.time()}
+        record = {"type": "state", "state": state, "t": self.now()}
         record.update(detail)
         try:
             self.storage.append_stream(job.job_id,

@@ -248,8 +248,7 @@ class FileStorage:
         """Atomically take ownership; False if someone else holds it."""
         try:
             with open(self._claim_path(job_id), "x") as handle:
-                handle.write(json.dumps({"owner": owner,
-                                         "at": time.time()}))
+                handle.write(json.dumps({"owner": owner}))
         except FileExistsError:
             return False
         return True

@@ -219,7 +219,7 @@ def _work(wake: threading.Event, storage_dir: str, worker_id: str,
             return
         last_beat = now
         try:
-            storage.beat(worker_id, {"at": time.time(),
+            storage.beat(worker_id, {"at": queue.now(),
                                      "pid": os.getpid(),
                                      "job": current_job})
         except OSError:  # pragma: no cover - disk hiccup

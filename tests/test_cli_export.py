@@ -80,7 +80,10 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("argv", [
         ["--loss", "1.0"], ["--loss", "-0.1"],
-        ["--loss", "0.1", "--p-thr", "0"], ["--loss", "0.1", "--frame", "-3"]])
+        ["--loss", "0.1", "--p-thr", "0"], ["--loss", "0.1", "--frame", "-3"],
+        ["--loss", "0.1", "--beta", "0"],
+        ["--loss", "0.1", "--capacity", "-1"],
+        ["--loss", "0.1", "--alpha", "nan"]])
     def test_out_of_domain_is_one_line_and_exit_2(self, capsys, argv):
         assert main(["analyze", *argv]) == 2
         captured = capsys.readouterr()
