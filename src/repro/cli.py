@@ -533,8 +533,6 @@ def _declare_serve(parser) -> None:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-
     from .service.api import ServiceConfig, serve
 
     if args.workers < 0:
@@ -542,7 +540,7 @@ def _cmd_serve(args) -> int:
         return 2
     config = _from_flags(ServiceConfig, _SERVE, args)
     try:
-        asyncio.run(serve(config))
+        serve(config)
     except KeyboardInterrupt:
         print("-- service stopped --")
     return 0

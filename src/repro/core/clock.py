@@ -26,11 +26,13 @@ satisfying what it can:
   :meth:`~SelectorClock.run`: every live process — a router shard, the
   load generator (server, client, gateway, supervisor) and the
   loopback session, each socket served by a :class:`DatagramEndpoint`
-  or a shard's own reader, so no live process runs an asyncio loop;
+  or a shard's own reader — and ``pels serve``, whose HTTP connections
+  and WebSocket tails are its readers, writers and timers, so no
+  process of the repo runs an asyncio loop;
 * :class:`WallClock` — the same ``now``, both timer calls on the
-  running asyncio loop (imported at the first of them): left for the
-  perf ledger's router probe and the tests that drive a component on
-  asyncio's own loop;
+  running asyncio loop (imported at the first of them): left only for
+  the perf ledger's router probe and the tests that drive a component
+  on asyncio's own loop;
 * :class:`ManualClock` — ``now`` only, hand-advanced: enough for the
   synchronous steps (``advance``, ``close_epoch``, ``tick``) of a
   component that is never started.
@@ -75,7 +77,8 @@ class WallClock:
     of them, so a clock that only reads ``now`` (the gateway's, say)
     loads none of it.  Its remaining timer users are the perf ledger's
     router probe and the tests that drive a component on asyncio's own
-    loop; every live process runs on :class:`SelectorClock`.
+    loop; every live process and ``pels serve`` run on
+    :class:`SelectorClock`.
     """
 
     __slots__ = ("_origin", "_running_loop")

@@ -1,7 +1,7 @@
 """SV1 — service-fleet integration: mixed batch, worker kill, identical artifacts.
 
-Stands up a real 3-worker :mod:`repro.service` fleet (asyncio API in a
-background thread, worker processes against a temp storage directory),
+Stands up a real 3-worker :mod:`repro.service` fleet (the API's clock on
+a background thread, worker processes against a temp storage directory),
 submits a mixed batch over HTTP — the A4 meta-control ablation, the S2
 capacity sweep and the L2 live-gateway load experiment — and SIGKILLs
 the worker running A4 mid-job.  The scenario then asserts the fleet's
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..core import proc
 from .common import ExperimentResult
 
-if TYPE_CHECKING:  # the service (asyncio, ssl, http) loads when SV1 runs
+if TYPE_CHECKING:  # the service (sockets, http) loads when SV1 runs
     from ..service.api import ExperimentService, ServiceConfig
     from ..service.client import ServiceClient
 
@@ -54,51 +54,42 @@ BATCH: Tuple[str, ...] = ("A4", "S2", "L2")
 KILL_TARGET = "A4"
 
 class _Fleet:
-    """A live service instance on a background thread's event loop."""
+    """A live service instance whose clock runs on a background thread.
+
+    The service starts (and its workers fork) on the entering thread;
+    leaving writes one byte to a socketpair whose other end the clock
+    reads, which stops the clock, and then stops the service.
+    """
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.service: Optional[ExperimentService] = None
-        self._loop = None
         self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
+        self._wakeup: Tuple = ()
 
     def __enter__(self) -> "_Fleet":
-        self._thread = threading.Thread(target=self._main, daemon=True)
+        import socket
+
+        from ..service.api import ExperimentService
+        service = ExperimentService(self.config).start()
+        self.service = service
+        self._wakeup = socket.socketpair()
+        service.clock.add_reader(self._wakeup[1].fileno(),
+                                 service.clock.stop)
+        self._thread = threading.Thread(target=service.clock.run,
+                                        daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("service did not start within 30s")
-        if self._error is not None:
-            raise RuntimeError(f"service failed to start: {self._error}")
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
+            self._wakeup[0].send(b"\0")
             self._thread.join(timeout=30.0)
-
-    def _main(self) -> None:
-        import asyncio
-
-        from ..service.api import ExperimentService
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        service = ExperimentService(self.config)
-        try:
-            loop.run_until_complete(service.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            self._error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self.service = service
-        self._loop = loop
-        self._ready.set()
-        loop.run_forever()
-        loop.run_until_complete(service.stop())
-        loop.close()
+        if self.service is not None:
+            self.service.stop()
+            self.service.clock.close()
+        for end in self._wakeup:
+            end.close()
 
     @property
     def port(self) -> int:

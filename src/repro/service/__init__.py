@@ -18,7 +18,8 @@ Modules:
   shared queue; jobs execute in disposable child processes.
 * :mod:`repro.service.stream` — minimal RFC 6455 WebSocket framing and
   the live job-stream tail.
-* :mod:`repro.service.api` — asyncio HTTP API + service orchestrator.
+* :mod:`repro.service.api` — HTTP API + service orchestrator, served by
+  one :class:`~repro.core.clock.SelectorClock` (no asyncio).
 * :mod:`repro.service.client` — thin blocking client used by
   ``pels submit``/``status``/``artifacts`` and the tests.
 """

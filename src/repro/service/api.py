@@ -1,10 +1,10 @@
-"""Asyncio HTTP API and service orchestrator (``pels serve``).
+"""HTTP API and service orchestrator (``pels serve``) on one clock.
 
-Stdlib-only HTTP on ``asyncio.start_server`` — requests are small JSON
-documents, responses are JSON, and the one long-lived route
-(``GET /jobs/<id>/stream``) upgrades to the WebSocket tail in
-:mod:`repro.service.stream` or falls back to offset-based long-polling
-for plain-HTTP clients.
+Stdlib-only HTTP served by a :class:`~repro.core.clock.SelectorClock`
+— requests are small JSON documents, responses are JSON, and the one
+long-lived route (``GET /jobs/<id>/stream``) upgrades to the WebSocket
+tail in :mod:`repro.service.stream` or falls back to offset-based
+long-polling for plain-HTTP clients.
 
 Routes::
 
@@ -27,33 +27,39 @@ pool, requeues jobs whose workers stopped heartbeating, and respawns
 dead workers — the queue/storage layer guarantees none of that loses
 or duplicates work.
 
-Only the socket layer is asyncio: ``start_server``,
-:func:`_read_request`, ``_handle_connection`` with the WebSocket
-upgrade, and :func:`serve`.  Routing is a plain function of the parsed
-request, ``(status, payload)`` out; the upgrade is decided there as
-status 101 and carried out by ``_handle_connection`` alone.  The
-stale-job / dead-worker sweep is one synchronous pass, ``_sweep()``,
-re-armed with the loop's ``call_later``.  Every timestamp comes from
-the queue's clock, ``self.queue.now``.
+The socket layer is the clock's: the listening socket's reader
+accepts, and each :class:`_Connection` reads into a buffer until the
+head (``\r\n\r\n``) and ``Content-Length`` bytes of body are in,
+then queues the response for a writer callback to flush, as
+:class:`~repro.core.clock.DatagramEndpoint` does for datagrams.
+Routing is a plain function of the parsed request, ``(status,
+payload)`` out; the upgrade is decided there as status 101 and carried
+out by the connection alone.  The stale-job / dead-worker sweep is one
+synchronous pass, ``_sweep()``, on a timer that re-arms itself with
+``clock.call_later``.  Every timestamp comes from the queue's clock,
+``self.queue.now``.  No module of the service imports asyncio.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import proc
+from ..core.clock import SelectorClock
 from .queue import JOB_STATES, JobQueue
 from .storage import FileStorage
-from .stream import accept_key, stream_job
+from .stream import StreamTail, accept_key
 from .worker import pool_worker_main
 
 __all__ = ["ServiceConfig", "ExperimentService", "serve"]
 
 _MAX_BODY = 16 << 20
 _MAX_HEADER = 64 << 10
+#: Most bytes one ``recv`` takes.
+_RECV_SIZE = 64 << 10
 #: Heartbeat cadence of the pool's workers (seconds).
 WORKER_HEARTBEAT = 0.5
 
@@ -101,12 +107,9 @@ class _HttpError(Exception):
         self.message = message
 
 
-async def _read_request(reader: asyncio.StreamReader
-                        ) -> Tuple[str, str, Dict[str, str], bytes]:
-    """Parse one request: (method, path, lowercase headers, body)."""
-    head = await reader.readuntil(b"\r\n\r\n")
-    if len(head) > _MAX_HEADER:
-        raise _HttpError(413, "header block too large")
+def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str], int]:
+    """One request head (``\r\n\r\n`` included): (method, target,
+    lowercase headers, body length)."""
     lines = head.decode("latin-1").split("\r\n")
     try:
         method, target, _version = lines[0].split(" ", 2)
@@ -127,8 +130,140 @@ async def _read_request(reader: asyncio.StreamReader
                               "integer")
     if length > _MAX_BODY:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
-    body = await reader.readexactly(length) if length else b""
-    return method, target, headers, body
+    return method, target, headers, length
+
+
+class _Connection:
+    """One accepted socket on the service's clock.
+
+    Its reader buffers bytes until a whole request is in, routes it and
+    queues the response; the writer callback flushes the queue in order
+    and the socket closes once it is empty.  EOF or a socket error
+    before that closes it with no response.  A WebSocket upgrade keeps
+    the socket and hands every later byte to a
+    :class:`~repro.service.stream.StreamTail`, which writes through the
+    same queue.
+    """
+
+    __slots__ = ("_service", "_clock", "_sock", "_fd", "_inbox", "_outbox",
+                 "_tail", "closed")
+
+    def __init__(self, service: "ExperimentService", sock) -> None:
+        sock.setblocking(False)
+        self._service = service
+        self._clock = service.clock
+        self._sock = sock
+        self._fd = sock.fileno()
+        self._inbox = bytearray()
+        self._outbox = bytearray()
+        self._tail: Optional[StreamTail] = None
+        #: Set once no more bytes will be queued (closing or gone).
+        self.closed = False
+        self._clock.add_reader(self._fd, self._on_readable)
+
+    def _on_readable(self) -> None:
+        try:
+            data = self._sock.recv(_RECV_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self.abort()
+        elif self._tail is not None:
+            self._tail.feed(data)
+        else:
+            self._inbox += data
+            try:
+                request = self._request()
+            except _HttpError as exc:
+                self._respond(exc.status, {"error": exc.message})
+            else:
+                if request is not None:
+                    self._answer(*request)
+
+    def _request(self) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """The buffered request, taken off the buffer once its head and
+        body are both in."""
+        inbox = self._inbox
+        end = inbox.find(b"\r\n\r\n") + 4
+        if end < 4 or end > _MAX_HEADER:
+            if len(inbox) > _MAX_HEADER:
+                raise _HttpError(413, "header block too large")
+            return None
+        method, target, headers, length = _parse_head(bytes(inbox[:end]))
+        if len(inbox) < end + length:
+            return None
+        body = bytes(inbox[end:end + length])
+        del inbox[:end + length]
+        return method, target, headers, body
+
+    def _answer(self, method: str, target: str, headers: Dict[str, str],
+                body: bytes) -> None:
+        service = self._service
+        try:
+            status, payload = service._route(method, target, headers, body)
+        except Exception as exc:  # noqa: BLE001 - API must not die
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        if status != 101:
+            self._respond(status, payload)
+            return
+        # The one route that keeps the socket: the WebSocket tail.
+        self.write(b"HTTP/1.1 101 Switching Protocols\r\n"
+                   b"Upgrade: websocket\r\n"
+                   b"Connection: Upgrade\r\n"
+                   b"Sec-WebSocket-Accept: "
+                   + payload["accept"].encode() + b"\r\n\r\n")
+        self._tail = StreamTail(self._clock, self, service.storage,
+                                service.queue, payload["job_id"],
+                                offset=payload["offset"])
+        if self._inbox:  # frames the client sent behind its handshake
+            self._tail.feed(bytes(self._inbox))
+            self._inbox.clear()
+
+    def _respond(self, status: int, payload: dict) -> None:
+        self.write(_response(status, payload))
+        self.close()
+
+    def write(self, data: bytes) -> None:
+        """Queue ``data``; the writer callback sends it in order."""
+        if self.closed:
+            return
+        if not self._outbox:
+            self._clock.add_writer(self._fd, self._flush)
+        self._outbox += data
+
+    def _flush(self) -> None:
+        """Writer callback: send what the socket takes of the queue."""
+        try:
+            sent = self._sock.send(self._outbox)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self.abort()
+            return
+        del self._outbox[:sent]
+        if not self._outbox:
+            self._clock.remove_writer(self._fd)
+            if self.closed:
+                self.abort()
+
+    def close(self) -> None:
+        """Read no more; close the socket once the queue is flushed."""
+        self.closed = True
+        self._clock.remove_reader(self._fd)
+        if not self._outbox:
+            self.abort()
+
+    def abort(self) -> None:
+        """Close the socket now; whatever is still queued is dropped."""
+        self.closed = True
+        if self._sock.fileno() < 0:
+            return
+        self._clock.remove_reader(self._fd)
+        self._clock.remove_writer(self._fd)
+        self._sock.close()
+        self._service._connections.discard(self)
 
 
 def _number(request: dict, name: str, cast, default):
@@ -163,11 +298,14 @@ class ExperimentService:
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
+        #: Serves the API socket and the sweep once :meth:`start` made
+        #: it; whoever started the service runs it.
+        self.clock: Optional[SelectorClock] = None
         self.storage = FileStorage(config.storage_dir)
         self.queue = JobQueue(self.storage)
         self.workers: Dict[str, proc.Child] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._sweeper: Optional[asyncio.TimerHandle] = None
+        self._listener: Optional[socket.socket] = None
+        self._connections: Set[_Connection] = set()
         self._worker_seq = 0
         self.started_at: Optional[float] = None
 
@@ -175,21 +313,31 @@ class ExperimentService:
 
     @property
     def port(self) -> int:
-        if self._server is None:
+        if self._listener is None:
             raise RuntimeError("service is not started")
-        return self._server.sockets[0].getsockname()[1]
+        return self._listener.getsockname()[1]
 
-    async def start(self) -> "ExperimentService":
-        """Recover state, spawn the pool, bind the API socket."""
+    def start(self) -> "ExperimentService":
+        """Recover state, spawn the pool, bind the API socket and arm
+        the sweep on the clock; the caller runs the clock."""
         recovered = self.queue.recover()
         for _ in range(self.config.workers):
             self._spawn_worker()
         if recovered:
             self._wake_workers()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        self._sweeper = asyncio.get_running_loop().call_later(
-            self.config.sweep_interval, self._sweep)
+        self.clock = SelectorClock()
+        host, port = self.config.host, self.config.port
+        try:  # after the pool forks: its workers do not hold the socket
+            family = socket.getaddrinfo(host, port,
+                                        type=socket.SOCK_STREAM)[0][0]
+            self._listener = socket.create_server((host, port),
+                                                  family=family)
+        except OSError:  # a busy port: the pool must not outlive us
+            self.stop()
+            raise
+        self._listener.setblocking(False)
+        self.clock.add_reader(self._listener.fileno(), self._accept)
+        self.clock.call_later(self.config.sweep_interval, self._sweep_timer)
         self.started_at = self.queue.now()
         if recovered:
             # Visible on the serving side: interrupted attempts from a
@@ -198,17 +346,26 @@ class ExperimentService:
                   f"from {self.config.storage_dir} --")
         return self
 
-    async def stop(self) -> None:
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            self._sweeper = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def stop(self) -> None:
+        """Close the API socket and every connection, reap the pool;
+        the sweep timer lapses."""
+        if self._listener is not None:
+            self.clock.remove_reader(self._listener.fileno())
+            self._listener.close()
+            self._listener = None
+        for connection in list(self._connections):
+            connection.abort()
         for worker in self.workers.values():
             worker.reap()
         self.workers.clear()
+
+    def _accept(self) -> None:
+        """Listening socket's reader: one connection per turn."""
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # EAGAIN, or a client that gave up queued
+            return
+        self._connections.add(_Connection(self, sock))
 
     def _spawn_worker(self) -> str:
         self._worker_seq += 1
@@ -224,20 +381,26 @@ class ExperimentService:
     def _wake_workers(self) -> None:
         """Tell the pool a job became claimable: one token per worker,
         whatever the size of the batch.  ``Child.wake`` cannot block
-        the event loop, and a worker that is busy or stopped keeps the
+        the clock, and a worker that is busy or stopped keeps the
         token for its next look at the queue."""
         for worker in self.workers.values():
             worker.wake()
 
-    def _sweep(self) -> None:
-        """One pass: requeue stale jobs, replace workers that died.
+    def _sweep_timer(self) -> None:
+        """Run :meth:`_sweep` every ``sweep_interval`` while the service
+        runs, re-arming first so a pass that raises still gets its
+        successor (and the clock keeps serving)."""
+        if self._listener is None:
+            return
+        self.clock.call_later(self.config.sweep_interval, self._sweep_timer)
+        try:
+            self._sweep()
+        except Exception:  # noqa: BLE001 - the service outlives one pass
+            import traceback
+            traceback.print_exc()
 
-        While the service runs the pass re-arms itself on the loop
-        first, so a pass that raises still gets its successor.
-        """
-        if self._sweeper is not None:
-            self._sweeper = asyncio.get_running_loop().call_later(
-                self.config.sweep_interval, self._sweep)
+    def _sweep(self) -> None:
+        """One pass: requeue stale jobs, replace workers that died."""
         try:
             if self.queue.requeue_stale(self.config.heartbeat_timeout):
                 self._wake_workers()
@@ -253,48 +416,6 @@ class ExperimentService:
                       f"{replacement} --")
 
     # -- HTTP --------------------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                request = await _read_request(reader)
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    ConnectionError):
-                return
-            except _HttpError as exc:
-                status, payload = exc.status, {"error": exc.message}
-            else:
-                status, payload = self._route(*request)
-            if status != 101:
-                writer.write(_response(status, payload))
-                await writer.drain()
-                return
-            # The one route that keeps the socket: the WebSocket tail.
-            writer.write(
-                b"HTTP/1.1 101 Switching Protocols\r\n"
-                b"Upgrade: websocket\r\n"
-                b"Connection: Upgrade\r\n"
-                b"Sec-WebSocket-Accept: "
-                + payload["accept"].encode() + b"\r\n\r\n")
-            await writer.drain()
-            await stream_job(reader, writer, self.storage, self.queue,
-                             payload["job_id"], offset=payload["offset"])
-        except (ConnectionError, BrokenPipeError):
-            pass
-        except Exception as exc:  # noqa: BLE001 - API must not die
-            try:
-                writer.write(_response(500, {
-                    "error": f"{type(exc).__name__}: {exc}"}))
-                await writer.drain()
-            except (ConnectionError, BrokenPipeError):
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError, OSError):
-                pass
 
     def _route(self, method: str, target: str, headers: Dict[str, str],
                body: bytes) -> Tuple[int, dict]:
@@ -463,16 +584,15 @@ class ExperimentService:
         return {"jobs": [job.to_dict() for job in jobs]}
 
 
-async def serve(config: ServiceConfig,
-                ready: Optional[asyncio.Event] = None) -> None:
-    """Run the service until cancelled (the ``pels serve`` main loop)."""
-    service = await ExperimentService(config).start()
+def serve(config: ServiceConfig) -> None:
+    """Run the service until interrupted (the ``pels serve`` main loop):
+    ``KeyboardInterrupt`` stops it and propagates."""
+    service = ExperimentService(config).start()
     print(f"-- pels service on http://{config.host}:{service.port} "
           f"({config.workers} worker(s), storage "
           f"{config.storage_dir}) --")
-    if ready is not None:
-        ready.set()
     try:
-        await asyncio.Event().wait()  # until cancelled
+        service.clock.run()
     finally:
-        await service.stop()
+        service.stop()
+        service.clock.close()

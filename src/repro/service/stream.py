@@ -1,33 +1,34 @@
-"""Live job streaming: minimal RFC 6455 WebSocket over asyncio.
+"""Live job streaming: minimal RFC 6455 WebSocket on the service's clock.
 
 While a job executes, its worker child appends JSONL events to the
 job's stream file — lifecycle transitions from the queue, per-epoch
 ``obs`` metric snapshots, and at completion the exact ``--metrics-out``
 line(s) of the finished artifact.  This module serves that stream to
 subscribed clients: the API accepts a ``GET /jobs/<id>/stream`` upgrade
-and :func:`stream_job` tails the file, pushing each line as one text
-frame until the job settles and the file is drained.
+and a :class:`StreamTail`, stepped by clock timers, tails the file,
+pushing each line as one text frame until the job settles and the file
+is drained.
 
 The WebSocket subset implemented here is deliberately small but real —
 RFC 6455 handshake (Sec-WebSocket-Accept), server frames unmasked,
 client frames unmasked *rejected* per spec, close/ping handled — and
 is stdlib-only, matching the repo's no-dependency rule.  Clients that
 cannot speak WebSocket get the same lines from the plain-HTTP
-long-poll fallback in :mod:`repro.service.api`.
+long-poll fallback in :mod:`repro.service.api`.  ``hashlib`` (and with
+it OpenSSL's libcrypto) loads at the first handshake, not with the
+service.
 """
 
 from __future__ import annotations
 
-import asyncio
-import base64
-import hashlib
+import json
 import struct
 from typing import List, Optional, Tuple
 
 from .queue import JobQueue
 from .storage import StorageBackend
 
-__all__ = ["accept_key", "encode_frame", "FrameParser", "stream_job",
+__all__ = ["accept_key", "encode_frame", "FrameParser", "StreamTail",
            "OP_TEXT", "OP_CLOSE", "OP_PING", "OP_PONG"]
 
 #: Fixed GUID every WebSocket handshake concatenates (RFC 6455 §1.3).
@@ -42,6 +43,9 @@ OP_PONG = 0xA
 
 def accept_key(client_key: str) -> str:
     """``Sec-WebSocket-Accept`` value for a client's handshake key."""
+    import base64
+    import hashlib
+
     digest = hashlib.sha1(
         (client_key.strip() + _HANDSHAKE_GUID).encode()).digest()
     return base64.b64encode(digest).decode()
@@ -149,72 +153,74 @@ class FrameParser:
         return fin, opcode, payload
 
 
-async def stream_job(reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter,
-                     storage: StorageBackend, queue: JobQueue,
-                     job_id: str, *, offset: int = 0,
-                     poll: float = 0.15) -> None:
+class StreamTail:
     """Tail a job's stream over an upgraded WebSocket connection.
 
-    Sends every complete stream line as one text frame, polling the
-    file and the job record; once the job is terminal and the file is
-    drained, a final ``{"type": "end", ...}`` frame and a close frame
-    finish the conversation.  A client close (or EOF, or a protocol
-    violation) tears the stream down immediately.  The handshake is
-    the API layer's job — this coroutine starts with the socket
-    already upgraded.
+    Each step, a ``clock`` timer every ``poll`` seconds, sends every
+    complete stream line as one text frame; once the job is terminal
+    and the file is drained, a final ``{"type": "end", ...}`` frame and
+    a close frame finish the conversation.  The client's bytes arrive
+    through :meth:`feed`: a ping gets its pong, and a close (or a
+    protocol violation) tears the stream down at once, as does EOF,
+    which the connection reports by setting ``closed``.  The handshake
+    is the API layer's job — the tail starts on a socket already
+    upgraded, and writes through ``conn``: anything with
+    ``write(data)``, ``close()`` (after what is queued) and ``closed``.
     """
-    import json
 
-    parser = FrameParser(require_mask=True)
-    closed = False
+    __slots__ = ("_clock", "_conn", "_storage", "_queue", "_job_id",
+                 "_offset", "_poll", "_parser")
 
-    async def _drain_client() -> None:
-        nonlocal closed
+    def __init__(self, clock, conn, storage: StorageBackend,
+                 queue: JobQueue, job_id: str, *, offset: int = 0,
+                 poll: float = 0.15) -> None:
+        self._clock = clock
+        self._conn = conn
+        self._storage = storage
+        self._queue = queue
+        self._job_id = job_id
+        self._offset = offset
+        self._poll = poll
+        self._parser = FrameParser(require_mask=True)
+        self._step()
+
+    def feed(self, data: bytes) -> None:
+        """The client's bytes: answer pings, end on close or violation."""
         try:
-            while True:
-                data = await reader.read(4096)
-                if not data:
-                    break
-                for opcode, payload in parser.feed(data):
-                    if opcode == OP_CLOSE:
-                        return
-                    if opcode == OP_PING:
-                        writer.write(encode_frame(payload, OP_PONG))
-                        await writer.drain()
-        except (ValueError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            closed = True
+            frames = self._parser.feed(data)
+        except ValueError:
+            frames = [(OP_CLOSE, b"")]
+        for opcode, payload in frames:
+            if opcode == OP_CLOSE:
+                self._conn.close()
+                return
+            if opcode == OP_PING:
+                self._conn.write(encode_frame(payload, OP_PONG))
 
-    watcher = asyncio.ensure_future(_drain_client())
-    try:
-        while not closed:
-            lines, offset = storage.read_stream(job_id, offset)
-            for line in lines:
-                writer.write(encode_frame(line.encode()))
-            if lines:
-                await writer.drain()
-            job = queue.get(job_id)
-            if job is None or job.terminal:
-                # One final drain: the terminal state line may have
-                # landed between the read above and the record check.
-                lines, offset = storage.read_stream(job_id, offset)
-                for line in lines:
-                    writer.write(encode_frame(line.encode()))
-                end = json.dumps({"type": "end",
-                                  "state": job.state if job else "unknown"})
-                writer.write(encode_frame(end.encode()))
-                writer.write(encode_frame(struct.pack("!H", 1000),
-                                          OP_CLOSE))
-                await writer.drain()
-                break
-            await asyncio.sleep(poll)
-    except (ConnectionError, BrokenPipeError):
-        pass
-    finally:
-        watcher.cancel()
+    def _send_lines(self) -> None:
+        lines, self._offset = self._storage.read_stream(self._job_id,
+                                                        self._offset)
+        for line in lines:
+            self._conn.write(encode_frame(line.encode()))
+
+    def _step(self) -> None:
+        conn = self._conn
+        if conn.closed:
+            return
         try:
-            await watcher
-        except (asyncio.CancelledError, Exception):
-            pass
+            self._send_lines()
+            job = self._queue.get(self._job_id)
+            if job is not None and not job.terminal:
+                self._clock.call_later(self._poll, self._step)
+                return
+            # One final drain: the terminal state line may have landed
+            # between the read above and the record check.
+            self._send_lines()
+            end = json.dumps({"type": "end",
+                              "state": job.state if job else "unknown"})
+            conn.write(encode_frame(end.encode()))
+            conn.write(encode_frame(struct.pack("!H", 1000), OP_CLOSE))
+        except Exception:  # noqa: BLE001 - the service outlives one tail
+            import traceback
+            traceback.print_exc()
+        conn.close()

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from typing import List
 
@@ -121,17 +123,42 @@ class OrphanProbe:
             os.kill(pid, signal.SIGKILL)
         return left
 
-    def after_sigkill(self, code: str, lines: int = 1) -> List[int]:
+    def after_sigkill(self, code: str, lines: int = 1,
+                      within: float = 30.0) -> List[int]:
         """Run ``code`` in a fresh interpreter until it has printed
         ``lines`` lines of pids (its descendants'), SIGKILL it, and
-        return those pids."""
+        return those pids.
+
+        A script that has not printed them ``within`` seconds (it
+        raised, say, and now waits at exit on the non-daemonic children
+        that hold its stdout) fails the test with its stderr, after its
+        whole process group — the script and everything it started —
+        is killed."""
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        owner = subprocess.Popen([sys.executable, "-c", code], env=env,
-                                 stdout=subprocess.PIPE, text=True)
-        self._owners.append(owner)
-        pids = [int(token) for _ in range(lines)
-                for token in owner.stdout.readline().split()]
+        out = b""
+        deadline = time.monotonic() + within
+        with tempfile.TemporaryFile() as stderr:
+            owner = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                     stdout=subprocess.PIPE, stderr=stderr,
+                                     start_new_session=True)
+            self._owners.append(owner)
+            while out.count(b"\n") < lines:
+                left = deadline - time.monotonic()
+                ready = left > 0 and \
+                    select.select([owner.stdout], [], [], left)[0]
+                chunk = os.read(owner.stdout.fileno(), 4096) if ready \
+                    else b""
+                if not chunk:  # deadline or EOF
+                    os.killpg(owner.pid, signal.SIGKILL)
+                    owner.wait(timeout=30.0)
+                    stderr.seek(0)
+                    pytest.fail(f"the script printed {out!r} in "
+                                f"{within:.0f} s; stderr:\n"
+                                f"{stderr.read().decode()}")
+                out += chunk
+        pids = [int(token) for line in out.splitlines()[:lines]
+                for token in line.split()]
         owner.kill()
         owner.wait(timeout=30.0)
         return pids

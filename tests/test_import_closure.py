@@ -10,16 +10,19 @@ process itself has long since imported everything.
 ``repro`` modules loaded by                    eager   lazy
 =============================================  ======  =======
 ``import repro.live.shard`` (one router shard)     80       30
-``import repro.cli, repro.service.api``            73       12
+``import repro.cli, repro.service.api``            73       13
 ``import repro.core.session``                      64       44
 ``import repro.experiments.runner``               112        8
 =============================================  ======  =======
 
-Every live process runs on ``SelectorClock``, so no ``repro.live``
-import and no running shard child or load generator loads asyncio or
-``ssl``: on Python 3.11 ``import repro.live.shard`` loads 174 modules
-in all (43 fewer than with an asyncio router), ``import
-repro.live.loadgen`` 205 (43 fewer than with an asyncio driver).
+Every live process and ``pels serve`` run on ``SelectorClock``, so no
+``repro.live`` import, no running shard child or load generator and no
+serving ``pels serve`` loads asyncio or ``ssl``: on Python 3.11
+``import repro.live.shard`` loads 174 modules in all (43 fewer than
+with an asyncio router), ``import repro.live.loadgen`` 205 (43 fewer
+than with an asyncio driver), ``import repro.cli, repro.service.api``
+159 (45 fewer than with an asyncio API and a module-level ``hashlib``,
+which loads OpenSSL's libcrypto for the WebSocket handshake alone).
 
 A forbidden set below that starts failing means an import moved to
 module scope somewhere on that path: find it with
@@ -48,9 +51,12 @@ FORBIDDEN = {
     # One router shard: the paper's Fig. 4 output port and nothing else.
     "repro.live.shard": {"repro.experiments", "repro.fluid", "repro.service",
                          "repro.core.session", "numpy", "asyncio"},
-    # The ``pels serve`` start: no live stack, no experiment registry.
+    # The ``pels serve`` start: no live stack, no experiment registry,
+    # no asyncio, and no libcrypto before the first WebSocket handshake.
     "repro.cli, repro.service.api": {"repro.live", "repro.sim",
-                                     "repro.experiments", "numpy"},
+                                     "repro.experiments", "numpy",
+                                     "asyncio", "ssl", "hashlib",
+                                     "_hashlib"},
     # The experiment registry is a table of names: a key's module loads
     # when the key runs, not when the registry does.
     "repro.experiments.runner": {"repro.sim", "repro.live", "repro.fluid",
@@ -119,6 +125,44 @@ def test_submit_checks_keys_without_loading_experiments(tmp_path):
     assert "did you mean F2" in report["error"][1]
     assert report["loaded"] == ["repro.experiments.common",
                                 "repro.experiments.runner"]
+
+
+SERVE = """
+import json, socket, sys, threading
+from repro.service.api import ExperimentService, ServiceConfig
+service = ExperimentService(ServiceConfig(storage_dir=root, workers=0))
+service.start()
+threading.Thread(target=service.clock.run, daemon=True).start()
+def request(method, target, body=b""):
+    with socket.create_connection(("127.0.0.1", service.port), 30) as sock:
+        sock.sendall(f"{method} {target} HTTP/1.1\\r\\n"
+                     f"Content-Length: {len(body)}\\r\\n\\r\\n".encode()
+                     + body)
+        reply = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, payload = reply.partition(b"\\r\\n\\r\\n")
+    return int(head.split()[1]), json.loads(payload)
+health, _ = request("GET", "/healthz")
+submitted, jobs = request("POST", "/jobs", b'{"key": "F2", "fast": true}')
+job_id = jobs["jobs"][0]["job_id"]
+polled, chunk = request("GET", f"/jobs/{job_id}/stream?offset=0")
+print(json.dumps({"statuses": [health, submitted, polled],
+                  "state": chunk["state"],
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0]
+                                   in ("asyncio", "ssl", "hashlib",
+                                       "_hashlib"))}))
+"""
+
+
+def test_serving_loads_no_asyncio_ssl_or_libcrypto(tmp_path):
+    """The service on its own clock answers ``/healthz``, a ``POST
+    /jobs`` and a stream long-poll over real sockets (a raw-socket
+    client: ``http.client`` would load ``ssl`` itself) and ends with
+    none of asyncio, ``ssl``, ``hashlib`` or ``_hashlib`` loaded."""
+    report = json.loads(run_fresh(
+        "-c", f"root = {str(tmp_path)!r}\n" + SERVE))
+    assert report["statuses"] == [200, 201, 200]
+    assert report["state"] == "queued"
+    assert report["loaded"] == []
 
 
 WORKER_RUN = """

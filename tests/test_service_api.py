@@ -10,6 +10,14 @@ with instant fakes and run one real worker.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import re
+import select
+import signal
+import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -17,7 +25,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.common import ExperimentResult
 from repro.experiments.service_exp import _Fleet
-from repro.service.api import ServiceConfig
+from repro.service.api import ExperimentService, ServiceConfig
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import JobQueue
 from repro.service.storage import FileStorage
@@ -211,7 +219,6 @@ class TestRouting:
 
     @pytest.mark.parametrize("length", [b"abc", b"-5", b"1e3", b"0x10"])
     def test_unusable_content_length_400(self, fleet, length):
-        import socket
         with socket.create_connection(("127.0.0.1", fleet.port),
                                       timeout=10) as sock:
             sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: "
@@ -219,6 +226,73 @@ class TestRouting:
             reply = sock.makefile("rb").read()
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"Content-Length" in reply.partition(b"\r\n\r\n")[2]
+
+
+class TestRequestRead:
+    """The hand-written request read, over raw sockets: a request is
+    answered once its head and ``Content-Length`` bytes of body are in,
+    however the bytes arrive, and never blocks another connection."""
+
+    @staticmethod
+    def _exchange(port, *pieces, pause=0.05):
+        """Send ``pieces`` with a pause between (each its own ``recv``
+        on the server) and return the whole reply."""
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            for index, piece in enumerate(pieces):
+                if index:
+                    time.sleep(pause)
+                sock.sendall(piece)
+            return sock.makefile("rb").read()
+
+    @pytest.mark.parametrize("pieces", [
+        [b"POST /jo", b"bs HTTP/1.1\r\nContent-Le",
+         b"ngth: 13\r\n\r\n{\"key\": \"T1\"}"],
+        [b"POST /jobs HTTP/1.1\r\nContent-Length: 13\r\n\r\n{\"key\"",
+         b": ", b"\"T1\"}"],
+    ], ids=["head-split", "body-split"])
+    def test_request_split_across_recvs(self, fleet, client, pieces):
+        reply = self._exchange(fleet.port, *pieces)
+        assert reply.startswith(b"HTTP/1.1 201 ")
+        job = json.loads(reply.partition(b"\r\n\r\n")[2])["jobs"][0]
+        assert job["params"]["key"] == "T1"
+        assert [j["job_id"] for j in client.jobs()] == [job["job_id"]]
+
+    def test_eof_mid_body_closes_without_response(self, fleet, client):
+        with socket.create_connection(("127.0.0.1", fleet.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: 100"
+                         b"\r\n\r\n{\"key\": ")
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.makefile("rb").read() == b""
+        assert client.jobs() == []
+
+    @pytest.mark.parametrize("head, status, message", [
+        (b"GARBAGE\r\n\r\n", 400, b"malformed request line"),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % ((16 << 20) + 1), 413, b"exceeds limit"),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (64 << 10)
+         + b"\r\n\r\n", 413, b"header block too large"),
+    ], ids=["malformed-request-line", "body-over-limit",
+            "header-block-over-limit"])
+    def test_unusable_head_answered_without_a_body(self, fleet, head,
+                                                   status, message):
+        # No body follows: the answer cannot be waiting for one.
+        reply = self._exchange(fleet.port, head)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert message in reply.partition(b"\r\n\r\n")[2]
+
+    def test_stalled_client_does_not_block_others(self, fleet, client):
+        with socket.create_connection(("127.0.0.1", fleet.port),
+                                      timeout=10) as stalled:
+            stalled.sendall(b"GET /heal")
+            time.sleep(0.05)
+            started = time.monotonic()
+            assert client.health()["status"] == "ok"
+            assert time.monotonic() - started < 5.0
+            stalled.sendall(b"thz HTTP/1.1\r\n\r\n")
+            assert stalled.makefile("rb").read().startswith(
+                b"HTTP/1.1 200 ")
 
 
 class TestClientWait:
@@ -305,7 +379,7 @@ class TestOrphanRule:
         # a SIGKILLed service (they used to, and kept claiming) make a
         # second writer for the same artifact.
         pids = orphans.after_sigkill(
-            "import asyncio, os, time\n"
+            "import os, time\n"
             "from repro.experiments import runner\n"
             "from repro.service.api import ExperimentService, "
             "ServiceConfig\n"
@@ -313,17 +387,66 @@ class TestOrphanRule:
             "    print(os.getpid(), flush=True)\n"
             "    time.sleep(60)\n"
             "runner._REGISTRY = {'SLOW': slow}\n"
-            "async def main():\n"
-            f"    config = ServiceConfig(storage_dir={str(tmp_path)!r}, "
+            f"config = ServiceConfig(storage_dir={str(tmp_path)!r}, "
             "workers=2, worker_poll=0.05)\n"
-            "    service = await ExperimentService(config).start()\n"
-            "    print(*[w.pid for w in service.workers.values()], "
-            "flush=True)\n"
-            "    service.queue.submit(params={'key': 'SLOW'})\n"
-            "    await asyncio.Event().wait()\n"
-            "asyncio.run(main())\n", lines=2)
+            "service = ExperimentService(config).start()\n"
+            "print(*[w.pid for w in service.workers.values()], flush=True)\n"
+            "service.queue.submit(params={'key': 'SLOW'})\n"
+            "service.clock.run()\n", lines=2)
         assert len(pids) == 3  # two workers, then the job child
         assert orphans.survivors(pids, within=5.0) == []
+
+
+class TestServeProcess:
+    def test_sigint_stops_service_and_its_worker(self, tmp_path, orphans):
+        # How a user and the perf ledger's teardown stop ``pels serve``.
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", "--workers",
+             "1", "--port", "0", "--storage", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, text=True, env=env,
+            start_new_session=True)
+        try:
+            assert select.select([process.stdout], [], [], 30.0)[0]
+            banner = process.stdout.readline()
+            port = int(re.search(r"http://[^:]+:(\d+)", banner).group(1))
+            client = ServiceClient(port=port, timeout=10.0)
+            deadline = time.monotonic() + 30.0
+            while True:
+                workers = client.health()["workers"]
+                if workers and all(w["alive"] for w in workers.values()):
+                    break
+                assert time.monotonic() < deadline, workers
+                time.sleep(0.01)
+            [worker_pid] = [w["pid"] for w in workers.values()]
+            started = time.monotonic()
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=15.0) == 0
+            assert time.monotonic() - started < 15.0
+            assert "-- service stopped --" in process.stdout.read()
+            assert orphans.gone(worker_pid)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait()
+            process.stdout.close()
+
+
+class TestBindFailure:
+    def test_busy_port_raises_and_reaps_the_pool(self, tmp_path):
+        # The workers fork before the bind; left running, these
+        # non-daemonic children kept the process from ever exiting.
+        before = set(multiprocessing.active_children())
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            config = ServiceConfig(storage_dir=str(tmp_path / "store"),
+                                   workers=1,
+                                   port=busy.getsockname()[1])
+            service = ExperimentService(config)
+            with pytest.raises(OSError):
+                service.start()
+        assert service.workers == {}
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestServiceConfigValidation:

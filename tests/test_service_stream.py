@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
 
 import pytest
 
-from repro.service.queue import JobQueue
-from repro.service.storage import FileStorage
+from repro.service.api import ExperimentService, ServiceConfig
 from repro.service.stream import (OP_CLOSE, OP_PING, OP_PONG, OP_TEXT,
-                                  FrameParser, accept_key, encode_frame,
-                                  stream_job)
+                                  FrameParser, accept_key, encode_frame)
 
 
 class TestAcceptKey:
@@ -83,46 +80,72 @@ class TestFraming:
                                             (OP_TEXT, b"two")]
 
 
+def _handshake(job_id: str) -> bytes:
+    return (f"GET /jobs/{job_id}/stream HTTP/1.1\r\n"
+            f"Host: 127.0.0.1\r\n"
+            f"Upgrade: websocket\r\n"
+            f"Connection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+            f"\r\n").encode()
+
+
 class TestStreamJob:
-    """Tail a live job over a real asyncio connection."""
+    """Tail a live job over a real socket served by the service's clock,
+    with the client read by the same clock on the test's own thread."""
 
-    def _scenario(self, tmp_path, coro_factory):
-        return asyncio.run(coro_factory(FileStorage(tmp_path / "store")))
+    @pytest.fixture()
+    def service(self, tmp_path):
+        service = ExperimentService(ServiceConfig(
+            storage_dir=str(tmp_path / "store"), workers=0)).start()
+        yield service
+        service.stop()
+        service.clock.close()
 
-    def test_tails_until_terminal_then_closes(self, tmp_path):
-        async def scenario(storage):
-            queue = JobQueue(storage)
-            job = queue.submit(params={"key": "X"})
-            claimed = queue.claim_next("w001")
-            storage.append_stream(job.job_id, ['{"type": "snapshot"}'])
+    @staticmethod
+    def _client_frames(service, sock, react, timeout=10.0):
+        """Run the clock until the server sends a close frame (or EOF,
+        or ``timeout``), calling ``react(frames)`` after every read;
+        the frames that followed the 101 head."""
+        clock = service.clock
+        parser = FrameParser()
+        head = bytearray()
+        frames = []
 
-            async def on_connect(reader, writer):
-                await stream_job(reader, writer, storage, queue,
-                                 job.job_id, poll=0.02)
+        def on_readable():
+            data = sock.recv(4096)
+            if not data:
+                clock.stop()
+                return
+            if b"\r\n\r\n" not in head:
+                head.extend(data)
+                if b"\r\n\r\n" not in head:
+                    return
+                assert head.startswith(b"HTTP/1.1 101 Switching Protocols")
+                data = bytes(head.partition(b"\r\n\r\n")[2])
+            frames.extend(parser.feed(data))
+            react(frames)
+            if any(op == OP_CLOSE for op, _ in frames):
+                clock.stop()
 
-            server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1",
-                                                           port)
-            loop = asyncio.get_event_loop()
-            loop.call_later(0.2, queue.complete, claimed,
-                            {"experiment_id": "X"})
-            parser = FrameParser()
-            frames = []
-            while True:
-                data = await asyncio.wait_for(reader.read(4096),
-                                              timeout=10.0)
-                if not data:
-                    break
-                frames += parser.feed(data)
-                if any(op == OP_CLOSE for op, _ in frames):
-                    break
-            writer.close()
-            server.close()
-            await server.wait_closed()
-            return frames
+        sock.setblocking(False)
+        clock.add_reader(sock.fileno(), on_readable)
+        clock.call_later(timeout, clock.stop)
+        clock.run()
+        clock.remove_reader(sock.fileno())
+        return frames
 
-        frames = self._scenario(tmp_path, scenario)
+    def test_tails_until_terminal_then_closes(self, service):
+        queue = service.queue
+        job = queue.submit(params={"key": "X"})
+        claimed = queue.claim_next("w001")
+        service.storage.append_stream(job.job_id, ['{"type": "snapshot"}'])
+        service.clock.call_later(0.2, queue.complete, claimed,
+                                 {"experiment_id": "X"})
+        with socket.create_connection(("127.0.0.1", service.port),
+                                      timeout=10) as sock:
+            sock.sendall(_handshake(job.job_id))
+            frames = self._client_frames(service, sock, lambda f: None)
+
         close_frames = [p for op, p in frames if op == OP_CLOSE]
         assert len(close_frames) == 1
         assert struct.unpack("!H", close_frames[0])[0] == 1000
@@ -134,44 +157,23 @@ class TestStreamJob:
         assert types[-1] == "end"
         assert texts[-1]["state"] == "done"
 
-    def test_ping_gets_pong(self, tmp_path):
-        async def scenario(storage):
-            queue = JobQueue(storage)
-            job = queue.submit(params={"key": "X"})
-            claimed = queue.claim_next("w001")  # stays running for now
+    def test_ping_gets_pong(self, service):
+        queue = service.queue
+        job = queue.submit(params={"key": "X"})
+        claimed = queue.claim_next("w001")  # stays running for now
 
-            async def on_connect(reader, writer):
-                await stream_job(reader, writer, storage, queue,
-                                 job.job_id, poll=0.02)
+        def complete_on_pong(frames):
+            if any(op == OP_PONG for op, _ in frames) and \
+                    queue.get(job.job_id).state == "running":
+                queue.complete(claimed, {"experiment_id": "X"})
 
-            server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1",
-                                                           port)
-            writer.write(encode_frame(b"marco", OP_PING, mask=b"abcd"))
-            await writer.drain()
-            parser = FrameParser()
-            frames = []
-            while not any(op == OP_PONG for op, _ in frames):
-                data = await asyncio.wait_for(reader.read(4096),
-                                              timeout=10.0)
-                if not data:
-                    break
-                frames += parser.feed(data)
-            queue.complete(claimed, {"experiment_id": "X"})
-            while not any(op == OP_CLOSE for op, _ in frames):
-                data = await asyncio.wait_for(reader.read(4096),
-                                              timeout=10.0)
-                if not data:
-                    break
-                frames += parser.feed(data)
-            writer.close()
-            server.close()
-            await server.wait_closed()
-            return frames
-
-        frames = self._scenario(tmp_path, scenario)
+        with socket.create_connection(("127.0.0.1", service.port),
+                                      timeout=10) as sock:
+            sock.sendall(_handshake(job.job_id))
+            sock.sendall(encode_frame(b"marco", OP_PING, mask=b"abcd"))
+            frames = self._client_frames(service, sock, complete_on_pong)
         assert (OP_PONG, b"marco") in frames
+        assert frames[-1][0] == OP_CLOSE
 
 
 class TestWebSocketThroughApi:
@@ -179,7 +181,6 @@ class TestWebSocketThroughApi:
 
     def test_handshake_and_terminal_stream(self, tmp_path):
         from repro.experiments.service_exp import _Fleet
-        from repro.service.api import ServiceConfig
 
         config = ServiceConfig(storage_dir=str(tmp_path / "store"),
                                workers=0, port=0)
@@ -190,13 +191,7 @@ class TestWebSocketThroughApi:
 
             with socket.create_connection(("127.0.0.1", fleet.port),
                                           timeout=10) as sock:
-                sock.sendall(
-                    f"GET /jobs/{job.job_id}/stream HTTP/1.1\r\n"
-                    f"Host: 127.0.0.1\r\n"
-                    f"Upgrade: websocket\r\n"
-                    f"Connection: Upgrade\r\n"
-                    f"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
-                    f"\r\n".encode())
+                sock.sendall(_handshake(job.job_id))
                 blob = b""
                 while b"\r\n\r\n" not in blob:
                     blob += sock.recv(4096)

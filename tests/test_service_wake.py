@@ -431,7 +431,7 @@ class TestRealWorkers:
         # the job submitted through the waking path and a burst of
         # tokens unread in each worker's pipe when the service dies.
         pids = orphans.after_sigkill(
-            "import asyncio, os, time\n"
+            "import os, time\n"
             "from repro.experiments import runner\n"
             "from repro.service.api import ExperimentService, "
             "ServiceConfig\n"
@@ -439,16 +439,13 @@ class TestRealWorkers:
             "    print(os.getpid(), flush=True)\n"
             "    time.sleep(60)\n"
             "runner._REGISTRY = {'SLOW': slow}\n"
-            "async def main():\n"
-            f"    config = ServiceConfig(storage_dir={str(tmp_path)!r}, "
+            f"config = ServiceConfig(storage_dir={str(tmp_path)!r}, "
             "workers=2)\n"
-            "    service = await ExperimentService(config).start()\n"
-            "    print(*[w.pid for w in service.workers.values()], "
-            "flush=True)\n"
-            "    service._submit({'key': 'SLOW'})\n"
-            "    for _ in range(100):\n"
-            "        service._wake_workers()\n"
-            "    await asyncio.Event().wait()\n"
-            "asyncio.run(main())\n", lines=2)
+            "service = ExperimentService(config).start()\n"
+            "print(*[w.pid for w in service.workers.values()], flush=True)\n"
+            "service._submit({'key': 'SLOW'})\n"
+            "for _ in range(100):\n"
+            "    service._wake_workers()\n"
+            "service.clock.run()\n", lines=2)
         assert len(pids) == 3  # two workers, then the job child
         assert orphans.survivors(pids, within=5.0) == []
