@@ -541,6 +541,9 @@ def _cmd_serve(args) -> int:
     config = _from_flags(ServiceConfig, _SERVE, args)
     try:
         serve(config)
+    except OSError as exc:  # the start's: a busy port, unusable storage
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         print("-- service stopped --")
     return 0

@@ -2,19 +2,27 @@
 
 Every place that runs work in a child process — the runner's isolation
 children, the service's workers and their job children, SV1's direct
-runs, the live router shards — makes the same three decisions, so they
-are made here once (``docs/architecture.md``, "Child processes", has
-the long form).
+runs, the live router shards — makes the same decisions, so they are
+made here once (``docs/architecture.md``, "Child processes", has the
+long form), on ``os.fork`` and one ``socket.socketpair`` per child.
 
-**Spawn** (:func:`spawn`): ``fork`` where the platform has it, one
-duplex pipe per child, and the only holders of a pipe are the two
-processes it connects — so EOF means what it says.  **Orphan rule**: a
-child whose parent's end closes exits; shards see the EOF in their
-event loop, everything else calls :func:`exit_with_parent`.  **Reap**
-(:meth:`Child.reap`): wait, SIGTERM, SIGKILL, each rung bounded by
-``GRACE``; the exit code is read last.  **Wake** (:meth:`Child.wake`):
-one byte down the same pipe, never blocking, which the child's
-parent-watch thread turns into a ``threading.Event``.
+**Spawn** (:func:`spawn`): the child's end of the socketpair is its
+:class:`Channel`, and the only holders of a socketpair are the two
+processes it connects — so EOF means what it says.  The child closes
+the parent ends it inherited, reads stdin from ``/dev/null``, runs the
+target and always leaves through ``os._exit``.  **Orphan rule**, the
+one way a child ends with its parent (nothing joins children at
+exit): a child whose parent's end closes exits; shards see the EOF in
+their event loop, everything else calls :func:`exit_with_parent`.
+**Reap** (:meth:`Child.reap`): wait, SIGTERM, SIGKILL, each rung
+bounded by ``GRACE``; the exit code is read last.  **Wake**
+(:meth:`Child.wake`): one byte down the same socket, never blocking,
+which the child's parent-watch thread turns into a
+``threading.Event``.
+
+A message on a channel is a 4-byte length and a pickle.  ``pickle``
+loads with the first one, so a process that only wakes its children
+(``pels serve``) never loads it.
 
 :func:`run_task` is the task shape on top: ``fn(*args)`` in a
 disposable child, an :class:`Outcome` back.
@@ -22,15 +30,16 @@ disposable child, an :class:`Outcome` back.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import select
+import socket
+import sys
 import threading
 import time
-from multiprocessing.connection import Connection
-from typing import Any, Callable, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, NamedTuple, NoReturn, Optional, Set, Tuple
 
-__all__ = ["GRACE", "SLICE", "ORPHAN_EXIT", "Child", "Outcome", "spawn",
-           "run_task", "exit_with_parent"]
+__all__ = ["GRACE", "SLICE", "ORPHAN_EXIT", "Channel", "Child", "Outcome",
+           "spawn", "run_task", "exit_with_parent"]
 
 #: Seconds each rung of :meth:`Child.reap` waits before escalating.
 GRACE = 2.0
@@ -40,49 +49,135 @@ SLICE = 0.1
 #: Exit code of a child that stopped because its parent vanished.
 ORPHAN_EXIT = 2
 
+
+class Channel:
+    """One end of a child's socketpair: pickled messages, each behind
+    its 4-byte big-endian length."""
+
+    def __init__(self, fd: int) -> None:
+        self._fd: Optional[int] = fd
+
+    @property
+    def closed(self) -> bool:
+        return self._fd is None
+
+    def fileno(self) -> int:
+        if self._fd is None:
+            raise OSError("channel is closed")
+        return self._fd
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def send(self, obj: Any) -> None:
+        import pickle
+        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(data).to_bytes(4, "big") + data)
+        while view:
+            view = view[os.write(self.fileno(), view):]
+
+    def recv(self) -> Any:
+        """The next message; ``EOFError`` once the other end closed."""
+        import pickle
+        return pickle.loads(self._read(int.from_bytes(self._read(4), "big")))
+
+    def poll(self, timeout: Optional[float] = 0.0) -> bool:
+        """Whether :meth:`recv` would not block (a message or EOF),
+        waiting up to ``timeout`` seconds (None: for ever)."""
+        poller = select.poll()
+        poller.register(self.fileno(), select.POLLIN)
+        return bool(poller.poll(None if timeout is None else timeout * 1e3))
+
+    def _read(self, size: int) -> bytes:
+        chunks = []
+        while size:
+            chunk = os.read(self.fileno(), size)
+            if not chunk:
+                raise EOFError
+            chunks.append(chunk)
+            size -= len(chunk)
+        return b"".join(chunks)
+
+
 # Process-wide on purpose: fork duplicates the whole descriptor table,
 # so which ends are open — and who may fork right now — is a fact about
 # the process, not about any one caller.
 _spawn_lock = threading.Lock()
-_parent_ends: Set[Connection] = set()
+_parent_ends: Set[Channel] = set()
 
 
-def _bootstrap(conn: Connection, target: Callable[..., None],
-               args: Tuple) -> None:
-    """Child entry: drop inherited parent ends, then run the target.
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):
+            pass  # None, closed or broken: nothing to lose
 
-    Under ``fork`` this process holds copies of every parent end open
-    at the time (its own pipe's and its siblings'), plus the spawn lock
-    in its held state; under ``spawn`` both are fresh and empty.
+
+def _child_main(conn: Channel, target: Callable[..., None],
+                args: Tuple) -> NoReturn:
+    """Child entry: drop inherited parent ends, run the target, exit.
+
+    A fork holds copies of every parent end open at the time (its own
+    socketpair's and its elder siblings'), plus the spawn lock in its
+    held state.  The exit code is 0, ``SystemExit``'s, or 1 with the
+    traceback on stderr; ``os._exit`` runs none of the parent's
+    ``atexit`` work a second time.
     """
     global _spawn_lock
-    for end in _parent_ends:
-        end.close()
-    _parent_ends.clear()
-    _spawn_lock = threading.Lock()
-    target(conn, *args)
+    code = 1
+    try:
+        for end in _parent_ends:
+            end.close()
+        _parent_ends.clear()
+        _spawn_lock = threading.Lock()
+        devnull = os.open(os.devnull, os.O_RDONLY)
+        if devnull != 0:  # no terminal input for a background child
+            os.dup2(devnull, 0)
+            os.close(devnull)
+        target(conn, *args)
+        code = 0
+    except SystemExit as exc:
+        if exc.code is None:
+            code = 0
+        elif isinstance(exc.code, int):
+            code = exc.code
+        else:
+            sys.stderr.write(f"{exc.code}\n")
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+    finally:
+        _flush_stdio()
+        os._exit(code)
 
 
 class Child:
     """Parent-side handle of one supervised child."""
 
-    def __init__(self, process, conn: Connection) -> None:
-        self._process = process
-        #: The parent's end of the child's duplex pipe.
+    def __init__(self, pid: int, conn: Channel) -> None:
+        self.pid = pid
+        #: The parent's end of the child's socketpair.
         self.conn = conn
-
-    @property
-    def pid(self) -> int:
-        return self._process.pid
+        self._exitcode: Optional[int] = None
 
     @property
     def alive(self) -> bool:
-        return self._process.is_alive()
+        return self.exitcode is None
 
     @property
     def exitcode(self) -> Optional[int]:
         """The exit code (negative signal number), None while running."""
-        return self._process.exitcode
+        if self._exitcode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # another thread's call reaped it
+                return self._exitcode
+            if pid:
+                self._exitcode = os.waitstatus_to_exitcode(status)
+        return self._exitcode
 
     def reap(self, wait: float = 0.0) -> Optional[int]:
         """Make the child gone; returns its exit code.
@@ -92,23 +187,19 @@ class Child:
         result) gets before SIGTERM.  Blocks at most
         ``wait + 2 * GRACE``.
         """
-        process = self._process
-        process.join(wait)
-        if process.is_alive():
-            process.terminate()
-            process.join(GRACE)
-        if process.is_alive():
-            process.kill()
-            process.join(GRACE)
+        if self._wait(wait) is None:
+            self._signal(kill=False)
+            if self._wait(GRACE) is None:
+                self._signal(kill=True)
+                self._wait(GRACE)
         with _spawn_lock:  # a fork must not copy a half-closed end
             self.conn.close()
             _parent_ends.discard(self.conn)
-        return process.exitcode
+        return self.exitcode
 
     def kill(self) -> Optional[int]:
         """SIGKILL without asking (the child is presumed hung), reap."""
-        if self._process.is_alive():
-            self._process.kill()
+        self._signal(kill=True)
         return self.reap(GRACE)
 
     def wake(self) -> None:
@@ -116,8 +207,9 @@ class Child:
 
         Never blocks and never raises: the token is one byte written to
         a non-blocking descriptor, so it cannot be half sent; a full
-        pipe means wakes the child has not read yet, which is a pending
-        wake already; a reaped or dead child has nothing to wake.
+        socket means wakes the child has not read yet, which is a
+        pending wake already; a reaped or dead child has nothing to
+        wake.
         """
         try:
             fd = self.conn.fileno()
@@ -126,38 +218,54 @@ class Child:
         except OSError:  # BlockingIOError: full; otherwise: child gone
             pass
 
+    def _wait(self, timeout: float) -> Optional[int]:
+        """The exit code once the child is gone; None after ``timeout``."""
+        deadline = time.monotonic() + timeout
+        delay = 1e-4
+        while self.exitcode is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            time.sleep(min(delay, remaining))
+            delay = min(2 * delay, 0.05)
+        return self.exitcode
 
-def spawn(target: Callable[..., None], args: Tuple = (), *, daemon: bool,
-          name: Optional[str] = None) -> Child:
-    """Start ``target(conn, *args)`` in a child; ``conn`` is its pipe end.
+    def _signal(self, kill: bool) -> None:
+        import signal  # the escalation path only
+        if self.exitcode is None:  # unreaped, so the pid is still ours
+            os.kill(self.pid, signal.SIGKILL if kill else signal.SIGTERM)
 
-    ``daemon`` children die with a normally exiting parent but may not
-    have children of their own, so: shards ``True``, anything that may
-    itself spawn ``False``.
+
+def spawn(target: Callable[..., None], args: Tuple = (), *,
+          daemon: Optional[bool] = None) -> Child:
+    """Fork a child that runs ``target(conn, *args)``; ``conn`` is its
+    :class:`Channel`.
+
+    ``daemon`` is ignored: every child ends with its parent by the
+    orphan rule, and none is joined at exit.
     """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    # One step under the lock: a sibling forked between Pipe() and the
-    # close below would inherit both ends, unregistered — and keep
-    # this child's EOF (either direction) from ever arriving.
+    _flush_stdio()  # or the child writes the parent's buffer again
+    # One step under the lock: a sibling forked between socketpair()
+    # and the close below would inherit both ends, unregistered — and
+    # keep this child's EOF (either direction) from ever arriving.
     with _spawn_lock:
-        conn, child_conn = ctx.Pipe()
+        ours, theirs = socket.socketpair()
+        conn, child_conn = Channel(ours.detach()), Channel(theirs.detach())
         _parent_ends.add(conn)
-        process = ctx.Process(target=_bootstrap,
-                              args=(child_conn, target, args),
-                              daemon=daemon, name=name)
         try:
-            process.start()
+            pid = os.fork()
         except BaseException:
             _parent_ends.discard(conn)
             conn.close()
-            raise
-        finally:
             child_conn.close()
-    return Child(process, conn)
+            raise
+        if pid == 0:
+            _child_main(child_conn, target, args)
+        child_conn.close()
+    return Child(pid, conn)
 
 
-def exit_with_parent(conn: Connection) -> threading.Event:
+def exit_with_parent(conn: Channel) -> threading.Event:
     """Apply the orphan rule to this (child) process.
 
     Starts a watcher thread that blocks on ``conn`` and ``os._exit``s
@@ -197,8 +305,7 @@ class Outcome(NamedTuple):
     exitcode: Optional[int]
 
 
-def _task_main(conn: Connection, fn: Callable[..., Any],
-               args: Tuple) -> None:
+def _task_main(conn: Channel, fn: Callable[..., Any], args: Tuple) -> None:
     exit_with_parent(conn)
     conn.send(fn(*args))
 
@@ -213,8 +320,7 @@ def run_task(fn: Callable[..., Any], args: Tuple = (), *,
     heartbeat; returning true cancels the task.  However it ends, the
     child is reaped before this returns.
     """
-    # Non-daemonic: tasks (experiments) may spawn shards and sweep chunks.
-    child = spawn(_task_main, (fn, args), daemon=False)
+    child = spawn(_task_main, (fn, args))
     expires = None if deadline is None else time.monotonic() + deadline
     kind, value = "died", None
     try:
@@ -222,12 +328,12 @@ def run_task(fn: Callable[..., Any], args: Tuple = (), *,
             if tick is not None and tick():
                 kind = "cancelled"
                 break
-            # Liveness as well as the pipe: a crashed child's own
-            # descendants (a sweep chunk) may still hold its pipe end.
+            # Liveness as well as the socket: a crashed child's own
+            # descendants (a sweep chunk) may still hold its end.
             if child.conn.poll(SLICE) or not child.alive:
                 try:
                     if child.conn.poll():
-                        # recv before join: a large value blocks the
+                        # recv before reap: a large value blocks the
                         # child in send() until it is read.
                         kind, value = "ok", child.conn.recv()
                 except (EOFError, OSError):

@@ -8,18 +8,18 @@ identity (``router_id`` = shard id, so labels from different shards
 never alias in the per-flow
 :class:`~repro.core.feedback.FeedbackTracker`).  What runs it is a
 :class:`~repro.core.clock.SelectorClock` — one timer heap and one
-selector over the data socket and the control pipe — so a shard
+selector over the data socket and the control channel — so a shard
 process runs no asyncio loop and imports no asyncio of its own (one
 forked from a process that loaded asyncio still inherits its pages).
 
 The split between the planes is strict:
 
-* **data** never touches the pipe — senders transmit straight to the
+* **data** never touches the channel — senders transmit straight to the
   shard's UDP port, the shard forwards straight to the receiver address
   the gateway routed for that flow id;
-* **control** is the ``core/proc.py`` duplex pipe carrying small tuples:
+* **control** is the ``core/proc.py`` channel carrying small tuples:
   route installs/removals from the gateway, stats requests, heartbeat
-  pings, shed-level commands, stop.  The child drains the pipe from a
+  pings, shed-level commands, stop.  The child drains the channel from a
   readiness callback on its driver, so control messages interleave
   with packet service without threads.
 
@@ -33,7 +33,7 @@ fire-and-forget path (:meth:`ping`, :meth:`request_stats`,
 :meth:`set_shed_level`) whose replies are collected later by
 :meth:`poll_messages` — the supervisor's poll loop must never block on
 a shard that may be hung, that is the failure it exists to detect.
-Because both paths share one pipe, the synchronous
+Because both paths share one channel, the synchronous
 :meth:`~RouterShard._request` skips-and-dispatches any asynchronous
 replies (stale pongs, stats snapshots) it drains while waiting for its
 own answer.
@@ -41,6 +41,7 @@ own answer.
 
 from __future__ import annotations
 
+import pickle  # noqa: F401 - the control channel's framing; see below
 import socket
 import time
 from dataclasses import dataclass, field
@@ -51,8 +52,9 @@ from ..core.clock import SelectorClock
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
 # At module scope, not in the child: the forked shard inherits the
-# router and the port's modules from its parent instead of importing
-# them itself, which keeps each shard's peak RSS down.
+# router and the port's modules (and ``pickle``) from its parent
+# instead of importing them itself, which keeps each shard's peak RSS
+# down.
 from .router import LiveRouter
 
 __all__ = ["ShardConfig", "ShardStats", "RouterShard"]
@@ -253,8 +255,7 @@ class RouterShard:
     def start(self) -> "RouterShard":
         if self._child is not None:
             raise RuntimeError("shard already started")
-        self._child = proc.spawn(_shard_main, (self.config,), daemon=True,
-                                 name=f"pels-shard-{self.shard_id}")
+        self._child = proc.spawn(_shard_main, (self.config,))
         self._conn = self._child.conn
         kind, port = self._request(None, expect="ready",
                                    timeout=START_TIMEOUT)

@@ -370,12 +370,10 @@ class ExperimentService:
     def _spawn_worker(self) -> str:
         self._worker_seq += 1
         worker_id = f"w{self._worker_seq:03d}"
-        # Non-daemonic: jobs spawn their own execution children.
         self.workers[worker_id] = proc.spawn(
             pool_worker_main,
             (self.config.storage_dir, worker_id,
-             self.config.worker_poll, WORKER_HEARTBEAT),
-            daemon=False, name=f"pels-worker-{worker_id}")
+             self.config.worker_poll, WORKER_HEARTBEAT))
         return worker_id
 
     def _wake_workers(self) -> None:
@@ -586,7 +584,9 @@ class ExperimentService:
 
 def serve(config: ServiceConfig) -> None:
     """Run the service until interrupted (the ``pels serve`` main loop):
-    ``KeyboardInterrupt`` stops it and propagates."""
+    ``KeyboardInterrupt`` stops it and propagates.  A start that fails
+    (a busy port, an unusable storage directory) raises its ``OSError``
+    before the banner, with the pool already reaped."""
     service = ExperimentService(config).start()
     print(f"-- pels service on http://{config.host}:{service.port} "
           f"({config.workers} worker(s), storage "

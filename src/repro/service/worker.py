@@ -200,8 +200,10 @@ def _work(wake: threading.Event, storage_dir: str, worker_id: str,
           stop: Optional[Callable[[], bool]] = None) -> int:
     """The loop of :func:`run_worker`, idling on ``wake``."""
     # Job children fork from this process: load their harness (runner,
-    # export, obs metrics) before the first claim, not inside a job's
-    # latency.  The experiment itself loads per key: execute_in_child.
+    # export, obs metrics, the pickle their result goes back in) before
+    # the first claim, not inside a job's latency.  The experiment
+    # itself loads per key: execute_in_child.
+    import pickle  # noqa: F401
     from ..experiments import export, runner  # noqa: F401
     from ..obs import metrics  # noqa: F401
     storage = FileStorage(storage_dir)

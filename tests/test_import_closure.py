@@ -17,12 +17,24 @@ process itself has long since imported everything.
 
 Every live process and ``pels serve`` run on ``SelectorClock``, so no
 ``repro.live`` import, no running shard child or load generator and no
-serving ``pels serve`` loads asyncio or ``ssl``: on Python 3.11
-``import repro.live.shard`` loads 174 modules in all (43 fewer than
-with an asyncio router), ``import repro.live.loadgen`` 205 (43 fewer
-than with an asyncio driver), ``import repro.cli, repro.service.api``
-159 (45 fewer than with an asyncio API and a module-level ``hashlib``,
-which loads OpenSSL's libcrypto for the WebSocket handshake alone).
+serving ``pels serve`` loads asyncio or ``ssl``; and ``core/proc.py``
+forks on its own, so none of them loads ``multiprocessing``.  On
+Python 3.11:
+
+=============================================  ======  ==================
+modules loaded in all by                          now  before
+=============================================  ======  ==================
+``import repro.live.shard``                       160  174 (217 asyncio)
+``import repro.live.loadgen``                     192  205 (248 asyncio)
+``import repro.cli, repro.service.api``           142  159 (204 asyncio)
+``import repro.core.proc``                        112  129
+=============================================  ======  ==================
+
+"before" is with ``multiprocessing`` under ``core/proc.py`` (17
+modules: ``multiprocessing.*``, ``subprocess``, ``pickle``, ``signal``,
+``locale``, ``fcntl``, …); "asyncio" adds an asyncio router, driver or
+API and, for the API, a module-level ``hashlib``, which loads OpenSSL's
+libcrypto for the WebSocket handshake alone.
 
 A forbidden set below that starts failing means an import moved to
 module scope somewhere on that path: find it with
@@ -51,12 +63,16 @@ FORBIDDEN = {
     # One router shard: the paper's Fig. 4 output port and nothing else.
     "repro.live.shard": {"repro.experiments", "repro.fluid", "repro.service",
                          "repro.core.session", "numpy", "asyncio"},
+    # The child primitive forks on its own.
+    "repro.core.proc": {"multiprocessing", "subprocess"},
     # The ``pels serve`` start: no live stack, no experiment registry,
-    # no asyncio, and no libcrypto before the first WebSocket handshake.
+    # no asyncio, no libcrypto before the first WebSocket handshake,
+    # and no pickle until something is sent to a child.
     "repro.cli, repro.service.api": {"repro.live", "repro.sim",
                                      "repro.experiments", "numpy",
                                      "asyncio", "ssl", "hashlib",
-                                     "_hashlib"},
+                                     "_hashlib", "multiprocessing",
+                                     "subprocess", "pickle"},
     # The experiment registry is a table of names: a key's module loads
     # when the key runs, not when the registry does.
     "repro.experiments.runner": {"repro.sim", "repro.live", "repro.fluid",
@@ -149,7 +165,7 @@ print(json.dumps({"statuses": [health, submitted, polled],
                   "state": chunk["state"],
                   "loaded": sorted(m for m in sys.modules if m.split(".")[0]
                                    in ("asyncio", "ssl", "hashlib",
-                                       "_hashlib"))}))
+                                       "_hashlib", "multiprocessing"))}))
 """
 
 
@@ -157,7 +173,8 @@ def test_serving_loads_no_asyncio_ssl_or_libcrypto(tmp_path):
     """The service on its own clock answers ``/healthz``, a ``POST
     /jobs`` and a stream long-poll over real sockets (a raw-socket
     client: ``http.client`` would load ``ssl`` itself) and ends with
-    none of asyncio, ``ssl``, ``hashlib`` or ``_hashlib`` loaded."""
+    none of asyncio, ``ssl``, ``hashlib``, ``_hashlib`` or
+    ``multiprocessing`` loaded."""
     report = json.loads(run_fresh(
         "-c", f"root = {str(tmp_path)!r}\n" + SERVE))
     assert report["statuses"] == [200, 201, 200]
@@ -193,10 +210,10 @@ def test_a_worker_holds_only_what_it_has_run(tmp_path):
 
 
 SHARD_CHILD = """
-import json, sys, threading
-from multiprocessing import Pipe
+import json, socket, sys, threading
+from repro.core.proc import Channel
 from repro.live.shard import ShardConfig, _shard_main
-parent, child = Pipe()
+parent, child = (Channel(end.detach()) for end in socket.socketpair())
 shard = threading.Thread(target=_shard_main,
                          args=(child, ShardConfig(shard_id=3)))
 shard.start()
@@ -212,22 +229,24 @@ shard.join(30)
 print(json.dumps({"replies": [kind, final_kind], "port": port,
                   "shard_ids": [stats.shard_id, final.shard_id],
                   "alive": shard.is_alive(),
-                  "asyncio": sorted(m for m in sys.modules
-                                    if m.split(".")[0] == "asyncio")}))
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.split(".")[0] in ("asyncio",
+                                                          "multiprocessing"))}))
 """
 
 
 def test_running_shard_child_never_loads_asyncio():
     """The child side of the fork: ``_shard_main`` on a thread against
-    a pipe answers ``ready``, ``stats`` and ``stop`` and imports no
-    asyncio itself (a child forked from an asyncio process inherits
-    it, which this interpreter does not)."""
+    a socketpair channel answers ``ready``, ``stats`` and ``stop`` and
+    imports no asyncio or ``multiprocessing`` itself (a child forked
+    from a process that loaded them inherits them, which this
+    interpreter does not)."""
     report = json.loads(run_fresh("-c", SHARD_CHILD))
     assert report["replies"] == ["ready", "stopped"]
     assert report["port"] > 0
     assert report["shard_ids"] == [3, 3]
     assert not report["alive"]
-    assert report["asyncio"] == []
+    assert report["loaded"] == []
 
 
 LOAD_RUN = """

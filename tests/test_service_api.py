@@ -9,8 +9,8 @@ with instant fakes and run one real worker.
 
 from __future__ import annotations
 
+import errno
 import json
-import multiprocessing
 import os
 import re
 import select
@@ -433,11 +433,25 @@ class TestServeProcess:
             process.stdout.close()
 
 
+def _children() -> set:
+    """Pids of this process's children, zombies included (``/proc``)."""
+    pids = set()
+    for task in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{task}/children") as handle:
+                pids.update(int(pid) for pid in handle.read().split())
+        except FileNotFoundError:  # the thread ended meanwhile
+            pass
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs Linux /proc")
 class TestBindFailure:
     def test_busy_port_raises_and_reaps_the_pool(self, tmp_path):
-        # The workers fork before the bind; left running, these
-        # non-daemonic children kept the process from ever exiting.
-        before = set(multiprocessing.active_children())
+        # The workers fork before the bind; left running, they kept
+        # the process from ever exiting.
+        before = _children()
         with socket.create_server(("127.0.0.1", 0)) as busy:
             config = ServiceConfig(storage_dir=str(tmp_path / "store"),
                                    workers=1,
@@ -446,7 +460,24 @@ class TestBindFailure:
             with pytest.raises(OSError):
                 service.start()
         assert service.workers == {}
-        assert set(multiprocessing.active_children()) <= before
+        assert _children() <= before
+
+    def test_pels_serve_on_a_busy_port_exits_2_with_one_line(self,
+                                                              tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "serve", "--workers",
+                 "1", "--port", str(port), "--storage",
+                 str(tmp_path / "store")],
+                capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        [line] = done.stderr.splitlines()
+        assert line.startswith(f"serve: [Errno {errno.EADDRINUSE}] ")
+        assert str(port) in line
 
 
 class TestServiceConfigValidation:

@@ -15,7 +15,6 @@ import signal
 import socket
 import threading
 import time
-from multiprocessing.connection import Connection
 from pathlib import Path
 
 import pytest
@@ -105,7 +104,7 @@ def _fill(conn) -> int:
 class TestPipe:
     def test_wake_sets_the_childs_event(self, tmp_path):
         pid_file = str(tmp_path / "pid")
-        child = proc.spawn(_waits_for_wake, (pid_file,), daemon=True)
+        child = proc.spawn(_waits_for_wake, (pid_file,))
         try:
             assert _announced(pid_file) is None
             child.wake()
@@ -115,18 +114,18 @@ class TestPipe:
 
     def test_eof_still_ends_a_child_that_was_sent_tokens(self, tmp_path):
         pid_file = str(tmp_path / "pid")
-        child = proc.spawn(_waits_for_wake, (pid_file,), daemon=True)
+        child = proc.spawn(_waits_for_wake, (pid_file,))
         for _ in range(50):
             child.wake()
         _until(lambda: _announced(pid_file))
         child.conn.close()
-        child._process.join(FOREVER)
+        _until(lambda: child.exitcode is not None, within=FOREVER)
         assert child.exitcode == proc.ORPHAN_EXIT
         child.reap()
 
     def test_wake_on_a_full_pipe_returns_at_once(self, tmp_path):
         pid_file = str(tmp_path / "pid")
-        child = proc.spawn(_stopped_under_watch, (pid_file,), daemon=True)
+        child = proc.spawn(_stopped_under_watch, (pid_file,))
         try:
             _until(lambda: _announced(pid_file) and _stopped(child.pid))
             assert _fill(child.conn) > 0
@@ -139,8 +138,7 @@ class TestPipe:
             child.kill()
 
     def test_wake_of_a_reaped_child_is_a_no_op(self, tmp_path):
-        child = proc.spawn(_stopped_under_watch, (str(tmp_path / "pid"),),
-                           daemon=True)
+        child = proc.spawn(_stopped_under_watch, (str(tmp_path / "pid"),))
         child.kill()
         child.wake()
 
@@ -283,7 +281,7 @@ class FullPipeWorker(RecordingWorker):
     def __init__(self) -> None:
         super().__init__()
         ours, self._theirs = socket.socketpair()
-        self.child = proc.Child(None, Connection(ours.detach()))
+        self.child = proc.Child(None, proc.Channel(ours.detach()))
         _fill(self.child.conn)
 
     def wake(self) -> None:
