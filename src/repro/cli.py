@@ -295,11 +295,7 @@ def _cmd_gateway(args) -> int:
             else 0.45 * config.duration
 
         def chaos(ctx):
-            population = {}
-            for decision in ctx.decisions:
-                population[decision.shard_slot] = \
-                    population.get(decision.shard_slot, 0) + 1
-            slot = max(population, key=lambda s: (population[s], -s))
+            slot = ctx.busiest_slots()[0][0]
             fault = ShardKill(ctx.shards, slot) if chaos_kind == "kill" \
                 else ShardStall(ctx.shards, slot, duration=None)
             return FaultSchedule().add(fire_at, fault)
@@ -330,7 +326,7 @@ def _cmd_gateway(args) -> int:
               f"{shard.goodput_bps/1e3:,.1f} kb/s "
               f"({shard.goodput_vs_oracle*100:.1f}% of oracle), "
               f"fairness {shard.fairness:.2f}, "
-              f"drops {shard.drops}")
+              f"drops {shard.stats.drops}")
     for at, description in result.faults:
         print(f"  fault               : {description} at t={at:.2f}s")
     if result.supervisor is not None:

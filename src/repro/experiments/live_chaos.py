@@ -120,18 +120,12 @@ def _chaos_builder(config: LoadConfig, picked: Dict[str, int],
         ctx.clock.call_later(max(warmup, config.duration - config.post_window),
                              mark)
         ctx.clock.call_later(config.duration, mark)
-        population: Dict[int, int] = {}
-        for decision in ctx.decisions:
-            population[decision.shard_slot] = \
-                population.get(decision.shard_slot, 0) + 1
-        ranked = sorted(population, key=lambda s: (-population[s], s))
-        kill_slot = ranked[0]
+        ranked = ctx.busiest_slots()
+        kill_slot, picked["kill_population"] = ranked[0]
         picked["kill_slot"] = kill_slot
-        picked["kill_population"] = population[kill_slot]
         schedule = FaultSchedule()
         if with_shed_probe and ctx.supervisor is not None:
-            shed_slot = next((s for s in ranked[1:] if population[s]),
-                             kill_slot)
+            shed_slot = ranked[1][0] if len(ranked) > 1 else kill_slot
             picked["shed_slot"] = shed_slot
             supervisor = ctx.supervisor
             schedule.add(warmup + 0.2, Callback(
@@ -165,15 +159,15 @@ def _watchdog_cell(shard: Optional[ShardLoad]) -> str:
     return f"{shard.blind_intervals}/{shard.rate_freezes}/{shard.recoveries}"
 
 
-def _slot_row(result: LoadResult, shard: ShardLoad) -> list:
+def _slot_row(shard: ShardLoad) -> list:
     """One slot's post-window goodput vs its oracle, and its CPU share."""
-    post = sum(rate for flow_id, rate in result.post_flow_goodput.items()
-               if result.flow_slots.get(flow_id) == shard.slot)
+    post = shard.post_goodput_bps
     oracle = shard.oracle_goodput_bps
+    stats = shard.stats
     return [shard.slot, shard.n_flows, post / 1e3, oracle / 1e3,
             post / oracle if oracle else float("nan"),
-            shard.cpu_seconds / shard.wall_seconds
-            if shard.wall_seconds else float("nan")]
+            stats.cpu_seconds / stats.wall_seconds
+            if stats.wall_seconds else float("nan")]
 
 
 def _kill_time(result: LoadResult) -> float:
@@ -277,7 +271,7 @@ def run(fast: bool = False) -> ExperimentResult:
     result.add_table(
         ["slot", "flows", "post kb/s", "oracle kb/s", "post vs oracle",
          "cpu/wall"],
-        [_slot_row(supervised, shard) for shard in supervised.per_shard]
+        [_slot_row(shard) for shard in supervised.per_shard]
         + [["loadgen", supervised.admitted,
             supervised.post_goodput_bps / 1e3,
             supervised.oracle_goodput_bps / 1e3,

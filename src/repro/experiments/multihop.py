@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from ..cc.mkc import mkc_stationary_rate
 from ..core.multihop import MultiHopPelsSimulation, MultiHopScenario
 from .common import ExperimentResult, check
 
@@ -62,8 +63,9 @@ def run(fast: bool = False) -> ExperimentResult:
     phase1_router = sim.bottleneck_router_id_of(0)
     phase1_rate = sim.sources[0].rate_series.mean(shift_time * 0.6,
                                                   shift_time)
-    r1_expected = scenario.pels_capacity_of(0) / 2 \
-        + scenario.alpha_bps / scenario.beta
+    r1_expected = mkc_stationary_rate(
+        scenario.pels_capacity_of(0), scenario.n_flows, scenario.alpha_bps,
+        scenario.beta)
 
     # Phase 2: interferer floods hop 1 (share 3 mb/s).
     sim.run(until=duration)

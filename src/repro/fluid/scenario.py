@@ -38,7 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cc.mkc import mkc_equilibrium_loss, mkc_stationary_rate
+from ..cc.mkc import (is_stable_beta, mkc_equilibrium_loss,
+                      mkc_stationary_rate)
+from ..core.gamma import is_stable_sigma
 from ..core.params import ControlParams, check_interferers
 
 __all__ = ["FluidScenario", "fat_tree_scenario", "chain_grid_scenario"]
@@ -106,9 +108,9 @@ class FluidScenario(ControlParams):
             raise ValueError("capacities must be positive")
         if self.alpha_bps <= 0:
             raise ValueError("alpha must be positive")
-        if not 0 < self.beta < 2:
+        if not is_stable_beta(self.beta):
             raise ValueError("Lemma 5: MKC is stable iff 0 < beta < 2")
-        if not 0 < self.sigma < 2:
+        if not is_stable_sigma(self.sigma):
             raise ValueError("Lemma 2: gamma control is stable iff "
                              "0 < sigma < 2")
         if not 0 < self.p_thr <= 1:

@@ -51,12 +51,15 @@ bound sockets.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 import socket
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..cc.mkc import mkc_stationary_rate
 from ..core.clock import DatagramEndpoint, SelectorClock
@@ -70,12 +73,12 @@ from .client import LiveClient
 from .gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                       AdmissionDecision, LiveGateway, TenantPolicy,
                       TransientRegistrationError)
-from .server import LiveServer
+from .server import LiveFlow, LiveServer
 from .shard import RouterShard, ShardConfig, ShardStats, SOCKET_BUFFER_BYTES
 from .supervisor import ShardSupervisor, SupervisorConfig
 
-__all__ = ["LoadConfig", "ShardLoad", "LoadResult", "ChaosContext",
-           "register_with_retry", "run_load"]
+__all__ = ["LoadConfig", "ShardLoad", "LoadResult", "LoadMeasurement",
+           "ChaosContext", "register_with_retry", "load_report", "run_load"]
 
 #: Rejection reasons worth retrying: both clear once the supervisor
 #: finishes failing over / shedding.
@@ -179,8 +182,11 @@ class LoadConfig(ControlParams):
 
 @dataclass
 class ShardLoad:
-    """Measured vs oracle behavior of one shard over the window."""
+    """Measured vs oracle behavior of one pool slot over the window."""
 
+    #: Pool slot (stable across failover) and the shard occupying it at
+    #: the end of the run (a replacement takes the slot under a fresh id).
+    slot: int
     shard_id: int
     n_flows: int
     capacity_bps: float
@@ -190,25 +196,18 @@ class ShardLoad:
     #: Oracle delivered goodput: min(C_s, N_s x r*).
     oracle_goodput_bps: float
     goodput_bps: float
+    #: The slot's flows' goodput over the post window (NaN without one).
+    post_goodput_bps: float
     #: min/max of per-flow delivered rates (1.0 = perfectly fair).
     fairness: float
-    green_drops: int
-    drops: List[int]
-    arrivals: List[int]
-    forwarded: List[int]
-    cpu_seconds: float
-    wall_seconds: float
-    #: Pool slot the shard occupies (stable across failover; the
-    #: ``shard_id`` changes when a replacement takes the slot over).
-    slot: int = -1
-    shed_packets: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    shed_bytes: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    shed_level: int = 0
     #: Starvation-watchdog evidence summed over the slot's flows: blind
     #: frame intervals, blind episodes, episodes ended by a fresh label.
-    blind_intervals: int = 0
-    rate_freezes: int = 0
-    recoveries: int = 0
+    blind_intervals: int
+    rate_freezes: int
+    recoveries: int
+    #: The final shard's last snapshot (packet counters, CPU and wall
+    #: seconds, shedding); a zero snapshot if it never reported.
+    stats: ShardStats
 
     @property
     def goodput_vs_oracle(self) -> float:
@@ -216,14 +215,26 @@ class ShardLoad:
             if self.oracle_goodput_bps else float("nan")
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in (
+        payload = {name: getattr(self, name) for name in (
             "shard_id", "n_flows", "capacity_bps", "goodput_bps",
-            "goodput_vs_oracle", "fairness", "drops", "cpu_seconds")}
+            "goodput_vs_oracle", "fairness")}
+        payload["drops"] = self.stats.drops
+        payload["cpu_seconds"] = self.stats.cpu_seconds
+        return payload
+
+
+def _running_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0 (``sum`` may compensate)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclass
 class LoadResult:
-    """Everything the L2 experiment and the CLI report."""
+    """Everything the L2 experiment and the CLI report.
+
+    The run-wide counters are sums over :attr:`per_shard`, in slot
+    order; the shard-side ones read each slot's :class:`ShardStats`.
+    """
 
     config: LoadConfig
     admitted: int
@@ -232,35 +243,62 @@ class LoadResult:
     flows_per_sec: float
     elapsed: float
     window_seconds: float
-    aggregate_goodput_bps: float
-    oracle_goodput_bps: float
     #: color name -> {count, mean_ms, p50_ms, p99_ms} over the window.
     delays: Dict[str, Dict[str, float]]
-    green_drops: int
-    cpu_seconds: float
     per_shard: List[ShardLoad]
-    churned: int = 0
+    churned: int
     #: Supervision summary (:meth:`ShardSupervisor.report`), or None
     #: when the run was unsupervised.
-    supervisor: Optional[dict] = None
+    supervisor: Optional[dict]
     #: ``(time, description)`` log of every live fault that fired.
-    faults: List[Tuple[float, str]] = field(default_factory=list)
+    faults: List[Tuple[float, str]]
     #: Post-recovery tail window (``config.post_window``): length,
     #: aggregate goodput over it and per-flow delivered rates.
-    post_window_seconds: float = 0.0
-    post_goodput_bps: float = float("nan")
-    post_flow_goodput: Dict[int, float] = field(default_factory=dict)
+    post_window_seconds: float
+    post_goodput_bps: float
+    post_flow_goodput: Dict[int, float]
     #: flow_id -> pool slot of every admitted flow.
-    flow_slots: Dict[int, int] = field(default_factory=dict)
-    #: Shed counters summed across shards, indexed by raw color —
-    #: index 0 (green) staying at zero is the base-layer guarantee.
-    shed_packets: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    shed_bytes: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    #: Starvation-watchdog counters summed over every sender (per slot:
-    #: ``per_shard[i].blind_intervals`` etc.).
-    blind_intervals: int = 0
-    rate_freezes: int = 0
-    recoveries: int = 0
+    flow_slots: Dict[int, int]
+
+    @property
+    def aggregate_goodput_bps(self) -> float:
+        return _running_sum(s.goodput_bps for s in self.per_shard)
+
+    @property
+    def oracle_goodput_bps(self) -> float:
+        return _running_sum(s.oracle_goodput_bps for s in self.per_shard)
+
+    @property
+    def green_drops(self) -> int:
+        return sum(s.stats.drops[0] for s in self.per_shard)
+
+    @property
+    def cpu_seconds(self) -> float:
+        return _running_sum(s.stats.cpu_seconds for s in self.per_shard)
+
+    @property
+    def shed_packets(self) -> List[int]:
+        """Shed packets by raw color — index 0 (green) staying at zero
+        is the base-layer guarantee."""
+        return [sum(s.stats.shed_packets[color] for s in self.per_shard)
+                for color in range(4)]
+
+    @property
+    def shed_bytes(self) -> List[int]:
+        return [sum(s.stats.shed_bytes[color] for s in self.per_shard)
+                for color in range(4)]
+
+    @property
+    def blind_intervals(self) -> int:
+        return sum(s.blind_intervals for s in self.per_shard)
+
+    @property
+    def rate_freezes(self) -> int:
+        return sum(s.rate_freezes for s in self.per_shard)
+
+    @property
+    def recoveries(self) -> int:
+        return sum(s.recoveries for s in self.per_shard)
 
     @property
     def goodput_vs_oracle(self) -> float:
@@ -292,6 +330,29 @@ class LoadResult:
 
 
 @dataclass
+class LoadMeasurement:
+    """What the driven phase measured (:func:`load_report`'s input)."""
+
+    decisions: List[AdmissionDecision]
+    registration_seconds: float
+    #: flow_id -> pool slot of every admitted flow.
+    flow_slots: Dict[int, int]
+    #: flow_id -> bytes delivered over the window and the post window.
+    delivered: Dict[int, int]
+    post_delivered: Dict[int, int]
+    delays: Dict[str, Dict[str, float]]
+    elapsed: float
+    window: float
+    #: Length of the post window (0 when there was none).
+    post_seconds: float
+    churned: int
+    supervisor: Optional[dict]
+    faults: List[Tuple[float, str]]
+    #: flow_id -> sender, whose watchdog counters are summed per slot.
+    senders: Dict[int, LiveFlow]
+
+
+@dataclass
 class ChaosContext:
     """What a ``chaos`` schedule builder gets to aim injectors at.
 
@@ -310,6 +371,15 @@ class ChaosContext:
     @property
     def shards(self) -> List:
         return self.gateway.shards
+
+    def busiest_slots(self) -> List[Tuple[int, int]]:
+        """``(slot, admitted flows)``, most populated first, ties to the
+        lower slot — where a chaos run aims its kill."""
+        population: Dict[int, int] = {}
+        for decision in self.decisions:
+            population[decision.shard_slot] = \
+                population.get(decision.shard_slot, 0) + 1
+        return sorted(population.items(), key=lambda item: (-item[1], item[0]))
 
 
 class _RetryableRejection(Exception):
@@ -387,8 +457,12 @@ def _endpoint_socket(host: str) -> socket.socket:
 
 def _drive(config: LoadConfig, shards: List[RouterShard],
            spawned: List[RouterShard],
-           chaos: Optional[Callable[[ChaosContext], FaultSchedule]]) -> dict:
-    """The driven phase: register, stream, (maybe) break, measure."""
+           chaos: Optional[Callable[[ChaosContext], FaultSchedule]]
+           ) -> Tuple[List[RouterShard], LoadMeasurement]:
+    """The driven phase: register, stream, (maybe) break, measure.
+
+    Returns the pool's final shard handles with what was measured.
+    """
     clock = SelectorClock()
     client = LiveClient(clock, green_packets=config.fgs.green_packets)
     client_end = DatagramEndpoint(clock, _endpoint_socket(config.host),
@@ -531,24 +605,81 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
             "p99_ms": _percentile(samples, 0.99) * 1000,
         }
 
-    return {
-        "decisions": decisions,
-        "registration_seconds": registration_seconds,
-        "flow_slot": flow_slot,
-        "final_shards": list(gateway.shards),
-        "delivered": delivered,
-        "delays": delays,
-        "elapsed": elapsed,
-        "window": window,
-        "churned": len(churn_ids),
-        "supervisor": supervisor.report() if supervisor is not None
-        else None,
-        "faults": list(fault_schedule.applied)
+    return list(gateway.shards), LoadMeasurement(
+        decisions=decisions, registration_seconds=registration_seconds,
+        flow_slots=flow_slot, delivered=delivered,
+        post_delivered=post_delivered, delays=delays, elapsed=elapsed,
+        window=window, post_seconds=post_seconds, churned=len(churn_ids),
+        supervisor=supervisor.report() if supervisor is not None else None,
+        faults=list(fault_schedule.applied)
         if fault_schedule is not None else [],
-        "post_seconds": post_seconds,
-        "post_delivered": post_delivered,
-        "senders": server.flows,
-    }
+        senders=server.flows)
+
+
+def load_report(config: LoadConfig, shards: List[RouterShard],
+                stats: Dict[int, Optional[ShardStats]],
+                measured: LoadMeasurement) -> LoadResult:
+    """Score a measured run against Lemma 6, slot by slot.
+
+    ``shards`` are the pool's final handles (slot order) and ``stats``
+    maps a shard id to its last snapshot, None if it never reported.
+    """
+    admitted = [d for d in measured.decisions if d.admitted]
+    rejected = dict(Counter(d.reason for d in measured.decisions
+                            if not d.admitted))
+    window = measured.window
+    post_seconds = measured.post_seconds
+    post_flow_goodput: Dict[int, float] = {
+        d.flow_id: measured.post_delivered.get(d.flow_id, 0) * 8
+        / post_seconds for d in admitted} if post_seconds > 0 else {}
+
+    per_shard: List[ShardLoad] = []
+    for slot, shard in enumerate(shards):
+        flow_ids = [d.flow_id for d in admitted
+                    if measured.flow_slots[d.flow_id] == slot]
+        rates = [measured.delivered.get(flow_id, 0) * 8 / window
+                 for flow_id in flow_ids] if window > 0 else []
+        n_flows = len(flow_ids)
+        r_star = mkc_stationary_rate(shard.capacity_bps, n_flows,
+                                     config.alpha_bps, config.beta) \
+            if n_flows else float("nan")
+        senders = [measured.senders[flow_id] for flow_id in flow_ids]
+        per_shard.append(ShardLoad(
+            slot=slot, shard_id=shard.shard_id, n_flows=n_flows,
+            capacity_bps=shard.capacity_bps, lemma6_rate_bps=r_star,
+            oracle_goodput_bps=min(shard.capacity_bps, n_flows * r_star)
+            if n_flows else 0.0,
+            goodput_bps=sum(rates),
+            post_goodput_bps=sum(post_flow_goodput[flow_id]
+                                 for flow_id in flow_ids)
+            if post_seconds > 0 else float("nan"),
+            fairness=min(rates) / max(rates)
+            if rates and max(rates) > 0 else float("nan"),
+            blind_intervals=sum(f.blind_intervals for f in senders),
+            rate_freezes=sum(f.rate_freezes for f in senders),
+            recoveries=sum(f.recoveries for f in senders),
+            stats=stats.get(shard.shard_id) or _no_stats(shard.shard_id)))
+
+    registration_seconds = measured.registration_seconds
+    return LoadResult(
+        config=config,
+        admitted=len(admitted),
+        rejected=rejected,
+        registration_seconds=registration_seconds,
+        flows_per_sec=len(admitted) / registration_seconds
+        if registration_seconds > 0 else float("inf"),
+        elapsed=measured.elapsed,
+        window_seconds=window,
+        delays=measured.delays,
+        per_shard=per_shard,
+        churned=measured.churned,
+        supervisor=measured.supervisor,
+        faults=measured.faults,
+        post_window_seconds=post_seconds,
+        post_goodput_bps=sum(post_flow_goodput.values())
+        if post_seconds > 0 else float("nan"),
+        post_flow_goodput=post_flow_goodput,
+        flow_slots=measured.flow_slots)
 
 
 def run_load(config: Optional[LoadConfig] = None,
@@ -580,7 +711,7 @@ def run_load(config: Optional[LoadConfig] = None,
     try:
         for shard in shards:
             shard.start()
-        measured = _drive(config, shards, spawned, chaos)
+        final_shards, measured = _drive(config, shards, spawned, chaos)
     finally:
         for shard in spawned:
             try:
@@ -588,102 +719,4 @@ def run_load(config: Optional[LoadConfig] = None,
             except Exception:
                 stats.setdefault(shard.shard_id, None)
 
-    decisions: List[AdmissionDecision] = measured["decisions"]
-    admitted = [d for d in decisions if d.admitted]
-    rejected: Dict[str, int] = {}
-    for decision in decisions:
-        if not decision.admitted:
-            rejected[decision.reason] = rejected.get(decision.reason, 0) + 1
-
-    flow_slot: Dict[int, int] = measured["flow_slot"]
-    final_shards: List[RouterShard] = measured["final_shards"]
-    delivered: Dict[int, int] = measured["delivered"]
-    window: float = measured["window"]
-    senders = measured["senders"]
-
-    per_shard: List[ShardLoad] = []
-    total_goodput = 0.0
-    total_oracle = 0.0
-    green_drops = 0
-    cpu_total = 0.0
-    shed_packets_total = [0, 0, 0, 0]
-    shed_bytes_total = [0, 0, 0, 0]
-    for slot, shard in enumerate(final_shards):
-        shard_stats = stats.get(shard.shard_id) or _no_stats(shard.shard_id)
-        flow_ids = [d.flow_id for d in admitted
-                    if flow_slot[d.flow_id] == slot]
-        rates = [delivered.get(flow_id, 0) * 8 / window
-                 for flow_id in flow_ids] if window > 0 else []
-        goodput = sum(rates)
-        n_flows = len(flow_ids)
-        r_star = mkc_stationary_rate(shard.capacity_bps, n_flows,
-                                     config.alpha_bps, config.beta) \
-            if n_flows else float("nan")
-        oracle = min(shard.capacity_bps, n_flows * r_star) if n_flows \
-            else 0.0
-        fairness = (min(rates) / max(rates)
-                    if rates and max(rates) > 0 else float("nan"))
-        drops = list(shard_stats.drops)
-        shed_p = list(shard_stats.shed_packets)
-        shed_b = list(shard_stats.shed_bytes)
-        slot_senders = [senders[flow_id] for flow_id in flow_ids]
-        per_shard.append(ShardLoad(
-            shard_id=shard.shard_id, n_flows=n_flows,
-            capacity_bps=shard.capacity_bps, lemma6_rate_bps=r_star,
-            oracle_goodput_bps=oracle, goodput_bps=goodput,
-            fairness=fairness, green_drops=drops[0], drops=drops,
-            arrivals=list(shard_stats.arrivals),
-            forwarded=list(shard_stats.forwarded),
-            cpu_seconds=shard_stats.cpu_seconds,
-            wall_seconds=shard_stats.wall_seconds,
-            slot=slot, shed_packets=shed_p, shed_bytes=shed_b,
-            shed_level=shard_stats.shed_level,
-            blind_intervals=sum(f.blind_intervals for f in slot_senders),
-            rate_freezes=sum(f.rate_freezes for f in slot_senders),
-            recoveries=sum(f.recoveries for f in slot_senders)))
-        total_goodput += goodput
-        total_oracle += oracle
-        green_drops += drops[0]
-        cpu_total += per_shard[-1].cpu_seconds
-        for color in range(4):
-            shed_packets_total[color] += shed_p[color]
-            shed_bytes_total[color] += shed_b[color]
-
-    post_seconds: float = measured["post_seconds"]
-    post_delivered: Dict[int, int] = measured["post_delivered"]
-    post_flow_goodput: Dict[int, float] = {}
-    post_goodput = float("nan")
-    if post_seconds > 0:
-        post_flow_goodput = {
-            flow_id: post_delivered.get(flow_id, 0) * 8 / post_seconds
-            for flow_id in (d.flow_id for d in admitted)}
-        post_goodput = sum(post_flow_goodput.values())
-
-    registration_seconds = measured["registration_seconds"]
-    return LoadResult(
-        config=config,
-        admitted=len(admitted),
-        rejected=rejected,
-        registration_seconds=registration_seconds,
-        flows_per_sec=len(admitted) / registration_seconds
-        if registration_seconds > 0 else float("inf"),
-        elapsed=measured["elapsed"],
-        window_seconds=window,
-        aggregate_goodput_bps=total_goodput,
-        oracle_goodput_bps=total_oracle,
-        delays=measured["delays"],
-        green_drops=green_drops,
-        cpu_seconds=cpu_total,
-        per_shard=per_shard,
-        churned=measured["churned"],
-        supervisor=measured["supervisor"],
-        faults=measured["faults"],
-        post_window_seconds=post_seconds,
-        post_goodput_bps=post_goodput,
-        post_flow_goodput=post_flow_goodput,
-        flow_slots=dict(flow_slot),
-        shed_packets=shed_packets_total,
-        shed_bytes=shed_bytes_total,
-        blind_intervals=sum(s.blind_intervals for s in per_shard),
-        rate_freezes=sum(s.rate_freezes for s in per_shard),
-        recoveries=sum(s.recoveries for s in per_shard))
+    return load_report(config, final_shards, stats, measured)

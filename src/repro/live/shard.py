@@ -109,7 +109,9 @@ class ShardStats:
     #: Instantaneous queue occupancy by raw color (packets), the red
     #: queue's occupancy as a fraction of its buffer, and the layered
     #: shedding counters/level (see ``LiveRouter.set_shed_level``).
-    #: Defaulted so snapshots pickled by older children still load.
+    #: Defaulted to an idle shard's values for the builders that leave
+    #: them out: the zero snapshot of a shard that never reported
+    #: (``loadgen._no_stats``) and test fixtures.
     depths: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     red_occupancy: float = 0.0
     shed_packets: List[int] = field(default_factory=lambda: [0, 0, 0, 0])

@@ -45,7 +45,7 @@ else in the repo.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core.clock import Clock
@@ -138,10 +138,9 @@ class _SlotState:
     utilization: float = 0.0
     red_occupancy: float = 0.0
     send_errors: int = 0
-    _prev_cpu: Optional[float] = None
-    _prev_wall: Optional[float] = None
-    _prev_shed_bytes: List[int] = field(
-        default_factory=lambda: [0, 0, 0, 0])
+    #: The snapshot the previous evaluation read (None since a restart):
+    #: utilization and shed bytes are deltas against it.
+    prev: Optional[ShardStats] = None
 
 
 class ShardSupervisor:
@@ -270,15 +269,14 @@ class ShardSupervisor:
 
     def _evaluate_load(self, slot: int, shard, state: _SlotState,
                        stats: ShardStats) -> None:
-        if state._prev_wall is not None and \
-                stats.wall_seconds > state._prev_wall:
-            state.utilization = (stats.cpu_seconds - state._prev_cpu) / \
-                (stats.wall_seconds - state._prev_wall)
-        state._prev_cpu = stats.cpu_seconds
-        state._prev_wall = stats.wall_seconds
+        prev = state.prev
+        if prev is not None and stats.wall_seconds > prev.wall_seconds:
+            state.utilization = (stats.cpu_seconds - prev.cpu_seconds) / \
+                (stats.wall_seconds - prev.wall_seconds)
         state.red_occupancy = stats.red_occupancy
         state.send_errors = stats.send_errors
-        self._account_shed(state, stats)
+        self._account_shed(prev, stats)
+        state.prev = stats
 
         hot = state.utilization >= OVERLOAD_UTILIZATION or \
             state.red_occupancy >= OVERLOAD_OCCUPANCY
@@ -300,14 +298,15 @@ class ShardSupervisor:
             state.hot_polls = 0
             state.calm_polls = 0
 
-    def _account_shed(self, state: _SlotState, stats: ShardStats) -> None:
+    def _account_shed(self, prev: Optional[ShardStats],
+                      stats: ShardStats) -> None:
         if self._shed_counters is None:
             return
         for color, counter in enumerate(self._shed_counters):
-            delta = stats.shed_bytes[color] - state._prev_shed_bytes[color]
+            delta = stats.shed_bytes[color] - \
+                (prev.shed_bytes[color] if prev is not None else 0)
             if delta > 0:
                 counter.inc(delta)
-        state._prev_shed_bytes = list(stats.shed_bytes)
 
     def _escalate(self, slot: int, shard, state: _SlotState) -> None:
         if state.shed_level >= 2:
@@ -387,9 +386,7 @@ class ShardSupervisor:
         state.shed_level = 0
         state.last_pong = None
         state.first_ping = None
-        state._prev_cpu = None
-        state._prev_wall = None
-        state._prev_shed_bytes = [0, 0, 0, 0]
+        state.prev = None
         state.hot_polls = 0
         state.calm_polls = 0
         self.gateway.open_shard(slot)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cc.mkc import MkcController
+from repro.core.gamma import GammaController
 from repro.experiments.multihop import shifted_equilibrium_rate
 from repro.fluid import FluidEngine, FluidScenario, resolve_backend
 from repro.fluid import engine as engine_mod
@@ -47,6 +49,16 @@ class TestScenarioValidation:
     def test_sigma_bounds_enforced(self):
         with pytest.raises(ValueError, match="Lemma 2"):
             FluidScenario(sigma=2.5)
+
+    @pytest.mark.parametrize("name, lemma, packet", [
+        ("beta", "Lemma 5", MkcController),
+        ("sigma", "Lemma 2", GammaController)])
+    @pytest.mark.parametrize("value", [0.0, 2.0, -1.0, float("nan")])
+    def test_packet_and_fluid_constructors_reject_alike(self, name, lemma,
+                                                        packet, value):
+        for build in (packet, FluidScenario):
+            with pytest.raises(ValueError, match=lemma):
+                build(**{name: value})
 
     def test_start_times_length_checked(self):
         with pytest.raises(ValueError, match="one entry per flow"):

@@ -738,7 +738,7 @@ class TestLoadRun:
         assert result.green_drops == 0
         assert result.delays["green"]["count"] > 0
         assert len(result.per_shard) == 2
-        assert all(s.cpu_seconds > 0 for s in result.per_shard)
+        assert all(s.stats.cpu_seconds > 0 for s in result.per_shard)
 
     def test_churned_flows_yield_partial_results_not_errors(self):
         from repro.live.loadgen import run_load
