@@ -2,30 +2,20 @@
 
 The paper's PELS framework is congestion-control agnostic; the default
 controller is Max-min Kelly Control (MKC, Eq. 8).  Baselines are kept
-here for the comparison experiments.
+here for the comparison experiments.  A built-in controller's module
+loads when a name here is read or when the registry in
+:mod:`repro.cc.base` is first asked for it, so ``make_controller("mkc")``
+never loads the packet simulator that :mod:`repro.cc.tcp` drives.
 """
 
-# Eager: importing a controller module registers it with make_controller.
-from .aimd import AimdController
-from .base import (RateController, available_controllers, make_controller,
-                   register_controller)
-from .kelly import ClassicKellyController, KellyController
-from .mkc import MkcController, mkc_equilibrium_loss, mkc_stationary_rate
-from .tcp import TcpSink, TcpSource
-from .tfrc import TfrcController
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AimdController",
-    "ClassicKellyController",
-    "KellyController",
-    "MkcController",
-    "RateController",
-    "TcpSink",
-    "TcpSource",
-    "TfrcController",
-    "available_controllers",
-    "make_controller",
-    "mkc_equilibrium_loss",
-    "mkc_stationary_rate",
-    "register_controller",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".aimd": "AimdController",
+    ".base": "RateController available_controllers make_controller "
+             "register_controller",
+    ".kelly": "ClassicKellyController KellyController",
+    ".mkc": "MkcController mkc_equilibrium_loss mkc_stationary_rate",
+    ".tcp": "TcpSink TcpSource",
+    ".tfrc": "TfrcController",
+})

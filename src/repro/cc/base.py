@@ -14,12 +14,13 @@ and against the wall clock in :mod:`repro.live` (see
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Type
 
 __all__ = ["TunableParam", "Tunable", "RateController",
-           "register_controller", "make_controller",
+           "BUILTIN_CONTROLLERS", "register_controller", "make_controller",
            "available_controllers", "temporary_controller"]
 
 
@@ -148,15 +149,36 @@ class RateController(Tunable):
         """Hook for controllers that keep a rate history (see MKC)."""
 
 
+#: Built-in controller name -> the module of this package whose import
+#: registers it.  A module loads the first time one of its names is
+#: asked for, so a process that runs MKC never loads the baselines
+#: (nor the packet simulator under :mod:`repro.cc.tcp`), and a fresh
+#: process still offers every built-in.
+BUILTIN_CONTROLLERS: Dict[str, str] = {
+    "aimd": "aimd",
+    "kelly": "kelly",
+    "kelly-classic": "kelly",
+    "mkc": "mkc",
+    "tfrc": "tfrc",
+}
+
 _REGISTRY: Dict[str, Type[RateController]] = {}
+
+
+def _claim(name: str, cls: Type[RateController]) -> None:
+    """Refuse ``name`` if it is taken, or is a built-in's and ``cls`` is
+    not that built-in (registered or not, it must not be shadowed)."""
+    home = BUILTIN_CONTROLLERS.get(name)
+    if name in _REGISTRY or (home is not None
+                             and cls.__module__ != f"{__package__}.{home}"):
+        raise ValueError(f"controller {name!r} already registered")
 
 
 def register_controller(name: str) -> Callable[[Type[RateController]], Type[RateController]]:
     """Class decorator registering a controller under ``name``."""
 
     def decorator(cls: Type[RateController]) -> Type[RateController]:
-        if name in _REGISTRY:
-            raise ValueError(f"controller {name!r} already registered")
+        _claim(name, cls)
         _REGISTRY[name] = cls
         return cls
 
@@ -165,16 +187,21 @@ def register_controller(name: str) -> Callable[[Type[RateController]], Type[Rate
 
 def make_controller(name: str, **kwargs) -> RateController:
     """Instantiate a registered controller by name."""
-    try:
+    cls = _REGISTRY.get(name)
+    if cls is None:
+        home = BUILTIN_CONTROLLERS.get(name)
+        if home is None:
+            raise KeyError(f"unknown controller {name!r}; "
+                           f"have {available_controllers()}")
+        importlib.import_module(f"{__package__}.{home}")
         cls = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown controller {name!r}; have {sorted(_REGISTRY)}") from None
     return cls(**kwargs)
 
 
 def available_controllers() -> list[str]:
-    """Names of all registered controllers."""
+    """Names of all registered controllers, every built-in included."""
+    for home in sorted(set(BUILTIN_CONTROLLERS.values())):
+        importlib.import_module(f"{__package__}.{home}")
     return sorted(_REGISTRY)
 
 
@@ -187,8 +214,7 @@ def temporary_controller(name: str, cls: Type[RateController]):
     order-dependence bug the randomized-order suite exists to catch).
     This helper guarantees removal even when the body raises.
     """
-    if name in _REGISTRY:
-        raise ValueError(f"controller {name!r} already registered")
+    _claim(name, cls)
     _REGISTRY[name] = cls
     try:
         yield cls

@@ -139,15 +139,27 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
+def _field_type(record: type, name: str):
+    """The annotation of ``record``'s field ``name``, evaluated in the
+    module that declares it.  One field at a time: a record may type a
+    field no flag sets with a name its module imports only for type
+    checkers (``LoadConfig.supervisor``)."""
+    owner = next(cls for cls in record.__mro__
+                 if name in vars(cls).get("__annotations__", {}))
+    hint = owner.__annotations__[name]
+    if isinstance(hint, str):
+        hint = eval(hint, vars(sys.modules[owner.__module__]))
+    return hint
+
+
 def _add_flags(parser: argparse.ArgumentParser, record: type,
                rows) -> None:
     """Add each row's flag with the type and default of ``record``'s
     field: ``bool`` is a switch, ``Optional[X]`` parses as ``X``, a
     ``Tuple[X, ...]`` takes one or more ``X``, ``str`` needs no type."""
-    hints = typing.get_type_hints(record)
     fields = {field.name: field for field in dataclasses.fields(record)}
     for flag, name, help_text, *overrides in rows:
-        kind, default = hints[name], fields[name].default
+        kind, default = _field_type(record, name), fields[name].default
         if typing.get_origin(kind) is typing.Union:
             kind = typing.get_args(kind)[0]
         options = {"default": default}

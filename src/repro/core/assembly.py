@@ -9,45 +9,26 @@ process and what hangs on the epoch hook afterwards live here once.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from ..cc.base import make_controller
-from ..control.meta import MetaController, MetaControllerConfig
 from ..obs.metrics import current_registry
-from ..obs.monitor import SimulationMonitor
-from ..sim.chain import Chain
 from ..sim.engine import Simulator
-from ..sim.node import Router
-from ..video.fgs import FgsConfig
 from .colors import PelsMarkingPolicy
 from .feedback import RouterFeedback
-from .flow import frame_receptions
+from .flow import frame_receptions, frame_start
 from .gamma import GammaController
 from .pels_queue import PelsBottleneckQueue
 from .report import PortView, SessionView
 from .sink import PelsSink
 from .source import PelsSource
 
-__all__ = ["FRAME_PHASE", "PacketAssembly", "attach_readout", "frame_start"]
+if TYPE_CHECKING:
+    from ..control.meta import MetaControllerConfig
+    from ..sim.chain import Chain
+    from ..sim.node import Router
 
-
-#: Golden-ratio frame-clock phasing of the single-hop assembly and the
-#: live server's pacer (multi-hop and best-effort carry their own).
-FRAME_PHASE = 0.6180339887
-
-
-def frame_start(flow: int, fgs: FgsConfig, phase: float,
-                start_times: Optional[Sequence[float]] = None) -> float:
-    """A flow's scenario start plus a deterministic frame-clock offset.
-
-    Without it every flow would (re)plan frames at identical instants —
-    an artificial synchronization that correlates the plan-time gamma
-    with the aggregate-rate oscillation and skews the effective red
-    share.  Golden-ratio spacing (``phase``) decorrelates the frame
-    clocks while keeping runs reproducible.
-    """
-    base = 0.0 if start_times is None else start_times[flow]
-    return base + (flow * phase) % 1.0 * fgs.frame_interval
+__all__ = ["PacketAssembly", "attach_readout"]
 
 
 def attach_readout(view: SessionView,
@@ -59,13 +40,17 @@ def attach_readout(view: SessionView,
     engine health at every epoch close (no extra heap events, so traced
     and plain runs stay event-identical).  The opt-in meta-controller
     chains on *after* it, so snapshots capture each epoch's state
-    before the parameters move.  Either is None when off (the default).
+    before the parameters move.  Either is None when off (the default),
+    and its module is imported only when it is on.
     """
     registry = current_registry()
-    monitor = SimulationMonitor(view, registry) \
-        if registry is not None else None
-    meta = MetaController(meta_config).attach(view) \
-        if meta_config is not None else None
+    monitor = meta = None
+    if registry is not None:
+        from ..obs.monitor import SimulationMonitor
+        monitor = SimulationMonitor(view, registry)
+    if meta_config is not None:
+        from ..control.meta import MetaController
+        meta = MetaController(meta_config).attach(view)
     return monitor, meta
 
 

@@ -9,9 +9,10 @@ frame and per colour.  That mechanism lives here once, as
 ``now`` arguments, nothing here schedules, sleeps or touches a socket.
 The simulator (:mod:`repro.core.source`, :mod:`repro.core.sink`) and
 the live stack (:mod:`repro.live.server`, :mod:`repro.live.client`)
-are drivers: they own *when* a frame begins and *how* a planned packet
-reaches the network — per-packet gap events there, byte credit here —
-and call the three sender entry points
+are drivers: they own *when* a frame begins (both offset a flow's
+first frame by :func:`frame_start`) and *how* a planned packet reaches
+the network — per-packet gap events there, byte credit here — and call
+the three sender entry points
 
 * :meth:`FlowSender.begin_frame` — finalise the previous frame's
   emitted counts, run the starvation watchdog, snapshot rate and gamma
@@ -37,7 +38,7 @@ healthy flow pays nothing per packet or per ACK for it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cc.base import RateController
 from ..sim.packet import Color, FeedbackLabel
@@ -48,9 +49,29 @@ from .colors import MarkingPolicy, PelsMarkingPolicy
 from .feedback import FeedbackTracker
 from .gamma import GammaController
 
-__all__ = ["FlowSender", "FlowReceiver", "frame_receptions"]
+__all__ = ["FRAME_PHASE", "FlowSender", "FlowReceiver", "frame_receptions",
+           "frame_start"]
 
 _GREEN = Color.GREEN
+
+
+#: Golden-ratio frame-clock phasing of the single-hop assembly and the
+#: live server's pacer (multi-hop and best-effort carry their own).
+FRAME_PHASE = 0.6180339887
+
+
+def frame_start(flow: int, fgs: FgsConfig, phase: float,
+                start_times: Optional[Sequence[float]] = None) -> float:
+    """A flow's scenario start plus a deterministic frame-clock offset.
+
+    Without it every flow would (re)plan frames at identical instants —
+    an artificial synchronization that correlates the plan-time gamma
+    with the aggregate-rate oscillation and skews the effective red
+    share.  Golden-ratio spacing (``phase``) decorrelates the frame
+    clocks while keeping runs reproducible.
+    """
+    base = 0.0 if start_times is None else start_times[flow]
+    return base + (flow * phase) % 1.0 * fgs.frame_interval
 
 
 class FlowSender:

@@ -18,6 +18,7 @@ PELS source embeds, with the operational bounds the simulations use
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from ..cc.base import Tunable, TunableParam
@@ -149,8 +150,8 @@ class GammaController(Tunable):
                  enforce_stability: bool = True) -> None:
         if enforce_stability and not is_stable_sigma(sigma):
             raise ValueError("Lemma 2: gamma control is stable iff 0 < sigma < 2")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < math.inf:  # NaN too, stability check or not
+            raise ValueError("sigma must be positive and finite")
         if not 0 < p_thr <= 1:
             raise ValueError("p_thr must be in (0, 1]")
         if not 0 <= gamma_low <= gamma_high <= 1:

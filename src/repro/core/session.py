@@ -19,8 +19,9 @@ from ..sim.packet import Color
 from ..sim.stats import TimeSeries
 from ..sim.topology import Barbell, BarbellConfig, build_barbell
 from ..video.fgs import FgsConfig
-from .assembly import FRAME_PHASE, PacketAssembly, frame_start
+from .assembly import PacketAssembly
 from .colors import PelsMarkingPolicy
+from .flow import FRAME_PHASE, frame_start
 from .params import ControlParams
 from .pels_queue import PelsBottleneckQueue, PelsQueueConfig
 
@@ -99,7 +100,7 @@ class PelsScenario(ControlParams):
 
     def frame_phase_of(self, flow: int) -> float:
         """Deterministic per-flow frame-clock offset (see
-        :func:`~repro.core.assembly.frame_start`)."""
+        :func:`~repro.core.flow.frame_start`)."""
         return frame_start(flow, self.fgs, FRAME_PHASE)
 
     def pels_capacity_bps(self) -> float:

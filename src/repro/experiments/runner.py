@@ -44,42 +44,79 @@ from .common import ExperimentResult
 __all__ = ["EXPERIMENTS", "HOST_FACTS", "describe_registry", "run_all",
            "add_arguments", "run_cli", "main"]
 
-#: Figure/table key -> (module in this package, entry function).  Names,
-#: not functions: reading the table imports no experiment.
-EXPERIMENTS: Dict[str, Tuple[str, str]] = {
-    "T1": ("table1", "run"),
-    "F2": ("fig2", "run"),
-    "F5": ("fig5", "run"),
-    "F7": ("fig7", "run"),
-    "F8": ("fig8", "run"),
-    "F9": ("fig9", "run"),
-    "F10": ("fig10", "run"),
-    "X1": ("multihop", "run"),
-    "X2": ("heterogeneous", "run"),
-    "X3": ("rd_smoothing", "run"),
-    "X4": ("closed_loop_be", "run"),
-    "X5": ("bursts_exp", "run"),
-    "X6": ("deadlines", "run"),
-    "X7": ("fec_comparison", "run"),
-    "S1": ("scaling", "run"),
-    "S2": ("capacity", "run"),
-    "R1": ("chaos", "run"),
-    "L1": ("live_exp", "run"),
-    "L2": ("live_load", "run"),
-    "L3": ("live_chaos", "run"),
-    "SV1": ("service_exp", "run"),
+#: Figure/table key -> (module in this package, entry function, one-line
+#: description).  Names, not functions: reading the table imports no
+#: experiment.  The description is the module docstring's first line
+#: (``tests/test_runner_cli.py`` keeps the two in sync).
+EXPERIMENTS: Dict[str, Tuple[str, str, str]] = {
+    "T1": ("table1", "run",
+           "Table 1 — expected number of useful packets, model vs simulation."),
+    "F2": ("fig2", "run",
+           "Fig. 2 — useful packets and utility vs frame size H (p = 0.1)."),
+    "F5": ("fig5", "run",
+           "Fig. 5 — stability of the gamma controller vs the gain sigma."),
+    "F7": ("fig7", "run",
+           "Fig. 7 — gamma evolution and red packet loss in full simulation."),
+    "F8": ("fig8", "run",
+           "Fig. 8 — green and yellow packet delays under arriving flows."),
+    "F9": ("fig9", "run",
+           "Fig. 9 — red packet delays (left) and MKC convergence/fairness "
+           "(right)."),
+    "F10": ("fig10", "run",
+            "Fig. 10 — PSNR of reconstructed Foreman: PELS vs best-effort."),
+    "X1": ("multihop", "run", "X1 — multi-bottleneck validation (extension)."),
+    "X2": ("heterogeneous", "run",
+           "X2 — MKC under heterogeneous feedback delays (extension)."),
+    "X3": ("rd_smoothing", "run",
+           "X3 — R-D-aware constant-quality scaling (extension)."),
+    "X4": ("closed_loop_be", "run",
+           "X4 — closed-loop best-effort validation of Lemma 1 (extension)."),
+    "X5": ("bursts_exp", "run",
+           "X5 — loss-burst structure: validating §3's exponential-tail "
+           "assumption."),
+    "X6": ("deadlines", "run",
+           "X6 — decoding deadlines: PELS vs retransmission-based recovery."),
+    "X7": ("fec_comparison", "run",
+           "X7 — PELS vs FEC-protected best-effort at equal bandwidth."),
+    "S1": ("scaling", "run",
+           "S1 — fluid-engine scaling sweep: thousand-flow populations "
+           "(extension)."),
+    "S2": ("capacity", "run",
+           "S2 — CDN capacity planning: 10^6 flows over multi-bottleneck "
+           "fabrics"),
+    "R1": ("chaos", "run",
+           "R1 — chaos suite: PELS under faults (robustness extension)."),
+    "L1": ("live_exp", "run",
+           "L1 — live loopback equilibrium vs Lemma 6 (wall-clock extension)."),
+    "L2": ("live_load", "run",
+           "L2 — gateway load: hundreds of live flows across router shards."),
+    "L3": ("live_chaos", "run",
+           "L3 — chaos under load: the supervised gateway survives a shard "
+           "kill."),
+    "SV1": ("service_exp", "run",
+            "SV1 — service-fleet integration: mixed batch, worker kill, "
+            "identical artifacts."),
 }
 
-#: ``ablations.ABLATIONS`` by name, in its order.
-ABLATIONS: Dict[str, Tuple[str, str]] = {
-    "A1": ("ablations", "run_sigma_sweep"),
-    "A2": ("ablations", "run_pthr_sweep"),
-    "A3": ("ablations", "run_wrr_sweep"),
-    "A4": ("ablations", "run_meta_control"),
-    "A5": ("ablations", "run_controller_comparison"),
-    "A6": ("ablations", "run_two_priority"),
-    "A7": ("ablations", "run_robustness"),
-    "A8": ("ablations", "run_red_buffer_sweep"),
+#: ``ablations.ABLATIONS`` by name, in its order; the description is the
+#: entry function's docstring's first line.
+ABLATIONS: Dict[str, Tuple[str, str, str]] = {
+    "A1": ("ablations", "run_sigma_sweep",
+           "A1: settle time and overshoot of Eq. (4) across sigma."),
+    "A2": ("ablations", "run_pthr_sweep",
+           "A2: utility bound and measured red loss across p_thr."),
+    "A3": ("ablations", "run_wrr_sweep",
+           "A3: the PELS aggregate receives its configured WRR share."),
+    "A4": ("ablations", "run_meta_control",
+           "A4 — adaptive meta-control: PID-tuned vs paper-fixed parameters."),
+    "A5": ("ablations", "run_controller_comparison",
+           "A5: rate smoothness of MKC vs AIMD vs TFRC under PELS."),
+    "A6": ("ablations", "run_two_priority",
+           "A6: tri-color PELS vs a QBSS-like two-priority variant."),
+    "A7": ("ablations", "run_robustness",
+           "A7: robustness — ACK loss and runtime WRR renegotiation."),
+    "A8": ("ablations", "run_red_buffer_sweep",
+           "A8: red buffer size vs red delay (loss is buffer-independent)."),
 }
 
 
@@ -98,11 +135,11 @@ class _Registry(Mapping[str, Callable[..., ExperimentResult]]):
     """Key -> entry function; a key's module is imported when it is
     looked up, so ``in``, ``len`` and iteration import nothing."""
 
-    def __init__(self, names: Dict[str, Tuple[str, str]]) -> None:
+    def __init__(self, names: Dict[str, Tuple[str, ...]]) -> None:
         self._names = names
 
     def __getitem__(self, key: str) -> Callable[..., ExperimentResult]:
-        module, attr = self._names[key]
+        module, attr = self._names[key][:2]
         return getattr(importlib.import_module(f"{__package__}.{module}"),
                        attr)
 
@@ -151,27 +188,13 @@ def _preload(keys: List[str]) -> None:
 def describe_registry() -> List[Tuple[str, str]]:
     """``(key, one-line description)`` for every runnable artifact.
 
-    Descriptions come from docstrings — the experiment module's first
-    line (the canonical "F7 — ..." one-liners), except for ablations
-    where the per-sweep function docstring is the specific one.  This
-    powers ``--list`` and the service API's ``GET /experiments``, so
-    clients can discover submittable jobs without reading source.
-    Reading those docstrings resolves every key, so this one call
-    imports every experiment module.
+    This powers ``--list`` and the service API's ``GET /experiments``,
+    so clients can discover submittable jobs without reading source.
+    The descriptions are the registry tables' third column, so listing
+    imports no experiment module.
     """
-    import inspect
-    entries: List[Tuple[str, str]] = []
-    for key, fn in _registry().items():
-        module = sys.modules.get(getattr(fn, "__module__", ""), None)
-        module_doc = inspect.getdoc(module) or "" if module else ""
-        fn_doc = inspect.getdoc(fn) or ""
-        if module is not None and module.__name__.endswith(".ablations"):
-            doc = fn_doc or module_doc
-        else:
-            doc = module_doc or fn_doc
-        first = doc.splitlines()[0].strip() if doc else ""
-        entries.append((key, first))
-    return entries
+    return [(key, entry[2])
+            for key, entry in {**EXPERIMENTS, **ABLATIONS}.items()]
 
 
 def _parse_only(only: str) -> Tuple[List[str], List[str]]:

@@ -59,15 +59,14 @@ import socket
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from ..cc.mkc import mkc_stationary_rate
 from ..core.clock import DatagramEndpoint, SelectorClock
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
 from ..core.retry import retry_call
-from ..faults.live import AsyncFaultDriver
-from ..faults.schedule import FaultSchedule
 from ..video.fgs import FgsConfig
 from .client import LiveClient
 from .gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
@@ -75,7 +74,10 @@ from .gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                       TransientRegistrationError)
 from .server import LiveFlow, LiveServer
 from .shard import RouterShard, ShardConfig, ShardStats, SOCKET_BUFFER_BYTES
-from .supervisor import ShardSupervisor, SupervisorConfig
+
+if TYPE_CHECKING:
+    from ..faults.schedule import FaultSchedule
+    from .supervisor import ShardSupervisor, SupervisorConfig
 
 __all__ = ["LoadConfig", "ShardLoad", "LoadResult", "LoadMeasurement",
            "ChaosContext", "register_with_retry", "load_report", "run_load"]
@@ -522,6 +524,7 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
                          for d in admitted[::stride][:config.churn_flows]]
 
         if config.supervise:
+            from .supervisor import ShardSupervisor, SupervisorConfig
             supervisor = ShardSupervisor(
                 clock, gateway,
                 config.supervisor or SupervisorConfig(),
@@ -550,6 +553,7 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
         if supervisor is not None:
             supervisor.start()
         if fault_schedule is not None:
+            from ..faults.live import AsyncFaultDriver
             fault_schedule.install(
                 AsyncFaultDriver(clock, seed=config.seed or 0))
         warmup = config.duration * config.warmup_fraction

@@ -49,9 +49,8 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cc.base import RateController, make_controller
-from ..core.assembly import FRAME_PHASE, frame_start
 from ..core.clock import Clock
-from ..core.flow import FlowSender
+from ..core.flow import FRAME_PHASE, FlowSender, frame_start
 from ..core.gamma import GammaController
 from ..obs.trace import current_tracer
 from ..sim.packet import Color, FeedbackLabel

@@ -103,6 +103,15 @@ class TestMkc:
             MkcController(beta=2.5)
         MkcController(beta=2.5, enforce_stability=False)  # opt-out works
 
+    @pytest.mark.parametrize("enforce", [True, False])
+    @pytest.mark.parametrize("gain", ["alpha_bps", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_gains_must_be_positive_and_finite(self, enforce, gain, value):
+        """The stability opt-out relaxes Lemma 5's upper bound only: a
+        NaN, infinite or non-positive gain is refused either way."""
+        with pytest.raises(ValueError):
+            MkcController(enforce_stability=enforce, **{gain: value})
+
     def test_rate_clamped_to_bounds(self):
         c = MkcController(alpha_bps=20_000.0, beta=0.5, feedback_delay=0.0,
                           initial_rate_bps=100_000.0, max_rate_bps=110_000.0)

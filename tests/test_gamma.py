@@ -101,6 +101,12 @@ class TestGammaController:
             GammaController(sigma=2.5)
         GammaController(sigma=2.5, enforce_stability=False, gamma0=0.5)
 
+    @pytest.mark.parametrize("enforce", [True, False])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_sigma_must_be_positive_and_finite(self, enforce, sigma):
+        with pytest.raises(ValueError):
+            GammaController(sigma=sigma, enforce_stability=enforce)
+
     def test_expected_fixed_point_clamps(self):
         ctrl = GammaController(gamma_low=0.05, gamma_high=0.95)
         assert ctrl.expected_fixed_point(0.0) == 0.05

@@ -1,40 +1,37 @@
 """Start-up fence: what each entry point imports, and that it still resolves.
 
-Every package ``__init__`` except ``repro.obs`` and ``repro.cc`` is a
-lazy table (:mod:`repro._lazy`): a public name imports its defining
-submodule when first read, so ``import repro.x.y`` loads only what
-``y`` needs.  Each check runs in a fresh interpreter, because the test
-process itself has long since imported everything.
+Every package ``__init__`` except ``repro.obs`` is a lazy table
+(:mod:`repro._lazy`): a public name imports its defining submodule when
+first read, so ``import repro.x.y`` loads only what ``y`` needs.  The
+controller registry (:mod:`repro.cc.base`) names the module of each
+built-in and imports it when the name is first asked for, so a live
+process running MKC loads neither the baselines nor the packet
+simulator :mod:`repro.cc.tcp` drives.  Each check runs in a fresh
+interpreter, because the test process itself has long since imported
+everything.  On Python 3.11 (``import sys; import <entry>;
+len(sys.modules)``), with ``repro.cc`` eager and ``core/assembly.py``
+the home of the frame phase before:
 
-=============================================  ======  =======
-``repro`` modules loaded by                    eager   lazy
-=============================================  ======  =======
-``import repro.live.shard`` (one router shard)     80       30
-``import repro.cli, repro.service.api``            73       13
-``import repro.core.session``                      64       44
-``import repro.experiments.runner``               112        8
-=============================================  ======  =======
+=============================================  ==========  ==========
+modules loaded (in all / of them ``repro``)    before      now
+=============================================  ==========  ==========
+``import repro.live.shard`` (one router shard)  160 / 30    153 / 23
+``import repro.live.loadgen``                   192 / 55    165 / 35
+``import repro.fluid.engine``                   147 / 25    135 / 15
+``import repro.analysis.oracles``               150 / 28    138 / 18
+``import repro.core.session``                   172 / 44    169 / 41
+``describe_registry()`` (``--list``)            253 / 103   132 / 8
+``import repro.cli, repro.service.api``         142 / 13    142 / 13
+``import repro.experiments.runner``             132 / 8     132 / 8
+``import repro.core.proc``                      112 / 4     112 / 4
+=============================================  ==========  ==========
 
 Every live process and ``pels serve`` run on ``SelectorClock``, so no
 ``repro.live`` import, no running shard child or load generator and no
-serving ``pels serve`` loads asyncio or ``ssl``; and ``core/proc.py``
-forks on its own, so none of them loads ``multiprocessing``.  On
-Python 3.11:
-
-=============================================  ======  ==================
-modules loaded in all by                          now  before
-=============================================  ======  ==================
-``import repro.live.shard``                       160  174 (217 asyncio)
-``import repro.live.loadgen``                     192  205 (248 asyncio)
-``import repro.cli, repro.service.api``           142  159 (204 asyncio)
-``import repro.core.proc``                        112  129
-=============================================  ======  ==================
-
-"before" is with ``multiprocessing`` under ``core/proc.py`` (17
-modules: ``multiprocessing.*``, ``subprocess``, ``pickle``, ``signal``,
-``locale``, ``fcntl``, …); "asyncio" adds an asyncio router, driver or
-API and, for the API, a module-level ``hashlib``, which loads OpenSSL's
-libcrypto for the WebSocket handshake alone.
+serving ``pels serve`` loads asyncio or ``ssl`` (an asyncio router,
+driver or API would add 40-45 modules, and the API's module-level
+``hashlib`` OpenSSL's libcrypto); and ``core/proc.py`` forks on its
+own, so none of them loads ``multiprocessing`` (17 modules more).
 
 A forbidden set below that starts failing means an import moved to
 module scope somewhere on that path: find it with
@@ -60,9 +57,17 @@ FORBIDDEN = {
                          "repro.service", "asyncio", "numpy"},
     "repro.core.session": {"repro.live", "repro.fluid", "repro.experiments",
                            "repro.service", "asyncio", "numpy"},
-    # One router shard: the paper's Fig. 4 output port and nothing else.
+    # One router shard: the paper's Fig. 4 output port and nothing else:
+    # no rate controller, no packet host or link.
     "repro.live.shard": {"repro.experiments", "repro.fluid", "repro.service",
-                         "repro.core.session", "numpy", "asyncio"},
+                         "repro.core.session", "numpy", "asyncio",
+                         "repro.cc.aimd", "repro.cc.kelly", "repro.cc.mkc",
+                         "repro.cc.tcp", "repro.cc.tfrc", "repro.sim.node",
+                         "repro.sim.link"},
+    # The fluid engine and its oracles integrate the recurrences: no
+    # packet simulator.
+    "repro.fluid.engine": {"repro.sim"},
+    "repro.analysis.oracles": {"repro.sim"},
     # The child primitive forks on its own.
     "repro.core.proc": {"multiprocessing", "subprocess"},
     # The ``pels serve`` start: no live stack, no experiment registry,
@@ -77,12 +82,19 @@ FORBIDDEN = {
     # when the key runs, not when the registry does.
     "repro.experiments.runner": {"repro.sim", "repro.live", "repro.fluid",
                                  "repro.service", "asyncio", "numpy"},
-    # Listing every experiment (``--list``, ``GET /experiments``) loads
-    # each module, but SV1's service stack only when SV1 runs.
+    # Listing every experiment (``--list``, ``GET /experiments``) reads
+    # the registry's descriptions: no experiment module, no engine.
     "from repro.experiments.runner import describe_registry; "
-    "describe_registry()": {"asyncio", "ssl"},
+    "describe_registry()": {"asyncio", "ssl", "repro.sim", "repro.live",
+                            "repro.fluid"},
     # The load generator and the loopback session drive SelectorClock.
-    "repro.live.loadgen": {"asyncio", "ssl"},
+    # The generator runs MKC over live shards: no packet simulator, no
+    # baseline controller, no meta-control; faults only for a chaos
+    # run, the supervisor only for a supervised one.
+    "repro.live.loadgen": {"asyncio", "ssl", "repro.cc.tcp", "repro.sim.node",
+                           "repro.sim.link", "repro.sim.chain",
+                           "repro.core.assembly", "repro.control",
+                           "repro.faults", "repro.live.supervisor"},
     "repro.live.session": {"asyncio", "ssl"},
     # A clock that only reads ``now`` (the gateway's) loads no asyncio.
     "from repro.core.clock import WallClock; WallClock()": {"asyncio",
@@ -326,6 +338,66 @@ def test_every_module_imports_alone():
     report = json.loads(run_fresh("-c", ALONE))
     assert report["failed"] == {}
     assert report["count"] > 100
+
+
+REGISTERS = """
+import importlib, json, pkgutil
+import repro.cc
+from repro.cc import base
+before = sorted(base._REGISTRY)
+for module in pkgutil.iter_modules(repro.cc.__path__, "repro.cc."):
+    importlib.import_module(module.name)
+print(json.dumps({"before": before, "table": base.BUILTIN_CONTROLLERS,
+                  "registered": {name: cls.__module__ for name, cls
+                                 in base._REGISTRY.items()}}))
+"""
+
+
+def test_builtin_table_is_what_registers():
+    """``BUILTIN_CONTROLLERS`` names every controller that any module of
+    ``repro.cc`` registers, against the module that registers it, and
+    nothing registers before it is asked for."""
+    report = json.loads(run_fresh("-c", REGISTERS))
+    assert report["before"] == []
+    assert report["registered"] == {
+        name: f"repro.cc.{module}" for name, module in report["table"].items()}
+    assert sorted(report["table"]) == CONTROLLERS
+
+
+SHADOW = """
+import json, sys
+from repro.cc.base import (RateController, make_controller,
+                           register_controller, temporary_controller)
+class Stub(RateController):
+    pass
+refused = []
+try:
+    with temporary_controller("kelly", Stub):
+        pass
+except ValueError as exc:
+    refused.append(str(exc))
+try:
+    register_controller("tfrc")(Stub)
+except ValueError as exc:
+    refused.append(str(exc))
+mkc = type(make_controller("mkc")).__name__
+loaded = sorted(m for m in sys.modules if m.startswith("repro.cc."))
+kelly = type(make_controller("kelly")).__name__
+print(json.dumps({"refused": refused, "mkc": mkc, "loaded": loaded,
+                  "kelly": kelly}))
+"""
+
+
+def test_unloaded_builtin_is_neither_shadowed_nor_loaded_early():
+    """A fresh process refuses a stub under a built-in's name before
+    that built-in has loaded, and ``make_controller`` loads only the
+    module of the controller it makes."""
+    report = json.loads(run_fresh("-c", SHADOW))
+    assert report["refused"] == ["controller 'kelly' already registered",
+                                 "controller 'tfrc' already registered"]
+    assert report["mkc"] == "MkcController"
+    assert report["loaded"] == ["repro.cc.base", "repro.cc.mkc"]
+    assert report["kelly"] == "KellyController"
 
 
 def test_controller_registry_is_complete():

@@ -38,9 +38,27 @@ class TestRegistry:
 
     def test_every_figure_key_resolves_to_its_module_run(self):
         import importlib
-        for key, (module, _) in runner.EXPERIMENTS.items():
+        for key, (module, _, _) in runner.EXPERIMENTS.items():
             run = importlib.import_module(f"repro.experiments.{module}").run
             assert _registry()[key] is run
+
+    def test_descriptions_match_the_docstrings(self):
+        """Each table's description is the first line of the docstring
+        ``--list`` used to import its module to read: the module's for
+        a figure, the entry function's for an ablation (its defining
+        module's when the function has none, as A4's)."""
+        import importlib
+        import inspect
+        import sys
+        for key, (module, attr, description) in {
+                **runner.EXPERIMENTS, **runner.ABLATIONS}.items():
+            owner = importlib.import_module(f"repro.experiments.{module}")
+            fn = getattr(owner, attr)
+            doc = inspect.getdoc(owner)
+            if key in runner.ABLATIONS:
+                doc = inspect.getdoc(fn) \
+                    or inspect.getdoc(sys.modules[fn.__module__])
+            assert description == doc.splitlines()[0].strip(), key
 
 
 class TestListFlag:
