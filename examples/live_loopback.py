@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import sys
 
-from repro.core.report import build_report
 from repro.live import LiveConfig, run_live_session
 from repro.sim.packet import Color
 
@@ -32,22 +31,18 @@ def main() -> None:
           f"{config.pels_capacity_bps()/1e6:.0f} mb/s, "
           f"T = {config.feedback_interval*1000:.0f} ms)...")
     session = run_live_session(config)
-    # Measure the steady state over the final 40%: the live ramp from
-    # 128 kb/s eats the first couple of wall-clock seconds.
-    report = build_report(session.view, warmup_fraction=0.6)
-
-    oracle = config.lemma6_rate_bps()
-    rates = [flow.mean_rate_bps for flow in report.flows]
-    mean_rate = sum(rates) / len(rates)
+    # L1's score: the steady state over the final 40% (the live ramp
+    # from 128 kb/s eats the first couple of wall-clock seconds).
+    score = session.score()
+    report, oracle = score.report, score.report.rate_theory_bps
 
     print("\n-- congestion control (Lemma 6, wall clock) --")
     for flow in report.flows:
         print(f"flow {flow.flow_id}: rate {flow.mean_rate_bps/1e3:7.1f} "
               f"kb/s   gamma {flow.gamma:.3f}   "
               f"{flow.packets_sent} packets sent")
-    print(f"mean rate {mean_rate/1e3:.1f} kb/s vs oracle "
-          f"r* = {oracle/1e3:.1f} kb/s "
-          f"(err {abs(mean_rate - oracle)/oracle*100:.1f}%)")
+    print(f"mean rate {score.mean_rate_bps/1e3:.1f} kb/s vs oracle "
+          f"r* = {oracle/1e3:.1f} kb/s (err {score.rate_error*100:.1f}%)")
 
     print("\n-- strict-priority delays (one-way, ms) --")
     receiver = session.client.flow(0)

@@ -243,7 +243,6 @@ def _declare_live(parser) -> None:
 
 
 def _cmd_live(args) -> int:
-    from .core.report import build_report
     from .live.session import LiveConfig, run_live_session
 
     config = _from_flags(LiveConfig, _live_rows(), args)
@@ -251,22 +250,17 @@ def _cmd_live(args) -> int:
     if result.meta is not None:
         print(f"  meta-control: {result.meta.adjustments} adjustments over "
               f"{result.meta.steps} epochs")
-    # The live ramp from 128 kb/s eats ~2 s of wall clock; measure the
-    # steady state over the final 40% (see experiments/live_exp.py).
-    report = build_report(result.view, warmup_fraction=0.6)
+    # L1's score: the steady state over the final 40% of the run.
+    score = result.score()
+    report, oracle = score.report, score.report.rate_theory_bps
     print(report.render())
-    oracle = config.lemma6_rate_bps()
-    rates = [flow.mean_rate_bps for flow in report.flows]
-    mean_rate = sum(rates) / len(rates) if rates else 0.0
-    error = abs(mean_rate - oracle) / oracle if oracle else float("nan")
     print(f"  Lemma 6 oracle: {oracle/1e3:.1f} kb/s per flow; live mean "
-          f"{mean_rate/1e3:.1f} kb/s (err {error*100:.1f}%)")
+          f"{score.mean_rate_bps/1e3:.1f} kb/s "
+          f"(err {score.rate_error*100:.1f}%)")
     if args.json:
-        payload = report.to_dict()
-        payload["lemma6_rate_bps"] = oracle
-        payload["live_mean_rate_bps"] = mean_rate
-        payload["lemma6_error"] = error
-        _write_json(payload, args.json, "report")
+        _write_json({**report.to_dict(), "lemma6_rate_bps": oracle,
+                     "live_mean_rate_bps": score.mean_rate_bps,
+                     "lemma6_error": score.rate_error}, args.json, "report")
     return 0
 
 
@@ -293,9 +287,12 @@ def _cmd_gateway(args) -> int:
     # A chaos run is supervised, rides the outage out on the sender's
     # blind-mode watchdog and measures a post-recovery window.
     chaos_kind = args.chaos
+    supervisor = None
+    if args.supervise or chaos_kind:
+        from .live.supervisor import SupervisorConfig
+        supervisor = SupervisorConfig()
     config = _from_flags(
-        LoadConfig, _GATEWAY, args,
-        supervise=args.supervise or bool(chaos_kind),
+        LoadConfig, _GATEWAY, args, supervisor=supervisor,
         feedback_timeout=0.4 if chaos_kind else 0.0,
         post_window=min(2.5, args.duration / 3) if chaos_kind else 0.0)
 

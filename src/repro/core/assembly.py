@@ -4,7 +4,9 @@ The single-hop, multi-hop and best-effort simulations differ in
 topology, bottleneck discipline and cross traffic.  How a PELS flow is
 wired onto a host pair from the scenario's
 :class:`~repro.core.params.ControlParams`, how a router gets its Eq. 11
-process and what hangs on the epoch hook afterwards live here once.
+process and the read-out tail live here once; what hangs on the epoch
+hook is :func:`~repro.core.report.attach_readout`, which the live
+session shares.
 """
 
 from __future__ import annotations
@@ -12,46 +14,21 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from ..cc.base import make_controller
-from ..obs.metrics import current_registry
 from ..sim.engine import Simulator
 from .colors import PelsMarkingPolicy
 from .feedback import RouterFeedback
 from .flow import frame_receptions, frame_start
 from .gamma import GammaController
 from .pels_queue import PelsBottleneckQueue
-from .report import PortView, SessionView
+from .report import PortView, SessionView, attach_readout
 from .sink import PelsSink
 from .source import PelsSource
 
 if TYPE_CHECKING:
-    from ..control.meta import MetaControllerConfig
     from ..sim.chain import Chain
     from ..sim.node import Router
 
-__all__ = ["PacketAssembly", "attach_readout"]
-
-
-def attach_readout(view: SessionView,
-                   meta_config: Optional[MetaControllerConfig]) -> tuple:
-    """Hang a session's optional readers on its epoch hook; returns
-    ``(monitor, meta)``.
-
-    With an active metrics registry a monitor snapshots queue/flow/
-    engine health at every epoch close (no extra heap events, so traced
-    and plain runs stay event-identical).  The opt-in meta-controller
-    chains on *after* it, so snapshots capture each epoch's state
-    before the parameters move.  Either is None when off (the default),
-    and its module is imported only when it is on.
-    """
-    registry = current_registry()
-    monitor = meta = None
-    if registry is not None:
-        from ..obs.monitor import SimulationMonitor
-        monitor = SimulationMonitor(view, registry)
-    if meta_config is not None:
-        from ..control.meta import MetaController
-        meta = MetaController(meta_config).attach(view)
-    return monitor, meta
+__all__ = ["PacketAssembly"]
 
 
 class PacketAssembly:

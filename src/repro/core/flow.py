@@ -271,10 +271,6 @@ class FlowReceiver:
             # enhancement index is relative to the first FGS packet.
             reception.enhancement_received.add(index - self.green_packets)
 
-    def mean_delay(self, color: Color) -> float:
-        """Average one-way delay observed for a color."""
-        return self.delay_probes[color].mean
-
 
 def frame_receptions(sender: FlowSender,
                      receiver: FlowReceiver) -> List[FrameReception]:

@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import asdict, dataclass, field
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    NamedTuple, Optional, Sequence)
 
 from ..cc.mkc import mkc_equilibrium_loss, mkc_stationary_rate
+from ..obs.metrics import current_registry
 from ..sim.engine import Simulator
 from ..sim.packet import Color
 from .clock import Clock
@@ -38,8 +39,11 @@ from .feedback import EpochLog
 from .flow import FlowReceiver, FlowSender, frame_receptions
 from .pels_queue import PelsQueueCore
 
+if TYPE_CHECKING:
+    from ..control.meta import MetaControllerConfig
+
 __all__ = ["PortView", "SessionView", "FlowReport", "SessionReport",
-           "build_report"]
+           "attach_readout", "build_report"]
 
 
 class PortView(NamedTuple):
@@ -93,6 +97,29 @@ class SessionView:
                           for port in self.ports)
                 for index, name in enumerate(
                     ("green", "yellow", "red", "internet"))}
+
+
+def attach_readout(view: SessionView,
+                   meta_config: Optional[MetaControllerConfig]) -> tuple:
+    """Hang a session's optional readers on its epoch hook; returns
+    ``(monitor, meta)``.
+
+    With an active metrics registry a monitor snapshots queue/flow/
+    engine health at every epoch close (no extra heap events, so traced
+    and plain runs stay event-identical).  The opt-in meta-controller
+    chains on *after* it, so snapshots capture each epoch's state
+    before the parameters move.  Either is None when off (the default),
+    and its module is imported only when it is on.
+    """
+    registry = current_registry()
+    monitor = meta = None
+    if registry is not None:
+        from ..obs.monitor import SimulationMonitor
+        monitor = SimulationMonitor(view, registry)
+    if meta_config is not None:
+        from ..control.meta import MetaController
+        meta = MetaController(meta_config).attach(view)
+    return monitor, meta
 
 
 @dataclass

@@ -46,7 +46,7 @@ under 10% of their Lemma 6 share), and from the kill instant on their
 senders go blind and never recover (their counters are snapshotted at
 the kill, so episodes a healthy flow had before it do not count): the
 healing in the supervised run comes from the supervisor, not from some
-accidental recovery path.  Like L1/L2 this is wall-clock: checks
+accidental recovery path.  Like L2 this is wall-clock: checks
 assert bands and invariants, not exact bytes.
 """
 
@@ -86,7 +86,6 @@ def _config(fast: bool, supervise: bool) -> LoadConfig:
     return LoadConfig(
         flows=flows, shards=shards, duration=duration,
         warmup_fraction=warmup, seed=SEED,
-        supervise=supervise,
         supervisor=SupervisorConfig() if supervise else None,
         feedback_timeout=0.4,
         post_window=post_window)

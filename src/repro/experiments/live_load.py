@@ -1,6 +1,6 @@
 """L2 — gateway load: hundreds of live flows across router shards.
 
-L1 shows two wall-clock flows land on the Lemma 6 operating point; L2
+L1 shows two live flows land on the Lemma 6 operating point; L2
 shows the *same stack scaled three orders of magnitude in population*
 still does.  Each cell of the sweep drives ``flows`` concurrent live
 PELS streams through the admission gateway onto ``shards`` router
@@ -23,7 +23,7 @@ gateway), p50/p99 per-color one-way delay over the measurement window
 layer rides the strict-priority queue even at 800 flows), and CPU
 seconds per flow across the shard pool.
 
-Like L1 this is wall-clock and therefore not byte-deterministic; every
+This is wall-clock and therefore not byte-deterministic; every
 cell asserts steady-state bands, not exact bytes.  The full sweep
 scales flows and shards together — (50, 1), (200, 2), (800, 4) — so
 per-shard load stays in the regime a single shard process handles with

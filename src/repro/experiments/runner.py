@@ -87,7 +87,7 @@ EXPERIMENTS: Dict[str, Tuple[str, str, str]] = {
     "R1": ("chaos", "run",
            "R1 — chaos suite: PELS under faults (robustness extension)."),
     "L1": ("live_exp", "run",
-           "L1 — live loopback equilibrium vs Lemma 6 (wall-clock extension)."),
+           "L1 — the live stack vs Lemma 6 on simulated time (extension)."),
     "L2": ("live_load", "run",
            "L2 — gateway load: hundreds of live flows across router shards."),
     "L3": ("live_chaos", "run",
@@ -128,7 +128,7 @@ ABLATIONS: Dict[str, Tuple[str, str, str]] = {
 HOST_FACTS: Dict[str, Optional[Tuple[str, ...]]] = {
     "S1": ("wall_per_sim_s_", "epochs_per_s_", "peak_rss_bytes_"),
     "S2": ("wall_s_", "epochs_per_s_", "peak_rss_bytes_"),
-    "L1": None, "L2": None, "L3": None, "SV1": None}
+    "L2": None, "L3": None, "SV1": None}
 
 
 class _Registry(Mapping[str, Callable[..., ExperimentResult]]):

@@ -12,7 +12,8 @@ selector; no module here imports asyncio); on a
 :class:`~repro.sim.engine.Simulator` clock the same components run in
 virtual time, no socket needed.  If the equations only held
 under the simulator's perfectly punctual timers, they would be a
-modelling artifact; the ``L1`` experiment shows the live equilibrium
+modelling artifact; ``LiveSessionResult.score`` — the ``L1`` checks,
+which L1 runs on simulated time — shows the wall-clock equilibrium
 lands on the Lemma 6 oracle anyway.
 
 Topology (one process, three UDP endpoints on 127.0.0.1)::
@@ -36,8 +37,9 @@ Topology (one process, three UDP endpoints on 127.0.0.1)::
   :class:`~repro.core.flow.FlowReceiver` (per-color one-way delay,
   frame receptions for offline PSNR reconstruction) and echoes every
   packet's label back to the server.
-* :mod:`~repro.live.session` — wires the three together on loopback,
-  runs for a wall-clock duration and emits a
+* :mod:`~repro.live.session` — assembles the three once and runs them
+  over loopback sockets for a wall-clock duration, or over pure-delay
+  hops on a ``Simulator``; either run reads back as a
   :class:`~repro.core.report.SessionReport`.
 
 The reverse (ACK) path deliberately bypasses the router, mirroring the

@@ -32,7 +32,7 @@ stable hash, flow ids are allocated in registration order, and the
 seed reaches the server's cross-traffic jitter RNG — a rerun with the
 same config exercises the identical admission and routing decisions.
 
-Self-healing mode (the L3 experiment): with ``config.supervise`` a
+Self-healing mode (the L3 experiment): with ``config.supervisor`` a
 :class:`~repro.live.supervisor.ShardSupervisor` polls the pool during
 the run — crashed/hung shards are replaced mid-stream, their flows
 re-homed and re-targeted; a ``chaos`` callback passed to
@@ -146,9 +146,9 @@ class LoadConfig(ControlParams):
     #: run — exercises the partial-report path; 0 disables churn.
     churn_flows: int = 0
 
-    #: Run a :class:`~repro.live.supervisor.ShardSupervisor` over the
-    #: pool (health checks, failover, shedding).
-    supervise: bool = False
+    #: Run a :class:`~repro.live.supervisor.ShardSupervisor` with this
+    #: config over the pool (health checks, failover, shedding); None
+    #: runs the pool unsupervised.
     supervisor: Optional[SupervisorConfig] = None
     #: Sender-side blind-mode watchdog (seconds of feedback silence
     #: before a conservative rate decay; 0 = off).  Enabled by the L3
@@ -523,11 +523,10 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
             churn_ids = [d.flow_id
                          for d in admitted[::stride][:config.churn_flows]]
 
-        if config.supervise:
-            from .supervisor import ShardSupervisor, SupervisorConfig
+        if config.supervisor is not None:
+            from .supervisor import ShardSupervisor
             supervisor = ShardSupervisor(
-                clock, gateway,
-                config.supervisor or SupervisorConfig(),
+                clock, gateway, config.supervisor,
                 retarget=server.retarget_flow, on_spawn=spawned.append)
         if chaos is not None:
             fault_schedule = chaos(ChaosContext(

@@ -61,15 +61,10 @@ from ..core.pels_queue import PelsQueueConfig, PelsQueueCore
 from ..obs.metrics import current_registry
 from ..obs.trace import current_tracer
 from ..sim.packet import Color
-from .wire import HEADER_SIZE, peek_flow_id, stamp_label
+from .wire import (BE_COLOR, COLOR_OFFSET, HEADER_SIZE, peek_flow_id,
+                   stamp_label)
 
 __all__ = ["LiveRouter"]
-
-#: Raw color byte of best-effort traffic (= int(Color.BEST_EFFORT)).
-_BE = 3
-
-#: Byte offset of the color mark in the wire header (see wire.py).
-_COLOR_OFFSET = 20
 
 
 class LiveRouter:
@@ -234,10 +229,10 @@ class LiveRouter:
         size = len(data)
         if size < HEADER_SIZE:
             return
-        color = data[_COLOR_OFFSET]
-        if color > _BE:
+        color = data[COLOR_OFFSET]
+        if color > BE_COLOR:
             return
-        if color != _BE:
+        if color != BE_COLOR:
             # Eq. 11 counts PELS arrivals at the port, before any shed
             # or drop (senders keep seeing honest virtual loss), exactly
             # as RouterFeedback.observe counts in the simulator.
@@ -315,8 +310,8 @@ class LiveRouter:
             self._service()
 
     def _forward(self, datagram: bytearray) -> None:
-        color = datagram[_COLOR_OFFSET]
-        if color != _BE:
+        color = datagram[COLOR_OFFSET]
+        if color != BE_COLOR:
             stamp_label(datagram, self.feedback.label)
             if self._trace is not None:
                 self._trace.dequeue("live-router", color, -1)

@@ -38,10 +38,10 @@ from typing import Optional
 
 from ..sim.packet import Color, FeedbackLabel
 
-__all__ = ["HEADER", "HEADER_SIZE", "LABEL", "LABEL_OFFSET", "MAGIC",
-           "VERSION", "LivePacket", "WireFormatError", "encode_packet",
-           "decode_packet", "stamp_label", "peek_color", "peek_label",
-           "peek_flow_id", "peek_ptype", "peek_is_valid"]
+__all__ = ["BE_COLOR", "COLOR_OFFSET", "HEADER", "HEADER_SIZE", "LABEL",
+           "LABEL_OFFSET", "MAGIC", "VERSION", "LivePacket", "WireFormatError",
+           "encode_packet", "decode_packet", "stamp_label", "peek_color",
+           "peek_label", "peek_flow_id", "peek_ptype", "peek_is_valid"]
 
 MAGIC = 0x5E15
 VERSION = 1
@@ -54,7 +54,10 @@ HEADER_SIZE = HEADER.size  # 48
 LABEL = struct.Struct("!IId")
 LABEL_OFFSET = 24
 
-_COLOR_OFFSET = 20
+#: The color byte, for the router's classification and forwarding
+#: peeks, and the raw value of best-effort traffic in it.
+COLOR_OFFSET = 20
+BE_COLOR = int(Color.BEST_EFFORT)
 
 #: The flow-id word alone, for the router's per-datagram route lookup:
 #: a 4-byte peek instead of unpacking the full 48-byte header.
@@ -150,7 +153,7 @@ def decode_packet(data: bytes) -> LivePacket:
 
 def peek_color(data: bytes) -> int:
     """The raw color byte, without a full decode (router fast path)."""
-    return data[_COLOR_OFFSET]
+    return data[COLOR_OFFSET]
 
 
 def peek_flow_id(data: bytes) -> int:

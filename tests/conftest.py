@@ -15,6 +15,7 @@ from typing import List
 import pytest
 
 from repro.core.session import PelsScenario, PelsSimulation
+from repro.live.session import LiveConfig, SimulatedSession
 from repro.sim.engine import Simulator
 
 try:
@@ -91,6 +92,25 @@ def converged_four_flow() -> PelsSimulation:
     """A converged 4-flow PELS run (p* ~ 7.4%) for integration tests."""
     scenario = PelsScenario(n_flows=4, duration=60.0, seed=11)
     return PelsSimulation(scenario).run()
+
+
+#: Binary fractions, so every instant of a simulated live session is
+#: exact: the pacer wheel's tick, 8 ticks per Eq. 11 epoch (T = 1/32 s),
+#: 32 epochs a second, and a backlog timer of half a tick.
+TICK = 1 / 256
+
+
+@pytest.fixture(scope="session")
+def loopback():
+    """``loopback(delay, **config)``: a whole live stack (server ->
+    router -> client -> ACKs) on a Simulator, on the clock above, each
+    hop ``delay`` simulated seconds long.  Cross traffic is the
+    server's own CBR at one 500-byte datagram per tick on average
+    (1.024 mb/s), which keeps the Internet FIFO backlogged so WRR holds
+    PELS to its share."""
+    return lambda delay=0.0, **overrides: SimulatedSession(LiveConfig(
+        feedback_interval=TICK * 8, pace_tick=TICK, service_tick=TICK / 2,
+        cbr_rate_bps=1_024_000.0, seed=1, **overrides), delay)
 
 
 class OrphanProbe:

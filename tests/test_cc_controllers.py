@@ -112,6 +112,14 @@ class TestMkc:
         with pytest.raises(ValueError):
             MkcController(enforce_stability=enforce, **{gain: value})
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.01])
+    def test_feedback_delay_must_be_finite_and_non_negative(self, delay):
+        """A NaN age used to construct, and every step then found no
+        history entry old enough and answered the same rate."""
+        with pytest.raises(ValueError):
+            MkcController(feedback_delay=delay)
+        MkcController(feedback_delay=0.0)  # no lag is a real age
+
     def test_rate_clamped_to_bounds(self):
         c = MkcController(alpha_bps=20_000.0, beta=0.5, feedback_delay=0.0,
                           initial_rate_bps=100_000.0, max_rate_bps=110_000.0)

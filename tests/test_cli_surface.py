@@ -120,6 +120,7 @@ class TestVerbsBuildTheirRecords:
 
     def test_gateway(self, monkeypatch):
         from repro.live.loadgen import LoadConfig
+        from repro.live.supervisor import SupervisorConfig
         (config,), kwargs = _built(
             monkeypatch, "repro.live.loadgen.run_load",
             ["gateway", "--flows", "20", "--shards", "3", "--duration", "6",
@@ -129,17 +130,18 @@ class TestVerbsBuildTheirRecords:
         assert _flat(config) == _flat(LoadConfig(
             flows=20, shards=3, duration=6.0, tenants=2,
             flow_share_bps=9000.0, alpha_bps=800.0, beta=0.6, churn_flows=4,
-            seed=9, supervise=True))
+            seed=9, supervisor=SupervisorConfig()))
 
     def test_gateway_chaos_implies_supervision_and_watchdog(
             self, monkeypatch):
         from repro.live.loadgen import LoadConfig
+        from repro.live.supervisor import SupervisorConfig
         (config,), kwargs = _built(
             monkeypatch, "repro.live.loadgen.run_load",
             ["gateway", "--duration", "6", "--chaos", "kill"])
         assert callable(kwargs["chaos"])
         assert _flat(config) == _flat(LoadConfig(
-            flows=100, shards=2, duration=6.0, supervise=True,
+            flows=100, shards=2, duration=6.0, supervisor=SupervisorConfig(),
             feedback_timeout=0.4, post_window=2.0))
 
     def test_fluid(self, monkeypatch):

@@ -10,7 +10,8 @@ simulator :mod:`repro.cc.tcp` drives.  Each check runs in a fresh
 interpreter, because the test process itself has long since imported
 everything.  On Python 3.11 (``import sys; import <entry>;
 len(sys.modules)``), with ``repro.cc`` eager and ``core/assembly.py``
-the home of the frame phase before:
+the home of the frame phase before (and, for the live session, of
+``attach_readout``, with the tuner imported at module scope):
 
 =============================================  ==========  ==========
 modules loaded (in all / of them ``repro``)    before      now
@@ -20,6 +21,7 @@ modules loaded (in all / of them ``repro``)    before      now
 ``import repro.fluid.engine``                   147 / 25    135 / 15
 ``import repro.analysis.oracles``               150 / 28    138 / 18
 ``import repro.core.session``                   172 / 44    169 / 41
+``import repro.live.session``                   178 / 45    168 / 35
 ``describe_registry()`` (``--list``)            253 / 103   132 / 8
 ``import repro.cli, repro.service.api``         142 / 13    142 / 13
 ``import repro.experiments.runner``             132 / 8     132 / 8
@@ -95,7 +97,12 @@ FORBIDDEN = {
                            "repro.sim.link", "repro.sim.chain",
                            "repro.core.assembly", "repro.control",
                            "repro.faults", "repro.live.supervisor"},
-    "repro.live.session": {"asyncio", "ssl"},
+    # The session (both drivers) runs the live endpoints: no packet
+    # host, link or source, and the tuner only for a tuned run.
+    "repro.live.session": {"asyncio", "ssl", "repro.sim.link",
+                           "repro.sim.node", "repro.sim.chain",
+                           "repro.core.source", "repro.core.sink",
+                           "repro.core.assembly", "repro.control.meta"},
     # A clock that only reads ``now`` (the gateway's) loads no asyncio.
     "from repro.core.clock import WallClock; WallClock()": {"asyncio",
                                                             "ssl"},

@@ -25,8 +25,8 @@ pytestmark = pytest.mark.live
 
 def chaos_config(**overrides) -> LoadConfig:
     defaults = dict(flows=12, shards=2, duration=5.0, warmup_fraction=0.3,
-                    supervise=True, feedback_timeout=0.4, post_window=1.5,
-                    seed=11)
+                    supervisor=SupervisorConfig(), feedback_timeout=0.4,
+                    post_window=1.5, seed=11)
     defaults.update(overrides)
     return LoadConfig(**defaults)
 
@@ -63,7 +63,7 @@ class TestKillFailover:
         assert slot.recoveries == slot.rate_freezes
 
     def test_unsupervised_kill_strands_the_slot(self):
-        config = chaos_config(supervise=False)
+        config = chaos_config(supervisor=None)
 
         def chaos(ctx):
             return FaultSchedule().add(2.2, ShardKill(ctx.shards, 0))

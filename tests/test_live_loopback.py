@@ -3,8 +3,8 @@
 These bind real UDP sockets on 127.0.0.1 and sleep real wall-clock
 seconds, so they are excluded from tier-1 (see ``conftest.py``); the CI
 ``live`` job runs them with ``--live -m live``.  They assert plumbing
-and coarse behavior over a ~2 s run — full Lemma 6 convergence bands
-are the ``L1`` experiment's job (``pels run L1``).
+and coarse behavior over a ~2 s run, and L1's bands (the ``L1``
+experiment scores the same stack on simulated time) on the wall clock.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.report import build_report
 from repro.live import LiveConfig, run_live_session
+from repro.live.session import RATE_TOLERANCE
 from repro.sim.packet import Color
 
 pytestmark = pytest.mark.live
@@ -82,3 +83,12 @@ class TestLoopbackSmoke:
     def test_psnr_reconstruction_runs(self, short_session):
         result = short_session.psnr(0)
         assert result.mean_psnr > 0
+
+
+def test_a_five_second_run_scores_like_l1():
+    """L1's three checks over real sockets: the mean rate within 15% of
+    Lemma 6, green <= yellow <= red, no protected drop."""
+    score = run_live_session(LiveConfig(n_flows=2, duration=5.0)).score()
+    assert score.rate_error <= RATE_TOLERANCE, score.mean_rate_bps
+    assert score.delay_ordering_ok
+    assert score.protected_drops == 0

@@ -2,17 +2,20 @@
 
 The same ``LiveServer``/``LiveRouter``/``LiveClient`` the loopback
 session binds to UDP sockets, on a :class:`~repro.sim.engine.Simulator`
-clock whose :class:`~live_loopback.Wire` hops delay every datagram —
+clock whose :class:`~repro.live.session.Hop` s delay every datagram —
 what only wall-clock runs could show before, deterministically, with no
 socket and no sleep.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from live_loopback import Loopback, stop
 from repro.core.report import build_report
+from repro.live.router import LiveRouter
+from repro.live.session import HOP_ADDR, Hop, SimulatedSession
 from repro.sim.packet import Color
 
 #: One-way delay of each hop: a 60 ms round trip (server -> router ->
@@ -21,9 +24,22 @@ HOP = 0.020
 
 
 @pytest.fixture(scope="module")
-def delayed() -> Loopback:
+def delayed(loopback) -> SimulatedSession:
     """2 flows into C = 0.5 mb/s behind 60 ms of round trip, 8 s."""
-    return Loopback(delay=HOP, n_flows=2, bottleneck_bps=1_000_000.0).run(8.0)
+    return loopback(delay=HOP, n_flows=2, bottleneck_bps=1_000_000.0).run(8.0)
+
+
+def replace_router(loop: SimulatedSession, router_id: int) -> LiveRouter:
+    """Start a router with ``router_id`` and put it on the path."""
+    config, sim = loop.config, loop.clock
+    router = LiveRouter(sim, config.bottleneck_bps, config.queue,
+                        interval=config.feedback_interval, router_id=router_id,
+                        service_tick=config.service_tick)
+    router.connection_made(Hop(sim, loop.client.datagram_received, HOP))
+    router.dst_addr = HOP_ADDR
+    loop.server.connection_made(Hop(sim, router.datagram_received, HOP))
+    router.start()
+    return router
 
 
 class TestDelayedLoop:
@@ -58,10 +74,13 @@ class TestSilentRouter:
 
     TIMEOUT = 0.4
 
-    def test_every_sender_rides_blind_and_resyncs_on_the_fresh_id(self):
-        loop = Loopback(delay=HOP, feedback_timeout=self.TIMEOUT,
-                        n_flows=2, bottleneck_bps=1_000_000.0).run(3.0)
+    def test_every_sender_rides_blind_and_resyncs_on_the_fresh_id(
+            self, loopback):
+        loop = loopback(delay=HOP, n_flows=2, bottleneck_bps=1_000_000.0)
         flows = list(loop.server.flows.values())
+        for flow in flows:  # the starvation watchdog
+            flow.feedback_timeout = self.TIMEOUT
+        loop.run(3.0)
         assert all(f.rate_freezes == 0 and f.tracker.router_id == 1
                    for f in flows)
         # The first label each flow takes while blind, and what it did.
@@ -76,7 +95,8 @@ class TestSilentRouter:
                 return loss
             flow.on_label = watching
 
-        stop(loop.router)  # silent: it still ingests, never forwards
+        # Silent: it still ingests, never forwards.
+        asyncio.run(loop.router.stop())
         loop.run(1.5)
         for flow in flows:
             assert flow.blind and flow.rate_freezes == 1
@@ -84,7 +104,7 @@ class TestSilentRouter:
             assert flow.tracker.router_id is None  # epoch clock dropped
         assert first_blind == {}
 
-        loop.router = loop.new_router(router_id=2)
+        loop.router = replace_router(loop, router_id=2)
         loop.run(3.0)
         for flow in flows:
             assert (flow.rate_freezes, flow.recoveries) == (1, 1)

@@ -2,12 +2,13 @@
 
 ``LiveServer`` -> ``LiveRouter`` -> ``LiveClient`` -> (ACKs) ->
 ``LiveServer`` with a :class:`~repro.sim.engine.Simulator` as their
-clock (:mod:`live_loopback`): the pacer wheel, the cross traffic, the
-router's service and its Eq. 11 epoch run on their own timers, the
-datagrams cross zero-delay hops.  No socket, no event loop, no sleep -
-and the whole loop still closes (the flows converge on Lemma 6), so
-what the one report builder, the one monitor and the one tuner say
-about a *live* view is checked against what the run did.
+clock (:class:`~repro.live.session.SimulatedSession`): the pacer wheel,
+the cross traffic, the router's service and its Eq. 11 epoch run on
+their own timers, the datagrams cross zero-delay hops.  No socket, no
+event loop, no sleep - and the whole loop still closes (the flows
+converge on Lemma 6), so what the one report builder, the one monitor
+and the one tuner say about a *live* view is checked against what the
+run did.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import statistics
 
 import pytest
 
-from live_loopback import Loopback
+from repro.cc.mkc import mkc_stationary_rate
 from repro.control import MetaController, MetaControllerConfig
 from repro.core.flow import frame_receptions
 from repro.core.report import build_report
+from repro.live.session import SimulatedSession
 from repro.live.wire import LivePacket
 from repro.obs.metrics import metrics
 from repro.obs.monitor import SimulationMonitor
@@ -34,11 +36,17 @@ def mean(values) -> float:
     return sum(values) / len(values)
 
 
+def lemma6(config) -> float:
+    """Lemma 6's ``r*`` from the config alone, apart from the view."""
+    return mkc_stationary_rate(config.pels_capacity_bps(), config.n_flows,
+                               config.alpha_bps, config.beta)
+
+
 @pytest.fixture(scope="module")
-def converged() -> Loopback:
+def converged(loopback) -> SimulatedSession:
     """2 flows into C = 0.5 mb/s for 6 s: r* = 290 kb/s, p* = 0.138.
     Paused at the warm-up instant to note the port's counters there."""
-    loop = Loopback(n_flows=2, bottleneck_bps=1_000_000.0).run(3.0)
+    loop = loopback(n_flows=2, bottleneck_bps=1_000_000.0).run(3.0)
     loop.at_warmup = (list(loop.router.arrivals), list(loop.router.drops))
     return loop.run(3.0)
 
@@ -49,7 +57,7 @@ class TestLiveReport:
         assert report.duration_s == 6.0
         assert report.n_flows == 2
         assert report.pels_capacity_bps == 500_000.0
-        assert report.rate_theory_bps == converged.config.lemma6_rate_bps() \
+        assert report.rate_theory_bps == lemma6(converged.config) \
             == 290_000.0
         for flow in report.flows:
             assert flow.mean_rate_bps == pytest.approx(290_000.0, rel=0.1)
@@ -109,8 +117,8 @@ class TestLiveReport:
         assert build_report(converged.view) \
             == build_report(converged.result().view)
 
-    def test_flows_known_to_one_endpoint_get_partial_rows(self):
-        loop = Loopback(n_flows=2, bottleneck_bps=1_000_000.0)
+    def test_flows_known_to_one_endpoint_get_partial_rows(self, loopback):
+        loop = loopback(n_flows=2, bottleneck_bps=1_000_000.0)
         # Flow 1 is admitted but its shard never forwards (no receiver
         # state); flow 7 was torn down server-side mid-run (no sender).
         loop.router.flow_routes[1] = None
@@ -131,8 +139,8 @@ class TestLiveReport:
 
 
 class TestLiveMonitor:
-    def test_epoch_snapshots_carry_the_paper_quantities(self):
-        loop = Loopback(n_flows=2, bottleneck_bps=1_000_000.0)
+    def test_epoch_snapshots_carry_the_paper_quantities(self, loopback):
+        loop = loopback(n_flows=2, bottleneck_bps=1_000_000.0)
         with metrics() as registry:
             monitor = SimulationMonitor(loop.view, registry)
             loop.run(3.0)
@@ -163,16 +171,16 @@ class TestLiveTuner:
     router's epoch hook: the simulator's path, not a polling task."""
 
     #: 4 mb/s bottleneck: r* = 1.04 mb/s, far above the 128 kb/s start.
-    def idle(self) -> Loopback:
-        loop = Loopback(n_flows=2)
+    @pytest.fixture
+    def loop(self, loopback) -> SimulatedSession:
+        loop = loopback(n_flows=2)
         # No ACK path: the flows never leave their initial rate.
         loop.client.server_addr = None
         return loop
 
-    def test_steps_once_per_epoch_and_boosts_alpha_below_r_star(self):
-        loop = self.idle()
+    def test_steps_once_per_epoch_and_boosts_alpha_below_r_star(self, loop):
         meta = MetaController().attach(loop.view)
-        assert meta.r_star == loop.config.lemma6_rate_bps() == 1_040_000.0
+        assert meta.r_star == lemma6(loop.config) == 1_040_000.0
         loop.run(1.0)
         assert meta.steps == loop.router.feedback.epoch == 32
         assert meta.adjustments > 0
@@ -180,8 +188,7 @@ class TestLiveTuner:
             assert flow.rate_bps == 128_000.0
             assert flow.controller.alpha_bps > loop.config.alpha_bps
 
-    def test_honours_the_update_interval(self):
-        loop = self.idle()
+    def test_honours_the_update_interval(self, loop):
         meta = MetaController(MetaControllerConfig(
             update_interval=0.25, tune_gamma=False)).attach(loop.view)
         loop.run(2.0)
@@ -191,8 +198,7 @@ class TestLiveTuner:
         # 0.25 s = 8 epochs - not one per step.
         assert times == [1 / 32 + 0.25 * k for k in range(1, 8)]
 
-    def test_chains_after_the_monitor(self):
-        loop = self.idle()
+    def test_chains_after_the_monitor(self, loop):
         with metrics() as registry:
             monitor = SimulationMonitor(loop.view, registry)
             meta = MetaController().attach(loop.view)
@@ -210,8 +216,8 @@ class TestLiveTuner:
         assert seen == [(k, k / 32, k / 32) for k in range(1, 17)]
         assert monitor.epochs_observed == meta.steps == 16
 
-    def test_closed_loop_tuned_run_stays_on_lemma6(self):
-        loop = Loopback(n_flows=2, bottleneck_bps=1_000_000.0)
+    def test_closed_loop_tuned_run_stays_on_lemma6(self, loopback):
+        loop = loopback(n_flows=2, bottleneck_bps=1_000_000.0)
         meta = MetaController().attach(loop.view)
         loop.run(4.0)
         assert meta.steps == 128 and meta.adjustments > 0

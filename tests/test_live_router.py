@@ -21,7 +21,6 @@ from collections import deque
 
 import pytest
 
-from live_loopback import stop
 from repro.core.clock import ManualClock, WallClock
 from repro.core.feedback import FeedbackComputer
 from repro.core.pels_queue import PELS_SHARE_SAFE_RANGE, PelsQueueConfig
@@ -329,7 +328,7 @@ def run_started(scenario, raw_socket: bool = False, **overrides):
     try:
         return scenario(router, sim)
     finally:
-        stop(router)
+        asyncio.run(router.stop())
 
 
 class TestTokenBucketService:
@@ -392,13 +391,13 @@ class TestTokenBucketService:
     def test_stop_cancels_the_timer_and_is_idempotent(self):
         sim = TimerLog()
         router = make_router(clock=sim)
-        stop(router)  # before start(): nothing to undo
+        asyncio.run(router.stop())  # before start(): nothing to undo
         router.start()
         router._ingest(datagram(Color.GREEN))
         router._service()
         assert router._timer and len(backlog_timers(sim, router)) == 1
-        stop(router)
-        stop(router)
+        asyncio.run(router.stop())
+        asyncio.run(router.stop())
         # A coalesced service call that outlives stop() is inert.
         router._service()
         assert len(backlog_timers(sim, router)) == 1
@@ -548,7 +547,7 @@ class TestEpochStep:
             assert router.feedback.rate_bps == pytest.approx(
                 self.BURST * 400 * 8 / 0.040)
         finally:
-            stop(router)
+            asyncio.run(router.stop())
 
 
 class TestProtocolModeCoalescing:
