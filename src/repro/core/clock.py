@@ -36,16 +36,21 @@ satisfying what it can:
 * :class:`ManualClock` — ``now`` only, hand-advanced: enough for the
   synchronous steps (``advance``, ``close_epoch``, ``tick``) of a
   component that is never started.
+
+A ``SelectorClock`` and a ``Simulator`` both ``run(until=t)``, each in
+its own time.  Datagrams cross sockets served by
+:class:`DatagramEndpoint` on a ``SelectorClock``, and a :class:`SimNet`
+on a ``Simulator``: the live endpoints see the same transport on both.
 """
 
 from __future__ import annotations
 
 import time
 from heapq import heappop, heappush
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Optional, Protocol, runtime_checkable
 
 __all__ = ["Clock", "WallClock", "SelectorClock", "DatagramEndpoint",
-           "ManualClock"]
+           "SimNet", "ManualClock"]
 
 
 @runtime_checkable
@@ -121,10 +126,11 @@ class SelectorClock:
     on one heap, ``add_reader(fd, fn)`` registers ``fn()`` to run when
     ``fd`` is readable and ``add_writer(fd, fn)`` when it is writable
     (one fd may carry one of each).  :meth:`run` turns until
-    :meth:`stop`: each turn is one ``select`` with the time left to the
-    earliest deadline as its timeout, then the ready fds (an fd's reader
-    before its writer), then the timers that were due when the
-    ``select`` returned.  :meth:`close` releases the selector.
+    :meth:`stop` (or a given clock time): each turn is one ``select``
+    with the time left to the earliest deadline as its timeout, then
+    the ready fds (an fd's reader before its writer), then the timers
+    that were due when the ``select`` returned.  :meth:`close`
+    releases the selector.
 
     The ordering is asyncio's: a timer armed during a turn waits for
     the next ``select`` even if its deadline has passed, so a chain of
@@ -210,8 +216,12 @@ class SelectorClock:
         not yet run stay armed for the next :meth:`run`."""
         self._running = False
 
-    def run(self) -> None:
-        """Turn until :meth:`stop`; a callback's exception propagates."""
+    def run(self, until: Optional[float] = None) -> None:
+        """Turn until :meth:`stop` — or, given ``until``, a stop timer
+        armed for that clock time — as a ``Simulator`` runs until the
+        time it is given; a callback's exception propagates."""
+        if until is not None:
+            self.call_at(until, self.stop)
         heap = self._heap
         select, monotonic = self._selector.select, time.monotonic
         origin = self._origin
@@ -324,6 +334,55 @@ class DatagramEndpoint:
         self._clock.remove_writer(self._fd)
         self._queue.clear()
         self._sock.close()
+
+
+class SimNet:
+    """Address-routed datagrams on a :class:`~repro.sim.engine.Simulator`:
+    what the loopback interface is to :class:`DatagramEndpoint`.
+
+    :meth:`attach` gives a datagram protocol an address and calls its
+    ``connection_made`` with a transport whose ``sendto(data, addr)``
+    hands ``data`` to ``datagram_received(data, sender)`` of whichever
+    protocol holds ``addr`` ``delay`` seconds later.  A datagram to an
+    address nobody holds by then (never attached, or :meth:`detach` ed
+    as a killed shard's is) vanishes, as it does on a dead port.  No
+    socket and no sleep: a run on it is a pure function of its inputs.
+    """
+
+    def __init__(self, sim, delay: float = 0.0) -> None:
+        self.sim, self.delay = sim, delay
+        self._receivers: dict = {}
+        self._ports = 0
+
+    def attach(self, protocol, host: str = "127.0.0.1") -> tuple:
+        """Put ``protocol`` on the net at the next port of ``host``;
+        returns the address."""
+        self._ports += 1
+        addr = (host, self._ports)
+        self._receivers[addr] = protocol.datagram_received
+        protocol.connection_made(_SimPort(self, addr))
+        return addr
+
+    def detach(self, addr: tuple) -> None:
+        """Take ``addr`` off the net; a no-op if nobody holds it."""
+        self._receivers.pop(addr, None)
+
+    def _deliver(self, data: bytes, sender: tuple, addr: tuple) -> None:
+        receive = self._receivers.get(addr)
+        if receive is not None:
+            receive(data, sender)
+
+
+class _SimPort(NamedTuple):
+    """An attached protocol's transport on a :class:`SimNet`."""
+
+    net: SimNet
+    addr: tuple
+
+    def sendto(self, data, addr) -> None:
+        net = self.net
+        net.sim.call_later(net.delay, net._deliver, bytes(data), self.addr,
+                           addr)
 
 
 class ManualClock:

@@ -119,7 +119,7 @@ def metrics_jsonl_lines(results: Iterable[ExperimentResult]
     sweep write the same line for every exact artifact (the
     determinism suite pins this).  S1's and S2's lines differ only in
     the host-fact metric families ``runner.HOST_FACTS`` declares; the
-    live artifacts' lines (L2, L3, SV1) are not byte-stable.
+    live artifacts' lines (L3, SV1) are not byte-stable.
     """
     for result in results:
         yield json.dumps({

@@ -46,8 +46,9 @@ under 10% of their Lemma 6 share), and from the kill instant on their
 senders go blind and never recover (their counters are snapshotted at
 the kill, so episodes a healthy flow had before it do not count): the
 healing in the supervised run comes from the supervisor, not from some
-accidental recovery path.  Like L2 this is wall-clock: checks
-assert bands and invariants, not exact bytes.
+accidental recovery path.  This is wall-clock (L2 runs the gateway on
+simulated time; L3's claims cross process boundaries): checks assert
+bands and invariants, not exact bytes.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Stands up a real 3-worker :mod:`repro.service` fleet (the API's clock on
 a background thread, worker processes against a temp storage directory),
 submits a mixed batch over HTTP — the A4 meta-control ablation, the S2
-capacity sweep and the L2 live-gateway load experiment — and SIGKILLs
+capacity sweep and the L2 gateway load experiment — and SIGKILLs
 the worker running A4 mid-job.  The scenario then asserts the fleet's
 whole contract at once:
 
@@ -12,11 +12,10 @@ whole contract at once:
   on a surviving or respawned worker; the pool is back to 3 workers.
 * **artifact fidelity**: each service-produced artifact is the same
   as direct ``runner`` execution of the experiment, as
-  ``compare.diverging`` reads ``runner.HOST_FACTS``: A4 byte-equal but
-  for ``wall_time``, S2 but for its declared host-fact metric families
-  (``wall_s_*``/``epochs_per_s_*``/``peak_rss_bytes_*``); L2 drives a
-  live wall-clock gateway, so it is checked for completion and its key,
-  not byte equality.
+  ``compare.diverging`` reads ``runner.HOST_FACTS``: A4 and L2 (the
+  gateway on simulated time) byte-equal but for ``wall_time``, S2 but
+  for its declared host-fact metric families
+  (``wall_s_*``/``epochs_per_s_*``/``peak_rss_bytes_*``).
 * **stream fidelity**: each job's streamed ``metrics`` events carry
   exactly the ``--metrics-out`` JSONL line(s) of its final artifact,
   and the simulation-backed A4 job streamed live epoch snapshots.
@@ -45,8 +44,8 @@ if TYPE_CHECKING:  # the service (sockets, http) loads when SV1 runs
 __all__ = ["run", "BATCH", "KILL_TARGET"]
 
 #: The mixed batch: a PelsSimulation ablation (long, snapshot-rich), a
-#: fluid-engine sweep (fast, wall-clock metrics) and a live gateway run
-#: (multi-process, inherently nondeterministic timing).
+#: fluid-engine sweep (fast, wall-clock metrics) and the live gateway on
+#: simulated time.
 BATCH: Tuple[str, ...] = ("A4", "S2", "L2")
 
 #: The job whose worker gets SIGKILLed mid-run — A4 is the longest
@@ -214,11 +213,8 @@ def run(fast: bool = False) -> ExperimentResult:
     # -- artifact fidelity vs direct runner execution -----------------------
     from .compare import diverging
     from .export import metrics_jsonl_lines, result_from_dict
-    from .runner import HOST_FACTS
 
-    live = {key for key in BATCH if HOST_FACTS.get(key, ()) is None}
-    direct = [{"experiment_id": key} if key in live
-              else _run_direct(key, fast) for key in BATCH]
+    direct = [_run_direct(key, fast) for key in BATCH]
     problems.extend(f"{line} (service vs direct runner)" for line in
                     diverging([artifacts[key] for key in BATCH], direct))
 
@@ -251,7 +247,7 @@ def run(fast: bool = False) -> ExperimentResult:
     result.add_table(
         ["job", "state", "attempts", "requeues", "artifact", "stream"],
         [[key, records[key]["state"], records[key]["attempts"],
-          records[key]["requeues"], "live" if key in live else "yes",
+          records[key]["requeues"], "yes",
           stream_match[key]]
          for key in BATCH],
         title="SV1: 3-worker fleet, SIGKILL of the A4 worker mid-job")
@@ -260,13 +256,13 @@ def run(fast: bool = False) -> ExperimentResult:
                 f"job and a surviving/respawned worker completed it")
     result.note("artifacts compared by compare.diverging under "
                 "runner.HOST_FACTS: S2 but for its host-fact metric "
-                "families, L2 (live wall-clock gateway) by key only")
+                "families")
     result.metrics["jobs_done"] = float(
         sum(1 for r in records.values() if r["state"] == "done"))
     result.metrics["victim_requeues"] = float(victim["requeues"])
     result.metrics["victim_attempts"] = float(victim["attempts"])
     result.metrics["workers_alive_at_end"] = float(alive)
-    result.metrics["artifacts_identical"] = float(len(BATCH) - len(live))
+    result.metrics["artifacts_identical"] = float(len(BATCH))
     result.metrics["streams_matching"] = float(
         sum(1 for v in stream_match.values() if v == "yes"))
     result.metrics["snapshots_streamed_A4"] = float(

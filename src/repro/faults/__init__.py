@@ -12,9 +12,8 @@ fixed seed is pinned by the run-boundary tests.
 :mod:`repro.faults.live` extends the same schedules to wall-clock
 targets: :class:`AsyncFaultDriver` satisfies the installer's ``sim``
 protocol over a live clock's timers, and the live injectors (ShardKill,
-ShardStall, SocketBlackhole, RegistrationErrors) hit real shard
-processes, sockets and the gateway control plane — the L3 chaos
-experiment drives them against the supervised gateway.
+ShardStall, SocketBlackhole) hit real shard processes and sockets — the
+L3 chaos experiment drives them against the supervised gateway.
 """
 
 from .._lazy import lazy_exports
@@ -23,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".injectors": "AckLoss AckReorder Callback FlowJoin FlowLeave "
                   "LinkCapacity LinkDown LinkFlap LinkUp RouteFlip "
                   "RouterRestart",
-    ".live": "AsyncFaultDriver RegistrationErrors ShardKill ShardStall "
-             "SocketBlackhole",
+    ".live": "AsyncFaultDriver ShardKill ShardStall SocketBlackhole",
     ".schedule": "Fault FaultEvent FaultSchedule",
 })

@@ -22,9 +22,6 @@ The live taxonomy mirrors real operational failures:
   bound-but-never-read socket (a silent middlebox drop).  Senders keep
   transmitting into the void; feedback starvation and blind mode are
   the only defense.
-* :class:`RegistrationErrors` — make the next N gateway registrations
-  raise :class:`~repro.live.gateway.TransientRegistrationError`
-  (control-plane races), exercising the load generator's retry path.
 
 Every injector is idempotent about already-dead processes
 (``ProcessLookupError`` is swallowed): a fault firing after the
@@ -45,7 +42,7 @@ from ..obs.trace import current_tracer
 from .schedule import Fault
 
 __all__ = ["AsyncFaultDriver", "ShardKill", "ShardStall",
-           "SocketBlackhole", "RegistrationErrors"]
+           "SocketBlackhole"]
 
 
 class AsyncFaultDriver:
@@ -175,40 +172,3 @@ class SocketBlackhole(Fault):
 
     def describe(self) -> str:
         return f"socket-blackhole:{len(self.flow_ids)}flows:{self.duration}s"
-
-
-class RegistrationErrors(Fault):
-    """Fail the next ``failures`` gateway registrations transiently.
-
-    Monkey-wraps ``gateway.register`` to raise
-    :class:`~repro.live.gateway.TransientRegistrationError` until the
-    budget is spent, then restores the original method — the injected
-    window is exactly N calls wide, so retry tests are deterministic.
-    """
-
-    def __init__(self, gateway, failures: int = 1) -> None:
-        if failures < 1:
-            raise ValueError("need at least one injected failure")
-        self.gateway = gateway
-        self.failures = failures
-
-    def apply(self, sim) -> None:
-        from ..live.gateway import TransientRegistrationError
-
-        gateway = self.gateway
-        original = gateway.register
-        remaining = [self.failures]
-
-        def failing_register(*args, **kwargs):
-            if remaining[0] > 0:
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    gateway.register = original
-                raise TransientRegistrationError(
-                    "injected registration fault")
-            return original(*args, **kwargs)
-
-        gateway.register = failing_register
-
-    def describe(self) -> str:
-        return f"registration-errors:{self.failures}"

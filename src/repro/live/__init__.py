@@ -38,9 +38,9 @@ Topology (one process, three UDP endpoints on 127.0.0.1)::
   frame receptions for offline PSNR reconstruction) and echoes every
   packet's label back to the server.
 * :mod:`~repro.live.session` — assembles the three once and runs them
-  over loopback sockets for a wall-clock duration, or over pure-delay
-  hops on a ``Simulator``; either run reads back as a
-  :class:`~repro.core.report.SessionReport`.
+  over loopback sockets for a wall-clock duration, or on a pure-delay
+  :class:`~repro.core.clock.SimNet` on a ``Simulator``; either run
+  reads back as a :class:`~repro.core.report.SessionReport`.
 
 The reverse (ACK) path deliberately bypasses the router, mirroring the
 simulator's uncongested-reverse-path model (DESIGN.md §5).
@@ -53,11 +53,14 @@ the same machinery to hundreds–thousands of concurrent flows:
   budgets) and stable hashing of admitted flows onto the shard pool.
 * :mod:`~repro.live.shard` — router shard processes: one
   :class:`LiveRouter` + bottleneck per ``core/proc.py`` child,
-  control over a pipe, data over the shard's own UDP socket.
-* :mod:`~repro.live.loadgen` — the load generator behind the L2
-  experiment: registers a flow population, streams it from one
-  server (one pacer wheel), and measures goodput / delay percentiles /
-  CPU per flow against the Lemma 6 oracle.
+  control over a pipe (one ``apply_control``), data over the shard's
+  own UDP socket; ``SimulatedShard`` is the same handle with its child
+  in-process on a ``SimNet``.
+* :mod:`~repro.live.loadgen` — the load generator: registers a flow
+  population, streams it from one server (one pacer wheel), and
+  measures goodput / delay percentiles / CPU per flow against the
+  Lemma 6 oracle, over sockets and shard processes (``run_load``,
+  ``pels gateway``, L3) or on simulated time (``simulate_load``, L2).
 * :mod:`~repro.live.supervisor` — the self-healing layer (L3): shard
   health checks over pipe heartbeats, crash/hang failover with flow
   re-homing onto a fresh ``router_id``, and layered overload shedding
@@ -68,13 +71,12 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".client": "LiveClient",
-    ".gateway": "AdmissionDecision LiveGateway TenantPolicy TokenBucket "
-                "TransientRegistrationError",
-    ".loadgen": "LoadConfig LoadResult run_load",
+    ".gateway": "AdmissionDecision LiveGateway TenantPolicy TokenBucket",
+    ".loadgen": "LoadConfig LoadResult run_load simulate_load",
     ".router": "LiveRouter",
     ".server": "LiveServer",
     ".session": "LiveConfig LiveSessionResult run_live_session",
-    ".shard": "RouterShard ShardConfig ShardStats",
+    ".shard": "RouterShard ShardConfig ShardStats SimulatedShard",
     ".supervisor": "FailoverRecord ShardSupervisor SupervisorConfig",
     ".wire": "HEADER_SIZE LivePacket WireFormatError decode_packet "
              "encode_packet",

@@ -24,8 +24,8 @@ installs ``flow_id → receiver`` into the shard over its control pipe,
 and the sender transmits straight to the shard's socket.
 
 The gateway itself is synchronous pure logic plus one pipe send per
-admission — hundreds of thousands of decisions per second; the L2
-experiment reports the measured flows/sec.
+admission — hundreds of thousands of decisions per second; ``pels
+gateway`` reports the measured flows/sec.
 
 Failure awareness (the supervisor's half of the contract): a shard
 *slot* can be administratively closed (:meth:`LiveGateway.close_shard`)
@@ -50,7 +50,7 @@ from zlib import crc32
 from ..core.clock import Clock
 
 __all__ = ["TokenBucket", "TenantPolicy", "AdmissionDecision",
-           "LiveGateway", "shard_index", "TransientRegistrationError"]
+           "LiveGateway", "shard_index"]
 
 #: Rejection reasons, in gate order.
 REASON_RATE_LIMITED = "rate_limited"
@@ -59,12 +59,6 @@ REASON_SHARD_FULL = "shard_full"
 #: Supervisor-driven rejections (closed slots).
 REASON_SHARD_DOWN = "shard_down"
 REASON_SHARD_OVERLOADED = "shard_overloaded"
-
-
-class TransientRegistrationError(RuntimeError):
-    """A registration failure worth retrying (startup races, injected
-    control-plane faults).  The load generator's retry loop catches
-    exactly this plus OS-level pipe errors."""
 
 
 class TokenBucket:
@@ -135,8 +129,9 @@ class LiveGateway:
 
     ``shards`` is any sequence of shard handles exposing ``shard_id``,
     ``addr``, ``capacity_bps``, ``install_route``, ``install_routes``
-    and ``remove_route`` (:class:`~repro.live.shard.RouterShard` in
-    production, fakes in tier-1 tests).  ``flow_reserve_bps`` is the
+    and ``remove_route``: :class:`~repro.live.shard.RouterShard` s,
+    their children forked processes or, on simulated time and in
+    tier-1 tests, in-process (:class:`~repro.live.shard.SimulatedShard`).  ``flow_reserve_bps`` is the
     capacity one flow reserves on its shard — the planning-side
     counterpart of the Lemma 6 share the controllers converge to.
     """

@@ -1,9 +1,11 @@
 """Load generator: hundreds of live PELS flows against the shard pool.
 
-:func:`run_load` is the blocking entry point behind the L2 experiment
-and the ``pels gateway`` CLI subcommand.  One invocation:
+:func:`run_load` is the blocking entry point behind the ``pels
+gateway`` CLI subcommand and the L3 experiment; :func:`simulate_load`
+runs the same on simulated time, behind the L2 experiment.  One
+invocation:
 
-1. spawns ``config.shards`` router shard processes
+1. starts ``config.shards`` router shards
    (:class:`~repro.live.shard.RouterShard`), each a bottleneck sized so
    its expected flow population operates at the Lemma 6 point
    ``r* = C_s/N_s + α/β`` — per-flow capacity share
@@ -15,11 +17,25 @@ and the ``pels gateway`` CLI subcommand.  One invocation:
 3. streams from one :class:`~repro.live.server.LiveServer` (one pacer
    wheel, per-flow destinations = each flow's shard) to one
    :class:`~repro.live.client.LiveClient` endpoint that demultiplexes
-   every flow, for ``config.duration`` wall seconds;
+   every flow, for ``config.duration`` seconds, then stops the senders
+   and drains (:meth:`~repro.live.server.LiveServer.stream`);
 4. measures over the post-warmup window — per-flow delivered bytes by
    snapshot difference, per-color one-way delay percentiles from the
    client's probes — then stops the shards and collects their final
    stats (packet counters, CPU seconds) over the control pipes.
+
+:func:`_drive` is steps 2-4 once, given its clock and an
+``attach(protocol) -> addr`` that puts the client and the server on
+the shards' network.  :func:`run_load` gives it a
+:class:`~repro.core.clock.SelectorClock`, UDP sockets served by
+:class:`~repro.core.clock.DatagramEndpoint` s and forked shard
+processes; :func:`simulate_load` a :class:`~repro.sim.engine.Simulator`
+and one :class:`~repro.core.clock.SimNet` that the client, the server
+and every :class:`~repro.live.shard.SimulatedShard`'s in-process router
+are attached to.  The network supplies what it knows: the simulated
+one tells MKC the true age of its samples,
+``config.feedback_delay(0)``; a socket knows no round trip, and MKC
+keeps its own default.
 
 The flow population scales the equilibrium, not the operating point:
 capacity per shard grows linearly in its flows, so the virtual loss
@@ -27,10 +43,13 @@ capacity per shard grows linearly in its flows, so the virtual loss
 same at 50 flows and at 800 — what changes is the packet rate, which
 is the thing under test.
 
-Everything here is driven by ``config.seed``: shard placement is a
-stable hash, flow ids are allocated in registration order, and the
-seed reaches the server's cross-traffic jitter RNG — a rerun with the
-same config exercises the identical admission and routing decisions.
+A rerun with the same config makes the identical admission and
+routing decisions: shard placement is a stable hash and flow ids are
+allocated in registration order, every registration before the clock
+first turns.  A load run has no cross traffic, so ``config.seed``
+reaches only a chaos run's fault injectors; on simulated time the whole
+run is a pure function of the config, but for the host's time to
+register (``registration_seconds``, ``flows_per_sec``).
 
 Self-healing mode (the L3 experiment): with ``config.supervisor`` a
 :class:`~repro.live.supervisor.ShardSupervisor` polls the pool during
@@ -54,8 +73,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import random
-import socket
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -63,29 +80,23 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
                     Tuple)
 
 from ..cc.mkc import mkc_stationary_rate
-from ..core.clock import DatagramEndpoint, SelectorClock
+from ..core.clock import DatagramEndpoint, SelectorClock, SimNet
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
-from ..core.retry import retry_call
+from ..sim.packet import Color
 from ..video.fgs import FgsConfig
 from .client import LiveClient
-from .gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
-                      AdmissionDecision, LiveGateway, TenantPolicy,
-                      TransientRegistrationError)
+from .gateway import AdmissionDecision, LiveGateway, TenantPolicy
 from .server import LiveFlow, LiveServer
-from .shard import RouterShard, ShardConfig, ShardStats, SOCKET_BUFFER_BYTES
+from .shard import (RouterShard, ShardConfig, ShardStats, SimulatedShard,
+                    bound_udp_socket)
 
 if TYPE_CHECKING:
     from ..faults.schedule import FaultSchedule
     from .supervisor import ShardSupervisor, SupervisorConfig
 
 __all__ = ["LoadConfig", "ShardLoad", "LoadResult", "LoadMeasurement",
-           "ChaosContext", "register_with_retry", "load_report", "run_load"]
-
-#: Rejection reasons worth retrying: both clear once the supervisor
-#: finishes failing over / shedding.
-_RETRYABLE_REASONS = frozenset({REASON_SHARD_DOWN,
-                                REASON_SHARD_OVERLOADED})
+           "ChaosContext", "load_report", "run_load", "simulate_load"]
 
 
 def _default_fgs() -> FgsConfig:
@@ -140,6 +151,8 @@ class LoadConfig(ControlParams):
 
     warmup_fraction: float = 0.4
     drain: float = 0.25
+    #: Seeds a chaos run's fault injectors, the one random draw a load
+    #: run makes (it has no cross traffic to jitter).
     seed: Optional[int] = None
 
     #: Flows torn down (gateway deregister + sender retire) at half the
@@ -384,51 +397,6 @@ class ChaosContext:
         return sorted(population.items(), key=lambda item: (-item[1], item[0]))
 
 
-class _RetryableRejection(Exception):
-    """A rejection worth another attempt, carried through
-    :func:`~repro.core.retry.retry_call`."""
-
-    def __init__(self, decision: AdmissionDecision) -> None:
-        super().__init__(decision.reason)
-        self.decision = decision
-
-
-def register_with_retry(gateway: LiveGateway, tenant: str, flow_key: int,
-                        client_addr: Tuple[str, int], retries: int = 4,
-                        backoff: float = 0.05,
-                        rng: Optional[random.Random] = None,
-                        sleep: Callable[[float], None] = time.sleep
-                        ) -> AdmissionDecision:
-    """Register with exponential backoff + jitter on transient failures.
-
-    Retries :class:`~repro.live.gateway.TransientRegistrationError` /
-    ``OSError`` (control-pipe races) and the retryable rejection
-    reasons (``shard_down``, ``shard_overloaded`` — both clear once
-    the supervisor recovers the slot).  Deterministic under a seeded
-    ``rng``: attempt k sleeps ``backoff * 2^k * (0.5 + U[0,1))``.
-    Returns the last decision; exhausted transient *errors* surface as
-    a synthetic ``registration_error`` rejection rather than raising.
-    """
-    def attempt() -> AdmissionDecision:
-        decision = gateway.register(tenant, flow_key, client_addr)
-        if not decision.admitted and decision.reason in _RETRYABLE_REASONS:
-            raise _RetryableRejection(decision)
-        return decision
-
-    try:
-        return retry_call(
-            attempt, retries=retries, base=backoff,
-            transient=(TransientRegistrationError, OSError,
-                       _RetryableRejection),
-            rng=rng or random.Random(), sleep=sleep)
-    except _RetryableRejection as exc:
-        return exc.decision
-    except (TransientRegistrationError, OSError):
-        return AdmissionDecision(admitted=False,
-                                 reason="registration_error",
-                                 tenant=tenant, flow_key=flow_key)
-
-
 def _no_stats(shard_id: int) -> ShardStats:
     """What a shard that never delivered its final stats counts as."""
     return ShardStats(shard_id=shard_id, port=0, arrivals=[0, 0, 0, 0],
@@ -445,33 +413,25 @@ def _percentile(samples: List[float], q: float) -> float:
                        max(0, math.ceil(q * len(ordered)) - 1))]
 
 
-def _endpoint_socket(host: str) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF):
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, opt, SOCKET_BUFFER_BYTES)
-        except OSError:
-            pass
-    sock.bind((host, 0))
-    sock.setblocking(False)
-    return sock
-
-
-def _drive(config: LoadConfig, shards: List[RouterShard],
-           spawned: List[RouterShard],
-           chaos: Optional[Callable[[ChaosContext], FaultSchedule]]
+def _drive(config: LoadConfig, clock,
+           attach: Callable[[object], Tuple[str, int]],
+           pool: List[RouterShard],
+           chaos: Optional[Callable[[ChaosContext], FaultSchedule]],
+           feedback_delay: Optional[float] = None
            ) -> Tuple[List[RouterShard], LoadMeasurement]:
     """The driven phase: register, stream, (maybe) break, measure.
 
-    Returns the pool's final shard handles with what was measured.
+    ``clock`` runs it (nothing turns it before every flow is
+    registered); ``attach(protocol)`` puts the client and then the
+    server on the network of the started shards in ``pool``, and
+    returns the address; ``feedback_delay`` is MKC's sample age, where
+    the network knows it.  ``pool`` is the teardown list: every
+    replacement the supervisor spawns joins it.  Returns the pool's
+    final shard handles (slot order) with what was measured.
     """
-    clock = SelectorClock()
     client = LiveClient(clock, green_packets=config.fgs.green_packets)
-    client_end = DatagramEndpoint(clock, _endpoint_socket(config.host),
-                                  client)
-    client_addr = client_end.get_extra_info("sockname")[:2]
+    client_addr = attach(client)
 
-    server_end = None
     supervisor: Optional[ShardSupervisor] = None
     fault_schedule: Optional[FaultSchedule] = None
     server: Optional[LiveServer] = None
@@ -481,18 +441,14 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
         # runs measure the gateway's throughput, not its limits
         # (tier-1 tests cover those).
         gateway = LiveGateway(
-            clock, shards, flow_reserve_bps=config.flow_share_bps,
+            clock, pool, flow_reserve_bps=config.flow_share_bps,
             default_policy=TenantPolicy(
                 max_flows=config.flows,
                 registration_rate=1_000_000.0,
                 registration_burst=config.flows))
-        reg_rng = random.Random(config.seed)
-        decisions: List[AdmissionDecision] = []
         reg_started = time.perf_counter()
-        for flow_key in range(config.flows):
-            decisions.append(register_with_retry(
-                gateway, config.tenant_of(flow_key), flow_key, client_addr,
-                rng=reg_rng))
+        decisions = [gateway.register(config.tenant_of(key), key, client_addr)
+                     for key in range(config.flows)]
         registration_seconds = time.perf_counter() - reg_started
         admitted = [d for d in decisions if d.admitted]
         if not admitted:
@@ -503,7 +459,8 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
 
         server = LiveServer(
             clock, 0,
-            controller_kwargs=config.controller_kwargs(),
+            controller_kwargs=config.controller_kwargs(
+                feedback_delay=feedback_delay),
             gamma_kwargs=config.gamma_kwargs(),
             fgs=config.fgs, cbr_rate_bps=0.0, pace_tick=config.pace_tick,
             flow_ids=[d.flow_id for d in admitted],
@@ -512,9 +469,7 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
             blind_backoff=config.blind_backoff)
         for decision in admitted:
             server.flows[decision.flow_id].dst_addr = decision.shard_addr
-        server_end = DatagramEndpoint(clock, _endpoint_socket(config.host),
-                                      server)
-        client.server_addr = server_end.get_extra_info("sockname")[:2]
+        client.server_addr = attach(server)
 
         flow_slot = {d.flow_id: d.shard_slot for d in admitted}
         churn_ids: List[int] = []
@@ -527,7 +482,7 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
             from .supervisor import ShardSupervisor
             supervisor = ShardSupervisor(
                 clock, gateway, config.supervisor,
-                retarget=server.retarget_flow, on_spawn=spawned.append)
+                retarget=server.retarget_flow, on_spawn=pool.append)
         if chaos is not None:
             fault_schedule = chaos(ChaosContext(
                 clock=clock, gateway=gateway, server=server, client=client,
@@ -562,21 +517,12 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
         if config.post_window > 0:
             clock.call_later(max(warmup, config.duration - config.post_window),
                              snapshot, "post")
-        clock.call_later(config.duration, clock.stop)
-        clock.run()
-        server.stop()
-        stopped_at = clock.now
-        clock.call_later(config.drain, clock.stop)
-        clock.run()
+        stopped_at = server.stream(config.duration, config.drain)
     finally:
         if server is not None:
             server.stop()
         if supervisor is not None:
             supervisor.stop()
-        if server_end is not None:
-            server_end.close()
-        client_end.close()
-        clock.close()
     elapsed = clock.now
     window_started, before = snapshots["window"]
     window = elapsed - window_started
@@ -592,15 +538,11 @@ def _drive(config: LoadConfig, shards: List[RouterShard],
             flow_id: receiver.bytes_received - post_before.get(flow_id, 0)
             for flow_id, receiver in client.flows.items()}
     delays: Dict[str, Dict[str, float]] = {}
-    for color in ("green", "yellow", "red"):
-        samples: List[float] = []
-        for receiver in client.flows.values():
-            probe = receiver.delay_probes[
-                next(c for c in receiver.delay_probes
-                     if c.name.lower() == color)]
-            samples.extend(v for t, v in probe.series.window(
-                window_started, float("inf")))
-        delays[color] = {
+    for color in (Color.GREEN, Color.YELLOW, Color.RED):
+        samples = [delay for receiver in client.flows.values()
+                   for _, delay in receiver.delay_probes[color].series
+                   .window(window_started, float("inf"))]
+        delays[color.name.lower()] = {
             "count": float(len(samples)),
             "mean_ms": (sum(samples) / len(samples)) * 1000
             if samples else float("nan"),
@@ -685,6 +627,19 @@ def load_report(config: LoadConfig, shards: List[RouterShard],
         flow_slots=measured.flow_slots)
 
 
+def _shard_configs(config: LoadConfig) -> List[ShardConfig]:
+    """The pool: ``config.shards`` bottlenecks of C_s each."""
+    capacity = config.shard_capacity_bps()
+    return [ShardConfig(
+        shard_id=index + 1, host=config.host,
+        # pels_share < 1 by epsilon; divide so capacity_bps == C_s.
+        bottleneck_bps=capacity / config.queue.pels_share(),
+        queue=config.queue, feedback_interval=config.feedback_interval,
+        feedback_window=config.feedback_window,
+        service_tick=config.service_tick, recv_batch=config.recv_batch)
+        for index in range(config.shards)]
+
+
 def run_load(config: Optional[LoadConfig] = None,
              chaos: Optional[Callable[[ChaosContext],
                                       FaultSchedule]] = None) -> LoadResult:
@@ -695,31 +650,59 @@ def run_load(config: Optional[LoadConfig] = None,
     live injectors to install against the run clock.  Every shard
     process — the initial pool and any replacement the supervisor
     spawns — is stopped on every exit path, including exceptions and
-    ``KeyboardInterrupt``.
+    ``KeyboardInterrupt``, and so is every socket.
     """
     config = config or LoadConfig()
-    capacity = config.shard_capacity_bps()
-    shards = [RouterShard(ShardConfig(
-        shard_id=index + 1, host=config.host,
-        # pels_share < 1 by epsilon; divide so capacity_bps == C_s.
-        bottleneck_bps=capacity / config.queue.pels_share(),
-        queue=config.queue, feedback_interval=config.feedback_interval,
-        feedback_window=config.feedback_window,
-        service_tick=config.service_tick, recv_batch=config.recv_batch))
-        for index in range(config.shards)]
     #: Every process ever spawned for this run (supervisor replacements
     #: append themselves via on_spawn) — the teardown list.
-    spawned: List[RouterShard] = list(shards)
+    pool = [RouterShard(shard) for shard in _shard_configs(config)]
     stats: Dict[int, Optional[ShardStats]] = {}
     try:
-        for shard in shards:
+        for shard in pool:
             shard.start()
-        final_shards, measured = _drive(config, shards, spawned, chaos)
+        clock = SelectorClock()
+        endpoints: List[DatagramEndpoint] = []
+
+        def attach(protocol) -> Tuple[str, int]:
+            endpoints.append(DatagramEndpoint(
+                clock, bound_udp_socket(config.host), protocol))
+            return endpoints[-1].get_extra_info("sockname")[:2]
+
+        try:
+            final_shards, measured = _drive(config, clock, attach, pool,
+                                            chaos)
+        finally:
+            for endpoint in endpoints:
+                endpoint.close()
+            clock.close()
     finally:
-        for shard in spawned:
+        for shard in pool:
             try:
                 stats[shard.shard_id] = shard.stop()
             except Exception:
                 stats.setdefault(shard.shard_id, None)
 
+    return load_report(config, final_shards, stats, measured)
+
+
+def simulate_load(config: Optional[LoadConfig] = None) -> LoadResult:
+    """:func:`run_load` on simulated time: the same :func:`_drive` on a
+    :class:`~repro.sim.engine.Simulator`, the client, the server and
+    each :class:`~repro.live.shard.SimulatedShard`'s router on one
+    zero-delay :class:`~repro.core.clock.SimNet`, MKC told the true
+    sample age ``config.feedback_delay(0)``.
+
+    No socket, no fork, no sleep, and no chaos: a shard can only fail
+    through its handle.  Shard CPU time reads 0 (there is no shard
+    process) and wall seconds are simulated ones.
+    """
+    from ..sim.engine import Simulator
+
+    config = config or LoadConfig()
+    net = SimNet(Simulator(seed=config.seed or 0))
+    pool = [SimulatedShard(shard, net).start()
+            for shard in _shard_configs(config)]
+    final_shards, measured = _drive(config, net.sim, net.attach, pool, None,
+                                    config.feedback_delay(0))
+    stats = {shard.shard_id: shard.stop() for shard in pool}
     return load_report(config, final_shards, stats, measured)

@@ -257,17 +257,20 @@ class LiveRouter:
         self._served_at = self._epoch_at = self.clock.now
         self.clock.call_later(self.interval, self._epoch)
 
-    async def stop(self) -> None:
-        """Stop serving; timers already armed fire into a no-op.
-
-        Nothing in it waits: it is a coroutine only because the perf
-        ledger's router probe awaits it.  A live process stops its
-        router by ending its clock's run and closing the socket.
-        """
+    def halt(self) -> None:
+        """Stop serving; timers already armed fire into a no-op and a
+        bound socket is no longer read.  A live process stops its
+        router by ending its clock's run and closing the socket; an
+        in-process shard child halts it."""
         self._running = False
         if self._sock is not None and self._loop is not None:
             self._loop.remove_reader(self._sock.fileno())
         self._loop = None
+
+    async def stop(self) -> None:
+        """:meth:`halt`, as a coroutine only because the perf ledger's
+        router probe awaits it."""
+        self.halt()
 
     # -- service path ------------------------------------------------------
 

@@ -225,6 +225,17 @@ class LiveServer:
         for flow in self.flows.values():
             flow.finish()
 
+    def stream(self, duration: float, drain: float) -> float:
+        """A session's phases on the server's clock: send for
+        ``duration``, :meth:`stop`, then turn ``drain`` seconds more so
+        queued datagrams and the last ACKs land.  Returns the clock
+        time the senders stopped."""
+        self.clock.run(until=self.clock.now + duration)
+        self.stop()
+        stopped = self.clock.now
+        self.clock.run(until=stopped + drain)
+        return stopped
+
     # -- transmit path -----------------------------------------------------
 
     def _turn(self, slot: int, due: float) -> None:

@@ -9,14 +9,16 @@ epoch hook and starts them; two drivers wire and run what it built:
   :class:`~repro.core.clock.SelectorClock` for a wall-clock duration;
 * :class:`SimulatedSession` runs the same objects on a
   :class:`~repro.sim.engine.Simulator`, each datagram crossing a
-  pure-delay :class:`Hop`: no socket, no sleep, and a run is a pure
-  function of its config.
+  pure-delay :class:`~repro.core.clock.SimNet`: no socket, no sleep,
+  and a run is a pure function of its config.
 
 Either runs a whole session through :meth:`LiveSession.run_to_end`:
-stream, stop the senders, drain.
+stream, stop the senders, drain — :meth:`LiveServer.stream
+<repro.live.server.LiveServer.stream>`, the phases the gateway's load
+runs go through too.
 
-The network supplies what it knows: three simulated hops know their
-round trip, so MKC references the rate from
+The network supplies what it knows: the simulated net knows the round
+trip, three crossings, so MKC references the rate from
 ``config.feedback_delay(3 * delay)`` ago; a socket knows none, and MKC
 keeps its own default.
 
@@ -40,9 +42,10 @@ from __future__ import annotations
 import math
 import socket
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from ..core.clock import Clock, DatagramEndpoint, ManualClock, SelectorClock
+from ..core.clock import (Clock, DatagramEndpoint, ManualClock,
+                          SelectorClock, SimNet)
 from ..core.flow import frame_receptions
 from ..core.params import ControlParams
 from ..core.pels_queue import PelsQueueConfig
@@ -59,10 +62,9 @@ from .server import LiveServer
 
 if TYPE_CHECKING:
     from ..control.meta import MetaController
-    from ..sim.engine import Simulator
 
 __all__ = ["LiveConfig", "LiveScore", "LiveSession", "LiveSessionResult",
-           "Hop", "SimulatedSession", "live_view", "run_live_session"]
+           "SimulatedSession", "live_view", "run_live_session"]
 
 #: Fraction of the run excluded from the score's averages.  Higher than
 #: the simulator reports' 0.5: the ramp from 128 kb/s takes ~2 s, and
@@ -256,19 +258,16 @@ class LiveSession:
                                  self.router, self.clock.now, self.meta)
 
     def run(self, seconds: float) -> "LiveSession":
-        """Turn the clock for ``seconds`` (one that runs until stopped,
-        as a ``SelectorClock`` does)."""
-        self.clock.call_later(seconds, self.clock.stop)
-        self.clock.run()
+        """Turn the clock for ``seconds``."""
+        self.clock.run(until=self.clock.now + seconds)
         return self
 
     def run_to_end(self) -> LiveSessionResult:
         """The whole session: stream for ``config.duration``, stop the
         senders, drain for ``config.drain`` (the router keeps serving
-        and final ACKs land) and hand back the result."""
-        self.run(self.config.duration)
-        self.server.stop()
-        self.run(self.config.drain)
+        and final ACKs land; :meth:`LiveServer.stream`) and hand back
+        the result."""
+        self.server.stream(self.config.duration, self.config.drain)
         return self.result()
 
 
@@ -301,46 +300,24 @@ def run_live_session(config: Optional[LiveConfig] = None
         clock.close()
 
 
-#: The one address of every simulated hop (a hop has one far end).
-HOP_ADDR = ("127.0.0.1", 9)
-
-
-class Hop(NamedTuple):
-    """A pure-delay datagram path on a simulated clock: ``sendto`` is
-    the far end's ``datagram_received``, ``delay`` seconds later."""
-
-    sim: Simulator
-    deliver: Callable[[bytes, Any], None]
-    delay: float
-
-    def sendto(self, data, addr=None) -> None:
-        self.sim.call_later(self.delay, self.deliver, bytes(data), addr)
-
-
 class SimulatedSession(LiveSession):
     """:class:`LiveSession` on a :class:`~repro.sim.engine.Simulator`,
-    the endpoints meeting over :class:`Hop` s.
+    the endpoints meeting on a :class:`~repro.core.clock.SimNet` (its
+    :attr:`net`).
 
-    ``delay`` is each hop's one-way delay (server -> router -> client
-    -> server: the round trip is three hops).  Every component starts
-    its own timers on the simulator — the pacer wheel and the CBR cross
-    traffic, the router's Eq. 11 epoch and backlog timer — exactly as
-    on a ``SelectorClock``.
+    ``delay`` is the net's one-way delay (server -> router -> client
+    -> server: the round trip is three crossings).  Every component
+    starts its own timers on the simulator — the pacer wheel and the
+    CBR cross traffic, the router's Eq. 11 epoch and backlog timer —
+    exactly as on a ``SelectorClock``.
     """
 
     def __init__(self, config: LiveConfig, delay: float = 0.0) -> None:
         from ..sim.engine import Simulator
         super().__init__(config, Simulator(seed=config.seed),
                          config.feedback_delay(3 * delay))
-        server, router, client = self.server, self.router, self.client
-        for sender, far_end in ((server, router), (router, client),
-                                (client, server)):
-            sender.connection_made(
-                Hop(self.clock, far_end.datagram_received, delay))
-        server.dst_addr = router.dst_addr = client.server_addr = HOP_ADDR
-
-    def run(self, seconds: float) -> "SimulatedSession":
-        """Advance the simulated clock by ``seconds``."""
-        self.clock.run(until=self.clock.now + seconds)
-        return self
-
+        self.net = SimNet(self.clock, delay)
+        # Downstream first, as run_live_session binds its sockets.
+        self.router.dst_addr = self.net.attach(self.client)
+        self.server.dst_addr = self.net.attach(self.router)
+        self.client.server_addr = self.net.attach(self.server)

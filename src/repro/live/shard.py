@@ -25,7 +25,10 @@ The split between the planes is strict:
 
 :class:`RouterShard` is the parent-side handle (spawn, route, stats,
 stop); :func:`_shard_main` is the child entry point.  Spawning and
-reaping are :mod:`repro.core.proc`'s; the control protocol is here.
+reaping are :mod:`repro.core.proc`'s; the control protocol is here,
+written once as :func:`apply_control`.  :class:`SimulatedShard` is the
+same handle with its child in this process, its router on a
+:class:`~repro.core.clock.SimNet`: the gateway on simulated time.
 
 Supervision support: the handle carries both the synchronous request
 path (``stats()``/``stop()``, which block for their reply) and a
@@ -44,8 +47,10 @@ from __future__ import annotations
 import pickle  # noqa: F401 - the control channel's framing; see below
 import socket
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 from ..core import proc
 from ..core.clock import SelectorClock
@@ -57,7 +62,8 @@ from ..core.pels_queue import PelsQueueConfig
 # down.
 from .router import LiveRouter
 
-__all__ = ["ShardConfig", "ShardStats", "RouterShard"]
+__all__ = ["ShardConfig", "ShardStats", "RouterShard", "SimulatedShard",
+           "apply_control", "bound_udp_socket"]
 
 #: Socket buffer request for shard data sockets (and the load
 #: generator's endpoints): enough to ride out multi-millisecond
@@ -126,8 +132,11 @@ class ShardStats:
         return sum(self.forwarded)
 
 
-def _snapshot(router, config: ShardConfig, port: int,
-              started: float) -> ShardStats:
+def _snapshot(router, config: ShardConfig, port: int, started: float,
+              cpu: Callable[[], float] = time.process_time) -> ShardStats:
+    """The router's counters as a :class:`ShardStats`; ``started`` is
+    when it began serving on its own clock, ``cpu`` what the shard has
+    burnt (its process's CPU time)."""
     depths = router.queue_depths()
     red_buffer = max(config.queue.red_buffer, 1)
     return ShardStats(
@@ -135,8 +144,8 @@ def _snapshot(router, config: ShardConfig, port: int,
         arrivals=list(router.arrivals), drops=list(router.drops),
         forwarded=list(router.forwarded),
         routes=len(router.flow_routes),
-        cpu_seconds=time.process_time(),
-        wall_seconds=time.monotonic() - started,
+        cpu_seconds=cpu(),
+        wall_seconds=router.clock.now - started,
         depths=depths,
         red_occupancy=depths[2] / red_buffer,
         shed_packets=list(router.shed_packets),
@@ -145,70 +154,97 @@ def _snapshot(router, config: ShardConfig, port: int,
         send_errors=router.send_errors)
 
 
-def _shard_main(conn, config: ShardConfig) -> None:
-    """Child process entry point: one driver, one router."""
-    driver = SelectorClock()
+def bound_udp_socket(host: str) -> socket.socket:
+    """A UDP socket bound to an ephemeral port on ``host``, its buffers
+    asked for ``SOCKET_BUFFER_BYTES`` each way."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF):
         try:
             sock.setsockopt(socket.SOL_SOCKET, opt, SOCKET_BUFFER_BYTES)
         except OSError:
             pass  # the OS cap applies; default sizes still work
-    sock.bind((config.host, 0))
-    port = sock.getsockname()[1]
+    sock.bind((host, 0))
+    return sock
 
-    router = LiveRouter(driver, config.bottleneck_bps, config.queue,
-                        interval=config.feedback_interval,
-                        router_id=config.shard_id,
-                        window_intervals=config.feedback_window,
-                        service_tick=config.service_tick,
-                        recv_batch=config.recv_batch)
-    router.bind_socket(sock, driver)
+
+def apply_control(router, message: tuple,
+                  snapshot: Callable[[], ShardStats]) -> Optional[tuple]:
+    """Apply one control message to ``router``; return its reply, if
+    it has one.
+
+    The shard's whole control protocol, whichever side of a process
+    boundary the router runs on: route installs and removals, the
+    default route, the shed level, stats (``snapshot()``), heartbeat
+    pings and ``stop``, answered with the final snapshot (ending the
+    router's service is the caller's).
+    """
+    kind = message[0]
+    if kind == "route":
+        router.flow_routes[message[1]] = message[2]
+    elif kind == "unroute":
+        router.flow_routes.pop(message[1], None)
+    elif kind == "routes":
+        # Bulk install: one message re-homes a whole failed shard's
+        # worth of flows during failover.
+        router.flow_routes.update(message[1])
+    elif kind == "default":
+        router.dst_addr = message[1]
+    elif kind == "shed":
+        router.set_shed_level(message[1])
+    elif kind == "stats":
+        return ("stats", snapshot())
+    elif kind == "ping":
+        # Heartbeat: echo the supervisor's timestamp.  A stalled event
+        # loop (or SIGSTOP'd process) simply stops answering, which is
+        # exactly the signal.
+        return ("pong", message[1])
+    elif kind == "stop":
+        return ("stopped", snapshot())
+    return None
+
+
+def _router(config: ShardConfig, clock) -> LiveRouter:
+    """The shard's router on ``clock``: its label identity is the
+    shard id."""
+    return LiveRouter(clock, config.bottleneck_bps, config.queue,
+                      interval=config.feedback_interval,
+                      router_id=config.shard_id,
+                      window_intervals=config.feedback_window,
+                      service_tick=config.service_tick,
+                      recv_batch=config.recv_batch)
+
+
+def _shard_main(conn, config: ShardConfig) -> None:
+    """Child process entry point: one clock, one router."""
+    clock = SelectorClock()
+    sock = bound_udp_socket(config.host)
+    port = sock.getsockname()[1]
+    router = _router(config, clock)
+    router.bind_socket(sock, clock)
     router.start()
-    started = time.monotonic()
+    snapshot = partial(_snapshot, router, config, port, clock.now)
 
     def on_control() -> None:
         try:
             while conn.poll():
                 message = conn.recv()
-                kind = message[0]
-                if kind == "route":
-                    router.flow_routes[message[1]] = message[2]
-                elif kind == "unroute":
-                    router.flow_routes.pop(message[1], None)
-                elif kind == "routes":
-                    # Bulk install: one pipe message re-homes a whole
-                    # failed shard's worth of flows during failover.
-                    router.flow_routes.update(message[1])
-                elif kind == "default":
-                    router.dst_addr = message[1]
-                elif kind == "stats":
-                    conn.send(("stats",
-                               _snapshot(router, config, port, started)))
-                elif kind == "ping":
-                    # Heartbeat: echo the supervisor's timestamp.  A
-                    # stalled driver (or SIGSTOP'd process) simply stops
-                    # answering, which is exactly the signal.
-                    conn.send(("pong", message[1]))
-                elif kind == "shed":
-                    router.set_shed_level(message[1])
-                elif kind == "stop":
-                    driver.stop()
+                reply = apply_control(router, message, snapshot)
+                if reply is not None:
+                    conn.send(reply)
+                if message[0] == "stop":
+                    clock.stop()
+                    return
         except (EOFError, OSError):
-            driver.stop()  # parent vanished: shut down cleanly
+            clock.stop()  # parent vanished: shut down cleanly
 
-    driver.add_reader(conn.fileno(), on_control)
+    clock.add_reader(conn.fileno(), on_control)
     conn.send(("ready", port))
     try:
         # A callback that raises ends run() with it: the child exits
         # non-zero and its supervisor sees a death, not a silent stall.
-        driver.run()
-        try:
-            conn.send(("stopped", _snapshot(router, config, port, started)))
-        except (BrokenPipeError, OSError):
-            pass
+        clock.run()
     finally:
-        driver.close()
+        clock.close()
         sock.close()
         conn.close()
 
@@ -219,7 +255,9 @@ class RouterShard:
     The handle is the only thing the gateway sees: it exposes the
     shard's data address, the route-install control verbs, and stats.
     All control calls are synchronous pipe round-trips (or one-way
-    sends); the data plane never passes through this object.
+    sends); the data plane never passes through this object.  What
+    :meth:`start` builds is :meth:`_spawn`'s: a forked child here, an
+    in-process one in :class:`SimulatedShard`.
     """
 
     def __init__(self, config: ShardConfig) -> None:
@@ -257,12 +295,16 @@ class RouterShard:
     def start(self) -> "RouterShard":
         if self._child is not None:
             raise RuntimeError("shard already started")
-        self._child = proc.spawn(_shard_main, (self.config,))
+        self._child = self._spawn()
         self._conn = self._child.conn
         kind, port = self._request(None, expect="ready",
                                    timeout=START_TIMEOUT)
         self._port = port
         return self
+
+    def _spawn(self) -> proc.Child:
+        """The child this handle runs: a forked :func:`_shard_main`."""
+        return proc.spawn(_shard_main, (self.config,))
 
     def stop(self, timeout: float = 10.0) -> Optional[ShardStats]:
         """Stop the child; returns its final stats (None if it died).
@@ -415,3 +457,79 @@ class RouterShard:
             if reply[0] == expect:
                 return reply
             self._dispatch(reply)
+
+
+class _InProcessChild:
+    """A shard child in this process: its router attached to a
+    :class:`~repro.core.clock.SimNet`, on the net's simulator.
+
+    It is the ``core/proc.py`` :class:`~repro.core.proc.Channel`
+    (``send``/``recv``/``poll``/``closed``) and the
+    :class:`~repro.core.proc.Child` (``alive``/``exitcode``/``kill``/
+    ``reap``/``pid``, its own ``conn``) at once: ``send`` applies the
+    message through :func:`apply_control` at once and queues its
+    reply.  Once it exits (``stop``, :meth:`kill`, :meth:`reap`) its
+    address has left the net, so datagrams sent there vanish, and
+    ``send`` raises ``BrokenPipeError`` as a dead child's pipe does.
+    It has no process: ``pid`` is None and its CPU time reads 0.
+    """
+
+    pid = None
+    exitcode: Optional[int] = None
+    alive, closed = True, False
+
+    def __init__(self, net, config: ShardConfig) -> None:
+        self.net, self.conn = net, self
+        self.router = _router(config, net.sim)
+        self.addr = net.attach(self.router, config.host)
+        self.router.start()
+        self._snapshot = partial(_snapshot, self.router, config,
+                                 self.addr[1], net.sim.now,
+                                 cpu=lambda: 0.0)
+        self._replies = deque([("ready", self.addr[1])])
+
+    def send(self, message: tuple) -> None:
+        if self.closed:
+            raise BrokenPipeError("the shard child has exited")
+        reply = apply_control(self.router, message, self._snapshot)
+        if reply is not None:
+            self._replies.append(reply)
+        if message[0] == "stop":
+            self._exit(0)
+
+    def recv(self):
+        """The next queued reply; ``EOFError`` once none is left."""
+        if not self._replies:
+            raise EOFError
+        return self._replies.popleft()
+
+    def poll(self, timeout: Optional[float] = 0.0) -> bool:
+        """A reply is queued, or the child is gone (EOF): never waits,
+        since nothing arrives later."""
+        return bool(self._replies) or self.closed
+
+    def reap(self, wait: float = 0.0) -> Optional[int]:
+        if self.alive:
+            self._exit(-9)  # as a SIGKILLed process reads
+        return self.exitcode
+
+    kill = reap
+
+    def _exit(self, code: int) -> None:
+        self.net.detach(self.addr)
+        self.router.halt()
+        self.exitcode, self.alive, self.closed = code, False, True
+
+
+class SimulatedShard(RouterShard):
+    """A :class:`RouterShard` whose child runs in this process on
+    ``net`` (a :class:`~repro.core.clock.SimNet`): the same handle, so
+    the gateway, the supervisor and :func:`apply_control` cannot tell.
+    Stalls are not modelled: the child answers every ping."""
+
+    def __init__(self, config: ShardConfig, net) -> None:
+        super().__init__(config)
+        self.net = net
+
+    def _spawn(self) -> _InProcessChild:
+        return _InProcessChild(self.net, self.config)

@@ -29,7 +29,7 @@ def _artifact(key: str, **metrics: float) -> dict:
 def _sweep() -> list:
     return [_artifact("T1", x=1.0),
             _artifact("S2", loss_err_a=0.1, wall_s_a=2.0),
-            _artifact("L2", goodput=3.0)]
+            _artifact("L3", goodput=3.0)]
 
 
 class TestDiverging:
@@ -69,15 +69,15 @@ class TestDiverging:
         assert diverging(_sweep(), other) == []
 
     def test_missing_live_key_is_reported(self):
-        assert diverging(_sweep(), _sweep()[:2]) == ["L2: only in A"]
-        assert diverging(_sweep()[:2], _sweep()) == ["L2: only in B"]
+        assert diverging(_sweep(), _sweep()[:2]) == ["L3: only in A"]
+        assert diverging(_sweep()[:2], _sweep()) == ["L3: only in B"]
 
     def test_missing_exact_key_is_reported(self):
         assert diverging(_sweep()[1:], _sweep()) == ["T1: only in B"]
 
     def test_reordered_keys_are_reported(self):
         assert diverging(_sweep(), _sweep()[::-1]) == [
-            "order: T1 S2 L2 vs L2 S2 T1"]
+            "order: T1 S2 L3 vs L3 S2 T1"]
 
 
 class TestEntryPoint:

@@ -405,8 +405,7 @@ class TestSocketBlackhole:
 
 class TestLiveInjectorDescriptions:
     def test_describe_strings_are_stable(self):
-        from repro.faults import (RegistrationErrors, ShardKill,
-                                  ShardStall, SocketBlackhole)
+        from repro.faults import ShardKill, ShardStall, SocketBlackhole
         assert ShardKill([], 2).describe() == "shard-kill:slot2"
         assert ShardStall([], 1, duration=2.0).describe() == \
             "shard-stall:slot1:2.0s"
@@ -414,9 +413,5 @@ class TestLiveInjectorDescriptions:
             "shard-stall:slot1:forever"
         assert SocketBlackhole(object(), [1, 2], 3.0).describe() == \
             "socket-blackhole:2flows:3.0s"
-        assert RegistrationErrors(object(), 5).describe() == \
-            "registration-errors:5"
         with pytest.raises(ValueError):
             ShardStall([], 0, duration=-1.0)
-        with pytest.raises(ValueError):
-            RegistrationErrors(object(), failures=0)

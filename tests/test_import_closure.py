@@ -17,7 +17,7 @@ the home of the frame phase before (and, for the live session, of
 modules loaded (in all / of them ``repro``)    before      now
 =============================================  ==========  ==========
 ``import repro.live.shard`` (one router shard)  160 / 30    153 / 23
-``import repro.live.loadgen``                   192 / 55    165 / 35
+``import repro.live.loadgen``                   192 / 55    164 / 34
 ``import repro.fluid.engine``                   147 / 25    135 / 15
 ``import repro.analysis.oracles``               150 / 28    138 / 18
 ``import repro.core.session``                   172 / 44    169 / 41

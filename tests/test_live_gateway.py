@@ -2,55 +2,52 @@
 
 The admission logic is pure (clock-injected token buckets, budget
 arithmetic, stable hashing), so the bulk of this file runs in tier 1
-against fake shard handles and a ManualClock.  The process-spawning
-paths — a real :class:`RouterShard` child and a small
+against in-process shards (:class:`SimulatedShard`, the real handle
+with its router on a ``SimNet``) and a ManualClock, and so do whole
+load runs on simulated time (:func:`simulate_load`).  The
+process-spawning paths — a real :class:`RouterShard` child and a small
 :func:`run_load` session — are opt-in wall-clock tests behind the
 ``live`` marker, like the rest of the socket suite.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import socket
 import time
+from unittest import mock
 
 import pytest
 
-from repro.core.clock import ManualClock
+from repro.core.clock import ManualClock, SimNet
+from repro.live import shard as shard_module
+from repro.live.client import LiveClient
 from repro.live.gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                                 LiveGateway, TenantPolicy, TokenBucket,
-                                TransientRegistrationError, shard_index)
-from repro.live.loadgen import (LoadConfig, _percentile,
-                                register_with_retry)
+                                shard_index)
+from repro.live.loadgen import LoadConfig, _percentile, simulate_load
 from repro.live.server import LiveServer
-from repro.live.shard import RouterShard, ShardConfig
+from repro.live.shard import (RouterShard, ShardConfig, SimulatedShard,
+                              apply_control)
 from repro.live.wire import LivePacket, decode_packet, encode_packet
+from repro.sim.engine import Simulator
 from repro.sim.packet import Color
 from repro.video.fgs import FgsConfig
 
 
-class FakeShard:
-    """Duck-typed stand-in for RouterShard in admission tests."""
+def sim_shard(shard_id, capacity_bps=100_000.0, net=None):
+    """A started in-process shard whose PELS capacity is
+    ``capacity_bps`` exactly (the default queue's share is 1/2)."""
+    net = net or SimNet(Simulator())
+    return SimulatedShard(ShardConfig(shard_id=shard_id,
+                                      bottleneck_bps=2 * capacity_bps),
+                          net).start()
 
-    def __init__(self, shard_id: int, capacity_bps: float = 100_000.0):
-        self.shard_id = shard_id
-        self.capacity_bps = capacity_bps
-        self.routes = {}
-        self.bulk_installs = []
 
-    @property
-    def addr(self):
-        return ("127.0.0.1", 40_000 + self.shard_id)
-
-    def install_route(self, flow_id, addr):
-        self.routes[flow_id] = addr
-
-    def install_routes(self, routes):
-        self.bulk_installs.append(dict(routes))
-        self.routes.update(routes)
-
-    def remove_route(self, flow_id):
-        self.routes.pop(flow_id, None)
+def routes(shard):
+    """The routes the shard's router holds."""
+    return shard._conn.router.flow_routes
 
 
 CLIENT = ("127.0.0.1", 5555)
@@ -59,7 +56,8 @@ CLIENT = ("127.0.0.1", 5555)
 def make_gateway(n_shards=2, capacity_bps=100_000.0, reserve=10_000.0,
                  clock=None, **policy_kwargs):
     clock = clock or ManualClock()
-    shards = [FakeShard(i + 1, capacity_bps) for i in range(n_shards)]
+    net = SimNet(Simulator())
+    shards = [sim_shard(i + 1, capacity_bps, net) for i in range(n_shards)]
     policy = TenantPolicy(**policy_kwargs) if policy_kwargs else None
     return LiveGateway(clock, shards, flow_reserve_bps=reserve,
                        default_policy=policy), shards, clock
@@ -94,7 +92,7 @@ class TestAdmission:
         assert decision.flow_id == 0
         shard = next(s for s in shards if s.shard_id == decision.shard_id)
         assert decision.shard_addr == shard.addr
-        assert shard.routes[0] == CLIENT
+        assert routes(shard)[0] == CLIENT
         assert gateway.admitted == 1
 
     def test_flow_ids_are_globally_unique(self):
@@ -143,7 +141,7 @@ class TestAdmission:
         full = gateway.register("t", 2, CLIENT)
         assert not full.admitted and full.reason == "shard_full"
         gateway.deregister(a.flow_id)
-        assert a.flow_id not in shards[0].routes  # route removed
+        assert a.flow_id not in routes(shards[0])  # route removed
         assert gateway.register("t", 2, CLIENT).admitted
 
     def test_deregister_unknown_flow_is_false_not_raise(self):
@@ -176,13 +174,6 @@ class TestAdmission:
         assert decision.shard_slot == shard_index("t", 5, 4)
 
 
-class BrokenShard(FakeShard):
-    """install_route raises, as a dead child's pipe would."""
-
-    def install_route(self, flow_id, addr):
-        raise BrokenPipeError("child is gone")
-
-
 class TestClosedSlots:
     """Every rejection reason, including the supervisor-driven ones."""
 
@@ -212,7 +203,8 @@ class TestClosedSlots:
 
     def test_install_failure_closes_the_slot_and_rejects_shard_down(self):
         clock = ManualClock()
-        shards = [BrokenShard(1)]
+        shards = [sim_shard(1)]
+        shards[0].kill()  # install_route raises, as a dead child's pipe does
         gateway = LiveGateway(clock, shards, flow_reserve_bps=1_000.0)
         decision = gateway.register("t", 0, CLIENT)
         assert not decision.admitted
@@ -234,11 +226,14 @@ class TestReplaceShard:
         gateway, shards, _ = make_gateway(n_shards=1)
         ids = [gateway.register("t", key, CLIENT).flow_id
                for key in range(3)]
-        replacement = FakeShard(9, shards[0].capacity_bps)
-        rehomed = gateway.replace_shard(0, replacement)
+        replacement = sim_shard(9, shards[0].capacity_bps)
+        with mock.patch.object(shard_module, "apply_control",
+                               wraps=apply_control) as applied:
+            rehomed = gateway.replace_shard(0, replacement)
         assert rehomed == sorted(ids)
-        assert sorted(replacement.routes) == sorted(ids)
-        assert replacement.bulk_installs == [{fid: CLIENT for fid in ids}]
+        assert sorted(routes(replacement)) == sorted(ids)
+        assert [call.args[1] for call in applied.call_args_list] == [
+            ("routes", {fid: CLIENT for fid in ids})]
         assert gateway.shards[0] is replacement
 
     def test_reservations_survive_replacement(self):
@@ -247,96 +242,14 @@ class TestReplaceShard:
                                           reserve=10_000.0)
         gateway.register("t", 0, CLIENT)
         gateway.register("t", 1, CLIENT)
-        gateway.replace_shard(0, FakeShard(9, 20_000.0))
+        gateway.replace_shard(0, sim_shard(9, 20_000.0))
         # Still full: the flows moved, their budgets did not reset.
         assert gateway.register("t", 2, CLIENT).reason == "shard_full"
 
     def test_replace_bad_slot_raises(self):
         gateway, _, _ = make_gateway(n_shards=1)
         with pytest.raises(IndexError):
-            gateway.replace_shard(3, FakeShard(9))
-
-
-class FlakyGateway:
-    """Raises/rejects a scripted number of times, then admits."""
-
-    def __init__(self, real, errors=0, rejections=0,
-                 rejection_reason=REASON_SHARD_DOWN):
-        self.real = real
-        self.errors = errors
-        self.rejections = rejections
-        self.rejection_reason = rejection_reason
-        self.calls = 0
-
-    def register(self, tenant, flow_key, client_addr):
-        self.calls += 1
-        if self.errors > 0:
-            self.errors -= 1
-            raise TransientRegistrationError("flaky")
-        if self.rejections > 0:
-            self.rejections -= 1
-            self.real.close_shard(0, self.rejection_reason)
-            try:
-                return self.real.register(tenant, flow_key, client_addr)
-            finally:
-                self.real.open_shard(0)
-        return self.real.register(tenant, flow_key, client_addr)
-
-
-class TestRegisterWithRetry:
-    def make_flaky(self, **kwargs):
-        gateway, _, _ = make_gateway(n_shards=1)
-        return FlakyGateway(gateway, **kwargs)
-
-    def test_transient_errors_back_off_and_succeed(self):
-        import random
-        flaky = self.make_flaky(errors=2)
-        sleeps = []
-        decision = register_with_retry(
-            flaky, "t", 0, CLIENT, retries=4, backoff=0.05,
-            rng=random.Random(7), sleep=sleeps.append)
-        assert decision.admitted
-        assert flaky.calls == 3
-        assert len(sleeps) == 2
-        # Exponential shape with jitter in [0.5, 1.5) x backoff x 2^k.
-        assert 0.025 <= sleeps[0] < 0.075
-        assert 0.05 <= sleeps[1] < 0.15
-        assert sleeps[1] > sleeps[0]
-
-    def test_retryable_rejections_are_retried(self):
-        flaky = self.make_flaky(rejections=1)
-        decision = register_with_retry(flaky, "t", 0, CLIENT, retries=2,
-                                       sleep=lambda s: None)
-        assert decision.admitted
-        assert flaky.calls == 2
-
-    def test_non_retryable_rejection_returns_immediately(self):
-        gateway, _, _ = make_gateway(max_flows=0)
-        sleeps = []
-        decision = register_with_retry(gateway, "t", 0, CLIENT, retries=3,
-                                       sleep=sleeps.append)
-        assert not decision.admitted
-        assert decision.reason == "tenant_full"
-        assert sleeps == []
-
-    def test_exhausted_errors_become_a_structured_rejection(self):
-        flaky = self.make_flaky(errors=99)
-        decision = register_with_retry(flaky, "t", 7, CLIENT, retries=2,
-                                       sleep=lambda s: None)
-        assert not decision.admitted
-        assert decision.reason == "registration_error"
-        assert decision.tenant == "t" and decision.flow_key == 7
-        assert flaky.calls == 3  # initial + 2 retries
-
-    def test_registration_errors_injector_is_ridden_out(self):
-        from repro.faults import RegistrationErrors
-        gateway, _, _ = make_gateway(n_shards=1)
-        RegistrationErrors(gateway, failures=2).apply(sim=None)
-        decision = register_with_retry(gateway, "t", 0, CLIENT, retries=3,
-                                       sleep=lambda s: None)
-        assert decision.admitted
-        # The wrapper restored the original method after its budget.
-        assert gateway.register("t", 1, CLIENT).admitted
+            gateway.replace_shard(3, sim_shard(9))
 
 
 class TestLoadConfig:
@@ -641,6 +554,48 @@ class TestShardProcess:
         assert shard.stop() is None
 
 
+class TestSimulatedShard:
+    """The in-process shard against the handle contract the gateway and
+    the supervisor use: one ``apply_control``, no process."""
+
+    def test_stop_returns_the_final_stats(self):
+        shard = sim_shard(3)
+        shard.install_route(7, CLIENT)
+        final = shard.stop()
+        assert (final.shard_id, final.routes, final.cpu_seconds) == (3, 1, 0)
+        assert not shard.alive and shard.stop() is None
+
+    def test_supervision_verbs_round_trip(self):
+        shard = sim_shard(4)
+        assert shard.ping(42.0) and shard.request_stats()
+        assert shard.set_shed_level(1)
+        assert shard.poll_messages() == 2 and shard.poll_messages() == 0
+        assert shard.last_pong == 42.0 and shard.last_stats.shard_id == 4
+        assert shard.stats().shed_level == 1
+
+    def test_datagrams_sent_to_a_killed_shard_vanish(self):
+        net = SimNet(Simulator())
+        shard = sim_shard(5, net=net)
+        client = LiveClient(net.sim)  # sends, and receives the forwards
+        shard.install_route(7, net.attach(client))
+        packet = encode_packet(LivePacket(flow_id=7, seq=0, sent_at=0.0,
+                                          color=Color.GREEN, size=200))
+        client.transport.sendto(packet, shard.addr)
+        net.sim.run(until=1.0)
+        assert client.flows[7].bytes_received == 200
+        child = shard._conn
+        shard.kill()
+        assert child.exitcode == -9 and not shard.alive
+        client.transport.sendto(packet, shard.addr)
+        net.sim.run(until=2.0)
+        assert client.flows[7].bytes_received == 200
+        assert child.router.arrivals[Color.GREEN] == 1
+        # Later verbs fail as they do on a dead child's pipe.
+        with pytest.raises(BrokenPipeError):
+            shard.install_route(8, CLIENT)
+        assert not shard.ping(1.0) and shard.poll_messages() == 0
+
+
 @pytest.mark.live
 class TestShardPipeEdgeCases:
     """The control pipe under child death and supervision traffic."""
@@ -723,6 +678,34 @@ class TestShardPipeEdgeCases:
             assert shard.last_pong == 42.0
         finally:
             shard.stop()
+
+
+class TestSimulatedLoad:
+    """:func:`simulate_load`: what only wall-clock load runs reached
+    before, seeded and exact."""
+
+    def test_churned_flows_yield_partial_results_not_errors(self):
+        result = simulate_load(LoadConfig(flows=6, shards=1, duration=2.0,
+                                          churn_flows=2, seed=3))
+        assert (result.churned, result.admitted) == (2, 6)
+        assert result.aggregate_goodput_bps > 0
+
+    def test_post_window_goodput_is_the_sum_of_its_flows(self):
+        result = simulate_load(LoadConfig(flows=8, shards=2, duration=2.0,
+                                          post_window=0.5))
+        per_flow, slots = result.post_flow_goodput, result.flow_slots
+        assert sorted(per_flow) == sorted(slots)
+        assert result.post_goodput_bps == sum(per_flow.values()) > 0
+        for shard in result.per_shard:
+            assert shard.post_goodput_bps == pytest.approx(sum(
+                g for f, g in per_flow.items() if slots[f] == shard.slot))
+
+    def test_the_same_config_runs_the_same(self):
+        config = LoadConfig(flows=12, shards=2, duration=2.0, churn_flows=1,
+                            post_window=0.5)
+        first, again = (simulate_load(config).to_dict() for _ in range(2))
+        first["flows_per_sec"] = again["flows_per_sec"]  # a host fact
+        assert json.dumps(first) == json.dumps(again)
 
 
 @pytest.mark.live

@@ -2,7 +2,7 @@
 
 The same ``LiveServer``/``LiveRouter``/``LiveClient`` the loopback
 session binds to UDP sockets, on a :class:`~repro.sim.engine.Simulator`
-clock whose :class:`~repro.live.session.Hop` s delay every datagram —
+clock whose :class:`~repro.core.clock.SimNet` delays every datagram —
 what only wall-clock runs could show before, deterministically, with no
 socket and no sleep.
 """
@@ -15,10 +15,10 @@ import pytest
 
 from repro.core.report import build_report
 from repro.live.router import LiveRouter
-from repro.live.session import HOP_ADDR, Hop, SimulatedSession
+from repro.live.session import SimulatedSession
 from repro.sim.packet import Color
 
-#: One-way delay of each hop: a 60 ms round trip (server -> router ->
+#: One-way delay of the net: a 60 ms round trip (server -> router ->
 #: client -> server).
 HOP = 0.020
 
@@ -31,13 +31,12 @@ def delayed(loopback) -> SimulatedSession:
 
 def replace_router(loop: SimulatedSession, router_id: int) -> LiveRouter:
     """Start a router with ``router_id`` and put it on the path."""
-    config, sim = loop.config, loop.clock
-    router = LiveRouter(sim, config.bottleneck_bps, config.queue,
+    config = loop.config
+    router = LiveRouter(loop.clock, config.bottleneck_bps, config.queue,
                         interval=config.feedback_interval, router_id=router_id,
                         service_tick=config.service_tick)
-    router.connection_made(Hop(sim, loop.client.datagram_received, HOP))
-    router.dst_addr = HOP_ADDR
-    loop.server.connection_made(Hop(sim, router.datagram_received, HOP))
+    router.dst_addr = loop.router.dst_addr
+    loop.server.dst_addr = loop.net.attach(router)
     router.start()
     return router
 

@@ -58,6 +58,14 @@ def test_equal_deadlines_fire_in_the_order_they_were_armed(clock):
     assert log == ["earlier", "a", "b", "c"]
 
 
+def test_run_until_stops_at_that_clock_time(clock):
+    log = []
+    clock.call_at(clock.now + 60.0, log.append, "later")
+    clock.call_at(clock.now, log.append, "due")
+    clock.run(until=clock.now)  # the stop is armed after "due"
+    assert log == ["due"]
+
+
 def test_call_at_in_the_past_fires_on_the_next_turn(clock, pair):
     log = []
     clock.add_reader(readable(pair), lambda: log.append("turn"))

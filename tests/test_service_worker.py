@@ -48,11 +48,22 @@ def _structured_failure_run(fast=False):
     return result
 
 
+def _forking_run(fast=False):
+    # A job with a child of its own, as the live gateway's shard
+    # processes are: spawned, answered, reaped.
+    from repro.core import proc
+    child = proc.spawn(lambda conn: conn.send(42))
+    value = child.conn.recv() if child.conn.poll(30.0) else None
+    result = ExperimentResult("FORK", "forks and reaps a child")
+    result.metrics.update(value=value, exitcode=child.reap(proc.GRACE))
+    return result
+
+
 @pytest.fixture()
 def patched_registry(monkeypatch):
     monkeypatch.setattr(runner, "_REGISTRY", {
         "OK": _ok_run, "BOOM": _boom_run, "SLOW": _slow_run,
-        "SAD": _structured_failure_run})
+        "SAD": _structured_failure_run, "FORK": _forking_run})
 
 
 @pytest.fixture()
@@ -104,6 +115,15 @@ class TestExecuteInChild:
         metrics_events = [e for e in events if e.get("type") == "metrics"]
         assert len(metrics_events) == 1
         assert json.loads(metrics_events[0]["line"])["experiment_id"] == "OK"
+
+    def test_a_job_that_spawns_and_reaps_a_child_completes(
+            self, patched_registry, queue, storage):
+        queue.submit(params={"key": "FORK", "fast": True})
+        job = queue.claim_next("w001")
+        settled = execute_in_child(queue, storage, job, beat=lambda: None)
+        assert settled.state == "done"
+        artifact = storage.load_artifact(job.job_id)
+        assert artifact["metrics"] == {"value": 42, "exitcode": 0}
 
     def test_crash_burns_a_retry_and_requeues(self, patched_registry,
                                               queue, storage):
