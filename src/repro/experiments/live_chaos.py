@@ -5,8 +5,8 @@ L2 shows the sharded live stack holds the Lemma 6 operating point at
 Two runs share one configuration (same seed, same placement):
 
 **supervised** — a :class:`~repro.live.supervisor.ShardSupervisor`
-polls the pool.  The fault schedule SIGKILLs the most-populated shard
-slot mid-run; the supervisor must detect the crash, spawn a
+polls the pool.  The fault schedule kills the most-populated shard
+slot's child mid-run; the supervisor must detect the crash, spawn a
 replacement under a fresh ``router_id``, re-home every flow of the
 slot (bulk route re-install + sender re-target) and reopen admissions.
 Earlier in the run a short *shed probe* forces layered shedding on a
@@ -15,7 +15,7 @@ are shed, green base-layer packets never are.  Checks:
 
 * the kill produces exactly one failover, re-homing every flow placed
   on the killed slot;
-* kill -> failover-complete latency is <= 2 wall seconds;
+* kill -> failover-complete latency is <= 2 seconds;
 * post-recovery goodput (the ``post_window`` tail, measured after the
   failover settles) is >= 90% of the full per-shard Lemma 6 oracle —
   the replacement carries its slot's share, it is not a zombie;
@@ -25,20 +25,17 @@ are shed, green base-layer packets never are.  Checks:
   episode it had, if any, was ended by a fresh label.
 
 A second table splits the post window by pool slot: each slot's
-goodput against its own ``min(C_s, N_s r*)`` and its final shard's
-``cpu_seconds / wall_seconds``, so a shortfall names its slot.  Its
-last row is the load generator itself, the one process that runs every
-sender and receiver: its ``time.process_time()`` over the same window
-against the wall time it spans.
+goodput against its own ``min(C_s, N_s r*)``, so a shortfall names its
+slot; its last row is the whole pool.
 
-The failover heals (≈0.13 s) faster than the senders' starvation
-watchdog fires (``feedback_timeout`` 0.4 s), so the killed slot's
-flows normally do *not* go blind because of the kill; the episodes
-this run sees are healthy ≈7 pkt/s flows whose gap between fresh labels
-across a 0.656 s frame outlasts the timeout.  Riding a silent router
-blind and resynchronizing on the first label from a fresh ``router_id``
-(Section 5.2) is pinned deterministically in tier 1, on a simulated
-clock (``tests/test_live_on_simulator.py``).
+The failover heals at the next 0.25 s poll, before the senders'
+starvation watchdog fires (``feedback_timeout`` 0.4 s), so the killed
+slot's flows normally do *not* go blind because of the kill; the
+episodes this run sees are healthy ≈7 pkt/s flows whose gap between
+fresh labels across a 0.656 s frame outlasts the timeout.  Riding a
+silent router blind and resynchronizing on the first label from a
+fresh ``router_id`` (Section 5.2) is pinned deterministically in tier
+1, on a simulated clock (``tests/test_live_on_simulator.py``).
 
 **control** — identical run, kill included, supervisor off.  The
 killed slot's flows must be *stranded* (post-window delivered rate
@@ -46,19 +43,25 @@ under 10% of their Lemma 6 share), and from the kill instant on their
 senders go blind and never recover (their counters are snapshotted at
 the kill, so episodes a healthy flow had before it do not count): the
 healing in the supervised run comes from the supervisor, not from some
-accidental recovery path.  This is wall-clock (L2 runs the gateway on
-simulated time; L3's claims cross process boundaries): checks assert
-bands and invariants, not exact bytes.
+accidental recovery path.
+
+Both runs are :func:`~repro.live.loadgen.simulate_load`'s: the
+gateway, the supervisor, the senders and in-process shards on one
+simulated net, so L3 is seeded and exact.  Shard CPU reads 0 there,
+so the supervisor sheds only when told to — which is right: overload
+is CPU, and a full red queue is PELS's operating point (Lemma 4).
+What crosses a process boundary — a real SIGKILL, a SIGSTOP caught by
+heartbeat, kill -> healed in two wall seconds, the orphan rule — is
+``tests/test_live_chaos.py``'s (``--live``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from ..faults import Callback, FaultSchedule, ShardKill
 from ..live.loadgen import (ChaosContext, LoadConfig, LoadResult, ShardLoad,
-                            run_load)
+                            simulate_load)
 from ..live.supervisor import SupervisorConfig
 from .common import ExperimentResult, check
 
@@ -68,7 +71,7 @@ __all__ = ["run", "POST_GOODPUT_FLOOR", "FAILOVER_DEADLINE",
 #: Post-recovery goodput floor, as a fraction of the Lemma 6 oracle.
 POST_GOODPUT_FLOOR = 0.90
 
-#: Wall-clock bound on kill -> flows-re-homed (acceptance criterion).
+#: Bound on kill -> flows-re-homed, in seconds (acceptance criterion).
 FAILOVER_DEADLINE = 2.0
 
 #: A control-run flow counts as stranded below this fraction of r*.
@@ -100,26 +103,12 @@ def _chaos_builder(config: LoadConfig, picked: Dict[str, int],
     placement (deterministic under the seed): the kill hits the most
     populated slot, the probe the second-most — both choices land in
     ``picked`` for the assertion phase, and so do the killed slot's
-    summed watchdog counters at the kill instant and this process's
-    CPU share over the post window (``loadgen_cpu_share``).
+    summed watchdog counters at the kill instant.
     """
     kill_at = 0.45 * config.duration
     warmup = config.duration * config.warmup_fraction
 
     def build(ctx: ChaosContext) -> FaultSchedule:
-        # Armed just before run_load arms its post snapshot and its stop,
-        # so each mark fires first at its edge of the window.
-        marks = []
-
-        def mark() -> None:
-            marks.append((time.process_time(), ctx.clock.now))
-            if len(marks) == 2:
-                (cpu0, wall0), (cpu1, wall1) = marks
-                picked["loadgen_cpu_share"] = (cpu1 - cpu0) / (wall1 - wall0)
-
-        ctx.clock.call_later(max(warmup, config.duration - config.post_window),
-                             mark)
-        ctx.clock.call_later(config.duration, mark)
         ranked = ctx.busiest_slots()
         kill_slot, picked["kill_population"] = ranked[0]
         picked["kill_slot"] = kill_slot
@@ -160,14 +149,11 @@ def _watchdog_cell(shard: Optional[ShardLoad]) -> str:
 
 
 def _slot_row(shard: ShardLoad) -> list:
-    """One slot's post-window goodput vs its oracle, and its CPU share."""
+    """One slot's post-window goodput vs its oracle."""
     post = shard.post_goodput_bps
     oracle = shard.oracle_goodput_bps
-    stats = shard.stats
     return [shard.slot, shard.n_flows, post / 1e3, oracle / 1e3,
-            post / oracle if oracle else float("nan"),
-            stats.cpu_seconds / stats.wall_seconds
-            if stats.wall_seconds else float("nan")]
+            post / oracle if oracle else float("nan")]
 
 
 def _kill_time(result: LoadResult) -> float:
@@ -184,9 +170,9 @@ def run(fast: bool = False) -> ExperimentResult:
     # -- supervised run ----------------------------------------------------
     sup_config = _config(fast, supervise=True)
     sup_picked: Dict[str, int] = {}
-    supervised = run_load(sup_config,
-                          chaos=_chaos_builder(sup_config, sup_picked,
-                                               with_shed_probe=True))
+    supervised = simulate_load(sup_config,
+                               chaos=_chaos_builder(sup_config, sup_picked,
+                                                    with_shed_probe=True))
     report = supervised.supervisor or {}
     failovers: List[dict] = list(report.get("failovers", []))
     kill_slot = sup_picked.get("kill_slot", -1)
@@ -225,9 +211,9 @@ def run(fast: bool = False) -> ExperimentResult:
     # -- unsupervised control run ------------------------------------------
     ctl_config = _config(fast, supervise=False)
     ctl_picked: Dict[str, int] = {}
-    control = run_load(ctl_config,
-                       chaos=_chaos_builder(ctl_config, ctl_picked,
-                                            with_shed_probe=False))
+    control = simulate_load(ctl_config,
+                            chaos=_chaos_builder(ctl_config, ctl_picked,
+                                                 with_shed_probe=False))
     ctl_slot = ctl_picked.get("kill_slot", -1)
     ctl_shard = _slot(control, ctl_slot)
     stranded_floor = STRANDED_RATE_FRACTION * \
@@ -267,18 +253,15 @@ def run(fast: bool = False) -> ExperimentResult:
           control.green_drops, _watchdog_cell(ctl_shard)]],
         title=f"shard kill at 0.45x{sup_config.duration:.0f}s, "
               f"seed {SEED}")
-    loadgen_share = sup_picked.get("loadgen_cpu_share", float("nan"))
     result.add_table(
-        ["slot", "flows", "post kb/s", "oracle kb/s", "post vs oracle",
-         "cpu/wall"],
+        ["slot", "flows", "post kb/s", "oracle kb/s", "post vs oracle"],
         [_slot_row(shard) for shard in supervised.per_shard]
-        + [["loadgen", supervised.admitted,
+        + [["all", supervised.admitted,
             supervised.post_goodput_bps / 1e3,
             supervised.oracle_goodput_bps / 1e3,
-            supervised.post_goodput_vs_oracle, loadgen_share]],
+            supervised.post_goodput_vs_oracle]],
         title="supervised, per pool slot: post-window goodput vs "
-              "min(C_s, N_s r*) and the slot's final shard's CPU share; "
-              "loadgen = the load generator, all slots")
+              "min(C_s, N_s r*)")
 
     result.metrics["sup_kill_to_healed_s"] = kill_to_healed
     if failover is not None:
@@ -297,7 +280,6 @@ def run(fast: bool = False) -> ExperimentResult:
     result.metrics["sup_yellow_shed_packets"] = \
         float(supervised.shed_packets[1])
     result.metrics["sup_green_p99_ms"] = green["p99_ms"]
-    result.metrics["sup_loadgen_post_cpu_share"] = loadgen_share
     for key, shard in (("sup", sup_shard), ("ctl", ctl_shard)):
         if shard is not None:
             result.metrics[f"{key}_killed_blind_intervals"] = \

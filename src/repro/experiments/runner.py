@@ -128,7 +128,7 @@ ABLATIONS: Dict[str, Tuple[str, str, str]] = {
 HOST_FACTS: Dict[str, Optional[Tuple[str, ...]]] = {
     "S1": ("wall_per_sim_s_", "epochs_per_s_", "peak_rss_bytes_"),
     "S2": ("wall_s_", "epochs_per_s_", "peak_rss_bytes_"),
-    "L3": None, "SV1": None}
+    "SV1": None}
 
 
 class _Registry(Mapping[str, Callable[..., ExperimentResult]]):

@@ -9,11 +9,12 @@ simulation component.  The R1 chaos experiment
 ``docs/architecture.md`` document the semantics; determinism under a
 fixed seed is pinned by the run-boundary tests.
 
-:mod:`repro.faults.live` extends the same schedules to wall-clock
-targets: :class:`AsyncFaultDriver` satisfies the installer's ``sim``
+:mod:`repro.faults.live` extends the same schedules to the live
+gateway: :class:`AsyncFaultDriver` satisfies the installer's ``sim``
 protocol over a live clock's timers, and the live injectors (ShardKill,
-ShardStall, SocketBlackhole) hit real shard processes and sockets — the
-L3 chaos experiment drives them against the supervised gateway.
+ShardStall, SocketBlackhole) hit shard children and sockets — the L3
+chaos experiment drives them against the supervised gateway on
+simulated time, ``pels gateway --chaos`` against shard processes.
 """
 
 from .._lazy import lazy_exports

@@ -1,23 +1,27 @@
-"""Fault injection for the live (wall-clock) gateway stack.
+"""Fault injection for the live gateway stack.
 
 :class:`~repro.faults.schedule.FaultSchedule` can torture the
 simulator; these injectors point the same deterministic machinery at
-real processes and sockets.  ``FaultSchedule.install`` only needs a
-``sim``-shaped object (``now``, ``call_at``, ``call_later``, ``rng``,
-``tracer``), and a live run's :class:`~repro.core.clock.SelectorClock`
-already schedules (``call_at`` in clock time, on its own timer heap),
-so :class:`AsyncFaultDriver` is that clock plus a seeded RNG and the
+the gateway's shards and senders.  ``FaultSchedule.install`` only needs
+a ``sim``-shaped object (``now``, ``call_at``, ``call_later``, ``rng``,
+``tracer``), and a load run's clock — a
+:class:`~repro.core.clock.SelectorClock`, or the
+:class:`~repro.sim.engine.Simulator` of a simulated run — already
+schedules (``call_at`` in clock time, on its own timer heap), so
+:class:`AsyncFaultDriver` is that clock plus a seeded RNG and the
 tracer: schedules built for the simulator install unchanged against
-wall time, and fire through the same timers as the stack they break.
+either, and fire through the same timers as the stack they break.
 
 The live taxonomy mirrors real operational failures:
 
-* :class:`ShardKill` — SIGKILL a shard process (host OOM, a segfault).
-  The supervisor must notice the exit and fail over.
+* :class:`ShardKill` — kill a shard's child (host OOM, a segfault): a
+  SIGKILL for a forked shard, an exit for an in-process one.  The
+  supervisor must notice the exit and fail over.
 * :class:`ShardStall` — SIGSTOP the process for a while (GC-of-death,
   a noisy neighbor stealing the core).  The process stays *alive*, so
   only the heartbeat path can catch it; SIGCONT restores it unless the
-  supervisor SIGKILLed it first.
+  supervisor SIGKILLed it first.  An in-process shard has no process
+  to stop: the stall is a no-op on it.
 * :class:`SocketBlackhole` — re-aim selected flows' datagrams at a
   bound-but-never-read socket (a silent middlebox drop).  Senders keep
   transmitting into the void; feedback starvation and blind mode are
@@ -52,10 +56,11 @@ class AsyncFaultDriver:
     ``sim.now`` / ``sim.call_at`` / ``sim.call_later`` / ``sim.rng`` /
     ``sim.tracer``: the first three are the clock's own, the driver
     adds the other two.  Schedule times are clock times (a
-    :class:`~repro.core.clock.WallClock` reads 0 at construction, so
-    "kill at t=6" means six wall seconds after the clock was built; one
-    already past fires at once).  A fault still armed when the run's
-    clock stops for good never fires.
+    :class:`~repro.core.clock.SelectorClock` reads 0 at construction,
+    so "kill at t=6" means six wall seconds after the clock was built,
+    and on a simulator six simulated seconds; one already past fires
+    at once).  A fault still armed when the run's clock stops for good
+    never fires.
     """
 
     def __init__(self, clock: Clock, seed: int = 0) -> None:
@@ -81,11 +86,13 @@ def _kill(pid: Optional[int], sig: int) -> bool:
 
 
 class ShardKill(Fault):
-    """SIGKILL the shard process currently occupying a pool slot.
+    """Kill the child of the shard currently occupying a pool slot.
 
     ``shards`` is the *live* list (``gateway.shards``), resolved at
     fire time — if a failover already swapped the slot, the kill hits
-    whichever process holds it now, exactly as a real host fault would.
+    whichever child holds it now, exactly as a real host fault would.
+    The handle is not told: like a supervisor, it learns of the death
+    from ``exitcode``/``alive``.
     """
 
     def __init__(self, shards: Sequence, index: int) -> None:
@@ -93,8 +100,9 @@ class ShardKill(Fault):
         self.index = index
 
     def apply(self, sim) -> None:
-        shard = self.shards[self.index]
-        _kill(getattr(shard, "pid", None), signal.SIGKILL)
+        child = self.shards[self.index].child
+        if child is not None:
+            child.kill()
 
     def describe(self) -> str:
         return f"shard-kill:slot{self.index}"

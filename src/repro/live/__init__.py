@@ -60,7 +60,7 @@ the same machinery to hundreds–thousands of concurrent flows:
   population, streams it from one server (one pacer wheel), and
   measures goodput / delay percentiles / CPU per flow against the
   Lemma 6 oracle, over sockets and shard processes (``run_load``,
-  ``pels gateway``, L3) or on simulated time (``simulate_load``, L2).
+  ``pels gateway``) or on simulated time (``simulate_load``, L2, L3).
 * :mod:`~repro.live.supervisor` — the self-healing layer (L3): shard
   health checks over pipe heartbeats, crash/hang failover with flow
   re-homing onto a fresh ``router_id``, and layered overload shedding

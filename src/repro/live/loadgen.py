@@ -1,9 +1,8 @@
 """Load generator: hundreds of live PELS flows against the shard pool.
 
 :func:`run_load` is the blocking entry point behind the ``pels
-gateway`` CLI subcommand and the L3 experiment; :func:`simulate_load`
-runs the same on simulated time, behind the L2 experiment.  One
-invocation:
+gateway`` CLI subcommand; :func:`simulate_load` runs the same on
+simulated time, behind the L2 and L3 experiments.  One invocation:
 
 1. starts ``config.shards`` router shards
    (:class:`~repro.live.shard.RouterShard`), each a bottleneck sized so
@@ -55,8 +54,9 @@ Self-healing mode (the L3 experiment): with ``config.supervisor`` a
 :class:`~repro.live.supervisor.ShardSupervisor` polls the pool during
 the run — crashed/hung shards are replaced mid-stream, their flows
 re-homed and re-targeted; a ``chaos`` callback passed to
-:func:`run_load` builds a :class:`~repro.faults.FaultSchedule` of live
-injectors (ShardKill, ShardStall, ...) installed on an
+:func:`run_load` or :func:`simulate_load` builds a
+:class:`~repro.faults.FaultSchedule` of live injectors (ShardKill,
+ShardStall, ...) installed on an
 :class:`~repro.faults.AsyncFaultDriver` over the run clock (time 0 =
 run start) — the clock whose timers also pace the senders, poll the
 shards and take the run's snapshots.  ``config.post_window`` carves a
@@ -170,6 +170,8 @@ class LoadConfig(ControlParams):
     blind_backoff: float = 0.85
     #: Tail window (seconds before the run end) over which a second
     #: "post-recovery" goodput measurement is taken; 0 disables it.
+    #: Like the main window it runs through the drain: its bytes are
+    #: divided by the time from its start to the drain's end.
     post_window: float = 0.0
 
     def __post_init__(self) -> None:
@@ -376,7 +378,6 @@ class ChaosContext:
     1 hits whatever process occupies slot 1 when it fires.
     """
 
-    clock: object
     gateway: LiveGateway
     server: LiveServer
     client: LiveClient
@@ -485,7 +486,7 @@ def _drive(config: LoadConfig, clock,
                 retarget=server.retarget_flow, on_spawn=pool.append)
         if chaos is not None:
             fault_schedule = chaos(ChaosContext(
-                clock=clock, gateway=gateway, server=server, client=client,
+                gateway=gateway, server=server, client=client,
                 decisions=admitted, supervisor=supervisor))
 
         # The run's timeline, on the clock: the measurement window opens
@@ -517,7 +518,7 @@ def _drive(config: LoadConfig, clock,
         if config.post_window > 0:
             clock.call_later(max(warmup, config.duration - config.post_window),
                              snapshot, "post")
-        stopped_at = server.stream(config.duration, config.drain)
+        server.stream(config.duration, config.drain)
     finally:
         if server is not None:
             server.stop()
@@ -533,7 +534,7 @@ def _drive(config: LoadConfig, clock,
     post_seconds = 0.0
     if "post" in snapshots:
         post_started, post_before = snapshots["post"]
-        post_seconds = stopped_at - post_started
+        post_seconds = elapsed - post_started
         post_delivered = {
             flow_id: receiver.bytes_received - post_before.get(flow_id, 0)
             for flow_id, receiver in client.flows.items()}
@@ -685,16 +686,21 @@ def run_load(config: Optional[LoadConfig] = None,
     return load_report(config, final_shards, stats, measured)
 
 
-def simulate_load(config: Optional[LoadConfig] = None) -> LoadResult:
+def simulate_load(config: Optional[LoadConfig] = None,
+                  chaos: Optional[Callable[[ChaosContext],
+                                           FaultSchedule]] = None
+                  ) -> LoadResult:
     """:func:`run_load` on simulated time: the same :func:`_drive` on a
     :class:`~repro.sim.engine.Simulator`, the client, the server and
     each :class:`~repro.live.shard.SimulatedShard`'s router on one
     zero-delay :class:`~repro.core.clock.SimNet`, MKC told the true
     sample age ``config.feedback_delay(0)``.
 
-    No socket, no fork, no sleep, and no chaos: a shard can only fail
-    through its handle.  Shard CPU time reads 0 (there is no shard
-    process) and wall seconds are simulated ones.
+    No socket, no fork, no sleep.  ``chaos`` is :func:`run_load`'s; a
+    killed shard's router leaves the net and the supervisor's
+    replacement joins it, while a stall is a no-op (there is no
+    process to stop).  Shard CPU time reads 0, so no shard is ever hot,
+    and wall seconds are simulated ones.
     """
     from ..sim.engine import Simulator
 
@@ -702,7 +708,7 @@ def simulate_load(config: Optional[LoadConfig] = None) -> LoadResult:
     net = SimNet(Simulator(seed=config.seed or 0))
     pool = [SimulatedShard(shard, net).start()
             for shard in _shard_configs(config)]
-    final_shards, measured = _drive(config, net.sim, net.attach, pool, None,
+    final_shards, measured = _drive(config, net.sim, net.attach, pool, chaos,
                                     config.feedback_delay(0))
     stats = {shard.shard_id: shard.stop() for shard in pool}
     return load_report(config, final_shards, stats, measured)

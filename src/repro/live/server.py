@@ -225,16 +225,13 @@ class LiveServer:
         for flow in self.flows.values():
             flow.finish()
 
-    def stream(self, duration: float, drain: float) -> float:
+    def stream(self, duration: float, drain: float) -> None:
         """A session's phases on the server's clock: send for
         ``duration``, :meth:`stop`, then turn ``drain`` seconds more so
-        queued datagrams and the last ACKs land.  Returns the clock
-        time the senders stopped."""
+        queued datagrams and the last ACKs land."""
         self.clock.run(until=self.clock.now + duration)
         self.stop()
-        stopped = self.clock.now
-        self.clock.run(until=stopped + drain)
-        return stopped
+        self.clock.run(until=self.clock.now + drain)
 
     # -- transmit path -----------------------------------------------------
 

@@ -48,7 +48,7 @@ import pickle  # noqa: F401 - the control channel's framing; see below
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
@@ -112,14 +112,12 @@ class ShardStats:
     #: shard's utilization.
     cpu_seconds: float
     wall_seconds: float
-    #: Instantaneous queue occupancy by raw color (packets), the red
-    #: queue's occupancy as a fraction of its buffer, and the layered
-    #: shedding counters/level (see ``LiveRouter.set_shed_level``).
+    #: Instantaneous queue occupancy by raw color (packets) and the
+    #: layered shedding counters/level (see ``LiveRouter.set_shed_level``).
     #: Defaulted to an idle shard's values for the builders that leave
     #: them out: the zero snapshot of a shard that never reported
     #: (``loadgen._no_stats``) and test fixtures.
     depths: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    red_occupancy: float = 0.0
     shed_packets: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     shed_bytes: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     shed_level: int = 0
@@ -137,8 +135,6 @@ def _snapshot(router, config: ShardConfig, port: int, started: float,
     """The router's counters as a :class:`ShardStats`; ``started`` is
     when it began serving on its own clock, ``cpu`` what the shard has
     burnt (its process's CPU time)."""
-    depths = router.queue_depths()
-    red_buffer = max(config.queue.red_buffer, 1)
     return ShardStats(
         shard_id=config.shard_id, port=port,
         arrivals=list(router.arrivals), drops=list(router.drops),
@@ -146,8 +142,7 @@ def _snapshot(router, config: ShardConfig, port: int, started: float,
         routes=len(router.flow_routes),
         cpu_seconds=cpu(),
         wall_seconds=router.clock.now - started,
-        depths=depths,
-        red_occupancy=depths[2] / red_buffer,
+        depths=router.queue_depths(),
         shed_packets=list(router.shed_packets),
         shed_bytes=list(router.shed_bytes),
         shed_level=router.shed_level,
@@ -263,7 +258,10 @@ class RouterShard:
     def __init__(self, config: ShardConfig) -> None:
         self.config = config
         self._conn = None
-        self._child: Optional[proc.Child] = None
+        #: The running child (:meth:`_spawn`'s), None when stopped.  A
+        #: fault that kills it goes around the handle, which then learns
+        #: of the death as a supervisor does: from ``exitcode``/``alive``.
+        self.child: Optional[proc.Child] = None
         self._port: Optional[int] = None
         #: Timestamp payload of the latest heartbeat reply (the value
         #: the supervisor passed to :meth:`ping`), updated by
@@ -293,10 +291,10 @@ class RouterShard:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "RouterShard":
-        if self._child is not None:
+        if self.child is not None:
             raise RuntimeError("shard already started")
-        self._child = self._spawn()
-        self._conn = self._child.conn
+        self.child = self._spawn()
+        self._conn = self.child.conn
         kind, port = self._request(None, expect="ready",
                                    timeout=START_TIMEOUT)
         self._port = port
@@ -306,6 +304,11 @@ class RouterShard:
         """The child this handle runs: a forked :func:`_shard_main`."""
         return proc.spawn(_shard_main, (self.config,))
 
+    def respawn(self, shard_id: int) -> "RouterShard":
+        """A started shard of this one's kind and config under
+        ``shard_id``: the supervisor's replacement for this slot."""
+        return RouterShard(replace(self.config, shard_id=shard_id)).start()
+
     def stop(self, timeout: float = 10.0) -> Optional[ShardStats]:
         """Stop the child; returns its final stats (None if it died).
 
@@ -313,7 +316,7 @@ class RouterShard:
         until the process is truly gone (a SIGSTOP'd child cannot
         answer and leaves SIGTERM pending, but SIGKILL lands).
         """
-        if self._child is None:
+        if self.child is None:
             return None
         stats: Optional[ShardStats] = None
         try:
@@ -321,8 +324,8 @@ class RouterShard:
                                      timeout=timeout)
         except (RuntimeError, BrokenPipeError, EOFError, OSError):
             pass
-        self._child.reap(timeout)
-        self._child = None
+        self.child.reap(timeout)
+        self.child = None
         return stats
 
     def kill(self) -> None:
@@ -332,23 +335,23 @@ class RouterShard:
         presumed dead or unresponsive — and leaves the handle in the
         stopped state immediately.
         """
-        if self._child is None:
+        if self.child is None:
             return
-        self._child.kill()
-        self._child = None
+        self.child.kill()
+        self.child = None
 
     @property
     def alive(self) -> bool:
-        return self._child is not None and self._child.alive
+        return self.child is not None and self.child.alive
 
     @property
     def exitcode(self) -> Optional[int]:
         """The child's exit code (None while running or never started)."""
-        return None if self._child is None else self._child.exitcode
+        return None if self.child is None else self.child.exitcode
 
     @property
     def pid(self) -> Optional[int]:
-        return None if self._child is None else self._child.pid
+        return None if self.child is None else self.child.pid
 
     # -- control verbs -----------------------------------------------------
 
@@ -533,3 +536,8 @@ class SimulatedShard(RouterShard):
 
     def _spawn(self) -> _InProcessChild:
         return _InProcessChild(self.net, self.config)
+
+    def respawn(self, shard_id: int) -> "SimulatedShard":
+        """The replacement joins this shard's net."""
+        return SimulatedShard(replace(self.config, shard_id=shard_id),
+                              self.net).start()

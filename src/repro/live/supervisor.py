@@ -21,13 +21,16 @@ replacement instead of discarding it as a stale epoch.
 ``hang_timeout``; treated as a crash, except the old process must be
 SIGKILLed first (SIGTERM stays pending on a stopped process forever).
 
-**overload** — utilization (CPU-seconds deltas between consecutive
-stats snapshots) or sustained red-queue occupancy above threshold.
-The response is *layered shedding*, the paper's degradation policy
-applied to the operational plane: escalate the shard's in-router shed
-level (red first, then yellow — green base-layer traffic is never
-shed) and close the slot to new admissions with ``shard_overloaded``;
-de-escalate level by level once the shard runs calm again.
+**overload** — CPU utilization (CPU-seconds deltas between
+consecutive stats snapshots) above threshold.  Only CPU counts: a full,
+dropping red queue is PELS's operating point, not overload — the
+gamma controller (Eq. 4, Lemma 4) drives red loss to ``p_thr`` on
+every healthy bottleneck.  The response is *layered shedding*, the
+paper's degradation policy applied to the operational plane: escalate
+the shard's in-router shed level (red first, then yellow — green
+base-layer traffic is never shed) and close the slot to new admissions
+with ``shard_overloaded``; de-escalate level by level once the shard
+runs calm again.
 
 Everything decision-shaped lives in the synchronous :meth:`tick` so
 tier-1 tests drive the whole state machine with fake shards and a
@@ -36,7 +39,9 @@ timer on the clock that calls ``tick`` on the poll cadence.  A slot's
 handle is a :class:`~repro.live.shard.RouterShard` or anything with its
 supervision surface (``poll_messages``, ``exitcode``, ``alive``,
 ``last_pong``, ``ping``, ``request_stats``, ``last_stats``,
-``set_shed_level``, ``kill``).  Obs instruments
+``set_shed_level``, ``kill``, ``respawn``): a replacement is the old
+handle's ``respawn``, so it runs where the old one ran — a forked
+process, or a router on the same simulated net.  Obs instruments
 (failover-latency histogram, per-slot state gauges, shed-bytes
 counters) attach only when a metrics registry is active, as everywhere
 else in the repo.
@@ -52,7 +57,7 @@ from ..core.clock import Clock
 from ..obs.metrics import current_registry
 from .gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                       LiveGateway)
-from .shard import RouterShard, ShardStats
+from .shard import ShardStats
 
 __all__ = ["SupervisorConfig", "FailoverRecord", "ShardSupervisor",
            "STATE_HEALTHY", "STATE_OVERLOADED", "STATE_STALLED",
@@ -79,10 +84,6 @@ _SHED_COLOR_NAMES = ("green", "yellow", "red", "best_effort")
 #: which it counts as calm.
 OVERLOAD_UTILIZATION = 0.90
 RECOVER_UTILIZATION = 0.70
-#: Red-queue occupancy (fraction of buffer) that also counts as hot,
-#: and at/below which a poll can count as calm.
-OVERLOAD_OCCUPANCY = 0.90
-RECOVER_OCCUPANCY = 0.30
 #: Consecutive hot (calm) polls before the shed level escalates
 #: (de-escalates).
 OVERLOAD_POLLS = 2
@@ -136,7 +137,6 @@ class _SlotState:
     shed_level: int = 0
     restarts: int = 0
     utilization: float = 0.0
-    red_occupancy: float = 0.0
     send_errors: int = 0
     #: The snapshot the previous evaluation read (None since a restart):
     #: utilization and shed bytes are deltas against it.
@@ -161,11 +161,6 @@ class ShardSupervisor:
         ``(flow_id, addr) -> None`` — called for every re-homed flow so
         the sender re-aims its datagrams (``LiveServer.retarget_flow``
         in the live stack).  Optional.
-    spawn:
-        ``(old_shard, new_shard_id) -> handle`` — builds and *starts*
-        the replacement.  Defaults to cloning the old handle's
-        :class:`~repro.live.shard.ShardConfig` under the fresh id,
-        which is what the real stack wants; tests inject fakes.
     on_spawn:
         Called with every replacement handle the supervisor creates, so
         the owner of the process tree (``run_load``) can guarantee
@@ -175,13 +170,11 @@ class ShardSupervisor:
     def __init__(self, clock: Clock, gateway: LiveGateway,
                  config: Optional[SupervisorConfig] = None,
                  retarget: Optional[Callable[[int, tuple], None]] = None,
-                 spawn: Optional[Callable] = None,
                  on_spawn: Optional[Callable] = None) -> None:
         self.clock = clock
         self.gateway = gateway
         self.config = config or SupervisorConfig()
         self.retarget = retarget
-        self.spawn = spawn or self._default_spawn
         self.on_spawn = on_spawn
         self._slots: Dict[int, _SlotState] = {
             slot: _SlotState() for slot in range(len(gateway.shards))}
@@ -273,22 +266,17 @@ class ShardSupervisor:
         if prev is not None and stats.wall_seconds > prev.wall_seconds:
             state.utilization = (stats.cpu_seconds - prev.cpu_seconds) / \
                 (stats.wall_seconds - prev.wall_seconds)
-        state.red_occupancy = stats.red_occupancy
         state.send_errors = stats.send_errors
         self._account_shed(prev, stats)
         state.prev = stats
 
-        hot = state.utilization >= OVERLOAD_UTILIZATION or \
-            state.red_occupancy >= OVERLOAD_OCCUPANCY
-        calm = state.utilization <= RECOVER_UTILIZATION and \
-            state.red_occupancy <= RECOVER_OCCUPANCY
-        if hot:
+        if state.utilization >= OVERLOAD_UTILIZATION:
             state.hot_polls += 1
             state.calm_polls = 0
             if state.hot_polls >= OVERLOAD_POLLS:
                 state.hot_polls = 0
                 self._escalate(slot, shard, state)
-        elif calm:
+        elif state.utilization <= RECOVER_UTILIZATION:
             state.calm_polls += 1
             state.hot_polls = 0
             if state.calm_polls >= RECOVER_POLLS:
@@ -371,7 +359,7 @@ class ShardSupervisor:
         self._set_gauge(slot, state)
         new_id = self._next_shard_id
         self._next_shard_id += 1
-        replacement = self.spawn(old, new_id)
+        replacement = old.respawn(new_id)
         if self.on_spawn is not None:
             self.on_spawn(replacement)
         rehomed = self.gateway.replace_shard(slot, replacement)
@@ -401,11 +389,6 @@ class ShardSupervisor:
         if self._failover_hist is not None:
             self._failover_hist.observe(record.latency)
         return record
-
-    @staticmethod
-    def _default_spawn(old, new_shard_id: int):
-        config = dataclasses.replace(old.config, shard_id=new_shard_id)
-        return RouterShard(config).start()
 
     # -- introspection -----------------------------------------------------
 

@@ -21,6 +21,7 @@ from unittest import mock
 import pytest
 
 from repro.core.clock import ManualClock, SimNet
+from repro.faults import Callback, FaultSchedule, ShardKill
 from repro.live import shard as shard_module
 from repro.live.client import LiveClient
 from repro.live.gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
@@ -30,6 +31,7 @@ from repro.live.loadgen import LoadConfig, _percentile, simulate_load
 from repro.live.server import LiveServer
 from repro.live.shard import (RouterShard, ShardConfig, SimulatedShard,
                               apply_control)
+from repro.live.supervisor import SupervisorConfig
 from repro.live.wire import LivePacket, decode_packet, encode_packet
 from repro.sim.engine import Simulator
 from repro.sim.packet import Color
@@ -706,6 +708,76 @@ class TestSimulatedLoad:
         first, again = (simulate_load(config).to_dict() for _ in range(2))
         first["flows_per_sec"] = again["flows_per_sec"]  # a host fact
         assert json.dumps(first) == json.dumps(again)
+
+    def test_no_slot_delivers_more_than_its_capacity_in_the_post_window(self):
+        # L3's --fast population and windows.  The post window's bytes
+        # run through the drain, so its time must too: 2.75 s, not 2.5.
+        result = simulate_load(LoadConfig(flows=24, shards=3, duration=7.0,
+                                          warmup_fraction=0.3,
+                                          post_window=2.5))
+        assert result.post_window_seconds == pytest.approx(2.5 + 0.25)
+        for shard in result.per_shard:
+            assert 0 < shard.post_goodput_bps \
+                <= shard.capacity_bps * (1 + 1e-12)
+
+
+def chaos_config(**overrides) -> LoadConfig:
+    """``test_live_chaos.py``'s run, on simulated time."""
+    defaults = dict(flows=12, shards=2, duration=5.0, warmup_fraction=0.3,
+                    supervisor=SupervisorConfig(), feedback_timeout=0.4,
+                    post_window=1.5, seed=11)
+    defaults.update(overrides)
+    return LoadConfig(**defaults)
+
+
+def kill_slot_0(ctx):
+    return FaultSchedule().add(2.2, ShardKill(ctx.shards, 0))
+
+
+class TestSimulatedChaos:
+    """The run-level claims of ``test_live_chaos.py`` (``--live``) on
+    :func:`simulate_load`: a killed in-process shard's router leaves
+    the net, and the supervisor's replacement joins it."""
+
+    def test_killed_shard_is_replaced_and_flows_recover(self):
+        result = simulate_load(chaos_config(), chaos=kill_slot_0)
+        report = result.supervisor
+        assert [(r["slot"], r["cause"], r["new_shard_id"])
+                for r in report["failovers"]] == [(0, "crash", 3)]
+        assert report["failovers"][0]["flows_rehomed"] == sum(
+            1 for slot in result.flow_slots.values() if slot == 0)
+        assert report["states"] == {0: "healthy", 1: "healthy"}
+        slot = result.per_shard[0]
+        assert slot.shard_id == 3 and slot.post_goodput_bps > 0
+        assert result.recoveries == result.rate_freezes
+        assert result.shed_packets[0] == result.green_drops == 0
+
+    def test_unsupervised_kill_strands_the_slot(self):
+        result = simulate_load(chaos_config(supervisor=None),
+                               chaos=kill_slot_0)
+        killed = [fid for fid, slot in result.flow_slots.items()
+                  if slot == 0]
+        assert killed
+        assert all(result.post_flow_goodput[fid] == 0.0 for fid in killed)
+        assert result.recoveries == 0
+
+    def test_forced_shed_drops_red_keeps_green(self):
+        def chaos(ctx):
+            schedule = FaultSchedule()
+            schedule.add(2.0, Callback(
+                lambda: ctx.supervisor.force_shed(0, 1), "shed-on"))
+            schedule.add(3.5, Callback(
+                lambda: ctx.supervisor.force_shed(0, 0), "shed-off"))
+            return schedule
+
+        result = simulate_load(chaos_config(), chaos=chaos)
+        assert result.shed_packets[2] > 0
+        assert result.shed_packets[0] == result.green_drops == 0
+        # The supervisor undoes the forced level on its second calm
+        # poll (the first lands at the same instant, 2.0 s): the probe
+        # sheds for 0.25 s, not the 1.5 s its schedule asks for.
+        assert result.supervisor["shed_transitions"] == [
+            (2.0, 0, 1), (2.25, 0, 0), (3.5, 0, 0)]
 
 
 @pytest.mark.live

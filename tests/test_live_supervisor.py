@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.clock import ManualClock
+from repro.core.clock import ManualClock, SimNet
+from repro.core.pels_queue import PelsQueueConfig
 from repro.live.gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                                 LiveGateway, TenantPolicy)
-from repro.live.shard import ShardStats
+from repro.live.shard import ShardConfig, ShardStats, SimulatedShard
 from repro.live.supervisor import (STATE_FAILED, STATE_HEALTHY,
                                    STATE_OVERLOADED, ShardSupervisor,
                                    SupervisorConfig)
+from repro.live.wire import LivePacket, encode_packet
 from repro.obs.metrics import MetricsRegistry, metrics
 from repro.sim.engine import Simulator
+from repro.sim.packet import Color
 
 CLIENT = ("127.0.0.1", 5555)
 
@@ -77,19 +80,20 @@ class FakeShard:
         self.alive = False
         self.exitcode = -9
 
+    def respawn(self, shard_id):
+        return FakeShard(shard_id, self.capacity_bps)
 
-def make_stats(cpu=0.0, wall=0.0, red_occupancy=0.0, shed_bytes=None,
-               send_errors=0):
+
+def make_stats(cpu=0.0, wall=0.0, shed_bytes=None, send_errors=0):
     return ShardStats(shard_id=1, port=0, arrivals=[0] * 4, drops=[0] * 4,
                       forwarded=[0] * 4, routes=0,
                       cpu_seconds=cpu, wall_seconds=wall,
-                      red_occupancy=red_occupancy,
                       shed_bytes=shed_bytes or [0, 0, 0, 0],
                       send_errors=send_errors)
 
 
 def make_pool(n_shards=2, flows_per_shard=0, clock=None):
-    """Gateway over fakes, a supervisor with injected spawn/retarget."""
+    """Gateway over fakes, a supervisor with an injected retarget."""
     clock = clock or ManualClock()
     shards = [FakeShard(i + 1) for i in range(n_shards)]
     gateway = LiveGateway(clock, shards, flow_reserve_bps=1_000.0,
@@ -107,17 +111,9 @@ def make_pool(n_shards=2, flows_per_shard=0, clock=None):
         else:
             placed[decision.shard_slot] += 1
     retargeted = []
-    spawned = []
-
-    def spawn(old, new_shard_id):
-        replacement = FakeShard(new_shard_id, old.capacity_bps)
-        spawned.append(replacement)
-        return replacement
-
     supervisor = ShardSupervisor(
         clock, gateway, SupervisorConfig(),
-        retarget=lambda fid, addr: retargeted.append((fid, addr)),
-        spawn=spawn, on_spawn=spawned.append)
+        retarget=lambda fid, addr: retargeted.append((fid, addr)))
     return supervisor, gateway, shards, clock, retargeted
 
 
@@ -250,12 +246,29 @@ class TestOverloadShedding:
         self.run_stats_ticks(supervisor, shards, clock, hot[5:])
         assert supervisor.shed_level(0) == 2
 
-    def test_red_occupancy_alone_counts_as_hot(self):
-        supervisor, _, shards, clock, _ = make_pool(n_shards=1)
-        hot = [make_stats(cpu=0.0, wall=1.0 * t, red_occupancy=0.95)
-               for t in range(1, 4)]
-        self.run_stats_ticks(supervisor, shards, clock, hot)
-        assert supervisor.shed_level(0) == 1
+    def test_a_full_red_queue_at_idle_cpu_is_not_overload(self):
+        # The gamma loop (Eq. 4, Lemma 4) holds red loss at p_thr, so a
+        # healthy bottleneck's red queue is full and dropping: only CPU
+        # makes a shard hot.  A real (in-process) shard reports it.
+        net = SimNet(Simulator())
+        shard = SimulatedShard(ShardConfig(
+            queue=PelsQueueConfig(red_buffer=20)), net).start()
+        red = encode_packet(LivePacket(flow_id=1, seq=0, sent_at=0.0,
+                                       color=Color.RED, size=200))
+        for _ in range(19):  # 0.95 of the buffer; the net never turns
+            shard._conn.router.datagram_received(red, CLIENT)
+        clock = ManualClock()
+        gateway = LiveGateway(clock, [shard], flow_reserve_bps=1_000.0)
+        supervisor = ShardSupervisor(clock, gateway, SupervisorConfig())
+        for _ in range(6):
+            clock.advance(0.25)
+            supervisor.tick(clock.now)
+        assert shard.last_stats.depths[2] == 19
+        assert shard.last_stats.cpu_seconds == 0.0
+        assert supervisor.shed_transitions == []
+        assert supervisor.shed_level(0) == 0
+        assert supervisor.slot_state(0) == STATE_HEALTHY
+        assert gateway.shard_closed(0) is None
 
     def test_calm_polls_deescalate_and_reopen_the_slot(self):
         supervisor, gateway, shards, clock, _ = make_pool(n_shards=1)

@@ -37,7 +37,7 @@ STATS = {
     1: ShardStats(shard_id=1, port=40001, arrivals=[812, 1604, 2411, 0],
                   drops=[3, 37, 402, 0], forwarded=[812, 1567, 1990, 0],
                   routes=4, cpu_seconds=0.3712849, wall_seconds=4.4109375,
-                  depths=[0, 3, 11, 0], red_occupancy=11 / 64,
+                  depths=[0, 3, 11, 0],
                   shed_packets=[0, 5, 19, 0], shed_bytes=[0, 1250, 4750, 0],
                   shed_level=1, send_errors=2),
     2: ShardStats(shard_id=2, port=40002, arrivals=[300, 600, 900, 0],
