@@ -135,6 +135,8 @@ class _SlotState:
     hot_polls: int = 0
     calm_polls: int = 0
     shed_level: int = 0
+    #: The last forced level: calm polls de-escalate no further.
+    shed_floor: int = 0
     restarts: int = 0
     utilization: float = 0.0
     send_errors: int = 0
@@ -302,7 +304,7 @@ class ShardSupervisor:
         self._apply_shed(slot, shard, state, state.shed_level + 1)
 
     def _deescalate(self, slot: int, shard, state: _SlotState) -> None:
-        if state.shed_level <= 0:
+        if state.shed_level <= state.shed_floor:
             return
         self._apply_shed(slot, shard, state, state.shed_level - 1)
 
@@ -321,10 +323,14 @@ class ShardSupervisor:
         self._set_gauge(slot, state)
 
     def force_shed(self, slot: int, level: int) -> None:
-        """Manually pin a slot's shed level (experiments, operators)."""
+        """Manually pin a slot's shed level (experiments, operators).
+
+        The level is a floor until the next ``force_shed`` or a
+        failover of the slot: hot polls may still escalate above it,
+        calm polls step back down to it and no further."""
         state = self._slots[slot]
+        state.shed_floor = level
         self._apply_shed(slot, self.gateway.shards[slot], state, level)
-        # A forced level must not be instantly undone by a calm poll.
         state.calm_polls = 0
         state.hot_polls = 0
 
@@ -372,6 +378,7 @@ class ShardSupervisor:
         # shedding, heartbeat clock reset.
         state.restarts += 1
         state.shed_level = 0
+        state.shed_floor = 0
         state.last_pong = None
         state.first_ping = None
         state.prev = None

@@ -1,31 +1,34 @@
-"""The fluid numpy kernel works on lag runs: the differential, the
-controller's partial feeds and the fence.
+"""The fluid numpy kernel works on the begun prefix of a start-ordered
+row: the differential, the controller's partial feeds and the fence.
 
 Differential.  ``FluidEngine._run_numpy`` as it stood when it ran one
 Python iteration per ``(fwd, bwd, start)`` class per epoch is frozen in
-``tests/frozen_fluid_numpy.py``.  Today's kernel runs the controller
-once over the whole row, with only a label gather and a reference
-multiply per lag run (the classes sharing ``(fwd, bwd)``), slides the
-matched filter over the whole row on every epoch and patches only the
-classes inside their warm-up window.  Elementwise arithmetic does not depend on how a
-row is sliced, so over a generated family — clustered and spread
-starts (inside another class's warm-up, closer together than a
-feedback delay), 1-3 routers with chain or explicit paths, interferer
-steps, per-flow and ``flow_groups`` populations, fast-forward and flow
-recording on and off — every ``FluidResult`` series and the final
-rates and gammas must be equal **bit for bit**.
+``tests/frozen_fluid_numpy.py``.  Today's kernel stores its rings in
+start order (the classes sorted by start epoch, each contiguous), runs
+the controller and the matched filter over the prefix of segments that
+have begun, with one flat gather per delayed lookup, and reads every
+order-dependent reduction (the arrival bincount, the sample dots, the
+final rows) back in segment order.  Elementwise arithmetic does not
+depend on where a value is stored, so over a generated family —
+clustered and spread starts (inside another class's warm-up, closer
+together than a feedback delay), 1-3 routers with chain or explicit
+paths, interferer steps, per-flow and ``flow_groups`` populations,
+fast-forward and flow recording on and off — every ``FluidResult``
+series and the final rates and gammas must be equal **bit for bit**.
 
 Controller.  ``_ListRows.control`` and ``_NumpyRows.control`` get
-every lag run's span in one call; driven from identical state with
-unfed, partly fed and fully fed runs they must write the same rate row
-and gamma bit for bit, leaving unfed segments' gamma and fills alone.
+every lag run's span in one call; driven from identical state (the
+numpy rows' through the start-order permutation) with unfed, partly
+fed and fully fed runs, and with an unfed class inside the begun
+prefix, they must write the same rate row and gamma bit for bit,
+leaving unfed segments' gamma alone and unstarted columns unwritten.
 
 Fence.  ``_run_numpy`` takes the ``np`` module as an argument; a
 counting proxy for it shows that the explicit ``np.*`` calls of a
-post-warm-up epoch do not depend on the number of start waves, and
-that an extra lag run costs at most three of them (one controller call
-over the whole row, a per-run gather and multiply).  Deterministic, no
-wall clock.
+post-warm-up epoch depend neither on the number of start waves nor on
+the number of lag runs, and that an epoch before most waves have
+begun touches a fraction of the elements a fully begun one does.
+Deterministic, no wall clock.
 
 Tier-1 runs Hypothesis' default example count; CI reruns the file with
 ``--hypothesis-profile=ci``.  Without numpy the whole file is skipped.
@@ -198,56 +201,83 @@ class TestDifferential:
 
 # -- one controller call, partial feeds ---------------------------------------
 
-def _control_rows():
+def _control_rows(k: int, begun: int):
     """A list and a numpy row set on one 3-run fabric (lags 1, 3, 5;
-    three 8-segment classes a run) holding identical random state."""
+    three 8-segment classes a run, one per start wave) as epoch ``k``
+    finds them: identical random state in the ring slots of epochs
+    ``1 .. k - 1`` for the classes of the first ``begun`` waves, and
+    the rings' initial rate 0 and ``y = r0`` everywhere else."""
     engine = FluidEngine(fat_tree_scenario(start_waves=3, wave_interval_s=0.3,
                                            delay_tiers=4), backend="numpy")
     assert [run[0].delay for run in engine.lag_runs] == [1, 3, 5]
     rows_list = engine_mod._ListRows(engine)
     rows_np = engine_mod._NumpyRows(engine, np)
+    waves = sorted({c.start for c in engine.classes})
+    unstarted = [j for c in engine.classes if c.start > waves[begun - 1]
+                 for j in range(c.lo, c.hi)]
     rng = random.Random(5)
-    for ring, low, high in (("rate_hist", 0.0, 9e5), ("y_hist", 1e5, 9e5),
-                            ("pp_hist", 0.0, 0.4)):
-        for slot_list, slot_np in zip(getattr(rows_list, ring),
-                                      getattr(rows_np, ring)):
-            slot_list[:] = [rng.uniform(low, high) for _ in slot_list]
-            slot_np[:] = slot_list
+    r0 = engine.scenario.initial_rate_bps
+    H = rows_list.H
+    for ring, low, high, idle in (("rate_hist", 0.0, 9e5, 0.0),
+                                  ("y_hist", 1e5, 9e5, r0)):
+        for m in range(k - H + 1, k):
+            slot_list = getattr(rows_list, ring)[m % H]
+            if m >= 1:
+                slot_list[:] = [rng.uniform(low, high) for _ in slot_list]
+                for j in unstarted:
+                    slot_list[j] = idle
+            getattr(rows_np, ring)[m % H][rows_np.pos] = slot_list
+    for m in range(max(1, k - H + 1), k):
+        label = [rng.uniform(0.0, 0.4) for _ in range(rows_list.P)]
+        rows_list.pp_hist[m % H][:] = label
+        rows_np.pp_hist[m % H][:] = label
     # Stale scratch, as a router close leaves it.
-    rows_np.buf_s[:] = [rng.uniform(0.0, 1e9)
-                        for _ in range(engine.n_segments)]
+    rows_np.buf_s[:] = [rng.uniform(0.0, 1e9) for _ in rows_np.buf_s]
     return engine, rows_list, rows_np
 
 
 class TestControl:
     @pytest.mark.parametrize("arrangement", [
-        # (fed classes, begun classes) per run: partly fed, none fed,
-        # all fed; then none, all, partly (adjacent fed prefixes).
-        ((1, 2), (0, 1), (3, 3)),
-        ((0, 2), (3, 3), (1, 1)),
+        # (waves begun, fed classes per run): partly fed, none fed,
+        # all fed; then none, all, partly.
+        (3, (1, 0, 3)),
+        (3, (0, 3, 1)),
+        # Two waves begun, so in start order the runs' classes
+        # interleave (wave 0 of runs 0-2, then wave 1 of runs 0-2) and
+        # run 1's unfed wave-1 class sits inside the prefix, between
+        # fed classes of runs 0 and 2.
+        (2, (2, 1, 2)),
     ])
     def test_partial_feeds_match_the_list_rows(self, arrangement):
-        engine, rows_list, rows_np = _control_rows()
+        begun, fed = arrangement
         k = 4  # k - D = 3, 1, -1: the lag-5 run reads r0
+        engine, rows_list, rows_np = _control_rows(k, begun)
         spans = []
-        for run, (fed, begun) in zip(engine.lag_runs, arrangement):
+        for run, n_fed in zip(engine.lag_runs, fed):
             edges = [run[0].lo] + [c.hi for c in run]
-            spans.append((run[0].lo, edges[fed], edges[begun], run[-1].hi,
+            spans.append((run[0].lo, edges[n_fed], edges[begun], run[-1].hi,
                           run[0].bwd, run[0].delay))
         gamma0 = engine.scenario.gamma0
         rows_list.control(k, spans)
         rows_np.control(k, spans)
+        pos = rows_np.pos
         row_list = rows_list.rate_hist[k % rows_list.H]
-        row_np = rows_np.rate_hist[k % rows_np.H].tolist()
+        row_np = rows_np.rate_hist[k % rows_np.H][pos].tolist()
+        gamma_np = rows_np.gamma[pos].tolist()
         assert _bits(row_np) == _bits(row_list)
-        assert _bits(rows_np.gamma.tolist()) == _bits(rows_list.gamma)
+        assert _bits(gamma_np) == _bits(rows_list.gamma)
         r0 = engine.scenario.initial_rate_bps
         for lo, fed_hi, begun_hi, hi, _, _ in spans:
-            assert rows_np.gamma[fed_hi:hi].tolist() \
-                == [gamma0] * (hi - fed_hi)
+            assert gamma_np[fed_hi:hi] == [gamma0] * (hi - fed_hi)
             assert row_np[fed_hi:begun_hi] == [r0] * (begun_hi - fed_hi)
             assert row_np[begun_hi:hi] == [0.0] * (hi - begun_hi)
-            assert all(g != gamma0 for g in rows_np.gamma[lo:fed_hi])
+            assert all(g != gamma0 for g in gamma_np[lo:fed_hi])
+        # The prefix is the begun classes; nothing past it was written.
+        n_begun = sum(begun_hi - lo for lo, _, begun_hi, _, _, _ in spans)
+        assert rows_np.n_begun == n_begun
+        assert sorted(col for lo, _, begun_hi, _, _, _ in spans
+                      for col in pos[lo:begun_hi]) == list(range(n_begun))
+        assert not rows_np.rate_hist[k % rows_np.H][n_begun:].any()
 
 
 # -- dispatch fence -----------------------------------------------------------
@@ -258,23 +288,35 @@ class _Counted:
         self._target = target
 
     def __call__(self, *args, **kwargs):
-        self._owner.calls += 1
+        owner = self._owner
+        owner.calls += 1
+        touched = kwargs.get("out")
+        if touched is None:
+            touched = next((a for a in args if isinstance(a, np.ndarray)),
+                           None)
+        if touched is not None:
+            owner.elements += touched.size
         return self._target(*args, **kwargs)
 
-    def __getattr__(self, name):  # np.maximum.reduceat
+    def __getattr__(self, name):  # np.maximum.reduceat, np.ndarray.take
         return _Counted(self._owner, getattr(self._target, name))
 
 
 class CountingNumpy:
     """Stands in for the ``np`` module and counts every explicit
-    ``np.name(...)`` call (ufunc methods included); dtypes and other
-    non-functions pass through."""
+    ``np.name(...)`` call (ufunc methods and the kernel's gathers,
+    ``np.ndarray.take``, included) and the elements each one writes:
+    its ``out=`` array's, or its first array argument's when it has no
+    ``out=``.  Dtypes and other non-functions pass through."""
 
     def __init__(self) -> None:
         self.calls = 0
+        self.elements = 0
 
     def __getattr__(self, name):
         attr = getattr(np, name)
+        if attr is np.ndarray:
+            return _Counted(self, attr)
         if isinstance(attr, type) or not callable(attr):
             return attr
         return _Counted(self, attr)
@@ -295,14 +337,26 @@ def random_population(seed: int = 20, n: int = 2000) -> FluidScenario:
         record_flows=False)
 
 
-def _calls(scenario: FluidScenario, epochs: int) -> int:
-    """Explicit ``np.*`` calls of a run of ``epochs`` epochs, every one
+def _count(scenario: FluidScenario, epochs: int) -> CountingNumpy:
+    """The counting proxy after a run of ``epochs`` epochs, every one
     of them integrated (no fast-forward, hence no detector either)."""
     counter = CountingNumpy()
     engine = FluidEngine(dataclasses.replace(scenario, duration=epochs * T),
                          backend="numpy", fast_forward=False)
     assert engine._run_numpy(counter).n_epochs == epochs
-    return counter.calls
+    return counter
+
+
+def _calls(scenario: FluidScenario, epochs: int) -> int:
+    return _count(scenario, epochs).calls
+
+
+def _elements_at(scenario: FluidScenario, epoch: int) -> int:
+    """Elements the explicit ``np.*`` calls of epoch ``epoch`` write:
+    two runs ending one epoch apart each close on one sample and the
+    final rows, so their difference is that epoch's own work."""
+    return (_count(scenario, epoch).elements
+            - _count(scenario, epoch - 1).elements)
 
 
 def _steady_calls_per_epoch(scenario: FluidScenario, warm: int) -> float:
@@ -334,10 +388,9 @@ class TestDispatchFence:
             == _steady_calls_per_epoch(many, warm)
 
     def test_calls_per_extra_lag_run(self):
-        """One controller call per epoch: a lag run adds its
-        delayed-reference multiply and its ZOH arrival add, nothing
-        more (a per-run controller step read 24.2 -> 50.2, +13 a
-        run)."""
+        """Every delayed lookup is one flat gather over the row: an
+        extra lag run costs no call at all (a per-run gather and
+        multiply read +3 a run, a per-run controller step +13)."""
         one = fat_tree_scenario(start_waves=2, wave_interval_s=0.3,
                                 delay_tiers=1)
         three = fat_tree_scenario(start_waves=2, wave_interval_s=0.3,
@@ -345,14 +398,33 @@ class TestDispatchFence:
         _, one_runs, _ = _geometry(one)
         _, three_runs, warm = _geometry(three)
         assert (one_runs, three_runs) == (1, 3)
-        extra = (_steady_calls_per_epoch(three, warm)
-                 - _steady_calls_per_epoch(one, warm))
-        assert extra <= 3 * (three_runs - one_runs)
+        assert _steady_calls_per_epoch(three, warm) \
+            == _steady_calls_per_epoch(one, warm)
 
     def test_calls_bounded_by_lag_runs(self):
-        """32.2 calls an epoch over 5 runs (a per-run controller step
-        read 76.2)."""
+        """28.4 calls an epoch over 5 runs, gathers included, as over
+        one (per-run gathers read 32.2 without the gathers counted, a
+        per-run controller step 76.2)."""
         scenario = random_population()
         classes, runs, warm = _geometry(scenario)
         assert (classes, runs) == (571, 5)
-        assert _steady_calls_per_epoch(scenario, warm) <= 24 + 3 * runs
+        assert _steady_calls_per_epoch(scenario, warm) <= 28.4
+
+
+class TestBegunPrefix:
+    def test_unstarted_segments_cost_no_elements(self):
+        """The ledger's staggered fabric in miniature, 12 waves 2 s
+        apart: at epoch 40 (one wave begun, past its warm-up) the
+        kernel writes under 40 % of the elements it writes at epoch 760
+        (every wave fed and past its warm-up).  A kernel that computes
+        every epoch over the whole row writes about as many at both."""
+        scenario = fat_tree_scenario(duration=24.0, start_waves=12,
+                                     wave_interval_s=2.0)
+        engine = FluidEngine(scenario, backend="numpy")
+        starts = sorted({c.start for c in engine.classes})
+        W = scenario.feedback_window
+        assert starts[0] + engine.max_delay + W < 40 < starts[1]
+        assert starts[-1] + engine.max_delay + W < 760
+        early = _elements_at(scenario, 40)
+        late = _elements_at(scenario, 760)
+        assert early < 0.4 * late

@@ -18,7 +18,8 @@ from repro.core.pels_queue import PelsQueueConfig
 from repro.live.gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                                 LiveGateway, TenantPolicy)
 from repro.live.shard import ShardConfig, ShardStats, SimulatedShard
-from repro.live.supervisor import (STATE_FAILED, STATE_HEALTHY,
+from repro.live.supervisor import (OVERLOAD_POLLS, RECOVER_POLLS,
+                                   STATE_FAILED, STATE_HEALTHY,
                                    STATE_OVERLOADED, ShardSupervisor,
                                    SupervisorConfig)
 from repro.live.wire import LivePacket, encode_packet
@@ -300,6 +301,33 @@ class TestOverloadShedding:
         assert gateway.shard_closed(0) is None
         assert [(slot, level) for _, slot, level
                 in supervisor.shed_transitions] == [(0, 2), (0, 0)]
+
+    def test_a_forced_level_is_a_floor_for_calm_polls(self):
+        supervisor, gateway, shards, clock, _ = make_pool(n_shards=1)
+        supervisor.force_shed(0, 1)
+        calm = [make_stats(cpu=0.1 * t, wall=1.0 * t)
+                for t in range(1, 2 * RECOVER_POLLS + 2)]
+        self.run_stats_ticks(supervisor, shards, clock, calm)
+        assert supervisor.shed_level(0) == shards[0].shed_level == 1
+        assert gateway.shard_closed(0) == REASON_SHARD_OVERLOADED
+        assert [(slot, level) for _, slot, level
+                in supervisor.shed_transitions] == [(0, 1)]
+
+    def test_hot_polls_escalate_above_the_floor_and_calm_back_to_it(self):
+        supervisor, gateway, shards, clock, _ = make_pool(n_shards=1)
+        supervisor.force_shed(0, 1)
+        hot = [make_stats(cpu=0.95 * t, wall=1.0 * t)
+               for t in range(1, OVERLOAD_POLLS + 2)]
+        self.run_stats_ticks(supervisor, shards, clock, hot)
+        assert supervisor.shed_level(0) == 2
+        calm = [make_stats(cpu=hot[-1].cpu_seconds + 0.1 * t,
+                           wall=hot[-1].wall_seconds + 1.0 * t)
+                for t in range(1, 3 * RECOVER_POLLS + 1)]
+        self.run_stats_ticks(supervisor, shards, clock, calm)
+        assert supervisor.shed_level(0) == shards[0].shed_level == 1
+        assert supervisor.slot_state(0) == STATE_OVERLOADED
+        assert [level for _, _, level
+                in supervisor.shed_transitions] == [1, 2, 1]
 
     def test_failover_resets_the_shed_state(self):
         supervisor, gateway, shards, clock, _ = make_pool(n_shards=1)
